@@ -3,8 +3,8 @@ wireless closed-loop machine-tool control."""
 
 from .channel import (Channel, ChannelProfile, DelayStats, DeliveryRecord,
                       JitterDistribution, ZERO_IMPAIRMENT, empirical_stats)
-from .engine import (CausalityError, EventRecord, RngStream, RunSummary,
-                     SimTime, Simulator, component_rng, derive_seed)
+from .engine import (CausalityError, RngStream, RunSummary, SimTime, Simulator,
+                     component_rng, derive_seed)
 from .harness import (CellClass, CellVerdict, RunManifest, ScenarioResult,
                       ScriptError, SweepResult, SweepSpec, parse_matrix_csv,
                       reference_pattern, render_matrix, run_from_manifest,

@@ -2,11 +2,14 @@
 
 Every section is optional; omitted values fall back to the shipped
 calibrated defaults.  The full schema is documented in the README.
+``;`` and ``#`` start comments, also after a value.  A section or key
+outside the schema is an error that names its line.
 """
 
 from __future__ import annotations
 
 import configparser
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -21,6 +24,67 @@ from .trial import (ADAPTED_LOOP_CONFIG, DEFAULT_CONTROL_RING, DEFAULT_LOOP_CONF
 
 class ConfigError(ValueError):
     pass
+
+
+_GAIN_KEYS = frozenset({"kp", "ki", "kd", "integral_clamp"})
+_LOOP_KEYS = frozenset({"servo_period_us", "watchdog_timeout_us", "init_grace_us",
+                        "fe_limit_mm", "delay_spread_tolerance_us", "rtt_rescue_budget_us"})
+_RING_KEYS = frozenset({"nodes", "slot_time_us", "tx_time_us", "queue_depth", "loss_rate"})
+_CHANNEL_KEYS = frozenset({"mean_delay_ms", "jitter_ms", "distribution", "loss_rate",
+                           "reorder"})
+
+# every section a scenario file may have, with the keys it may hold
+_SCHEMA: dict[str, frozenset[str]] = {
+    "sweep": frozenset({"latencies_ms", "jitters_ms", "seeds_per_cell", "trial_seconds",
+                        "master_seed"}),
+    "gains.default": _GAIN_KEYS,
+    "gains.adapted": _GAIN_KEYS,
+    "loop.default": _LOOP_KEYS,
+    "loop.adapted": _LOOP_KEYS,
+    "ring.control": _RING_KEYS,
+    "ring.sensor": _RING_KEYS | {"enabled"},
+    "channel.overlay": _CHANNEL_KEYS,
+    "channel.command": _CHANNEL_KEYS,
+    "channel.feedback": _CHANNEL_KEYS,
+    "trajectory": frozenset({"amplitude_mm", "velocity_mm_s", "accel_mm_s2", "dwell_s",
+                             "file"}),
+    "band": frozenset({"low_mhz", "high_mhz"}),
+    "spectrum": frozenset({"static_plan"}),
+}
+
+_HEADER = re.compile(r"\s*\[(?P<name>[^\]]+)\]")
+_KEY = re.compile(r"\s*(?P<key>[^=:;#\s][^=:]*?)\s*[=:]")
+
+
+def _line_of(text: str, section: str, key: str | None = None) -> int:
+    """1-based line of a section header, or of a key inside that section."""
+    current = None
+    for number, line in enumerate(text.splitlines(), 1):
+        header = _HEADER.match(line)
+        if header:
+            current = header["name"]
+            if key is None and current == section:
+                return number
+        elif key is not None and current == section:
+            found = _KEY.match(line)
+            if found and found["key"].lower() == key:
+                return number
+    return 0
+
+
+def _check_schema(parser: configparser.ConfigParser, text: str, path) -> None:
+    names = parser.sections()
+    if parser.defaults():  # its keys would show up in every section
+        names.insert(0, parser.default_section)
+    for name in names:
+        allowed = _SCHEMA.get(name)
+        if allowed is None:
+            raise ConfigError(f"{path}, line {_line_of(text, name)}: "
+                              f"unknown section [{name}]")
+        for key in parser[name]:
+            if key not in allowed:
+                raise ConfigError(f"{path}, line {_line_of(text, name, key)}: "
+                                  f"unknown key {key!r} in [{name}]")
 
 
 @dataclass
@@ -107,12 +171,13 @@ def _channel(section, fallback: ChannelProfile) -> ChannelProfile:
 
 
 def load_config(path: str | Path) -> AppConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     text = Path(path).read_text()
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from None
+    _check_schema(parser, text, path)
 
     app = default_app_config()
     known = set(parser.sections())

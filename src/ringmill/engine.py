@@ -5,13 +5,19 @@ All simulation time is integer microseconds.  Events fire in
 microsecond are processed in the order they were scheduled.  Nothing in
 here touches the wall clock; a run is a pure function of the scenario
 and its seeds.
+
+A heap entry is just ``(fire_time, sequence, action)``.  Callers schedule
+only the events that can change what a run decides: a trial sends each
+frame as one arrival event (see ``trial.py``), so the per-event cost of
+this loop is most of a trial's host time.  Event labels are kept only
+while a ``trace`` callback is set.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 SimTime = int  # microseconds since simulation start
@@ -19,21 +25,11 @@ SimTime = int  # microseconds since simulation start
 US_PER_MS = 1_000
 US_PER_S = 1_000_000
 
+_NO_LABEL = ("", "", "")
+
 
 class CausalityError(ValueError):
     """Raised when an event is scheduled before the current clock."""
-
-
-@dataclass(slots=True)
-class EventRecord:
-    """A scheduled event: when it fires, its tiebreak sequence and what it does."""
-
-    fire_time: SimTime
-    sequence: int
-    action: Callable[[], None]
-    component: str = ""
-    kind: str = ""
-    details: str = ""
 
 
 @dataclass(slots=True)
@@ -52,8 +48,8 @@ class Simulator:
     def __init__(self, trace: Callable[[str], None] | None = None):
         self._clock: SimTime = 0
         self._seq = 0
-        self._heap: list[tuple[SimTime, int, EventRecord]] = []
-        self._cancelled: set[int] = set()
+        self._heap: list[tuple[SimTime, int, Callable[[], None]]] = []
+        self._labels: dict[int, tuple[str, str, str]] = {}  # filled only while tracing
         self._events_processed = 0
         self.trace = trace
 
@@ -70,49 +66,58 @@ class Simulator:
         kind: str = "",
         details: str = "",
     ) -> int:
-        """Enqueue an event and return a cancellable event id."""
+        """Enqueue an event at integer-µs `fire_time`; returns a cancellable id."""
         if fire_time < self._clock:
             raise CausalityError(
                 f"causality violation: cannot schedule at t={fire_time} "
                 f"when clock is {self._clock}"
             )
-        self._seq += 1
-        record = EventRecord(int(fire_time), self._seq, action, component, kind, details)
-        heapq.heappush(self._heap, (record.fire_time, record.sequence, record))
-        return record.sequence
+        self._seq = seq = self._seq + 1
+        heapq.heappush(self._heap, (fire_time, seq, action))
+        if self.trace is not None:
+            self._labels[seq] = (component, kind, details)
+        return seq
 
     def schedule_in(self, delay: SimTime, action: Callable[[], None], **kw) -> int:
         return self.schedule(self._clock + delay, action, **kw)
 
     def cancel(self, event_id: int) -> bool:
-        """Mark a pending event dead.  Returns False for unknown/fired ids."""
-        if event_id <= 0 or event_id > self._seq:
-            return False
-        self._cancelled.add(event_id)
-        return True
+        """Remove a pending event.  Returns False for unknown or fired ids.
+
+        Scans the heap, which holds a handful of entries in a trial.
+        """
+        heap = self._heap
+        for i, entry in enumerate(heap):
+            if entry[1] == event_id:
+                heap[i] = heap[-1]
+                heap.pop()
+                heapq.heapify(heap)
+                self._labels.pop(event_id, None)
+                return True
+        return False
 
     def run_until(self, t_end: SimTime) -> RunSummary:
         """Process every event with fire_time <= t_end; clock ends at t_end."""
         heap = self._heap
-        cancelled = self._cancelled
-        while heap and heap[0][0] <= t_end:
-            fire_time, seq, record = heapq.heappop(heap)
-            if seq in cancelled:
-                cancelled.discard(seq)
-                continue
-            self._clock = fire_time
-            self._events_processed += 1
-            if self.trace is not None:
-                self.trace(
-                    f"t={fire_time} component={record.component or '-'} "
-                    f"kind={record.kind or '-'} details={record.details or '-'}"
-                )
-            record.action()
+        pop = heapq.heappop
+        trace = self.trace
+        processed = self._events_processed
+        try:
+            while heap and heap[0][0] <= t_end:
+                fire_time, seq, action = pop(heap)
+                self._clock = fire_time
+                processed += 1
+                if trace is not None:
+                    component, kind, details = self._labels.pop(seq, _NO_LABEL)
+                    trace(
+                        f"t={fire_time} component={component or '-'} "
+                        f"kind={kind or '-'} details={details or '-'}"
+                    )
+                action()
+        finally:
+            self._events_processed = processed
         self._clock = t_end
-        return RunSummary(self._events_processed, self._clock)
-
-    def pending(self) -> int:
-        return sum(1 for _, seq, _r in self._heap if seq not in self._cancelled)
+        return RunSummary(processed, t_end)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import enum
 import random
+from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from .engine import SimTime, Simulator
@@ -111,17 +113,41 @@ class RingStats:
 
 
 class TokenRing:
-    """One deterministic token ring attached to a simulation instance."""
+    """One deterministic token ring attached to a simulation instance.
+
+    Each source node's queue is FIFO and its transmission start depends
+    only on the clock and that node's watermark, so `enqueue` computes a
+    frame's delivery instant at admission.  No engine event is needed
+    unless the caller asks to be called back at delivery.
+    """
 
     def __init__(self, config: RingConfig, sim: Simulator, rng: random.Random):
         self.config = config
         self.sim = sim
         self.rng = rng
-        self.stats = RingStats()
+        self._stats = RingStats()
         self._index = {node: i for i, node in enumerate(config.nodes)}
         self._watermark: dict[str, SimTime] = {node: 0 for node in config.nodes}
-        self._pending: dict[str, list[SimTime]] = {node: [] for node in config.nodes}
+        # per source node: (delivery instant, access latency) of frames in flight
+        self._pending: dict[str, deque[tuple[SimTime, int]]] = {
+            node: deque() for node in config.nodes}
         self._cycle = len(config.nodes) * config.slot_time_us
+
+    @property
+    def stats(self) -> RingStats:
+        """Counters as of the current clock.
+
+        A frame counts as delivered once the clock reaches its delivery
+        instant, whether or not a delivery event was scheduled for it.
+        """
+        now = self.sim.now
+        for pending in self._pending.values():
+            self._settle(pending, now)
+        return self._stats
+
+    def _settle(self, pending: deque[tuple[SimTime, int]], now: SimTime) -> None:
+        while pending and pending[0][0] <= now:
+            self._stats.record_delivery(pending.popleft()[1])
 
     def token_node_at(self, t: SimTime) -> str:
         """Pure function of (t, config); ignores traffic entirely."""
@@ -142,42 +168,39 @@ class TokenRing:
         return base + self._cycle
 
     def enqueue(self, node: str, frame: Frame, now: SimTime,
-                on_deliver: Callable[[Frame, SimTime], None] | None = None) -> int | None:
-        """Queue a frame at a member node; returns its queue position or None if dropped.
+                on_deliver: Callable[[Frame, SimTime], None] | None = None) -> SimTime | None:
+        """Admit a frame at a member node at the current clock `now`.
 
-        Delivery is scheduled as an engine event at the computed transmission
-        end.  Per-node FIFO is enforced by the transmission watermark.
+        Returns the frame's delivery instant, or None if it is dropped.
+        A delivery event calling ``on_deliver(frame, delivery)`` is
+        scheduled only when `on_deliver` is given.  Per-node FIFO is
+        enforced by the transmission watermark.
         """
-        if node not in self._index:
+        node_idx = self._index.get(node)
+        if node_idx is None:
             raise RingConfigError(f"node {node!r} is not a member of ring {self.config.ring_id}")
         if frame.dest not in self._index:
             raise RingConfigError(f"dest {frame.dest!r} is not a member of ring {self.config.ring_id}")
-        self.stats.enqueued += 1
+        config = self.config
+        stats = self._stats
+        stats.enqueued += 1
 
         pending = self._pending[node]
-        while pending and pending[0] <= now:
-            pending.pop(0)
-        position = len(pending)
-        if position >= self.config.queue_depth:
-            self.stats.dropped_overflow += 1
+        self._settle(pending, now)
+        if len(pending) >= config.queue_depth:
+            stats.dropped_overflow += 1
             return None
-        if self.config.loss_rate > 0 and self.rng.random() < self.config.loss_rate:
-            self.stats.dropped_loss += 1
+        if config.loss_rate > 0 and self.rng.random() < config.loss_rate:
+            stats.dropped_loss += 1
             return None
 
-        start = self._tx_start(self._index[node], max(now, self._watermark[node]))
-        delivery = start + self.config.tx_time_us
+        start = self._tx_start(node_idx, max(now, self._watermark[node]))
+        delivery = start + config.tx_time_us
         self._watermark[node] = delivery
-        pending.append(delivery)
-
-        def deliver(frame=frame, delivery=delivery):
-            self.stats.record_delivery(delivery - frame.enqueue_time)
-            if on_deliver is not None:
-                on_deliver(frame, delivery)
-
-        self.sim.schedule(delivery, deliver,
-                          component=f"ring:{self.config.ring_id}", kind="deliver")
-        return position
+        pending.append((delivery, delivery - frame.enqueue_time))
+        if on_deliver is not None:
+            self.sim.schedule(delivery, partial(on_deliver, frame, delivery))
+        return delivery
 
 
 class MasterNode:
@@ -210,7 +233,10 @@ class MasterNode:
         return record.delivered
 
     def deliver_from_overlay(self, ring_id: str, frame: Frame, now: SimTime,
-                             on_deliver=None) -> int | None:
-        """Push an overlay-originated frame (e.g. a config command) into a ring."""
+                             on_deliver=None) -> SimTime | None:
+        """Push an overlay-originated frame (e.g. a config command) into a ring.
+
+        Returns its delivery instant, or None if the ring drops it.
+        """
         self.bridged_down += 1
         return self.rings[ring_id].enqueue(self.node_id, frame, now, on_deliver)

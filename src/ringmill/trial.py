@@ -19,6 +19,25 @@ tolerance, longer grace) exists to fix.
 During *control* the loop runs at the servo period.  The trial fails on
 the first following-error excursion past the limit or when the feedback
 watchdog expires; surviving to the configured length is a pass.
+
+Each frame is one engine event.  When a command or feedback frame is
+sent, the control ring computes its delivery instant at admission and the
+direction's channel impairs it at that instant, so only the frame's
+arrival is scheduled.  A frame the ring or channel drops schedules
+nothing.  Sensor frames cost just their emit event: each is bridged to
+the overlay at admission, using its computed delivery instant.  The
+feedback watchdog is a single probe that re-arms itself from the newest
+arrival rather than one probe per arrival.
+
+Same-µs order.  The engine fires events that share a microsecond in the
+order they were scheduled.  A frame's arrival is scheduled when the
+frame is sent; a servo tick by the tick one period before it (the first
+controller tick on entering control); the watchdog probe when it is
+armed.  So a frame that arrives on the µs of a servo tick or a probe is
+seen by it exactly when the frame was sent before that tick or probe was
+scheduled: feedback sent more than one servo period before the
+controller tick it lands on is used by that tick, feedback sent less
+than a period before it is not.
 """
 
 from __future__ import annotations
@@ -102,6 +121,9 @@ class _LoopHarness:
         self.cmd_channel = Channel(command_profile, component_rng(seed, "chan", "cmd"))
         self.fb_channel = Channel(feedback_profile, component_rng(seed, "chan", "fb"),
                                   blackout_from=feedback_blackout_us)
+        # (source node, destination node, channel, event label) per direction
+        self.to_fpga = (MASTER_NODE, FPGA_NODE, self.cmd_channel, "chan:cmd")
+        self.to_cnc = (FPGA_NODE, MASTER_NODE, self.fb_channel, "chan:fb")
 
         self.sensor_ring = None
         self.master = None
@@ -127,6 +149,8 @@ class _LoopHarness:
         self.fb_value = axis.position_mm
         self.last_fb_arrival: SimTime = 0
         self.control_start: SimTime = 0
+        self.watchdog_since: SimTime = 0  # the arrival the pending probe times out
+        self.watchdog_id = 0
         self.max_fe = 0.0
 
         self.verdict: TrialVerdict | None = None
@@ -134,29 +158,17 @@ class _LoopHarness:
 
     # -- transport helpers ---------------------------------------------------
 
-    def _to_fpga(self, size: int, on_arrival) -> None:
-        frame = Frame(next(self._frame_ids), MASTER_NODE, FPGA_NODE, size,
-                      self.sim.now, FrameClass.URLLC)
-
-        def ring_delivered(_frame, t):
-            record = self.cmd_channel.transmit(_frame.frame_id, t)
-            if record.delivered is not None:
-                self.sim.schedule(record.delivered, on_arrival,
-                                  component="chan:cmd", kind="arrival")
-
-        self.ring.enqueue(MASTER_NODE, frame, self.sim.now, ring_delivered)
-
-    def _to_cnc(self, size: int, on_arrival) -> None:
-        frame = Frame(next(self._frame_ids), FPGA_NODE, MASTER_NODE, size,
-                      self.sim.now, FrameClass.URLLC)
-
-        def ring_delivered(_frame, t):
-            record = self.fb_channel.transmit(_frame.frame_id, t)
-            if record.delivered is not None:
-                self.sim.schedule(record.delivered, on_arrival,
-                                  component="chan:fb", kind="arrival")
-
-        self.ring.enqueue(FPGA_NODE, frame, self.sim.now, ring_delivered)
+    def _send(self, now: SimTime, path: tuple[str, str, Channel, str], size: int,
+              on_arrival) -> None:
+        """One frame sent at `now` across the control ring, then a channel: one event."""
+        source, dest, channel, label = path
+        frame = Frame(next(self._frame_ids), source, dest, size, now, FrameClass.URLLC)
+        delivered = self.ring.enqueue(source, frame, now)
+        if delivered is None:
+            return
+        arrival = channel.transmit(frame.frame_id, delivered).delivered
+        if arrival is not None:
+            self.sim.schedule(arrival, on_arrival, component=label, kind="arrival")
 
     # -- initialization ------------------------------------------------------
 
@@ -173,9 +185,10 @@ class _LoopHarness:
             component="cnc", kind="hs-retry")
 
         def fpga_got_request():
-            self._to_cnc(HANDSHAKE_FRAME_BYTES, lambda: self._handshake_reply(seq))
+            self._send(self.sim.now, self.to_cnc, HANDSHAKE_FRAME_BYTES,
+                       lambda: self._handshake_reply(seq))
 
-        self._to_fpga(HANDSHAKE_FRAME_BYTES, fpga_got_request)
+        self._send(self.sim.now, self.to_fpga, HANDSHAKE_FRAME_BYTES, fpga_got_request)
 
     def _handshake_retry(self, seq: int) -> None:
         if self.phase == "handshake" and self.hs_seq == seq:
@@ -216,22 +229,32 @@ class _LoopHarness:
 
     # -- feedback path ------------------------------------------------------
 
-    def _arm_watchdog(self, arrival: SimTime) -> None:
-        # timer reset by every feedback arrival; fires iff nothing newer came
-        self.sim.schedule(arrival + self.config.watchdog_timeout_us + 1,
-                          lambda: self._watchdog_probe(arrival),
-                          component="cnc", kind="watchdog")
+    def _arm_watchdog(self, since: SimTime) -> None:
+        """Time out `since` (control start or a feedback arrival)."""
+        self.watchdog_since = since
+        self.watchdog_id = self.sim.schedule(
+            since + self.config.watchdog_timeout_us + 1, self._watchdog_probe,
+            component="cnc", kind="watchdog")
 
-    def _watchdog_probe(self, token: SimTime) -> None:
-        if self.phase == "control" and self.last_fb_arrival <= token:
+    def _watchdog_probe(self) -> None:
+        # A timer reset by every feedback arrival: nothing newer than the
+        # instant it times out means the timeout elapsed.  Arrivals between
+        # that instant and the newest one each had a successor within the
+        # timeout, so re-arming from the newest keeps the fail instant.
+        if self.last_fb_arrival <= self.watchdog_since:
             self._fail(FailCause.WATCHDOG)
+        self._arm_watchdog(self.last_fb_arrival)
 
     def _on_feedback(self, sample_time: SimTime, position: float) -> None:
         now = self.sim.now
         self.fb_value = position
         self.last_fb_arrival = now
         if self.phase == "control":
-            self._arm_watchdog(now)
+            if now < self.watchdog_since:
+                # feedback before the first servo tick times out before the
+                # control start does
+                self.sim.cancel(self.watchdog_id)
+                self._arm_watchdog(now)
         elif self.phase == "qualify":
             self.residuals.append(now - sample_time)
             if len(self.residuals) >= QUALIFY_WINDOW_FRAMES:
@@ -254,7 +277,7 @@ class _LoopHarness:
         def apply(command=command):
             self.v_cmd = command
 
-        self._to_fpga(CMD_FRAME_BYTES, apply)
+        self._send(now, self.to_fpga, CMD_FRAME_BYTES, apply)
         if self.trace is not None:
             self.trace.rows.append((now, setpoint, self.fb_value, command, fe))
         self.sim.schedule(now + cfg.servo_period_us, self._cnc_tick,
@@ -264,7 +287,7 @@ class _LoopHarness:
         now = self.sim.now
         step_axis(self.axis, self.v_cmd, self.config.servo_period_us)
         position = self.axis.position_mm
-        self._to_cnc(FB_FRAME_BYTES, lambda: self._on_feedback(now, position))
+        self._send(now, self.to_cnc, FB_FRAME_BYTES, lambda: self._on_feedback(now, position))
         self.sim.schedule(now + self.config.servo_period_us, self._fpga_tick,
                           component="fpga", kind="servo-tick")
 
@@ -272,11 +295,9 @@ class _LoopHarness:
         now = self.sim.now
         frame = Frame(next(self._frame_ids), node, MASTER_NODE, SENSOR_FRAME_BYTES,
                       now, FrameClass.SENSOR)
-
-        def at_master(_frame, t):
-            self.master.bridge_frame(_frame, t)
-
-        self.sensor_ring.enqueue(node, frame, now, at_master)
+        delivered = self.sensor_ring.enqueue(node, frame, now)
+        if delivered is not None:
+            self.master.bridge_frame(frame, delivered)
         self.sim.schedule(now + SENSOR_PERIOD_US, lambda: self._sensor_emit(node),
                           component="sensor", kind="emit")
 

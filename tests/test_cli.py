@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +83,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_readme_ini_block_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        path = tmp_path / "readme.ini"
+        path.write_text(re.search(r"```ini\n(.*?)```", readme, re.S)[1])
+        app = load_config(path)
+        assert app.sensor_ring is not None  # "enabled = true ; set false ..."
+        assert app.default_loop.init_grace_us == 2_000_000
+        assert app.command_profile.mean_delay_us == 3_000
+        assert app.overlay_profile.distribution.value == "uniform"
+
+    def test_unknown_key_is_located_config_error(self, tmp_path):
+        path = tmp_path / "typo.ini"
+        path.write_text("[sweep]\nseeds_per_cell = 1\nseed_per_cell = 2\n")
+        with pytest.raises(ConfigError, match=r"line 3: unknown key 'seed_per_cell'"):
+            load_config(path)
+
 
 class TestCli:
     def test_trial_command(self, capsys):
@@ -95,6 +113,14 @@ class TestCli:
                           "[channel.feedback]\nmean_delay_ms = 0.5\njitter_ms = 0.05\n")
         assert main(["trial", "--config", str(config), "--trial-seconds", "2"]) == 0
         assert "latency=0.5 ms" in capsys.readouterr().out
+
+    def test_mistyped_section_exits_config_error(self, tmp_path, capsys):
+        config = tmp_path / "typo.ini"
+        config.write_text("[loop.defualt]\nfe_limit_mm = 0.5\n")
+        assert main(["trial", "--config", str(config), "--latency-ms", "0.5",
+                     "--jitter-ms", "0.05", "--trial-seconds", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "line 1: unknown section [loop.defualt]" in err
 
     def test_trial_without_channels_is_config_error(self, capsys):
         assert main(["trial", "--trial-seconds", "1"]) == 2
