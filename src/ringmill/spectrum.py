@@ -6,11 +6,19 @@ modelled as closed planar discs; two grants conflict only if their discs
 intersect, so the same frequencies can be reused at disjoint sites.
 Assignment is first-fit ascending: the lowest contiguous free sub-block
 that fits.  Every decision is appended to an audit log.
+
+Geometric scans touch only grants that can meet the query.  The manager
+keeps its grants ordered by center x, and a disc of radius r centred at x
+can only meet grants whose center x lies within r + r_max of x, where
+r_max is the largest radius held.  The pruning is exact in floating point,
+so every scan decides exactly what a scan over all grants would; the
+argument is in `SpectrumManager._near`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -68,6 +76,9 @@ class CoverageArea:
     radius: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x, self.y, self.radius))):
+            raise SpectrumError(
+                f"coverage area must be finite, got ({self.x}, {self.y}) r={self.radius}")
         if not self.radius > 0:
             raise SpectrumError(f"coverage radius must be positive, got {self.radius}")
 
@@ -118,6 +129,10 @@ class DecisionRecord:
     reason: str = ""
 
 
+def _live(grant: SpectrumGrant, now: SimTime) -> bool:
+    return grant.expires_at is None or grant.expires_at > now
+
+
 def union_width_mhz(blocks: Iterable[SpectrumBlock]) -> float:
     """Total width covered by the union of (possibly overlapping) blocks."""
     edges = sorted((b.low_mhz, b.high_mhz) for b in blocks)
@@ -144,24 +159,62 @@ class SpectrumManager:
 
     def __init__(self, band: Band | None = None):
         self.band = band or Band()
-        self._grants: dict[int, SpectrumGrant] = {}
+        self._grants: dict[int, SpectrumGrant] = {}  # id order
+        self._by_x: list[SpectrumGrant] = []  # the same grants in (center x, id) order
+        self._xs: list[float] = []  # their center x, ascending
+        self._radii: list[float] = []  # their radii, ascending
+        self._expiries: list[SimTime] = []  # their lease ends, ascending; static grants have none
         self._next_id = 1
         self.audit_log: list[DecisionRecord] = []
 
     # -- queries ------------------------------------------------------------
 
     def active_grants(self, now: SimTime = 0) -> list[SpectrumGrant]:
-        return [g for g in self._grants.values()
-                if g.expires_at is None or g.expires_at > now]
+        return [g for g in self._grants.values() if _live(g, now)]
 
     def occupancy_at(self, x: float, y: float, now: SimTime = 0) -> tuple[list[tuple[int, SpectrumBlock]], float]:
-        """Grants covering a point, plus the union MHz they occupy there."""
-        hits = [(g.grant_id, g.block) for g in self.active_grants(now)
-                if g.area.contains(x, y)]
+        """Grants covering a point, in id order, plus the union MHz they occupy there."""
+        hits = sorted((g.grant_id, g.block) for g in self._near(x, 0.0, now)
+                      if g.area.contains(x, y))
         return hits, union_width_mhz(b for _, b in hits)
 
     def _conflicting_blocks(self, area: CoverageArea, now: SimTime) -> list[SpectrumBlock]:
-        return [g.block for g in self.active_grants(now) if g.area.intersects(area)]
+        return [g.block for g in self._near(area.x, area.radius, now)
+                if g.area.intersects(area)]
+
+    def _near(self, x: float, radius: float, now: SimTime) -> list[SpectrumGrant]:
+        """Live grants, in x order, that a disc of `radius` centred at `x` can meet.
+
+        These are the grants whose center x lies within reach = fl(radius +
+        r_max) of `x`, r_max being the largest radius held; a point is a
+        disc of radius 0.  Leaving the others out is exact in floating
+        point.  A grant b left out has fl(|b.x - x|) > fl(radius + r_max)
+        >= fl(radius + b.radius), because rounding is monotone and r_max >=
+        b.radius.  `CoverageArea.intersects` and `contains` compare
+        math.hypot(dx, dy) with that sum (with b.radius alone for a point),
+        where |dx| = fl(|b.x - x|), and hypot(dx, dy) >= |dx|: math.hypot
+        errs by under one ulp, and |dx| is a float no greater than the
+        exact hypotenuse.  So both return False for b.
+        The window is bisected at the rounded edges fl(x - reach) and
+        fl(x + reach), then widened while the next center out still has
+        fl(|b.x - x|) <= reach; that predicate is monotone in b.x on each
+        side of `x`, so no center past a failing one satisfies it.
+        Coordinates are finite, which keeps the x order total.
+        """
+        xs = self._xs
+        if not xs:
+            return []
+        reach = radius + self._radii[-1]
+        lo = bisect_left(xs, x - reach)
+        while lo and x - xs[lo - 1] <= reach:
+            lo -= 1
+        hi = bisect_right(xs, x + reach, lo)
+        while hi < len(xs) and xs[hi] - x <= reach:
+            hi += 1
+        near = self._by_x[lo:hi]
+        if self._expiries and self._expiries[0] <= now:
+            near = [g for g in near if _live(g, now)]
+        return near
 
     # -- commands -----------------------------------------------------------
 
@@ -214,14 +267,14 @@ class SpectrumManager:
             expires_at=expires_at,
         )
         self._next_id += 1
-        self._grants[grant.grant_id] = grant
+        self._hold(grant)
         self._log(now, req, "granted", occupied, grant.grant_id)
         return grant
 
     def release_spectrum(self, grant_id: int, now: SimTime = 0) -> None:
         if grant_id not in self._grants:
             raise UnknownGrantError(f"grant {grant_id} is not active")
-        grant = self._grants.pop(grant_id)
+        grant = self._drop(grant_id)
         self.audit_log.append(DecisionRecord(
             time=now, requester=grant.requester, verdict="released",
             bandwidth_mhz=grant.block.width_mhz, occupied_mhz=0.0,
@@ -230,21 +283,47 @@ class SpectrumManager:
     # -- internals ----------------------------------------------------------
 
     def _first_fit(self, occupied: list[SpectrumBlock], width: float) -> float | None:
-        """Lowest start frequency of a free gap that fits `width`, else None."""
+        """Lowest start frequency of a free gap that fits `width`, else None.
+
+        A gap fits when the block that would be granted, ending at
+        fl(cursor + width), ends at or before the next occupied block or
+        the band edge.  Testing the gap's width instead, fl(low - cursor),
+        can round below `width` and skip a gap that fits exactly.
+        """
         cursor = self.band.low_mhz
         for block in sorted(occupied, key=lambda b: b.low_mhz):
-            if block.low_mhz - cursor >= width:
+            if cursor + width <= block.low_mhz:
                 return cursor
             cursor = max(cursor, block.high_mhz)
-        if self.band.high_mhz - cursor >= width:
+        if cursor + width <= self.band.high_mhz:
             return cursor
         return None
 
+    def _hold(self, grant: SpectrumGrant) -> None:
+        self._grants[grant.grant_id] = grant
+        i = bisect_right(self._xs, grant.area.x)  # after equal x, so in id order
+        self._xs.insert(i, grant.area.x)
+        self._by_x.insert(i, grant)
+        self._radii.insert(bisect_right(self._radii, grant.area.radius), grant.area.radius)
+        if grant.expires_at is not None:
+            self._expiries.insert(bisect_right(self._expiries, grant.expires_at),
+                                  grant.expires_at)
+
+    def _drop(self, grant_id: int) -> SpectrumGrant:
+        grant = self._grants.pop(grant_id)
+        i = self._by_x.index(grant, bisect_left(self._xs, grant.area.x))
+        del self._xs[i], self._by_x[i]
+        del self._radii[bisect_left(self._radii, grant.area.radius)]
+        if grant.expires_at is not None:
+            del self._expiries[bisect_left(self._expiries, grant.expires_at)]
+        return grant
+
     def _purge_expired(self, now: SimTime) -> None:
-        expired = [gid for gid, g in self._grants.items()
-                   if g.expires_at is not None and g.expires_at <= now]
+        if not (self._expiries and self._expiries[0] <= now):
+            return
+        expired = [gid for gid, g in self._grants.items() if not _live(g, now)]
         for gid in expired:
-            del self._grants[gid]
+            self._drop(gid)
 
     def _log(self, now, req, verdict, occupied, grant_id, reason=""):
         self.audit_log.append(DecisionRecord(
@@ -255,16 +334,33 @@ class SpectrumManager:
     # -- integrity check used by tests and the scenario runner ---------------
 
     def check_invariants(self, now: SimTime = 0) -> None:
-        """Pairwise non-interference and per-point capacity, by brute force."""
-        grants = self.active_grants(now)
-        for i, a in enumerate(grants):
-            for b in grants[i + 1:]:
-                if a.area.intersects(b.area) and a.block.overlaps(b.block):
-                    raise AssertionError(
-                        f"interference: grants {a.grant_id} and {b.grant_id} overlap "
-                        f"in both area and frequency")
-        for g in grants:
-            _, total = self.occupancy_at(g.area.x, g.area.y, now)
-            if total > self.band.width_mhz + 1e-9:
+        """Pairwise non-interference, and capacity at every grant's center.
+
+        Every pair of live grants whose discs intersect must hold disjoint
+        blocks, and the union of the blocks covering each grant's center
+        must fit the band.  Each grant is tested only against the grants
+        `_near` it, which leaves out exactly the grants whose discs cannot
+        meet it or its center (a point query at the center would look no
+        further than that).  So the verdict and the violation reported are
+        those of testing every pair and then every center: the lowest
+        interfering grant id with its lowest-id partner, else the first
+        center over capacity in id order.
+        """
+        over_capacity = None
+        for a in self.active_grants(now):
+            area, block = a.area, a.block
+            near = self._near(area.x, area.radius, now)
+            clashes = [b.grant_id for b in near if b.grant_id > a.grant_id
+                       and block.overlaps(b.block) and area.intersects(b.area)]
+            if clashes:
                 raise AssertionError(
-                    f"capacity exceeded at grant {g.grant_id} center: {total} MHz")
+                    f"interference: grants {a.grant_id} and {min(clashes)} overlap "
+                    f"in both area and frequency")
+            if over_capacity is None:
+                total = union_width_mhz(b.block for b in near
+                                        if b.area.contains(area.x, area.y))
+                if total > self.band.width_mhz + 1e-9:
+                    over_capacity = (f"capacity exceeded at grant {a.grant_id} center: "
+                                     f"{total} MHz")
+        if over_capacity is not None:
+            raise AssertionError(over_capacity)

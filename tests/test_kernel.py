@@ -92,6 +92,30 @@ class TestTrialKernel:
         assert h.verdict.fail_cause is FailCause.WATCHDOG
         assert h.verdict.survived_us == 10_500 + DEFAULT_LOOP_CONFIG.watchdog_timeout_us + 1
 
+    def test_watchdog_ignores_same_us_order(self):
+        # control starts at 11,000 us; feedback 2,100 us later still resets the
+        # timer, feedback 2,101 us later lands on the probe's own µs and is too
+        # late, whether its arrival was scheduled before the probe was armed
+        # (and fires first) or after
+        timeout = DEFAULT_LOOP_CONFIG.watchdog_timeout_us
+        for gap_us, fails_at in ((timeout, 11_000 + 2 * timeout + 1), (timeout + 1, 13_101)):
+            for arrival_first in (True, False):
+                h = harness(ZERO_IMPAIRMENT, ZERO_IMPAIRMENT, 20_000, sensor_ring=None)
+                arrival = 11_000 + gap_us
+
+                def schedule_arrival(h=h, arrival=arrival):
+                    h.sim.schedule(arrival, lambda: h._on_feedback(arrival - 100, h.fb_value))
+
+                if arrival_first:
+                    schedule_arrival()
+                h.sim.schedule(10_300, h._enter_control)
+                if not arrival_first:
+                    h.sim.schedule(10_400, schedule_arrival)
+                with pytest.raises(_StopTrial):
+                    h.sim.run_until(20_000)
+                assert h.verdict.fail_cause is FailCause.WATCHDOG
+                assert h.verdict.survived_us == fails_at, (gap_us, arrival_first)
+
     def test_same_us_feedback_is_seen_iff_sent_before_the_tick_was_scheduled(self):
         # With a fixed channel delay, the control ring's slot phase decides
         # which feedback frames land exactly on a controller tick: at 400 us

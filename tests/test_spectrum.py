@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ringmill.spectrum import (Band, CoverageArea, Rejection, SpectrumBlock,
                                SpectrumError, SpectrumManager, SpectrumRequest,
@@ -33,6 +33,35 @@ def oracle_first_fit(band: Band, blocks: list[SpectrumBlock], width: float):
 
 def oracle_conflicting(manager: SpectrumManager, area: CoverageArea):
     return [g.block for g in manager.active_grants() if discs_intersect(g.area, area)]
+
+
+def oracle_violation(manager: SpectrumManager, now=0):
+    """First invariant violation by testing every pair and every grant, else None."""
+    grants = manager.active_grants(now)
+    for i, a in enumerate(grants):
+        for b in grants[i + 1:]:
+            if a.area.intersects(b.area) and a.block.overlaps(b.block):
+                return (f"interference: grants {a.grant_id} and {b.grant_id} overlap "
+                        f"in both area and frequency")
+    for g in grants:
+        total = union_width_mhz(h.block for h in grants if h.area.contains(g.area.x, g.area.y))
+        if total > manager.band.width_mhz + 1e-9:
+            return f"capacity exceeded at grant {g.grant_id} center: {total} MHz"
+    return None
+
+
+def oracle_occupancy(manager: SpectrumManager, x, y, now=0):
+    hits = [(g.grant_id, g.block) for g in manager.active_grants(now)
+            if g.area.contains(x, y)]
+    return hits, union_width_mhz(b for _, b in hits)
+
+
+def place(manager: SpectrumManager, area, bw, low_mhz, expires_at=None):
+    """Grant `bw` at `low_mhz` whatever else holds it: builds violating grant sets."""
+    manager._first_fit = lambda occupied, width: low_mhz
+    grant = manager.request_spectrum(SpectrumRequest("r", area, bw), expires_at=expires_at)
+    del manager._first_fit
+    return grant
 
 
 # -- static plan --------------------------------------------------------------
@@ -194,6 +223,9 @@ class TestInvariantProperties:
 
     @given(st.lists(st.tuples(areas, st.floats(min_value=1, max_value=110)),
                     min_size=1, max_size=6))
+    @example([(CoverageArea(0, 3, 1), 1.7237885300315128),
+              (CoverageArea(0, 0, 2), 1.0),
+              (CoverageArea(0, 0, 1), 1.7237885300315128)])
     @settings(max_examples=120, deadline=None)
     def test_decisions_match_first_fit_oracle(self, requests):
         manager = SpectrumManager()
@@ -225,6 +257,124 @@ class TestInvariantProperties:
 
         probe = SpectrumRequest("probe", CoverageArea(10, 0, 30), 15.0)
         assert m1.request_spectrum(probe).block == m2.request_spectrum(probe).block
+
+
+# -- pruned scans against brute force -----------------------------------------
+
+# radii from 1 m to 5 km over a 20 km site: a large disc reaches grants many
+# places away in x order
+wide_areas = st.builds(
+    CoverageArea,
+    x=st.floats(min_value=-10_000, max_value=10_000),
+    y=st.floats(min_value=-10_000, max_value=10_000),
+    radius=st.floats(min_value=1, max_value=5_000),
+)
+
+# (area, bandwidth, low edge, lease end) placed without a first-fit search;
+# disjoint blocks at 3700 and 3800 MHz can cover more than the band at one
+# place, which breaks capacity without an interfering pair
+placements = st.lists(
+    st.tuples(wide_areas, st.sampled_from([10.0, 55.0, 90.0]),
+              st.sampled_from([3700.0, 3750.0, 3800.0]),
+              st.sampled_from([None, 1, 2])),
+    min_size=1, max_size=12)
+
+
+def placed(sequence):
+    manager = SpectrumManager()
+    for area, bw, low, expires_at in sequence:
+        place(manager, area, bw, low, expires_at)
+    return manager
+
+
+class TestPrunedScans:
+    @given(placements, st.integers(min_value=0, max_value=2))
+    @settings(max_examples=150, deadline=None)
+    def test_check_invariants_raises_iff_brute_force_finds_a_violation(self, sequence, now):
+        manager = placed(sequence)
+        want = oracle_violation(manager, now)
+        if want is None:
+            manager.check_invariants(now)
+        else:
+            with pytest.raises(AssertionError) as err:
+                manager.check_invariants(now)
+            assert str(err.value) == want
+
+    @given(placements, st.lists(st.tuples(st.floats(-15_000, 15_000),
+                                          st.floats(-15_000, 15_000))),
+           st.integers(min_value=0, max_value=2))
+    @settings(max_examples=100, deadline=None)
+    def test_occupancy_at_matches_brute_force(self, sequence, points, now):
+        manager = placed(sequence)
+        # grant centers and the rightmost point of each disc sit on or
+        # inside the edge of some disc
+        points = points + [(a.x, a.y) for a, *_ in sequence] + \
+            [(a.x + a.radius, a.y) for a, *_ in sequence]
+        for x, y in points:
+            assert manager.occupancy_at(x, y, now) == oracle_occupancy(manager, x, y, now)
+
+    def test_pair_far_apart_in_x_order_is_found(self):
+        # a small disc at x=4,500 and a 5 km disc at x=0 share a block, with
+        # unrelated grants between them in x order.  Seen from the small
+        # disc (the lower id), only the largest radius held brings the large
+        # one within reach.
+        manager = SpectrumManager()
+        small = place(manager, CoverageArea(4_500.0, 0.0, 1.0), 10.0, 3700.0)
+        for x in (1_000.0, 2_000.0, 3_000.0, 4_000.0):
+            place(manager, CoverageArea(x, 0.0, 1.0), 10.0, 3750.0)
+        large = place(manager, CoverageArea(0.0, 0.0, 5_000.0), 10.0, 3700.0)
+        want = (f"interference: grants {small.grant_id} and {large.grant_id} overlap "
+                f"in both area and frequency")
+        assert oracle_violation(manager) == want
+        with pytest.raises(AssertionError) as err:
+            manager.check_invariants()
+        assert str(err.value) == want
+
+        # the same reach decides what a request and a point query see
+        manager.release_spectrum(small.grant_id)
+        manager.check_invariants()
+        hits, _ = manager.occupancy_at(4_900.0, 0.0)
+        assert [gid for gid, _ in hits] == [large.grant_id]
+        probe = manager.request_spectrum(
+            SpectrumRequest("probe", CoverageArea(4_900.0, 0.0, 1.0), 10.0))
+        assert probe.block == SpectrumBlock(3710.0, 3720.0)
+
+    def test_window_edges_do_not_round_a_disc_away(self):
+        # fl(x - r) rounds above the grant's center, yet the center is
+        # fl-distance r from x, so its disc contains the point (x, 0);
+        # mirrored, the same holds at the window's upper edge
+        x, r, center = 2458.033897794039, 3709.1931593143863, -1251.1592615203474
+        assert center < x - r and x - center <= r
+        for sign in (1.0, -1.0):
+            manager = SpectrumManager()
+            grant = manager.request_spectrum(
+                SpectrumRequest("edge", CoverageArea(sign * center, 0.0, r), 10.0))
+            hits, total = manager.occupancy_at(sign * x, 0.0)
+            assert hits == [(grant.grant_id, grant.block)] and total == 10.0
+
+    def test_capacity_is_checked_after_every_pair(self):
+        # disjoint blocks that together cover 110 MHz at both centers; the
+        # interfering pair placed last is still reported first
+        manager = SpectrumManager()
+        place(manager, CoverageArea(0.0, 0.0, 50.0), 60.0, 3700.0)
+        place(manager, CoverageArea(10.0, 0.0, 50.0), 50.0, 3800.0)
+        want = "capacity exceeded at grant 1 center: 110.0 MHz"
+        assert oracle_violation(manager) == want
+        with pytest.raises(AssertionError, match=want):
+            manager.check_invariants()
+        place(manager, CoverageArea(5_000.0, 0.0, 5.0), 10.0, 3700.0)
+        place(manager, CoverageArea(5_004.0, 0.0, 5.0), 10.0, 3705.0)
+        with pytest.raises(AssertionError, match="interference: grants 3 and 4"):
+            manager.check_invariants()
+
+    def test_non_finite_area_is_a_validation_error(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(SpectrumError):
+                CoverageArea(bad, 0.0, 5.0)
+            with pytest.raises(SpectrumError):
+                CoverageArea(0.0, bad, 5.0)
+        with pytest.raises(SpectrumError):
+            CoverageArea(0.0, 0.0, math.inf)
 
 
 def test_union_width_merges_overlaps():
