@@ -13,12 +13,12 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .engine import SimTime, US_PER_MS
 
 
-class JitterDistribution(enum.Enum):
+class JitterDistribution(str, enum.Enum):
     UNIFORM = "uniform"
     TRUNCATED_NORMAL = "truncated-normal"
 
@@ -83,10 +83,6 @@ class Channel:
         self.sent = 0
         self.dropped = 0
 
-    def blackout_after(self, t: SimTime) -> None:
-        """Sever the link: no frame is delivered at or after `t`."""
-        self._blackout_from = t
-
     def _draw_jitter(self) -> int:
         j = self.profile.jitter_us
         if j == 0:
@@ -136,12 +132,3 @@ def empirical_stats(records: Sequence[DeliveryRecord]) -> DelayStats:
         count=len(records),
     )
 
-
-def export_delivery_csv(records: Iterable[DeliveryRecord]) -> str:
-    lines = ["frame_id,sent_us,delivered_us,delay_us,dropped"]
-    for r in records:
-        if r.delivered is None:
-            lines.append(f"{r.frame_id},{r.sent},,,1")
-        else:
-            lines.append(f"{r.frame_id},{r.sent},{r.delivered},{r.applied_delay_us},0")
-    return "\n".join(lines) + "\n"

@@ -13,7 +13,6 @@ from .config import AppConfig, ConfigError, default_app_config, load_config
 from .engine import US_PER_S
 from .harness import (RunManifest, ScriptError, SweepSpec, parse_matrix_csv,
                       render_matrix, run_spectrum_scenario, run_sweep)
-from .plant import Profile
 from .trial import CalibrationSpace, TrialTrace, calibrate, run_trial, symmetric_profiles
 
 EXIT_OK = 0
@@ -42,9 +41,10 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
 def cmd_sweep(args) -> int:
     app = _load_app(args)
     manifest = RunManifest.for_run(app.sweep, app.default_loop, app.adapted_loop,
-                                   order=args.order)
+                                   app.scenario, order=args.order)
     started = time.monotonic()
-    result = run_sweep(app.sweep, app.default_loop, app.adapted_loop, order=args.order)
+    result = run_sweep(app.sweep, app.default_loop, app.adapted_loop, app.scenario,
+                       order=args.order)
     manifest.wall_clock_seconds = time.monotonic() - started
 
     out_dir = Path(args.output_dir)
@@ -73,11 +73,8 @@ def cmd_trial(args) -> int:
                           "[channel.command]/[channel.feedback] config sections")
     trace = TrialTrace() if args.trace else None
     verdict = run_trial(
-        config, cmd, fb, trajectory=app.trajectory,
-        trial_length_us=round(app.sweep.trial_seconds * US_PER_S),
-        seed=app.sweep.master_seed,
-        control_ring=app.control_ring, sensor_ring=app.sensor_ring,
-        overlay_profile=app.overlay_profile, trace=trace)
+        config, cmd, fb, trial_length_us=round(app.sweep.trial_seconds * US_PER_S),
+        seed=app.sweep.master_seed, scenario=app.scenario, trace=trace)
     if trace is not None:
         Path(args.trace).write_text(trace.to_csv())
     outcome = "PASS" if verdict.passed else f"FAIL ({verdict.fail_cause.value})"
@@ -109,13 +106,13 @@ def cmd_calibrate(args) -> int:
     app = _load_app(args)
     result = calibrate(CalibrationSpace(), master_seed=app.sweep.master_seed,
                        screen_trial_seconds=args.screen_seconds,
-                       validation_spec=app.sweep)
+                       validation_spec=app.sweep, scenario=app.scenario)
     print(result.report())
     if args.output_dir and result.matrix is not None:
         out_dir = Path(args.output_dir)
         _write(out_dir, "matrix.csv", render_matrix(result.matrix, "csv"))
         manifest = RunManifest.for_run(app.sweep, result.default_config,
-                                       result.adapted_config)
+                                       result.adapted_config, app.scenario)
         _write(out_dir, "calibrated.json", manifest.to_json())
     return EXIT_OK if result.success else EXIT_CALIBRATION
 

@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import configparser
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .channel import ChannelProfile, JitterDistribution
 from .harness import SweepSpec
-from .plant import LoopConfig, PidGains, Profile, TrapezoidTrajectory, load_trajectory_csv
+from .plant import LoopConfig, PidGains, TrapezoidTrajectory, load_trajectory_csv
 from .ring import RingConfig
-from .spectrum import Band
-from .trial import (ADAPTED_LOOP_CONFIG, DEFAULT_CONTROL_RING, DEFAULT_LOOP_CONFIG,
-                    DEFAULT_OVERLAY_PROFILE, DEFAULT_SENSOR_RING)
+from .trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO, Scenario
 
 
 class ConfigError(ValueError):
@@ -48,8 +46,6 @@ _SCHEMA: dict[str, frozenset[str]] = {
     "channel.feedback": _CHANNEL_KEYS,
     "trajectory": frozenset({"amplitude_mm", "velocity_mm_s", "accel_mm_s2", "dwell_s",
                              "file"}),
-    "band": frozenset({"low_mhz", "high_mhz"}),
-    "spectrum": frozenset({"static_plan"}),
 }
 
 _HEADER = re.compile(r"\s*\[(?P<name>[^\]]+)\]")
@@ -92,29 +88,15 @@ class AppConfig:
     sweep: SweepSpec
     default_loop: LoopConfig
     adapted_loop: LoopConfig
-    control_ring: RingConfig
-    sensor_ring: RingConfig | None
-    overlay_profile: ChannelProfile
-    trajectory: object
-    band: Band
-    static_plan: bool
+    scenario: Scenario
     # fixed channel pair for single trials; None = take them from CLI flags
     command_profile: ChannelProfile | None = None
     feedback_profile: ChannelProfile | None = None
 
 
 def default_app_config() -> AppConfig:
-    return AppConfig(
-        sweep=SweepSpec(),
-        default_loop=DEFAULT_LOOP_CONFIG,
-        adapted_loop=ADAPTED_LOOP_CONFIG,
-        control_ring=DEFAULT_CONTROL_RING,
-        sensor_ring=DEFAULT_SENSOR_RING,
-        overlay_profile=DEFAULT_OVERLAY_PROFILE,
-        trajectory=TrapezoidTrajectory(),
-        band=Band(),
-        static_plan=True,
-    )
+    return AppConfig(sweep=SweepSpec(), default_loop=DEFAULT_LOOP_CONFIG,
+                     adapted_loop=ADAPTED_LOOP_CONFIG, scenario=DEFAULT_SCENARIO)
 
 
 def _floats(raw: str) -> tuple[float, ...]:
@@ -202,35 +184,29 @@ def load_config(path: str | Path) -> AppConfig:
         app.default_loop = _loop(section("loop.default"), default_gains, app.default_loop)
         app.adapted_loop = _loop(section("loop.adapted"), adapted_gains, app.adapted_loop)
 
-        app.control_ring = _ring(section("ring.control"), app.control_ring)
-        if not section("ring.sensor").getboolean("enabled", True):
-            app.sensor_ring = None
+        scenario = app.scenario
+        sensor_ring = None
+        if section("ring.sensor").getboolean("enabled", True):
+            sensor_ring = _ring(section("ring.sensor"), scenario.sensor_ring)
+        traj_sec = section("trajectory")
+        if "file" in traj_sec:
+            trajectory = load_trajectory_csv(Path(traj_sec["file"]).read_text())
         else:
-            app.sensor_ring = _ring(section("ring.sensor"), app.sensor_ring)
-        app.overlay_profile = _channel(section("channel.overlay"), app.overlay_profile)
+            trajectory = TrapezoidTrajectory(**{
+                f.name: traj_sec.getfloat(f.name, f.default)
+                for f in fields(TrapezoidTrajectory)})
+        app.scenario = Scenario(
+            control_ring=_ring(section("ring.control"), scenario.control_ring),
+            sensor_ring=sensor_ring,
+            overlay_profile=_channel(section("channel.overlay"), scenario.overlay_profile),
+            trajectory=trajectory)
+
         if "channel.command" in known:
             app.command_profile = _channel(section("channel.command"),
                                            ChannelProfile(0, 0))
         if "channel.feedback" in known:
             app.feedback_profile = _channel(section("channel.feedback"),
                                             ChannelProfile(0, 0))
-
-        if "trajectory" in known:
-            traj_sec = section("trajectory")
-            if "file" in traj_sec:
-                app.trajectory = load_trajectory_csv(Path(traj_sec["file"]).read_text())
-            else:
-                app.trajectory = TrapezoidTrajectory(
-                    amplitude_mm=traj_sec.getfloat("amplitude_mm", 20.0),
-                    velocity_mm_s=traj_sec.getfloat("velocity_mm_s", 50.0),
-                    accel_mm_s2=traj_sec.getfloat("accel_mm_s2", 1000.0),
-                    dwell_s=traj_sec.getfloat("dwell_s", 0.2),
-                )
-
-        band_sec = section("band")
-        app.band = Band(band_sec.getfloat("low_mhz", app.band.low_mhz),
-                        band_sec.getfloat("high_mhz", app.band.high_mhz))
-        app.static_plan = section("spectrum").getboolean("static_plan", app.static_plan)
     except (ValueError, KeyError) as exc:
         if isinstance(exc, ConfigError):
             raise

@@ -9,8 +9,7 @@ and its seeds.
 A heap entry is just ``(fire_time, sequence, action)``.  Callers schedule
 only the events that can change what a run decides: a trial sends each
 frame as one arrival event (see ``trial.py``), so the per-event cost of
-this loop is most of a trial's host time.  Event labels are kept only
-while a ``trace`` callback is set.
+this loop is most of a trial's host time.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ SimTime = int  # microseconds since simulation start
 
 US_PER_MS = 1_000
 US_PER_S = 1_000_000
-
-_NO_LABEL = ("", "", "")
 
 
 class CausalityError(ValueError):
@@ -45,27 +42,17 @@ class Simulator:
     threads is safe as long as each is driven by one caller only.
     """
 
-    def __init__(self, trace: Callable[[str], None] | None = None):
+    def __init__(self):
         self._clock: SimTime = 0
         self._seq = 0
         self._heap: list[tuple[SimTime, int, Callable[[], None]]] = []
-        self._labels: dict[int, tuple[str, str, str]] = {}  # filled only while tracing
         self._events_processed = 0
-        self.trace = trace
 
     @property
     def now(self) -> SimTime:
         return self._clock
 
-    def schedule(
-        self,
-        fire_time: SimTime,
-        action: Callable[[], None],
-        *,
-        component: str = "",
-        kind: str = "",
-        details: str = "",
-    ) -> int:
+    def schedule(self, fire_time: SimTime, action: Callable[[], None]) -> int:
         """Enqueue an event at integer-µs `fire_time`; returns a cancellable id."""
         if fire_time < self._clock:
             raise CausalityError(
@@ -74,12 +61,10 @@ class Simulator:
             )
         self._seq = seq = self._seq + 1
         heapq.heappush(self._heap, (fire_time, seq, action))
-        if self.trace is not None:
-            self._labels[seq] = (component, kind, details)
         return seq
 
-    def schedule_in(self, delay: SimTime, action: Callable[[], None], **kw) -> int:
-        return self.schedule(self._clock + delay, action, **kw)
+    def schedule_in(self, delay: SimTime, action: Callable[[], None]) -> int:
+        return self.schedule(self._clock + delay, action)
 
     def cancel(self, event_id: int) -> bool:
         """Remove a pending event.  Returns False for unknown or fired ids.
@@ -92,7 +77,6 @@ class Simulator:
                 heap[i] = heap[-1]
                 heap.pop()
                 heapq.heapify(heap)
-                self._labels.pop(event_id, None)
                 return True
         return False
 
@@ -100,19 +84,12 @@ class Simulator:
         """Process every event with fire_time <= t_end; clock ends at t_end."""
         heap = self._heap
         pop = heapq.heappop
-        trace = self.trace
         processed = self._events_processed
         try:
             while heap and heap[0][0] <= t_end:
-                fire_time, seq, action = pop(heap)
+                fire_time, _, action = pop(heap)
                 self._clock = fire_time
                 processed += 1
-                if trace is not None:
-                    component, kind, details = self._labels.pop(seq, _NO_LABEL)
-                    trace(
-                        f"t={fire_time} component={component or '-'} "
-                        f"kind={kind or '-'} details={details or '-'}"
-                    )
                 action()
         finally:
             self._events_processed = processed
@@ -149,17 +126,6 @@ def derive_seed(*parts: int | str) -> int:
         else:
             state = _splitmix64(state ^ (int(part) & _MASK64))
     return _splitmix64(state)
-
-
-@dataclass(frozen=True)
-class RngStream:
-    """An independent, reproducible random stream keyed by (seed, stream id)."""
-
-    seed: int
-    stream_id: int | str = 0
-
-    def generator(self) -> random.Random:
-        return random.Random(derive_seed(self.seed, self.stream_id))
 
 
 def component_rng(seed: int, *stream: int | str) -> random.Random:

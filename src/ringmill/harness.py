@@ -17,17 +17,19 @@ from __future__ import annotations
 import enum
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
-from .channel import ChannelProfile
-from .engine import US_PER_MS, US_PER_S, derive_seed
-from .plant import FailCause, LoopConfig, PidGains, Profile, TrialVerdict, validate_config_pair
-from .spectrum import (CoverageArea, Rejection, SpectrumManager, SpectrumRequest,
-                       UnknownGrantError)
-from .trial import run_trial, symmetric_profiles
+from .channel import ChannelProfile, JitterDistribution
+from .engine import US_PER_MS, US_PER_S, SimTime, derive_seed
+from .plant import (LoopConfig, PidGains, Profile, TabulatedTrajectory, TrapezoidTrajectory,
+                    TrialVerdict, validate_config_pair)
+from .ring import RingConfig
+from .spectrum import (CoverageArea, Rejection, SpectrumError, SpectrumManager,
+                       SpectrumRequest, UnknownGrantError)
+from .trial import DEFAULT_SCENARIO, Scenario, run_trial, symmetric_profiles
 
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = "0.2.0"
 
 DEFAULT_LATENCIES_MS = (0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
 DEFAULT_JITTERS_MS = (0.05, 0.1, 0.15, 0.2, 0.3)
@@ -135,7 +137,7 @@ def _trial_seed(master_seed: int, latency_ms: float, jitter_ms: float,
 def evaluate_cell(default_config: LoopConfig, adapted_config: LoopConfig,
                   latency_ms: float, jitter_ms: float,
                   seeds_per_cell: int, trial_seconds: float,
-                  master_seed: int) -> CellVerdict:
+                  master_seed: int, scenario: Scenario = DEFAULT_SCENARIO) -> CellVerdict:
     """Classify one cell; trials stop early once the class is decided."""
     length_us = round(trial_seconds * US_PER_S)
     cmd, fb = symmetric_profiles(latency_ms, jitter_ms)
@@ -145,7 +147,8 @@ def evaluate_cell(default_config: LoopConfig, adapted_config: LoopConfig,
     for i in range(seeds_per_cell):
         verdict = run_trial(default_config, cmd, fb,
                             trial_length_us=length_us,
-                            seed=_trial_seed(master_seed, latency_ms, jitter_ms, i))
+                            seed=_trial_seed(master_seed, latency_ms, jitter_ms, i),
+                            scenario=scenario)
         default_outcomes.append(TrialOutcome.from_verdict(i, verdict))
         if not verdict.passed:
             default_failed = True
@@ -159,7 +162,8 @@ def evaluate_cell(default_config: LoopConfig, adapted_config: LoopConfig,
     for i in range(seeds_per_cell):
         verdict = run_trial(adapted_config, cmd, fb,
                             trial_length_us=length_us,
-                            seed=_trial_seed(master_seed, latency_ms, jitter_ms, i))
+                            seed=_trial_seed(master_seed, latency_ms, jitter_ms, i),
+                            scenario=scenario)
         adapted_outcomes.append(TrialOutcome.from_verdict(i, verdict))
         if not verdict.passed:
             return CellVerdict(latency_ms, jitter_ms, CellClass.FAIL,
@@ -168,15 +172,8 @@ def evaluate_cell(default_config: LoopConfig, adapted_config: LoopConfig,
                        tuple(default_outcomes), tuple(adapted_outcomes))
 
 
-def classify_screening_cell(default_config: LoopConfig, adapted_config: LoopConfig,
-                            latency_ms: float, jitter_ms: float,
-                            master_seed: int, trial_seconds: float) -> CellClass:
-    """Single-seed, short-trial classification used by the calibration screen."""
-    return evaluate_cell(default_config, adapted_config, latency_ms, jitter_ms,
-                         1, trial_seconds, master_seed).cell_class
-
-
 def run_sweep(spec: SweepSpec, default_config: LoopConfig, adapted_config: LoopConfig,
+              scenario: Scenario = DEFAULT_SCENARIO,
               order: str = "severe-first") -> SweepResult:
     """Evaluate the full matrix; `order` must not (and cannot) change verdicts."""
     validate_config_pair(default_config, adapted_config)
@@ -190,7 +187,7 @@ def run_sweep(spec: SweepSpec, default_config: LoopConfig, adapted_config: LoopC
 
     verdicts = [
         evaluate_cell(default_config, adapted_config, lat, jit,
-                      spec.seeds_per_cell, spec.trial_seconds, spec.master_seed)
+                      spec.seeds_per_cell, spec.trial_seconds, spec.master_seed, scenario)
         for lat, jit in cells
     ]
     verdicts.sort(key=lambda v: (v.latency_ms, v.jitter_ms))
@@ -306,35 +303,33 @@ def _render_structured(result: SweepResult) -> str:
 # Run manifests.
 
 
-def _gains_to_dict(gains: PidGains) -> dict:
-    return {"kp": gains.kp, "ki": gains.ki, "kd": gains.kd,
-            "integral_clamp": gains.integral_clamp}
+def _manifest_fields(data: dict) -> dict:
+    """A manifest's fields, rebuilt from the `asdict` form that `to_json` writes."""
+    def loop(values):
+        return LoopConfig(**{**values, "profile": Profile(values["profile"]),
+                             "gains": PidGains(**values["gains"])})
 
+    def ring(values):
+        if values is None:
+            return None
+        return RingConfig(**{**values, "nodes": tuple(values["nodes"])})
 
-def loop_config_to_dict(config: LoopConfig) -> dict:
+    scenario = data["scenario"]
+    overlay, trajectory = scenario["overlay_profile"], scenario["trajectory"]
     return {
-        "profile": config.profile.value,
-        "gains": _gains_to_dict(config.gains),
-        "servo_period_us": config.servo_period_us,
-        "watchdog_timeout_us": config.watchdog_timeout_us,
-        "init_grace_us": config.init_grace_us,
-        "fe_limit_mm": config.fe_limit_mm,
-        "delay_spread_tolerance_us": config.delay_spread_tolerance_us,
-        "rtt_rescue_budget_us": config.rtt_rescue_budget_us,
+        **data,
+        "latencies_ms": tuple(data["latencies_ms"]),
+        "jitters_ms": tuple(data["jitters_ms"]),
+        "default_config": loop(data["default_config"]),
+        "adapted_config": loop(data["adapted_config"]),
+        "scenario": Scenario(
+            control_ring=ring(scenario["control_ring"]),
+            sensor_ring=ring(scenario["sensor_ring"]),
+            overlay_profile=ChannelProfile(**{
+                **overlay, "distribution": JitterDistribution(overlay["distribution"])}),
+            trajectory=(TabulatedTrajectory(**trajectory) if "points" in trajectory
+                        else TrapezoidTrajectory(**trajectory))),
     }
-
-
-def loop_config_from_dict(data: dict) -> LoopConfig:
-    return LoopConfig(
-        profile=Profile(data["profile"]),
-        gains=PidGains(**data["gains"]),
-        servo_period_us=data["servo_period_us"],
-        watchdog_timeout_us=data["watchdog_timeout_us"],
-        init_grace_us=data["init_grace_us"],
-        fe_limit_mm=data["fe_limit_mm"],
-        delay_spread_tolerance_us=data["delay_spread_tolerance_us"],
-        rtt_rescue_budget_us=data["rtt_rescue_budget_us"],
-    )
 
 
 @dataclass
@@ -348,14 +343,16 @@ class RunManifest:
     seeds_per_cell: int
     trial_seconds: float
     eval_order: str
-    default_config: dict
-    adapted_config: dict
+    default_config: LoopConfig
+    adapted_config: LoopConfig
+    scenario: Scenario
     output_paths: dict = field(default_factory=dict)
     wall_clock_seconds: float = 0.0
 
     @classmethod
     def for_run(cls, spec: SweepSpec, default_config: LoopConfig,
-                adapted_config: LoopConfig, order: str = "severe-first") -> "RunManifest":
+                adapted_config: LoopConfig, scenario: Scenario = DEFAULT_SCENARIO,
+                order: str = "severe-first") -> "RunManifest":
         return cls(
             artifact_version=ARTIFACT_VERSION,
             master_seed=spec.master_seed,
@@ -364,8 +361,9 @@ class RunManifest:
             seeds_per_cell=spec.seeds_per_cell,
             trial_seconds=spec.trial_seconds,
             eval_order=order,
-            default_config=loop_config_to_dict(default_config),
-            adapted_config=loop_config_to_dict(adapted_config),
+            default_config=default_config,
+            adapted_config=adapted_config,
+            scenario=scenario,
         )
 
     def spec(self) -> SweepSpec:
@@ -381,18 +379,17 @@ class RunManifest:
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
         data = json.loads(text)
-        data["latencies_ms"] = tuple(data["latencies_ms"])
-        data["jitters_ms"] = tuple(data["jitters_ms"])
-        return cls(**data)
+        if data.get("artifact_version") != ARTIFACT_VERSION:
+            raise ValueError(f"manifest artifact version {data.get('artifact_version')!r}, "
+                             f"expected {ARTIFACT_VERSION!r}")
+        return cls(**_manifest_fields(data))
 
 
 def run_from_manifest(manifest: RunManifest) -> tuple[SweepResult, str]:
     """Re-execute a manifest; returns the result and its verdict CSV."""
     started = time.monotonic()
-    result = run_sweep(manifest.spec(),
-                       loop_config_from_dict(manifest.default_config),
-                       loop_config_from_dict(manifest.adapted_config),
-                       order=manifest.eval_order)
+    result = run_sweep(manifest.spec(), manifest.default_config, manifest.adapted_config,
+                       manifest.scenario, order=manifest.eval_order)
     manifest.wall_clock_seconds = time.monotonic() - started
     return result, render_matrix(result, "csv")
 
@@ -413,18 +410,21 @@ class ScenarioResult:
     granted: int
     rejected: int
     released: int
+    now: SimTime  # the latest time in the script, that of the last line replayed
 
     def occupancy_report(self) -> str:
+        """The grants live at the end of the script and the occupancy at their centers."""
+        active = sorted(self.manager.active_grants(self.now), key=lambda g: g.grant_id)
         lines = ["active grants:"]
-        for g in sorted(self.manager.active_grants(), key=lambda g: g.grant_id):
+        for g in active:
             lines.append(
                 f"  #{g.grant_id} {g.requester}: "
                 f"[{g.block.low_mhz:g}, {g.block.high_mhz:g}] MHz "
                 f"at ({g.area.x:g}, {g.area.y:g}) r={g.area.radius:g} m")
-        centers = sorted({(g.area.x, g.area.y) for g in self.manager.active_grants()})
+        centers = sorted({(g.area.x, g.area.y) for g in active})
         lines.append("occupancy at grant centers:")
         for x, y in centers:
-            _, total = self.manager.occupancy_at(x, y)
+            _, total = self.manager.occupancy_at(x, y, self.now)
             lines.append(f"  ({x:g}, {y:g}): {total:g} MHz")
         return "\n".join(lines) + "\n"
 
@@ -447,8 +447,9 @@ def run_spectrum_scenario(script: str, manager: SpectrumManager | None = None) -
         at <t> request <requester> x=<x> y=<y> r=<radius> bw=<mhz> [expires=<t>]
         at <t> release <requester>
 
-    Blank lines and ``#`` comments are skipped.  Parse errors report the
-    line number.  Releases free the oldest active grant of a requester.
+    Blank lines and ``#`` comments are skipped.  A line that cannot be
+    parsed or replayed raises `ScriptError` with its line number.  Releases
+    free the oldest active grant of a requester.
     """
     manager = manager or SpectrumManager()
     commands = []
@@ -469,29 +470,32 @@ def run_spectrum_scenario(script: str, manager: SpectrumManager | None = None) -
                 raise ScriptError(line_no, "request needs a requester name")
             kv = _parse_kv(tokens[4:], line_no)
             try:
-                area = CoverageArea(float(kv["x"]), float(kv["y"]), float(kv["r"]))
-                bw = float(kv["bw"])
+                request = SpectrumRequest(
+                    tokens[3], CoverageArea(float(kv["x"]), float(kv["y"]), float(kv["r"])),
+                    float(kv["bw"]))
                 expires = int(kv["expires"]) if "expires" in kv else None
             except KeyError as missing:
                 raise ScriptError(line_no, f"request missing {missing}") from None
-            except ValueError as bad:
+            except ValueError as bad:  # SpectrumError included
                 raise ScriptError(line_no, str(bad)) from None
-            commands.append((t, line_no, "request", tokens[3], area, bw, expires))
+            commands.append((t, line_no, tokens[3], request, expires))
         elif verb == "release":
             if len(tokens) != 4:
                 raise ScriptError(line_no, "release takes exactly a requester name")
-            commands.append((t, line_no, "release", tokens[3], None, None, None))
+            commands.append((t, line_no, tokens[3], None, None))
         else:
             raise ScriptError(line_no, f"unknown verb {verb!r}")
 
     commands.sort(key=lambda c: (c[0], c[1]))
     by_requester: dict[str, list[int]] = {}
     granted = rejected = released = 0
-    for t, line_no, verb, requester, area, bw, expires in commands:
-        if verb == "request":
-            outcome = manager.request_spectrum(
-                SpectrumRequest(requester=requester, area=area, bandwidth_mhz=bw),
-                now=t, expires_at=expires)
+    t = 0
+    for t, line_no, requester, request, expires in commands:
+        if request is not None:
+            try:
+                outcome = manager.request_spectrum(request, now=t, expires_at=expires)
+            except SpectrumError as exc:
+                raise ScriptError(line_no, str(exc)) from None
             if isinstance(outcome, Rejection):
                 rejected += 1
             else:
@@ -507,4 +511,4 @@ def run_spectrum_scenario(script: str, manager: SpectrumManager | None = None) -
                 raise ScriptError(line_no, str(exc)) from None
             released += 1
         manager.check_invariants(now=t)
-    return ScenarioResult(manager, granted, rejected, released)
+    return ScenarioResult(manager, granted, rejected, released, t)

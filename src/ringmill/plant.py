@@ -14,25 +14,9 @@ from __future__ import annotations
 import csv
 import enum
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .engine import SimTime, US_PER_S
-
-
-@dataclass(frozen=True)
-class QosProfile:
-    max_latency_us: int
-    max_jitter_us: int
-    max_loss_rate: float
-
-
-#: Closed-loop machine-tool control class: sub-10 ms deadlines, near-zero loss.
-URLLC_QOS = QosProfile(max_latency_us=10_000, max_jitter_us=300, max_loss_rate=1e-9)
-
-
-def is_urllc_conformant(profile: QosProfile) -> bool:
-    return (500 <= profile.max_latency_us <= 10_000
-            and profile.max_loss_rate <= 1e-9)
 
 
 @dataclass
@@ -120,6 +104,7 @@ class PidController:
 # Reference trajectories.
 
 
+@dataclass(frozen=True)
 class TrapezoidTrajectory:
     """Repeating trapezoidal move between 0 and `amplitude_mm` with dwells.
 
@@ -127,66 +112,67 @@ class TrapezoidTrajectory:
     `velocity_mm_s`, cruise, decelerate, dwell, and return.
     """
 
-    def __init__(self, amplitude_mm: float = 20.0, velocity_mm_s: float = 50.0,
-                 accel_mm_s2: float = 1000.0, dwell_s: float = 0.2):
-        if amplitude_mm <= 0 or velocity_mm_s <= 0 or accel_mm_s2 <= 0 or dwell_s < 0:
+    amplitude_mm: float = 20.0
+    velocity_mm_s: float = 50.0
+    accel_mm_s2: float = 1000.0
+    dwell_s: float = 0.2
+
+    def __post_init__(self):
+        amplitude, accel = self.amplitude_mm, self.accel_mm_s2
+        if amplitude <= 0 or self.velocity_mm_s <= 0 or accel <= 0 or self.dwell_s < 0:
             raise ValueError("trajectory parameters must be positive")
-        self.amplitude = amplitude_mm
-        self.vmax = velocity_mm_s
-        self.accel = accel_mm_s2
-        self.dwell = dwell_s
-        t_ramp = velocity_mm_s / accel_mm_s2
-        d_ramp = 0.5 * accel_mm_s2 * t_ramp * t_ramp
-        if 2 * d_ramp > amplitude_mm:
+        vmax = self.velocity_mm_s
+        t_ramp = vmax / accel
+        d_ramp = 0.5 * accel * t_ramp * t_ramp
+        if 2 * d_ramp > amplitude:
             # short move: triangular profile, never reaches vmax
-            t_ramp = (amplitude_mm / accel_mm_s2) ** 0.5
-            d_ramp = amplitude_mm / 2
-            self.vmax = accel_mm_s2 * t_ramp
-        self._t_ramp = t_ramp
-        self._d_ramp = d_ramp
-        self._t_cruise = (amplitude_mm - 2 * d_ramp) / self.vmax if self.vmax > 0 else 0.0
-        self._t_move = 2 * t_ramp + self._t_cruise
-        self.period_s = 2 * (self._t_move + dwell_s)
+            t_ramp = (amplitude / accel) ** 0.5
+            d_ramp = amplitude / 2
+            vmax = accel * t_ramp
+        t_cruise = (amplitude - 2 * d_ramp) / vmax
+        t_move = 2 * t_ramp + t_cruise
+        # derived constants, not fields: the dataclass compares and writes
+        # out only the constructor inputs
+        self.__dict__.update(vmax=vmax, _t_ramp=t_ramp, _d_ramp=d_ramp, _t_cruise=t_cruise,
+                             _t_move=t_move, period_s=2 * (t_move + self.dwell_s))
 
     def _leg(self, t: float) -> tuple[float, float]:
         """Position/velocity within one forward move starting at rest at 0."""
-        a, vm, tr, tc = self.accel, self.vmax, self._t_ramp, self._t_cruise
+        a, vm, tr, tc = self.accel_mm_s2, self.vmax, self._t_ramp, self._t_cruise
         if t < tr:
             return 0.5 * a * t * t, a * t
         if t < tr + tc:
             return self._d_ramp + vm * (t - tr), vm
         if t < self._t_move:
             td = self._t_move - t
-            return self.amplitude - 0.5 * a * td * td, a * td
-        return self.amplitude, 0.0
+            return self.amplitude_mm - 0.5 * a * td * td, a * td
+        return self.amplitude_mm, 0.0
 
     def sample(self, t_us: SimTime) -> tuple[float, float]:
         """(setpoint mm, feedforward velocity mm/s) at trajectory time t."""
         t = (t_us / US_PER_S) % self.period_s
-        half = self._t_move + self.dwell
+        half = self._t_move + self.dwell_s
         if t < half:
             return self._leg(t)
         pos, vel = self._leg(t - half)
-        return self.amplitude - pos, -vel
-
-    def position(self, t_us: SimTime) -> float:
-        return self.sample(t_us)[0]
-
-    def velocity(self, t_us: SimTime) -> float:
-        return self.sample(t_us)[1]
+        return self.amplitude_mm - pos, -vel
 
 
+@dataclass(frozen=True)
 class TabulatedTrajectory:
     """Trajectory from (time ms, setpoint mm) samples, linearly interpolated."""
 
-    def __init__(self, points: list[tuple[float, float]]):
+    points: tuple[tuple[float, float], ...]
+
+    def __post_init__(self):
+        points = tuple((float(t), float(x)) for t, x in self.points)
         if len(points) < 2:
             raise ValueError("trajectory table needs at least two points")
-        self._t = [p[0] / 1000.0 for p in points]  # seconds
-        self._x = [p[1] for p in points]
-        if any(b <= a for a, b in zip(self._t, self._t[1:])):
+        times = [t / 1000.0 for t, _ in points]  # seconds
+        if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("trajectory times must be strictly increasing")
-        self.period_s = self._t[-1]
+        self.__dict__.update(points=points, _t=times, _x=[x for _, x in points],
+                             period_s=times[-1])
 
     def sample(self, t_us: SimTime) -> tuple[float, float]:
         t = (t_us / US_PER_S) % self.period_s
@@ -202,12 +188,6 @@ class TabulatedTrajectory:
         vel = (self._x[hi] - self._x[lo]) / span
         return self._x[lo] + frac * (self._x[hi] - self._x[lo]), vel
 
-    def position(self, t_us: SimTime) -> float:
-        return self.sample(t_us)[0]
-
-    def velocity(self, t_us: SimTime) -> float:
-        return self.sample(t_us)[1]
-
 
 def load_trajectory_csv(text: str) -> TabulatedTrajectory:
     """Parse a `time_ms,setpoint_mm` CSV (header optional)."""
@@ -221,14 +201,14 @@ def load_trajectory_csv(text: str) -> TabulatedTrajectory:
             if points:
                 raise
             continue  # header row
-    return TabulatedTrajectory(points)
+    return TabulatedTrajectory(tuple(points))
 
 
 # ---------------------------------------------------------------------------
 # Loop configuration and trial verdicts.
 
 
-class Profile(enum.Enum):
+class Profile(str, enum.Enum):
     DEFAULT = "default"
     ADAPTED = "adapted"
 

@@ -208,8 +208,7 @@ class MasterNode:
 
     Sensor and bridged traffic arriving here is relayed to the overlay
     uplink; control-class frames terminate inside their ring and are
-    never bridged.  Configuration traffic from the overlay enters the
-    rings through this node.
+    never bridged.
     """
 
     def __init__(self, node_id: str, rings: dict[str, TokenRing], overlay_uplink):
@@ -217,7 +216,6 @@ class MasterNode:
         self.rings = rings
         self.overlay_uplink = overlay_uplink
         self.bridged_up = 0
-        self.bridged_down = 0
         for ring in rings.values():
             if node_id not in ring.config.nodes:
                 raise RingConfigError(
@@ -232,11 +230,3 @@ class MasterNode:
             self.bridged_up += 1
         return record.delivered
 
-    def deliver_from_overlay(self, ring_id: str, frame: Frame, now: SimTime,
-                             on_deliver=None) -> SimTime | None:
-        """Push an overlay-originated frame (e.g. a config command) into a ring.
-
-        Returns its delivery instant, or None if the ring drops it.
-        """
-        self.bridged_down += 1
-        return self.rings[ring_id].enqueue(self.node_id, frame, now, on_deliver)

@@ -94,7 +94,6 @@ class SpectrumRequest:
     requester: str
     area: CoverageArea
     bandwidth_mhz: float
-    qos: object | None = None  # QosProfile of the requesting network, informational
 
     def __post_init__(self):
         if not self.bandwidth_mhz > 0:

@@ -48,10 +48,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 
-from .channel import Channel, ChannelProfile, ZERO_IMPAIRMENT
-from .engine import SimTime, Simulator, US_PER_MS, US_PER_S, component_rng
+from .channel import Channel, ChannelProfile
+from .engine import SimTime, Simulator, US_PER_S, component_rng
 from .plant import (AxisModel, FailCause, LoopConfig, PidController, PidGains,
-                    Profile, TrapezoidTrajectory, TrialVerdict, step_axis)
+                    Profile, TabulatedTrajectory, TrapezoidTrajectory, TrialVerdict,
+                    step_axis)
 from .ring import Frame, FrameClass, MasterNode, RingConfig, TokenRing
 
 MASTER_NODE = "master"
@@ -81,8 +82,23 @@ DEFAULT_SENSOR_RING = RingConfig(
 
 DEFAULT_OVERLAY_PROFILE = ChannelProfile.from_ms(10.0, 2.0, loss_rate=1e-6)
 
-DEFAULT_AXIS = AxisModel()
-DEFAULT_TRAJECTORY = TrapezoidTrajectory()
+
+@dataclass(frozen=True)
+class Scenario:
+    """The network and the motion a run simulates.
+
+    Everything else a trial needs comes from its caller: the loop pair, the
+    command and feedback channels a sweep varies, the length and the seed.
+    The same value drives a trial, a sweep, a calibration and a manifest.
+    """
+
+    control_ring: RingConfig = DEFAULT_CONTROL_RING
+    sensor_ring: RingConfig | None = DEFAULT_SENSOR_RING  # None: no sensor ring
+    overlay_profile: ChannelProfile = DEFAULT_OVERLAY_PROFILE
+    trajectory: TrapezoidTrajectory | TabulatedTrajectory = TrapezoidTrajectory()
+
+
+DEFAULT_SCENARIO = Scenario()
 
 
 def symmetric_profiles(latency_ms: float, jitter_ms: float) -> tuple[ChannelProfile, ChannelProfile]:
@@ -110,16 +126,16 @@ class TrialTrace:
 
 class _LoopHarness:
     def __init__(self, config: LoopConfig, command_profile: ChannelProfile,
-                 feedback_profile: ChannelProfile, trajectory, trial_length_us: SimTime,
-                 seed: int, control_ring: RingConfig, sensor_ring: RingConfig | None,
-                 overlay_profile: ChannelProfile, axis: AxisModel,
-                 feedback_blackout_us: SimTime | None, trace: TrialTrace | None):
+                 feedback_profile: ChannelProfile, trial_length_us: SimTime, seed: int,
+                 scenario: Scenario, feedback_blackout_us: SimTime | None,
+                 trace: TrialTrace | None):
         self.config = config
-        self.trajectory = trajectory
+        self.trajectory = scenario.trajectory
         self.length = trial_length_us
         self.trace = trace
 
         self.sim = Simulator()
+        control_ring, sensor_ring = scenario.control_ring, scenario.sensor_ring
         self.ring = TokenRing(control_ring, self.sim, component_rng(seed, "ring", "control"))
         # State only __init__ needs stays local: the event handlers read this
         # object's attributes on every event, and CPython 3.11 loads them about
@@ -127,22 +143,22 @@ class _LoopHarness:
         cmd_channel = Channel(command_profile, component_rng(seed, "chan", "cmd"))
         fb_channel = Channel(feedback_profile, component_rng(seed, "chan", "fb"),
                              blackout_from=feedback_blackout_us)
-        # (source node, destination node, channel, event label) per direction
-        self.to_fpga = (MASTER_NODE, FPGA_NODE, cmd_channel, "chan:cmd")
-        self.to_cnc = (FPGA_NODE, MASTER_NODE, fb_channel, "chan:fb")
+        # (source node, destination node, channel) per direction
+        self.to_fpga = (MASTER_NODE, FPGA_NODE, cmd_channel)
+        self.to_cnc = (FPGA_NODE, MASTER_NODE, fb_channel)
 
         self.sensor_ring = None
         self.master = None
         if sensor_ring is not None:
             self.sensor_ring = TokenRing(sensor_ring, self.sim,
                                          component_rng(seed, "ring", "sensor"))
-            overlay = Channel(overlay_profile, component_rng(seed, "chan", "overlay"))
+            overlay = Channel(scenario.overlay_profile, component_rng(seed, "chan", "overlay"))
             self.master = MasterNode(
                 MASTER_NODE,
                 {control_ring.ring_id: self.ring, sensor_ring.ring_id: self.sensor_ring},
                 overlay)
 
-        self.axis = axis
+        self.axis = AxisModel()
         self.pid = PidController(config.gains, config.servo_period_us)
         self.v_cmd = 0.0
 
@@ -152,7 +168,7 @@ class _LoopHarness:
         self.hs_sent_at: SimTime = 0
         self.hs_retry_id = 0
         self.residuals: list[int] = []
-        self.fb_value = axis.position_mm
+        self.fb_value = self.axis.position_mm
         self.last_fb_arrival: SimTime = 0
         self.prev_fb_arrival: SimTime = 0  # the arrival before, on an earlier µs
         self.control_start: SimTime = 0
@@ -165,17 +181,17 @@ class _LoopHarness:
 
     # -- transport helpers ---------------------------------------------------
 
-    def _send(self, now: SimTime, path: tuple[str, str, Channel, str], size: int,
+    def _send(self, now: SimTime, path: tuple[str, str, Channel], size: int,
               on_arrival) -> None:
         """One frame sent at `now` across the control ring, then a channel: one event."""
-        source, dest, channel, label = path
+        source, dest, channel = path
         frame = Frame(next(self._frame_ids), source, dest, size, now, FrameClass.URLLC)
         delivered = self.ring.enqueue(source, frame, now)
         if delivered is None:
             return
         arrival = channel.transmit(frame.frame_id, delivered).delivered
         if arrival is not None:
-            self.sim.schedule(arrival, on_arrival, component=label, kind="arrival")
+            self.sim.schedule(arrival, on_arrival)
 
     # -- initialization ------------------------------------------------------
 
@@ -188,8 +204,7 @@ class _LoopHarness:
         seq = self.hs_seq
         self.hs_sent_at = self.sim.now
         self.hs_retry_id = self.sim.schedule_in(
-            HANDSHAKE_RETRY_US, lambda: self._handshake_retry(seq),
-            component="cnc", kind="hs-retry")
+            HANDSHAKE_RETRY_US, lambda: self._handshake_retry(seq))
 
         def fpga_got_request():
             self._send(self.sim.now, self.to_cnc, HANDSHAKE_FRAME_BYTES,
@@ -230,8 +245,7 @@ class _LoopHarness:
         self.control_start = ((self.sim.now // period) + 1) * period
         self.last_fb_arrival = self.control_start
         self.pid.reset()
-        self.sim.schedule(self.control_start, self._cnc_tick,
-                          component="cnc", kind="servo-tick")
+        self.sim.schedule(self.control_start, self._cnc_tick)
         self._arm_watchdog(self.control_start)
 
     # -- feedback path ------------------------------------------------------
@@ -240,8 +254,7 @@ class _LoopHarness:
         """Time out `since` (control start or a feedback arrival)."""
         self.watchdog_since = since
         self.watchdog_id = self.sim.schedule(
-            since + self.config.watchdog_timeout_us + 1, self._watchdog_probe,
-            component="cnc", kind="watchdog")
+            since + self.config.watchdog_timeout_us + 1, self._watchdog_probe)
 
     def _watchdog_probe(self) -> None:
         # A timer reset by every feedback arrival: nothing newer than the
@@ -291,16 +304,14 @@ class _LoopHarness:
         self._send(now, self.to_fpga, CMD_FRAME_BYTES, apply)
         if self.trace is not None:
             self.trace.rows.append((now, setpoint, self.fb_value, command, fe))
-        self.sim.schedule(now + cfg.servo_period_us, self._cnc_tick,
-                          component="cnc", kind="servo-tick")
+        self.sim.schedule(now + cfg.servo_period_us, self._cnc_tick)
 
     def _fpga_tick(self) -> None:
         now = self.sim.now
         step_axis(self.axis, self.v_cmd, self.config.servo_period_us)
         position = self.axis.position_mm
         self._send(now, self.to_cnc, FB_FRAME_BYTES, lambda: self._on_feedback(now, position))
-        self.sim.schedule(now + self.config.servo_period_us, self._fpga_tick,
-                          component="fpga", kind="servo-tick")
+        self.sim.schedule(now + self.config.servo_period_us, self._fpga_tick)
 
     def _sensor_emit(self, node: str) -> None:
         now = self.sim.now
@@ -309,21 +320,17 @@ class _LoopHarness:
         delivered = self.sensor_ring.enqueue(node, frame, now)
         if delivered is not None:
             self.master.bridge_frame(frame, delivered)
-        self.sim.schedule(now + SENSOR_PERIOD_US, lambda: self._sensor_emit(node),
-                          component="sensor", kind="emit")
+        self.sim.schedule(now + SENSOR_PERIOD_US, lambda: self._sensor_emit(node))
 
     # -- run -----------------------------------------------------------------
 
     def run(self) -> TrialVerdict:
-        self.sim.schedule(FPGA_TICK_OFFSET_US, self._fpga_tick,
-                          component="fpga", kind="servo-tick")
-        self.sim.schedule(0, self._send_handshake, component="cnc", kind="hs-send")
-        self.sim.schedule(self.config.init_grace_us, self._grace_deadline,
-                          component="cnc", kind="init-grace")
+        self.sim.schedule(FPGA_TICK_OFFSET_US, self._fpga_tick)
+        self.sim.schedule(0, self._send_handshake)
+        self.sim.schedule(self.config.init_grace_us, self._grace_deadline)
         if self.sensor_ring is not None:
             for i, node in enumerate(self.sensor_ring.config.nodes[1:]):
-                self.sim.schedule(1000 + i * 7000, lambda node=node: self._sensor_emit(node),
-                                  component="sensor", kind="emit")
+                self.sim.schedule(1000 + i * 7000, lambda node=node: self._sensor_emit(node))
         try:
             self.sim.run_until(self.length)
         except _StopTrial:
@@ -340,36 +347,27 @@ class _LoopHarness:
 def run_trial(config: LoopConfig,
               command_profile: ChannelProfile,
               feedback_profile: ChannelProfile,
-              trajectory=None,
               trial_length_us: SimTime = 60 * US_PER_S,
               seed: int = 0,
-              control_ring: RingConfig = DEFAULT_CONTROL_RING,
-              sensor_ring: RingConfig | None = DEFAULT_SENSOR_RING,
-              overlay_profile: ChannelProfile = DEFAULT_OVERLAY_PROFILE,
-              axis: AxisModel | None = None,
+              scenario: Scenario = DEFAULT_SCENARIO,
               feedback_blackout_us: SimTime | None = None,
               trace: TrialTrace | None = None) -> TrialVerdict:
     """Run one closed-loop trial and return its verdict."""
-    harness = _LoopHarness(
-        config, command_profile, feedback_profile,
-        trajectory or DEFAULT_TRAJECTORY, trial_length_us, seed,
-        control_ring, sensor_ring, overlay_profile,
-        axis if axis is not None else AxisModel(),
-        feedback_blackout_us, trace)
+    harness = _LoopHarness(config, command_profile, feedback_profile, trial_length_us,
+                           seed, scenario, feedback_blackout_us, trace)
     return harness.run()
 
 
-def run_network_free_baseline(config: LoopConfig, trajectory=None,
-                              trial_length_us: SimTime = 60 * US_PER_S,
-                              axis: AxisModel | None = None) -> float:
+def run_network_free_baseline(config: LoopConfig,
+                              trajectory=DEFAULT_SCENARIO.trajectory,
+                              trial_length_us: SimTime = 60 * US_PER_S) -> float:
     """Max following error of the same loop with the transport removed.
 
     Reproduces the event choreography of a zero-delay trial exactly: the
     stage steps half a period out of phase with the controller, feedback
     sampled at one stage tick is consumed at the next controller tick.
     """
-    axis = axis if axis is not None else AxisModel()
-    trajectory = trajectory or DEFAULT_TRAJECTORY
+    axis = AxisModel()
     period = config.servo_period_us
     pid = PidController(config.gains, period)
     v_cmd = 0.0
@@ -476,7 +474,8 @@ SCREENING_CELLS = (
 def calibrate(space: CalibrationSpace | None = None,
               master_seed: int = 0,
               screen_trial_seconds: float = 12.0,
-              validation_spec=None) -> CalibrationResult:
+              validation_spec=None,
+              scenario: Scenario = DEFAULT_SCENARIO) -> CalibrationResult:
     """Grid-search loop configurations that reproduce the target verdict matrix.
 
     Candidates are screened on the boundary cells with short single-seed
@@ -484,8 +483,7 @@ def calibrate(space: CalibrationSpace | None = None,
     spec.  Returns the first fully matching pair, or the best attempt
     with its mismatch list.
     """
-    from .harness import (CellClass, SweepSpec, classify_screening_cell,
-                          reference_pattern, run_sweep)
+    from .harness import SweepSpec, evaluate_cell, reference_pattern, run_sweep
 
     space = space or CalibrationSpace()
     target = reference_pattern()
@@ -498,8 +496,8 @@ def calibrate(space: CalibrationSpace | None = None,
         tried += 1
         screen_ok = True
         for lat, jit in SCREENING_CELLS:
-            got = classify_screening_cell(default, adapted, lat, jit,
-                                          master_seed, screen_trial_seconds)
+            got = evaluate_cell(default, adapted, lat, jit, 1, screen_trial_seconds,
+                                master_seed, scenario).cell_class
             if got is not target[(lat, jit)]:
                 screen_ok = False
                 break
@@ -507,7 +505,7 @@ def calibrate(space: CalibrationSpace | None = None,
             continue
 
         spec = validation_spec or SweepSpec(master_seed=master_seed)
-        matrix = run_sweep(spec, default, adapted)
+        matrix = run_sweep(spec, default, adapted, scenario)
         mismatches = [
             (cell.latency_ms, cell.jitter_ms, cell.cell_class.value,
              target[(cell.latency_ms, cell.jitter_ms)].value)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringmill.channel import (Channel, ChannelProfile, JitterDistribution,
-                              ZERO_IMPAIRMENT, empirical_stats, export_delivery_csv)
+                              ZERO_IMPAIRMENT, empirical_stats)
 from ringmill.engine import component_rng
 
 
@@ -73,8 +73,8 @@ class TestTransmit:
         assert 800 <= min(delays) and max(delays) <= 1200
 
     def test_blackout_severs_the_link(self):
-        chan = make_channel(1000, 0)
-        chan.blackout_after(5_000)
+        chan = Channel(ChannelProfile(mean_delay_us=1000), component_rng(1, "chan-test"),
+                       blackout_from=5_000)
         assert chan.transmit(1, now=3_000).delivered == 4_000
         assert chan.transmit(2, now=4_500).delivered is None  # would land at 5500
 
@@ -121,17 +121,6 @@ class TestEmpiricalStats:
         chan.records[-1] = chan.records[-1].__class__(999, 0, 9_999, 9_999)
         stats = empirical_stats(chan.records)
         assert stats.p99_us == 1000  # rank 99 of 100 sorted delays
-
-    def test_csv_export_round_trip_fields(self):
-        chan = make_channel(1000, 0, loss_rate=0.5, seed=3)
-        for i in range(10):
-            chan.transmit(i, now=i * 100)
-        text = export_delivery_csv(chan.records)
-        lines = text.strip().splitlines()
-        assert lines[0] == "frame_id,sent_us,delivered_us,delay_us,dropped"
-        assert len(lines) == 11
-        dropped = sum(1 for ln in lines[1:] if ln.endswith(",1"))
-        assert dropped == chan.dropped
 
 
 @given(mean=st.integers(min_value=0, max_value=10_000),

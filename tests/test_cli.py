@@ -6,7 +6,8 @@ import pytest
 
 from ringmill.cli import main
 from ringmill.config import ConfigError, default_app_config, load_config
-from ringmill.harness import RunManifest, parse_matrix_csv
+from ringmill.harness import RunManifest, _trial_seed, parse_matrix_csv, run_from_manifest
+from ringmill.trial import run_trial, symmetric_profiles
 
 
 CONFIG_TEXT = """
@@ -33,10 +34,6 @@ tx_time_us = 100
 [trajectory]
 amplitude_mm = 15
 dwell_s = 0.1
-
-[band]
-low_mhz = 3700
-high_mhz = 3800
 """
 
 
@@ -45,7 +42,7 @@ class TestConfig:
         app = default_app_config()
         assert app.sweep.seeds_per_cell == 3
         assert app.default_loop.profile.value == "default"
-        assert app.control_ring.slot_time_us == 800
+        assert app.scenario.control_ring.slot_time_us == 800
 
     def test_load_overrides(self, tmp_path):
         path = tmp_path / "scenario.ini"
@@ -56,12 +53,12 @@ class TestConfig:
         assert app.default_loop.gains.kp == 38.0
         assert app.default_loop.watchdog_timeout_us == 2200
         assert app.adapted_loop.gains.kp == 40.0  # untouched section keeps default
-        assert app.trajectory.amplitude == 15.0
+        assert app.scenario.trajectory.amplitude_mm == 15.0
 
     def test_sensor_ring_can_be_disabled(self, tmp_path):
         path = tmp_path / "scenario.ini"
         path.write_text("[ring.sensor]\nenabled = false\n")
-        assert load_config(path).sensor_ring is None
+        assert load_config(path).scenario.sensor_ring is None
 
     def test_trajectory_csv_file(self, tmp_path):
         traj = tmp_path / "moves.csv"
@@ -69,7 +66,7 @@ class TestConfig:
         path = tmp_path / "scenario.ini"
         path.write_text(f"[trajectory]\nfile = {traj}\n")
         app = load_config(path)
-        assert app.trajectory.position(250_000) == pytest.approx(5.0)
+        assert app.scenario.trajectory.sample(250_000)[0] == pytest.approx(5.0)
 
     def test_bad_ini_is_config_error(self, tmp_path):
         path = tmp_path / "broken.ini"
@@ -88,10 +85,20 @@ class TestConfig:
         path = tmp_path / "readme.ini"
         path.write_text(re.search(r"```ini\n(.*?)```", readme, re.S)[1])
         app = load_config(path)
-        assert app.sensor_ring is not None  # "enabled = true ; set false ..."
+        assert app.scenario.sensor_ring is not None  # "enabled = true ; set false ..."
         assert app.default_loop.init_grace_us == 2_000_000
         assert app.command_profile.mean_delay_us == 3_000
-        assert app.overlay_profile.distribution.value == "uniform"
+        assert app.scenario.overlay_profile.distribution.value == "uniform"
+
+    @pytest.mark.parametrize("section", ["[band]\nlow_mhz = 3700\n",
+                                         "[spectrum]\nstatic_plan = true\n"])
+    def test_spectrum_sections_are_unknown(self, tmp_path, capsys, section):
+        # no subcommand reads a band or a static plan from a scenario file
+        path = tmp_path / "scenario.ini"
+        path.write_text("[sweep]\nseeds_per_cell = 1\n\n" + section)
+        assert main(["sweep", "--config", str(path), "--output-dir", str(tmp_path)]) == 2
+        name = section.split("]")[0] + "]"
+        assert f"line 4: unknown section {name}" in capsys.readouterr().err
 
     def test_unknown_key_is_located_config_error(self, tmp_path):
         path = tmp_path / "typo.ini"
@@ -151,6 +158,47 @@ class TestCli:
                      "--format", "markdown"]) == 0
         assert "✓" in capsys.readouterr().out
 
+    def test_sweep_honours_the_scenario_sections(self, tmp_path, capsys):
+        # the sweep's cell is the trial the file describes, trajectory included
+        config = tmp_path / "scenario.ini"
+        config.write_text(CONFIG_TEXT)
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--config", str(config), "--output-dir", str(out_dir)]) == 0
+        cell = parse_matrix_csv((out_dir / "matrix.csv").read_text()).cell(1.0, 0.05)
+        app = load_config(config)
+        verdict = run_trial(app.default_loop, *symmetric_profiles(1.0, 0.05),
+                            trial_length_us=2_000_000, seed=_trial_seed(5, 1.0, 0.05, 0),
+                            scenario=app.scenario)
+        fe = cell.default_outcomes[0].max_following_error_mm
+        assert fe == round(verdict.max_following_error_mm, 9)
+        assert fe == pytest.approx(0.462916, abs=1e-6)
+        capsys.readouterr()
+
+    def test_manifest_alone_replays_a_non_default_scenario(self, tmp_path, capsys):
+        moves = tmp_path / "moves.csv"
+        moves.write_text("time_ms,setpoint_mm\n0,0\n500,10\n1000,10\n1500,0\n2000,0\n")
+        sweep = ("[sweep]\nlatencies_ms = 0.5, 2\njitters_ms = 0.05, 0.2\n"
+                 "seeds_per_cell = 1\ntrial_seconds = 2\n")
+        config = tmp_path / "scenario.ini"
+        config.write_text(sweep + "[ring.sensor]\nenabled = false\n"
+                          "[ring.control]\nslot_time_us = 700\n"
+                          f"[trajectory]\nfile = {moves}\n")
+        plain = tmp_path / "plain.ini"
+        plain.write_text(sweep)
+        for ini, out in ((config, "scenario"), (plain, "plain")):
+            assert main(["sweep", "--config", str(ini), "--output-dir",
+                         str(tmp_path / out)]) == 0
+        capsys.readouterr()
+        matrix = (tmp_path / "scenario" / "matrix.csv").read_text()
+        assert matrix != (tmp_path / "plain" / "matrix.csv").read_text()
+
+        scenario = load_config(config).scenario
+        moves.unlink()  # the manifest holds the trajectory's points
+        manifest = RunManifest.from_json((tmp_path / "scenario" / "manifest.json").read_text())
+        assert manifest.scenario == scenario
+        assert scenario.sensor_ring is None and scenario.control_ring.slot_time_us == 700
+        assert run_from_manifest(manifest)[1].encode() == matrix.encode()
+
     def test_spectrum_command(self, tmp_path, capsys):
         script = tmp_path / "scenario.txt"
         script.write_text("at 0 request a x=0 y=0 r=50 bw=20\n")
@@ -162,6 +210,30 @@ class TestCli:
         script.write_text("garbage\n")
         assert main(["spectrum", "--script", str(script)]) == 2
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bw", ["0", "-5", "nan", "1e-13"])
+    def test_bad_bandwidth_exits_config_error(self, tmp_path, capsys, bw):
+        # 1e-13 MHz parses, but is too narrow to move the block's upper edge
+        script = tmp_path / "bad.txt"
+        script.write_text("at 0 request a x=0 y=0 r=50 bw=20\n"
+                          f"at 1 request b x=0 y=0 r=50 bw={bw}\n")
+        assert main(["spectrum", "--script", str(script)]) == 2
+        assert "error: line 2: " in capsys.readouterr().err
+
+    def test_occupancy_lists_only_live_leases(self, tmp_path, capsys):
+        # a's lease ends at 10, and no request after that purges it
+        script = tmp_path / "leases.txt"
+        script.write_text("at 0 request a x=0 y=0 r=10 bw=20 expires=10\n"
+                          "at 1 request b x=5 y=0 r=10 bw=20\n"
+                          "at 2 request c x=100 y=0 r=10 bw=20\n"
+                          "at 20 release c\n")
+        assert main(["spectrum", "--script", str(script), "--output-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "occupancy.txt").read_text() == (
+            "active grants:\n"
+            "  #2 b: [3720, 3740] MHz at (5, 0) r=10 m\n"
+            "occupancy at grant centers:\n"
+            "  (5, 0): 20 MHz\n")
 
     def test_missing_file_exits_config_error(self, capsys):
         assert main(["render", "--matrix", "/nonexistent/matrix.csv"]) == 2

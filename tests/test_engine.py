@@ -1,8 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringmill.engine import (CausalityError, RngStream, Simulator, component_rng,
-                             derive_seed)
+from ringmill.engine import CausalityError, Simulator, component_rng, derive_seed
 
 
 def collect(sim, log):
@@ -93,12 +92,12 @@ class TestDeterminismProperties:
     @settings(max_examples=60, deadline=None)
     def test_identical_runs_produce_identical_trace_logs(self, times):
         def run():
-            lines = []
-            sim = Simulator(trace=lines.append)
+            fired = []
+            sim = Simulator()
             for i, t in enumerate(times):
-                sim.schedule(t, lambda: None, component=f"c{i}", kind="k")
+                sim.schedule(t, lambda i=i: fired.append((sim.now, i)))
             sim.run_until(20_000)
-            return lines
+            return fired
 
         assert run() == run()
 
@@ -125,13 +124,13 @@ class TestDeterminismProperties:
 
 class TestRng:
     def test_same_stream_same_draws(self):
-        a = RngStream(seed=42, stream_id="jitter").generator()
-        b = RngStream(seed=42, stream_id="jitter").generator()
+        a = component_rng(42, "jitter")
+        b = component_rng(42, "jitter")
         assert [a.random() for _ in range(20)] == [b.random() for _ in range(20)]
 
     def test_different_streams_are_independent(self):
-        a = RngStream(seed=42, stream_id="jitter").generator()
-        b = RngStream(seed=42, stream_id="loss").generator()
+        a = component_rng(42, "jitter")
+        b = component_rng(42, "loss")
         assert [a.random() for _ in range(5)] != [b.random() for _ in range(5)]
 
     def test_component_rng_matches_stream(self):
@@ -144,16 +143,3 @@ class TestRng:
         assert derive_seed(1, "trial", 500) == derive_seed(1, "trial", 500)
         assert derive_seed(1, "a") != derive_seed(1, "b")
 
-
-class TestTrace:
-    def test_trace_line_format_is_stable(self):
-        lines = []
-        sim = Simulator(trace=lines.append)
-        sim.schedule(3, lambda: None, component="ring:control", kind="deliver",
-                     details="frame=9")
-        sim.schedule(3, lambda: None)
-        sim.run_until(10)
-        assert lines == [
-            "t=3 component=ring:control kind=deliver details=frame=9",
-            "t=3 component=- kind=- details=-",
-        ]

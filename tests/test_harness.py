@@ -1,16 +1,19 @@
+import dataclasses
 import json
 import random
 
 import pytest
 
+from ringmill.channel import ChannelProfile, JitterDistribution
 from ringmill.harness import (CellClass, CellVerdict, RunManifest, ScriptError,
                               SweepResult, SweepSpec, TrialOutcome,
-                              evaluate_cell, loop_config_from_dict,
-                              loop_config_to_dict, parse_matrix_csv,
+                              evaluate_cell, parse_matrix_csv,
                               reference_pattern, render_matrix,
                               run_spectrum_scenario, run_sweep)
+from ringmill.plant import PidGains, TabulatedTrajectory
+from ringmill.ring import RingConfig
 from ringmill.spectrum import CoverageArea, Rejection, SpectrumManager, SpectrumRequest
-from ringmill.trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG
+from ringmill.trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, Scenario
 
 
 def outcome(i=0, passed=True, cause="none", fe=0.1, survived=1_000_000):
@@ -148,8 +151,28 @@ class TestManifest:
         assert again.spec() == SweepSpec()
 
     def test_loop_config_round_trip(self):
-        for config in (DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG):
-            assert loop_config_from_dict(loop_config_to_dict(config)) == config
+        # the scenario differs from the default in every field
+        default = dataclasses.replace(DEFAULT_LOOP_CONFIG, gains=PidGains(38.0, 1.5, 0.1, 0.04),
+                                      fe_limit_mm=0.7)
+        scenario = Scenario(
+            control_ring=RingConfig("control", ("master", "fpga"), 700, 90, 8, 0.0),
+            sensor_ring=None,
+            overlay_profile=ChannelProfile(
+                5_000, 300, JitterDistribution.TRUNCATED_NORMAL, 0.01, True),
+            trajectory=TabulatedTrajectory([(0, 0), (500, 10.5), (1000, 0)]))
+        manifest = RunManifest.for_run(SweepSpec(), default, ADAPTED_LOOP_CONFIG, scenario)
+        text = manifest.to_json()
+        again = RunManifest.from_json(text)
+        assert again == manifest and again.to_json() == text
+        assert (again.default_config, again.scenario) == (default, scenario)
+        assert again.scenario.trajectory.sample(250_000) == (5.25, 21.0)
+
+    def test_other_artifact_version_is_rejected(self):
+        manifest = RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)
+        data = json.loads(manifest.to_json())
+        data["artifact_version"] = "0.1.0"
+        with pytest.raises(ValueError, match="artifact version '0.1.0'"):
+            RunManifest.from_json(json.dumps(data))
 
 
 class TestSpectrumScenario:

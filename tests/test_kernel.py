@@ -5,16 +5,16 @@ import pytest
 
 from ringmill.channel import ZERO_IMPAIRMENT, ChannelProfile
 from ringmill.engine import Simulator
-from ringmill.plant import AxisModel, FailCause, TrapezoidTrajectory
-from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_CONTROL_RING, DEFAULT_LOOP_CONFIG,
-                            DEFAULT_OVERLAY_PROFILE, DEFAULT_SENSOR_RING, _LoopHarness,
-                            _StopTrial, run_trial, symmetric_profiles)
+from ringmill.plant import FailCause
+from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO,
+                            Scenario, _LoopHarness, _StopTrial, run_trial,
+                            symmetric_profiles)
+
+NO_SENSORS = Scenario(sensor_ring=None)
 
 
-def harness(cmd, fb, length_us, seed=1, sensor_ring=DEFAULT_SENSOR_RING):
-    return _LoopHarness(DEFAULT_LOOP_CONFIG, cmd, fb, TrapezoidTrajectory(), length_us,
-                        seed, DEFAULT_CONTROL_RING, sensor_ring, DEFAULT_OVERLAY_PROFILE,
-                        AxisModel(), None, None)
+def harness(cmd, fb, length_us, seed=1, scenario=DEFAULT_SCENARIO):
+    return _LoopHarness(DEFAULT_LOOP_CONFIG, cmd, fb, length_us, seed, scenario, None, None)
 
 
 class TestCancel:
@@ -70,7 +70,7 @@ class TestTrialKernel:
             for config in (DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG):
                 with_sensors = run_trial(config, cmd, fb, trial_length_us=3_000_000, seed=2)
                 without = run_trial(config, cmd, fb, trial_length_us=3_000_000, seed=2,
-                                    sensor_ring=None)
+                                    scenario=NO_SENSORS)
                 assert with_sensors == without, (latency_ms, jitter_ms, config.profile)
 
     def test_watchdog_fail_instant_is_pinned(self):
@@ -84,7 +84,7 @@ class TestTrialKernel:
         # control is entered at 10,300 us, so the first tick is at 11,000;
         # the only later feedback arrives at 10,500 and times out at
         # 10,500 + timeout + 1, before the control start itself would
-        h = harness(ZERO_IMPAIRMENT, ZERO_IMPAIRMENT, 20_000, sensor_ring=None)
+        h = harness(ZERO_IMPAIRMENT, ZERO_IMPAIRMENT, 20_000, scenario=NO_SENSORS)
         h.sim.schedule(10_300, h._enter_control)
         h.sim.schedule(10_500, lambda: h._on_feedback(10_400, h.fb_value))
         with pytest.raises(_StopTrial):
@@ -100,7 +100,7 @@ class TestTrialKernel:
         timeout = DEFAULT_LOOP_CONFIG.watchdog_timeout_us
         for gap_us, fails_at in ((timeout, 11_000 + 2 * timeout + 1), (timeout + 1, 13_101)):
             for arrival_first in (True, False):
-                h = harness(ZERO_IMPAIRMENT, ZERO_IMPAIRMENT, 20_000, sensor_ring=None)
+                h = harness(ZERO_IMPAIRMENT, ZERO_IMPAIRMENT, 20_000, scenario=NO_SENSORS)
                 arrival = 11_000 + gap_us
 
                 def schedule_arrival(h=h, arrival=arrival):
@@ -125,7 +125,7 @@ class TestTrialKernel:
         seen_first = set()
         for delay_us in (400, 900):
             profile = ChannelProfile(mean_delay_us=delay_us)
-            h = harness(profile, profile, 1_500_000, sensor_ring=None)
+            h = harness(profile, profile, 1_500_000, scenario=NO_SENSORS)
             log = []
             on_feedback, cnc_tick = h._on_feedback, h._cnc_tick
 

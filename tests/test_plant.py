@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringmill.plant import (AxisModel, FailCause, LoopConfig, PidController,
-                            PidGains, Profile, QosProfile, TabulatedTrajectory,
-                            TrapezoidTrajectory, TrialVerdict, URLLC_QOS,
-                            is_urllc_conformant, load_trajectory_csv, step_axis,
-                            validate_config_pair)
+                            PidGains, Profile, TabulatedTrajectory,
+                            TrapezoidTrajectory, TrialVerdict, load_trajectory_csv,
+                            step_axis, validate_config_pair)
 from ringmill.trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG
 
 
@@ -106,12 +105,12 @@ class TestTrapezoidTrajectory:
     def test_reaches_amplitude_and_returns(self):
         traj = TrapezoidTrajectory(amplitude_mm=20.0)
         half_us = round(traj.period_s / 2 * 1e6)
-        assert traj.position(half_us - 1) == pytest.approx(20.0, abs=1e-6)
-        assert traj.position(round(traj.period_s * 1e6) - 1) == pytest.approx(0.0, abs=1e-3)
+        assert traj.sample(half_us - 1)[0] == pytest.approx(20.0, abs=1e-6)
+        assert traj.sample(round(traj.period_s * 1e6) - 1)[0] == pytest.approx(0.0, abs=1e-3)
 
     def test_velocity_bounded_by_vmax(self):
         traj = TrapezoidTrajectory(velocity_mm_s=50.0)
-        vels = [abs(traj.velocity(t)) for t in range(0, int(traj.period_s * 1e6), 997)]
+        vels = [abs(traj.sample(t)[1]) for t in range(0, int(traj.period_s * 1e6), 997)]
         assert max(vels) <= 50.0 + 1e-9
         assert max(vels) == pytest.approx(50.0)
 
@@ -119,14 +118,15 @@ class TestTrapezoidTrajectory:
         traj = TrapezoidTrajectory()
         dt = 50  # us
         for t in range(1000, int(traj.period_s * 1e6) - dt, 13_337):
-            fd = (traj.position(t + dt) - traj.position(t)) / (dt / 1e6)
-            assert fd == pytest.approx(traj.velocity(t), abs=traj.accel * dt / 1e6 + 1e-6)
+            (pos, vel), (later, _) = traj.sample(t), traj.sample(t + dt)
+            fd = (later - pos) / (dt / 1e6)
+            assert fd == pytest.approx(vel, abs=traj.accel_mm_s2 * dt / 1e6 + 1e-6)
 
     def test_short_move_becomes_triangular(self):
         traj = TrapezoidTrajectory(amplitude_mm=1.0, velocity_mm_s=50.0,
                                    accel_mm_s2=1000.0)
         assert traj.vmax < 50.0
-        top = max(traj.position(t) for t in range(0, int(traj.period_s * 1e6), 211))
+        top = max(traj.sample(t)[0] for t in range(0, int(traj.period_s * 1e6), 211))
         assert top == pytest.approx(1.0, abs=1e-3)
 
     def test_rejects_bad_parameters(self):
@@ -137,13 +137,12 @@ class TestTrapezoidTrajectory:
 class TestTabulatedTrajectory:
     def test_csv_parse_and_interpolation(self):
         traj = load_trajectory_csv("time_ms,setpoint_mm\n0,0\n100,10\n200,0\n")
-        assert traj.position(50_000) == pytest.approx(5.0)
-        assert traj.velocity(50_000) == pytest.approx(100.0)  # 10 mm over 0.1 s
-        assert traj.position(150_000) == pytest.approx(5.0)
+        assert traj.sample(50_000) == pytest.approx((5.0, 100.0))  # 10 mm over 0.1 s
+        assert traj.sample(150_000)[0] == pytest.approx(5.0)
 
     def test_wraps_around_period(self):
         traj = TabulatedTrajectory([(0.0, 0.0), (100.0, 10.0)])
-        assert traj.position(150_000) == pytest.approx(traj.position(50_000))
+        assert traj.sample(150_000) == pytest.approx(traj.sample(50_000))
 
     def test_rejects_non_monotone_times(self):
         with pytest.raises(ValueError):
@@ -155,11 +154,6 @@ class TestTabulatedTrajectory:
 
 
 class TestConfigTypes:
-    def test_urllc_profile_conformance(self):
-        assert is_urllc_conformant(URLLC_QOS)
-        assert not is_urllc_conformant(QosProfile(100, 0, 1e-9))     # too fast a bound
-        assert not is_urllc_conformant(QosProfile(5000, 0, 1e-6))    # too lossy
-
     def test_loop_config_validation(self):
         with pytest.raises(ValueError):
             LoopConfig(profile=Profile.DEFAULT, gains=PidGains(kp=1.0),

@@ -206,16 +206,6 @@ class TestMasterBridge:
         assert master.bridge_frame(frame(1, "fpga", "master", 0), 0) is None
         assert master.bridged_up == 0
 
-    def test_overlay_command_enters_ring_at_master(self):
-        master, sim, sensor = self.make_master()
-        got = []
-        master.deliver_from_overlay(
-            "sensor", frame(9, "master", "s3", 0, FrameClass.BRIDGED), 0,
-            lambda f, t: got.append((f.frame_id, t)))
-        sim.run_until(10_000)
-        assert got and got[0][0] == 9
-        assert master.bridged_down == 1
-
     def test_master_must_be_member_of_both_rings(self):
         sim = Simulator()
         control = TokenRing(URLLC_2, sim, component_rng(1, "c"))

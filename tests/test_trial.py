@@ -3,10 +3,11 @@ import dataclasses
 import pytest
 
 from ringmill.channel import ZERO_IMPAIRMENT, ChannelProfile
-from ringmill.plant import AxisModel, FailCause, Profile, TrapezoidTrajectory
+from ringmill.plant import AxisModel, FailCause, Profile
 from ringmill.ring import RingConfig
-from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, TrialTrace,
-                            run_network_free_baseline, run_trial, symmetric_profiles)
+from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO,
+                            Scenario, TrialTrace, run_network_free_baseline, run_trial,
+                            symmetric_profiles)
 
 ZERO_RING = RingConfig(ring_id="control", nodes=("master", "fpga"),
                        slot_time_us=0, tx_time_us=0, loss_rate=0.0)
@@ -33,7 +34,7 @@ class TestBaseline:
         # with a zero-delay ring and zero channels the transport adds nothing
         verdict = run_trial(DEFAULT_LOOP_CONFIG, ZERO_IMPAIRMENT, ZERO_IMPAIRMENT,
                             trial_length_us=SHORT, seed=5,
-                            control_ring=ZERO_RING, sensor_ring=None)
+                            scenario=Scenario(control_ring=ZERO_RING, sensor_ring=None))
         baseline = run_network_free_baseline(DEFAULT_LOOP_CONFIG,
                                              trial_length_us=SHORT)
         assert verdict.passed
@@ -107,12 +108,9 @@ class TestInstrumentation:
         assert len(first.split(",")) == 5
 
     def test_sensor_traffic_is_bridged_during_trial(self):
-        from ringmill.trial import (_LoopHarness, DEFAULT_CONTROL_RING,
-                                    DEFAULT_OVERLAY_PROFILE, DEFAULT_SENSOR_RING)
+        from ringmill.trial import _LoopHarness
         harness = _LoopHarness(DEFAULT_LOOP_CONFIG, ZERO_IMPAIRMENT, ZERO_IMPAIRMENT,
-                               TrapezoidTrajectory(), 2_000_000, 1,
-                               DEFAULT_CONTROL_RING, DEFAULT_SENSOR_RING,
-                               DEFAULT_OVERLAY_PROFILE, AxisModel(), None, None)
+                               2_000_000, 1, DEFAULT_SCENARIO, None, None)
         verdict = harness.run()
         assert verdict.passed
         assert harness.master.bridged_up > 50  # 7 sensors at 20 Hz for 2 s
