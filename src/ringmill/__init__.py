@@ -15,8 +15,8 @@ from .ring import (Frame, FrameClass, MasterNode, RingConfig, TokenRing,
                    worst_case_access_latency)
 from .spectrum import (Band, CoverageArea, Rejection, SpectrumBlock,
                        SpectrumGrant, SpectrumManager, SpectrumRequest)
-from .trial import (ADAPTED_LOOP_CONFIG, CalibrationResult, CalibrationSpace,
-                    DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO, Scenario, TrialTrace, calibrate,
+from .trial import (ADAPTED_LOOP_CONFIG, CalibrationResult, DEFAULT_LOOP_CONFIG,
+                    DEFAULT_SCENARIO, Scenario, TrialTrace, calibrate,
                     run_network_free_baseline, run_trial, symmetric_profiles)
 
 __version__ = "0.1.0"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import replace
@@ -13,11 +14,25 @@ from .config import AppConfig, ConfigError, default_app_config, load_config
 from .engine import US_PER_S
 from .harness import (RunManifest, ScriptError, SweepSpec, parse_matrix_csv,
                       render_matrix, run_spectrum_scenario, run_sweep)
-from .trial import CalibrationSpace, TrialTrace, calibrate, run_trial, symmetric_profiles
+from .trial import TrialTrace, calibrate, run_trial, symmetric_profiles
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CALIBRATION = 3
+
+
+def positive(raw: str) -> float:
+    value = float(raw)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{raw} is not positive and finite")
+    return value
+
+
+def non_negative(raw: str) -> float:
+    value = float(raw)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"{raw} is not non-negative and finite")
+    return value
 
 
 def _load_app(args) -> AppConfig:
@@ -104,7 +119,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_calibrate(args) -> int:
     app = _load_app(args)
-    result = calibrate(CalibrationSpace(), master_seed=app.sweep.master_seed,
+    result = calibrate(master_seed=app.sweep.master_seed,
                        screen_trial_seconds=args.screen_seconds,
                        validation_spec=app.sweep, scenario=app.scenario)
     print(result.report())
@@ -134,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI scenario file")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         if trial_seconds:
-            p.add_argument("--trial-seconds", type=float, default=None,
+            p.add_argument("--trial-seconds", type=positive, default=None,
                            help="simulated seconds per trial")
 
     p = sub.add_parser("sweep", help="run the latency x jitter feasibility sweep")
@@ -146,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trial", help="run one closed-loop trial")
     common(p)
-    p.add_argument("--latency-ms", type=float, default=None)
-    p.add_argument("--jitter-ms", type=float, default=None)
+    p.add_argument("--latency-ms", type=non_negative, default=None)
+    p.add_argument("--jitter-ms", type=non_negative, default=None)
     p.add_argument("--profile", choices=("default", "adapted"), default="default")
     p.add_argument("--trace", help="write per-tick control trace CSV here")
     p.set_defaults(func=cmd_trial)
@@ -160,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="grid-search loop configs against the target pattern")
     common(p)
     p.add_argument("--output-dir", default=None)
-    p.add_argument("--screen-seconds", type=float, default=12.0)
+    p.add_argument("--screen-seconds", type=positive, default=12.0)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("render", help="re-render a matrix CSV")
@@ -176,10 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ScriptError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, ScriptError, OSError) as exc:  # OSError: a file named by a flag
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

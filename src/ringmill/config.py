@@ -2,21 +2,24 @@
 
 Every section is optional; omitted values fall back to the shipped
 calibrated defaults.  The full schema is documented in the README.
-``;`` and ``#`` start comments, also after a value.  A section or key
-outside the schema is an error that names its line.
+``;`` and ``#`` start comments, also after a value.  Every error names its
+line: a section or key outside the schema, a value that cannot be read,
+and a section whose values the object it builds rejects.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import re
-from dataclasses import dataclass, fields, replace
+from collections import defaultdict
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .channel import ChannelProfile, JitterDistribution
+from .engine import US_PER_MS
 from .harness import SweepSpec
-from .plant import LoopConfig, PidGains, TrapezoidTrajectory, load_trajectory_csv
-from .ring import RingConfig
+from .plant import LoopConfig, load_trajectory_csv, validate_config_pair
 from .trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO, Scenario
 
 
@@ -24,63 +27,77 @@ class ConfigError(ValueError):
     pass
 
 
-_GAIN_KEYS = frozenset({"kp", "ki", "kd", "integral_clamp"})
-_LOOP_KEYS = frozenset({"servo_period_us", "watchdog_timeout_us", "init_grace_us",
-                        "fe_limit_mm", "delay_spread_tolerance_us", "rtt_rescue_budget_us"})
-_RING_KEYS = frozenset({"nodes", "slot_time_us", "tx_time_us", "queue_depth", "loss_rate"})
-_CHANNEL_KEYS = frozenset({"mean_delay_ms", "jitter_ms", "distribution", "loss_rate",
-                           "reorder"})
+def _float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
 
-# every section a scenario file may have, with the keys it may hold
-_SCHEMA: dict[str, frozenset[str]] = {
-    "sweep": frozenset({"latencies_ms", "jitters_ms", "seeds_per_cell", "trial_seconds",
-                        "master_seed"}),
-    "gains.default": _GAIN_KEYS,
-    "gains.adapted": _GAIN_KEYS,
-    "loop.default": _LOOP_KEYS,
-    "loop.adapted": _LOOP_KEYS,
-    "ring.control": _RING_KEYS,
-    "ring.sensor": _RING_KEYS | {"enabled"},
-    "channel.overlay": _CHANNEL_KEYS,
-    "channel.command": _CHANNEL_KEYS,
-    "channel.feedback": _CHANNEL_KEYS,
-    "trajectory": frozenset({"amplitude_mm", "velocity_mm_s", "accel_mm_s2", "dwell_s",
-                             "file"}),
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(_float(tok) for tok in raw.replace(",", " ").split())
+
+
+def _names(raw: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+
+
+def _bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"{raw!r} is not a boolean") from None
+
+
+def _us_from_ms(raw: str) -> int:
+    return round(_float(raw) * US_PER_MS)
+
+
+_GAINS = {"kp": _float, "ki": _float, "kd": _float, "integral_clamp": _float}
+_LOOP = {"servo_period_us": int, "watchdog_timeout_us": int, "init_grace_us": int,
+         "fe_limit_mm": _float, "delay_spread_tolerance_us": int, "rtt_rescue_budget_us": int}
+_LOSS = {"loss_rate": _float}  # rings and channels both drop frames
+_RING = {"nodes": _names, "slot_time_us": int, "tx_time_us": int, "queue_depth": int,
+         **_LOSS}
+# a (field, reader) pair where the dataclass field is not named like the key
+_CHANNEL = {"mean_delay_ms": ("mean_delay_us", _us_from_ms),
+            "jitter_ms": ("jitter_us", _us_from_ms),
+            "distribution": JitterDistribution, "reorder": ("reorder_allowed", _bool),
+            **_LOSS}
+
+# every section a scenario file may have: its keys, each with its reader
+_SCHEMA = {
+    "sweep": {"latencies_ms": _floats, "jitters_ms": _floats, "seeds_per_cell": int,
+              "trial_seconds": _float, "master_seed": int},
+    "gains.default": _GAINS,
+    "gains.adapted": _GAINS,
+    "loop.default": _LOOP,
+    "loop.adapted": _LOOP,
+    "ring.control": _RING,
+    "ring.sensor": {**_RING, "enabled": _bool},
+    "channel.overlay": _CHANNEL,
+    "channel.command": _CHANNEL,
+    "channel.feedback": _CHANNEL,
+    # `file` (relative to the INI file) replaces the trapezoid
+    "trajectory": {"amplitude_mm": _float, "velocity_mm_s": _float, "accel_mm_s2": _float,
+                   "dwell_s": _float, "file": Path},
 }
 
 _HEADER = re.compile(r"\s*\[(?P<name>[^\]]+)\]")
 _KEY = re.compile(r"\s*(?P<key>[^=:;#\s][^=:]*?)\s*[=:]")
 
 
-def _line_of(text: str, section: str, key: str | None = None) -> int:
-    """1-based line of a section header, or of a key inside that section."""
-    current = None
+def _lines(text: str) -> dict[tuple, int]:
+    """1-based line of each (section, key), and of each header as (section, None)."""
+    where, section = {}, None
     for number, line in enumerate(text.splitlines(), 1):
         header = _HEADER.match(line)
         if header:
-            current = header["name"]
-            if key is None and current == section:
-                return number
-        elif key is not None and current == section:
-            found = _KEY.match(line)
-            if found and found["key"].lower() == key:
-                return number
-    return 0
-
-
-def _check_schema(parser: configparser.ConfigParser, text: str, path) -> None:
-    names = parser.sections()
-    if parser.defaults():  # its keys would show up in every section
-        names.insert(0, parser.default_section)
-    for name in names:
-        allowed = _SCHEMA.get(name)
-        if allowed is None:
-            raise ConfigError(f"{path}, line {_line_of(text, name)}: "
-                              f"unknown section [{name}]")
-        for key in parser[name]:
-            if key not in allowed:
-                raise ConfigError(f"{path}, line {_line_of(text, name, key)}: "
-                                  f"unknown key {key!r} in [{name}]")
+            section = header["name"]
+            where.setdefault((section, None), number)
+        elif found := _KEY.match(line):
+            where.setdefault((section, found["key"].lower()), number)
+    return where
 
 
 @dataclass
@@ -99,116 +116,78 @@ def default_app_config() -> AppConfig:
                      adapted_loop=ADAPTED_LOOP_CONFIG, scenario=DEFAULT_SCENARIO)
 
 
-def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.replace(",", " ").split())
-
-
-def _gains(section, fallback: PidGains) -> PidGains:
-    return PidGains(
-        kp=section.getfloat("kp", fallback.kp),
-        ki=section.getfloat("ki", fallback.ki),
-        kd=section.getfloat("kd", fallback.kd),
-        integral_clamp=section.getfloat("integral_clamp", fallback.integral_clamp),
-    )
-
-
-def _loop(section, gains: PidGains, fallback: LoopConfig) -> LoopConfig:
-    return replace(
-        fallback,
-        gains=gains,
-        servo_period_us=section.getint("servo_period_us", fallback.servo_period_us),
-        watchdog_timeout_us=section.getint("watchdog_timeout_us", fallback.watchdog_timeout_us),
-        init_grace_us=section.getint("init_grace_us", fallback.init_grace_us),
-        fe_limit_mm=section.getfloat("fe_limit_mm", fallback.fe_limit_mm),
-        delay_spread_tolerance_us=section.getint(
-            "delay_spread_tolerance_us", fallback.delay_spread_tolerance_us),
-        rtt_rescue_budget_us=section.getint(
-            "rtt_rescue_budget_us", fallback.rtt_rescue_budget_us),
-    )
-
-
-def _ring(section, fallback: RingConfig) -> RingConfig:
-    nodes = fallback.nodes
-    if "nodes" in section:
-        nodes = tuple(tok.strip() for tok in section["nodes"].split(",") if tok.strip())
-    return RingConfig(
-        ring_id=fallback.ring_id,
-        nodes=nodes,
-        slot_time_us=section.getint("slot_time_us", fallback.slot_time_us),
-        tx_time_us=section.getint("tx_time_us", fallback.tx_time_us),
-        queue_depth=section.getint("queue_depth", fallback.queue_depth),
-        loss_rate=section.getfloat("loss_rate", fallback.loss_rate),
-    )
-
-
-def _channel(section, fallback: ChannelProfile) -> ChannelProfile:
-    return ChannelProfile.from_ms(
-        section.getfloat("mean_delay_ms", fallback.mean_delay_us / 1000.0),
-        section.getfloat("jitter_ms", fallback.jitter_us / 1000.0),
-        distribution=JitterDistribution(
-            section.get("distribution", fallback.distribution.value)),
-        loss_rate=section.getfloat("loss_rate", fallback.loss_rate),
-        reorder_allowed=section.getboolean("reorder", fallback.reorder_allowed),
-    )
-
-
 def load_config(path: str | Path) -> AppConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    text = Path(path).read_text()
+    path = Path(path)
+    text = path.read_text()
+    # default_section="" names no section a header can open, so [DEFAULT] is
+    # an unknown section like any other
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                       interpolation=None, default_section="")
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from None
-    _check_schema(parser, text, path)
+    lines = _lines(text)
+
+    def located(section: str, key: str | None, message) -> ConfigError:
+        return ConfigError(f"{path}, line {lines[section, key]}: {message}")
+
+    # section -> {field: value}, each value read once through the schema
+    values: defaultdict[str, dict] = defaultdict(dict)
+    for name in parser.sections():
+        keys = _SCHEMA.get(name)
+        if keys is None:
+            raise located(name, None, f"unknown section [{name}]")
+        for key, raw in parser[name].items():
+            entry = keys.get(key)
+            if entry is None:
+                raise located(name, key, f"unknown key {key!r} in [{name}]")
+            field, reader = entry if isinstance(entry, tuple) else (key, entry)
+            try:
+                if not raw:
+                    raise ValueError("empty value")
+                values[name][field] = reader(raw)
+            except ValueError as exc:
+                raise located(name, key, f"{key} = {raw}: {exc}") from None
+
+    def build(section: str, make, *args, **kwargs):
+        """make(*args, **kwargs), an error it raises located at [section]."""
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            raise located(section, None, f"[{section}] {exc}") from None
+
+    def section(name: str, fallback, **extra):
+        """`fallback` with the values [name] sets."""
+        return build(name, replace, fallback, **values[name], **extra)
 
     app = default_app_config()
-    known = set(parser.sections())
+    app.sweep = section("sweep", app.sweep)
+    app.default_loop = section("loop.default", app.default_loop,
+                               gains=section("gains.default", app.default_loop.gains))
+    app.adapted_loop = section("loop.adapted", app.adapted_loop,
+                               gains=section("gains.adapted", app.adapted_loop.gains))
+    build("loop.adapted" if parser.has_section("loop.adapted") else "loop.default",
+          validate_config_pair, app.default_loop, app.adapted_loop)
 
-    def section(name):
-        if not parser.has_section(name):
-            parser.add_section(name)
-        return parser[name]
+    scenario = build("ring.control", replace, app.scenario,
+                     control_ring=section("ring.control", app.scenario.control_ring))
+    enabled = values["ring.sensor"].pop("enabled", True)
+    scenario = build("ring.sensor", replace, scenario,
+                     sensor_ring=section("ring.sensor", scenario.sensor_ring) if enabled else None)
+    traj = values["trajectory"]
+    if "file" in traj:
+        try:
+            trajectory = load_trajectory_csv((path.parent / traj["file"]).read_text())
+        except (OSError, ValueError) as exc:
+            raise located("trajectory", "file", exc) from None
+    else:
+        trajectory = section("trajectory", scenario.trajectory)
+    app.scenario = replace(scenario, trajectory=trajectory,
+                           overlay_profile=section("channel.overlay", scenario.overlay_profile))
 
-    try:
-        sweep_sec = section("sweep")
-        app.sweep = SweepSpec(
-            latencies_ms=_floats(sweep_sec.get("latencies_ms", "")) or app.sweep.latencies_ms,
-            jitters_ms=_floats(sweep_sec.get("jitters_ms", "")) or app.sweep.jitters_ms,
-            seeds_per_cell=sweep_sec.getint("seeds_per_cell", app.sweep.seeds_per_cell),
-            trial_seconds=sweep_sec.getfloat("trial_seconds", app.sweep.trial_seconds),
-            master_seed=sweep_sec.getint("master_seed", app.sweep.master_seed),
-        )
-
-        default_gains = _gains(section("gains.default"), app.default_loop.gains)
-        adapted_gains = _gains(section("gains.adapted"), app.adapted_loop.gains)
-        app.default_loop = _loop(section("loop.default"), default_gains, app.default_loop)
-        app.adapted_loop = _loop(section("loop.adapted"), adapted_gains, app.adapted_loop)
-
-        scenario = app.scenario
-        sensor_ring = None
-        if section("ring.sensor").getboolean("enabled", True):
-            sensor_ring = _ring(section("ring.sensor"), scenario.sensor_ring)
-        traj_sec = section("trajectory")
-        if "file" in traj_sec:
-            trajectory = load_trajectory_csv(Path(traj_sec["file"]).read_text())
-        else:
-            trajectory = TrapezoidTrajectory(**{
-                f.name: traj_sec.getfloat(f.name, f.default)
-                for f in fields(TrapezoidTrajectory)})
-        app.scenario = Scenario(
-            control_ring=_ring(section("ring.control"), scenario.control_ring),
-            sensor_ring=sensor_ring,
-            overlay_profile=_channel(section("channel.overlay"), scenario.overlay_profile),
-            trajectory=trajectory)
-
-        if "channel.command" in known:
-            app.command_profile = _channel(section("channel.command"),
-                                           ChannelProfile(0, 0))
-        if "channel.feedback" in known:
-            app.feedback_profile = _channel(section("channel.feedback"),
-                                            ChannelProfile(0, 0))
-    except (ValueError, KeyError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}") from None
+    if parser.has_section("channel.command"):
+        app.command_profile = section("channel.command", ChannelProfile(0))
+    if parser.has_section("channel.feedback"):
+        app.feedback_profile = section("channel.feedback", ChannelProfile(0))
     return app

@@ -260,21 +260,33 @@ def _render_csv(result: SweepResult) -> str:
 
 
 def parse_matrix_csv(text: str) -> SweepResult:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2 or not lines[0].startswith("# ringmill-matrix v1"):
-        raise ValueError("not a ringmill matrix CSV")
-    meta = dict(tok.split("=") for tok in lines[0].split()[3:])
+    """Read a `matrix.csv` back; a line that cannot be read raises a ScriptError."""
+    lines = [(number, line) for number, line in enumerate(text.splitlines(), 1)
+             if line.strip()]
+    if len(lines) < 2 or not lines[0][1].startswith("# ringmill-matrix v1"):
+        raise ScriptError(lines[0][0] if lines else 1, "not a ringmill matrix CSV")
     cells = []
-    for line in lines[2:]:
-        lat, jit, cls, default_enc, adapted_enc = line.split(",")
-        cells.append(CellVerdict(float(lat), float(jit), CellClass(cls),
-                                 _decode_outcomes(default_enc), _decode_outcomes(adapted_enc)))
+    for number, line in lines[2:]:
+        try:
+            lat, jit, cls, default_enc, adapted_enc = line.split(",")
+            cells.append(CellVerdict(float(lat), float(jit), CellClass(cls),
+                                     _decode_outcomes(default_enc),
+                                     _decode_outcomes(adapted_enc)))
+        except ValueError as exc:
+            raise ScriptError(number, f"bad matrix row: {exc}") from None
     lats = tuple(sorted({c.latency_ms for c in cells}))
     jits = tuple(sorted({c.jitter_ms for c in cells}))
-    spec = SweepSpec(latencies_ms=lats, jitters_ms=jits,
-                     seeds_per_cell=int(meta["seeds"]),
-                     trial_seconds=float(meta["trial_seconds"]),
-                     master_seed=int(meta["master_seed"]))
+    if len(cells) != len(lats) * len(jits):
+        raise ScriptError(lines[-1][0], f"{len(cells)} rows for a "
+                          f"{len(lats)} x {len(jits)} latency x jitter grid")
+    try:
+        meta = dict(tok.split("=") for tok in lines[0][1].split()[3:])
+        spec = SweepSpec(latencies_ms=lats, jitters_ms=jits,
+                         seeds_per_cell=int(meta["seeds"]),
+                         trial_seconds=float(meta["trial_seconds"]),
+                         master_seed=int(meta["master_seed"]))
+    except (ValueError, KeyError) as exc:
+        raise ScriptError(lines[0][0], f"bad matrix header: {exc}") from None
     cells.sort(key=lambda v: (v.latency_ms, v.jitter_ms))
     return SweepResult(spec=spec, cells=cells)
 

@@ -53,7 +53,7 @@ from .engine import SimTime, Simulator, US_PER_S, component_rng
 from .plant import (AxisModel, FailCause, LoopConfig, PidController, PidGains,
                     Profile, TabulatedTrajectory, TrapezoidTrajectory, TrialVerdict,
                     step_axis)
-from .ring import Frame, FrameClass, MasterNode, RingConfig, TokenRing
+from .ring import Frame, FrameClass, MasterNode, RingConfig, RingConfigError, TokenRing
 
 MASTER_NODE = "master"
 FPGA_NODE = "fpga"
@@ -96,6 +96,15 @@ class Scenario:
     sensor_ring: RingConfig | None = DEFAULT_SENSOR_RING  # None: no sensor ring
     overlay_profile: ChannelProfile = DEFAULT_OVERLAY_PROFILE
     trajectory: TrapezoidTrajectory | TabulatedTrajectory = TrapezoidTrajectory()
+
+    def __post_init__(self):
+        # the nodes a trial sends between
+        if not {MASTER_NODE, FPGA_NODE} <= set(self.control_ring.nodes):
+            raise RingConfigError(f"ring {self.control_ring.ring_id}: a trial needs "
+                                  f"nodes {MASTER_NODE} and {FPGA_NODE}")
+        if self.sensor_ring is not None and MASTER_NODE not in self.sensor_ring.nodes:
+            raise RingConfigError(f"ring {self.sensor_ring.ring_id}: a trial needs "
+                                  f"node {MASTER_NODE}")
 
 
 DEFAULT_SCENARIO = Scenario()
@@ -329,7 +338,8 @@ class _LoopHarness:
         self.sim.schedule(0, self._send_handshake)
         self.sim.schedule(self.config.init_grace_us, self._grace_deadline)
         if self.sensor_ring is not None:
-            for i, node in enumerate(self.sensor_ring.config.nodes[1:]):
+            sensors = [n for n in self.sensor_ring.config.nodes if n != MASTER_NODE]
+            for i, node in enumerate(sensors):
                 self.sim.schedule(1000 + i * 7000, lambda node=node: self._sensor_emit(node))
         try:
             self.sim.run_until(self.length)
@@ -418,29 +428,14 @@ ADAPTED_LOOP_CONFIG = LoopConfig(
 )
 
 
-@dataclass(frozen=True)
-class CalibrationSpace:
-    """Grid of candidate values; the first entry of each axis is the anchor."""
-
-    kp: tuple[float, ...] = (40.0, 32.0, 50.0)
-    ki: tuple[float, ...] = (2.0, 0.0)
-    kd: tuple[float, ...] = (0.0,)
-    fe_limit_mm: tuple[float, ...] = (0.80, 0.75, 0.85)
-    watchdog_timeout_us: tuple[int, ...] = (2_100, 2_050)
-    init_grace_us: tuple[int, ...] = (2_000_000,)
-
-    def candidates(self):
-        for kp, ki, kd, fe, wd, grace in itertools.product(
-                self.kp, self.ki, self.kd, self.fe_limit_mm,
-                self.watchdog_timeout_us, self.init_grace_us):
-            gains = PidGains(kp=kp, ki=ki, kd=kd,
-                             integral_clamp=NOMINAL_GAINS.integral_clamp)
-            default = replace(DEFAULT_LOOP_CONFIG, gains=gains, fe_limit_mm=fe,
-                              watchdog_timeout_us=wd, init_grace_us=grace)
-            adapted = replace(ADAPTED_LOOP_CONFIG, gains=gains, fe_limit_mm=fe,
-                              watchdog_timeout_us=wd,
-                              init_grace_us=max(grace * 2, ADAPTED_LOOP_CONFIG.init_grace_us))
-            yield default, adapted
+#: Candidate (default, adapted) loop pairs, the shipped pair first: kp x ki x
+#: following-error limit x watchdog timeout, 36 in all.
+CALIBRATION_GRID = tuple(
+    (replace(DEFAULT_LOOP_CONFIG, gains=gains, fe_limit_mm=fe, watchdog_timeout_us=wd),
+     replace(ADAPTED_LOOP_CONFIG, gains=gains, fe_limit_mm=fe, watchdog_timeout_us=wd))
+    for kp, ki, fe, wd in itertools.product((40.0, 32.0, 50.0), (2.0, 0.0),
+                                            (0.80, 0.75, 0.85), (2_100, 2_050))
+    for gains in [replace(NOMINAL_GAINS, kp=kp, ki=ki)])
 
 
 @dataclass
@@ -471,8 +466,7 @@ SCREENING_CELLS = (
 )
 
 
-def calibrate(space: CalibrationSpace | None = None,
-              master_seed: int = 0,
+def calibrate(master_seed: int = 0,
               screen_trial_seconds: float = 12.0,
               validation_spec=None,
               scenario: Scenario = DEFAULT_SCENARIO) -> CalibrationResult:
@@ -485,14 +479,13 @@ def calibrate(space: CalibrationSpace | None = None,
     """
     from .harness import SweepSpec, evaluate_cell, reference_pattern, run_sweep
 
-    space = space or CalibrationSpace()
     target = reference_pattern()
     best_mismatches: list | None = None
     best_pair = None
     best_matrix = None
     tried = 0
 
-    for default, adapted in space.candidates():
+    for default, adapted in CALIBRATION_GRID:
         tried += 1
         screen_ok = True
         for lat, jit in SCREENING_CELLS:

@@ -100,6 +100,32 @@ class TestConfig:
         name = section.split("]")[0] + "]"
         assert f"line 4: unknown section {name}" in capsys.readouterr().err
 
+    def test_trajectory_file_is_relative_to_the_ini(self, tmp_path, monkeypatch):
+        (tmp_path / "scenario").mkdir()
+        (tmp_path / "scenario" / "moves.csv").write_text("0,0\n500,10\n1000,0\n")
+        path = tmp_path / "scenario" / "scenario.ini"
+        path.write_text("[trajectory]\nfile = moves.csv\n")
+        monkeypatch.chdir(tmp_path)
+        assert load_config(path).scenario.trajectory.sample(250_000)[0] == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("text, line", [
+        ("[channel.overlay]\nloss_rate = 0\ndistribution = gaussian\n", 3),
+        ("[sweep]\nmaster_seed = 1\nseeds_per_cell = 0\n", 1),
+        ("[ring.sensor]\nenabled = maybe\n", 2),
+        ("[sweep]\nlatencies_ms =\n", 2),
+        ("[loop.default]\nfe_limit_mm = 0.7\n\n[loop.adapted]\nwatchdog_timeout_us = 2000\n", 4),
+        ("[ring.control]\nnodes = a, b\n", 1),
+        ("[sweep]\nseeds_per_cell = 1\n[ring.sensor]\nnodes = sensor-1, sensor-2\n", 3),
+        ("[trajectory]\nfile = missing.csv\n", 2),
+    ], ids=["distribution", "seeds_per_cell", "enabled", "empty-value", "adapted-watchdog",
+            "control-nodes", "sensor-nodes", "missing-file"])
+    def test_bad_input_exits_config_error_with_its_line(self, tmp_path, capsys, text, line):
+        path = tmp_path / "scenario.ini"
+        path.write_text(text)
+        assert main(["trial", "--config", str(path), "--latency-ms", "0.5",
+                     "--jitter-ms", "0.05", "--trial-seconds", "1"]) == 2
+        assert f"scenario.ini, line {line}: " in capsys.readouterr().err
+
     def test_unknown_key_is_located_config_error(self, tmp_path):
         path = tmp_path / "typo.ini"
         path.write_text("[sweep]\nseeds_per_cell = 1\nseed_per_cell = 2\n")
@@ -234,6 +260,34 @@ class TestCli:
             "  #2 b: [3720, 3740] MHz at (5, 0) r=10 m\n"
             "occupancy at grant centers:\n"
             "  (5, 0): 20 MHz\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["trial", "--latency-ms", "1", "--jitter-ms", "0.1", "--trial-seconds", "0"],
+         "argument --trial-seconds: 0 is not positive"),
+        (["calibrate", "--screen-seconds", "inf"], "argument --screen-seconds: inf is not"),
+        (["trial", "--latency-ms", "-1", "--jitter-ms", "0.1"],
+         "argument --latency-ms: -1 is not non-negative"),
+        (["trial", "--latency-ms", "1", "--jitter-ms", "nan"], "argument --jitter-ms: nan"),
+        (["render", "--matrix", "README.md"], "line 1: not a ringmill matrix CSV"),
+        (["render", "--matrix", "bad-row.csv"], "line 4: bad matrix row"),
+        (["render", "--matrix", "."], "Is a directory"),
+    ], ids=["trial-seconds", "screen-seconds", "latency-ms", "jitter-ms", "not-a-matrix",
+            "bad-row", "directory"])
+    def test_bad_flag_or_matrix_exits_config_error(self, tmp_path, capsys, monkeypatch,
+                                                   argv, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "README.md").write_text("# not a matrix\n")
+        (tmp_path / "bad-row.csv").write_text(
+            "# ringmill-matrix v1 seeds=1 trial_seconds=1 master_seed=0\n"
+            "latency_ms,jitter_ms,class,default_outcomes,adapted_outcomes\n"
+            "0.5,0.05,pass,0|pass|none|0.1|1000000,\n"
+            "1,0.05,pass\n")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flag
+            code = exc.code
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_file_exits_config_error(self, capsys):
         assert main(["render", "--matrix", "/nonexistent/matrix.csv"]) == 2

@@ -174,6 +174,14 @@ class TestManifest:
         with pytest.raises(ValueError, match="artifact version '0.1.0'"):
             RunManifest.from_json(json.dumps(data))
 
+    def test_unrunnable_scenario_is_rejected(self):
+        # a trial sends between the control ring's master and fpga nodes
+        manifest = RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)
+        data = json.loads(manifest.to_json())
+        data["scenario"]["control_ring"]["nodes"] = ["a", "b"]
+        with pytest.raises(ValueError, match="needs nodes master and fpga"):
+            RunManifest.from_json(json.dumps(data))
+
 
 class TestSpectrumScenario:
     def test_static_plan_script_saturates_the_site(self):

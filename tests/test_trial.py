@@ -115,6 +115,18 @@ class TestInstrumentation:
         assert verdict.passed
         assert harness.master.bridged_up > 50  # 7 sensors at 20 Hz for 2 s
 
+    def test_every_sensor_node_but_the_master_emits(self):
+        from ringmill.trial import DEFAULT_SENSOR_RING, _LoopHarness
+        sensor_ring = dataclasses.replace(DEFAULT_SENSOR_RING,
+                                          nodes=("sensor-1", "master", "sensor-2"))
+        harness = _LoopHarness(DEFAULT_LOOP_CONFIG, ZERO_IMPAIRMENT, ZERO_IMPAIRMENT, 100_000, 1,
+                               dataclasses.replace(DEFAULT_SCENARIO, sensor_ring=sensor_ring),
+                               None, None)
+        emitters = []
+        harness._sensor_emit = emitters.append  # first emits only
+        harness.run()
+        assert emitters == ["sensor-1", "sensor-2"]
+
     def test_axis_limits_hold_throughout(self):
         trace = TrialTrace()
         trial(DEFAULT_LOOP_CONFIG, 2.0, 0.15, seconds=3.0, trace=trace)
