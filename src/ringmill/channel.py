@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .engine import SimTime, US_PER_MS

@@ -12,8 +12,8 @@ from pathlib import Path
 from . import __version__
 from .config import AppConfig, ConfigError, default_app_config, load_config
 from .engine import US_PER_S
-from .harness import (RunManifest, ScriptError, SweepSpec, parse_matrix_csv,
-                      render_matrix, run_spectrum_scenario, run_sweep)
+from .harness import (RunManifest, ScriptError, parse_matrix_csv, render_matrix,
+                      run_spectrum_scenario, run_sweep)
 from .trial import TrialTrace, calibrate, run_trial, symmetric_profiles
 
 EXIT_OK = 0

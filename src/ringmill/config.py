@@ -180,7 +180,7 @@ def load_config(path: str | Path) -> AppConfig:
         try:
             trajectory = load_trajectory_csv((path.parent / traj["file"]).read_text())
         except (OSError, ValueError) as exc:
-            raise located("trajectory", "file", exc) from None
+            raise located("trajectory", "file", f"file = {traj['file']}: {exc}") from None
     else:
         trajectory = section("trajectory", scenario.trajectory)
     app.scenario = replace(scenario, trajectory=trajectory,

@@ -22,8 +22,8 @@ from typing import Iterable
 
 from .channel import ChannelProfile, JitterDistribution
 from .engine import US_PER_MS, US_PER_S, SimTime, derive_seed
-from .plant import (LoopConfig, PidGains, Profile, TabulatedTrajectory, TrapezoidTrajectory,
-                    TrialVerdict, validate_config_pair)
+from .plant import (FailCause, LoopConfig, PidGains, Profile, TabulatedTrajectory,
+                    TrapezoidTrajectory, TrialVerdict, validate_config_pair)
 from .ring import RingConfig
 from .spectrum import (CoverageArea, Rejection, SpectrumError, SpectrumManager,
                        SpectrumRequest, UnknownGrantError)
@@ -81,6 +81,8 @@ class SweepSpec:
         for name, axis in (("latencies", self.latencies_ms), ("jitters", self.jitters_ms)):
             if not axis:
                 raise ValueError(f"{name} axis is empty")
+            if min(axis) < 0:
+                raise ValueError(f"{name} axis holds {min(axis):g} ms, below 0")
             if any(b <= a for a, b in zip(axis, axis[1:])):
                 raise ValueError(f"{name} axis must be strictly increasing")
         if self.seeds_per_cell < 1:
@@ -116,12 +118,6 @@ class CellVerdict:
 class SweepResult:
     spec: SweepSpec
     cells: list[CellVerdict]  # sorted ascending (latency, jitter)
-
-    def cell(self, latency_ms: float, jitter_ms: float) -> CellVerdict:
-        for c in self.cells:
-            if c.latency_ms == latency_ms and c.jitter_ms == jitter_ms:
-                return c
-        raise KeyError((latency_ms, jitter_ms))
 
     def classes(self) -> dict[tuple[float, float], CellClass]:
         return {(c.latency_ms, c.jitter_ms): c.cell_class for c in self.cells}
@@ -202,6 +198,9 @@ def _fmt(value: float) -> str:
     return f"{value:g}"
 
 
+_CSV_COLUMNS = "latency_ms,jitter_ms,class,default_outcomes,adapted_outcomes"
+
+
 def render_matrix(result: SweepResult, fmt: str = "markdown") -> str:
     if fmt == "markdown":
         return _render_markdown(result)
@@ -239,8 +238,11 @@ def _decode_outcomes(text: str) -> tuple[TrialOutcome, ...]:
     outcomes = []
     for token in text.split(";"):
         idx, status, cause, max_fe, survived = token.split("|")
-        outcomes.append(TrialOutcome(int(idx), status == "pass", cause,
-                                     float(max_fe), int(survived)))
+        if status not in ("pass", "fail"):
+            raise ValueError(f"status {status!r} is neither pass nor fail")
+        # an unknown cause, or one the status contradicts, raises here
+        verdict = TrialVerdict(status == "pass", FailCause(cause), float(max_fe), int(survived))
+        outcomes.append(TrialOutcome.from_verdict(int(idx), verdict))
     return tuple(outcomes)
 
 
@@ -250,7 +252,7 @@ def _render_csv(result: SweepResult) -> str:
         "# ringmill-matrix v1 "
         f"seeds={spec.seeds_per_cell} trial_seconds={_fmt(spec.trial_seconds)} "
         f"master_seed={spec.master_seed}",
-        "latency_ms,jitter_ms,class,default_outcomes,adapted_outcomes",
+        _CSV_COLUMNS,
     ]
     for c in result.cells:
         lines.append(
@@ -265,17 +267,22 @@ def parse_matrix_csv(text: str) -> SweepResult:
              if line.strip()]
     if len(lines) < 2 or not lines[0][1].startswith("# ringmill-matrix v1"):
         raise ScriptError(lines[0][0] if lines else 1, "not a ringmill matrix CSV")
-    cells = []
+    if lines[1][1] != _CSV_COLUMNS:
+        raise ScriptError(lines[1][0], f"expected the column header {_CSV_COLUMNS}")
+    cells: dict[tuple[float, float], CellVerdict] = {}
     for number, line in lines[2:]:
         try:
             lat, jit, cls, default_enc, adapted_enc = line.split(",")
-            cells.append(CellVerdict(float(lat), float(jit), CellClass(cls),
-                                     _decode_outcomes(default_enc),
-                                     _decode_outcomes(adapted_enc)))
+            cell = CellVerdict(float(lat), float(jit), CellClass(cls),
+                               _decode_outcomes(default_enc), _decode_outcomes(adapted_enc))
         except ValueError as exc:
             raise ScriptError(number, f"bad matrix row: {exc}") from None
-    lats = tuple(sorted({c.latency_ms for c in cells}))
-    jits = tuple(sorted({c.jitter_ms for c in cells}))
+        key = (cell.latency_ms, cell.jitter_ms)
+        if key in cells:
+            raise ScriptError(number, f"duplicate cell {lat},{jit}")
+        cells[key] = cell
+    lats = tuple(sorted({lat for lat, _ in cells}))
+    jits = tuple(sorted({jit for _, jit in cells}))
     if len(cells) != len(lats) * len(jits):
         raise ScriptError(lines[-1][0], f"{len(cells)} rows for a "
                           f"{len(lats)} x {len(jits)} latency x jitter grid")
@@ -287,8 +294,7 @@ def parse_matrix_csv(text: str) -> SweepResult:
                          master_seed=int(meta["master_seed"]))
     except (ValueError, KeyError) as exc:
         raise ScriptError(lines[0][0], f"bad matrix header: {exc}") from None
-    cells.sort(key=lambda v: (v.latency_ms, v.jitter_ms))
-    return SweepResult(spec=spec, cells=cells)
+    return SweepResult(spec=spec, cells=[cells[key] for key in sorted(cells)])
 
 
 def _render_structured(result: SweepResult) -> str:

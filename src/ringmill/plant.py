@@ -190,16 +190,23 @@ class TabulatedTrajectory:
 
 
 def load_trajectory_csv(text: str) -> TabulatedTrajectory:
-    """Parse a `time_ms,setpoint_mm` CSV (header optional)."""
+    """Parse a `time_ms,setpoint_mm` CSV (header optional).
+
+    A row that is not two numbers, past the header, raises a ValueError
+    naming its line.
+    """
     points = []
-    for row in csv.reader(io.StringIO(text)):
+    rows = csv.reader(io.StringIO(text))
+    for row in rows:
         if not row or not row[0].strip():
             continue
         try:
             points.append((float(row[0]), float(row[1])))
-        except ValueError:
+        except IndexError:
+            raise ValueError(f"line {rows.line_num}: no setpoint_mm after {row[0]}") from None
+        except ValueError as exc:
             if points:
-                raise
+                raise ValueError(f"line {rows.line_num}: {exc}") from None
             continue  # header row
     return TabulatedTrajectory(tuple(points))
 

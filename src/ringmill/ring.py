@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -37,7 +37,6 @@ class RingConfigError(ValueError):
 class FrameClass(enum.Enum):
     URLLC = "urllc"
     SENSOR = "sensor"
-    BRIDGED = "bridged"
 
 
 @dataclass(frozen=True)
@@ -95,21 +94,10 @@ class RingStats:
     delivered: int = 0
     dropped_overflow: int = 0
     dropped_loss: int = 0
-    latency_histogram_us: dict[int, int] = field(default_factory=dict)
-    histogram_bucket_us: int = 100
 
     @property
     def dropped(self) -> int:
         return self.dropped_overflow + self.dropped_loss
-
-    @property
-    def in_queue(self) -> int:
-        return self.enqueued - self.delivered - self.dropped
-
-    def record_delivery(self, latency_us: int) -> None:
-        self.delivered += 1
-        bucket = latency_us // self.histogram_bucket_us
-        self.latency_histogram_us[bucket] = self.latency_histogram_us.get(bucket, 0) + 1
 
 
 class TokenRing:
@@ -128,8 +116,8 @@ class TokenRing:
         self._stats = RingStats()
         self._index = {node: i for i, node in enumerate(config.nodes)}
         self._watermark: dict[str, SimTime] = {node: 0 for node in config.nodes}
-        # per source node: (delivery instant, access latency) of frames in flight
-        self._pending: dict[str, deque[tuple[SimTime, int]]] = {
+        # per source node: delivery instants of frames in flight
+        self._pending: dict[str, deque[SimTime]] = {
             node: deque() for node in config.nodes}
         self._cycle = len(config.nodes) * config.slot_time_us
 
@@ -145,15 +133,10 @@ class TokenRing:
             self._settle(pending, now)
         return self._stats
 
-    def _settle(self, pending: deque[tuple[SimTime, int]], now: SimTime) -> None:
-        while pending and pending[0][0] <= now:
-            self._stats.record_delivery(pending.popleft()[1])
-
-    def token_node_at(self, t: SimTime) -> str:
-        """Pure function of (t, config); ignores traffic entirely."""
-        if self.config.slot_time_us == 0:
-            return self.config.nodes[0]
-        return self.config.nodes[(t // self.config.slot_time_us) % len(self.config.nodes)]
+    def _settle(self, pending: deque[SimTime], now: SimTime) -> None:
+        while pending and pending[0] <= now:
+            pending.popleft()
+            self._stats.delivered += 1
 
     def _tx_start(self, node_idx: int, t0: SimTime) -> SimTime:
         """Earliest instant >= t0 at which this node may start transmitting."""
@@ -197,7 +180,7 @@ class TokenRing:
         start = self._tx_start(node_idx, max(now, self._watermark[node]))
         delivery = start + config.tx_time_us
         self._watermark[node] = delivery
-        pending.append((delivery, delivery - frame.enqueue_time))
+        pending.append(delivery)
         if on_deliver is not None:
             self.sim.schedule(delivery, partial(on_deliver, frame, delivery))
         return delivery
@@ -213,7 +196,6 @@ class MasterNode:
 
     def __init__(self, node_id: str, rings: dict[str, TokenRing], overlay_uplink):
         self.node_id = node_id
-        self.rings = rings
         self.overlay_uplink = overlay_uplink
         self.bridged_up = 0
         for ring in rings.values():

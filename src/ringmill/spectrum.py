@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .engine import SimTime
@@ -106,7 +106,7 @@ class SpectrumGrant:
     requester: str
     block: SpectrumBlock
     area: CoverageArea
-    expires_at: SimTime | None = None  # None = static plan, never expires
+    expires_at: SimTime | None = None  # None = no lease, never expires
 
 
 @dataclass(frozen=True)
@@ -216,30 +216,6 @@ class SpectrumManager:
         return near
 
     # -- commands -----------------------------------------------------------
-
-    def configure_static_plan(self, site: CoverageArea | None = None) -> list[SpectrumGrant]:
-        """Install the static three-network plan on an empty manager.
-
-        Two 20 MHz blocks for the low-latency control and the sensor
-        underlay networks, and the remaining 60 MHz for the overlay's
-        non-critical traffic, tiling the band exactly.
-        """
-        if self._grants:
-            raise SpectrumError("static plan requires an empty manager")
-        site = site or CoverageArea(0.0, 0.0, 50.0)
-        plan = [
-            ("underlay-control", 20.0),
-            ("underlay-sensor", 20.0),
-            ("overlay", 60.0),
-        ]
-        grants = []
-        for requester, width in plan:
-            outcome = self.request_spectrum(
-                SpectrumRequest(requester=requester, area=site, bandwidth_mhz=width))
-            if isinstance(outcome, Rejection):  # cannot happen on an empty band
-                raise SpectrumError(f"static plan failed for {requester}: {outcome.reason}")
-            grants.append(outcome)
-        return grants
 
     def request_spectrum(self, req: SpectrumRequest, now: SimTime = 0,
                          expires_at: SimTime | None = None) -> SpectrumGrant | Rejection:

@@ -368,36 +368,6 @@ def run_trial(config: LoopConfig,
     return harness.run()
 
 
-def run_network_free_baseline(config: LoopConfig,
-                              trajectory=DEFAULT_SCENARIO.trajectory,
-                              trial_length_us: SimTime = 60 * US_PER_S) -> float:
-    """Max following error of the same loop with the transport removed.
-
-    Reproduces the event choreography of a zero-delay trial exactly: the
-    stage steps half a period out of phase with the controller, feedback
-    sampled at one stage tick is consumed at the next controller tick.
-    """
-    axis = AxisModel()
-    period = config.servo_period_us
-    pid = PidController(config.gains, period)
-    v_cmd = 0.0
-    fb_value = axis.position_mm
-    max_fe = 0.0
-    fpga_t = FPGA_TICK_OFFSET_US
-    for tick in range(trial_length_us // period):
-        t = tick * period
-        while fpga_t <= t:  # stage ticks due before this controller tick
-            step_axis(axis, v_cmd, period)
-            fb_value = axis.position_mm
-            fpga_t += period
-        setpoint, feedforward = trajectory.sample(t)
-        fe = abs(setpoint - fb_value)
-        if fe > max_fe:
-            max_fe = fe
-        v_cmd = pid.tick(setpoint, fb_value, feedforward)
-    return max_fe
-
-
 # ---------------------------------------------------------------------------
 # Shipped loop configurations and the calibration search.
 

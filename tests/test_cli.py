@@ -117,9 +117,14 @@ class TestConfig:
         ("[ring.control]\nnodes = a, b\n", 1),
         ("[sweep]\nseeds_per_cell = 1\n[ring.sensor]\nnodes = sensor-1, sensor-2\n", 3),
         ("[trajectory]\nfile = missing.csv\n", 2),
+        ("[sweep]\nlatencies_ms = -1, 1\n", 1),
+        ("[sweep]\njitters_ms = -0.05, 0.05\n", 1),
+        ("[trajectory]\nfile = moves.csv\n", 2),
     ], ids=["distribution", "seeds_per_cell", "enabled", "empty-value", "adapted-watchdog",
-            "control-nodes", "sensor-nodes", "missing-file"])
+            "control-nodes", "sensor-nodes", "missing-file", "negative-latency",
+            "negative-jitter", "one-column-row"])
     def test_bad_input_exits_config_error_with_its_line(self, tmp_path, capsys, text, line):
+        (tmp_path / "moves.csv").write_text("0,0\n500\n1000,0\n")
         path = tmp_path / "scenario.ini"
         path.write_text(text)
         assert main(["trial", "--config", str(path), "--latency-ms", "0.5",
@@ -190,7 +195,8 @@ class TestCli:
         config.write_text(CONFIG_TEXT)
         out_dir = tmp_path / "out"
         assert main(["sweep", "--config", str(config), "--output-dir", str(out_dir)]) == 0
-        cell = parse_matrix_csv((out_dir / "matrix.csv").read_text()).cell(1.0, 0.05)
+        cells = parse_matrix_csv((out_dir / "matrix.csv").read_text()).cells
+        cell = {(c.latency_ms, c.jitter_ms): c for c in cells}[1.0, 0.05]
         app = load_config(config)
         verdict = run_trial(app.default_loop, *symmetric_profiles(1.0, 0.05),
                             trial_length_us=2_000_000, seed=_trial_seed(5, 1.0, 0.05, 0),
@@ -199,6 +205,14 @@ class TestCli:
         assert fe == round(verdict.max_following_error_mm, 9)
         assert fe == pytest.approx(0.462916, abs=1e-6)
         capsys.readouterr()
+
+    def test_sweep_matches_the_golden_matrix(self, tmp_path, capsys):
+        # re-record tests/golden/matrix.csv only for a deliberate change of verdicts
+        assert main(["sweep", "--seed", "0", "--trial-seconds", "2",
+                     "--output-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        golden = Path(__file__).resolve().parent / "golden" / "matrix.csv"
+        assert (tmp_path / "matrix.csv").read_bytes() == golden.read_bytes()
 
     def test_manifest_alone_replays_a_non_default_scenario(self, tmp_path, capsys):
         moves = tmp_path / "moves.csv"
@@ -271,17 +285,30 @@ class TestCli:
         (["render", "--matrix", "README.md"], "line 1: not a ringmill matrix CSV"),
         (["render", "--matrix", "bad-row.csv"], "line 4: bad matrix row"),
         (["render", "--matrix", "."], "Is a directory"),
+        (["render", "--matrix", "no-columns.csv"], "line 2: expected the column header"),
+        (["render", "--matrix", "bad-status.csv"], "line 4: bad matrix row: status 'bogus'"),
+        (["render", "--matrix", "bad-cause.csv"], "line 4: bad matrix row: 'bogus' is not"),
+        (["render", "--matrix", "wrong-cause.csv"], "line 4: bad matrix row: outcome and"),
+        (["render", "--matrix", "duplicate.csv"], "line 5: duplicate cell 0.5,0.05"),
     ], ids=["trial-seconds", "screen-seconds", "latency-ms", "jitter-ms", "not-a-matrix",
-            "bad-row", "directory"])
+            "bad-row", "directory", "no-column-header", "bad-status", "bad-cause",
+            "wrong-cause", "duplicate-cell"])
     def test_bad_flag_or_matrix_exits_config_error(self, tmp_path, capsys, monkeypatch,
                                                    argv, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "README.md").write_text("# not a matrix\n")
-        (tmp_path / "bad-row.csv").write_text(
-            "# ringmill-matrix v1 seeds=1 trial_seconds=1 master_seed=0\n"
-            "latency_ms,jitter_ms,class,default_outcomes,adapted_outcomes\n"
-            "0.5,0.05,pass,0|pass|none|0.1|1000000,\n"
-            "1,0.05,pass\n")
+        head = "# ringmill-matrix v1 seeds=1 trial_seconds=1 master_seed=0\n"
+        columns = "latency_ms,jitter_ms,class,default_outcomes,adapted_outcomes\n"
+        row = "0.5,0.05,pass,0|pass|none|0.1|1000000,\n"
+        other = "1,0.05,pass,0|pass|none|0.1|1000000,\n"
+        for name, body in {"bad-row": columns + row + "1,0.05,pass\n",
+                           "bad-status": columns + row + other.replace("|pass|", "|bogus|"),
+                           "bad-cause": columns + row + "1,0.05,fail,0|fail|bogus|0.1|1000,\n",
+                           "wrong-cause": columns + row + other.replace("none", "watchdog"),
+                           "duplicate": columns + row + other + row,
+                           # without its column header, the first row must not be skipped
+                           "no-columns": row + other}.items():
+            (tmp_path / f"{name}.csv").write_text(head + body)
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects the flag

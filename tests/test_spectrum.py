@@ -1,9 +1,11 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ringmill.harness import run_spectrum_scenario
 from ringmill.spectrum import (Band, CoverageArea, Rejection, SpectrumBlock,
                                SpectrumError, SpectrumManager, SpectrumRequest,
                                UnknownGrantError, union_width_mhz)
@@ -66,9 +68,16 @@ def place(manager: SpectrumManager, area, bw, low_mhz, expires_at=None):
 
 # -- static plan --------------------------------------------------------------
 
+def readme_static_plan() -> SpectrumManager:
+    """A manager after the README's spectrum script: the static plan's three grants at SITE."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    script = readme.split("## Spectrum scripts", 1)[1].split("```", 2)[1]
+    return run_spectrum_scenario(script).manager
+
+
 class TestStaticPlan:
     def test_blocks_tile_the_band(self):
-        grants = SpectrumManager().configure_static_plan()
+        grants = readme_static_plan().active_grants()
         blocks = [(g.block.low_mhz, g.block.high_mhz) for g in grants]
         assert blocks == [(3700.0, 3720.0), (3720.0, 3740.0), (3740.0, 3800.0)]
         # brute-force overlap check: no pair of blocks intersects
@@ -77,34 +86,26 @@ class TestStaticPlan:
                 assert not a.block.overlaps(b.block)
 
     def test_block_widths_are_20_20_60(self):
-        grants = SpectrumManager().configure_static_plan()
+        grants = readme_static_plan().active_grants()
         assert [g.block.width_mhz for g in grants] == [20.0, 20.0, 60.0]
 
     def test_overlay_carries_the_non_critical_role(self):
-        grants = SpectrumManager().configure_static_plan()
+        grants = readme_static_plan().active_grants()
         overlay = [g for g in grants if g.requester == "overlay"]
         assert len(overlay) == 1
         assert overlay[0].block.width_mhz == 60.0
-
-    def test_static_plan_requires_empty_manager(self):
-        manager = SpectrumManager()
-        manager.configure_static_plan()
-        with pytest.raises(SpectrumError):
-            manager.configure_static_plan()
 
 
 # -- request/reject -----------------------------------------------------------
 
 class TestRequestSpectrum:
     def test_spatial_reuse_at_disjoint_area(self):
-        manager = SpectrumManager()
-        manager.configure_static_plan(SITE)
+        manager = readme_static_plan()
         grant = manager.request_spectrum(SpectrumRequest("new", FAR_AWAY, 20.0))
         assert grant.block == SpectrumBlock(3700.0, 3720.0)
 
     def test_saturated_site_rejects_with_occupied_100(self):
-        manager = SpectrumManager()
-        manager.configure_static_plan(SITE)
+        manager = readme_static_plan()
         outcome = manager.request_spectrum(SpectrumRequest("new", SITE, 20.0))
         assert isinstance(outcome, Rejection)
         assert outcome.occupied_mhz == 100.0
@@ -158,14 +159,12 @@ class TestRelease:
 
 class TestOccupancy:
     def test_point_outside_every_area_is_empty(self):
-        manager = SpectrumManager()
-        manager.configure_static_plan(SITE)
+        manager = readme_static_plan()
         hits, total = manager.occupancy_at(9_999.0, 9_999.0)
         assert hits == [] and total == 0.0
 
     def test_static_plan_site_is_saturated(self):
-        manager = SpectrumManager()
-        manager.configure_static_plan(SITE)
+        manager = readme_static_plan()
         hits, total = manager.occupancy_at(0.0, 0.0)
         assert len(hits) == 3 and total == 100.0
 

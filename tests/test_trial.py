@@ -1,18 +1,43 @@
 import dataclasses
 
-import pytest
-
-from ringmill.channel import ZERO_IMPAIRMENT, ChannelProfile
-from ringmill.plant import AxisModel, FailCause, Profile
+from ringmill.channel import ZERO_IMPAIRMENT
+from ringmill.plant import AxisModel, FailCause, PidController, step_axis
 from ringmill.ring import RingConfig
 from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO,
-                            Scenario, TrialTrace, run_network_free_baseline, run_trial,
+                            FPGA_TICK_OFFSET_US, Scenario, TrialTrace, run_trial,
                             symmetric_profiles)
 
 ZERO_RING = RingConfig(ring_id="control", nodes=("master", "fpga"),
                        slot_time_us=0, tx_time_us=0, loss_rate=0.0)
 
 SHORT = 6_000_000  # 6 simulated seconds
+
+
+def run_network_free_baseline(config, trial_length_us):
+    """Max following error of the same loop with the transport removed.
+
+    Reproduces the event choreography of a zero-delay trial exactly: the
+    stage steps half a period out of phase with the controller, feedback
+    sampled at one stage tick is consumed at the next controller tick.
+    """
+    trajectory = DEFAULT_SCENARIO.trajectory
+    axis = AxisModel()
+    period = config.servo_period_us
+    pid = PidController(config.gains, period)
+    v_cmd = 0.0
+    fb_value = axis.position_mm
+    max_fe = 0.0
+    fpga_t = FPGA_TICK_OFFSET_US
+    for tick in range(trial_length_us // period):
+        t = tick * period
+        while fpga_t <= t:  # stage ticks due before this controller tick
+            step_axis(axis, v_cmd, period)
+            fb_value = axis.position_mm
+            fpga_t += period
+        setpoint, feedforward = trajectory.sample(t)
+        max_fe = max(max_fe, abs(setpoint - fb_value))
+        v_cmd = pid.tick(setpoint, fb_value, feedforward)
+    return max_fe
 
 
 def trial(config, latency_ms, jitter_ms, seconds=6.0, seed=1, **kw):
