@@ -70,7 +70,11 @@ class DelayStats:
 
 
 class Channel:
-    """One direction of an impaired link; state is only the FIFO watermark."""
+    """One direction of an impaired link; state is only the FIFO watermark.
+
+    `impair` computes a frame's delivery instant and allocates nothing;
+    `transmit` wraps it in a `DeliveryRecord`, kept when `record` is set.
+    """
 
     def __init__(self, profile: ChannelProfile, rng: random.Random,
                  record: bool = False, blackout_from: SimTime | None = None):
@@ -83,33 +87,45 @@ class Channel:
         self.sent = 0
         self.dropped = 0
 
-    def _draw_jitter(self) -> int:
-        j = self.profile.jitter_us
-        if j == 0:
-            return 0
-        if self.profile.distribution is JitterDistribution.UNIFORM:
-            return self.rng.randint(-j, j)
-        draw = round(self.rng.gauss(0.0, j / 2.0))
-        return max(-j, min(j, draw))
+    def impair(self, now: SimTime) -> SimTime | None:
+        """Delivery instant of one frame sent at `now`, or None if it is dropped."""
+        self.sent += 1
+        p = self.profile
+        rng = self.rng
+        if p.loss_rate > 0.0 and rng.random() < p.loss_rate:
+            self.dropped += 1
+            return None
+        delay = p.mean_delay_us
+        j = p.jitter_us
+        if j:
+            if p.distribution is JitterDistribution.UNIFORM:
+                # rng.randint(-j, j), draw for draw: rejection sampling of
+                # bit_length(2j + 1) random bits, as Random._randbelow does
+                width = 2 * j + 1
+                bits = width.bit_length()
+                r = rng.getrandbits(bits)
+                while r >= width:
+                    r = rng.getrandbits(bits)
+                delay += r - j
+            else:
+                draw = round(rng.gauss(0.0, j / 2.0))
+                delay += max(-j, min(j, draw))
+            if delay < 0:
+                delay = 0
+        delivered = now + delay
+        if not p.reorder_allowed and delivered < self._watermark:
+            delivered = self._watermark
+        if self._blackout_from is not None and delivered >= self._blackout_from:
+            self.dropped += 1
+            return None
+        self._watermark = delivered
+        return delivered
 
     def transmit(self, frame_id: int, now: SimTime) -> DeliveryRecord:
         """Impair one frame sent at `now`; returns its delivery record."""
-        self.sent += 1
-        p = self.profile
-        if p.loss_rate > 0.0 and self.rng.random() < p.loss_rate:
-            record = DeliveryRecord(frame_id, now, None, None)
-        else:
-            delay = max(0, p.mean_delay_us + self._draw_jitter())
-            delivered = now + delay
-            if not p.reorder_allowed and delivered < self._watermark:
-                delivered = self._watermark
-            if self._blackout_from is not None and delivered >= self._blackout_from:
-                record = DeliveryRecord(frame_id, now, None, None)
-            else:
-                self._watermark = delivered
-                record = DeliveryRecord(frame_id, now, delivered, delivered - now)
-        if record.delivered is None:
-            self.dropped += 1
+        delivered = self.impair(now)
+        record = DeliveryRecord(frame_id, now, delivered,
+                                None if delivered is None else delivered - now)
         if self._record:
             self.records.append(record)
         return record

@@ -261,6 +261,36 @@ def _render_csv(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _class_inconsistency(cell: CellVerdict, spec: SweepSpec) -> str | None:
+    """Why `evaluate_cell` could not have given this cell, or None if it could."""
+    length_us = round(spec.trial_seconds * US_PER_S)
+    n = spec.seeds_per_cell
+    default, adapted = cell.default_outcomes, cell.adapted_outcomes
+    for outcomes in (default, adapted):
+        if [o.seed_index for o in outcomes] != list(range(len(outcomes))):
+            return "trials are not seeds 0, 1, ... in order"
+        if len(outcomes) > n:
+            return f"{len(outcomes)} trials for {n} seeds"
+        if any(not o.passed for o in outcomes[:-1]):
+            return "trials continued after a failure"
+        for o in outcomes:
+            if o.survived_us > length_us or o.passed and o.survived_us != length_us:
+                return f"a trial survived {o.survived_us} us of {length_us}"
+    if len(default) == n and default[-1].passed:
+        want = CellClass.PASS if not adapted else None
+    elif not default or default[-1].passed:
+        want = None
+    elif len(adapted) == n and adapted[-1].passed:
+        want = CellClass.PASS_WITH_ADAPTATION
+    elif adapted and not adapted[-1].passed:
+        want = CellClass.FAIL
+    else:
+        want = None
+    if want is not cell.cell_class:
+        return f"class {cell.cell_class.value} does not follow from its trials"
+    return None
+
+
 def parse_matrix_csv(text: str) -> SweepResult:
     """Read a `matrix.csv` back; a line that cannot be read raises a ScriptError."""
     lines = [(number, line) for number, line in enumerate(text.splitlines(), 1)
@@ -270,6 +300,7 @@ def parse_matrix_csv(text: str) -> SweepResult:
     if lines[1][1] != _CSV_COLUMNS:
         raise ScriptError(lines[1][0], f"expected the column header {_CSV_COLUMNS}")
     cells: dict[tuple[float, float], CellVerdict] = {}
+    line_of: dict[tuple[float, float], int] = {}
     for number, line in lines[2:]:
         try:
             lat, jit, cls, default_enc, adapted_enc = line.split(",")
@@ -281,6 +312,9 @@ def parse_matrix_csv(text: str) -> SweepResult:
         if key in cells:
             raise ScriptError(number, f"duplicate cell {lat},{jit}")
         cells[key] = cell
+        line_of[key] = number
+    if not cells:
+        raise ScriptError(lines[1][0], "no matrix rows")
     lats = tuple(sorted({lat for lat, _ in cells}))
     jits = tuple(sorted({jit for _, jit in cells}))
     if len(cells) != len(lats) * len(jits):
@@ -294,6 +328,10 @@ def parse_matrix_csv(text: str) -> SweepResult:
                          master_seed=int(meta["master_seed"]))
     except (ValueError, KeyError) as exc:
         raise ScriptError(lines[0][0], f"bad matrix header: {exc}") from None
+    for key, cell in cells.items():
+        problem = _class_inconsistency(cell, spec)
+        if problem:
+            raise ScriptError(line_of[key], f"cell {_fmt(key[0])},{_fmt(key[1])}: {problem}")
     return SweepResult(spec=spec, cells=[cells[key] for key in sorted(cells)])
 
 

@@ -104,9 +104,10 @@ class TokenRing:
     """One deterministic token ring attached to a simulation instance.
 
     Each source node's queue is FIFO and its transmission start depends
-    only on the clock and that node's watermark, so `enqueue` computes a
-    frame's delivery instant at admission.  No engine event is needed
-    unless the caller asks to be called back at delivery.
+    only on the clock and that node's watermark, so a frame's delivery
+    instant is computed at admission.  `admit` does that for a node given
+    by its index and allocates nothing; `enqueue` wraps it for callers
+    that hold a `Frame` or want a delivery event.
     """
 
     def __init__(self, config: RingConfig, sim: Simulator, rng: random.Random):
@@ -115,10 +116,10 @@ class TokenRing:
         self.rng = rng
         self._stats = RingStats()
         self._index = {node: i for i, node in enumerate(config.nodes)}
-        self._watermark: dict[str, SimTime] = {node: 0 for node in config.nodes}
-        # per source node: delivery instants of frames in flight
-        self._pending: dict[str, deque[SimTime]] = {
-            node: deque() for node in config.nodes}
+        # per node index: transmission watermark, and the delivery instants
+        # of frames in flight
+        self._watermark: list[SimTime] = [0] * len(config.nodes)
+        self._pending: list[deque[SimTime]] = [deque() for _ in config.nodes]
         self._cycle = len(config.nodes) * config.slot_time_us
 
     @property
@@ -129,26 +130,59 @@ class TokenRing:
         instant, whether or not a delivery event was scheduled for it.
         """
         now = self.sim.now
-        for pending in self._pending.values():
-            self._settle(pending, now)
-        return self._stats
+        stats = self._stats
+        for pending in self._pending:
+            while pending and pending[0] <= now:
+                pending.popleft()
+                stats.delivered += 1
+        return stats
 
-    def _settle(self, pending: deque[SimTime], now: SimTime) -> None:
+    def node_index(self, node: str) -> int:
+        """Position of a member node in the ring order, as `admit` takes it."""
+        node_idx = self._index.get(node)
+        if node_idx is None:
+            raise RingConfigError(f"node {node!r} is not a member of ring {self.config.ring_id}")
+        return node_idx
+
+    def admit(self, node_idx: int, now: SimTime) -> SimTime | None:
+        """Admit one frame at the node with index `node_idx` at the clock `now`.
+
+        Returns the frame's delivery instant, or None if it is dropped.
+        Per-node FIFO is enforced by the transmission watermark; the
+        transmission starts at the earliest instant, no earlier than `now`
+        and the watermark, that lies inside the node's slot.
+        """
+        config = self.config
+        stats = self._stats
+        stats.enqueued += 1
+
+        pending = self._pending[node_idx]
         while pending and pending[0] <= now:
             pending.popleft()
-            self._stats.delivered += 1
+            stats.delivered += 1
+        if len(pending) >= config.queue_depth:
+            stats.dropped_overflow += 1
+            return None
+        loss_rate = config.loss_rate
+        if loss_rate > 0 and self.rng.random() < loss_rate:
+            stats.dropped_loss += 1
+            return None
 
-    def _tx_start(self, node_idx: int, t0: SimTime) -> SimTime:
-        """Earliest instant >= t0 at which this node may start transmitting."""
-        slot = self.config.slot_time_us
-        if slot == 0:
-            return t0
-        base = (t0 // self._cycle) * self._cycle + node_idx * slot
-        if t0 < base:
-            return base
-        if t0 < base + slot:
-            return t0
-        return base + self._cycle
+        start = self._watermark[node_idx]
+        if start < now:
+            start = now
+        slot = config.slot_time_us
+        if slot:
+            cycle = self._cycle
+            base = start - start % cycle + node_idx * slot  # this cycle's slot
+            if start < base:
+                start = base
+            elif start >= base + slot:
+                start = base + cycle
+        delivery = start + config.tx_time_us
+        self._watermark[node_idx] = delivery
+        pending.append(delivery)
+        return delivery
 
     def enqueue(self, node: str, frame: Frame, now: SimTime,
                 on_deliver: Callable[[Frame, SimTime], None] | None = None) -> SimTime | None:
@@ -156,32 +190,13 @@ class TokenRing:
 
         Returns the frame's delivery instant, or None if it is dropped.
         A delivery event calling ``on_deliver(frame, delivery)`` is
-        scheduled only when `on_deliver` is given.  Per-node FIFO is
-        enforced by the transmission watermark.
+        scheduled only when `on_deliver` is given.
         """
-        node_idx = self._index.get(node)
-        if node_idx is None:
-            raise RingConfigError(f"node {node!r} is not a member of ring {self.config.ring_id}")
+        node_idx = self.node_index(node)
         if frame.dest not in self._index:
             raise RingConfigError(f"dest {frame.dest!r} is not a member of ring {self.config.ring_id}")
-        config = self.config
-        stats = self._stats
-        stats.enqueued += 1
-
-        pending = self._pending[node]
-        self._settle(pending, now)
-        if len(pending) >= config.queue_depth:
-            stats.dropped_overflow += 1
-            return None
-        if config.loss_rate > 0 and self.rng.random() < config.loss_rate:
-            stats.dropped_loss += 1
-            return None
-
-        start = self._tx_start(node_idx, max(now, self._watermark[node]))
-        delivery = start + config.tx_time_us
-        self._watermark[node] = delivery
-        pending.append(delivery)
-        if on_deliver is not None:
+        delivery = self.admit(node_idx, now)
+        if delivery is not None and on_deliver is not None:
             self.sim.schedule(delivery, partial(on_deliver, frame, delivery))
         return delivery
 

@@ -21,11 +21,13 @@ the first following-error excursion past the limit or when the feedback
 watchdog expires; surviving to the configured length is a pass.
 
 Each frame is one engine event.  When a command or feedback frame is
-sent, the control ring computes its delivery instant at admission and the
-direction's channel impairs it at that instant, so only the frame's
-arrival is scheduled.  A frame the ring or channel drops schedules
-nothing.  Sensor frames cost just their emit event: each is bridged to
-the overlay at admission, using its computed delivery instant.  The
+sent, `TokenRing.admit` computes its delivery instant at admission and
+the direction's `Channel.impair` impairs it at that instant, so only the
+frame's arrival is scheduled.  Neither builds an object: a control frame
+is just the sending node's index on the ring.  A frame the ring or
+channel drops schedules nothing.  Sensor frames cost just their emit
+event: each is a `Frame` enqueued on the sensor ring and bridged to the
+overlay at admission, using its computed delivery instant.  The
 feedback watchdog is a single probe that re-arms itself from the newest
 arrival rather than one probe per arrival.  It fails the trial at
 s + timeout + 1, s being the control start or a feedback arrival, if and
@@ -65,6 +67,8 @@ HANDSHAKE_EXCHANGES = 16
 HANDSHAKE_RETRY_US = 100_000
 QUALIFY_WINDOW_FRAMES = 512
 
+# Control frame sizes.  A trial builds no control `Frame`, so the ring's
+# size bound on these is checked by a test, not on every frame.
 CMD_FRAME_BYTES = 96
 FB_FRAME_BYTES = 128
 HANDSHAKE_FRAME_BYTES = 88
@@ -152,9 +156,9 @@ class _LoopHarness:
         cmd_channel = Channel(command_profile, component_rng(seed, "chan", "cmd"))
         fb_channel = Channel(feedback_profile, component_rng(seed, "chan", "fb"),
                              blackout_from=feedback_blackout_us)
-        # (source node, destination node, channel) per direction
-        self.to_fpga = (MASTER_NODE, FPGA_NODE, cmd_channel)
-        self.to_cnc = (FPGA_NODE, MASTER_NODE, fb_channel)
+        # (source node index on the control ring, channel) per direction
+        self.to_fpga = (self.ring.node_index(MASTER_NODE), cmd_channel)
+        self.to_cnc = (self.ring.node_index(FPGA_NODE), fb_channel)
 
         self.sensor_ring = None
         self.master = None
@@ -186,19 +190,16 @@ class _LoopHarness:
         self.max_fe = 0.0
 
         self.verdict: TrialVerdict | None = None
-        self._frame_ids = itertools.count(1)
 
     # -- transport helpers ---------------------------------------------------
 
-    def _send(self, now: SimTime, path: tuple[str, str, Channel], size: int,
-              on_arrival) -> None:
+    def _send(self, now: SimTime, path: tuple[int, Channel], on_arrival) -> None:
         """One frame sent at `now` across the control ring, then a channel: one event."""
-        source, dest, channel = path
-        frame = Frame(next(self._frame_ids), source, dest, size, now, FrameClass.URLLC)
-        delivered = self.ring.enqueue(source, frame, now)
+        source, channel = path
+        delivered = self.ring.admit(source, now)
         if delivered is None:
             return
-        arrival = channel.transmit(frame.frame_id, delivered).delivered
+        arrival = channel.impair(delivered)
         if arrival is not None:
             self.sim.schedule(arrival, on_arrival)
 
@@ -216,10 +217,9 @@ class _LoopHarness:
             HANDSHAKE_RETRY_US, lambda: self._handshake_retry(seq))
 
         def fpga_got_request():
-            self._send(self.sim.now, self.to_cnc, HANDSHAKE_FRAME_BYTES,
-                       lambda: self._handshake_reply(seq))
+            self._send(self.sim.now, self.to_cnc, lambda: self._handshake_reply(seq))
 
-        self._send(self.sim.now, self.to_fpga, HANDSHAKE_FRAME_BYTES, fpga_got_request)
+        self._send(self.sim.now, self.to_fpga, fpga_got_request)
 
     def _handshake_retry(self, seq: int) -> None:
         if self.phase == "handshake" and self.hs_seq == seq:
@@ -310,7 +310,7 @@ class _LoopHarness:
         def apply(command=command):
             self.v_cmd = command
 
-        self._send(now, self.to_fpga, CMD_FRAME_BYTES, apply)
+        self._send(now, self.to_fpga, apply)
         if self.trace is not None:
             self.trace.rows.append((now, setpoint, self.fb_value, command, fe))
         self.sim.schedule(now + cfg.servo_period_us, self._cnc_tick)
@@ -319,13 +319,13 @@ class _LoopHarness:
         now = self.sim.now
         step_axis(self.axis, self.v_cmd, self.config.servo_period_us)
         position = self.axis.position_mm
-        self._send(now, self.to_cnc, FB_FRAME_BYTES, lambda: self._on_feedback(now, position))
+        self._send(now, self.to_cnc, lambda: self._on_feedback(now, position))
         self.sim.schedule(now + self.config.servo_period_us, self._fpga_tick)
 
     def _sensor_emit(self, node: str) -> None:
         now = self.sim.now
-        frame = Frame(next(self._frame_ids), node, MASTER_NODE, SENSOR_FRAME_BYTES,
-                      now, FrameClass.SENSOR)
+        # nothing reads a sensor frame's id
+        frame = Frame(0, node, MASTER_NODE, SENSOR_FRAME_BYTES, now, FrameClass.SENSOR)
         delivered = self.sensor_ring.enqueue(node, frame, now)
         if delivered is not None:
             self.master.bridge_frame(frame, delivered)

@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ringmill.channel import (Channel, ChannelProfile, JitterDistribution,
                               ZERO_IMPAIRMENT, empirical_stats)
@@ -85,6 +87,47 @@ class TestTransmit:
             ChannelProfile(mean_delay_us=0, jitter_us=-5)
         with pytest.raises(ValueError):
             ChannelProfile(mean_delay_us=0, loss_rate=1.5)
+
+
+class TestImpair:
+    @given(mean=st.integers(min_value=0, max_value=3_000),
+           jitter=st.integers(min_value=0, max_value=1_000),
+           distribution=st.sampled_from(list(JitterDistribution)),
+           loss_rate=st.sampled_from([0.0, 0.1, 1.0]),
+           reorder_allowed=st.booleans(),
+           blackout_from=st.none() | st.integers(min_value=0, max_value=60_000),
+           seed=st.integers(min_value=0, max_value=2**32),
+           gaps=st.lists(st.integers(min_value=0, max_value=2_000), min_size=1, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_impair_matches_transmit(self, mean, jitter, distribution, loss_rate,
+                                     reorder_allowed, blackout_from, seed, gaps):
+        # twin channels: one impairs bare instants, the other transmits records
+        profile = ChannelProfile(mean_delay_us=mean, jitter_us=jitter,
+                                 distribution=distribution, loss_rate=loss_rate,
+                                 reorder_allowed=reorder_allowed)
+        bare, recorded = (Channel(profile, component_rng(seed, "twin"),
+                                  blackout_from=blackout_from) for _ in range(2))
+        now = 0
+        for i, gap in enumerate(gaps):
+            now += gap
+            assert bare.impair(now) == recorded.transmit(i, now).delivered
+            assert (bare.sent, bare.dropped) == (recorded.sent, recorded.dropped)
+            assert bare.rng.getstate() == recorded.rng.getstate()
+
+    @given(jitter=st.integers(min_value=1, max_value=2**20),
+           seed=st.integers(min_value=0, max_value=2**64 - 1))
+    @example(jitter=1, seed=0)  # width 3: rejection at r = 3
+    @example(jitter=2**19, seed=0)  # width 2**20 + 1: nearly half the draws rejected
+    @example(jitter=2**19 - 1, seed=0)  # width 2**20 - 1: below a power of two
+    @settings(max_examples=200, deadline=None)
+    def test_uniform_draw_is_randint(self, jitter, seed):
+        # no loss, no clamp at zero and no FIFO clamp: the delay is the draw
+        profile = ChannelProfile(mean_delay_us=jitter, jitter_us=jitter, reorder_allowed=True)
+        chan = Channel(profile, random.Random(seed))
+        twin = random.Random(seed)
+        for now in range(0, 200_000, 1_000):
+            assert chan.impair(now) - now - jitter == twin.randint(-jitter, jitter)
+        assert chan.rng.getstate() == twin.getstate()
 
 
 class TestEmpiricalStats:

@@ -290,9 +290,12 @@ class TestCli:
         (["render", "--matrix", "bad-cause.csv"], "line 4: bad matrix row: 'bogus' is not"),
         (["render", "--matrix", "wrong-cause.csv"], "line 4: bad matrix row: outcome and"),
         (["render", "--matrix", "duplicate.csv"], "line 5: duplicate cell 0.5,0.05"),
+        (["render", "--matrix", "wrong-class.csv"],
+         "line 3: cell 0.5,0.05: class fail does not follow from its trials"),
+        (["render", "--matrix", "no-rows.csv"], "line 2: no matrix rows"),
     ], ids=["trial-seconds", "screen-seconds", "latency-ms", "jitter-ms", "not-a-matrix",
             "bad-row", "directory", "no-column-header", "bad-status", "bad-cause",
-            "wrong-cause", "duplicate-cell"])
+            "wrong-cause", "duplicate-cell", "wrong-class", "no-rows"])
     def test_bad_flag_or_matrix_exits_config_error(self, tmp_path, capsys, monkeypatch,
                                                    argv, message):
         monkeypatch.chdir(tmp_path)
@@ -306,6 +309,9 @@ class TestCli:
                            "bad-cause": columns + row + "1,0.05,fail,0|fail|bogus|0.1|1000,\n",
                            "wrong-cause": columns + row + other.replace("none", "watchdog"),
                            "duplicate": columns + row + other + row,
+                           # a passing default trial and no adapted one make a pass
+                           "wrong-class": columns + row.replace("pass,", "fail,", 1),
+                           "no-rows": columns,
                            # without its column header, the first row must not be skipped
                            "no-columns": row + other}.items():
             (tmp_path / f"{name}.csv").write_text(head + body)

@@ -27,7 +27,8 @@ def synthetic_result():
         CellVerdict(0.5, 0.05, CellClass.PASS, (outcome(),), ()),
         CellVerdict(0.5, 0.2, CellClass.PASS, (outcome(),), ()),
         CellVerdict(1.0, 0.05, CellClass.PASS_WITH_ADAPTATION,
-                    (outcome(passed=False, cause="init-failure", survived=2_000_000),),
+                    # init not done when the 1 s trial ends
+                    (outcome(passed=False, cause="init-failure", survived=1_000_000),),
                     (outcome(),)),
         CellVerdict(1.0, 0.2, CellClass.FAIL,
                     (outcome(passed=False, cause="init-failure"),),
@@ -125,6 +126,24 @@ class TestRender:
         parsed = parse_matrix_csv(render_matrix(result, "csv"))
         assert parsed.spec == result.spec
         assert parsed.cells == result.cells
+
+    @pytest.mark.parametrize("cls, default, adapted, message", [
+        (CellClass.PASS_WITH_ADAPTATION, (outcome(passed=False, cause="watchdog", survived=5),),
+         (outcome(passed=False, cause="watchdog", survived=7),), "class pass-with-adaptation"),
+        (CellClass.PASS, (outcome(), outcome(1)), (), "2 trials for 1 seeds"),
+        (CellClass.PASS, (outcome(1),), (), "not seeds 0, 1, ... in order"),
+        (CellClass.PASS, (outcome(survived=999_999),), (), "survived 999999 us of 1000000"),
+        (CellClass.FAIL, (outcome(passed=False, cause="watchdog", survived=1_000_001),),
+         (outcome(passed=False, cause="watchdog", survived=5),), "survived 1000001 us"),
+    ], ids=["adapted-failed", "extra-trial", "seed-order",
+            "pass-cut-short", "failed-past-the-end"])
+    def test_csv_class_must_follow_from_the_trials(self, cls, default, adapted, message):
+        spec = SweepSpec(latencies_ms=(1.0,), jitters_ms=(0.1,), seeds_per_cell=1,
+                         trial_seconds=1.0)
+        text = render_matrix(SweepResult(spec, [CellVerdict(1.0, 0.1, cls, default, adapted)]),
+                             "csv")
+        with pytest.raises(ScriptError, match=f"line 3: cell 1,0.1: .*{message}"):
+            parse_matrix_csv(text)
 
     def test_csv_rejects_foreign_text(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from ringmill.channel import Channel, ChannelProfile
 from ringmill.engine import Simulator, component_rng
 from ringmill.ring import (Frame, FrameClass, MasterNode, RingConfig,
                            RingConfigError, TokenRing, worst_case_access_latency)
+from ringmill.trial import CMD_FRAME_BYTES, FB_FRAME_BYTES, HANDSHAKE_FRAME_BYTES
 
 URLLC_2 = RingConfig(ring_id="control", nodes=("master", "fpga"),
                      slot_time_us=800, tx_time_us=100, loss_rate=0.0)
@@ -58,6 +59,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             Frame(1, "a", "b", 200, 0, FrameClass.URLLC)
         Frame(1, "a", "b", 200, 0, FrameClass.SENSOR)  # only control frames bounded
+
+    @pytest.mark.parametrize("size", [CMD_FRAME_BYTES, FB_FRAME_BYTES, HANDSHAKE_FRAME_BYTES])
+    def test_trial_control_frame_sizes_are_valid(self, size):
+        # a trial sends these sizes without building a Frame
+        assert Frame(1, "master", "fpga", size, 0, FrameClass.URLLC).payload_size == size
 
 
 class TestWorstCaseFormula:
@@ -126,6 +132,46 @@ class TestEnqueue:
             ring.enqueue("a", frame(i, "a", "b", 0), 0)
         assert ring.stats.dropped_loss == 5
         assert ring.stats.delivered == 0
+
+
+@st.composite
+def ring_configs(draw):
+    n = draw(st.integers(min_value=2, max_value=8))
+    slot = draw(st.sampled_from([0, 1, 97, 250, 800]))
+    tx = draw(st.integers(min_value=0, max_value=slot if slot else 300))
+    return RingConfig(ring_id="r", nodes=tuple(f"n{i}" for i in range(n)),
+                      slot_time_us=slot, tx_time_us=tx,
+                      queue_depth=draw(st.integers(min_value=1, max_value=4)),
+                      loss_rate=draw(st.sampled_from([0.0, 0.2, 1.0])))
+
+
+class TestAdmit:
+    @given(config=ring_configs(), seed=st.integers(min_value=0, max_value=2**32),
+           sends=st.lists(st.tuples(st.integers(min_value=0, max_value=7),
+                                    st.integers(min_value=0, max_value=1_500)),
+                          min_size=1, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_admit_matches_enqueue(self, config, seed, sends):
+        # twin rings: one admits by node index, the other enqueues frames
+        by_index, sim_a = make_ring(config, seed)
+        by_frame, sim_b = make_ring(config, seed)
+        now = 0
+        for i, (node_idx, gap) in enumerate(sends):
+            now += gap
+            sim_a.run_until(now)
+            sim_b.run_until(now)
+            node_idx %= len(config.nodes)
+            node, dest = config.nodes[node_idx], config.nodes[node_idx - 1]
+            got = by_index.admit(node_idx, now)
+            assert got == by_frame.enqueue(node, frame(i, node, dest, now), now)
+            assert by_index.stats == by_frame.stats
+            assert by_index.rng.getstate() == by_frame.rng.getstate()
+
+    def test_node_index_is_the_ring_position(self):
+        ring, _ = make_ring(SENSOR_8)
+        assert [ring.node_index(n) for n in SENSOR_8.nodes] == list(range(8))
+        with pytest.raises(RingConfigError):
+            ring.node_index("ghost")
 
 
 class TestInvariants:
