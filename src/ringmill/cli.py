@@ -79,7 +79,10 @@ def cmd_sweep(args) -> int:
 def cmd_trial(args) -> int:
     app = _load_app(args)
     config = app.default_loop if args.profile == "default" else app.adapted_loop
-    if args.latency_ms is not None and args.jitter_ms is not None:
+    if (args.latency_ms is None) != (args.jitter_ms is None):
+        missing = "--jitter-ms" if args.jitter_ms is None else "--latency-ms"
+        raise ConfigError(f"trial needs {missing} as well: the channel flags come in pairs")
+    if args.latency_ms is not None:
         cmd, fb = symmetric_profiles(args.latency_ms, args.jitter_ms)
     elif app.command_profile is not None and app.feedback_profile is not None:
         cmd, fb = app.command_profile, app.feedback_profile

@@ -57,8 +57,6 @@ _GAINS = {"kp": _float, "ki": _float, "kd": _float, "integral_clamp": _float}
 _LOOP = {"servo_period_us": int, "watchdog_timeout_us": int, "init_grace_us": int,
          "fe_limit_mm": _float, "delay_spread_tolerance_us": int, "rtt_rescue_budget_us": int}
 _LOSS = {"loss_rate": _float}  # rings and channels both drop frames
-_RING = {"nodes": _names, "slot_time_us": int, "tx_time_us": int, "queue_depth": int,
-         **_LOSS}
 # a (field, reader) pair where the dataclass field is not named like the key
 _CHANNEL = {"mean_delay_ms": ("mean_delay_us", _us_from_ms),
             "jitter_ms": ("jitter_us", _us_from_ms),
@@ -73,9 +71,8 @@ _SCHEMA = {
     "gains.adapted": _GAINS,
     "loop.default": _LOOP,
     "loop.adapted": _LOOP,
-    "ring.control": _RING,
-    "ring.sensor": {**_RING, "enabled": _bool},
-    "channel.overlay": _CHANNEL,
+    "ring.control": {"nodes": _names, "slot_time_us": int, "tx_time_us": int,
+                     "queue_depth": int, **_LOSS},
     "channel.command": _CHANNEL,
     "channel.feedback": _CHANNEL,
     # `file` (relative to the INI file) replaces the trapezoid
@@ -170,11 +167,7 @@ def load_config(path: str | Path) -> AppConfig:
     build("loop.adapted" if parser.has_section("loop.adapted") else "loop.default",
           validate_config_pair, app.default_loop, app.adapted_loop)
 
-    scenario = build("ring.control", replace, app.scenario,
-                     control_ring=section("ring.control", app.scenario.control_ring))
-    enabled = values["ring.sensor"].pop("enabled", True)
-    scenario = build("ring.sensor", replace, scenario,
-                     sensor_ring=section("ring.sensor", scenario.sensor_ring) if enabled else None)
+    control_ring = section("ring.control", app.scenario.control_ring)
     traj = values["trajectory"]
     if "file" in traj:
         try:
@@ -182,9 +175,9 @@ def load_config(path: str | Path) -> AppConfig:
         except (OSError, ValueError) as exc:
             raise located("trajectory", "file", f"file = {traj['file']}: {exc}") from None
     else:
-        trajectory = section("trajectory", scenario.trajectory)
-    app.scenario = replace(scenario, trajectory=trajectory,
-                           overlay_profile=section("channel.overlay", scenario.overlay_profile))
+        trajectory = section("trajectory", app.scenario.trajectory)
+    app.scenario = build("ring.control", replace, app.scenario, control_ring=control_ring,
+                         trajectory=trajectory)
 
     if parser.has_section("channel.command"):
         app.command_profile = section("channel.command", ChannelProfile(0))

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Iterable
 
-from .channel import ChannelProfile, JitterDistribution
 from .engine import US_PER_MS, US_PER_S, SimTime, derive_seed
 from .plant import (FailCause, LoopConfig, PidGains, Profile, TabulatedTrajectory,
                     TrapezoidTrajectory, TrialVerdict, validate_config_pair)
@@ -29,7 +29,7 @@ from .spectrum import (CoverageArea, Rejection, SpectrumError, SpectrumManager,
                        SpectrumRequest, UnknownGrantError)
 from .trial import DEFAULT_SCENARIO, Scenario, run_trial, symmetric_profiles
 
-ARTIFACT_VERSION = "0.2.0"
+ARTIFACT_VERSION = "0.3.0"
 
 DEFAULT_LATENCIES_MS = (0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
 DEFAULT_JITTERS_MS = (0.05, 0.1, 0.15, 0.2, 0.3)
@@ -69,6 +69,11 @@ def reference_pattern(latencies_ms: Iterable[float] = DEFAULT_LATENCIES_MS,
     return pattern
 
 
+def _check_axis_value(name: str, value_ms: float) -> None:
+    if not 0 <= value_ms < math.inf:
+        raise ValueError(f"{name} axis holds {value_ms:g} ms, not a finite value >= 0")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     latencies_ms: tuple[float, ...] = DEFAULT_LATENCIES_MS
@@ -81,14 +86,14 @@ class SweepSpec:
         for name, axis in (("latencies", self.latencies_ms), ("jitters", self.jitters_ms)):
             if not axis:
                 raise ValueError(f"{name} axis is empty")
-            if min(axis) < 0:
-                raise ValueError(f"{name} axis holds {min(axis):g} ms, below 0")
+            for value in axis:
+                _check_axis_value(name, value)
             if any(b <= a for a, b in zip(axis, axis[1:])):
                 raise ValueError(f"{name} axis must be strictly increasing")
         if self.seeds_per_cell < 1:
             raise ValueError("seeds_per_cell must be >= 1")
-        if self.trial_seconds <= 0:
-            raise ValueError("trial_seconds must be positive")
+        if not 0 < self.trial_seconds < math.inf:
+            raise ValueError(f"trial_seconds {self.trial_seconds:g} is not positive and finite")
 
 
 @dataclass(frozen=True)
@@ -306,6 +311,8 @@ def parse_matrix_csv(text: str) -> SweepResult:
             lat, jit, cls, default_enc, adapted_enc = line.split(",")
             cell = CellVerdict(float(lat), float(jit), CellClass(cls),
                                _decode_outcomes(default_enc), _decode_outcomes(adapted_enc))
+            _check_axis_value("latencies", cell.latency_ms)
+            _check_axis_value("jitters", cell.jitter_ms)
         except ValueError as exc:
             raise ScriptError(number, f"bad matrix row: {exc}") from None
         key = (cell.latency_ms, cell.jitter_ms)
@@ -359,19 +366,21 @@ def _render_structured(result: SweepResult) -> str:
 # Run manifests.
 
 
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"manifest number {token} is not finite")
+    return value
+
+
 def _manifest_fields(data: dict) -> dict:
     """A manifest's fields, rebuilt from the `asdict` form that `to_json` writes."""
     def loop(values):
         return LoopConfig(**{**values, "profile": Profile(values["profile"]),
                              "gains": PidGains(**values["gains"])})
 
-    def ring(values):
-        if values is None:
-            return None
-        return RingConfig(**{**values, "nodes": tuple(values["nodes"])})
-
     scenario = data["scenario"]
-    overlay, trajectory = scenario["overlay_profile"], scenario["trajectory"]
+    ring, trajectory = scenario["control_ring"], scenario["trajectory"]
     return {
         **data,
         "latencies_ms": tuple(data["latencies_ms"]),
@@ -379,10 +388,7 @@ def _manifest_fields(data: dict) -> dict:
         "default_config": loop(data["default_config"]),
         "adapted_config": loop(data["adapted_config"]),
         "scenario": Scenario(
-            control_ring=ring(scenario["control_ring"]),
-            sensor_ring=ring(scenario["sensor_ring"]),
-            overlay_profile=ChannelProfile(**{
-                **overlay, "distribution": JitterDistribution(overlay["distribution"])}),
+            control_ring=RingConfig(**{**ring, "nodes": tuple(ring["nodes"])}),
             trajectory=(TabulatedTrajectory(**trajectory) if "points" in trajectory
                         else TrapezoidTrajectory(**trajectory))),
     }
@@ -434,7 +440,8 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
-        data = json.loads(text)
+        # NaN, Infinity and overflowing numbers load as floats no value may hold
+        data = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
         if data.get("artifact_version") != ARTIFACT_VERSION:
             raise ValueError(f"manifest artifact version {data.get('artifact_version')!r}, "
                              f"expected {ARTIFACT_VERSION!r}")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import math
 from dataclasses import dataclass
 
 from .engine import SimTime, US_PER_S
@@ -192,8 +193,8 @@ class TabulatedTrajectory:
 def load_trajectory_csv(text: str) -> TabulatedTrajectory:
     """Parse a `time_ms,setpoint_mm` CSV (header optional).
 
-    A row that is not two numbers, past the header, raises a ValueError
-    naming its line.
+    A row that is not two finite numbers, past the header, raises a
+    ValueError naming its line.
     """
     points = []
     rows = csv.reader(io.StringIO(text))
@@ -201,13 +202,16 @@ def load_trajectory_csv(text: str) -> TabulatedTrajectory:
         if not row or not row[0].strip():
             continue
         try:
-            points.append((float(row[0]), float(row[1])))
+            point = float(row[0]), float(row[1])
         except IndexError:
             raise ValueError(f"line {rows.line_num}: no setpoint_mm after {row[0]}") from None
         except ValueError as exc:
             if points:
                 raise ValueError(f"line {rows.line_num}: {exc}") from None
             continue  # header row
+        if not all(map(math.isfinite, point)):
+            raise ValueError(f"line {rows.line_num}: {row[0]},{row[1]} is not finite")
+        points.append(point)
     return TabulatedTrajectory(tuple(points))
 
 

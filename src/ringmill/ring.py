@@ -10,8 +10,8 @@ the head of its queue can see is therefore
 
     (node_count - 1) * slot_time_us + tx_time_us
 
-which the configured rings keep below the 2 ms bound the hardware class
-is specified for.
+which the shipped control ring (900 µs) keeps below the 2 ms bound the
+hardware class is specified for; it is the one ring a trial runs.
 """
 
 from __future__ import annotations
@@ -199,31 +199,4 @@ class TokenRing:
         if delivery is not None and on_deliver is not None:
             self.sim.schedule(delivery, partial(on_deliver, frame, delivery))
         return delivery
-
-
-class MasterNode:
-    """Gateway device that is a member of both underlay rings.
-
-    Sensor and bridged traffic arriving here is relayed to the overlay
-    uplink; control-class frames terminate inside their ring and are
-    never bridged.
-    """
-
-    def __init__(self, node_id: str, rings: dict[str, TokenRing], overlay_uplink):
-        self.node_id = node_id
-        self.overlay_uplink = overlay_uplink
-        self.bridged_up = 0
-        for ring in rings.values():
-            if node_id not in ring.config.nodes:
-                raise RingConfigError(
-                    f"master {node_id!r} is not a member of ring {ring.config.ring_id}")
-
-    def bridge_frame(self, frame: Frame, now: SimTime) -> SimTime | None:
-        """Relay an in-ring frame up to the overlay; returns delivery time or None."""
-        if frame.frame_class is FrameClass.URLLC:
-            return None
-        record = self.overlay_uplink.transmit(frame.frame_id, now)
-        if record.delivered is not None:
-            self.bridged_up += 1
-        return record.delivered
 

@@ -3,8 +3,8 @@
 Topology per trial: a two-node control ring carries velocity commands
 from the controller-side master node to the motion stage (``fpga``) and
 position feedback back; each direction then crosses an impairment
-channel.  A second ring with up to eight sensor devices merges at the
-master node and is bridged to the overlay uplink for monitoring only.
+channel.  Nothing else is simulated: sensor or overlay traffic would
+feed nothing the loop reads, so no verdict could depend on it.
 
 A trial has two phases.  During *initialization* the controller runs a
 serialized request/reply handshake to baseline the round-trip time, then
@@ -25,14 +25,12 @@ sent, `TokenRing.admit` computes its delivery instant at admission and
 the direction's `Channel.impair` impairs it at that instant, so only the
 frame's arrival is scheduled.  Neither builds an object: a control frame
 is just the sending node's index on the ring.  A frame the ring or
-channel drops schedules nothing.  Sensor frames cost just their emit
-event: each is a `Frame` enqueued on the sensor ring and bridged to the
-overlay at admission, using its computed delivery instant.  The
-feedback watchdog is a single probe that re-arms itself from the newest
-arrival rather than one probe per arrival.  It fails the trial at
-s + timeout + 1, s being the control start or a feedback arrival, if and
-only if no feedback arrived in (s, s + timeout]: a frame that arrives on
-the probe's own µs is too late, whichever of the two fires first.
+channel drops schedules nothing.  The feedback watchdog is a single
+probe that re-arms itself from the newest arrival rather than one probe
+per arrival.  It fails the trial at s + timeout + 1, s being the
+control start or a feedback arrival, if and only if no feedback arrived
+in (s, s + timeout]: a frame that arrives on the probe's own µs is too
+late, whichever of the two fires first.
 
 Same-µs order.  The engine fires events that share a microsecond in the
 order they were scheduled.  A frame's arrival is scheduled when the
@@ -55,7 +53,7 @@ from .engine import SimTime, Simulator, US_PER_S, component_rng
 from .plant import (AxisModel, FailCause, LoopConfig, PidController, PidGains,
                     Profile, TabulatedTrajectory, TrapezoidTrajectory, TrialVerdict,
                     step_axis)
-from .ring import Frame, FrameClass, MasterNode, RingConfig, RingConfigError, TokenRing
+from .ring import RingConfig, RingConfigError, TokenRing
 
 MASTER_NODE = "master"
 FPGA_NODE = "fpga"
@@ -72,19 +70,10 @@ QUALIFY_WINDOW_FRAMES = 512
 CMD_FRAME_BYTES = 96
 FB_FRAME_BYTES = 128
 HANDSHAKE_FRAME_BYTES = 88
-SENSOR_FRAME_BYTES = 120
-SENSOR_PERIOD_US = 50_000
 
 DEFAULT_CONTROL_RING = RingConfig(
     ring_id="control", nodes=(MASTER_NODE, FPGA_NODE),
     slot_time_us=800, tx_time_us=100)
-
-DEFAULT_SENSOR_RING = RingConfig(
-    ring_id="sensor",
-    nodes=(MASTER_NODE,) + tuple(f"sensor-{i}" for i in range(1, 8)),
-    slot_time_us=250, tx_time_us=50)
-
-DEFAULT_OVERLAY_PROFILE = ChannelProfile.from_ms(10.0, 2.0, loss_rate=1e-6)
 
 
 @dataclass(frozen=True)
@@ -97,8 +86,6 @@ class Scenario:
     """
 
     control_ring: RingConfig = DEFAULT_CONTROL_RING
-    sensor_ring: RingConfig | None = DEFAULT_SENSOR_RING  # None: no sensor ring
-    overlay_profile: ChannelProfile = DEFAULT_OVERLAY_PROFILE
     trajectory: TrapezoidTrajectory | TabulatedTrajectory = TrapezoidTrajectory()
 
     def __post_init__(self):
@@ -106,9 +93,6 @@ class Scenario:
         if not {MASTER_NODE, FPGA_NODE} <= set(self.control_ring.nodes):
             raise RingConfigError(f"ring {self.control_ring.ring_id}: a trial needs "
                                   f"nodes {MASTER_NODE} and {FPGA_NODE}")
-        if self.sensor_ring is not None and MASTER_NODE not in self.sensor_ring.nodes:
-            raise RingConfigError(f"ring {self.sensor_ring.ring_id}: a trial needs "
-                                  f"node {MASTER_NODE}")
 
 
 DEFAULT_SCENARIO = Scenario()
@@ -148,8 +132,8 @@ class _LoopHarness:
         self.trace = trace
 
         self.sim = Simulator()
-        control_ring, sensor_ring = scenario.control_ring, scenario.sensor_ring
-        self.ring = TokenRing(control_ring, self.sim, component_rng(seed, "ring", "control"))
+        self.ring = TokenRing(scenario.control_ring, self.sim,
+                              component_rng(seed, "ring", "control"))
         # State only __init__ needs stays local: the event handlers read this
         # object's attributes on every event, and CPython 3.11 loads them about
         # 9% slower once an object holds 30 or more.
@@ -159,17 +143,6 @@ class _LoopHarness:
         # (source node index on the control ring, channel) per direction
         self.to_fpga = (self.ring.node_index(MASTER_NODE), cmd_channel)
         self.to_cnc = (self.ring.node_index(FPGA_NODE), fb_channel)
-
-        self.sensor_ring = None
-        self.master = None
-        if sensor_ring is not None:
-            self.sensor_ring = TokenRing(sensor_ring, self.sim,
-                                         component_rng(seed, "ring", "sensor"))
-            overlay = Channel(scenario.overlay_profile, component_rng(seed, "chan", "overlay"))
-            self.master = MasterNode(
-                MASTER_NODE,
-                {control_ring.ring_id: self.ring, sensor_ring.ring_id: self.sensor_ring},
-                overlay)
 
         self.axis = AxisModel()
         self.pid = PidController(config.gains, config.servo_period_us)
@@ -322,25 +295,12 @@ class _LoopHarness:
         self._send(now, self.to_cnc, lambda: self._on_feedback(now, position))
         self.sim.schedule(now + self.config.servo_period_us, self._fpga_tick)
 
-    def _sensor_emit(self, node: str) -> None:
-        now = self.sim.now
-        # nothing reads a sensor frame's id
-        frame = Frame(0, node, MASTER_NODE, SENSOR_FRAME_BYTES, now, FrameClass.SENSOR)
-        delivered = self.sensor_ring.enqueue(node, frame, now)
-        if delivered is not None:
-            self.master.bridge_frame(frame, delivered)
-        self.sim.schedule(now + SENSOR_PERIOD_US, lambda: self._sensor_emit(node))
-
     # -- run -----------------------------------------------------------------
 
     def run(self) -> TrialVerdict:
         self.sim.schedule(FPGA_TICK_OFFSET_US, self._fpga_tick)
         self.sim.schedule(0, self._send_handshake)
         self.sim.schedule(self.config.init_grace_us, self._grace_deadline)
-        if self.sensor_ring is not None:
-            sensors = [n for n in self.sensor_ring.config.nodes if n != MASTER_NODE]
-            for i, node in enumerate(sensors):
-                self.sim.schedule(1000 + i * 7000, lambda node=node: self._sensor_emit(node))
         try:
             self.sim.run_until(self.length)
         except _StopTrial:

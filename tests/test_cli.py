@@ -55,11 +55,6 @@ class TestConfig:
         assert app.adapted_loop.gains.kp == 40.0  # untouched section keeps default
         assert app.scenario.trajectory.amplitude_mm == 15.0
 
-    def test_sensor_ring_can_be_disabled(self, tmp_path):
-        path = tmp_path / "scenario.ini"
-        path.write_text("[ring.sensor]\nenabled = false\n")
-        assert load_config(path).scenario.sensor_ring is None
-
     def test_trajectory_csv_file(self, tmp_path):
         traj = tmp_path / "moves.csv"
         traj.write_text("time_ms,setpoint_mm\n0,0\n500,10\n1000,0\n")
@@ -85,15 +80,17 @@ class TestConfig:
         path = tmp_path / "readme.ini"
         path.write_text(re.search(r"```ini\n(.*?)```", readme, re.S)[1])
         app = load_config(path)
-        assert app.scenario.sensor_ring is not None  # "enabled = true ; set false ..."
         assert app.default_loop.init_grace_us == 2_000_000
         assert app.command_profile.mean_delay_us == 3_000
-        assert app.scenario.overlay_profile.distribution.value == "uniform"
+        assert app.command_profile.distribution.value == "uniform"
 
     @pytest.mark.parametrize("section", ["[band]\nlow_mhz = 3700\n",
-                                         "[spectrum]\nstatic_plan = true\n"])
+                                         "[spectrum]\nstatic_plan = true\n",
+                                         "[ring.sensor]\nenabled = false\n",
+                                         "[channel.overlay]\nmean_delay_ms = 10\n"])
     def test_spectrum_sections_are_unknown(self, tmp_path, capsys, section):
-        # no subcommand reads a band or a static plan from a scenario file
+        # no subcommand reads a band or a static plan from a scenario file,
+        # and a trial runs no sensor ring or overlay uplink
         path = tmp_path / "scenario.ini"
         path.write_text("[sweep]\nseeds_per_cell = 1\n\n" + section)
         assert main(["sweep", "--config", str(path), "--output-dir", str(tmp_path)]) == 2
@@ -109,9 +106,9 @@ class TestConfig:
         assert load_config(path).scenario.trajectory.sample(250_000)[0] == pytest.approx(5.0)
 
     @pytest.mark.parametrize("text, line", [
-        ("[channel.overlay]\nloss_rate = 0\ndistribution = gaussian\n", 3),
+        ("[channel.command]\nloss_rate = 0\ndistribution = gaussian\n", 3),
         ("[sweep]\nmaster_seed = 1\nseeds_per_cell = 0\n", 1),
-        ("[ring.sensor]\nenabled = maybe\n", 2),
+        ("[channel.feedback]\nreorder = maybe\n", 2),
         ("[sweep]\nlatencies_ms =\n", 2),
         ("[loop.default]\nfe_limit_mm = 0.7\n\n[loop.adapted]\nwatchdog_timeout_us = 2000\n", 4),
         ("[ring.control]\nnodes = a, b\n", 1),
@@ -120,11 +117,15 @@ class TestConfig:
         ("[sweep]\nlatencies_ms = -1, 1\n", 1),
         ("[sweep]\njitters_ms = -0.05, 0.05\n", 1),
         ("[trajectory]\nfile = moves.csv\n", 2),
-    ], ids=["distribution", "seeds_per_cell", "enabled", "empty-value", "adapted-watchdog",
+        ("[sweep]\nseeds_per_cell = 1\n[trajectory]\nfile = nan.csv\n", 4),
+        ("[sweep]\nseeds_per_cell = 1\n[trajectory]\nfile = inf.csv\n", 4),
+    ], ids=["distribution", "seeds_per_cell", "reorder", "empty-value", "adapted-watchdog",
             "control-nodes", "sensor-nodes", "missing-file", "negative-latency",
-            "negative-jitter", "one-column-row"])
+            "negative-jitter", "one-column-row", "nan-setpoint", "inf-setpoint"])
     def test_bad_input_exits_config_error_with_its_line(self, tmp_path, capsys, text, line):
         (tmp_path / "moves.csv").write_text("0,0\n500\n1000,0\n")
+        (tmp_path / "nan.csv").write_text("time_ms,setpoint_mm\n0,0\n500,nan\n1000,0\n")
+        (tmp_path / "inf.csv").write_text("time_ms,setpoint_mm\n0,0\n500,inf\n1000,0\n")
         path = tmp_path / "scenario.ini"
         path.write_text(text)
         assert main(["trial", "--config", str(path), "--latency-ms", "0.5",
@@ -220,8 +221,7 @@ class TestCli:
         sweep = ("[sweep]\nlatencies_ms = 0.5, 2\njitters_ms = 0.05, 0.2\n"
                  "seeds_per_cell = 1\ntrial_seconds = 2\n")
         config = tmp_path / "scenario.ini"
-        config.write_text(sweep + "[ring.sensor]\nenabled = false\n"
-                          "[ring.control]\nslot_time_us = 700\n"
+        config.write_text(sweep + "[ring.control]\nslot_time_us = 700\n"
                           f"[trajectory]\nfile = {moves}\n")
         plain = tmp_path / "plain.ini"
         plain.write_text(sweep)
@@ -236,7 +236,7 @@ class TestCli:
         moves.unlink()  # the manifest holds the trajectory's points
         manifest = RunManifest.from_json((tmp_path / "scenario" / "manifest.json").read_text())
         assert manifest.scenario == scenario
-        assert scenario.sensor_ring is None and scenario.control_ring.slot_time_us == 700
+        assert scenario.control_ring.slot_time_us == 700
         assert run_from_manifest(manifest)[1].encode() == matrix.encode()
 
     def test_spectrum_command(self, tmp_path, capsys):
@@ -293,9 +293,21 @@ class TestCli:
         (["render", "--matrix", "wrong-class.csv"],
          "line 3: cell 0.5,0.05: class fail does not follow from its trials"),
         (["render", "--matrix", "no-rows.csv"], "line 2: no matrix rows"),
+        (["render", "--matrix", "nan-latency.csv"],
+         "line 4: bad matrix row: latencies axis holds nan ms"),
+        (["render", "--matrix", "negative-latency.csv"],
+         "line 4: bad matrix row: latencies axis holds -1 ms"),
+        (["render", "--matrix", "inf-jitter.csv"],
+         "line 3: bad matrix row: jitters axis holds inf ms"),
+        (["render", "--matrix", "nan-seconds.csv"],
+         "line 1: bad matrix header: trial_seconds nan is not positive"),
+        (["trial", "--config", "pair.ini", "--latency-ms", "5"], "trial needs --jitter-ms"),
+        (["trial", "--config", "pair.ini", "--jitter-ms", "0.1"], "trial needs --latency-ms"),
     ], ids=["trial-seconds", "screen-seconds", "latency-ms", "jitter-ms", "not-a-matrix",
             "bad-row", "directory", "no-column-header", "bad-status", "bad-cause",
-            "wrong-cause", "duplicate-cell", "wrong-class", "no-rows"])
+            "wrong-cause", "duplicate-cell", "wrong-class", "no-rows", "nan-latency",
+            "negative-latency", "inf-jitter", "nan-trial-seconds", "lone-latency-ms",
+            "lone-jitter-ms"])
     def test_bad_flag_or_matrix_exits_config_error(self, tmp_path, capsys, monkeypatch,
                                                    argv, message):
         monkeypatch.chdir(tmp_path)
@@ -313,8 +325,17 @@ class TestCli:
                            "wrong-class": columns + row.replace("pass,", "fail,", 1),
                            "no-rows": columns,
                            # without its column header, the first row must not be skipped
-                           "no-columns": row + other}.items():
+                           "no-columns": row + other,
+                           "nan-latency": columns + row + other.replace("1,", "nan,", 1),
+                           "negative-latency": columns + row + other.replace("1,", "-1,", 1),
+                           "inf-jitter": columns + row.replace("0.05", "inf", 1)}.items():
             (tmp_path / f"{name}.csv").write_text(head + body)
+        (tmp_path / "nan-seconds.csv").write_text(head.replace("seconds=1", "seconds=nan")
+                                                  + columns + row)
+        # a file channel pair, which a lone flag must not silently fall back to
+        (tmp_path / "pair.ini").write_text(
+            "[channel.command]\nmean_delay_ms = 0.5\njitter_ms = 0.05\n"
+            "[channel.feedback]\nmean_delay_ms = 0.5\njitter_ms = 0.05\n")
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects the flag

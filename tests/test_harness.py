@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from ringmill.channel import ChannelProfile, JitterDistribution
 from ringmill.harness import (CellClass, CellVerdict, RunManifest, ScriptError,
                               SweepResult, SweepSpec, TrialOutcome,
                               evaluate_cell, parse_matrix_csv,
@@ -175,9 +174,6 @@ class TestManifest:
                                       fe_limit_mm=0.7)
         scenario = Scenario(
             control_ring=RingConfig("control", ("master", "fpga"), 700, 90, 8, 0.0),
-            sensor_ring=None,
-            overlay_profile=ChannelProfile(
-                5_000, 300, JitterDistribution.TRUNCATED_NORMAL, 0.01, True),
             trajectory=TabulatedTrajectory([(0, 0), (500, 10.5), (1000, 0)]))
         manifest = RunManifest.for_run(SweepSpec(), default, ADAPTED_LOOP_CONFIG, scenario)
         text = manifest.to_json()
@@ -192,6 +188,16 @@ class TestManifest:
         data["artifact_version"] = "0.1.0"
         with pytest.raises(ValueError, match="artifact version '0.1.0'"):
             RunManifest.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_number_is_rejected(self, token):
+        # a loop whose following-error limit is NaN can never fail on it
+        text = RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG,
+                                   ADAPTED_LOOP_CONFIG).to_json()
+        assert '"fe_limit_mm": 0.8,' in text
+        with pytest.raises(ValueError, match=f"manifest number {token} is not finite"):
+            RunManifest.from_json(text.replace('"fe_limit_mm": 0.8,',
+                                               f'"fe_limit_mm": {token},', 1))
 
     def test_unrunnable_scenario_is_rejected(self):
         # a trial sends between the control ring's master and fpga nodes

@@ -6,15 +6,13 @@ import pytest
 from ringmill.channel import ZERO_IMPAIRMENT, ChannelProfile
 from ringmill.engine import Simulator
 from ringmill.plant import FailCause
-from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO,
-                            Scenario, _LoopHarness, _StopTrial, run_trial,
-                            symmetric_profiles)
-
-NO_SENSORS = Scenario(sensor_ring=None)
+from ringmill.trial import (DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO, _LoopHarness, _StopTrial,
+                            run_trial, symmetric_profiles)
 
 
-def harness(cmd, fb, length_us, seed=1, scenario=DEFAULT_SCENARIO):
-    return _LoopHarness(DEFAULT_LOOP_CONFIG, cmd, fb, length_us, seed, scenario, None, None)
+def harness(cmd, fb, length_us, seed=1):
+    return _LoopHarness(DEFAULT_LOOP_CONFIG, cmd, fb, length_us, seed, DEFAULT_SCENARIO,
+                        None, None)
 
 
 class TestCancel:
@@ -61,17 +59,8 @@ class TestTrialKernel:
         # same seed, so the runs agree up to 2 s: the difference is one
         # simulated second of control phase
         rate = events(3_000_000) - events(2_000_000)
-        # every servo tick, frame arrival and sensor emit is still an event
-        assert 2 * 1000 + 2 * 1000 + 7 * 20 <= rate < 5_000
-
-    def test_sensor_ring_never_changes_a_verdict(self):
-        for latency_ms, jitter_ms in ((0.5, 0.05), (1.0, 0.2), (3.0, 0.2), (5.0, 0.05)):
-            cmd, fb = symmetric_profiles(latency_ms, jitter_ms)
-            for config in (DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG):
-                with_sensors = run_trial(config, cmd, fb, trial_length_us=3_000_000, seed=2)
-                without = run_trial(config, cmd, fb, trial_length_us=3_000_000, seed=2,
-                                    scenario=NO_SENSORS)
-                assert with_sensors == without, (latency_ms, jitter_ms, config.profile)
+        # every servo tick and frame arrival is still an event
+        assert 2 * 1000 + 2 * 1000 <= rate < 5_000
 
     def test_watchdog_fail_instant_is_pinned(self):
         verdict = run_trial(DEFAULT_LOOP_CONFIG, ZERO_IMPAIRMENT, ZERO_IMPAIRMENT,
@@ -84,7 +73,7 @@ class TestTrialKernel:
         # control is entered at 10,300 us, so the first tick is at 11,000;
         # the only later feedback arrives at 10,500 and times out at
         # 10,500 + timeout + 1, before the control start itself would
-        h = harness(ZERO_IMPAIRMENT, ZERO_IMPAIRMENT, 20_000, scenario=NO_SENSORS)
+        h = harness(ZERO_IMPAIRMENT, ZERO_IMPAIRMENT, 20_000)
         h.sim.schedule(10_300, h._enter_control)
         h.sim.schedule(10_500, lambda: h._on_feedback(10_400, h.fb_value))
         with pytest.raises(_StopTrial):
@@ -100,7 +89,7 @@ class TestTrialKernel:
         timeout = DEFAULT_LOOP_CONFIG.watchdog_timeout_us
         for gap_us, fails_at in ((timeout, 11_000 + 2 * timeout + 1), (timeout + 1, 13_101)):
             for arrival_first in (True, False):
-                h = harness(ZERO_IMPAIRMENT, ZERO_IMPAIRMENT, 20_000, scenario=NO_SENSORS)
+                h = harness(ZERO_IMPAIRMENT, ZERO_IMPAIRMENT, 20_000)
                 arrival = 11_000 + gap_us
 
                 def schedule_arrival(h=h, arrival=arrival):
@@ -125,7 +114,7 @@ class TestTrialKernel:
         seen_first = set()
         for delay_us in (400, 900):
             profile = ChannelProfile(mean_delay_us=delay_us)
-            h = harness(profile, profile, 1_500_000, scenario=NO_SENSORS)
+            h = harness(profile, profile, 1_500_000)
             log = []
             on_feedback, cnc_tick = h._on_feedback, h._cnc_tick
 

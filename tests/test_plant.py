@@ -152,6 +152,12 @@ class TestTabulatedTrajectory:
         with pytest.raises(ValueError):
             load_trajectory_csv("0,0\n")
 
+    @pytest.mark.parametrize("row", ["500,nan", "500,inf", "nan,5", "-inf,5"])
+    def test_csv_rejects_a_non_finite_value_with_its_line(self, row):
+        # a NaN setpoint makes every following-error test false: it can never fail
+        with pytest.raises(ValueError, match=f"^line 3: {row} is not finite"):
+            load_trajectory_csv(f"time_ms,setpoint_mm\n0,0\n{row}\n1000,0\n")
+
 
 class TestConfigTypes:
     def test_loop_config_validation(self):

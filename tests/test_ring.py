@@ -3,10 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringmill.channel import Channel, ChannelProfile
 from ringmill.engine import Simulator, component_rng
-from ringmill.ring import (Frame, FrameClass, MasterNode, RingConfig,
-                           RingConfigError, TokenRing, worst_case_access_latency)
+from ringmill.ring import (Frame, FrameClass, RingConfig, RingConfigError, TokenRing,
+                           worst_case_access_latency)
 from ringmill.trial import CMD_FRAME_BYTES, FB_FRAME_BYTES, HANDSHAKE_FRAME_BYTES
 
 URLLC_2 = RingConfig(ring_id="control", nodes=("master", "fpga"),
@@ -215,30 +214,3 @@ class TestInvariants:
             assert 0 <= in_queue <= URLLC_2.queue_depth
         assert in_queue == 0
 
-
-class TestMasterBridge:
-    def make_master(self):
-        sim = Simulator()
-        control = TokenRing(URLLC_2, sim, component_rng(1, "c"))
-        sensor = TokenRing(SENSOR_8, sim, component_rng(1, "s"))
-        overlay = Channel(ChannelProfile.from_ms(10.0, 0.0), component_rng(1, "o"))
-        master = MasterNode("master", {"control": control, "sensor": sensor}, overlay)
-        return master, sim, sensor
-
-    def test_sensor_frame_appears_on_overlay_after_delay(self):
-        master, sim, _ = self.make_master()
-        delivered = master.bridge_frame(
-            frame(1, "s0", "master", 500, FrameClass.SENSOR), 500)
-        assert delivered == 500 + 10_000
-        assert master.bridged_up == 1
-
-    def test_urllc_frames_are_never_bridged(self):
-        master, sim, _ = self.make_master()
-        assert master.bridge_frame(frame(1, "fpga", "master", 0), 0) is None
-        assert master.bridged_up == 0
-
-    def test_master_must_be_member_of_both_rings(self):
-        sim = Simulator()
-        control = TokenRing(URLLC_2, sim, component_rng(1, "c"))
-        with pytest.raises(RingConfigError):
-            MasterNode("outsider", {"control": control}, None)

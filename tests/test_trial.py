@@ -1,4 +1,3 @@
-import dataclasses
 
 from ringmill.channel import ZERO_IMPAIRMENT
 from ringmill.plant import AxisModel, FailCause, PidController, step_axis
@@ -59,7 +58,7 @@ class TestBaseline:
         # with a zero-delay ring and zero channels the transport adds nothing
         verdict = run_trial(DEFAULT_LOOP_CONFIG, ZERO_IMPAIRMENT, ZERO_IMPAIRMENT,
                             trial_length_us=SHORT, seed=5,
-                            scenario=Scenario(control_ring=ZERO_RING, sensor_ring=None))
+                            scenario=Scenario(control_ring=ZERO_RING))
         baseline = run_network_free_baseline(DEFAULT_LOOP_CONFIG,
                                              trial_length_us=SHORT)
         assert verdict.passed
@@ -131,26 +130,6 @@ class TestInstrumentation:
         header, first = text.splitlines()[:2]
         assert header == "time_us,setpoint_mm,feedback_mm,command_mm_s,following_error_mm"
         assert len(first.split(",")) == 5
-
-    def test_sensor_traffic_is_bridged_during_trial(self):
-        from ringmill.trial import _LoopHarness
-        harness = _LoopHarness(DEFAULT_LOOP_CONFIG, ZERO_IMPAIRMENT, ZERO_IMPAIRMENT,
-                               2_000_000, 1, DEFAULT_SCENARIO, None, None)
-        verdict = harness.run()
-        assert verdict.passed
-        assert harness.master.bridged_up > 50  # 7 sensors at 20 Hz for 2 s
-
-    def test_every_sensor_node_but_the_master_emits(self):
-        from ringmill.trial import DEFAULT_SENSOR_RING, _LoopHarness
-        sensor_ring = dataclasses.replace(DEFAULT_SENSOR_RING,
-                                          nodes=("sensor-1", "master", "sensor-2"))
-        harness = _LoopHarness(DEFAULT_LOOP_CONFIG, ZERO_IMPAIRMENT, ZERO_IMPAIRMENT, 100_000, 1,
-                               dataclasses.replace(DEFAULT_SCENARIO, sensor_ring=sensor_ring),
-                               None, None)
-        emitters = []
-        harness._sensor_emit = emitters.append  # first emits only
-        harness.run()
-        assert emitters == ["sensor-1", "sensor-2"]
 
     def test_axis_limits_hold_throughout(self):
         trace = TrialTrace()
