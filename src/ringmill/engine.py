@@ -7,9 +7,14 @@ here touches the wall clock; a run is a pure function of the scenario
 and its seeds.
 
 A heap entry is just ``(fire_time, sequence, action)``.  Callers schedule
-only the events that can change what a run decides: a trial sends each
-frame as one arrival event (see ``trial.py``), so the per-event cost of
-this loop is most of a trial's host time.
+only the events that can change what a run decides, so the per-event cost
+of this loop is most of a trial's host time.  An instant that needs no
+event of its own can stay off the heap and keep its place all the same:
+`reserve` takes the sequence number that `schedule` would have given it,
+and ``(instant, number)`` sorts against `event_key`, the key of the event
+being processed, exactly as the event would have sorted in the heap.  A
+trial's control phase does this for every frame arrival and watchdog
+probe (see ``trial.py``), so only its servo ticks are events.
 """
 
 from __future__ import annotations
@@ -45,12 +50,18 @@ class Simulator:
     def __init__(self):
         self._clock: SimTime = 0
         self._seq = 0
+        self._event_seq = 0
         self._heap: list[tuple[SimTime, int, Callable[[], None]]] = []
         self._events_processed = 0
 
     @property
     def now(self) -> SimTime:
         return self._clock
+
+    @property
+    def event_key(self) -> tuple[SimTime, int]:
+        """``(fire_time, sequence)`` of the event being processed."""
+        return (self._clock, self._event_seq)
 
     def schedule(self, fire_time: SimTime, action: Callable[[], None]) -> int:
         """Enqueue an event at integer-µs `fire_time`; returns a cancellable id."""
@@ -61,6 +72,16 @@ class Simulator:
             )
         self._seq = seq = self._seq + 1
         heapq.heappush(self._heap, (fire_time, seq, action))
+        return seq
+
+    def reserve(self) -> int:
+        """Take the sequence number `schedule` would give next, scheduling nothing.
+
+        A caller that keeps an instant off the heap files it under
+        ``(instant, reserve())``; that key sorts against `event_key` exactly
+        as the event it replaces would have sorted in the heap.
+        """
+        self._seq = seq = self._seq + 1
         return seq
 
     def schedule_in(self, delay: SimTime, action: Callable[[], None]) -> int:
@@ -87,8 +108,9 @@ class Simulator:
         processed = self._events_processed
         try:
             while heap and heap[0][0] <= t_end:
-                fire_time, _, action = pop(heap)
+                fire_time, seq, action = pop(heap)
                 self._clock = fire_time
+                self._event_seq = seq
                 processed += 1
                 action()
         finally:

@@ -31,7 +31,7 @@ class AxisModel:
     velocity_mm_s: float = 0.0
 
     def __post_init__(self):
-        if self.time_constant_s <= 0:
+        if not self.time_constant_s > 0:  # NaN fails too
             raise ValueError("axis time constant must be positive")
 
 
@@ -120,7 +120,8 @@ class TrapezoidTrajectory:
 
     def __post_init__(self):
         amplitude, accel = self.amplitude_mm, self.accel_mm_s2
-        if amplitude <= 0 or self.velocity_mm_s <= 0 or accel <= 0 or self.dwell_s < 0:
+        if not (amplitude > 0 and self.velocity_mm_s > 0 and accel > 0
+                and self.dwell_s >= 0):  # NaN fails too
             raise ValueError("trajectory parameters must be positive")
         vmax = self.velocity_mm_s
         t_ramp = vmax / accel
@@ -244,11 +245,12 @@ class LoopConfig:
     rtt_rescue_budget_us: int = 3_400
 
     def __post_init__(self):
-        if self.servo_period_us <= 0:
+        # written so that NaN fails each check
+        if not self.servo_period_us > 0:
             raise ValueError("servo period must be positive")
-        if self.watchdog_timeout_us <= 0 or self.init_grace_us <= 0:
+        if not (self.watchdog_timeout_us > 0 and self.init_grace_us > 0):
             raise ValueError("watchdog timeout and init grace must be positive")
-        if self.fe_limit_mm <= 0:
+        if not self.fe_limit_mm > 0:
             raise ValueError("following-error limit must be positive")
 
 

@@ -20,32 +20,51 @@ During *control* the loop runs at the servo period.  The trial fails on
 the first following-error excursion past the limit or when the feedback
 watchdog expires; surviving to the configured length is a pass.
 
-Each frame is one engine event.  When a command or feedback frame is
-sent, `TokenRing.admit` computes its delivery instant at admission and
-the direction's `Channel.impair` impairs it at that instant, so only the
-frame's arrival is scheduled.  Neither builds an object: a control frame
-is just the sending node's index on the ring.  A frame the ring or
-channel drops schedules nothing.  The feedback watchdog is a single
-probe that re-arms itself from the newest arrival rather than one probe
-per arrival.  It fails the trial at s + timeout + 1, s being the
-control start or a feedback arrival, if and only if no feedback arrived
-in (s, s + timeout]: a frame that arrives on the probe's own µs is too
-late, whichever of the two fires first.
+Frames.  When a command or feedback frame is sent, `TokenRing.admit`
+computes its delivery instant at admission and the direction's
+`Channel.impair` impairs it at that instant.  Neither builds an object: a
+control frame is just the sending node's index on the ring, and a frame
+the ring or channel drops leaves nothing behind.  During initialization
+a frame's arrival is an engine event.  In the control phase it is not:
+the frame goes into its direction's in-flight queue as ``(arrival, seq,
+value)``, ``seq`` being the number `Simulator.reserve` hands out, which
+is the sequence number `Simulator.schedule` would have given the arrival
+event.  The stage tick applies every queued command whose key precedes
+its own ``(now, seq)`` (`Simulator.event_key`), and the controller tick
+does the same for feedback, so the control phase costs two engine
+events per servo period, its two ticks.  Feedback sent before the first
+controller tick stays an event, because it can re-arm the watchdog.
 
-Same-µs order.  The engine fires events that share a microsecond in the
-order they were scheduled.  A frame's arrival is scheduled when the
-frame is sent; a servo tick by the tick one period before it (the first
-controller tick on entering control); the watchdog probe when it is
-armed.  So a frame that arrives on the µs of a servo tick is seen by it
-exactly when the frame was sent before that tick was scheduled: feedback
-sent more than one servo period before the controller tick it lands on
-is used by that tick, feedback sent less than a period before it is not.
-The watchdog alone is order-free, as above.
+The feedback watchdog is one probe that re-arms itself from the newest
+arrival rather than one probe per arrival.  It fails the trial at s +
+timeout + 1, s being the control start or a feedback arrival, if and
+only if no feedback arrived in (s, s + timeout]: a frame that arrives on
+the probe's own µs is too late, whichever of the two comes first.  The
+probe is no event either, but one ``(instant, seq)`` slot whose number is
+reserved when it is armed.  Every handler that reads feedback or
+reserves a number first fires a probe whose key precedes its own, and so
+does the end of the run; a failing probe reports its own instant.
+
+Same-µs order.  The rule is the reserved sequence number.  The engine
+fires events that share a microsecond in the order they were scheduled,
+and a queued frame or a probe keeps the number its event would have had,
+so plain tuple comparison reproduces that order.  A frame's number is
+taken when the frame is sent; a servo tick's when the tick one period
+before it schedules it (the first controller tick's on entering
+control); the probe's when it is armed.  So a frame that arrives on the
+µs of a servo tick is seen by it exactly when the frame was sent before
+that tick was scheduled: feedback sent more than one servo period before
+the controller tick it lands on is used by that tick, feedback sent less
+than a period before it is not.  Whether the watchdog fails is
+order-free, as above; the order decides only whether a controller tick
+on the fail instant's µs runs first.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import insort
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .channel import Channel, ChannelProfile
@@ -108,6 +127,9 @@ class _StopTrial(Exception):
     pass
 
 
+_NEVER = (float("inf"), 0)  # the key of a watchdog probe that is not armed
+
+
 @dataclass
 class TrialTrace:
     """Optional per-tick control trace for plotting."""
@@ -140,9 +162,12 @@ class _LoopHarness:
         cmd_channel = Channel(command_profile, component_rng(seed, "chan", "cmd"))
         fb_channel = Channel(feedback_profile, component_rng(seed, "chan", "fb"),
                              blackout_from=feedback_blackout_us)
-        # (source node index on the control ring, channel) per direction
-        self.to_fpga = (self.ring.node_index(MASTER_NODE), cmd_channel)
-        self.to_cnc = (self.ring.node_index(FPGA_NODE), fb_channel)
+        # (source node index on the control ring, channel, control-phase
+        # frames in flight as (arrival, reserved seq, value)) per direction
+        self.cmd_queue: deque[tuple[SimTime, int, float]] = deque()
+        self.fb_queue: deque[tuple[SimTime, int, float]] = deque()
+        self.to_fpga = (self.ring.node_index(MASTER_NODE), cmd_channel, self.cmd_queue)
+        self.to_cnc = (self.ring.node_index(FPGA_NODE), fb_channel, self.fb_queue)
 
         self.axis = AxisModel()
         self.pid = PidController(config.gains, config.servo_period_us)
@@ -159,27 +184,44 @@ class _LoopHarness:
         self.prev_fb_arrival: SimTime = 0  # the arrival before, on an earlier µs
         self.control_start: SimTime = 0
         self.watchdog_since: SimTime = 0  # the arrival the pending probe times out
-        self.watchdog_id = 0
+        self.probe: tuple[SimTime, int] = _NEVER  # its (instant, reserved seq)
         self.max_fe = 0.0
 
         self.verdict: TrialVerdict | None = None
 
     # -- transport helpers ---------------------------------------------------
 
-    def _send(self, now: SimTime, path: tuple[int, Channel], on_arrival) -> None:
-        """One frame sent at `now` across the control ring, then a channel: one event."""
-        source, channel = path
+    def _send(self, now: SimTime, path: tuple[int, Channel, deque], on_arrival) -> None:
+        """One frame sent at `now` across the control ring, then a channel;
+        its arrival is an engine event."""
+        source, channel, _ = path
+        delivered = self.ring.admit(source, now)
+        if delivered is not None:
+            arrival = channel.impair(delivered)
+            if arrival is not None:
+                self.sim.schedule(arrival, on_arrival)
+
+    def _post(self, now: SimTime, path: tuple[int, Channel, deque], value: float) -> None:
+        """One control-phase frame sent at `now`, as `_send`, but queued in its
+        direction under the key its arrival event would have had."""
+        source, channel, queue = path
         delivered = self.ring.admit(source, now)
         if delivered is None:
             return
         arrival = channel.impair(delivered)
-        if arrival is not None:
-            self.sim.schedule(arrival, on_arrival)
+        if arrival is None:
+            return
+        entry = (arrival, self.sim.reserve(), value)
+        if queue and arrival < queue[-1][0]:
+            insort(queue, entry)  # only a reordering channel lets a frame overtake
+        else:
+            queue.append(entry)
 
     # -- initialization ------------------------------------------------------
 
-    def _fail(self, cause: FailCause) -> None:
-        self.verdict = TrialVerdict(False, cause, self.max_fe, self.sim.now)
+    def _fail(self, cause: FailCause, at: SimTime | None = None) -> None:
+        self.verdict = TrialVerdict(False, cause, self.max_fe,
+                                    self.sim.now if at is None else at)
         raise _StopTrial
 
     def _send_handshake(self) -> None:
@@ -190,6 +232,9 @@ class _LoopHarness:
             HANDSHAKE_RETRY_US, lambda: self._handshake_retry(seq))
 
         def fpga_got_request():
+            # a stale request landing in the control phase reserves a number
+            # for its reply, so a probe due before it fires first
+            self._catch_up(self.sim.event_key)
             self._send(self.sim.now, self.to_cnc, lambda: self._handshake_reply(seq))
 
         self._send(self.sim.now, self.to_fpga, fpga_got_request)
@@ -235,23 +280,40 @@ class _LoopHarness:
     def _arm_watchdog(self, since: SimTime) -> None:
         """Time out `since` (control start or a feedback arrival)."""
         self.watchdog_since = since
-        self.watchdog_id = self.sim.schedule(
-            since + self.config.watchdog_timeout_us + 1, self._watchdog_probe)
+        self.probe = (since + self.config.watchdog_timeout_us + 1, self.sim.reserve())
 
-    def _watchdog_probe(self) -> None:
+    def _catch_up(self, key: tuple[SimTime, int]) -> None:
+        """Apply the queued feedback and fire the watchdog probes that precede
+        `key`, in key order, as their own events would have fired."""
+        queue = self.fb_queue
+        while True:
+            probe = self.probe
+            upto = probe if probe < key else key
+            while queue and queue[0] < upto:
+                arrival, _, self.fb_value = queue.popleft()
+                if arrival != self.last_fb_arrival:
+                    self.prev_fb_arrival, self.last_fb_arrival = self.last_fb_arrival, arrival
+            if upto is key:
+                return
+            self._watchdog_probe(probe[0])
+
+    def _watchdog_probe(self, instant: SimTime) -> None:
         # A timer reset by every feedback arrival: nothing newer than the
         # instant it times out, before this µs, means the timeout elapsed.
         # Arrivals between that instant and the newest one each had a
         # successor within the timeout, so re-arming from the newest keeps
         # the fail instant.
-        now = self.sim.now
-        in_time = self.last_fb_arrival if self.last_fb_arrival < now else self.prev_fb_arrival
+        last = self.last_fb_arrival
+        in_time = last if last < instant else self.prev_fb_arrival
         if in_time <= self.watchdog_since:
-            self._fail(FailCause.WATCHDOG)
-        self._arm_watchdog(self.last_fb_arrival)
+            self._fail(FailCause.WATCHDOG, instant)
+        self._arm_watchdog(last)
 
     def _on_feedback(self, sample_time: SimTime, position: float) -> None:
-        now = self.sim.now
+        """A feedback frame whose arrival is an engine event (see `_fpga_tick`)."""
+        key = self.sim.event_key
+        self._catch_up(key)
+        now = key[0]
         self.fb_value = position
         if now != self.last_fb_arrival:
             self.prev_fb_arrival, self.last_fb_arrival = self.last_fb_arrival, now
@@ -259,7 +321,6 @@ class _LoopHarness:
             if now < self.watchdog_since:
                 # feedback before the first servo tick times out before the
                 # control start does
-                self.sim.cancel(self.watchdog_id)
                 self._arm_watchdog(now)
         elif self.phase == "qualify":
             self.residuals.append(now - sample_time)
@@ -269,7 +330,9 @@ class _LoopHarness:
     # -- periodic activities --------------------------------------------------
 
     def _cnc_tick(self) -> None:
-        now = self.sim.now
+        key = self.sim.event_key
+        self._catch_up(key)
+        now = key[0]
         cfg = self.config
         setpoint, feedforward = self.trajectory.sample(now - self.control_start)
         fe = setpoint - self.fb_value
@@ -279,20 +342,27 @@ class _LoopHarness:
         if abs_fe > cfg.fe_limit_mm:
             self._fail(FailCause.FOLLOWING_ERROR)
         command = self.pid.tick(setpoint, self.fb_value, feedforward)
-
-        def apply(command=command):
-            self.v_cmd = command
-
-        self._send(now, self.to_fpga, apply)
+        self._post(now, self.to_fpga, command)
         if self.trace is not None:
             self.trace.rows.append((now, setpoint, self.fb_value, command, fe))
         self.sim.schedule(now + cfg.servo_period_us, self._cnc_tick)
 
     def _fpga_tick(self) -> None:
-        now = self.sim.now
+        key = self.sim.event_key
+        if self.probe < key:
+            self._catch_up(key)
+        now = key[0]
+        queue = self.cmd_queue
+        while queue and queue[0] < key:
+            self.v_cmd = queue.popleft()[2]
         step_axis(self.axis, self.v_cmd, self.config.servo_period_us)
         position = self.axis.position_mm
-        self._send(now, self.to_cnc, lambda: self._on_feedback(now, position))
+        if self.phase == "control" and now >= self.control_start:
+            self._post(now, self.to_cnc, position)
+        else:
+            # feedback sent before the first controller tick may re-arm the
+            # watchdog, so its arrival stays an event
+            self._send(now, self.to_cnc, lambda: self._on_feedback(now, position))
         self.sim.schedule(now + self.config.servo_period_us, self._fpga_tick)
 
     # -- run -----------------------------------------------------------------
@@ -303,6 +373,7 @@ class _LoopHarness:
         self.sim.schedule(self.config.init_grace_us, self._grace_deadline)
         try:
             self.sim.run_until(self.length)
+            self._catch_up((self.length + 1, 0))  # a probe due by the end
         except _StopTrial:
             return self.verdict
         if self.phase != "control":

@@ -1,13 +1,18 @@
-"""Guards on the event kernel: cancellation, the per-frame event budget of a
-trial, and the same-µs order that a trial's verdict rests on."""
+"""Guards on the event kernel: cancellation, the event budget of a trial's
+control phase, the same-µs order that a trial's verdict rests on, and a
+golden file of verdicts."""
+
+import itertools
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from ringmill.channel import ZERO_IMPAIRMENT, ChannelProfile
+from ringmill.channel import ZERO_IMPAIRMENT, ChannelProfile, JitterDistribution
 from ringmill.engine import Simulator
 from ringmill.plant import FailCause
-from ringmill.trial import (DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO, _LoopHarness, _StopTrial,
-                            run_trial, symmetric_profiles)
+from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO,
+                            _LoopHarness, _StopTrial, run_trial, symmetric_profiles)
 
 
 def harness(cmd, fb, length_us, seed=1):
@@ -47,7 +52,7 @@ class TestCancel:
 
 
 class TestTrialKernel:
-    def test_control_phase_costs_under_5000_events_per_simulated_second(self):
+    def test_control_phase_schedules_only_the_servo_ticks(self):
         def events(length_us):
             h = harness(*symmetric_profiles(0.5, 0.05), length_us)
             summaries = []
@@ -59,8 +64,8 @@ class TestTrialKernel:
         # same seed, so the runs agree up to 2 s: the difference is one
         # simulated second of control phase
         rate = events(3_000_000) - events(2_000_000)
-        # every servo tick and frame arrival is still an event
-        assert 2 * 1000 + 2 * 1000 <= rate < 5_000
+        # frame arrivals and watchdog probes are queued, not scheduled
+        assert rate == 2 * 1000
 
     def test_watchdog_fail_instant_is_pinned(self):
         verdict = run_trial(DEFAULT_LOOP_CONFIG, ZERO_IMPAIRMENT, ZERO_IMPAIRMENT,
@@ -105,41 +110,120 @@ class TestTrialKernel:
                 assert h.verdict.fail_cause is FailCause.WATCHDOG
                 assert h.verdict.survived_us == fails_at, (gap_us, arrival_first)
 
+    @pytest.mark.parametrize("arrival, fails_at, max_fe", [
+        # re-armed before the first tick, the probe is due at 13,000 and was
+        # armed before the tick on that µs was scheduled, so it fires first
+        (10_899, 13_000, 0.0005),
+        # the probe that times out 11,899 is armed at 13,101, after the tick
+        # at 14,000 was scheduled, so that tick runs before the probe fails
+        (11_899, 14_000, 0.0045),
+    ])
+    def test_failing_probe_on_a_servo_tick_us(self, arrival, fails_at, max_fe):
+        h = harness(ZERO_IMPAIRMENT, ZERO_IMPAIRMENT, 20_000)
+        h.sim.schedule(10_300, h._enter_control)
+        h.sim.schedule(arrival, lambda: h._on_feedback(arrival - 100, h.fb_value))
+        with pytest.raises(_StopTrial):
+            h.sim.run_until(20_000)
+        assert h.verdict.fail_cause is FailCause.WATCHDOG
+        assert h.verdict.survived_us == fails_at
+        assert h.verdict.max_following_error_mm == pytest.approx(max_fe, abs=1e-12)
+
     def test_same_us_feedback_is_seen_iff_sent_before_the_tick_was_scheduled(self):
         # With a fixed channel delay, the control ring's slot phase decides
         # which feedback frames land exactly on a controller tick: at 400 us
         # those were sent half a period before the tick, at 900 us one and a
-        # half periods before it.
+        # half periods before it.  A frame is seen by the tick if the tick
+        # takes it off the feedback queue.
         period = DEFAULT_LOOP_CONFIG.servo_period_us
-        seen_first = set()
+        seen_outcomes = set()
         for delay_us in (400, 900):
             profile = ChannelProfile(mean_delay_us=delay_us)
             h = harness(profile, profile, 1_500_000)
-            log = []
-            on_feedback, cnc_tick = h._on_feedback, h._cnc_tick
+            sent_at = {}  # reserved sequence number -> when it was reserved
+            landings = []  # (tick instant, frame sent at, seen by the tick)
+            reserve, cnc_tick = h.sim.reserve, h._cnc_tick
 
-            def feedback(sample_time, position):
-                log.append(("feedback", h.sim.now, sample_time))
-                on_feedback(sample_time, position)
+            def reserve_and_log():
+                seq = reserve()
+                sent_at[seq] = h.sim.now
+                return seq
 
             def tick():
-                log.append(("tick", h.sim.now, None))
+                t = h.sim.now
+                landing = [entry for entry in h.fb_queue if entry[0] == t]
                 cnc_tick()
+                for entry in landing:
+                    landings.append((t, sent_at[entry[1]], entry not in h.fb_queue))
 
-            h._on_feedback, h._cnc_tick = feedback, tick
+            h.sim.reserve, h._cnc_tick = reserve_and_log, tick
             assert h.run().passed
 
-            arrivals = {}
-            for index, (kind, at, sent) in enumerate(log):
-                if kind == "feedback":
-                    arrivals.setdefault(at, []).append((index, sent))
-            tick_indices = [i for i, entry in enumerate(log) if entry[0] == "tick"]
             # the first tick is scheduled on entering control, every later
             # one by the tick a period before it
-            for index in tick_indices[1:]:
-                t = log[index][1]
-                for arrival_index, sent in arrivals.get(t, ()):
-                    before_tick = arrival_index < index
-                    assert before_tick == (sent < t - period), (delay_us, t, sent)
-                    seen_first.add(before_tick)
-        assert seen_first == {True, False}
+            first_tick = h.control_start
+            for t, sent, seen in landings:
+                if t != first_tick:
+                    assert seen == (sent < t - period), (delay_us, t, sent)
+                    seen_outcomes.add(seen)
+        assert seen_outcomes == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# Golden verdicts: one `repr(TrialVerdict)` per case, compared line for line.
+# Re-record tests/golden/verdicts.txt only for a deliberate change of
+# verdicts, and say so in CHANGES.md:
+#     PYTHONPATH=src python tests/test_kernel.py
+
+GOLDEN_VERDICTS = Path(__file__).resolve().parent / "golden" / "verdicts.txt"
+
+
+def golden_cases():
+    """(label, loop config, command profile, feedback profile, length, seed, blackout)."""
+    drivers = (("default", DEFAULT_LOOP_CONFIG), ("adapted", ADAPTED_LOOP_CONFIG))
+    cases = []
+
+    def add(label, profile, seconds=4, seed=0, blackout=None, configs=drivers, **kw):
+        for name, config in configs:
+            cases.append((f"{name} {label}", replace(config, **kw), profile, profile,
+                          seconds * 1_000_000, seed, blackout))
+
+    for i, (lat, jit) in enumerate(itertools.product((0.3, 0.5, 1, 2, 3, 5),
+                                                     (0, 0.05, 0.1, 0.15, 0.2, 0.3))):
+        add(f"uniform {lat}/{jit} ms", ChannelProfile.from_ms(lat, jit), seed=i)
+    for i, (lat, jit) in enumerate(itertools.product((0.5, 2, 5), (0.1, 0.3))):
+        add(f"normal {lat}/{jit} ms", ChannelProfile.from_ms(
+            lat, jit, distribution=JitterDistribution.TRUNCATED_NORMAL), seed=100 + i)
+    for i, (lat, jit) in enumerate(((0.5, 0.15), (1, 0.2), (2, 0.15), (3, 0.1))):
+        add(f"reorder {lat}/{jit} ms", ChannelProfile.from_ms(lat, jit, reorder_allowed=True),
+            seed=200 + i)
+    for i, (loss, (lat, jit)) in enumerate(itertools.product((0.001, 0.01, 0.05),
+                                                             ((0.5, 0.05), (2, 0.1)))):
+        add(f"loss {loss} {lat}/{jit} ms", ChannelProfile.from_ms(lat, jit, loss_rate=loss),
+            seed=300 + i)
+    for i, (at, (lat, jit)) in enumerate(itertools.product((1_500_000, 2_200_000),
+                                                           ((0.3, 0), (1, 0.1)))):
+        add(f"blackout {at} us {lat}/{jit} ms", ChannelProfile.from_ms(lat, jit),
+            seed=400 + i, blackout=at)
+    for i, (timeout, loss, (lat, jit)) in enumerate(itertools.product(
+            (1_500, 2_050, 2_100, 3_000), (0, 0.003), ((0.5, 0.1), (2, 0.15)))):
+        add(f"watchdog {timeout} us loss {loss} {lat}/{jit} ms",
+            ChannelProfile.from_ms(lat, jit, loss_rate=loss), seed=500 + i,
+            watchdog_timeout_us=timeout)
+    return cases
+
+
+def golden_verdict_lines():
+    return [f"{label}: {run_trial(config, cmd, fb, length, seed, DEFAULT_SCENARIO, blackout)!r}"
+            for label, config, cmd, fb, length, seed, blackout in golden_cases()]
+
+
+def test_verdicts_match_the_golden_file():
+    want = GOLDEN_VERDICTS.read_text().splitlines()
+    got = golden_verdict_lines()
+    assert len(got) == len(want)
+    for got_line, want_line in zip(got, want):
+        assert got_line == want_line
+
+
+if __name__ == "__main__":
+    GOLDEN_VERDICTS.write_text("\n".join(golden_verdict_lines()) + "\n")

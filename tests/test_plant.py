@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -133,6 +134,13 @@ class TestTrapezoidTrajectory:
         with pytest.raises(ValueError):
             TrapezoidTrajectory(amplitude_mm=-1)
 
+    @pytest.mark.parametrize("field", ["amplitude_mm", "velocity_mm_s", "accel_mm_s2",
+                                       "dwell_s"])
+    def test_rejects_nan_parameters(self, field):
+        # a NaN setpoint could never fail on following error
+        with pytest.raises(ValueError, match="^trajectory parameters must be positive$"):
+            TrapezoidTrajectory(**{field: math.nan})
+
 
 class TestTabulatedTrajectory:
     def test_csv_parse_and_interpolation(self):
@@ -167,6 +175,21 @@ class TestConfigTypes:
         with pytest.raises(ValueError):
             LoopConfig(profile=Profile.DEFAULT, gains=PidGains(kp=1.0),
                        fe_limit_mm=0.0)
+
+    @pytest.mark.parametrize("field, message", [
+        ("servo_period_us", "servo period must be positive"),
+        ("watchdog_timeout_us", "watchdog timeout and init grace must be positive"),
+        ("init_grace_us", "watchdog timeout and init grace must be positive"),
+        ("fe_limit_mm", "following-error limit must be positive"),
+    ])
+    def test_loop_config_rejects_nan(self, field, message):
+        # a NaN following-error limit builds a loop that can never fail on it
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(DEFAULT_LOOP_CONFIG, **{field: math.nan})
+
+    def test_axis_rejects_nan_time_constant(self):
+        with pytest.raises(ValueError, match="^axis time constant must be positive$"):
+            AxisModel(time_constant_s=math.nan)
 
     def test_adapted_must_not_be_tighter(self):
         validate_config_pair(DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)
