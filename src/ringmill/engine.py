@@ -7,14 +7,16 @@ here touches the wall clock; a run is a pure function of the scenario
 and its seeds.
 
 A heap entry is just ``(fire_time, sequence, action)``.  Callers schedule
-only the events that can change what a run decides, so the per-event cost
-of this loop is most of a trial's host time.  An instant that needs no
-event of its own can stay off the heap and keep its place all the same:
-`reserve` takes the sequence number that `schedule` would have given it,
-and ``(instant, number)`` sorts against `event_key`, the key of the event
-being processed, exactly as the event would have sorted in the heap.  A
-trial's control phase does this for every frame arrival and watchdog
-probe (see ``trial.py``), so only its servo ticks are events.
+only the events that can change what a run decides.  An instant that
+needs no heap entry can stay off the heap and keep its place all the
+same: `reserve` takes the sequence number that `schedule` would have
+given it, and ``(instant, number)`` sorts against `event_key`, the key
+of the event being processed, exactly as the event would have sorted in
+the heap.  A caller that runs such an event itself first processes the
+events that precede its key (`run_before`); `step` then makes the key
+the event being processed and counts it.  A trial's control phase keeps
+every frame arrival, watchdog probe and servo tick off the heap this
+way (see ``trial.py``), so it schedules no event at all.
 """
 
 from __future__ import annotations
@@ -101,13 +103,14 @@ class Simulator:
                 return True
         return False
 
-    def run_until(self, t_end: SimTime) -> RunSummary:
-        """Process every event with fire_time <= t_end; clock ends at t_end."""
+    def run_before(self, key: tuple[SimTime, int]) -> int:
+        """Process every event whose ``(fire_time, sequence)`` precedes `key`,
+        including those they schedule; returns how many ran."""
         heap = self._heap
         pop = heapq.heappop
-        processed = self._events_processed
+        processed = start = self._events_processed
         try:
-            while heap and heap[0][0] <= t_end:
+            while heap and heap[0] < key:
                 fire_time, seq, action = pop(heap)
                 self._clock = fire_time
                 self._event_seq = seq
@@ -115,8 +118,29 @@ class Simulator:
                 action()
         finally:
             self._events_processed = processed
+        return processed - start
+
+    def step(self, key: tuple[SimTime, int]) -> bool:
+        """Process an event kept off the heap, under its reserved `key`, unless
+        a queued event precedes it.
+
+        Returns True with `key` the event being processed (`now`,
+        `event_key`) and counted; the caller then runs its action.  Returns
+        False, changing nothing, if a queued event precedes `key`:
+        `run_before(key)` processes those first.
+        """
+        heap = self._heap
+        if heap and heap[0] < key:
+            return False
+        self._clock, self._event_seq = key
+        self._events_processed += 1
+        return True
+
+    def run_until(self, t_end: SimTime) -> RunSummary:
+        """Process every event with fire_time <= t_end; clock ends at t_end."""
+        self.run_before((t_end + 1, 0))  # sequence numbers start at 1
         self._clock = t_end
-        return RunSummary(processed, t_end)
+        return RunSummary(self._events_processed, t_end)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,14 @@ class PidGains:
     kd: float = 0.0  # (mm/s) per mm/s
     integral_clamp: float = 0.05  # mm*s bound on the accumulated error
 
+    def __post_init__(self):
+        # a NaN gain makes every command and position NaN, and a NaN
+        # following error never exceeds the limit
+        if not all(map(math.isfinite, (self.kp, self.ki, self.kd))):
+            raise ValueError("PID gains must be finite")
+        if not self.integral_clamp >= 0:  # NaN fails too
+            raise ValueError("integral clamp must be non-negative")
+
 
 class PidController:
     """PID on position error with anti-windup clamp and velocity feedforward."""

@@ -30,10 +30,18 @@ the frame goes into its direction's in-flight queue as ``(arrival, seq,
 value)``, ``seq`` being the number `Simulator.reserve` hands out, which
 is the sequence number `Simulator.schedule` would have given the arrival
 event.  The stage tick applies every queued command whose key precedes
-its own ``(now, seq)`` (`Simulator.event_key`), and the controller tick
-does the same for feedback, so the control phase costs two engine
-events per servo period, its two ticks.  Feedback sent before the first
-controller tick stays an event, because it can re-arm the watchdog.
+its own, and the controller tick does the same for feedback.  Feedback
+sent before the first controller tick stays an event, because it can
+re-arm the watchdog.
+
+Ticks.  The two servo ticks are no heap events either.  One loop keeps
+each tick's next key as ``(instant, seq)`` and runs the earlier tick
+after every engine event whose key precedes it (`Simulator.run_before`):
+initialization frames, handshake retries, the grace deadline and the
+feedback sent before the first controller tick.  `Simulator.step` makes
+the tick's key the event being processed and counts it, so the control
+phase still counts two engine events per servo period, and schedules
+none.
 
 The feedback watchdog is one probe that re-arms itself from the newest
 arrival rather than one probe per arrival.  It fails the trial at s +
@@ -47,15 +55,18 @@ does the end of the run; a failing probe reports its own instant.
 
 Same-µs order.  The rule is the reserved sequence number.  The engine
 fires events that share a microsecond in the order they were scheduled,
-and a queued frame or a probe keeps the number its event would have had,
-so plain tuple comparison reproduces that order.  A frame's number is
-taken when the frame is sent; a servo tick's when the tick one period
-before it schedules it (the first controller tick's on entering
-control); the probe's when it is armed.  So a frame that arrives on the
-µs of a servo tick is seen by it exactly when the frame was sent before
-that tick was scheduled: feedback sent more than one servo period before
-the controller tick it lands on is used by that tick, feedback sent less
-than a period before it is not.  Whether the watchdog fails is
+and a queued frame, a probe or a servo tick keeps the number its event
+would have had, so plain tuple comparison reproduces that order.  A
+frame's number is taken when the frame is sent; a servo tick's where the
+tick one period before it ends, after that tick's frame (the first
+stage tick's when the run starts, the first controller tick's on
+entering control); the probe's when it is armed.  So an engine event on
+the µs of a servo tick runs first exactly when it was scheduled before
+that tick's number was taken, and a frame that arrives on the µs of a
+servo tick is seen by it exactly when the frame was sent before that
+tick's number was taken: feedback sent more than one servo period
+before the controller tick it lands on is used by that tick, feedback
+sent less than a period before it is not.  Whether the watchdog fails is
 order-free, as above; the order decides only whether a controller tick
 on the fail instant's µs runs first.
 """
@@ -66,6 +77,7 @@ import itertools
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from .channel import Channel, ChannelProfile
 from .engine import SimTime, Simulator, US_PER_S, component_rng
@@ -127,7 +139,7 @@ class _StopTrial(Exception):
     pass
 
 
-_NEVER = (float("inf"), 0)  # the key of a watchdog probe that is not armed
+_NEVER = (float("inf"), 0)  # the key of a probe or tick that is not due
 
 
 @dataclass
@@ -164,14 +176,16 @@ class _LoopHarness:
                              blackout_from=feedback_blackout_us)
         # (source node index on the control ring, channel, control-phase
         # frames in flight as (arrival, reserved seq, value)) per direction
-        self.cmd_queue: deque[tuple[SimTime, int, float]] = deque()
         self.fb_queue: deque[tuple[SimTime, int, float]] = deque()
-        self.to_fpga = (self.ring.node_index(MASTER_NODE), cmd_channel, self.cmd_queue)
+        self.to_fpga = (self.ring.node_index(MASTER_NODE), cmd_channel, deque())
         self.to_cnc = (self.ring.node_index(FPGA_NODE), fb_channel, self.fb_queue)
 
         self.axis = AxisModel()
         self.pid = PidController(config.gains, config.servo_period_us)
-        self.v_cmd = 0.0
+        # (instant, reserved seq) of the first stage tick, set by `run`, and
+        # of the first controller tick, set on entering control
+        self.first_fpga_tick: tuple[SimTime, int] = _NEVER
+        self.first_cnc_tick: tuple[SimTime, int] = _NEVER
 
         self.phase = "handshake"
         self.hs_rtts: list[int] = []
@@ -193,29 +207,14 @@ class _LoopHarness:
 
     def _send(self, now: SimTime, path: tuple[int, Channel, deque], on_arrival) -> None:
         """One frame sent at `now` across the control ring, then a channel;
-        its arrival is an engine event."""
+        its arrival is an engine event.  (A control-phase frame is queued
+        instead, by `_run_ticks`.)"""
         source, channel, _ = path
         delivered = self.ring.admit(source, now)
         if delivered is not None:
             arrival = channel.impair(delivered)
             if arrival is not None:
                 self.sim.schedule(arrival, on_arrival)
-
-    def _post(self, now: SimTime, path: tuple[int, Channel, deque], value: float) -> None:
-        """One control-phase frame sent at `now`, as `_send`, but queued in its
-        direction under the key its arrival event would have had."""
-        source, channel, queue = path
-        delivered = self.ring.admit(source, now)
-        if delivered is None:
-            return
-        arrival = channel.impair(delivered)
-        if arrival is None:
-            return
-        entry = (arrival, self.sim.reserve(), value)
-        if queue and arrival < queue[-1][0]:
-            insort(queue, entry)  # only a reordering channel lets a frame overtake
-        else:
-            queue.append(entry)
 
     # -- initialization ------------------------------------------------------
 
@@ -272,7 +271,7 @@ class _LoopHarness:
         self.control_start = ((self.sim.now // period) + 1) * period
         self.last_fb_arrival = self.control_start
         self.pid.reset()
-        self.sim.schedule(self.control_start, self._cnc_tick)
+        self.first_cnc_tick = (self.control_start, self.sim.reserve())
         self._arm_watchdog(self.control_start)
 
     # -- feedback path ------------------------------------------------------
@@ -310,7 +309,7 @@ class _LoopHarness:
         self._arm_watchdog(last)
 
     def _on_feedback(self, sample_time: SimTime, position: float) -> None:
-        """A feedback frame whose arrival is an engine event (see `_fpga_tick`)."""
+        """A feedback frame whose arrival is an engine event (see `_run_ticks`)."""
         key = self.sim.event_key
         self._catch_up(key)
         now = key[0]
@@ -327,58 +326,105 @@ class _LoopHarness:
             if len(self.residuals) >= QUALIFY_WINDOW_FRAMES:
                 self._qualify_decision()
 
-    # -- periodic activities --------------------------------------------------
-
-    def _cnc_tick(self) -> None:
-        key = self.sim.event_key
-        self._catch_up(key)
-        now = key[0]
-        cfg = self.config
-        setpoint, feedforward = self.trajectory.sample(now - self.control_start)
-        fe = setpoint - self.fb_value
-        abs_fe = abs(fe)
-        if abs_fe > self.max_fe:
-            self.max_fe = abs_fe
-        if abs_fe > cfg.fe_limit_mm:
-            self._fail(FailCause.FOLLOWING_ERROR)
-        command = self.pid.tick(setpoint, self.fb_value, feedforward)
-        self._post(now, self.to_fpga, command)
-        if self.trace is not None:
-            self.trace.rows.append((now, setpoint, self.fb_value, command, fe))
-        self.sim.schedule(now + cfg.servo_period_us, self._cnc_tick)
-
-    def _fpga_tick(self) -> None:
-        key = self.sim.event_key
-        if self.probe < key:
-            self._catch_up(key)
-        now = key[0]
-        queue = self.cmd_queue
-        while queue and queue[0] < key:
-            self.v_cmd = queue.popleft()[2]
-        step_axis(self.axis, self.v_cmd, self.config.servo_period_us)
-        position = self.axis.position_mm
-        if self.phase == "control" and now >= self.control_start:
-            self._post(now, self.to_cnc, position)
-        else:
-            # feedback sent before the first controller tick may re-arm the
-            # watchdog, so its arrival stays an event
-            self._send(now, self.to_cnc, lambda: self._on_feedback(now, position))
-        self.sim.schedule(now + self.config.servo_period_us, self._fpga_tick)
-
     # -- run -----------------------------------------------------------------
 
     def run(self) -> TrialVerdict:
-        self.sim.schedule(FPGA_TICK_OFFSET_US, self._fpga_tick)
+        self.first_fpga_tick = (FPGA_TICK_OFFSET_US, self.sim.reserve())
         self.sim.schedule(0, self._send_handshake)
         self.sim.schedule(self.config.init_grace_us, self._grace_deadline)
         try:
-            self.sim.run_until(self.length)
+            self._run_ticks()
+            self.sim.run_until(self.length)  # nothing is left to run: the clock ends there
             self._catch_up((self.length + 1, 0))  # a probe due by the end
         except _StopTrial:
             return self.verdict
         if self.phase != "control":
             return TrialVerdict(False, FailCause.INIT_FAILURE, self.max_fe, self.length)
         return TrialVerdict(True, FailCause.NONE, self.max_fe, self.length)
+
+    def _run_ticks(self) -> None:
+        """Run the controller and stage ticks in key order up to the end of the
+        trial, each after the engine events whose key precedes its own.
+
+        A tick is no engine event but an ``(instant, seq)`` key: the engine
+        counts it when it runs (`Simulator.step`), and its successor's number
+        is reserved where the tick ends, so same-µs order is as it would be
+        on the heap.  A control-phase frame is filed in its direction's
+        queue under the key its arrival event would have had.
+        """
+        sim = self.sim
+        run_before, step, reserve = sim.run_before, sim.step, sim.reserve
+        admit = self.ring.admit
+        cmd_node, cmd_channel, cmd_queue = self.to_fpga
+        fb_node, fb_channel, fb_queue = self.to_cnc
+        cmd_impair, fb_impair = cmd_channel.impair, fb_channel.impair
+        catch_up = self._catch_up
+        period, fe_limit = self.config.servo_period_us, self.config.fe_limit_mm
+        sample, pid_tick = self.trajectory.sample, self.pid.tick
+        axis, move_axis = self.axis, step_axis
+        rows = None if self.trace is None else self.trace.rows
+        end = self.length
+        stop = (end + 1, 0)  # precedes every event after the end
+        cnc_key, fpga_key = self.first_cnc_tick, self.first_fpga_tick
+        control_start = cnc_key[0]
+        max_fe = self.max_fe
+        v_cmd = 0.0
+        while True:
+            key = cnc_key if cnc_key < fpga_key else fpga_key
+            if key[0] > end or not step(key):
+                # the events before the tick, or before the end, run first
+                if not run_before(min(key, stop)):
+                    return  # none was left before the end
+                if cnc_key is _NEVER:  # one may have entered control
+                    cnc_key = self.first_cnc_tick
+                    control_start = cnc_key[0]
+                continue
+            now = key[0]
+            if key is cnc_key:
+                catch_up(key)
+                setpoint, feedforward = sample(now - control_start)
+                fb = self.fb_value
+                fe = setpoint - fb
+                abs_fe = abs(fe)
+                if abs_fe > max_fe:
+                    self.max_fe = max_fe = abs_fe
+                if abs_fe > fe_limit:
+                    self._fail(FailCause.FOLLOWING_ERROR)
+                command = pid_tick(setpoint, fb, feedforward)
+                delivered = admit(cmd_node, now)
+                if delivered is not None:
+                    arrival = cmd_impair(delivered)
+                    if arrival is not None:
+                        entry = (arrival, reserve(), command)
+                        if cmd_queue and arrival < cmd_queue[-1][0]:
+                            insort(cmd_queue, entry)  # overtakes: a reordering channel
+                        else:
+                            cmd_queue.append(entry)
+                if rows is not None:
+                    rows.append((now, setpoint, fb, command, fe))
+                cnc_key = (now + period, reserve())
+            else:
+                if self.probe < key:
+                    catch_up(key)
+                while cmd_queue and cmd_queue[0] < key:
+                    v_cmd = cmd_queue.popleft()[2]
+                move_axis(axis, v_cmd, period)
+                position = axis.position_mm
+                if now >= control_start:
+                    delivered = admit(fb_node, now)
+                    if delivered is not None:
+                        arrival = fb_impair(delivered)
+                        if arrival is not None:
+                            entry = (arrival, reserve(), position)
+                            if fb_queue and arrival < fb_queue[-1][0]:
+                                insort(fb_queue, entry)
+                            else:
+                                fb_queue.append(entry)
+                else:
+                    # feedback sent before the first controller tick may
+                    # re-arm the watchdog, so its arrival stays an event
+                    self._send(now, self.to_cnc, partial(self._on_feedback, now, position))
+                fpga_key = (now + period, reserve())
 
     def _grace_deadline(self) -> None:
         if self.phase != "control":

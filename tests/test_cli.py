@@ -132,6 +132,14 @@ class TestConfig:
                      "--jitter-ms", "0.05", "--trial-seconds", "1"]) == 2
         assert f"scenario.ini, line {line}: " in capsys.readouterr().err
 
+    def test_bad_gains_exit_config_error_naming_their_section(self, tmp_path, capsys):
+        path = tmp_path / "scenario.ini"
+        path.write_text("[sweep]\nseeds_per_cell = 1\n\n[gains.default]\nintegral_clamp = -0.1\n")
+        assert main(["trial", "--config", str(path), "--latency-ms", "0.5",
+                     "--jitter-ms", "0.05", "--trial-seconds", "1"]) == 2
+        assert ("scenario.ini, line 4: [gains.default] integral clamp must be non-negative"
+                in capsys.readouterr().err)
+
     def test_unknown_key_is_located_config_error(self, tmp_path):
         path = tmp_path / "typo.ini"
         path.write_text("[sweep]\nseeds_per_cell = 1\nseed_per_cell = 2\n")

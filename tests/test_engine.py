@@ -80,6 +80,33 @@ class TestRunUntil:
         assert log == [0, 1, 2, 3, 4, 5]
 
 
+class TestOffHeapEvents:
+    def test_run_before_processes_only_the_events_that_precede_the_key(self):
+        sim = Simulator()
+        log = []
+        sim.schedule(10, lambda: log.append("a"))
+        key = (10, sim.reserve())
+        sim.schedule(10, lambda: log.append("after"))
+        # an event scheduled while running, still before the key, runs too
+        sim.schedule(5, lambda: sim.schedule(8, lambda: log.append("chained")))
+        assert sim.run_before(key) == 3
+        assert log == ["chained", "a"]
+        assert sim.run_before(key) == 0
+
+    def test_step_takes_the_key_unless_an_event_precedes_it(self):
+        sim = Simulator()
+        sim.schedule(10, lambda: None)
+        key = (10, sim.reserve())
+        sim.schedule(10, lambda: None)
+        assert not sim.step(key)
+        assert sim.now == 0
+        sim.run_before(key)
+        assert sim.step(key)
+        assert sim.event_key == key
+        # the step counts as a processed event; the later one still runs
+        assert sim.run_until(10).events_processed == 3
+
+
 @st.composite
 def event_batches(draw):
     times = draw(st.lists(st.integers(min_value=0, max_value=10_000),

@@ -1,7 +1,8 @@
 """Guards on the event kernel: cancellation, the event budget of a trial's
-control phase, the same-µs order that a trial's verdict rests on, and a
-golden file of verdicts."""
+control phase, the same-µs order that a trial's verdict rests on, and
+golden files of verdicts and per-tick traces."""
 
+import hashlib
 import itertools
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +13,8 @@ from ringmill.channel import ZERO_IMPAIRMENT, ChannelProfile, JitterDistribution
 from ringmill.engine import Simulator
 from ringmill.plant import FailCause
 from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO,
-                            _LoopHarness, _StopTrial, run_trial, symmetric_profiles)
+                            TrialTrace, _LoopHarness, _StopTrial, run_trial,
+                            symmetric_profiles)
 
 
 def harness(cmd, fb, length_us, seed=1):
@@ -82,7 +84,7 @@ class TestTrialKernel:
         h.sim.schedule(10_300, h._enter_control)
         h.sim.schedule(10_500, lambda: h._on_feedback(10_400, h.fb_value))
         with pytest.raises(_StopTrial):
-            h.sim.run_until(20_000)
+            h._run_ticks()
         assert h.verdict.fail_cause is FailCause.WATCHDOG
         assert h.verdict.survived_us == 10_500 + DEFAULT_LOOP_CONFIG.watchdog_timeout_us + 1
 
@@ -106,7 +108,7 @@ class TestTrialKernel:
                 if not arrival_first:
                     h.sim.schedule(10_400, schedule_arrival)
                 with pytest.raises(_StopTrial):
-                    h.sim.run_until(20_000)
+                    h._run_ticks()
                 assert h.verdict.fail_cause is FailCause.WATCHDOG
                 assert h.verdict.survived_us == fails_at, (gap_us, arrival_first)
 
@@ -117,16 +119,39 @@ class TestTrialKernel:
         # the probe that times out 11,899 is armed at 13,101, after the tick
         # at 14,000 was scheduled, so that tick runs before the probe fails
         (11_899, 14_000, 0.0045),
+        # the probe that times out 12,899 is armed by the tick at 14,000,
+        # before that tick takes the number of the tick at 15,000, so it
+        # fails before that tick runs
+        (12_899, 15_000, 0.0045),
     ])
     def test_failing_probe_on_a_servo_tick_us(self, arrival, fails_at, max_fe):
         h = harness(ZERO_IMPAIRMENT, ZERO_IMPAIRMENT, 20_000)
         h.sim.schedule(10_300, h._enter_control)
         h.sim.schedule(arrival, lambda: h._on_feedback(arrival - 100, h.fb_value))
         with pytest.raises(_StopTrial):
-            h.sim.run_until(20_000)
+            h._run_ticks()
         assert h.verdict.fail_cause is FailCause.WATCHDOG
         assert h.verdict.survived_us == fails_at
         assert h.verdict.max_following_error_mm == pytest.approx(max_fe, abs=1e-12)
+
+    @pytest.mark.parametrize("scheduled_at, feedback_mm", [
+        # scheduled before the tick at 12,000 was (by the tick at 11,000), so
+        # the arrival takes effect first and the tick reads it
+        (0, 0.25),
+        # scheduled at 11,500, after that tick was, so the tick runs first
+        (11_500, 0.0),
+    ])
+    def test_heap_event_on_a_servo_tick_us_runs_iff_scheduled_before_it(
+            self, scheduled_at, feedback_mm):
+        trace = TrialTrace()
+        h = _LoopHarness(DEFAULT_LOOP_CONFIG, ZERO_IMPAIRMENT, ZERO_IMPAIRMENT, 12_500, 1,
+                         DEFAULT_SCENARIO, None, trace)
+        h.sim.schedule(scheduled_at, lambda: h.sim.schedule(
+            12_000, lambda: h._on_feedback(11_900, 0.25)))
+        h.sim.schedule(10_300, h._enter_control)
+        h.run()
+        assert [row[0] for row in trace.rows] == [11_000, 12_000]
+        assert trace.rows[1][2] == feedback_mm
 
     def test_same_us_feedback_is_seen_iff_sent_before_the_tick_was_scheduled(self):
         # With a fixed channel delay, the control ring's slot phase decides
@@ -141,21 +166,25 @@ class TestTrialKernel:
             h = harness(profile, profile, 1_500_000)
             sent_at = {}  # reserved sequence number -> when it was reserved
             landings = []  # (tick instant, frame sent at, seen by the tick)
-            reserve, cnc_tick = h.sim.reserve, h._cnc_tick
+            reserve, catch_up = h.sim.reserve, h._catch_up
 
             def reserve_and_log():
                 seq = reserve()
                 sent_at[seq] = h.sim.now
                 return seq
 
-            def tick():
-                t = h.sim.now
+            def tick(key):
+                # a controller tick first catches up to its own key, which
+                # the tick a period before it reserved
+                t = key[0]
                 landing = [entry for entry in h.fb_queue if entry[0] == t]
-                cnc_tick()
+                catch_up(key)
+                if t % period or sent_at.get(key[1]) != t - period:
+                    return  # not a controller tick
                 for entry in landing:
                     landings.append((t, sent_at[entry[1]], entry not in h.fb_queue))
 
-            h.sim.reserve, h._cnc_tick = reserve_and_log, tick
+            h.sim.reserve, h._catch_up = reserve_and_log, tick
             assert h.run().passed
 
             # the first tick is scheduled on entering control, every later
@@ -169,12 +198,15 @@ class TestTrialKernel:
 
 
 # ---------------------------------------------------------------------------
-# Golden verdicts: one `repr(TrialVerdict)` per case, compared line for line.
-# Re-record tests/golden/verdicts.txt only for a deliberate change of
-# verdicts, and say so in CHANGES.md:
+# Golden verdicts, one `repr(TrialVerdict)` per case, and golden traces, the
+# SHA-256 of `TrialTrace.to_csv()` per case, compared line for line.  A trace
+# also pins feedback, command and following-error values that flip no
+# verdict.  Re-record tests/golden/verdicts.txt and tests/golden/traces.txt
+# only for a deliberate change, and say so in CHANGES.md:
 #     PYTHONPATH=src python tests/test_kernel.py
 
 GOLDEN_VERDICTS = Path(__file__).resolve().parent / "golden" / "verdicts.txt"
+GOLDEN_TRACES = GOLDEN_VERDICTS.with_name("traces.txt")
 
 
 def golden_cases():
@@ -225,5 +257,31 @@ def test_verdicts_match_the_golden_file():
         assert got_line == want_line
 
 
+#: (label, loop config, profile of both directions, seed) of each 3 s traced trial
+TRACE_CASES = (
+    ("default 0.5/0.05 ms", DEFAULT_LOOP_CONFIG, ChannelProfile.from_ms(0.5, 0.05), 0),
+    ("adapted 1/0.2 ms", ADAPTED_LOOP_CONFIG, ChannelProfile.from_ms(1.0, 0.2), 0),
+    # frames overtake each other, so some are filed out of order
+    ("default reorder 0.5/0.15 ms", DEFAULT_LOOP_CONFIG,
+     ChannelProfile.from_ms(0.5, 0.15, reorder_allowed=True), 0),
+    ("default loss 0.003 2/0.1 ms", DEFAULT_LOOP_CONFIG,
+     ChannelProfile.from_ms(2.0, 0.1, loss_rate=0.003), 1),
+)
+
+
+def golden_trace_lines():
+    lines = []
+    for label, config, profile, seed in TRACE_CASES:
+        trace = TrialTrace()
+        run_trial(config, profile, profile, 3_000_000, seed, trace=trace)
+        lines.append(f"{label}: {hashlib.sha256(trace.to_csv().encode()).hexdigest()}")
+    return lines
+
+
+def test_traces_match_the_golden_file():
+    assert golden_trace_lines() == GOLDEN_TRACES.read_text().splitlines()
+
+
 if __name__ == "__main__":
     GOLDEN_VERDICTS.write_text("\n".join(golden_verdict_lines()) + "\n")
+    GOLDEN_TRACES.write_text("\n".join(golden_trace_lines()) + "\n")

@@ -8,7 +8,7 @@ from ringmill.plant import (AxisModel, FailCause, LoopConfig, PidController,
                             PidGains, Profile, TabulatedTrajectory,
                             TrapezoidTrajectory, TrialVerdict, load_trajectory_csv,
                             step_axis, validate_config_pair)
-from ringmill.trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG
+from ringmill.trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, NOMINAL_GAINS
 
 
 class TestStepAxis:
@@ -186,6 +186,21 @@ class TestConfigTypes:
         # a NaN following-error limit builds a loop that can never fail on it
         with pytest.raises(ValueError, match=f"^{message}$"):
             replace(DEFAULT_LOOP_CONFIG, **{field: math.nan})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("kp", math.nan, "PID gains must be finite"),
+        ("ki", math.nan, "PID gains must be finite"),
+        ("kd", math.nan, "PID gains must be finite"),
+        ("kp", math.inf, "PID gains must be finite"),
+        ("ki", -math.inf, "PID gains must be finite"),
+        ("integral_clamp", -0.1, "integral clamp must be non-negative"),
+        ("integral_clamp", math.nan, "integral clamp must be non-negative"),
+    ])
+    def test_pid_gains_reject_non_finite_or_negative(self, field, value, message):
+        # with a NaN gain a trial at (0.5, 0.05) ms used to pass: a NaN
+        # following error never exceeds the limit
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(NOMINAL_GAINS, **{field: value})
 
     def test_axis_rejects_nan_time_constant(self):
         with pytest.raises(ValueError, match="^axis time constant must be positive$"):
