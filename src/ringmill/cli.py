@@ -5,15 +5,15 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .config import AppConfig, ConfigError, default_app_config, load_config
+from .channel import ChannelProfile
+from .config import ConfigError, load_config
 from .engine import US_PER_S
 from .harness import (RunManifest, ScriptError, parse_matrix_csv, render_matrix,
-                      run_spectrum_scenario, run_sweep)
+                      run_from_manifest, run_spectrum_scenario)
 from .trial import TrialTrace, calibrate, run_trial, symmetric_profiles
 
 EXIT_OK = 0
@@ -35,15 +35,12 @@ def non_negative(raw: str) -> float:
     return value
 
 
-def _load_app(args) -> AppConfig:
-    app = load_config(args.config) if args.config else default_app_config()
-    spec = app.sweep
-    if args.seed is not None:
-        spec = replace(spec, master_seed=args.seed)
-    if getattr(args, "trial_seconds", None) is not None:
-        spec = replace(spec, trial_seconds=args.trial_seconds)
-    app.sweep = spec
-    return app
+def _load_run(args) -> tuple[RunManifest, ChannelProfile | None, ChannelProfile | None]:
+    """`load_config` of --config, with --seed and --trial-seconds applied."""
+    run, command, feedback = load_config(args.config)
+    overrides = {"master_seed": args.seed, "trial_seconds": args.trial_seconds}
+    spec = replace(run.spec, **{k: v for k, v in overrides.items() if v is not None})
+    return replace(run, spec=spec), command, feedback
 
 
 def _write(out_dir: Path, name: str, text: str) -> Path:
@@ -54,45 +51,38 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
 
 
 def cmd_sweep(args) -> int:
-    app = _load_app(args)
-    manifest = RunManifest.for_run(app.sweep, app.default_loop, app.adapted_loop,
-                                   app.scenario, order=args.order)
-    started = time.monotonic()
-    result = run_sweep(app.sweep, app.default_loop, app.adapted_loop, app.scenario,
-                       order=args.order)
-    manifest.wall_clock_seconds = time.monotonic() - started
+    run = replace(_load_run(args)[0], eval_order=args.order)
+    result, matrix_csv = run_from_manifest(run)
 
     out_dir = Path(args.output_dir)
     paths = {
-        "matrix_csv": str(_write(out_dir, "matrix.csv", render_matrix(result, "csv"))),
+        "matrix_csv": str(_write(out_dir, "matrix.csv", matrix_csv)),
         "matrix_md": str(_write(out_dir, "matrix.md", render_matrix(result, "markdown"))),
         "matrix_ndjson": str(_write(out_dir, "matrix.ndjson",
                                     render_matrix(result, "structured"))),
     }
-    manifest.output_paths = paths
-    paths["manifest"] = str(_write(out_dir, "manifest.json", manifest.to_json()))
+    run.output_paths = paths
+    paths["manifest"] = str(_write(out_dir, "manifest.json", run.to_json()))
     print(render_matrix(result, "markdown"))
     print(f"wrote {', '.join(sorted(paths))} to {out_dir}")
     return EXIT_OK
 
 
 def cmd_trial(args) -> int:
-    app = _load_app(args)
-    config = app.default_loop if args.profile == "default" else app.adapted_loop
+    run, cmd, fb = _load_run(args)
+    config = run.default_config if args.profile == "default" else run.adapted_config
     if (args.latency_ms is None) != (args.jitter_ms is None):
         missing = "--jitter-ms" if args.jitter_ms is None else "--latency-ms"
         raise ConfigError(f"trial needs {missing} as well: the channel flags come in pairs")
     if args.latency_ms is not None:
         cmd, fb = symmetric_profiles(args.latency_ms, args.jitter_ms)
-    elif app.command_profile is not None and app.feedback_profile is not None:
-        cmd, fb = app.command_profile, app.feedback_profile
-    else:
+    elif cmd is None or fb is None:
         raise ConfigError("trial needs --latency-ms/--jitter-ms or "
                           "[channel.command]/[channel.feedback] config sections")
     trace = TrialTrace() if args.trace else None
     verdict = run_trial(
-        config, cmd, fb, trial_length_us=round(app.sweep.trial_seconds * US_PER_S),
-        seed=app.sweep.master_seed, scenario=app.scenario, trace=trace)
+        config, cmd, fb, trial_length_us=round(run.spec.trial_seconds * US_PER_S),
+        seed=run.spec.master_seed, scenario=run.scenario, trace=trace)
     if trace is not None:
         Path(args.trace).write_text(trace.to_csv())
     outcome = "PASS" if verdict.passed else f"FAIL ({verdict.fail_cause.value})"
@@ -121,17 +111,17 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    app = _load_app(args)
-    result = calibrate(master_seed=app.sweep.master_seed,
+    run = _load_run(args)[0]
+    result = calibrate(master_seed=run.spec.master_seed,
                        screen_trial_seconds=args.screen_seconds,
-                       validation_spec=app.sweep, scenario=app.scenario)
+                       validation_spec=run.spec, scenario=run.scenario)
     print(result.report())
     if args.output_dir and result.matrix is not None:
         out_dir = Path(args.output_dir)
         _write(out_dir, "matrix.csv", render_matrix(result.matrix, "csv"))
-        manifest = RunManifest.for_run(app.sweep, result.default_config,
-                                       result.adapted_config, app.scenario)
-        _write(out_dir, "calibrated.json", manifest.to_json())
+        calibrated = replace(run, default_config=result.default_config,
+                             adapted_config=result.adapted_config)
+        _write(out_dir, "calibrated.json", calibrated.to_json())
     return EXIT_OK if result.success else EXIT_CALIBRATION
 
 
@@ -148,12 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"ringmill {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trial_seconds=True):
+    def common(p):
         p.add_argument("--config", help="INI scenario file")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        if trial_seconds:
-            p.add_argument("--trial-seconds", type=positive, default=None,
-                           help="simulated seconds per trial")
+        p.add_argument("--trial-seconds", type=positive, default=None,
+                       help="simulated seconds per trial")
 
     p = sub.add_parser("sweep", help="run the latency x jitter feasibility sweep")
     common(p)

@@ -1,5 +1,8 @@
 """INI scenario configuration.
 
+A scenario file describes one run: `load_config` reads it into the
+`RunManifest` that a sweep, a trial and a calibration all run from, plus
+the command and feedback channels that only ``ringmill trial`` reads.
 Every section is optional; omitted values fall back to the shipped
 calibrated defaults.  The full schema is documented in the README.
 ``;`` and ``#`` start comments, also after a value.  Every error names its
@@ -13,14 +16,14 @@ import configparser
 import math
 import re
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .channel import ChannelProfile, JitterDistribution
 from .engine import US_PER_MS
-from .harness import SweepSpec
-from .plant import LoopConfig, load_trajectory_csv, validate_config_pair
-from .trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO, Scenario
+from .harness import RunManifest, SweepSpec
+from .plant import load_trajectory_csv, validate_config_pair
+from .trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO
 
 
 class ConfigError(ValueError):
@@ -97,25 +100,12 @@ def _lines(text: str) -> dict[tuple, int]:
     return where
 
 
-@dataclass
-class AppConfig:
-    sweep: SweepSpec
-    default_loop: LoopConfig
-    adapted_loop: LoopConfig
-    scenario: Scenario
-    # fixed channel pair for single trials; None = take them from CLI flags
-    command_profile: ChannelProfile | None = None
-    feedback_profile: ChannelProfile | None = None
-
-
-def default_app_config() -> AppConfig:
-    return AppConfig(sweep=SweepSpec(), default_loop=DEFAULT_LOOP_CONFIG,
-                     adapted_loop=ADAPTED_LOOP_CONFIG, scenario=DEFAULT_SCENARIO)
-
-
-def load_config(path: str | Path) -> AppConfig:
-    path = Path(path)
-    text = path.read_text()
+def load_config(path: str | Path | None,
+                ) -> tuple[RunManifest, ChannelProfile | None, ChannelProfile | None]:
+    """The run the INI file at `path` describes, and its command and feedback
+    channels, each None where its section is absent.  With no path, the
+    shipped defaults and no channels."""
+    text = Path(path).read_text() if path else ""
     # default_section="" names no section a header can open, so [DEFAULT] is
     # an unknown section like any other
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
@@ -158,29 +148,27 @@ def load_config(path: str | Path) -> AppConfig:
         """`fallback` with the values [name] sets."""
         return build(name, replace, fallback, **values[name], **extra)
 
-    app = default_app_config()
-    app.sweep = section("sweep", app.sweep)
-    app.default_loop = section("loop.default", app.default_loop,
-                               gains=section("gains.default", app.default_loop.gains))
-    app.adapted_loop = section("loop.adapted", app.adapted_loop,
-                               gains=section("gains.adapted", app.adapted_loop.gains))
+    spec = section("sweep", SweepSpec())
+    default_loop = section("loop.default", DEFAULT_LOOP_CONFIG,
+                           gains=section("gains.default", DEFAULT_LOOP_CONFIG.gains))
+    adapted_loop = section("loop.adapted", ADAPTED_LOOP_CONFIG,
+                           gains=section("gains.adapted", ADAPTED_LOOP_CONFIG.gains))
     build("loop.adapted" if parser.has_section("loop.adapted") else "loop.default",
-          validate_config_pair, app.default_loop, app.adapted_loop)
+          validate_config_pair, default_loop, adapted_loop)
 
-    control_ring = section("ring.control", app.scenario.control_ring)
+    control_ring = section("ring.control", DEFAULT_SCENARIO.control_ring)
     traj = values["trajectory"]
     if "file" in traj:
         try:
-            trajectory = load_trajectory_csv((path.parent / traj["file"]).read_text())
+            trajectory = load_trajectory_csv((Path(path).parent / traj["file"]).read_text())
         except (OSError, ValueError) as exc:
             raise located("trajectory", "file", f"file = {traj['file']}: {exc}") from None
     else:
-        trajectory = section("trajectory", app.scenario.trajectory)
-    app.scenario = build("ring.control", replace, app.scenario, control_ring=control_ring,
-                         trajectory=trajectory)
+        trajectory = section("trajectory", DEFAULT_SCENARIO.trajectory)
+    scenario = build("ring.control", replace, DEFAULT_SCENARIO, control_ring=control_ring,
+                     trajectory=trajectory)
 
-    if parser.has_section("channel.command"):
-        app.command_profile = section("channel.command", ChannelProfile(0))
-    if parser.has_section("channel.feedback"):
-        app.feedback_profile = section("channel.feedback", ChannelProfile(0))
-    return app
+    run = RunManifest.for_run(spec, default_loop, adapted_loop, scenario)
+    command, feedback = (section(name, ChannelProfile(0)) if parser.has_section(name) else None
+                         for name in ("channel.command", "channel.feedback"))
+    return run, command, feedback

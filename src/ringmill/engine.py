@@ -66,7 +66,7 @@ class Simulator:
         return (self._clock, self._event_seq)
 
     def schedule(self, fire_time: SimTime, action: Callable[[], None]) -> int:
-        """Enqueue an event at integer-µs `fire_time`; returns a cancellable id."""
+        """Enqueue an event at integer-µs `fire_time`; returns its sequence number."""
         if fire_time < self._clock:
             raise CausalityError(
                 f"causality violation: cannot schedule at t={fire_time} "
@@ -85,23 +85,6 @@ class Simulator:
         """
         self._seq = seq = self._seq + 1
         return seq
-
-    def schedule_in(self, delay: SimTime, action: Callable[[], None]) -> int:
-        return self.schedule(self._clock + delay, action)
-
-    def cancel(self, event_id: int) -> bool:
-        """Remove a pending event.  Returns False for unknown or fired ids.
-
-        Scans the heap, which holds a handful of entries in a trial.
-        """
-        heap = self._heap
-        for i, entry in enumerate(heap):
-            if entry[1] == event_id:
-                heap[i] = heap[-1]
-                heap.pop()
-                heapq.heapify(heap)
-                return True
-        return False
 
     def run_before(self, key: tuple[SimTime, int]) -> int:
         """Process every event whose ``(fire_time, sequence)`` precedes `key`,

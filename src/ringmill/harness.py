@@ -19,7 +19,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .engine import US_PER_MS, US_PER_S, SimTime, derive_seed
 from .plant import (FailCause, LoopConfig, PidGains, Profile, TabulatedTrajectory,
@@ -29,7 +29,7 @@ from .spectrum import (CoverageArea, Rejection, SpectrumError, SpectrumManager,
                        SpectrumRequest, UnknownGrantError)
 from .trial import DEFAULT_SCENARIO, Scenario, run_trial, symmetric_profiles
 
-ARTIFACT_VERSION = "0.3.0"
+ARTIFACT_VERSION = "0.4.0"
 
 DEFAULT_LATENCIES_MS = (0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
 DEFAULT_JITTERS_MS = (0.05, 0.1, 0.15, 0.2, 0.3)
@@ -135,6 +135,31 @@ def _trial_seed(master_seed: int, latency_ms: float, jitter_ms: float,
                        seed_index)
 
 
+def _cell_class(default: Sequence[TrialOutcome], adapted: Sequence[TrialOutcome],
+                seeds_per_cell: int) -> CellClass | None:
+    """The class of a cell whose trials had these outcomes, or None where
+    `evaluate_cell` would not have run exactly these trials.
+
+    Each driver runs the seeds in order and stops at its first failure; the
+    adapted driver runs only after the stock one has failed.
+    """
+    def passed(outcomes) -> bool | None:
+        """True if every seed passed, False if the last trial failed, None if
+        these are not the trials of one driver."""
+        if len(outcomes) > seeds_per_cell or any(not o.passed for o in outcomes[:-1]):
+            return None
+        if outcomes and not outcomes[-1].passed:
+            return False
+        return True if len(outcomes) == seeds_per_cell else None
+
+    default_passed, adapted_passed = passed(default), passed(adapted)
+    if default_passed and not adapted:
+        return CellClass.PASS
+    if default_passed is False and adapted_passed is not None:
+        return CellClass.PASS_WITH_ADAPTATION if adapted_passed else CellClass.FAIL
+    return None
+
+
 def evaluate_cell(default_config: LoopConfig, adapted_config: LoopConfig,
                   latency_ms: float, jitter_ms: float,
                   seeds_per_cell: int, trial_seconds: float,
@@ -142,35 +167,20 @@ def evaluate_cell(default_config: LoopConfig, adapted_config: LoopConfig,
     """Classify one cell; trials stop early once the class is decided."""
     length_us = round(trial_seconds * US_PER_S)
     cmd, fb = symmetric_profiles(latency_ms, jitter_ms)
-
-    default_outcomes: list[TrialOutcome] = []
-    default_failed = False
-    for i in range(seeds_per_cell):
-        verdict = run_trial(default_config, cmd, fb,
-                            trial_length_us=length_us,
-                            seed=_trial_seed(master_seed, latency_ms, jitter_ms, i),
-                            scenario=scenario)
-        default_outcomes.append(TrialOutcome.from_verdict(i, verdict))
-        if not verdict.passed:
-            default_failed = True
-            break
-
-    if not default_failed:
-        return CellVerdict(latency_ms, jitter_ms, CellClass.PASS,
-                           tuple(default_outcomes), ())
-
-    adapted_outcomes: list[TrialOutcome] = []
-    for i in range(seeds_per_cell):
-        verdict = run_trial(adapted_config, cmd, fb,
-                            trial_length_us=length_us,
-                            seed=_trial_seed(master_seed, latency_ms, jitter_ms, i),
-                            scenario=scenario)
-        adapted_outcomes.append(TrialOutcome.from_verdict(i, verdict))
-        if not verdict.passed:
-            return CellVerdict(latency_ms, jitter_ms, CellClass.FAIL,
-                               tuple(default_outcomes), tuple(adapted_outcomes))
-    return CellVerdict(latency_ms, jitter_ms, CellClass.PASS_WITH_ADAPTATION,
-                       tuple(default_outcomes), tuple(adapted_outcomes))
+    default: list[TrialOutcome] = []
+    adapted: list[TrialOutcome] = []
+    for config, outcomes in ((default_config, default), (adapted_config, adapted)):
+        if _cell_class(default, adapted, seeds_per_cell) is not None:
+            break  # the stock driver passed every seed
+        for i in range(seeds_per_cell):
+            verdict = run_trial(config, cmd, fb, trial_length_us=length_us,
+                                seed=_trial_seed(master_seed, latency_ms, jitter_ms, i),
+                                scenario=scenario)
+            outcomes.append(TrialOutcome.from_verdict(i, verdict))
+            if not verdict.passed:
+                break
+    return CellVerdict(latency_ms, jitter_ms, _cell_class(default, adapted, seeds_per_cell),
+                       tuple(default), tuple(adapted))
 
 
 def run_sweep(spec: SweepSpec, default_config: LoopConfig, adapted_config: LoopConfig,
@@ -276,22 +286,10 @@ def _class_inconsistency(cell: CellVerdict, spec: SweepSpec) -> str | None:
             return "trials are not seeds 0, 1, ... in order"
         if len(outcomes) > n:
             return f"{len(outcomes)} trials for {n} seeds"
-        if any(not o.passed for o in outcomes[:-1]):
-            return "trials continued after a failure"
         for o in outcomes:
             if o.survived_us > length_us or o.passed and o.survived_us != length_us:
                 return f"a trial survived {o.survived_us} us of {length_us}"
-    if len(default) == n and default[-1].passed:
-        want = CellClass.PASS if not adapted else None
-    elif not default or default[-1].passed:
-        want = None
-    elif len(adapted) == n and adapted[-1].passed:
-        want = CellClass.PASS_WITH_ADAPTATION
-    elif adapted and not adapted[-1].passed:
-        want = CellClass.FAIL
-    else:
-        want = None
-    if want is not cell.cell_class:
+    if _cell_class(default, adapted, n) is not cell.cell_class:
         return f"class {cell.cell_class.value} does not follow from its trials"
     return None
 
@@ -379,12 +377,12 @@ def _manifest_fields(data: dict) -> dict:
         return LoopConfig(**{**values, "profile": Profile(values["profile"]),
                              "gains": PidGains(**values["gains"])})
 
-    scenario = data["scenario"]
+    spec, scenario = data["spec"], data["scenario"]
     ring, trajectory = scenario["control_ring"], scenario["trajectory"]
     return {
         **data,
-        "latencies_ms": tuple(data["latencies_ms"]),
-        "jitters_ms": tuple(data["jitters_ms"]),
+        "spec": SweepSpec(**{**spec, "latencies_ms": tuple(spec["latencies_ms"]),
+                             "jitters_ms": tuple(spec["jitters_ms"])}),
         "default_config": loop(data["default_config"]),
         "adapted_config": loop(data["adapted_config"]),
         "scenario": Scenario(
@@ -396,14 +394,11 @@ def _manifest_fields(data: dict) -> dict:
 
 @dataclass
 class RunManifest:
-    """Everything needed to reproduce a sweep bit-exactly."""
+    """One run, from its scenario file to its artifacts: everything needed
+    to reproduce a sweep bit-exactly."""
 
     artifact_version: str
-    master_seed: int
-    latencies_ms: tuple[float, ...]
-    jitters_ms: tuple[float, ...]
-    seeds_per_cell: int
-    trial_seconds: float
+    spec: SweepSpec
     eval_order: str
     default_config: LoopConfig
     adapted_config: LoopConfig
@@ -415,25 +410,7 @@ class RunManifest:
     def for_run(cls, spec: SweepSpec, default_config: LoopConfig,
                 adapted_config: LoopConfig, scenario: Scenario = DEFAULT_SCENARIO,
                 order: str = "severe-first") -> "RunManifest":
-        return cls(
-            artifact_version=ARTIFACT_VERSION,
-            master_seed=spec.master_seed,
-            latencies_ms=spec.latencies_ms,
-            jitters_ms=spec.jitters_ms,
-            seeds_per_cell=spec.seeds_per_cell,
-            trial_seconds=spec.trial_seconds,
-            eval_order=order,
-            default_config=default_config,
-            adapted_config=adapted_config,
-            scenario=scenario,
-        )
-
-    def spec(self) -> SweepSpec:
-        return SweepSpec(latencies_ms=tuple(self.latencies_ms),
-                         jitters_ms=tuple(self.jitters_ms),
-                         seeds_per_cell=self.seeds_per_cell,
-                         trial_seconds=self.trial_seconds,
-                         master_seed=self.master_seed)
+        return cls(ARTIFACT_VERSION, spec, order, default_config, adapted_config, scenario)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
@@ -451,7 +428,7 @@ class RunManifest:
 def run_from_manifest(manifest: RunManifest) -> tuple[SweepResult, str]:
     """Re-execute a manifest; returns the result and its verdict CSV."""
     started = time.monotonic()
-    result = run_sweep(manifest.spec(), manifest.default_config, manifest.adapted_config,
+    result = run_sweep(manifest.spec, manifest.default_config, manifest.adapted_config,
                        manifest.scenario, order=manifest.eval_order)
     manifest.wall_clock_seconds = time.monotonic() - started
     return result, render_matrix(result, "csv")

@@ -260,6 +260,11 @@ class LoopConfig:
             raise ValueError("watchdog timeout and init grace must be positive")
         if not self.fe_limit_mm > 0:
             raise ValueError("following-error limit must be positive")
+        if not (self.delay_spread_tolerance_us >= 0 and self.rtt_rescue_budget_us >= 0):
+            raise ValueError("delay-spread tolerance and RTT rescue budget must be non-negative")
+        # feedback comes once per servo period: a shorter watchdog expires between frames
+        if not self.watchdog_timeout_us >= self.servo_period_us:
+            raise ValueError("watchdog timeout must be at least the servo period")
 
 
 def validate_config_pair(default: LoopConfig, adapted: LoopConfig) -> None:

@@ -36,7 +36,6 @@ class RingConfigError(ValueError):
 
 class FrameClass(enum.Enum):
     URLLC = "urllc"
-    SENSOR = "sensor"
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,7 @@ class Frame:
     frame_class: FrameClass = FrameClass.URLLC
 
     def __post_init__(self):
-        if self.frame_class is FrameClass.URLLC and not (
-                CONTROL_FRAME_MIN_BYTES <= self.payload_size <= CONTROL_FRAME_MAX_BYTES):
+        if not CONTROL_FRAME_MIN_BYTES <= self.payload_size <= CONTROL_FRAME_MAX_BYTES:
             raise ValueError(
                 f"control-loop frame size {self.payload_size} outside "
                 f"[{CONTROL_FRAME_MIN_BYTES}, {CONTROL_FRAME_MAX_BYTES}] bytes")

@@ -191,7 +191,6 @@ class _LoopHarness:
         self.hs_rtts: list[int] = []
         self.hs_seq = 0
         self.hs_sent_at: SimTime = 0
-        self.hs_retry_id = 0
         self.residuals: list[int] = []
         self.fb_value = self.axis.position_mm
         self.last_fb_arrival: SimTime = 0
@@ -227,8 +226,7 @@ class _LoopHarness:
         self.hs_seq += 1
         seq = self.hs_seq
         self.hs_sent_at = self.sim.now
-        self.hs_retry_id = self.sim.schedule_in(
-            HANDSHAKE_RETRY_US, lambda: self._handshake_retry(seq))
+        self.sim.schedule(self.sim.now + HANDSHAKE_RETRY_US, lambda: self._handshake_retry(seq))
 
         def fpga_got_request():
             # a stale request landing in the control phase reserves a number
@@ -245,7 +243,6 @@ class _LoopHarness:
     def _handshake_reply(self, seq: int) -> None:
         if self.phase != "handshake" or seq != self.hs_seq:
             return  # stale reply from a retried exchange
-        self.sim.cancel(self.hs_retry_id)
         self.hs_rtts.append(self.sim.now - self.hs_sent_at)
         if len(self.hs_rtts) < HANDSHAKE_EXCHANGES:
             self._send_handshake()

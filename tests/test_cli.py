@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from ringmill.cli import main
-from ringmill.config import ConfigError, default_app_config, load_config
+from ringmill.config import ConfigError, load_config
 from ringmill.harness import RunManifest, _trial_seed, parse_matrix_csv, run_from_manifest
 from ringmill.trial import run_trial, symmetric_profiles
 
@@ -39,29 +39,30 @@ dwell_s = 0.1
 
 class TestConfig:
     def test_defaults_without_file(self):
-        app = default_app_config()
-        assert app.sweep.seeds_per_cell == 3
-        assert app.default_loop.profile.value == "default"
-        assert app.scenario.control_ring.slot_time_us == 800
+        run, command, feedback = load_config(None)
+        assert run.spec.seeds_per_cell == 3
+        assert run.default_config.profile.value == "default"
+        assert run.scenario.control_ring.slot_time_us == 800
+        assert command is feedback is None
 
     def test_load_overrides(self, tmp_path):
         path = tmp_path / "scenario.ini"
         path.write_text(CONFIG_TEXT)
-        app = load_config(path)
-        assert app.sweep.latencies_ms == (0.5, 1.0)
-        assert app.sweep.master_seed == 5
-        assert app.default_loop.gains.kp == 38.0
-        assert app.default_loop.watchdog_timeout_us == 2200
-        assert app.adapted_loop.gains.kp == 40.0  # untouched section keeps default
-        assert app.scenario.trajectory.amplitude_mm == 15.0
+        run = load_config(path)[0]
+        assert run.spec.latencies_ms == (0.5, 1.0)
+        assert run.spec.master_seed == 5
+        assert run.default_config.gains.kp == 38.0
+        assert run.default_config.watchdog_timeout_us == 2200
+        assert run.adapted_config.gains.kp == 40.0  # untouched section keeps default
+        assert run.scenario.trajectory.amplitude_mm == 15.0
 
     def test_trajectory_csv_file(self, tmp_path):
         traj = tmp_path / "moves.csv"
         traj.write_text("time_ms,setpoint_mm\n0,0\n500,10\n1000,0\n")
         path = tmp_path / "scenario.ini"
         path.write_text(f"[trajectory]\nfile = {traj}\n")
-        app = load_config(path)
-        assert app.scenario.trajectory.sample(250_000)[0] == pytest.approx(5.0)
+        run = load_config(path)[0]
+        assert run.scenario.trajectory.sample(250_000)[0] == pytest.approx(5.0)
 
     def test_bad_ini_is_config_error(self, tmp_path):
         path = tmp_path / "broken.ini"
@@ -79,10 +80,10 @@ class TestConfig:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         path = tmp_path / "readme.ini"
         path.write_text(re.search(r"```ini\n(.*?)```", readme, re.S)[1])
-        app = load_config(path)
-        assert app.default_loop.init_grace_us == 2_000_000
-        assert app.command_profile.mean_delay_us == 3_000
-        assert app.command_profile.distribution.value == "uniform"
+        run, command, _ = load_config(path)
+        assert run.default_config.init_grace_us == 2_000_000
+        assert command.mean_delay_us == 3_000
+        assert command.distribution.value == "uniform"
 
     @pytest.mark.parametrize("section", ["[band]\nlow_mhz = 3700\n",
                                          "[spectrum]\nstatic_plan = true\n",
@@ -103,7 +104,7 @@ class TestConfig:
         path = tmp_path / "scenario" / "scenario.ini"
         path.write_text("[trajectory]\nfile = moves.csv\n")
         monkeypatch.chdir(tmp_path)
-        assert load_config(path).scenario.trajectory.sample(250_000)[0] == pytest.approx(5.0)
+        assert load_config(path)[0].scenario.trajectory.sample(250_000)[0] == pytest.approx(5.0)
 
     @pytest.mark.parametrize("text, line", [
         ("[channel.command]\nloss_rate = 0\ndistribution = gaussian\n", 3),
@@ -119,9 +120,15 @@ class TestConfig:
         ("[trajectory]\nfile = moves.csv\n", 2),
         ("[sweep]\nseeds_per_cell = 1\n[trajectory]\nfile = nan.csv\n", 4),
         ("[sweep]\nseeds_per_cell = 1\n[trajectory]\nfile = inf.csv\n", 4),
+        # a negative threshold rejects every link, or accepts none
+        ("[sweep]\nseeds_per_cell = 1\n[loop.default]\ndelay_spread_tolerance_us = -5\n", 3),
+        ("[loop.adapted]\nrtt_rescue_budget_us = -1\n", 1),
+        # a watchdog shorter than the servo period expires between two frames
+        ("[loop.default]\nservo_period_us = 3000\n", 1),
     ], ids=["distribution", "seeds_per_cell", "reorder", "empty-value", "adapted-watchdog",
             "control-nodes", "sensor-nodes", "missing-file", "negative-latency",
-            "negative-jitter", "one-column-row", "nan-setpoint", "inf-setpoint"])
+            "negative-jitter", "one-column-row", "nan-setpoint", "inf-setpoint",
+            "negative-tolerance", "negative-rescue-budget", "watchdog-below-period"])
     def test_bad_input_exits_config_error_with_its_line(self, tmp_path, capsys, text, line):
         (tmp_path / "moves.csv").write_text("0,0\n500\n1000,0\n")
         (tmp_path / "nan.csv").write_text("time_ms,setpoint_mm\n0,0\n500,nan\n1000,0\n")
@@ -189,7 +196,7 @@ class TestCli:
                      "--output-dir", str(out_dir)]) == 0
         matrix_csv = out_dir / "matrix.csv"
         manifest = RunManifest.from_json((out_dir / "manifest.json").read_text())
-        assert manifest.master_seed == 5
+        assert manifest.spec.master_seed == 5
         result = parse_matrix_csv(matrix_csv.read_text())
         assert len(result.cells) == 2
         capsys.readouterr()
@@ -206,10 +213,10 @@ class TestCli:
         assert main(["sweep", "--config", str(config), "--output-dir", str(out_dir)]) == 0
         cells = parse_matrix_csv((out_dir / "matrix.csv").read_text()).cells
         cell = {(c.latency_ms, c.jitter_ms): c for c in cells}[1.0, 0.05]
-        app = load_config(config)
-        verdict = run_trial(app.default_loop, *symmetric_profiles(1.0, 0.05),
+        run = load_config(config)[0]
+        verdict = run_trial(run.default_config, *symmetric_profiles(1.0, 0.05),
                             trial_length_us=2_000_000, seed=_trial_seed(5, 1.0, 0.05, 0),
-                            scenario=app.scenario)
+                            scenario=run.scenario)
         fe = cell.default_outcomes[0].max_following_error_mm
         assert fe == round(verdict.max_following_error_mm, 9)
         assert fe == pytest.approx(0.462916, abs=1e-6)
@@ -240,7 +247,7 @@ class TestCli:
         matrix = (tmp_path / "scenario" / "matrix.csv").read_text()
         assert matrix != (tmp_path / "plain" / "matrix.csv").read_text()
 
-        scenario = load_config(config).scenario
+        scenario = load_config(config)[0].scenario
         moves.unlink()  # the manifest holds the trajectory's points
         manifest = RunManifest.from_json((tmp_path / "scenario" / "manifest.json").read_text())
         assert manifest.scenario == scenario

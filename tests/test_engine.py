@@ -34,16 +34,6 @@ class TestSchedule:
         sim.run_until(500)
         assert log == ["A", "B"]
 
-    def test_cancel_pending_event(self):
-        sim = Simulator()
-        log = []
-        eid = sim.schedule(10, lambda: log.append("dead"))
-        sim.schedule(20, lambda: log.append("alive"))
-        assert sim.cancel(eid)
-        sim.run_until(30)
-        assert log == ["alive"]
-        assert not sim.cancel(99_999)
-
 
 class TestRunUntil:
     def test_empty_queue_terminates_at_t_end(self):

@@ -1,15 +1,17 @@
 import dataclasses
+import itertools
 import json
 import random
 
 import pytest
 
+from ringmill import harness
 from ringmill.harness import (CellClass, CellVerdict, RunManifest, ScriptError,
-                              SweepResult, SweepSpec, TrialOutcome,
-                              evaluate_cell, parse_matrix_csv,
+                              SweepResult, SweepSpec, TrialOutcome, _cell_class,
+                              _trial_seed, evaluate_cell, parse_matrix_csv,
                               reference_pattern, render_matrix,
                               run_spectrum_scenario, run_sweep)
-from ringmill.plant import PidGains, TabulatedTrajectory
+from ringmill.plant import FailCause, PidGains, TabulatedTrajectory, TrialVerdict
 from ringmill.ring import RingConfig
 from ringmill.spectrum import CoverageArea, Rejection, SpectrumManager, SpectrumRequest
 from ringmill.trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, Scenario
@@ -144,6 +146,50 @@ class TestRender:
         with pytest.raises(ScriptError, match=f"line 3: cell 1,0.1: .*{message}"):
             parse_matrix_csv(text)
 
+    @pytest.mark.parametrize("seeds", [1, 2, 3])
+    def test_csv_accepts_exactly_the_class_evaluate_cell_gives(self, seeds, monkeypatch):
+        # every pass/fail shape of up to seeds + 1 trials per driver, each row
+        # under every class
+        shapes = [tuple(outcome(i, passed, "none" if passed else "watchdog",
+                                survived=1_000_000 if passed else 5)
+                        for i, passed in enumerate(flags))
+                  for n in range(seeds + 2) for flags in itertools.product((True, False),
+                                                                           repeat=n)]
+        spec = SweepSpec(latencies_ms=(1.0,), jitters_ms=(0.1,), seeds_per_cell=seeds,
+                         trial_seconds=1.0)
+        accepted = set()
+        for default, adapted, cls in itertools.product(shapes, shapes, CellClass):
+            text = render_matrix(
+                SweepResult(spec, [CellVerdict(1.0, 0.1, cls, default, adapted)]), "csv")
+            try:
+                parse_matrix_csv(text)
+            except ScriptError:
+                assert cls is not _cell_class(default, adapted, seeds)
+            else:
+                assert cls is _cell_class(default, adapted, seeds)
+                accepted.add((cls, default, adapted))
+
+        # the accepted rows are the cells evaluate_cell gives for every
+        # pass/fail script of its trials
+        script = {}
+
+        def scripted_trial(config, cmd, fb, trial_length_us, seed, scenario):
+            passed = script[config.profile, seed]
+            return TrialVerdict(passed, FailCause.NONE if passed else FailCause.WATCHDOG,
+                                0.1, trial_length_us if passed else 5)
+
+        monkeypatch.setattr(harness, "run_trial", scripted_trial)
+        keys = [(config.profile, _trial_seed(0, 1.0, 0.1, i))
+                for config in (DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)
+                for i in range(seeds)]
+        evaluated = set()
+        for flags in itertools.product((True, False), repeat=len(keys)):
+            script = dict(zip(keys, flags))
+            cell = evaluate_cell(DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG, 1.0, 0.1,
+                                 seeds, 1.0, 0)
+            evaluated.add((cell.cell_class, cell.default_outcomes, cell.adapted_outcomes))
+        assert evaluated == accepted
+
     def test_csv_rejects_foreign_text(self):
         with pytest.raises(ValueError):
             parse_matrix_csv("latency,jitter\n1,2\n")
@@ -166,7 +212,7 @@ class TestManifest:
                                        ADAPTED_LOOP_CONFIG)
         again = RunManifest.from_json(manifest.to_json())
         assert again == manifest
-        assert again.spec() == SweepSpec()
+        assert again.spec == SweepSpec()
 
     def test_loop_config_round_trip(self):
         # the scenario differs from the default in every field
@@ -198,6 +244,19 @@ class TestManifest:
         with pytest.raises(ValueError, match=f"manifest number {token} is not finite"):
             RunManifest.from_json(text.replace('"fe_limit_mm": 0.8,',
                                                f'"fe_limit_mm": {token},', 1))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("seeds_per_cell", 0, "seeds_per_cell must be >= 1"),
+        ("latencies_ms", [1.0, 0.5], "latencies axis must be strictly increasing"),
+        ("jitters_ms", [], "jitters axis is empty"),
+    ])
+    def test_invalid_spec_is_rejected(self, field, value, message):
+        # caught on loading, not when the sweep runs
+        manifest = RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)
+        data = json.loads(manifest.to_json())
+        data["spec"][field] = value
+        with pytest.raises(ValueError, match=message):
+            RunManifest.from_json(json.dumps(data))
 
     def test_unrunnable_scenario_is_rejected(self):
         # a trial sends between the control ring's master and fpga nodes

@@ -1,4 +1,4 @@
-"""Guards on the event kernel: cancellation, the event budget of a trial's
+"""Guards on the event kernel: the event budget of a trial's
 control phase, the same-µs order that a trial's verdict rests on, and
 golden files of verdicts and per-tick traces."""
 
@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from ringmill.channel import ZERO_IMPAIRMENT, ChannelProfile, JitterDistribution
-from ringmill.engine import Simulator
 from ringmill.plant import FailCause
 from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO,
                             TrialTrace, _LoopHarness, _StopTrial, run_trial,
@@ -20,37 +19,6 @@ from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SC
 def harness(cmd, fb, length_us, seed=1):
     return _LoopHarness(DEFAULT_LOOP_CONFIG, cmd, fb, length_us, seed, DEFAULT_SCENARIO,
                         None, None)
-
-
-class TestCancel:
-    def test_fired_event_cannot_be_cancelled(self):
-        sim = Simulator()
-        log = []
-        eid = sim.schedule(10, lambda: log.append("fired"))
-        sim.run_until(20)
-        assert not sim.cancel(eid)
-        sim.schedule(30, lambda: log.append("later"))
-        summary = sim.run_until(40)
-        assert log == ["fired", "later"]
-        assert summary.events_processed == 2
-
-    def test_unknown_or_already_cancelled_ids_are_false(self):
-        sim = Simulator()
-        eid = sim.schedule(5, lambda: None)
-        assert not sim.cancel(0)
-        assert not sim.cancel(-1)
-        assert not sim.cancel(eid + 1)
-        assert sim.cancel(eid)
-        assert not sim.cancel(eid)
-        assert sim.run_until(10).events_processed == 0
-
-    def test_cancel_keeps_the_other_events_in_order(self):
-        sim = Simulator()
-        fired = []
-        ids = [sim.schedule(t, lambda t=t: fired.append(t)) for t in (7, 3, 9, 1, 5, 3, 8)]
-        assert sim.cancel(ids[4])  # the event at t=5
-        sim.run_until(100)
-        assert fired == [1, 3, 3, 7, 8, 9]
 
 
 class TestTrialKernel:

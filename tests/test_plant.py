@@ -181,6 +181,10 @@ class TestConfigTypes:
         ("watchdog_timeout_us", "watchdog timeout and init grace must be positive"),
         ("init_grace_us", "watchdog timeout and init grace must be positive"),
         ("fe_limit_mm", "following-error limit must be positive"),
+        ("delay_spread_tolerance_us",
+         "delay-spread tolerance and RTT rescue budget must be non-negative"),
+        ("rtt_rescue_budget_us",
+         "delay-spread tolerance and RTT rescue budget must be non-negative"),
     ])
     def test_loop_config_rejects_nan(self, field, message):
         # a NaN following-error limit builds a loop that can never fail on it

@@ -57,7 +57,6 @@ class TestConfig:
             Frame(1, "a", "b", 60, 0, FrameClass.URLLC)
         with pytest.raises(ValueError):
             Frame(1, "a", "b", 200, 0, FrameClass.URLLC)
-        Frame(1, "a", "b", 200, 0, FrameClass.SENSOR)  # only control frames bounded
 
     @pytest.mark.parametrize("size", [CMD_FRAME_BYTES, FB_FRAME_BYTES, HANDSHAKE_FRAME_BYTES])
     def test_trial_control_frame_sizes_are_valid(self, size):
