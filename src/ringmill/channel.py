@@ -5,7 +5,10 @@ applied delay is ``mean_delay_us`` plus a symmetric jitter draw, clamped
 at zero; with reordering disallowed (the default) delivery times are
 additionally forced to be non-decreasing, preserving FIFO.  Jitter draws
 are integer microseconds, so the uniform distribution has exact support
-``[mean - jitter, mean + jitter]`` and exact zero-mean perturbation.
+``[mean - jitter, mean + jitter]`` and exact zero-mean perturbation; a
+profile whose delay or jitter is not an integer is refused when it is
+made.  A channel builds its per-frame `impair` closure from the profile
+once, when it is made (see `Channel`).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .engine import SimTime, US_PER_MS
 
@@ -36,6 +39,11 @@ class ChannelProfile:
     reorder_allowed: bool = False
 
     def __post_init__(self):
+        # time is integer µs: a float would give float arrival instants
+        for name in ("mean_delay_us", "jitter_us"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ChannelConfigError(f"{name} {value!r} is not an integer number of us")
         if self.mean_delay_us < 0:
             raise ChannelConfigError(f"mean delay {self.mean_delay_us} us < 0")
         if self.jitter_us < 0:
@@ -72,8 +80,12 @@ class DelayStats:
 class Channel:
     """One direction of an impaired link; state is only the FIFO watermark.
 
-    `impair` computes a frame's delivery instant and allocates nothing;
-    `transmit` wraps it in a `DeliveryRecord`, kept when `record` is set.
+    `impair` computes a frame's delivery instant and allocates nothing.
+    It is a closure that `Channel` builds once, when it is made, with the
+    profile's constants bound: the loss rate, the uniform draw's width and
+    bit count (the delay is ``mean - jitter`` plus a draw in ``[0, 2 *
+    jitter]``), the FIFO flag and the blackout instant.  `transmit` wraps
+    it in a `DeliveryRecord`, kept when `record` is set.
     """
 
     def __init__(self, profile: ChannelProfile, rng: random.Random,
@@ -82,44 +94,53 @@ class Channel:
         self.rng = rng
         self.records: list[DeliveryRecord] = []
         self._record = record
-        self._watermark: SimTime = 0
-        self._blackout_from = blackout_from
         self.sent = 0
         self.dropped = 0
+        self.impair = self._build_impair(blackout_from)
 
-    def impair(self, now: SimTime) -> SimTime | None:
-        """Delivery instant of one frame sent at `now`, or None if it is dropped."""
-        self.sent += 1
+    def _build_impair(self, blackout_from: SimTime | None) -> Callable[[SimTime], SimTime | None]:
         p = self.profile
-        rng = self.rng
-        if p.loss_rate > 0.0 and rng.random() < p.loss_rate:
-            self.dropped += 1
-            return None
-        delay = p.mean_delay_us
-        j = p.jitter_us
-        if j:
-            if p.distribution is JitterDistribution.UNIFORM:
-                # rng.randint(-j, j), draw for draw: rejection sampling of
-                # bit_length(2j + 1) random bits, as Random._randbelow does
-                width = 2 * j + 1
-                bits = width.bit_length()
-                r = rng.getrandbits(bits)
-                while r >= width:
-                    r = rng.getrandbits(bits)
-                delay += r - j
+        loss_rate, mean, jitter = p.loss_rate, p.mean_delay_us, p.jitter_us
+        draw, getrandbits, gauss = self.rng.random, self.rng.getrandbits, self.rng.gauss
+        uniform = p.distribution is JitterDistribution.UNIFORM
+        # rng.randint(-jitter, jitter), draw for draw: rejection sampling of
+        # bit_length(2 * jitter + 1) random bits, as Random._randbelow does
+        width = 2 * jitter + 1
+        bits = width.bit_length()
+        low = mean - jitter
+        sigma = jitter / 2.0
+        fifo = not p.reorder_allowed
+        watermark = 0
+
+        def impair(now: SimTime) -> SimTime | None:
+            """Delivery instant of one frame sent at `now`, or None if it is dropped."""
+            nonlocal watermark
+            self.sent += 1
+            if loss_rate > 0.0 and draw() < loss_rate:
+                self.dropped += 1
+                return None
+            if not jitter:
+                delivered = now + mean
             else:
-                draw = round(rng.gauss(0.0, j / 2.0))
-                delay += max(-j, min(j, draw))
-            if delay < 0:
-                delay = 0
-        delivered = now + delay
-        if not p.reorder_allowed and delivered < self._watermark:
-            delivered = self._watermark
-        if self._blackout_from is not None and delivered >= self._blackout_from:
-            self.dropped += 1
-            return None
-        self._watermark = delivered
-        return delivered
+                if uniform:
+                    r = getrandbits(bits)
+                    while r >= width:
+                        r = getrandbits(bits)
+                    delay = low + r
+                else:
+                    delay = round(gauss(0.0, sigma))
+                    delay = mean + (jitter if delay > jitter else
+                                    -jitter if delay < -jitter else delay)
+                delivered = now + delay if delay > 0 else now
+            if fifo and delivered < watermark:
+                delivered = watermark
+            if blackout_from is not None and delivered >= blackout_from:
+                self.dropped += 1
+                return None
+            watermark = delivered
+            return delivered
+
+        return impair
 
     def transmit(self, frame_id: int, now: SimTime) -> DeliveryRecord:
         """Impair one frame sent at `now`; returns its delivery record."""

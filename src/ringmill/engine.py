@@ -12,16 +12,20 @@ needs no heap entry can stay off the heap and keep its place all the
 same: `reserve` takes the sequence number that `schedule` would have
 given it, and ``(instant, number)`` sorts against `event_key`, the key
 of the event being processed, exactly as the event would have sorted in
-the heap.  A caller that runs such an event itself first processes the
-events that precede its key (`run_before`); `step` then makes the key
-the event being processed and counts it.  A trial's control phase keeps
-every frame arrival, watchdog probe and servo tick off the heap this
-way (see ``trial.py``), so it schedules no event at all.
+the heap.  Both take their numbers from one `itertools.count`, and
+`reserve` is that counter's bound ``__next__``, so the tens of thousands
+of numbers a trial reserves cost no Python frame.  A caller that runs
+such an event itself first processes the events that precede its key
+(`run_before`); `step` then makes the key the event being processed and
+counts it.  A trial's control phase keeps every frame arrival, watchdog
+probe and servo tick off the heap this way (see ``trial.py``), so it
+schedules no event at all.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -51,7 +55,10 @@ class Simulator:
 
     def __init__(self):
         self._clock: SimTime = 0
-        self._seq = 0
+        # one counter numbers scheduled events and reserved keys alike;
+        # `reserve()` is its bound ``__next__``: the number `schedule` would
+        # give next, scheduling nothing (see the module docstring)
+        self._next_seq = self.reserve = itertools.count(1).__next__
         self._event_seq = 0
         self._heap: list[tuple[SimTime, int, Callable[[], None]]] = []
         self._events_processed = 0
@@ -72,18 +79,8 @@ class Simulator:
                 f"causality violation: cannot schedule at t={fire_time} "
                 f"when clock is {self._clock}"
             )
-        self._seq = seq = self._seq + 1
+        seq = self._next_seq()
         heapq.heappush(self._heap, (fire_time, seq, action))
-        return seq
-
-    def reserve(self) -> int:
-        """Take the sequence number `schedule` would give next, scheduling nothing.
-
-        A caller that keeps an instant off the heap files it under
-        ``(instant, reserve())``; that key sorts against `event_key` exactly
-        as the event it replaces would have sorted in the heap.
-        """
-        self._seq = seq = self._seq + 1
         return seq
 
     def run_before(self, key: tuple[SimTime, int]) -> int:

@@ -12,6 +12,13 @@ the head of its queue can see is therefore
 
 which the shipped control ring (900 µs) keeps below the 2 ms bound the
 hardware class is specified for; it is the one ring a trial runs.
+
+Admission is compiled once per node: the ring builds each node's
+admission closure when it is made, with the node's queue, slot offset
+and the configuration's depth, loss rate, slot, cycle and transmission
+time bound, so admitting a frame reads no configuration.  Times, slots
+and the queue depth are integers, checked when the configuration is
+made.
 """
 
 from __future__ import annotations
@@ -53,6 +60,11 @@ class RingConfig:
             raise RingConfigError(f"ring {self.ring_id}: node count {n} outside [2, {MAX_RING_NODES}]")
         if len(set(self.nodes)) != n:
             raise RingConfigError(f"ring {self.ring_id}: duplicate node ids")
+        # time is integer µs, and a depth counts frames
+        for name in ("slot_time_us", "tx_time_us", "queue_depth"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise RingConfigError(f"ring {self.ring_id}: {name} {value!r} is not an integer")
         if self.slot_time_us < 0 or self.tx_time_us < 0:
             raise RingConfigError(f"ring {self.ring_id}: negative timing")
         if 0 < self.slot_time_us < self.tx_time_us:
@@ -103,9 +115,12 @@ class TokenRing:
 
     Each source node's queue is FIFO and its transmission start depends
     only on the clock and that node's watermark, so a frame's delivery
-    instant is computed at admission.  `admit` does that for a node given
-    by its index and allocates nothing; `enqueue` wraps it for callers
-    that hold a `Frame` or want a delivery event.
+    instant is computed at admission.  The ring builds one admission
+    closure per node when it is made (`admitter`), with the configuration
+    and that node's slot bound, so a frame re-reads no configuration.
+    `admit` calls it for a node given by its index and allocates nothing;
+    `enqueue` wraps it for callers that hold a `Frame` or want a delivery
+    event.
     """
 
     def __init__(self, config: RingConfig, sim: Simulator, rng: random.Random):
@@ -114,11 +129,44 @@ class TokenRing:
         self.rng = rng
         self._stats = RingStats()
         self._index = {node: i for i, node in enumerate(config.nodes)}
-        # per node index: transmission watermark, and the delivery instants
-        # of frames in flight
-        self._watermark: list[SimTime] = [0] * len(config.nodes)
+        # per node index: the delivery instants of frames in flight
         self._pending: list[deque[SimTime]] = [deque() for _ in config.nodes]
-        self._cycle = len(config.nodes) * config.slot_time_us
+        self._admit = [self._build_admitter(i) for i in range(len(config.nodes))]
+
+    def _build_admitter(self, node_idx: int) -> Callable[[SimTime], SimTime | None]:
+        config = self.config
+        stats = self._stats
+        pending = self._pending[node_idx]
+        popleft, append = pending.popleft, pending.append
+        depth, loss_rate, draw = config.queue_depth, config.loss_rate, self.rng.random
+        slot, tx = config.slot_time_us, config.tx_time_us
+        cycle = len(config.nodes) * slot
+        offset = node_idx * slot  # where this node's slot starts in a cycle
+        watermark = 0  # the end of this node's latest transmission
+
+        def admit(now: SimTime) -> SimTime | None:
+            nonlocal watermark
+            stats.enqueued += 1
+            while pending and pending[0] <= now:
+                popleft()
+            if len(pending) >= depth:
+                stats.dropped_overflow += 1
+                return None
+            if loss_rate > 0 and draw() < loss_rate:
+                stats.dropped_loss += 1
+                return None
+            start = watermark if watermark > now else now
+            if slot:
+                base = start - start % cycle + offset  # this cycle's slot
+                if start < base:
+                    start = base
+                elif start >= base + slot:
+                    start = base + cycle
+            watermark = start + tx
+            append(watermark)
+            return watermark
+
+        return admit
 
     @property
     def stats(self) -> RingStats:
@@ -128,11 +176,14 @@ class TokenRing:
         instant, whether or not a delivery event was scheduled for it.
         """
         now = self.sim.now
-        stats = self._stats
+        in_flight = 0
         for pending in self._pending:
             while pending and pending[0] <= now:
                 pending.popleft()
-                stats.delivered += 1
+            in_flight += len(pending)
+        # every admitted frame is in flight or delivered
+        stats = self._stats
+        stats.delivered = stats.enqueued - stats.dropped - in_flight
         return stats
 
     def node_index(self, node: str) -> int:
@@ -142,6 +193,11 @@ class TokenRing:
             raise RingConfigError(f"node {node!r} is not a member of ring {self.config.ring_id}")
         return node_idx
 
+    def admitter(self, node_idx: int) -> Callable[[SimTime], SimTime | None]:
+        """The admission closure of the node with index `node_idx`:
+        ``admitter(node_idx)(now)`` is ``admit(node_idx, now)``."""
+        return self._admit[node_idx]
+
     def admit(self, node_idx: int, now: SimTime) -> SimTime | None:
         """Admit one frame at the node with index `node_idx` at the clock `now`.
 
@@ -150,37 +206,7 @@ class TokenRing:
         transmission starts at the earliest instant, no earlier than `now`
         and the watermark, that lies inside the node's slot.
         """
-        config = self.config
-        stats = self._stats
-        stats.enqueued += 1
-
-        pending = self._pending[node_idx]
-        while pending and pending[0] <= now:
-            pending.popleft()
-            stats.delivered += 1
-        if len(pending) >= config.queue_depth:
-            stats.dropped_overflow += 1
-            return None
-        loss_rate = config.loss_rate
-        if loss_rate > 0 and self.rng.random() < loss_rate:
-            stats.dropped_loss += 1
-            return None
-
-        start = self._watermark[node_idx]
-        if start < now:
-            start = now
-        slot = config.slot_time_us
-        if slot:
-            cycle = self._cycle
-            base = start - start % cycle + node_idx * slot  # this cycle's slot
-            if start < base:
-                start = base
-            elif start >= base + slot:
-                start = base + cycle
-        delivery = start + config.tx_time_us
-        self._watermark[node_idx] = delivery
-        pending.append(delivery)
-        return delivery
+        return self._admit[node_idx](now)
 
     def enqueue(self, node: str, frame: Frame, now: SimTime,
                 on_deliver: Callable[[Frame, SimTime], None] | None = None) -> SimTime | None:
@@ -193,8 +219,7 @@ class TokenRing:
         node_idx = self.node_index(node)
         if frame.dest not in self._index:
             raise RingConfigError(f"dest {frame.dest!r} is not a member of ring {self.config.ring_id}")
-        delivery = self.admit(node_idx, now)
+        delivery = self._admit[node_idx](now)
         if delivery is not None and on_deliver is not None:
             self.sim.schedule(delivery, partial(on_deliver, frame, delivery))
         return delivery
-

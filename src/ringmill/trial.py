@@ -20,11 +20,14 @@ During *control* the loop runs at the servo period.  The trial fails on
 the first following-error excursion past the limit or when the feedback
 watchdog expires; surviving to the configured length is a pass.
 
-Frames.  When a command or feedback frame is sent, `TokenRing.admit`
-computes its delivery instant at admission and the direction's
-`Channel.impair` impairs it at that instant.  Neither builds an object: a
-control frame is just the sending node's index on the ring, and a frame
-the ring or channel drops leaves nothing behind.  During initialization
+Frames.  When a command or feedback frame is sent, the sending node's
+admission closure on the ring (`TokenRing.admitter`, what
+`TokenRing.admit` calls) computes its delivery instant at admission and
+the direction's `Channel.impair` closure impairs it at that instant.  A
+trial holds the two closures of each direction, built once with their
+configuration and profile bound.  Neither builds an object: a control
+frame is just a call on its direction's closures, and a frame the ring
+or channel drops leaves nothing behind.  During initialization
 a frame's arrival is an engine event.  In the control phase it is not:
 the frame goes into its direction's in-flight queue as ``(arrival, seq,
 value)``, ``seq`` being the number `Simulator.reserve` hands out, which
@@ -78,6 +81,7 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import Callable
 
 from .channel import Channel, ChannelProfile
 from .engine import SimTime, Simulator, US_PER_S, component_rng
@@ -174,11 +178,13 @@ class _LoopHarness:
         cmd_channel = Channel(command_profile, component_rng(seed, "chan", "cmd"))
         fb_channel = Channel(feedback_profile, component_rng(seed, "chan", "fb"),
                              blackout_from=feedback_blackout_us)
-        # (source node index on the control ring, channel, control-phase
-        # frames in flight as (arrival, reserved seq, value)) per direction
+        # (the sending node's admission closure on the control ring, the
+        # channel's impairment closure, control-phase frames in flight as
+        # (arrival, reserved seq, value)) per direction
         self.fb_queue: deque[tuple[SimTime, int, float]] = deque()
-        self.to_fpga = (self.ring.node_index(MASTER_NODE), cmd_channel, deque())
-        self.to_cnc = (self.ring.node_index(FPGA_NODE), fb_channel, self.fb_queue)
+        admitter, node_index = self.ring.admitter, self.ring.node_index
+        self.to_fpga = (admitter(node_index(MASTER_NODE)), cmd_channel.impair, deque())
+        self.to_cnc = (admitter(node_index(FPGA_NODE)), fb_channel.impair, self.fb_queue)
 
         self.axis = AxisModel()
         self.pid = PidController(config.gains, config.servo_period_us)
@@ -204,14 +210,14 @@ class _LoopHarness:
 
     # -- transport helpers ---------------------------------------------------
 
-    def _send(self, now: SimTime, path: tuple[int, Channel, deque], on_arrival) -> None:
+    def _send(self, now: SimTime, path: tuple[Callable, Callable, deque], on_arrival) -> None:
         """One frame sent at `now` across the control ring, then a channel;
         its arrival is an engine event.  (A control-phase frame is queued
         instead, by `_run_ticks`.)"""
-        source, channel, _ = path
-        delivered = self.ring.admit(source, now)
+        admit, impair, _ = path
+        delivered = admit(now)
         if delivered is not None:
-            arrival = channel.impair(delivered)
+            arrival = impair(delivered)
             if arrival is not None:
                 self.sim.schedule(arrival, on_arrival)
 
@@ -351,10 +357,8 @@ class _LoopHarness:
         """
         sim = self.sim
         run_before, step, reserve = sim.run_before, sim.step, sim.reserve
-        admit = self.ring.admit
-        cmd_node, cmd_channel, cmd_queue = self.to_fpga
-        fb_node, fb_channel, fb_queue = self.to_cnc
-        cmd_impair, fb_impair = cmd_channel.impair, fb_channel.impair
+        cmd_admit, cmd_impair, cmd_queue = self.to_fpga
+        fb_admit, fb_impair, fb_queue = self.to_cnc
         catch_up = self._catch_up
         period, fe_limit = self.config.servo_period_us, self.config.fe_limit_mm
         sample, pid_tick = self.trajectory.sample, self.pid.tick
@@ -388,7 +392,7 @@ class _LoopHarness:
                 if abs_fe > fe_limit:
                     self._fail(FailCause.FOLLOWING_ERROR)
                 command = pid_tick(setpoint, fb, feedforward)
-                delivered = admit(cmd_node, now)
+                delivered = cmd_admit(now)
                 if delivered is not None:
                     arrival = cmd_impair(delivered)
                     if arrival is not None:
@@ -408,7 +412,7 @@ class _LoopHarness:
                 move_axis(axis, v_cmd, period)
                 position = axis.position_mm
                 if now >= control_start:
-                    delivered = admit(fb_node, now)
+                    delivered = fb_admit(now)
                     if delivered is not None:
                         arrival = fb_impair(delivered)
                         if arrival is not None:
@@ -519,10 +523,14 @@ def calibrate(master_seed: int = 0,
     Candidates are screened on the boundary cells with short single-seed
     trials; survivors are validated with a full sweep at the acceptance
     spec.  Returns the first fully matching pair, or the best attempt
-    with its mismatch list.
+    with its mismatch list.  Both stages run at `master_seed`, so a
+    `validation_spec` with another master seed is a `ValueError`.
     """
     from .harness import SweepSpec, evaluate_cell, reference_pattern, run_sweep
 
+    if validation_spec is not None and validation_spec.master_seed != master_seed:
+        raise ValueError(f"calibrate screens at master seed {master_seed} but its validation "
+                         f"spec has master seed {validation_spec.master_seed}")
     target = reference_pattern()
     best_mismatches: list | None = None
     best_pair = None

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ringmill.channel import (Channel, ChannelProfile, JitterDistribution,
+from ringmill.channel import (Channel, ChannelConfigError, ChannelProfile, JitterDistribution,
                               ZERO_IMPAIRMENT, empirical_stats)
 from ringmill.engine import component_rng
 
@@ -11,6 +11,50 @@ from ringmill.engine import component_rng
 def make_channel(mean_us, jitter_us, seed=1, **kw):
     profile = ChannelProfile(mean_delay_us=mean_us, jitter_us=jitter_us, **kw)
     return Channel(profile, component_rng(seed, "chan-test"), record=True)
+
+
+class ReferenceChannel:
+    """`Channel.impair` as it was before the channel built its closure from
+    the profile: every call reads the profile and takes its branches."""
+
+    def __init__(self, profile, rng, blackout_from):
+        self.profile = profile
+        self.rng = rng
+        self._watermark = 0
+        self._blackout_from = blackout_from
+        self.sent = 0
+        self.dropped = 0
+
+    def impair(self, now):
+        self.sent += 1
+        p = self.profile
+        rng = self.rng
+        if p.loss_rate > 0.0 and rng.random() < p.loss_rate:
+            self.dropped += 1
+            return None
+        delay = p.mean_delay_us
+        j = p.jitter_us
+        if j:
+            if p.distribution is JitterDistribution.UNIFORM:
+                width = 2 * j + 1
+                bits = width.bit_length()
+                r = rng.getrandbits(bits)
+                while r >= width:
+                    r = rng.getrandbits(bits)
+                delay += r - j
+            else:
+                draw = round(rng.gauss(0.0, j / 2.0))
+                delay += max(-j, min(j, draw))
+            if delay < 0:
+                delay = 0
+        delivered = now + delay
+        if not p.reorder_allowed and delivered < self._watermark:
+            delivered = self._watermark
+        if self._blackout_from is not None and delivered >= self._blackout_from:
+            self.dropped += 1
+            return None
+        self._watermark = delivered
+        return delivered
 
 
 class TestTransmit:
@@ -88,6 +132,18 @@ class TestTransmit:
         with pytest.raises(ValueError):
             ChannelProfile(mean_delay_us=0, loss_rate=1.5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("mean_delay_us", 500.5),  # gave float arrival instants
+        ("mean_delay_us", 500.0),
+        ("mean_delay_us", float("nan")),
+        ("jitter_us", 2.5),  # failed at the first frame, on bit_length
+        ("jitter_us", True),
+    ])
+    def test_profile_rejects_a_non_integer_us_value(self, field, value):
+        kwargs = {"mean_delay_us": 500, "jitter_us": 50, field: value}
+        with pytest.raises(ChannelConfigError, match=f"{field} .* is not an integer"):
+            ChannelProfile(**kwargs)
+
 
 class TestImpair:
     @given(mean=st.integers(min_value=0, max_value=3_000),
@@ -113,6 +169,29 @@ class TestImpair:
             assert bare.impair(now) == recorded.transmit(i, now).delivered
             assert (bare.sent, bare.dropped) == (recorded.sent, recorded.dropped)
             assert bare.rng.getstate() == recorded.rng.getstate()
+
+    @given(mean=st.integers(min_value=0, max_value=3_000),
+           jitter=st.integers(min_value=0, max_value=1_000),
+           distribution=st.sampled_from(list(JitterDistribution)),
+           loss_rate=st.sampled_from([0.0, 0.1, 1.0]),
+           reorder_allowed=st.booleans(),
+           blackout_from=st.none() | st.integers(min_value=0, max_value=60_000),
+           seed=st.integers(min_value=0, max_value=2**32),
+           gaps=st.lists(st.integers(min_value=0, max_value=2_000), min_size=1, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_impair_matches_the_reference(self, mean, jitter, distribution, loss_rate,
+                                          reorder_allowed, blackout_from, seed, gaps):
+        profile = ChannelProfile(mean_delay_us=mean, jitter_us=jitter,
+                                 distribution=distribution, loss_rate=loss_rate,
+                                 reorder_allowed=reorder_allowed)
+        chan = Channel(profile, component_rng(seed, "twin"), blackout_from=blackout_from)
+        reference = ReferenceChannel(profile, component_rng(seed, "twin"), blackout_from)
+        now = 0
+        for gap in gaps:
+            now += gap
+            assert chan.impair(now) == reference.impair(now)
+            assert (chan.sent, chan.dropped) == (reference.sent, reference.dropped)
+            assert chan.rng.getstate() == reference.rng.getstate()
 
     @given(jitter=st.integers(min_value=1, max_value=2**20),
            seed=st.integers(min_value=0, max_value=2**64 - 1))

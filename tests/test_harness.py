@@ -258,6 +258,14 @@ class TestManifest:
         with pytest.raises(ValueError, match=message):
             RunManifest.from_json(json.dumps(data))
 
+    def test_non_integer_ring_timing_is_rejected(self):
+        # a slot of 800.5 us would give float delivery instants
+        manifest = RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)
+        data = json.loads(manifest.to_json())
+        data["scenario"]["control_ring"]["slot_time_us"] = 800.5
+        with pytest.raises(ValueError, match="slot_time_us 800.5 is not an integer"):
+            RunManifest.from_json(json.dumps(data))
+
     def test_unrunnable_scenario_is_rejected(self):
         # a trial sends between the control ring's master and fpga nodes
         manifest = RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)

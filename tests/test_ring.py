@@ -1,10 +1,11 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringmill.engine import Simulator, component_rng
-from ringmill.ring import (Frame, FrameClass, RingConfig, RingConfigError, TokenRing,
+from ringmill.ring import (Frame, FrameClass, RingConfig, RingConfigError, RingStats, TokenRing,
                            worst_case_access_latency)
 from ringmill.trial import CMD_FRAME_BYTES, FB_FRAME_BYTES, HANDSHAKE_FRAME_BYTES
 
@@ -51,6 +52,19 @@ class TestConfig:
     def test_single_node_rejected(self):
         with pytest.raises(RingConfigError):
             RingConfig(ring_id="solo", nodes=("a",), slot_time_us=100, tx_time_us=10)
+
+    @pytest.mark.parametrize("field, value", [
+        ("slot_time_us", 800.5),  # gave float delivery instants
+        ("slot_time_us", float("nan")),
+        ("tx_time_us", 100.0),
+        ("queue_depth", float("nan")),
+        ("queue_depth", 2.5),
+    ])
+    def test_non_integer_timing_or_depth_rejected(self, field, value):
+        kwargs = {"ring_id": "control", "nodes": ("master", "fpga"), "slot_time_us": 800,
+                  "tx_time_us": 100, field: value}
+        with pytest.raises(RingConfigError, match=f"{field} .* is not an integer"):
+            RingConfig(**kwargs)
 
     def test_control_frame_size_bounds(self):
         with pytest.raises(ValueError):
@@ -132,6 +146,60 @@ class TestEnqueue:
         assert ring.stats.delivered == 0
 
 
+class ReferenceRing:
+    """`TokenRing.admit` and `TokenRing.stats` as they were before the ring
+    built one admission closure per node: every call reads the config."""
+
+    def __init__(self, config, rng):
+        self.config = config
+        self.rng = rng
+        self._stats = RingStats()
+        self._watermark = [0] * len(config.nodes)
+        self._pending = [deque() for _ in config.nodes]
+        self._cycle = len(config.nodes) * config.slot_time_us
+
+    def stats(self, now):
+        stats = self._stats
+        for pending in self._pending:
+            while pending and pending[0] <= now:
+                pending.popleft()
+                stats.delivered += 1
+        return stats
+
+    def admit(self, node_idx, now):
+        config = self.config
+        stats = self._stats
+        stats.enqueued += 1
+
+        pending = self._pending[node_idx]
+        while pending and pending[0] <= now:
+            pending.popleft()
+            stats.delivered += 1
+        if len(pending) >= config.queue_depth:
+            stats.dropped_overflow += 1
+            return None
+        loss_rate = config.loss_rate
+        if loss_rate > 0 and self.rng.random() < loss_rate:
+            stats.dropped_loss += 1
+            return None
+
+        start = self._watermark[node_idx]
+        if start < now:
+            start = now
+        slot = config.slot_time_us
+        if slot:
+            cycle = self._cycle
+            base = start - start % cycle + node_idx * slot  # this cycle's slot
+            if start < base:
+                start = base
+            elif start >= base + slot:
+                start = base + cycle
+        delivery = start + config.tx_time_us
+        self._watermark[node_idx] = delivery
+        pending.append(delivery)
+        return delivery
+
+
 @st.composite
 def ring_configs(draw):
     n = draw(st.integers(min_value=2, max_value=8))
@@ -164,6 +232,24 @@ class TestAdmit:
             assert got == by_frame.enqueue(node, frame(i, node, dest, now), now)
             assert by_index.stats == by_frame.stats
             assert by_index.rng.getstate() == by_frame.rng.getstate()
+
+    @given(config=ring_configs(), seed=st.integers(min_value=0, max_value=2**32),
+           sends=st.lists(st.tuples(st.integers(min_value=0, max_value=7),
+                                    st.integers(min_value=0, max_value=1_500)),
+                          min_size=1, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_admit_matches_the_reference(self, config, seed, sends):
+        ring, sim = make_ring(config, seed)
+        reference = ReferenceRing(config, component_rng(seed, "ring-test"))
+        now = 0
+        for node_idx, gap in sends:
+            now += gap
+            sim.run_until(now)
+            node_idx %= len(config.nodes)
+            admit = ring.admitter(node_idx)
+            assert admit(now) == reference.admit(node_idx, now)
+            assert ring.stats == reference.stats(now)
+            assert ring.rng.getstate() == reference.rng.getstate()
 
     def test_node_index_is_the_ring_position(self):
         ring, _ = make_ring(SENSOR_8)

@@ -1,10 +1,13 @@
 
+import pytest
+
 from ringmill.channel import ZERO_IMPAIRMENT
+from ringmill.harness import SweepSpec
 from ringmill.plant import AxisModel, FailCause, PidController, step_axis
 from ringmill.ring import RingConfig
 from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO,
-                            FPGA_TICK_OFFSET_US, Scenario, TrialTrace, run_trial,
-                            symmetric_profiles)
+                            FPGA_TICK_OFFSET_US, Scenario, TrialTrace, calibrate,
+                            run_trial, symmetric_profiles)
 
 ZERO_RING = RingConfig(ring_id="control", nodes=("master", "fpga"),
                        slot_time_us=0, tx_time_us=0, loss_rate=0.0)
@@ -141,3 +144,11 @@ class TestInstrumentation:
         limit = axis.max_velocity_mm_s * 0.003 + 1e-9
         for a, b in zip(positions, positions[1:]):
             assert abs(b - a) <= limit
+
+
+class TestCalibrate:
+    def test_validation_spec_at_another_master_seed_is_rejected(self):
+        # screening at one seed and validating at another mixes two runs
+        with pytest.raises(ValueError, match="master seed 1 but its validation spec "
+                                             "has master seed 0"):
+            calibrate(master_seed=1, validation_spec=SweepSpec(master_seed=0))
