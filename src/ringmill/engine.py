@@ -58,7 +58,8 @@ class Simulator:
         # one counter numbers scheduled events and reserved keys alike;
         # `reserve()` is its bound ``__next__``: the number `schedule` would
         # give next, scheduling nothing (see the module docstring)
-        self._next_seq = self.reserve = itertools.count(1).__next__
+        self._seq = itertools.count(1)
+        self.reserve = self._seq.__next__
         self._event_seq = 0
         self._heap: list[tuple[SimTime, int, Callable[[], None]]] = []
         self._events_processed = 0
@@ -79,7 +80,7 @@ class Simulator:
                 f"causality violation: cannot schedule at t={fire_time} "
                 f"when clock is {self._clock}"
             )
-        seq = self._next_seq()
+        seq = next(self._seq)  # faster than calling the bound `reserve`
         heapq.heappush(self._heap, (fire_time, seq, action))
         return seq
 
