@@ -7,8 +7,9 @@ additionally forced to be non-decreasing, preserving FIFO.  Jitter draws
 are integer microseconds, so the uniform distribution has exact support
 ``[mean - jitter, mean + jitter]`` and exact zero-mean perturbation; a
 profile whose delay or jitter is not an integer is refused when it is
-made.  A channel builds its per-frame `impair` closure from the profile
-once, when it is made (see `Channel`).
+made, and a value in ms (`ChannelProfile.from_ms`, `us_from_ms`) must be
+a whole number of µs.  A channel builds its per-frame `impair` closure
+from the profile once, when it is made (see `Channel`).
 """
 
 from __future__ import annotations
@@ -28,6 +29,16 @@ class JitterDistribution(str, enum.Enum):
 
 class ChannelConfigError(ValueError):
     pass
+
+
+def us_from_ms(value_ms: float) -> int:
+    """`value_ms` in integer µs, or a ChannelConfigError unless it is a whole
+    number of µs up to the float rounding of the ms value itself: 0.05 ms
+    is 50 µs, but 0.5004 ms is refused where rounding would run 500 µs."""
+    us = round(value_ms * US_PER_MS)
+    if us / US_PER_MS != value_ms:
+        raise ChannelConfigError(f"{value_ms} ms is not a whole number of us")
+    return us
 
 
 @dataclass(frozen=True)
@@ -53,8 +64,8 @@ class ChannelProfile:
 
     @classmethod
     def from_ms(cls, mean_delay_ms: float, jitter_ms: float = 0.0, **kw) -> "ChannelProfile":
-        return cls(mean_delay_us=round(mean_delay_ms * US_PER_MS),
-                   jitter_us=round(jitter_ms * US_PER_MS), **kw)
+        return cls(mean_delay_us=us_from_ms(mean_delay_ms), jitter_us=us_from_ms(jitter_ms),
+                   **kw)
 
 
 ZERO_IMPAIRMENT = ChannelProfile(mean_delay_us=0, jitter_us=0, loss_rate=0.0)

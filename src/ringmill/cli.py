@@ -9,7 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .channel import ChannelProfile
+from .channel import ChannelProfile, us_from_ms
 from .config import ConfigError, load_config
 from .engine import US_PER_S
 from .harness import (RunManifest, ScriptError, parse_matrix_csv, render_matrix,
@@ -32,6 +32,16 @@ def non_negative(raw: str) -> float:
     value = float(raw)
     if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"{raw} is not non-negative and finite")
+    return value
+
+
+def link_ms(raw: str) -> float:
+    """A non-negative link value in ms that is a whole number of µs."""
+    value = non_negative(raw)
+    try:
+        us_from_ms(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
@@ -153,8 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trial", help="run one closed-loop trial")
     common(p)
-    p.add_argument("--latency-ms", type=non_negative, default=None)
-    p.add_argument("--jitter-ms", type=non_negative, default=None)
+    p.add_argument("--latency-ms", type=link_ms, default=None)
+    p.add_argument("--jitter-ms", type=link_ms, default=None)
     p.add_argument("--profile", choices=("default", "adapted"), default="default")
     p.add_argument("--trace", help="write per-tick control trace CSV here")
     p.set_defaults(func=cmd_trial)

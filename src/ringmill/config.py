@@ -19,8 +19,7 @@ from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
-from .channel import ChannelProfile, JitterDistribution
-from .engine import US_PER_MS
+from .channel import ChannelProfile, JitterDistribution, us_from_ms
 from .harness import RunManifest, SweepSpec
 from .plant import load_trajectory_csv, validate_config_pair
 from .trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO
@@ -37,10 +36,6 @@ def _float(raw: str) -> float:
     return value
 
 
-def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(_float(tok) for tok in raw.replace(",", " ").split())
-
-
 def _names(raw: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
 
@@ -53,7 +48,16 @@ def _bool(raw: str) -> bool:
 
 
 def _us_from_ms(raw: str) -> int:
-    return round(_float(raw) * US_PER_MS)
+    return us_from_ms(_float(raw))
+
+
+def _axis_ms(raw: str) -> tuple[float, ...]:
+    """A sweep axis, each value a whole number of µs: checked here, so that
+    the error names the key's line."""
+    values = tuple(_float(tok) for tok in raw.replace(",", " ").split())
+    for value in values:
+        us_from_ms(value)
+    return values
 
 
 _GAINS = {"kp": _float, "ki": _float, "kd": _float, "integral_clamp": _float}
@@ -68,7 +72,7 @@ _CHANNEL = {"mean_delay_ms": ("mean_delay_us", _us_from_ms),
 
 # every section a scenario file may have: its keys, each with its reader
 _SCHEMA = {
-    "sweep": {"latencies_ms": _floats, "jitters_ms": _floats, "seeds_per_cell": int,
+    "sweep": {"latencies_ms": _axis_ms, "jitters_ms": _axis_ms, "seeds_per_cell": int,
               "trial_seconds": _float, "master_seed": int},
     "gains.default": _GAINS,
     "gains.adapted": _GAINS,

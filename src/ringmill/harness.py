@@ -21,6 +21,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
+from .channel import us_from_ms
 from .engine import US_PER_MS, US_PER_S, SimTime, derive_seed
 from .plant import (FailCause, LoopConfig, PidGains, Profile, TabulatedTrajectory,
                     TrapezoidTrajectory, TrialVerdict, validate_config_pair)
@@ -72,6 +73,11 @@ def reference_pattern(latencies_ms: Iterable[float] = DEFAULT_LATENCIES_MS,
 def _check_axis_value(name: str, value_ms: float) -> None:
     if not 0 <= value_ms < math.inf:
         raise ValueError(f"{name} axis holds {value_ms:g} ms, not a finite value >= 0")
+    try:
+        us_from_ms(value_ms)  # the link a cell runs is the one it is named after
+    except ValueError:
+        raise ValueError(f"{name} axis holds {value_ms} ms, "
+                         f"not a whole number of us") from None
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,16 @@ sensitive to loop delay and jitter.  The controller is a PID on position
 error with velocity feedforward, emitting velocity commands toward the
 remote motion stage.  ``LoopConfig`` carries the supervision parameters
 (following-error limit, watchdog, init-qualification thresholds) in the
-``default`` and ``adapted`` driver flavours.
+``default`` and ``adapted`` driver flavours; its µs fields are integers.
+
+The plant is compiled once per trial, as the links are: a trial calls
+three closures with their constants bound, the trajectory's `sampler`
+(a trapezoid's leg times, a table's segments), the controller's `tick`
+(gains, integral clamp, period) and the axis's `stepper` for the servo
+period (dt, dt / τ, the acceleration step, the velocity limit).
+`sample` and `step_axis` call the same closures, so the arithmetic
+exists once.  State stays on `AxisModel` and `PidController`; no closure
+is stored on a trajectory or a config, so both stay picklable.
 """
 
 from __future__ import annotations
@@ -15,7 +24,10 @@ import csv
 import enum
 import io
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import pairwise
+from typing import Callable
 
 from .engine import SimTime, US_PER_S
 
@@ -34,31 +46,48 @@ class AxisModel:
         if not self.time_constant_s > 0:  # NaN fails too
             raise ValueError("axis time constant must be positive")
 
+    def stepper(self, dt_us: int) -> Callable[[float], float]:
+        """The axis step for a fixed dt: ``stepper(dt_us)(command)`` is
+        ``step_axis(self, command, dt_us)``, returning the new position.
+
+        dt, dt / τ, the largest velocity change per step and the velocity
+        limit are bound when it is built; position and velocity are read
+        from and written to the axis on every step.
+        """
+        if dt_us <= 0:
+            raise ValueError("dt must be positive")
+        dt = dt_us / US_PER_S
+        lag = dt / self.time_constant_s
+        max_dv = self.max_accel_mm_s2 * dt
+        limit = self.max_velocity_mm_s
+
+        def step(command_mm_s: float) -> float:
+            v = self.velocity_mm_s
+            dv = lag * (command_mm_s - v)
+            if dv > max_dv:
+                dv = max_dv
+            elif dv < -max_dv:
+                dv = -max_dv
+            v += dv
+            if v > limit:
+                v = limit
+            elif v < -limit:
+                v = -limit
+            self.velocity_mm_s = v
+            self.position_mm = position = self.position_mm + v * dt
+            return position
+
+        return step
+
 
 def step_axis(axis: AxisModel, command_mm_s: float, dt_us: int) -> AxisModel:
     """Advance the axis by dt under a held velocity command (mutates and returns).
 
     First-order lag toward the command, with acceleration and velocity
     clamped to the axis limits, then position integration at the new
-    velocity.
+    velocity: one call of `AxisModel.stepper`.
     """
-    if dt_us <= 0:
-        raise ValueError("dt must be positive")
-    dt = dt_us / US_PER_S
-    dv = (dt / axis.time_constant_s) * (command_mm_s - axis.velocity_mm_s)
-    max_dv = axis.max_accel_mm_s2 * dt
-    if dv > max_dv:
-        dv = max_dv
-    elif dv < -max_dv:
-        dv = -max_dv
-    v = axis.velocity_mm_s + dv
-    limit = axis.max_velocity_mm_s
-    if v > limit:
-        v = limit
-    elif v < -limit:
-        v = -limit
-    axis.velocity_mm_s = v
-    axis.position_mm += v * dt
+    axis.stepper(dt_us)(command_mm_s)
     return axis
 
 
@@ -79,34 +108,47 @@ class PidGains:
 
 
 class PidController:
-    """PID on position error with anti-windup clamp and velocity feedforward."""
+    """PID on position error with anti-windup clamp and velocity feedforward.
+
+    `tick` is a closure built when the controller is made, with the gains,
+    the integral clamp and the period bound.  The integral and the last
+    error stay on the controller, so `reset` clears them.
+    """
 
     def __init__(self, gains: PidGains, period_us: int):
         self.gains = gains
         self.dt = period_us / US_PER_S
         self.integral = 0.0
         self._last_error: float | None = None
+        self.tick = self._build_tick()
 
     def reset(self) -> None:
         self.integral = 0.0
         self._last_error = None
 
-    def tick(self, setpoint_mm: float, feedback_mm: float,
-             feedforward_mm_s: float = 0.0) -> float:
-        """One servo-period update; returns the velocity command in mm/s."""
-        error = setpoint_mm - feedback_mm
-        g = self.gains
-        self.integral += error * self.dt
-        clamp = g.integral_clamp
-        if self.integral > clamp:
-            self.integral = clamp
-        elif self.integral < -clamp:
-            self.integral = -clamp
-        derivative = 0.0
-        if g.kd != 0.0 and self._last_error is not None:
-            derivative = (error - self._last_error) / self.dt
-        self._last_error = error
-        return feedforward_mm_s + g.kp * error + g.ki * self.integral + g.kd * derivative
+    def _build_tick(self) -> Callable[..., float]:
+        dt, g = self.dt, self.gains
+        kp, ki, kd, clamp = g.kp, g.ki, g.kd, g.integral_clamp
+
+        def tick(setpoint_mm: float, feedback_mm: float,
+                 feedforward_mm_s: float = 0.0) -> float:
+            """One servo-period update; returns the velocity command in mm/s."""
+            error = setpoint_mm - feedback_mm
+            integral = self.integral + error * dt
+            if integral > clamp:
+                integral = clamp
+            elif integral < -clamp:
+                integral = -clamp
+            self.integral = integral
+            derivative = 0.0
+            if kd != 0.0 and self._last_error is not None:
+                derivative = (error - self._last_error) / dt
+            self._last_error = error
+            # the kd term is added when kd is 0 too: it decides the sign of a
+            # zero command
+            return feedforward_mm_s + kp * error + ki * integral + kd * derivative
+
+        return tick
 
 
 # ---------------------------------------------------------------------------
@@ -146,31 +188,46 @@ class TrapezoidTrajectory:
         self.__dict__.update(vmax=vmax, _t_ramp=t_ramp, _d_ramp=d_ramp, _t_cruise=t_cruise,
                              _t_move=t_move, period_s=2 * (t_move + self.dwell_s))
 
-    def _leg(self, t: float) -> tuple[float, float]:
-        """Position/velocity within one forward move starting at rest at 0."""
-        a, vm, tr, tc = self.accel_mm_s2, self.vmax, self._t_ramp, self._t_cruise
-        if t < tr:
-            return 0.5 * a * t * t, a * t
-        if t < tr + tc:
-            return self._d_ramp + vm * (t - tr), vm
-        if t < self._t_move:
-            td = self._t_move - t
-            return self.amplitude_mm - 0.5 * a * td * td, a * td
-        return self.amplitude_mm, 0.0
+    def sampler(self) -> Callable[[SimTime], tuple[float, float]]:
+        """The closure `sample` calls, with the legs' constants bound."""
+        amplitude, a, vm = self.amplitude_mm, self.accel_mm_s2, self.vmax
+        half_a = 0.5 * a
+        tr, d_ramp, t_move = self._t_ramp, self._d_ramp, self._t_move
+        cruise_end = tr + self._t_cruise
+        half, period = t_move + self.dwell_s, self.period_s
+
+        def sample(t_us: SimTime) -> tuple[float, float]:
+            t = (t_us / US_PER_S) % period
+            forward = t < half
+            if not forward:
+                t -= half  # the move back mirrors the move out
+            # position and velocity within one move out, from rest at 0
+            if t < tr:
+                pos, vel = half_a * t * t, a * t
+            elif t < cruise_end:
+                pos, vel = d_ramp + vm * (t - tr), vm
+            elif t < t_move:
+                td = t_move - t
+                pos, vel = amplitude - half_a * td * td, a * td
+            else:
+                pos, vel = amplitude, 0.0
+            if forward:
+                return pos, vel
+            return amplitude - pos, -vel
+
+        return sample
 
     def sample(self, t_us: SimTime) -> tuple[float, float]:
         """(setpoint mm, feedforward velocity mm/s) at trajectory time t."""
-        t = (t_us / US_PER_S) % self.period_s
-        half = self._t_move + self.dwell_s
-        if t < half:
-            return self._leg(t)
-        pos, vel = self._leg(t - half)
-        return self.amplitude_mm - pos, -vel
+        return self.sampler()(t_us)
 
 
 @dataclass(frozen=True)
 class TabulatedTrajectory:
-    """Trajectory from (time ms, setpoint mm) samples, linearly interpolated."""
+    """Trajectory from (time ms, setpoint mm) samples, linearly interpolated.
+
+    The table starts at 0 ms and repeats with the period of its last time.
+    """
 
     points: tuple[tuple[float, float], ...]
 
@@ -178,32 +235,40 @@ class TabulatedTrajectory:
         points = tuple((float(t), float(x)) for t, x in self.points)
         if len(points) < 2:
             raise ValueError("trajectory table needs at least two points")
+        if points[0][0] != 0:
+            raise ValueError(f"trajectory table starts at {points[0][0]:g} ms, not 0")
         times = [t / 1000.0 for t, _ in points]  # seconds
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("trajectory times must be strictly increasing")
         self.__dict__.update(points=points, _t=times, _x=[x for _, x in points],
                              period_s=times[-1])
 
+    def sampler(self) -> Callable[[SimTime], tuple[float, float]]:
+        """The closure `sample` calls, with the segments' constants bound."""
+        times, period, last = self._t, self.period_s, len(self._t) - 1
+        # (start, span, start setpoint, rise, velocity) of each segment
+        segments = [(t0, t1 - t0, x0, x1 - x0, (x1 - x0) / (t1 - t0))
+                    for (t0, x0), (t1, x1) in pairwise(zip(times, self._x))]
+
+        def sample(t_us: SimTime) -> tuple[float, float]:
+            t = (t_us / US_PER_S) % period
+            # the last segment to start by t; the search covers times[1:last],
+            # so a t at or past the end falls in the last segment
+            t0, span, x0, rise, vel = segments[bisect_right(times, t, 1, last) - 1]
+            return x0 + (t - t0) / span * rise, vel
+
+        return sample
+
     def sample(self, t_us: SimTime) -> tuple[float, float]:
-        t = (t_us / US_PER_S) % self.period_s
-        lo, hi = 0, len(self._t) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self._t[mid] <= t:
-                lo = mid
-            else:
-                hi = mid
-        span = self._t[hi] - self._t[lo]
-        frac = (t - self._t[lo]) / span
-        vel = (self._x[hi] - self._x[lo]) / span
-        return self._x[lo] + frac * (self._x[hi] - self._x[lo]), vel
+        """(setpoint mm, feedforward velocity mm/s) at trajectory time t."""
+        return self.sampler()(t_us)
 
 
 def load_trajectory_csv(text: str) -> TabulatedTrajectory:
     """Parse a `time_ms,setpoint_mm` CSV (header optional).
 
-    A row that is not two finite numbers, past the header, raises a
-    ValueError naming its line.
+    A row that is not two finite numbers, past the header, or a first row
+    whose time is not 0, raises a ValueError naming its line.
     """
     points = []
     rows = csv.reader(io.StringIO(text))
@@ -220,6 +285,8 @@ def load_trajectory_csv(text: str) -> TabulatedTrajectory:
             continue  # header row
         if not all(map(math.isfinite, point)):
             raise ValueError(f"line {rows.line_num}: {row[0]},{row[1]} is not finite")
+        if not points and point[0] != 0:
+            raise ValueError(f"line {rows.line_num}: the table starts at {row[0]} ms, not 0")
         points.append(point)
     return TabulatedTrajectory(tuple(points))
 
@@ -265,6 +332,12 @@ class LoopConfig:
         # feedback comes once per servo period: a shorter watchdog expires between frames
         if not self.watchdog_timeout_us >= self.servo_period_us:
             raise ValueError("watchdog timeout must be at least the servo period")
+        # time is integer µs: a float would give float tick and probe instants
+        for name in ("servo_period_us", "watchdog_timeout_us", "init_grace_us",
+                     "delay_spread_tolerance_us", "rtt_rescue_budget_us"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} {value!r} is not an integer number of us")
 
 
 def validate_config_pair(default: LoopConfig, adapted: LoopConfig) -> None:

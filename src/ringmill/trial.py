@@ -44,7 +44,10 @@ initialization frames, handshake retries, the grace deadline and the
 feedback sent before the first controller tick.  `Simulator.step` makes
 the tick's key the event being processed and counts it, so the control
 phase still counts two engine events per servo period, and schedules
-none.
+none.  The plant a tick drives is compiled for the trial as the links
+are: the loop calls the trajectory's `sampler`, the controller's `tick`
+and the axis's `stepper` for the servo period, each a closure with its
+constants bound (see `plant.py`).
 
 The feedback watchdog is one probe that re-arms itself from the newest
 arrival rather than one probe per arrival.  It fails the trial at s +
@@ -86,8 +89,7 @@ from typing import Callable
 from .channel import Channel, ChannelProfile
 from .engine import SimTime, Simulator, US_PER_S, component_rng
 from .plant import (AxisModel, FailCause, LoopConfig, PidController, PidGains,
-                    Profile, TabulatedTrajectory, TrapezoidTrajectory, TrialVerdict,
-                    step_axis)
+                    Profile, TabulatedTrajectory, TrapezoidTrajectory, TrialVerdict)
 from .ring import RingConfig, RingConfigError, TokenRing
 
 MASTER_NODE = "master"
@@ -361,8 +363,9 @@ class _LoopHarness:
         fb_admit, fb_impair, fb_queue = self.to_cnc
         catch_up = self._catch_up
         period, fe_limit = self.config.servo_period_us, self.config.fe_limit_mm
-        sample, pid_tick = self.trajectory.sample, self.pid.tick
-        axis, move_axis = self.axis, step_axis
+        # the plant, compiled for the servo period
+        sample, pid_tick = self.trajectory.sampler(), self.pid.tick
+        move_axis = self.axis.stepper(period)
         rows = None if self.trace is None else self.trace.rows
         end = self.length
         stop = (end + 1, 0)  # precedes every event after the end
@@ -409,8 +412,7 @@ class _LoopHarness:
                     catch_up(key)
                 while cmd_queue and cmd_queue[0] < key:
                     v_cmd = cmd_queue.popleft()[2]
-                move_axis(axis, v_cmd, period)
-                position = axis.position_mm
+                position = move_axis(v_cmd)
                 if now >= control_start:
                     delivered = fb_admit(now)
                     if delivered is not None:

@@ -145,6 +145,20 @@ class TestTransmit:
             ChannelProfile(**kwargs)
 
 
+    @pytest.mark.parametrize("mean_ms, jitter_ms", [(0.5004, 0.05), (0.5, 0.0502),
+                                                    (0.0005, 0.0)])
+    def test_from_ms_rejects_a_value_that_is_not_whole_us(self, mean_ms, jitter_ms):
+        # rounding used to run 500 us, 50 us or 0 us instead
+        with pytest.raises(ChannelConfigError, match="ms is not a whole number of us"):
+            ChannelProfile.from_ms(mean_ms, jitter_ms)
+
+    def test_from_ms_takes_the_float_nearest_a_whole_us_value(self):
+        assert ChannelProfile.from_ms(0.15, 0.05) == ChannelProfile(150, 50)
+        # every whole-us value in ms, as a decimal literal would give it
+        for us in range(0, 10_001, 7):
+            assert ChannelProfile.from_ms(float(f"{us // 1000}.{us % 1000:03d}")).mean_delay_us == us
+
+
 class TestImpair:
     @given(mean=st.integers(min_value=0, max_value=3_000),
            jitter=st.integers(min_value=0, max_value=1_000),

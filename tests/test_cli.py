@@ -125,14 +125,21 @@ class TestConfig:
         ("[loop.adapted]\nrtt_rescue_budget_us = -1\n", 1),
         # a watchdog shorter than the servo period expires between two frames
         ("[loop.default]\nservo_period_us = 3000\n", 1),
+        # a link value that is not whole us would run another link than it names
+        ("[sweep]\nlatencies_ms = 0.5004, 1\n", 2),
+        ("[channel.feedback]\nmean_delay_ms = 0.5\njitter_ms = 0.0502\n", 3),
+        # a table from 100 ms extrapolates its setpoint back to 0 ms
+        ("[sweep]\nseeds_per_cell = 1\n[trajectory]\nfile = late.csv\n", 4),
     ], ids=["distribution", "seeds_per_cell", "reorder", "empty-value", "adapted-watchdog",
             "control-nodes", "sensor-nodes", "missing-file", "negative-latency",
             "negative-jitter", "one-column-row", "nan-setpoint", "inf-setpoint",
-            "negative-tolerance", "negative-rescue-budget", "watchdog-below-period"])
+            "negative-tolerance", "negative-rescue-budget", "watchdog-below-period",
+            "latency-not-whole-us", "jitter-not-whole-us", "late-first-point"])
     def test_bad_input_exits_config_error_with_its_line(self, tmp_path, capsys, text, line):
         (tmp_path / "moves.csv").write_text("0,0\n500\n1000,0\n")
         (tmp_path / "nan.csv").write_text("time_ms,setpoint_mm\n0,0\n500,nan\n1000,0\n")
         (tmp_path / "inf.csv").write_text("time_ms,setpoint_mm\n0,0\n500,inf\n1000,0\n")
+        (tmp_path / "late.csv").write_text("time_ms,setpoint_mm\n100,0\n1000,10\n")
         path = tmp_path / "scenario.ini"
         path.write_text(text)
         assert main(["trial", "--config", str(path), "--latency-ms", "0.5",
@@ -318,11 +325,18 @@ class TestCli:
          "line 1: bad matrix header: trial_seconds nan is not positive"),
         (["trial", "--config", "pair.ini", "--latency-ms", "5"], "trial needs --jitter-ms"),
         (["trial", "--config", "pair.ini", "--jitter-ms", "0.1"], "trial needs --latency-ms"),
+        (["trial", "--latency-ms", "0.5004", "--jitter-ms", "0.05"],
+         "argument --latency-ms: 0.5004 ms is not a whole number of us"),
+        (["trial", "--latency-ms", "0.5", "--jitter-ms", "0.0502"],
+         "argument --jitter-ms: 0.0502 ms is not a whole number of us"),
+        (["render", "--matrix", "fraction-latency.csv"],
+         "line 4: bad matrix row: latencies axis holds 0.5004 ms, not a whole number of us"),
     ], ids=["trial-seconds", "screen-seconds", "latency-ms", "jitter-ms", "not-a-matrix",
             "bad-row", "directory", "no-column-header", "bad-status", "bad-cause",
             "wrong-cause", "duplicate-cell", "wrong-class", "no-rows", "nan-latency",
             "negative-latency", "inf-jitter", "nan-trial-seconds", "lone-latency-ms",
-            "lone-jitter-ms"])
+            "lone-jitter-ms", "latency-ms-not-whole-us", "jitter-ms-not-whole-us",
+            "matrix-latency-not-whole-us"])
     def test_bad_flag_or_matrix_exits_config_error(self, tmp_path, capsys, monkeypatch,
                                                    argv, message):
         monkeypatch.chdir(tmp_path)
@@ -343,6 +357,7 @@ class TestCli:
                            "no-columns": row + other,
                            "nan-latency": columns + row + other.replace("1,", "nan,", 1),
                            "negative-latency": columns + row + other.replace("1,", "-1,", 1),
+                           "fraction-latency": columns + row + other.replace("1,", "0.5004,", 1),
                            "inf-jitter": columns + row.replace("0.05", "inf", 1)}.items():
             (tmp_path / f"{name}.csv").write_text(head + body)
         (tmp_path / "nan-seconds.csv").write_text(head.replace("seconds=1", "seconds=nan")

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -11,10 +12,12 @@ from ringmill.harness import (CellClass, CellVerdict, RunManifest, ScriptError,
                               _trial_seed, evaluate_cell, parse_matrix_csv,
                               reference_pattern, render_matrix,
                               run_spectrum_scenario, run_sweep)
-from ringmill.plant import FailCause, PidGains, TabulatedTrajectory, TrialVerdict
+from ringmill.plant import (FailCause, PidGains, TabulatedTrajectory, TrapezoidTrajectory,
+                            TrialVerdict)
 from ringmill.ring import RingConfig
 from ringmill.spectrum import CoverageArea, Rejection, SpectrumManager, SpectrumRequest
-from ringmill.trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, Scenario
+from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, Scenario, run_trial,
+                            symmetric_profiles)
 
 
 def outcome(i=0, passed=True, cause="none", fe=0.1, survived=1_000_000):
@@ -228,6 +231,16 @@ class TestManifest:
         assert (again.default_config, again.scenario) == (default, scenario)
         assert again.scenario.trajectory.sample(250_000) == (5.25, 21.0)
 
+    @pytest.mark.parametrize("trajectory", [TrapezoidTrajectory(),
+                                            TabulatedTrajectory([(0, 0), (500, 10), (1000, 0)])])
+    def test_run_values_stay_picklable_after_a_trial(self, trajectory):
+        # worker processes receive them: the plant's closures must not stick to them
+        run = RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG,
+                                  Scenario(trajectory=trajectory))
+        run_trial(run.default_config, *symmetric_profiles(0.5, 0.05), 100_000,
+                  scenario=run.scenario)
+        assert pickle.loads(pickle.dumps(run)) == run
+
     def test_other_artifact_version_is_rejected(self):
         manifest = RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)
         data = json.loads(manifest.to_json())
@@ -256,6 +269,24 @@ class TestManifest:
         data = json.loads(manifest.to_json())
         data["spec"][field] = value
         with pytest.raises(ValueError, match=message):
+            RunManifest.from_json(json.dumps(data))
+
+    def test_non_integer_loop_timing_is_rejected(self):
+        # a servo period of 1000.5 us would give float tick instants
+        manifest = RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)
+        data = json.loads(manifest.to_json())
+        data["default_config"]["servo_period_us"] = 1000.5
+        with pytest.raises(ValueError, match="servo_period_us 1000.5 is not an integer"):
+            RunManifest.from_json(json.dumps(data))
+
+    def test_axis_value_that_is_not_whole_us_is_rejected(self):
+        # its cell would run a 500 us link under a column headed 0.5004
+        with pytest.raises(ValueError, match="latencies axis holds 0.5004 ms, not a whole"):
+            SweepSpec(latencies_ms=(0.5004, 1.0))
+        manifest = RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)
+        data = json.loads(manifest.to_json())
+        data["spec"]["jitters_ms"] = [0.0502, 0.1]
+        with pytest.raises(ValueError, match="jitters axis holds 0.0502 ms, not a whole"):
             RunManifest.from_json(json.dumps(data))
 
     def test_non_integer_ring_timing_is_rejected(self):

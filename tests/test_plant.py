@@ -2,7 +2,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ringmill.plant import (AxisModel, FailCause, LoopConfig, PidController,
                             PidGains, Profile, TabulatedTrajectory,
@@ -160,6 +160,18 @@ class TestTabulatedTrajectory:
         with pytest.raises(ValueError):
             load_trajectory_csv("0,0\n")
 
+    @pytest.mark.parametrize("points, first", [([(100, 0), (200, 10)], 100),
+                                               ([(-100, 5), (200, 10)], -100)])
+    def test_rejects_a_first_time_other_than_0(self, points, first):
+        # from 100 ms, sample(0) extrapolated to -10 mm; from -100 ms, a 0.3 s
+        # table repeated every 0.2 s
+        with pytest.raises(ValueError, match=f"^trajectory table starts at {first} ms, not 0$"):
+            TabulatedTrajectory(points)
+
+    def test_csv_names_the_line_of_a_first_time_other_than_0(self):
+        with pytest.raises(ValueError, match="^line 2: the table starts at 100 ms, not 0$"):
+            load_trajectory_csv("time_ms,setpoint_mm\n100,0\n200,10\n")
+
     @pytest.mark.parametrize("row", ["500,nan", "500,inf", "nan,5", "-inf,5"])
     def test_csv_rejects_a_non_finite_value_with_its_line(self, row):
         # a NaN setpoint makes every following-error test false: it can never fail
@@ -190,6 +202,16 @@ class TestConfigTypes:
         # a NaN following-error limit builds a loop that can never fail on it
         with pytest.raises(ValueError, match=f"^{message}$"):
             replace(DEFAULT_LOOP_CONFIG, **{field: math.nan})
+
+    @pytest.mark.parametrize("field, value", [
+        ("servo_period_us", 1000.5), ("watchdog_timeout_us", 2100.5),
+        ("init_grace_us", 2_000_000.0), ("delay_spread_tolerance_us", 1035.5),
+        ("rtt_rescue_budget_us", True),
+    ])
+    def test_loop_config_rejects_a_non_integer_us_value(self, field, value):
+        # a servo period of 1000.5 us ran a trial on float tick instants
+        with pytest.raises(ValueError, match=f"^{field} {value!r} is not an integer number of us$"):
+            replace(DEFAULT_LOOP_CONFIG, **{field: value})
 
     @pytest.mark.parametrize("field, value, message", [
         ("kp", math.nan, "PID gains must be finite"),
@@ -223,3 +245,223 @@ class TestConfigTypes:
         with pytest.raises(ValueError):
             TrialVerdict(True, FailCause.WATCHDOG, 0.0, 0)
         TrialVerdict(False, FailCause.WATCHDOG, 0.1, 5)
+
+
+# ---------------------------------------------------------------------------
+# The plant as it was before a trial compiled it, kept as references: every
+# call reads the axis, the gains or the trajectory.  The closures a trial
+# calls (`AxisModel.stepper`, `PidController.tick`, the trajectories'
+# `sampler`) and the public wrappers must agree with them bit for bit,
+# zero signs included.
+
+
+def reference_step_axis(axis, command_mm_s, dt_us):
+    if dt_us <= 0:
+        raise ValueError("dt must be positive")
+    dt = dt_us / 1_000_000
+    dv = (dt / axis.time_constant_s) * (command_mm_s - axis.velocity_mm_s)
+    max_dv = axis.max_accel_mm_s2 * dt
+    if dv > max_dv:
+        dv = max_dv
+    elif dv < -max_dv:
+        dv = -max_dv
+    v = axis.velocity_mm_s + dv
+    limit = axis.max_velocity_mm_s
+    if v > limit:
+        v = limit
+    elif v < -limit:
+        v = -limit
+    axis.velocity_mm_s = v
+    axis.position_mm += v * dt
+    return axis
+
+
+class ReferencePid:
+    def __init__(self, gains, period_us):
+        self.gains = gains
+        self.dt = period_us / 1_000_000
+        self.integral = 0.0
+        self._last_error = None
+
+    def reset(self):
+        self.integral = 0.0
+        self._last_error = None
+
+    def tick(self, setpoint_mm, feedback_mm, feedforward_mm_s=0.0):
+        error = setpoint_mm - feedback_mm
+        g = self.gains
+        self.integral += error * self.dt
+        clamp = g.integral_clamp
+        if self.integral > clamp:
+            self.integral = clamp
+        elif self.integral < -clamp:
+            self.integral = -clamp
+        derivative = 0.0
+        if g.kd != 0.0 and self._last_error is not None:
+            derivative = (error - self._last_error) / self.dt
+        self._last_error = error
+        return feedforward_mm_s + g.kp * error + g.ki * self.integral + g.kd * derivative
+
+
+def reference_leg(traj, t):
+    a, vm, tr, tc = traj.accel_mm_s2, traj.vmax, traj._t_ramp, traj._t_cruise
+    if t < tr:
+        return 0.5 * a * t * t, a * t
+    if t < tr + tc:
+        return traj._d_ramp + vm * (t - tr), vm
+    if t < traj._t_move:
+        td = traj._t_move - t
+        return traj.amplitude_mm - 0.5 * a * td * td, a * td
+    return traj.amplitude_mm, 0.0
+
+
+def reference_trapezoid_sample(traj, t_us):
+    t = (t_us / 1_000_000) % traj.period_s
+    half = traj._t_move + traj.dwell_s
+    if t < half:
+        return reference_leg(traj, t)
+    pos, vel = reference_leg(traj, t - half)
+    return traj.amplitude_mm - pos, -vel
+
+
+def reference_tabulated_sample(traj, t_us):
+    t = (t_us / 1_000_000) % traj.period_s
+    lo, hi = 0, len(traj._t) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if traj._t[mid] <= t:
+            lo = mid
+        else:
+            hi = mid
+    span = traj._t[hi] - traj._t[lo]
+    frac = (t - traj._t[lo]) / span
+    vel = (traj._x[hi] - traj._x[lo]) / span
+    return traj._x[lo] + frac * (traj._x[hi] - traj._x[lo]), vel
+
+
+def bits(*values):
+    """The values as hex strings, which tell 0.0 from -0.0."""
+    return tuple(float(v).hex() for v in values)
+
+
+signed_zeros = st.sampled_from([0.0, -0.0])
+
+
+class TestCompiledPlant:
+    @given(tau=st.floats(min_value=1e-4, max_value=0.1),
+           max_velocity=st.floats(min_value=0.1, max_value=100.0),
+           max_accel=st.floats(min_value=1.0, max_value=1e5),
+           velocity=st.floats(min_value=-150.0, max_value=150.0) | signed_zeros,
+           dt_us=st.integers(min_value=1, max_value=5_000),
+           commands=st.lists(st.floats(min_value=-200.0, max_value=200.0) | signed_zeros,
+                             min_size=1, max_size=30))
+    # each clamp in each direction, and a held zero command on a resting axis
+    @example(tau=0.001, max_velocity=50.0, max_accel=100.0, velocity=0.0, dt_us=1000,
+             commands=[50.0, -50.0, 0.0])
+    @example(tau=0.005, max_velocity=5.0, max_accel=1e9, velocity=4.0, dt_us=1000,
+             commands=[100.0, -100.0, -0.0])
+    @example(tau=0.005, max_velocity=50.0, max_accel=1000.0, velocity=-0.0, dt_us=1000,
+             commands=[-0.0, 0.0])
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_axis_step_matches_the_reference(self, tau, max_velocity, max_accel, velocity,
+                                             dt_us, commands):
+        def axis():
+            return AxisModel(time_constant_s=tau, max_velocity_mm_s=max_velocity,
+                             max_accel_mm_s2=max_accel, position_mm=1.5, velocity_mm_s=velocity)
+
+        reference, wrapped, compiled = axis(), axis(), axis()
+        step = compiled.stepper(dt_us)
+        for command in commands:
+            reference_step_axis(reference, command, dt_us)
+            assert step_axis(wrapped, command, dt_us) is wrapped
+            position = step(command)
+            want = bits(reference.position_mm, reference.velocity_mm_s)
+            assert bits(wrapped.position_mm, wrapped.velocity_mm_s) == want
+            assert bits(position, compiled.velocity_mm_s) == want
+            assert bits(compiled.position_mm) == want[:1]
+
+    @given(kp=st.floats(min_value=-100.0, max_value=100.0) | signed_zeros,
+           ki=st.floats(min_value=-100.0, max_value=100.0) | signed_zeros,
+           kd=st.floats(min_value=-2.0, max_value=2.0) | signed_zeros,
+           clamp=st.floats(min_value=0.0, max_value=0.1) | signed_zeros,
+           period_us=st.integers(min_value=1, max_value=5_000),
+           # (setpoint, feedback, feedforward), or None for a reset
+           ticks=st.lists(st.none() | st.tuples(
+               st.floats(min_value=-25.0, max_value=25.0) | signed_zeros,
+               st.floats(min_value=-25.0, max_value=25.0) | signed_zeros,
+               st.floats(min_value=-60.0, max_value=60.0) | signed_zeros),
+               min_size=1, max_size=30))
+    # a zero command whose sign only the kd term decides: -0.0 + -0.0 + -0.0 + 0.0
+    @example(kp=-1.0, ki=-1.0, kd=0.0, clamp=0.05, period_us=1000,
+             ticks=[(0.0, 0.0, -0.0), (0.0, 0.0, -0.0)])
+    # kd is 0, so no derivative is taken: 0.0 * (a negative derivative) would
+    # make the zero command -0.0
+    @example(kp=-1.0, ki=-1.0, kd=0.0, clamp=0.0, period_us=1000,
+             ticks=[(1.0, 0.0, -0.0), (0.0, 0.0, -0.0)])
+    # the integral clamp in each direction, then a reset, with kd != 0
+    @example(kp=0.0, ki=10.0, kd=0.5, clamp=0.002, period_us=1000,
+             ticks=[(1.0, 0.0, 0.0)] * 4 + [None] + [(-1.0, 0.0, 0.0)] * 4)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_pid_tick_matches_the_reference(self, kp, ki, kd, clamp, period_us, ticks):
+        gains = PidGains(kp=kp, ki=ki, kd=kd, integral_clamp=clamp)
+        reference, pid = ReferencePid(gains, period_us), PidController(gains, period_us)
+        for tick in ticks:
+            if tick is None:
+                reference.reset()
+                pid.reset()
+                continue
+            assert bits(pid.tick(*tick)) == bits(reference.tick(*tick))
+            assert bits(pid.integral) == bits(reference.integral)
+            assert pid._last_error == reference._last_error
+
+    @given(amplitude=st.floats(min_value=0.1, max_value=50.0),
+           velocity=st.floats(min_value=1.0, max_value=100.0),
+           accel=st.floats(min_value=10.0, max_value=5_000.0),
+           dwell=st.floats(min_value=0.0, max_value=0.5) | st.just(0.0),
+           data=st.data())
+    # the shipped move, whose leg boundaries fall on whole µs, and a
+    # triangular one with no dwell
+    @example(amplitude=20.0, velocity=50.0, accel=1000.0, dwell=0.2, data=None)
+    @example(amplitude=1.0, velocity=50.0, accel=1000.0, dwell=0.0, data=None)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_trapezoid_sample_matches_the_reference(self, amplitude, velocity, accel, dwell,
+                                                    data):
+        traj = TrapezoidTrajectory(amplitude_mm=amplitude, velocity_mm_s=velocity,
+                                   accel_mm_s2=accel, dwell_s=dwell)
+        half = traj._t_move + traj.dwell_s
+        # every leg boundary of the move out and back, one and two periods on
+        legs = (0.0, traj._t_ramp, traj._t_ramp + traj._t_cruise, traj._t_move)
+        edges = [(k * traj.period_s + back + edge) * 1e6
+                 for k in (0, 1, 2) for back in (0.0, half) for edge in legs]
+        times = {max(0, math.floor(e) + d) for e in edges for d in (-1, 0, 1, 2)}
+        if data is not None:
+            times.update(data.draw(st.lists(st.integers(min_value=0, max_value=10_000_000),
+                                            max_size=40)))
+        sample = traj.sampler()
+        for t_us in sorted(times):
+            want = bits(*reference_trapezoid_sample(traj, t_us))
+            assert bits(*sample(t_us)) == want, t_us
+            assert bits(*traj.sample(t_us)) == want, t_us
+
+    @given(steps_ms=st.lists(st.integers(min_value=1, max_value=500)
+                             | st.floats(min_value=0.01, max_value=500.0),
+                             min_size=1, max_size=12),
+           setpoints=st.lists(st.floats(min_value=-50.0, max_value=50.0) | signed_zeros,
+                              min_size=13, max_size=13),
+           data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_tabulated_sample_matches_the_reference(self, steps_ms, setpoints, data):
+        times_ms = [0.0]
+        for step in steps_ms:
+            times_ms.append(times_ms[-1] + step)
+        traj = TabulatedTrajectory(tuple(zip(times_ms, setpoints)))
+        # every segment boundary, one and two periods on, and times before 0
+        times = {math.floor((k * traj.period_s * 1e3 + t) * 1e3) + d
+                 for k in (0, 1, 2) for t in times_ms for d in (-1, 0, 1)}
+        times.update(data.draw(st.lists(st.integers(min_value=-2_000_000,
+                                                    max_value=10_000_000), max_size=40)))
+        sample = traj.sampler()
+        for t_us in sorted(times):
+            want = bits(*reference_tabulated_sample(traj, t_us))
+            assert bits(*sample(t_us)) == want, t_us
+            assert bits(*traj.sample(t_us)) == want, t_us
