@@ -156,7 +156,8 @@ class TestTransmit:
         assert ChannelProfile.from_ms(0.15, 0.05) == ChannelProfile(150, 50)
         # every whole-us value in ms, as a decimal literal would give it
         for us in range(0, 10_001, 7):
-            assert ChannelProfile.from_ms(float(f"{us // 1000}.{us % 1000:03d}")).mean_delay_us == us
+            literal = f"{us // 1000}.{us % 1000:03d}"
+            assert ChannelProfile.from_ms(float(literal)).mean_delay_us == us
 
 
 class TestImpair:
