@@ -13,7 +13,7 @@ from .channel import ChannelProfile, us_from_ms
 from .config import ConfigError, load_config
 from .engine import US_PER_S
 from .harness import (RunManifest, ScriptError, parse_matrix_csv, render_matrix,
-                      run_from_manifest, run_spectrum_scenario)
+                      run_from_manifest, run_spectrum_scenario, us_from_s)
 from .trial import TrialTrace, calibrate, run_trial, symmetric_profiles
 
 EXIT_OK = 0
@@ -21,10 +21,15 @@ EXIT_CONFIG = 2
 EXIT_CALIBRATION = 3
 
 
-def positive(raw: str) -> float:
+def seconds(raw: str) -> float:
+    """A positive, finite length in seconds that is a whole number of µs."""
     value = float(raw)
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"{raw} is not positive and finite")
+    try:
+        us_from_s(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
 
 
@@ -91,7 +96,7 @@ def cmd_trial(args) -> int:
                           "[channel.command]/[channel.feedback] config sections")
     trace = TrialTrace() if args.trace else None
     verdict = run_trial(
-        config, cmd, fb, trial_length_us=round(run.spec.trial_seconds * US_PER_S),
+        config, cmd, fb, trial_length_us=us_from_s(run.spec.trial_seconds),
         seed=run.spec.master_seed, scenario=run.scenario, trace=trace)
     if trace is not None:
         Path(args.trace).write_text(trace.to_csv())
@@ -151,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="INI scenario file")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--trial-seconds", type=positive, default=None,
+        p.add_argument("--trial-seconds", type=seconds, default=None,
                        help="simulated seconds per trial")
 
     p = sub.add_parser("sweep", help="run the latency x jitter feasibility sweep")
@@ -177,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="grid-search loop configs against the target pattern")
     common(p)
     p.add_argument("--output-dir", default=None)
-    p.add_argument("--screen-seconds", type=positive, default=12.0)
+    p.add_argument("--screen-seconds", type=seconds, default=12.0)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("render", help="re-render a matrix CSV")

@@ -20,7 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .channel import ChannelProfile, JitterDistribution, us_from_ms
-from .harness import RunManifest, SweepSpec
+from .harness import RunManifest, SweepSpec, us_from_s
 from .plant import load_trajectory_csv, validate_config_pair
 from .trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO
 
@@ -60,6 +60,13 @@ def _axis_ms(raw: str) -> tuple[float, ...]:
     return values
 
 
+def _seconds(raw: str) -> float:
+    """A length that is a whole number of µs, checked here to name its line."""
+    value = _float(raw)
+    us_from_s(value)
+    return value
+
+
 _GAINS = {"kp": _float, "ki": _float, "kd": _float, "integral_clamp": _float}
 _LOOP = {"servo_period_us": int, "watchdog_timeout_us": int, "init_grace_us": int,
          "fe_limit_mm": _float, "delay_spread_tolerance_us": int, "rtt_rescue_budget_us": int}
@@ -73,7 +80,7 @@ _CHANNEL = {"mean_delay_ms": ("mean_delay_us", _us_from_ms),
 # every section a scenario file may have: its keys, each with its reader
 _SCHEMA = {
     "sweep": {"latencies_ms": _axis_ms, "jitters_ms": _axis_ms, "seeds_per_cell": int,
-              "trial_seconds": _float, "master_seed": int},
+              "trial_seconds": _seconds, "master_seed": int},
     "gains.default": _GAINS,
     "gains.adapted": _GAINS,
     "loop.default": _LOOP,

@@ -10,16 +10,16 @@ A heap entry is just ``(fire_time, sequence, action)``.  Callers schedule
 only the events that can change what a run decides.  An instant that
 needs no heap entry can stay off the heap and keep its place all the
 same: `reserve` takes the sequence number that `schedule` would have
-given it, and ``(instant, number)`` sorts against `event_key`, the key
-of the event being processed, exactly as the event would have sorted in
-the heap.  Both take their numbers from one `itertools.count`, and
-`reserve` is that counter's bound ``__next__``, so the tens of thousands
-of numbers a trial reserves cost no Python frame.  A caller that runs
-such an event itself first processes the events that precede its key
-(`run_before`); `step` then makes the key the event being processed and
-counts it.  A trial's control phase keeps every frame arrival, watchdog
-probe and servo tick off the heap this way (see ``trial.py``), so it
-schedules no event at all.
+given it, and ``(instant, number)`` sorts against the keys of queued
+events exactly as the event would have sorted in the heap.  Both take
+their numbers from one `itertools.count`, and `reserve` is that
+counter's bound ``__next__``, so the tens of thousands of numbers a
+trial reserves cost no Python frame.  A caller that runs such events
+itself runs those that precede the first queued event (`next_key`),
+then has the engine process that one event (`run_next`), and tells it
+how many it ran (`count_off_heap`).  A trial keeps every control-phase
+frame arrival, watchdog probe and servo tick off the heap this way (see
+``trial.py``), so its control phase schedules no event at all.
 """
 
 from __future__ import annotations
@@ -101,21 +101,23 @@ class Simulator:
             self._events_processed = processed
         return processed - start
 
-    def step(self, key: tuple[SimTime, int]) -> bool:
-        """Process an event kept off the heap, under its reserved `key`, unless
-        a queued event precedes it.
-
-        Returns True with `key` the event being processed (`now`,
-        `event_key`) and counted; the caller then runs its action.  Returns
-        False, changing nothing, if a queued event precedes `key`:
-        `run_before(key)` processes those first.
-        """
+    def next_key(self, limit: tuple[SimTime, int]) -> tuple[SimTime, int]:
+        """The key of the first queued event if it precedes `limit`, else `limit`."""
         heap = self._heap
-        if heap and heap[0] < key:
-            return False
-        self._clock, self._event_seq = key
+        return heap[0][:2] if heap and heap[0] < limit else limit
+
+    def run_next(self, limit: tuple[SimTime, int]) -> tuple[SimTime, int]:
+        """Process the first queued event; returns `next_key(limit)` after it."""
+        fire_time, self._event_seq, action = heapq.heappop(self._heap)
+        self._clock = fire_time
         self._events_processed += 1
-        return True
+        action()
+        return self.next_key(limit)
+
+    def count_off_heap(self, count: int, key: tuple[SimTime, int]) -> None:
+        """Count `count` events run off the heap; the last one's `key` becomes `event_key`."""
+        self._events_processed += count
+        self._clock, self._event_seq = key
 
     def run_until(self, t_end: SimTime) -> RunSummary:
         """Process every event with fire_time <= t_end; clock ends at t_end."""

@@ -70,6 +70,14 @@ def reference_pattern(latencies_ms: Iterable[float] = DEFAULT_LATENCIES_MS,
     return pattern
 
 
+def us_from_s(value_s: float) -> SimTime:
+    """`value_s` in integer µs, refused by the rule of `us_from_ms` unless whole."""
+    us = round(value_s * US_PER_S)
+    if us / US_PER_S != value_s:
+        raise ValueError(f"{value_s} s is not a whole number of us")
+    return us
+
+
 def _check_axis_value(name: str, value_ms: float) -> None:
     if not 0 <= value_ms < math.inf:
         raise ValueError(f"{name} axis holds {value_ms:g} ms, not a finite value >= 0")
@@ -100,6 +108,7 @@ class SweepSpec:
             raise ValueError("seeds_per_cell must be >= 1")
         if not 0 < self.trial_seconds < math.inf:
             raise ValueError(f"trial_seconds {self.trial_seconds:g} is not positive and finite")
+        us_from_s(self.trial_seconds)  # a trial runs whole µs
 
 
 @dataclass(frozen=True)
@@ -171,7 +180,7 @@ def evaluate_cell(default_config: LoopConfig, adapted_config: LoopConfig,
                   seeds_per_cell: int, trial_seconds: float,
                   master_seed: int, scenario: Scenario = DEFAULT_SCENARIO) -> CellVerdict:
     """Classify one cell; trials stop early once the class is decided."""
-    length_us = round(trial_seconds * US_PER_S)
+    length_us = us_from_s(trial_seconds)
     cmd, fb = symmetric_profiles(latency_ms, jitter_ms)
     default: list[TrialOutcome] = []
     adapted: list[TrialOutcome] = []
@@ -284,7 +293,7 @@ def _render_csv(result: SweepResult) -> str:
 
 def _class_inconsistency(cell: CellVerdict, spec: SweepSpec) -> str | None:
     """Why `evaluate_cell` could not have given this cell, or None if it could."""
-    length_us = round(spec.trial_seconds * US_PER_S)
+    length_us = us_from_s(spec.trial_seconds)
     n = spec.seeds_per_cell
     default, adapted = cell.default_outcomes, cell.adapted_outcomes
     for outcomes in (default, adapted):

@@ -21,43 +21,40 @@ the first following-error excursion past the limit or when the feedback
 watchdog expires; surviving to the configured length is a pass.
 
 Frames.  When a command or feedback frame is sent, the sending node's
-admission closure on the ring (`TokenRing.admitter`, what
-`TokenRing.admit` calls) computes its delivery instant at admission and
-the direction's `Channel.impair` closure impairs it at that instant.  A
-trial holds the two closures of each direction, built once with their
-configuration and profile bound.  Neither builds an object: a control
-frame is just a call on its direction's closures, and a frame the ring
-or channel drops leaves nothing behind.  During initialization
-a frame's arrival is an engine event.  In the control phase it is not:
-the frame goes into its direction's in-flight queue as ``(arrival, seq,
-value)``, ``seq`` being the number `Simulator.reserve` hands out, which
-is the sequence number `Simulator.schedule` would have given the arrival
-event.  The stage tick applies every queued command whose key precedes
-its own, and the controller tick does the same for feedback.  Feedback
-sent before the first controller tick stays an event, because it can
-re-arm the watchdog.
+admission closure on the ring (`TokenRing.admitter`) computes its
+delivery instant and the direction's `Channel.impair` closure impairs it
+at that instant.  A trial holds the two closures of each direction,
+built once with their configuration and profile bound, and a frame
+builds no object.  During initialization a frame's arrival is an engine
+event.  In the control phase the frame goes into its direction's
+in-flight queue as ``(arrival, seq, value)``, ``seq`` being the number
+`Simulator.reserve` hands out, which is the sequence number
+`Simulator.schedule` would have given the arrival event.  Feedback sent
+before the first controller tick stays an event, because it can re-arm
+the watchdog.
 
-Ticks.  The two servo ticks are no heap events either.  One loop keeps
-each tick's next key as ``(instant, seq)`` and runs the earlier tick
-after every engine event whose key precedes it (`Simulator.run_before`):
-initialization frames, handshake retries, the grace deadline and the
-feedback sent before the first controller tick.  `Simulator.step` makes
-the tick's key the event being processed and counts it, so the control
-phase still counts two engine events per servo period, and schedules
-none.  The plant a tick drives is compiled for the trial as the links
-are: the loop calls the trajectory's `sampler`, the controller's `tick`
-and the axis's `stepper` for the servo period, each a closure with its
-constants bound (see `plant.py`).
+The loop.  One loop, `_LoopHarness._run_ticks`, runs a trial.  The two
+servo ticks are no engine events but ``(instant, seq)`` keys, and the
+loop also keeps the key of the engine's next queued event (initialization
+frames, handshake retries, the grace deadline, feedback sent before the
+first controller tick).  The earliest key runs next, once the loop has
+caught up to it: applied the queued feedback and fired the watchdog
+probes whose keys precede it.  A stage tick applies the queued commands
+whose keys precede its own.  An event is handed to the engine alone
+(`Simulator.run_next`), with the feedback and watchdog state, which the
+loop holds in locals, copied to the harness around it; the engine is
+told how many ticks ran (`Simulator.count_off_heap`), so the control
+phase counts two engine events per servo period, and schedules none.
+A tick calls the trajectory's `sampler`, the controller's `tick` and the
+axis's `stepper`, closures compiled for the trial as the links are.
 
 The feedback watchdog is one probe that re-arms itself from the newest
 arrival rather than one probe per arrival.  It fails the trial at s +
 timeout + 1, s being the control start or a feedback arrival, if and
 only if no feedback arrived in (s, s + timeout]: a frame that arrives on
 the probe's own µs is too late, whichever of the two comes first.  The
-probe is no event either, but one ``(instant, seq)`` slot whose number is
-reserved when it is armed.  Every handler that reads feedback or
-reserves a number first fires a probe whose key precedes its own, and so
-does the end of the run; a failing probe reports its own instant.
+probe is no event either, but one ``(instant, seq)`` key whose number is
+reserved when it is armed; a failing probe reports its own instant.
 
 Same-µs order.  The rule is the reserved sequence number.  The engine
 fires events that share a microsecond in the order they were scheduled,
@@ -174,19 +171,15 @@ class _LoopHarness:
         self.sim = Simulator()
         self.ring = TokenRing(scenario.control_ring, self.sim,
                               component_rng(seed, "ring", "control"))
-        # State only __init__ needs stays local: the event handlers read this
-        # object's attributes on every event, and CPython 3.11 loads them about
-        # 9% slower once an object holds 30 or more.
         cmd_channel = Channel(command_profile, component_rng(seed, "chan", "cmd"))
         fb_channel = Channel(feedback_profile, component_rng(seed, "chan", "fb"),
                              blackout_from=feedback_blackout_us)
         # (the sending node's admission closure on the control ring, the
         # channel's impairment closure, control-phase frames in flight as
         # (arrival, reserved seq, value)) per direction
-        self.fb_queue: deque[tuple[SimTime, int, float]] = deque()
         admitter, node_index = self.ring.admitter, self.ring.node_index
         self.to_fpga = (admitter(node_index(MASTER_NODE)), cmd_channel.impair, deque())
-        self.to_cnc = (admitter(node_index(FPGA_NODE)), fb_channel.impair, self.fb_queue)
+        self.to_cnc = (admitter(node_index(FPGA_NODE)), fb_channel.impair, deque())
 
         self.axis = AxisModel()
         self.pid = PidController(config.gains, config.servo_period_us)
@@ -214,8 +207,7 @@ class _LoopHarness:
 
     def _send(self, now: SimTime, path: tuple[Callable, Callable, deque], on_arrival) -> None:
         """One frame sent at `now` across the control ring, then a channel;
-        its arrival is an engine event.  (A control-phase frame is queued
-        instead, by `_run_ticks`.)"""
+        its arrival is an engine event (`_run_ticks` queues control frames)."""
         admit, impair, _ = path
         delivered = admit(now)
         if delivered is not None:
@@ -237,9 +229,6 @@ class _LoopHarness:
         self.sim.schedule(self.sim.now + HANDSHAKE_RETRY_US, lambda: self._handshake_retry(seq))
 
         def fpga_got_request():
-            # a stale request landing in the control phase reserves a number
-            # for its reply, so a probe due before it fires first
-            self._catch_up(self.sim.event_key)
             self._send(self.sim.now, self.to_cnc, lambda: self._handshake_reply(seq))
 
         self._send(self.sim.now, self.to_fpga, fpga_got_request)
@@ -286,45 +275,14 @@ class _LoopHarness:
         self.watchdog_since = since
         self.probe = (since + self.config.watchdog_timeout_us + 1, self.sim.reserve())
 
-    def _catch_up(self, key: tuple[SimTime, int]) -> None:
-        """Apply the queued feedback and fire the watchdog probes that precede
-        `key`, in key order, as their own events would have fired."""
-        queue = self.fb_queue
-        while True:
-            probe = self.probe
-            upto = probe if probe < key else key
-            while queue and queue[0] < upto:
-                arrival, _, self.fb_value = queue.popleft()
-                if arrival != self.last_fb_arrival:
-                    self.prev_fb_arrival, self.last_fb_arrival = self.last_fb_arrival, arrival
-            if upto is key:
-                return
-            self._watchdog_probe(probe[0])
-
-    def _watchdog_probe(self, instant: SimTime) -> None:
-        # A timer reset by every feedback arrival: nothing newer than the
-        # instant it times out, before this µs, means the timeout elapsed.
-        # Arrivals between that instant and the newest one each had a
-        # successor within the timeout, so re-arming from the newest keeps
-        # the fail instant.
-        last = self.last_fb_arrival
-        in_time = last if last < instant else self.prev_fb_arrival
-        if in_time <= self.watchdog_since:
-            self._fail(FailCause.WATCHDOG, instant)
-        self._arm_watchdog(last)
-
     def _on_feedback(self, sample_time: SimTime, position: float) -> None:
         """A feedback frame whose arrival is an engine event (see `_run_ticks`)."""
-        key = self.sim.event_key
-        self._catch_up(key)
-        now = key[0]
+        now = self.sim.now
         self.fb_value = position
         if now != self.last_fb_arrival:
             self.prev_fb_arrival, self.last_fb_arrival = self.last_fb_arrival, now
         if self.phase == "control":
-            if now < self.watchdog_since:
-                # feedback before the first servo tick times out before the
-                # control start does
+            if now < self.watchdog_since:  # before the first tick: it times out first
                 self._arm_watchdog(now)
         elif self.phase == "qualify":
             self.residuals.append(now - sample_time)
@@ -340,7 +298,6 @@ class _LoopHarness:
         try:
             self._run_ticks()
             self.sim.run_until(self.length)  # nothing is left to run: the clock ends there
-            self._catch_up((self.length + 1, 0))  # a probe due by the end
         except _StopTrial:
             return self.verdict
         if self.phase != "control":
@@ -348,53 +305,56 @@ class _LoopHarness:
         return TrialVerdict(True, FailCause.NONE, self.max_fe, self.length)
 
     def _run_ticks(self) -> None:
-        """Run the controller and stage ticks in key order up to the end of the
-        trial, each after the engine events whose key precedes its own.
-
-        A tick is no engine event but an ``(instant, seq)`` key: the engine
-        counts it when it runs (`Simulator.step`), and its successor's number
-        is reserved where the tick ends, so same-µs order is as it would be
-        on the heap.  A control-phase frame is filed in its direction's
-        queue under the key its arrival event would have had.
-        """
+        """Run the engine's events and the two servo ticks in key order up to
+        the end of the trial (see the module docstring)."""
         sim = self.sim
-        run_before, step, reserve = sim.run_before, sim.step, sim.reserve
+        reserve, count_off_heap = sim.reserve, sim.count_off_heap
         cmd_admit, cmd_impair, cmd_queue = self.to_fpga
         fb_admit, fb_impair, fb_queue = self.to_cnc
-        catch_up = self._catch_up
         period, fe_limit = self.config.servo_period_us, self.config.fe_limit_mm
+        wait = self.config.watchdog_timeout_us + 1  # a probe's delay after its `since`
         # the plant, compiled for the servo period
         sample, pid_tick = self.trajectory.sampler(), self.pid.tick
         move_axis = self.axis.stepper(period)
         rows = None if self.trace is None else self.trace.rows
-        end = self.length
-        stop = (end + 1, 0)  # precedes every event after the end
+        stop = (self.length + 1, 0)  # precedes every event after the end
+        next_event = sim.next_key(stop)  # the key of the engine's next event, or the end
         cnc_key, fpga_key = self.first_cnc_tick, self.first_fpga_tick
         control_start = cnc_key[0]
+        fb_value, last, prev = self.fb_value, self.last_fb_arrival, self.prev_fb_arrival
+        since, probe = self.watchdog_since, self.probe
         max_fe = self.max_fe
         v_cmd = 0.0
+        ticks, tick_key = 0, None  # ticks run since the engine last ran, and the last one
         while True:
             key = cnc_key if cnc_key < fpga_key else fpga_key
-            if key[0] > end or not step(key):
-                # the events before the tick, or before the end, run first
-                if not run_before(min(key, stop)):
-                    return  # none was left before the end
-                if cnc_key is _NEVER:  # one may have entered control
-                    cnc_key = self.first_cnc_tick
-                    control_start = cnc_key[0]
-                continue
+            if next_event < key:
+                key = next_event
+            # catch up to `key`.  A probe fails if nothing newer than `since`
+            # arrived before its µs; arrivals between `since` and the newest
+            # one each had a successor within the timeout, so re-arming from
+            # the newest keeps the fail instant.
+            while True:
+                upto = probe if probe < key else key
+                while fb_queue and fb_queue[0] < upto:
+                    arrival, _, fb_value = fb_queue.popleft()
+                    if arrival != last:
+                        prev, last = last, arrival
+                if upto is key:
+                    break
+                if (last if last < probe[0] else prev) <= since:
+                    self._fail(FailCause.WATCHDOG, probe[0])
+                since, probe = last, (last + wait, reserve())
             now = key[0]
             if key is cnc_key:
-                catch_up(key)
                 setpoint, feedforward = sample(now - control_start)
-                fb = self.fb_value
-                fe = setpoint - fb
+                fe = setpoint - fb_value
                 abs_fe = abs(fe)
                 if abs_fe > max_fe:
                     self.max_fe = max_fe = abs_fe
                 if abs_fe > fe_limit:
-                    self._fail(FailCause.FOLLOWING_ERROR)
-                command = pid_tick(setpoint, fb, feedforward)
+                    self._fail(FailCause.FOLLOWING_ERROR, now)
+                command = pid_tick(setpoint, fb_value, feedforward)
                 delivered = cmd_admit(now)
                 if delivered is not None:
                     arrival = cmd_impair(delivered)
@@ -405,11 +365,9 @@ class _LoopHarness:
                         else:
                             cmd_queue.append(entry)
                 if rows is not None:
-                    rows.append((now, setpoint, fb, command, fe))
+                    rows.append((now, setpoint, fb_value, command, fe))
                 cnc_key = (now + period, reserve())
-            else:
-                if self.probe < key:
-                    catch_up(key)
+            elif key is fpga_key:
                 while cmd_queue and cmd_queue[0] < key:
                     v_cmd = cmd_queue.popleft()[2]
                 position = move_axis(v_cmd)
@@ -427,7 +385,25 @@ class _LoopHarness:
                     # feedback sent before the first controller tick may
                     # re-arm the watchdog, so its arrival stays an event
                     self._send(now, self.to_cnc, partial(self._on_feedback, now, position))
+                    next_event = sim.next_key(stop)
                 fpga_key = (now + period, reserve())
+            else:
+                if ticks:
+                    count_off_heap(ticks, tick_key)
+                    ticks = 0
+                if key is stop:
+                    return
+                self.fb_value, self.last_fb_arrival, self.prev_fb_arrival = fb_value, last, prev
+                self.watchdog_since, self.probe = since, probe
+                next_event = sim.run_next(stop)
+                fb_value, last, prev = self.fb_value, self.last_fb_arrival, self.prev_fb_arrival
+                since, probe = self.watchdog_since, self.probe
+                if cnc_key is _NEVER:  # the event may have entered control
+                    cnc_key = self.first_cnc_tick
+                    control_start = cnc_key[0]
+                continue
+            ticks += 1
+            tick_key = key
 
     def _grace_deadline(self) -> None:
         if self.phase != "control":

@@ -130,11 +130,14 @@ class TestConfig:
         ("[channel.feedback]\nmean_delay_ms = 0.5\njitter_ms = 0.0502\n", 3),
         # a table from 100 ms extrapolates its setpoint back to 0 ms
         ("[sweep]\nseeds_per_cell = 1\n[trajectory]\nfile = late.csv\n", 4),
+        # a length that is not whole us would run another length than it names
+        ("[sweep]\nseeds_per_cell = 1\ntrial_seconds = 2.0000004\n", 3),
     ], ids=["distribution", "seeds_per_cell", "reorder", "empty-value", "adapted-watchdog",
             "control-nodes", "sensor-nodes", "missing-file", "negative-latency",
             "negative-jitter", "one-column-row", "nan-setpoint", "inf-setpoint",
             "negative-tolerance", "negative-rescue-budget", "watchdog-below-period",
-            "latency-not-whole-us", "jitter-not-whole-us", "late-first-point"])
+            "latency-not-whole-us", "jitter-not-whole-us", "late-first-point",
+            "trial-seconds-not-whole-us"])
     def test_bad_input_exits_config_error_with_its_line(self, tmp_path, capsys, text, line):
         (tmp_path / "moves.csv").write_text("0,0\n500\n1000,0\n")
         (tmp_path / "nan.csv").write_text("time_ms,setpoint_mm\n0,0\n500,nan\n1000,0\n")
@@ -331,12 +334,24 @@ class TestCli:
          "argument --jitter-ms: 0.0502 ms is not a whole number of us"),
         (["render", "--matrix", "fraction-latency.csv"],
          "line 4: bad matrix row: latencies axis holds 0.5004 ms, not a whole number of us"),
+        # an empty trial, a 2 s trial and an empty screening trial, each
+        # under a length that is not whole us
+        (["trial", "--latency-ms", "1", "--jitter-ms", "0.1", "--trial-seconds", "0.0000004"],
+         "argument --trial-seconds: 4e-07 s is not a whole number of us"),
+        (["trial", "--latency-ms", "1", "--jitter-ms", "0.1", "--trial-seconds", "2.0000004"],
+         "argument --trial-seconds: 2.0000004 s is not a whole number of us"),
+        (["calibrate", "--screen-seconds", "0.0000004"],
+         "argument --screen-seconds: 4e-07 s is not a whole number of us"),
+        (["render", "--matrix", "fraction-seconds.csv"],
+         "line 1: bad matrix header: 1.0000004 s is not a whole number of us"),
     ], ids=["trial-seconds", "screen-seconds", "latency-ms", "jitter-ms", "not-a-matrix",
             "bad-row", "directory", "no-column-header", "bad-status", "bad-cause",
             "wrong-cause", "duplicate-cell", "wrong-class", "no-rows", "nan-latency",
             "negative-latency", "inf-jitter", "nan-trial-seconds", "lone-latency-ms",
             "lone-jitter-ms", "latency-ms-not-whole-us", "jitter-ms-not-whole-us",
-            "matrix-latency-not-whole-us"])
+            "matrix-latency-not-whole-us", "trial-seconds-below-1-us",
+            "trial-seconds-not-whole-us", "screen-seconds-below-1-us",
+            "matrix-trial-seconds-not-whole-us"])
     def test_bad_flag_or_matrix_exits_config_error(self, tmp_path, capsys, monkeypatch,
                                                    argv, message):
         monkeypatch.chdir(tmp_path)
@@ -362,6 +377,8 @@ class TestCli:
             (tmp_path / f"{name}.csv").write_text(head + body)
         (tmp_path / "nan-seconds.csv").write_text(head.replace("seconds=1", "seconds=nan")
                                                   + columns + row)
+        (tmp_path / "fraction-seconds.csv").write_text(
+            head.replace("seconds=1", "seconds=1.0000004") + columns + row)
         # a file channel pair, which a lone flag must not silently fall back to
         (tmp_path / "pair.ini").write_text(
             "[channel.command]\nmean_delay_ms = 0.5\njitter_ms = 0.05\n"

@@ -11,7 +11,7 @@ from ringmill.harness import (CellClass, CellVerdict, RunManifest, ScriptError,
                               SweepResult, SweepSpec, TrialOutcome, _cell_class,
                               _trial_seed, evaluate_cell, parse_matrix_csv,
                               reference_pattern, render_matrix,
-                              run_spectrum_scenario, run_sweep)
+                              run_spectrum_scenario, run_sweep, us_from_s)
 from ringmill.plant import (FailCause, PidGains, TabulatedTrajectory, TrapezoidTrajectory,
                             TrialVerdict)
 from ringmill.ring import RingConfig
@@ -288,6 +288,26 @@ class TestManifest:
         data["spec"]["jitters_ms"] = [0.0502, 0.1]
         with pytest.raises(ValueError, match="jitters axis holds 0.0502 ms, not a whole"):
             RunManifest.from_json(json.dumps(data))
+
+    def test_trial_length_that_is_not_whole_us_is_rejected(self):
+        # 0.4 us would run an empty trial, and 2.0000004 s a 2 s one
+        for seconds in (0.0000004, 2.0000004):
+            with pytest.raises(ValueError, match=f"{seconds} s is not a whole number of us"):
+                SweepSpec(trial_seconds=seconds)
+            with pytest.raises(ValueError, match="is not a whole number of us"):
+                evaluate_cell(DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG, 0.5, 0.05, 1, seconds, 0)
+        manifest = RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)
+        data = json.loads(manifest.to_json())
+        data["spec"]["trial_seconds"] = 2.0000004
+        with pytest.raises(ValueError, match="2.0000004 s is not a whole number of us"):
+            RunManifest.from_json(json.dumps(data))
+
+    def test_whole_us_trial_lengths_convert_exactly(self):
+        lengths = {2.0: 2_000_000, 0.5: 500_000, 12.0: 12_000_000, 60.0: 60_000_000,
+                   1.000001: 1_000_001, 0.000001: 1}
+        for seconds, us in lengths.items():
+            assert us_from_s(seconds) == us
+            assert SweepSpec(trial_seconds=seconds).trial_seconds == seconds
 
     def test_non_integer_ring_timing_is_rejected(self):
         # a slot of 800.5 us would give float delivery instants

@@ -4,16 +4,18 @@ golden files of verdicts and per-tick traces."""
 
 import hashlib
 import itertools
+from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from test_heap_oracle import HeapHarness
 
 from ringmill.channel import ZERO_IMPAIRMENT, ChannelProfile, JitterDistribution
 from ringmill.plant import FailCause
 from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO,
-                            TrialTrace, _LoopHarness, _StopTrial, run_trial,
-                            symmetric_profiles)
+                            FPGA_TICK_OFFSET_US, TrialTrace, _LoopHarness, _StopTrial,
+                            run_trial, symmetric_profiles)
 
 
 def harness(cmd, fb, length_us, seed=1):
@@ -121,48 +123,100 @@ class TestTrialKernel:
         assert [row[0] for row in trace.rows] == [11_000, 12_000]
         assert trace.rows[1][2] == feedback_mm
 
+    @pytest.mark.parametrize("blackout, passed", [(None, True), (650_000, False)])
+    def test_stale_request_on_a_probe_us_matches_the_heap_kernel(self, blackout, passed):
+        # Control starts at 536,000 us and feedback arrives 100 us after each
+        # stage tick, so probes are due every 2 ms at 649,701, 651,701, ....
+        # A handshake request sent at 651,601, in the control phase, lands at
+        # 651,701 and reserves a number for its reply; the probe due there was
+        # armed first, so it fires before the request, passing or, after a
+        # feedback blackout from 650,000 us, failing.
+        verdicts, traces = [], []
+        for make in (_LoopHarness, HeapHarness):
+            trace = TrialTrace()
+            h = make(DEFAULT_LOOP_CONFIG, ZERO_IMPAIRMENT, ZERO_IMPAIRMENT, 1_000_000, 1,
+                     DEFAULT_SCENARIO, blackout, trace)
+            h.sim.schedule(651_601, h._send_handshake)
+            verdicts.append(repr(h.run()))
+            traces.append(trace.rows)
+            assert h.control_start == 536_000
+        assert verdicts[0] == verdicts[1]
+        assert traces[0] == traces[1]
+        assert ("passed=True" in verdicts[0]) is passed
+        if not passed:
+            assert "survived_us=651701" in verdicts[0]
+
     def test_same_us_feedback_is_seen_iff_sent_before_the_tick_was_scheduled(self):
         # With a fixed channel delay, the control ring's slot phase decides
         # which feedback frames land exactly on a controller tick: at 400 us
         # those were sent half a period before the tick, at 900 us one and a
-        # half periods before it.  A frame is seen by the tick if the tick
-        # takes it off the feedback queue.
+        # half periods before it.
         period = DEFAULT_LOOP_CONFIG.servo_period_us
         seen_outcomes = set()
         for delay_us in (400, 900):
-            profile = ChannelProfile(mean_delay_us=delay_us)
-            h = harness(profile, profile, 1_500_000)
-            sent_at = {}  # reserved sequence number -> when it was reserved
-            landings = []  # (tick instant, frame sent at, seen by the tick)
-            reserve, catch_up = h.sim.reserve, h._catch_up
-
-            def reserve_and_log():
-                seq = reserve()
-                sent_at[seq] = h.sim.now
-                return seq
-
-            def tick(key):
-                # a controller tick first catches up to its own key, which
-                # the tick a period before it reserved
-                t = key[0]
-                landing = [entry for entry in h.fb_queue if entry[0] == t]
-                catch_up(key)
-                if t % period or sent_at.get(key[1]) != t - period:
-                    return  # not a controller tick
-                for entry in landing:
-                    landings.append((t, sent_at[entry[1]], entry not in h.fb_queue))
-
-            h.sim.reserve, h._catch_up = reserve_and_log, tick
-            assert h.run().passed
-
+            h, landings = same_us_landings(delay_us)
             # the first tick is scheduled on entering control, every later
             # one by the tick a period before it
-            first_tick = h.control_start
-            for t, sent, seen in landings:
-                if t != first_tick:
+            for t, sent, seen in landings["fb"]:
+                if t % period == 0 and t != h.control_start:
                     assert seen == (sent < t - period), (delay_us, t, sent)
                     seen_outcomes.add(seen)
         assert seen_outcomes == {True, False}
+
+    def test_same_us_command_is_applied_iff_sent_before_the_tick_was_scheduled(self):
+        # the same for commands landing on a stage tick, each scheduled by
+        # the stage tick a period before it: at 400 us those were sent half a
+        # period before the tick, at 1,400 us one and a half periods before it
+        period = DEFAULT_LOOP_CONFIG.servo_period_us
+        seen_outcomes = set()
+        for delay_us in (400, 1400):
+            _, landings = same_us_landings(delay_us)
+            for t, sent, seen in landings["cmd"]:
+                if t % period == FPGA_TICK_OFFSET_US:
+                    assert seen == (sent < t - period), (delay_us, t, sent)
+                    seen_outcomes.add(seen)
+        assert seen_outcomes == {True, False}
+
+
+def same_us_landings(delay_us):
+    """Run a passing 1.5 s trial over a fixed `delay_us` channel each way,
+    logging every control-phase frame as (arrival, sent at, seen by the
+    receiving tick on the arrival's µs), per direction ("cmd", "fb").
+
+    A frame is seen by that tick if it leaves its queue before the tick
+    runs.  Each tick sends one frame the other way, so the frame is seen
+    exactly when the receiving side's last send is still before its
+    arrival when it is taken off its queue.
+    """
+    h = harness(*(ChannelProfile(mean_delay_us=delay_us),) * 2, 1_500_000)
+    last_sent = {"cmd": -1, "fb": -1}  # instant of each direction's latest send
+    landings = {"cmd": [], "fb": []}
+
+    def instrument(direction, receiver_sends, path):
+        admit, impair, _ = path
+        sent_at = {}  # reserved sequence number -> when the frame was sent
+
+        def admit_and_log(now):
+            last_sent[direction] = now
+            return admit(now)
+
+        class LoggingQueue(deque):
+            def append(self, entry):
+                sent_at[entry[1]] = last_sent[direction]
+                super().append(entry)
+
+            def popleft(self):
+                arrival, seq, value = entry = super().popleft()
+                landings[direction].append(
+                    (arrival, sent_at[seq], last_sent[receiver_sends] < arrival))
+                return entry
+
+        return admit_and_log, impair, LoggingQueue()
+
+    h.to_fpga = instrument("cmd", "fb", h.to_fpga)
+    h.to_cnc = instrument("fb", "cmd", h.to_cnc)
+    assert h.run().passed
+    return h, landings
 
 
 # ---------------------------------------------------------------------------
