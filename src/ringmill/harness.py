@@ -71,7 +71,7 @@ def reference_pattern(latencies_ms: Iterable[float] = DEFAULT_LATENCIES_MS,
 
 
 def us_from_s(value_s: float) -> SimTime:
-    """`value_s` in integer µs, refused by the rule of `us_from_ms` unless whole."""
+    """`value_s` in integer µs, or a ValueError unless whole, as in `us_from_ms`."""
     us = round(value_s * US_PER_S)
     if us / US_PER_S != value_s:
         raise ValueError(f"{value_s} s is not a whole number of us")
