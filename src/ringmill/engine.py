@@ -17,9 +17,9 @@ counter's bound ``__next__``, so the tens of thousands of numbers a
 trial reserves cost no Python frame.  A caller that runs such events
 itself runs those that precede the first queued event (`next_key`),
 then has the engine process that one event (`run_next`), and tells it
-how many it ran (`count_off_heap`).  A trial keeps every control-phase
-frame arrival, watchdog probe and servo tick off the heap this way (see
-``trial.py``), so its control phase schedules no event at all.
+how many it ran (`count_off_heap`).  A trial keeps every servo frame
+arrival, watchdog probe and servo tick off the heap this way (see
+``trial.py``), so it schedules only its handshake and grace deadline.
 """
 
 from __future__ import annotations

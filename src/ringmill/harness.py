@@ -225,7 +225,8 @@ def run_sweep(spec: SweepSpec, default_config: LoopConfig, adapted_config: LoopC
 
 
 def _fmt(value: float) -> str:
-    return f"{value:g}"
+    # every whole-µs value reads back exactly; 0.5, 2 or 60 as with `:g`
+    return f"{value:.15g}"
 
 
 _CSV_COLUMNS = "latency_ms,jitter_ms,class,default_outcomes,adapted_outcomes"

@@ -219,7 +219,10 @@ class SpectrumManager:
 
     def request_spectrum(self, req: SpectrumRequest, now: SimTime = 0,
                          expires_at: SimTime | None = None) -> SpectrumGrant | Rejection:
-        """Grant the lowest free sub-block at the requested place, or reject."""
+        """Grant the lowest free sub-block at the requested place, or reject;
+        a lease that ends by `now` is a `SpectrumError`."""
+        if expires_at is not None and expires_at <= now:
+            raise SpectrumError(f"lease expires at {expires_at}, not after the request at {now}")
         self._purge_expired(now)
         occupied_blocks = self._conflicting_blocks(req.area, now)
         occupied = union_width_mhz(occupied_blocks)

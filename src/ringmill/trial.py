@@ -25,28 +25,33 @@ admission closure on the ring (`TokenRing.admitter`) computes its
 delivery instant and the direction's `Channel.impair` closure impairs it
 at that instant.  A trial holds the two closures of each direction,
 built once with their configuration and profile bound, and a frame
-builds no object.  During initialization a frame's arrival is an engine
-event.  In the control phase the frame goes into its direction's
-in-flight queue as ``(arrival, seq, value)``, ``seq`` being the number
-`Simulator.reserve` hands out, which is the sequence number
-`Simulator.schedule` would have given the arrival event.  Feedback sent
-before the first controller tick stays an event, because it can re-arm
-the watchdog.
+builds no object.  Only a handshake frame's arrival is an engine event.
+A servo frame, from the first stage tick on, goes into its direction's
+in-flight queue as ``(arrival, seq, value)``, a feedback frame with its
+send instant appended, ``seq`` being the number `Simulator.reserve`
+hands out, which is the sequence number `Simulator.schedule` would have
+given the arrival event.
 
 The loop.  One loop, `_LoopHarness._run_ticks`, runs a trial.  The two
 servo ticks are no engine events but ``(instant, seq)`` keys, and the
-loop also keeps the key of the engine's next queued event (initialization
-frames, handshake retries, the grace deadline, feedback sent before the
-first controller tick).  The earliest key runs next, once the loop has
-caught up to it: applied the queued feedback and fired the watchdog
-probes whose keys precede it.  A stage tick applies the queued commands
-whose keys precede its own.  An event is handed to the engine alone
-(`Simulator.run_next`), with the feedback and watchdog state, which the
-loop holds in locals, copied to the harness around it; the engine is
-told how many ticks ran (`Simulator.count_off_heap`), so the control
-phase counts two engine events per servo period, and schedules none.
-A tick calls the trajectory's `sampler`, the controller's `tick` and the
-axis's `stepper`, closures compiled for the trial as the links are.
+loop also keeps the key of the engine's next queued event (a handshake
+frame or retry, the grace deadline).  The earliest key runs next, once
+the loop has caught up to it: applied the queued feedback and fired the
+watchdog probes whose keys precede it.  A feedback frame sets the
+feedback value and the newest arrival; one that arrives before the
+watchdog's `since` (infinite before control), so before the control
+start, does more.  In qualify it records its delay residual, and the
+window's last frame runs the link decision at its arrival, which fails
+the trial or enters control: it reserves the first controller tick's
+number, then the probe's, and the catch-up stops at that tick if it
+comes first.  In control the first such frame re-arms the probe from
+itself.  A stage tick applies the queued commands whose keys precede its
+own.  Engine events touch only the handshake, so the engine runs one
+alone (`Simulator.run_next`) with nothing copied around it, and is told
+how many ticks ran (`Simulator.count_off_heap`): the control phase
+counts two engine events per servo period and schedules none.  A tick
+calls the trajectory's `sampler`, the controller's `tick` and the axis's
+`stepper`, closures compiled for the trial as the links are.
 
 The feedback watchdog is one probe that re-arms itself from the newest
 arrival rather than one probe per arrival.  It fails the trial at s +
@@ -80,7 +85,6 @@ import itertools
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Callable
 
 from .channel import Channel, ChannelProfile
@@ -175,30 +179,24 @@ class _LoopHarness:
         fb_channel = Channel(feedback_profile, component_rng(seed, "chan", "fb"),
                              blackout_from=feedback_blackout_us)
         # (the sending node's admission closure on the control ring, the
-        # channel's impairment closure, control-phase frames in flight as
-        # (arrival, reserved seq, value)) per direction
+        # channel's impairment closure, servo frames in flight as (arrival,
+        # reserved seq, value), feedback with its send instant appended) per
+        # direction
         admitter, node_index = self.ring.admitter, self.ring.node_index
         self.to_fpga = (admitter(node_index(MASTER_NODE)), cmd_channel.impair, deque())
         self.to_cnc = (admitter(node_index(FPGA_NODE)), fb_channel.impair, deque())
 
         self.axis = AxisModel()
         self.pid = PidController(config.gains, config.servo_period_us)
-        # (instant, reserved seq) of the first stage tick, set by `run`, and
-        # of the first controller tick, set on entering control
+        # (instant, reserved seq) of the first stage tick, set by `run`
         self.first_fpga_tick: tuple[SimTime, int] = _NEVER
-        self.first_cnc_tick: tuple[SimTime, int] = _NEVER
 
         self.phase = "handshake"
         self.hs_rtts: list[int] = []
         self.hs_seq = 0
         self.hs_sent_at: SimTime = 0
         self.residuals: list[int] = []
-        self.fb_value = self.axis.position_mm
-        self.last_fb_arrival: SimTime = 0
-        self.prev_fb_arrival: SimTime = 0  # the arrival before, on an earlier µs
         self.control_start: SimTime = 0
-        self.watchdog_since: SimTime = 0  # the arrival the pending probe times out
-        self.probe: tuple[SimTime, int] = _NEVER  # its (instant, reserved seq)
         self.max_fe = 0.0
 
         self.verdict: TrialVerdict | None = None
@@ -206,8 +204,8 @@ class _LoopHarness:
     # -- transport helpers ---------------------------------------------------
 
     def _send(self, now: SimTime, path: tuple[Callable, Callable, deque], on_arrival) -> None:
-        """One frame sent at `now` across the control ring, then a channel;
-        its arrival is an engine event (`_run_ticks` queues control frames)."""
+        """One handshake frame sent at `now` across the control ring, then a
+        channel; its arrival is an engine event (`_run_ticks` queues servo frames)."""
         admit, impair, _ = path
         delivered = admit(now)
         if delivered is not None:
@@ -247,47 +245,20 @@ class _LoopHarness:
             self.phase = "qualify"
             self.residuals.clear()
 
-    def _qualify_decision(self) -> None:
+    def _qualify_decision(self, now: SimTime) -> SimTime:
+        """Fail the trial at `now`, or enter control and return its start."""
         spread = max(self.residuals) - min(self.residuals)
         baseline_rtt = sum(self.hs_rtts) / len(self.hs_rtts)
         cfg = self.config
-        if spread <= cfg.delay_spread_tolerance_us:
-            self._enter_control()
-        elif baseline_rtt + spread <= cfg.rtt_rescue_budget_us:
-            # stock driver copes with a noisy link only when it is fast
-            self._enter_control()
-        else:
-            self._fail(FailCause.INIT_FAILURE)
-
-    def _enter_control(self) -> None:
-        self.phase = "control"
-        period = self.config.servo_period_us
-        self.control_start = ((self.sim.now // period) + 1) * period
-        self.last_fb_arrival = self.control_start
-        self.pid.reset()
-        self.first_cnc_tick = (self.control_start, self.sim.reserve())
-        self._arm_watchdog(self.control_start)
-
-    # -- feedback path ------------------------------------------------------
-
-    def _arm_watchdog(self, since: SimTime) -> None:
-        """Time out `since` (control start or a feedback arrival)."""
-        self.watchdog_since = since
-        self.probe = (since + self.config.watchdog_timeout_us + 1, self.sim.reserve())
-
-    def _on_feedback(self, sample_time: SimTime, position: float) -> None:
-        """A feedback frame whose arrival is an engine event (see `_run_ticks`)."""
-        now = self.sim.now
-        self.fb_value = position
-        if now != self.last_fb_arrival:
-            self.prev_fb_arrival, self.last_fb_arrival = self.last_fb_arrival, now
-        if self.phase == "control":
-            if now < self.watchdog_since:  # before the first tick: it times out first
-                self._arm_watchdog(now)
-        elif self.phase == "qualify":
-            self.residuals.append(now - sample_time)
-            if len(self.residuals) >= QUALIFY_WINDOW_FRAMES:
-                self._qualify_decision()
+        # the stock driver copes with a noisy link only when it is fast
+        if (spread <= cfg.delay_spread_tolerance_us
+                or baseline_rtt + spread <= cfg.rtt_rescue_budget_us):
+            self.phase = "control"
+            self.pid.reset()
+            period = cfg.servo_period_us
+            self.control_start = (now // period + 1) * period
+            return self.control_start
+        self._fail(FailCause.INIT_FAILURE, now)
 
     # -- run -----------------------------------------------------------------
 
@@ -319,10 +290,13 @@ class _LoopHarness:
         rows = None if self.trace is None else self.trace.rows
         stop = (self.length + 1, 0)  # precedes every event after the end
         next_event = sim.next_key(stop)  # the key of the engine's next event, or the end
-        cnc_key, fpga_key = self.first_cnc_tick, self.first_fpga_tick
-        control_start = cnc_key[0]
-        fb_value, last, prev = self.fb_value, self.last_fb_arrival, self.prev_fb_arrival
-        since, probe = self.watchdog_since, self.probe
+        cnc_key, fpga_key = _NEVER, self.first_fpga_tick
+        control_start = None
+        fb_value = self.axis.position_mm
+        last = prev = 0  # the newest feedback arrival, and the one before on an earlier µs
+        # the arrival the pending probe times out (none before control), and
+        # the probe's (instant, reserved seq)
+        since, probe = float("inf"), _NEVER
         max_fe = self.max_fe
         v_cmd = 0.0
         ticks, tick_key = 0, None  # ticks run since the engine last ran, and the last one
@@ -337,9 +311,22 @@ class _LoopHarness:
             while True:
                 upto = probe if probe < key else key
                 while fb_queue and fb_queue[0] < upto:
-                    arrival, _, fb_value = fb_queue.popleft()
+                    arrival, _, fb_value, sent = fb_queue.popleft()
                     if arrival != last:
                         prev, last = last, arrival
+                    if arrival < since:  # it arrives before the control start
+                        if self.phase == "qualify":
+                            self.residuals.append(arrival - sent)
+                            if len(self.residuals) == QUALIFY_WINDOW_FRAMES:
+                                control_start = self._qualify_decision(arrival)
+                                cnc_key = (control_start, reserve())
+                                last = since = control_start
+                                probe = (control_start + wait, reserve())
+                                if cnc_key < key:  # stop at the first controller tick
+                                    key = cnc_key
+                        elif self.phase == "control":  # it times out before the control start
+                            since, probe = arrival, (arrival + wait, reserve())
+                        upto = probe if probe < key else key
                 if upto is key:
                     break
                 if (last if last < probe[0] else prev) <= since:
@@ -371,21 +358,15 @@ class _LoopHarness:
                 while cmd_queue and cmd_queue[0] < key:
                     v_cmd = cmd_queue.popleft()[2]
                 position = move_axis(v_cmd)
-                if now >= control_start:
-                    delivered = fb_admit(now)
-                    if delivered is not None:
-                        arrival = fb_impair(delivered)
-                        if arrival is not None:
-                            entry = (arrival, reserve(), position)
-                            if fb_queue and arrival < fb_queue[-1][0]:
-                                insort(fb_queue, entry)
-                            else:
-                                fb_queue.append(entry)
-                else:
-                    # feedback sent before the first controller tick may
-                    # re-arm the watchdog, so its arrival stays an event
-                    self._send(now, self.to_cnc, partial(self._on_feedback, now, position))
-                    next_event = sim.next_key(stop)
+                delivered = fb_admit(now)
+                if delivered is not None:
+                    arrival = fb_impair(delivered)
+                    if arrival is not None:
+                        entry = (arrival, reserve(), position, now)
+                        if fb_queue and arrival < fb_queue[-1][0]:
+                            insort(fb_queue, entry)
+                        else:
+                            fb_queue.append(entry)
                 fpga_key = (now + period, reserve())
             else:
                 if ticks:
@@ -393,14 +374,7 @@ class _LoopHarness:
                     ticks = 0
                 if key is stop:
                     return
-                self.fb_value, self.last_fb_arrival, self.prev_fb_arrival = fb_value, last, prev
-                self.watchdog_since, self.probe = since, probe
                 next_event = sim.run_next(stop)
-                fb_value, last, prev = self.fb_value, self.last_fb_arrival, self.prev_fb_arrival
-                since, probe = self.watchdog_since, self.probe
-                if cnc_key is _NEVER:  # the event may have entered control
-                    cnc_key = self.first_cnc_tick
-                    control_start = cnc_key[0]
                 continue
             ticks += 1
             tick_key = key

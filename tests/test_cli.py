@@ -285,6 +285,14 @@ class TestCli:
         assert main(["spectrum", "--script", str(script)]) == 2
         assert "error: line 2: " in capsys.readouterr().err
 
+    def test_lease_that_ends_before_it_starts_exits_config_error(self, tmp_path, capsys):
+        script = tmp_path / "backwards.txt"
+        script.write_text("at 0 request a x=0 y=0 r=10 bw=20\n"
+                          "at 10 request b x=0 y=0 r=10 bw=20 expires=5\n")
+        assert main(["spectrum", "--script", str(script)]) == 2
+        assert ("error: line 2: lease expires at 5, not after the request at 10"
+                in capsys.readouterr().err)
+
     def test_occupancy_lists_only_live_leases(self, tmp_path, capsys):
         # a's lease ends at 10, and no request after that purges it
         script = tmp_path / "leases.txt"

@@ -131,6 +131,21 @@ class TestRender:
         assert parsed.spec == result.spec
         assert parsed.cells == result.cells
 
+    @pytest.mark.parametrize("latency_ms, trial_seconds", [(0.5, 1.000001), (1234.567, 1.0)],
+                             ids=["trial-seconds", "latency"])
+    def test_csv_round_trip_keeps_seven_digit_values(self, latency_ms, trial_seconds):
+        # whole-µs values with more than six significant digits
+        spec = SweepSpec(latencies_ms=(latency_ms,), jitters_ms=(0.05,), seeds_per_cell=1,
+                         trial_seconds=trial_seconds)
+        length_us = round(trial_seconds * 1_000_000)
+        result = SweepResult(spec, [CellVerdict(latency_ms, 0.05, CellClass.PASS,
+                                                (outcome(survived=length_us),), ())])
+        text = render_matrix(result, "csv")
+        parsed = parse_matrix_csv(text)
+        assert parsed.spec == result.spec
+        assert parsed.cells == result.cells
+        assert render_matrix(parsed, "csv") == text
+
     @pytest.mark.parametrize("cls, default, adapted, message", [
         (CellClass.PASS_WITH_ADAPTATION, (outcome(passed=False, cause="watchdog", survived=5),),
          (outcome(passed=False, cause="watchdog", survived=7),), "class pass-with-adaptation"),

@@ -4,7 +4,8 @@ golden files of verdicts and per-tick traces."""
 
 import hashlib
 import itertools
-from collections import deque
+from bisect import insort
+from collections import Counter, deque
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,15 +13,36 @@ import pytest
 from test_heap_oracle import HeapHarness
 
 from ringmill.channel import ZERO_IMPAIRMENT, ChannelProfile, JitterDistribution
-from ringmill.plant import FailCause
-from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO,
-                            FPGA_TICK_OFFSET_US, TrialTrace, _LoopHarness, _StopTrial,
-                            run_trial, symmetric_profiles)
+from ringmill.engine import Simulator
+from ringmill.harness import _trial_seed
+from ringmill.plant import FailCause, TabulatedTrajectory
+from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_CONTROL_RING, DEFAULT_LOOP_CONFIG,
+                            DEFAULT_SCENARIO, FPGA_TICK_OFFSET_US, HANDSHAKE_EXCHANGES,
+                            QUALIFY_WINDOW_FRAMES, Scenario, TrialTrace, _LoopHarness,
+                            _StopTrial, run_trial, symmetric_profiles)
 
 
 def harness(cmd, fb, length_us, seed=1):
     return _LoopHarness(DEFAULT_LOOP_CONFIG, cmd, fb, length_us, seed, DEFAULT_SCENARIO,
                         None, None)
+
+
+def qualified(length_us, decided_at, trace=None):
+    """A harness in the qualify phase whose feedback queue holds a passing
+    window: one frame per µs, 100 µs in flight, the last arriving at
+    `decided_at`, where the link decision enters control.  Run it with
+    `_run_ticks`: no stage tick runs and nothing else is sent."""
+    h = _LoopHarness(DEFAULT_LOOP_CONFIG, ZERO_IMPAIRMENT, ZERO_IMPAIRMENT, length_us, 1,
+                     DEFAULT_SCENARIO, None, trace)
+    h.phase, h.hs_rtts = "qualify", [200]  # as the last handshake reply leaves it
+    for arrival in range(decided_at - QUALIFY_WINDOW_FRAMES + 1, decided_at + 1):
+        feed(h, arrival)
+    return h
+
+
+def feed(h, arrival, position=0.0):
+    """Queue a feedback frame sent 100 µs before `arrival`, numbered now."""
+    h.to_cnc[2].append((arrival, h.sim.reserve(), position, arrival - 100))
 
 
 class TestTrialKernel:
@@ -50,9 +72,8 @@ class TestTrialKernel:
         # control is entered at 10,300 us, so the first tick is at 11,000;
         # the only later feedback arrives at 10,500 and times out at
         # 10,500 + timeout + 1, before the control start itself would
-        h = harness(ZERO_IMPAIRMENT, ZERO_IMPAIRMENT, 20_000)
-        h.sim.schedule(10_300, h._enter_control)
-        h.sim.schedule(10_500, lambda: h._on_feedback(10_400, h.fb_value))
+        h = qualified(20_000, 10_300)
+        feed(h, 10_500)
         with pytest.raises(_StopTrial):
             h._run_ticks()
         assert h.verdict.fail_cause is FailCause.WATCHDOG
@@ -61,22 +82,17 @@ class TestTrialKernel:
     def test_watchdog_ignores_same_us_order(self):
         # control starts at 11,000 us; feedback 2,100 us later still resets the
         # timer, feedback 2,101 us later lands on the probe's own µs and is too
-        # late, whether its arrival was scheduled before the probe was armed
-        # (and fires first) or after
+        # late, whether its number was reserved before the probe was armed
+        # (so it is applied first) or after, by an event at 10,400 us
         timeout = DEFAULT_LOOP_CONFIG.watchdog_timeout_us
         for gap_us, fails_at in ((timeout, 11_000 + 2 * timeout + 1), (timeout + 1, 13_101)):
             for arrival_first in (True, False):
-                h = harness(ZERO_IMPAIRMENT, ZERO_IMPAIRMENT, 20_000)
+                h = qualified(20_000, 10_300)
                 arrival = 11_000 + gap_us
-
-                def schedule_arrival(h=h, arrival=arrival):
-                    h.sim.schedule(arrival, lambda: h._on_feedback(arrival - 100, h.fb_value))
-
                 if arrival_first:
-                    schedule_arrival()
-                h.sim.schedule(10_300, h._enter_control)
-                if not arrival_first:
-                    h.sim.schedule(10_400, schedule_arrival)
+                    feed(h, arrival)
+                else:
+                    h.sim.schedule(10_400, lambda h=h, arrival=arrival: feed(h, arrival))
                 with pytest.raises(_StopTrial):
                     h._run_ticks()
                 assert h.verdict.fail_cause is FailCause.WATCHDOG
@@ -84,10 +100,10 @@ class TestTrialKernel:
 
     @pytest.mark.parametrize("arrival, fails_at, max_fe", [
         # re-armed before the first tick, the probe is due at 13,000 and was
-        # armed before the tick on that µs was scheduled, so it fires first
+        # armed before the tick on that µs took its number, so it fires first
         (10_899, 13_000, 0.0005),
         # the probe that times out 11,899 is armed at 13,101, after the tick
-        # at 14,000 was scheduled, so that tick runs before the probe fails
+        # at 14,000 took its number, so that tick runs before the probe fails
         (11_899, 14_000, 0.0045),
         # the probe that times out 12,899 is armed by the tick at 14,000,
         # before that tick takes the number of the tick at 15,000, so it
@@ -95,9 +111,8 @@ class TestTrialKernel:
         (12_899, 15_000, 0.0045),
     ])
     def test_failing_probe_on_a_servo_tick_us(self, arrival, fails_at, max_fe):
-        h = harness(ZERO_IMPAIRMENT, ZERO_IMPAIRMENT, 20_000)
-        h.sim.schedule(10_300, h._enter_control)
-        h.sim.schedule(arrival, lambda: h._on_feedback(arrival - 100, h.fb_value))
+        h = qualified(20_000, 10_300)
+        feed(h, arrival)
         with pytest.raises(_StopTrial):
             h._run_ticks()
         assert h.verdict.fail_cause is FailCause.WATCHDOG
@@ -105,22 +120,28 @@ class TestTrialKernel:
         assert h.verdict.max_following_error_mm == pytest.approx(max_fe, abs=1e-12)
 
     @pytest.mark.parametrize("scheduled_at, feedback_mm", [
-        # scheduled before the tick at 12,000 was (by the tick at 11,000), so
-        # the arrival takes effect first and the tick reads it
+        # scheduled before the tick at 12,000 took its number (at the tick at
+        # 11,000), so the event runs first and the tick reads its frame
         (0, 0.25),
-        # scheduled at 11,500, after that tick was, so the tick runs first
+        # scheduled at 11,500, after that tick took its number, so the tick
+        # runs first
         (11_500, 0.0),
     ])
     def test_heap_event_on_a_servo_tick_us_runs_iff_scheduled_before_it(
             self, scheduled_at, feedback_mm):
         trace = TrialTrace()
-        h = _LoopHarness(DEFAULT_LOOP_CONFIG, ZERO_IMPAIRMENT, ZERO_IMPAIRMENT, 12_500, 1,
-                         DEFAULT_SCENARIO, None, trace)
-        h.sim.schedule(scheduled_at, lambda: h.sim.schedule(
-            12_000, lambda: h._on_feedback(11_900, 0.25)))
-        h.sim.schedule(10_300, h._enter_control)
-        h.run()
+        h = qualified(12_500, 10_300, trace)
+        rows_before = []
+
+        def deliver():
+            # the event hands the loop a frame under the event's own key
+            rows_before.append(len(trace.rows))
+            insort(h.to_cnc[2], (*h.sim.event_key, 0.25, 11_900))
+
+        h.sim.schedule(scheduled_at, lambda: h.sim.schedule(12_000, deliver))
+        h._run_ticks()
         assert [row[0] for row in trace.rows] == [11_000, 12_000]
+        assert rows_before == [1 if scheduled_at == 0 else 2]
         assert trace.rows[1][2] == feedback_mm
 
     @pytest.mark.parametrize("blackout, passed", [(None, True), (650_000, False)])
@@ -146,6 +167,51 @@ class TestTrialKernel:
         if not passed:
             assert "survived_us=651701" in verdicts[0]
 
+    @pytest.mark.parametrize("slot_us, mean_us, jitter_us", [
+        (0, 400, 200), (0, 400, 300), (0, 500, 300), (500, 400, 200)])
+    def test_first_controller_tick_after_a_held_setpoint_matches_the_heap_kernel(
+            self, slot_us, mean_us, jitter_us):
+        # The link decision enters control at a feedback arrival, and the
+        # first controller tick can come before the stage tick that was due
+        # next; the catch-up must stop there.  The oracle's trials start at
+        # setpoint 0 with the axis at rest, so every value exchanged around
+        # that tick is 0.0 and a wrong order changes nothing they show.  A
+        # setpoint held at 0.5 mm makes the first command nonzero.
+        scenario = Scenario(
+            control_ring=replace(DEFAULT_CONTROL_RING, slot_time_us=slot_us),
+            trajectory=TabulatedTrajectory(((0, 0.5), (1000, 0.5))))
+        profile = ChannelProfile(mean_delay_us=mean_us, jitter_us=jitter_us)
+        args = (ADAPTED_LOOP_CONFIG, profile, profile, 700_000, 2, scenario, None)
+        want_trace, got_trace = TrialTrace(), TrialTrace()
+        want = HeapHarness(*args, want_trace).run()
+        assert want.passed
+        assert repr(run_trial(*args, trace=got_trace)) == repr(want)
+        assert got_trace.rows == want_trace.rows
+
+    def test_the_heap_holds_only_the_handshake(self, monkeypatch):
+        # every feedback frame goes through the loop's queue: the engine
+        # schedules the first handshake request, the grace deadline, and per
+        # exchange a retry, the request's arrival and the reply's arrival
+        scheduled = []
+        schedule = Simulator.schedule
+
+        def logging_schedule(sim, fire_time, action):
+            scheduled.append(getattr(action, "__qualname__", repr(action)))
+            return schedule(sim, fire_time, action)
+
+        monkeypatch.setattr(Simulator, "schedule", logging_schedule)
+        verdict = run_trial(DEFAULT_LOOP_CONFIG, *symmetric_profiles(0.5, 0.05), 2_000_000,
+                            _trial_seed(0, 0.5, 0.05, 0))
+        assert verdict.passed
+        assert len(scheduled) == 50
+        send = "_LoopHarness._send_handshake"
+        assert Counter(scheduled) == {
+            send: 1, "_LoopHarness._grace_deadline": 1,
+            f"{send}.<locals>.<lambda>": HANDSHAKE_EXCHANGES,  # the retry
+            f"{send}.<locals>.fpga_got_request": HANDSHAKE_EXCHANGES,
+            f"{send}.<locals>.fpga_got_request.<locals>.<lambda>": HANDSHAKE_EXCHANGES,
+        }
+
     def test_same_us_feedback_is_seen_iff_sent_before_the_tick_was_scheduled(self):
         # With a fixed channel delay, the control ring's slot phase decides
         # which feedback frames land exactly on a controller tick: at 400 us
@@ -155,10 +221,10 @@ class TestTrialKernel:
         seen_outcomes = set()
         for delay_us in (400, 900):
             h, landings = same_us_landings(delay_us)
-            # the first tick is scheduled on entering control, every later
-            # one by the tick a period before it
+            # the first tick takes its number on entering control, every
+            # later one at the tick a period before it
             for t, sent, seen in landings["fb"]:
-                if t % period == 0 and t != h.control_start:
+                if t % period == 0 and t > h.control_start:
                     assert seen == (sent < t - period), (delay_us, t, sent)
                     seen_outcomes.add(seen)
         assert seen_outcomes == {True, False}
@@ -180,8 +246,8 @@ class TestTrialKernel:
 
 def same_us_landings(delay_us):
     """Run a passing 1.5 s trial over a fixed `delay_us` channel each way,
-    logging every control-phase frame as (arrival, sent at, seen by the
-    receiving tick on the arrival's µs), per direction ("cmd", "fb").
+    logging every servo frame as (arrival, sent at, seen by the receiving
+    tick on the arrival's µs), per direction ("cmd", "fb").
 
     A frame is seen by that tick if it leaves its queue before the tick
     runs.  Each tick sends one frame the other way, so the frame is seen
@@ -206,7 +272,8 @@ def same_us_landings(delay_us):
                 super().append(entry)
 
             def popleft(self):
-                arrival, seq, value = entry = super().popleft()
+                entry = super().popleft()
+                arrival, seq = entry[:2]
                 landings[direction].append(
                     (arrival, sent_at[seq], last_sent[receiver_sends] < arrival))
                 return entry

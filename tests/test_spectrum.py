@@ -189,6 +189,18 @@ class TestOccupancy:
         granted = manager.request_spectrum(SpectrumRequest("b", SITE, 20.0), now=1_000)
         assert granted.block == SpectrumBlock(3700.0, 3720.0)
 
+    @pytest.mark.parametrize("expires_at", [5, 10])
+    def test_lease_that_ends_by_the_request_is_refused(self, expires_at):
+        manager = SpectrumManager()
+        with pytest.raises(SpectrumError, match=f"lease expires at {expires_at}, "
+                                                "not after the request at 10"):
+            manager.request_spectrum(SpectrumRequest("a", SITE, 20.0), now=10,
+                                     expires_at=expires_at)
+        assert manager.active_grants(10) == [] and manager.audit_log == []
+        granted = manager.request_spectrum(SpectrumRequest("a", SITE, 20.0), now=10,
+                                           expires_at=11)
+        assert granted.block == SpectrumBlock(3700.0, 3720.0)
+
 
 # -- properties ---------------------------------------------------------------
 
