@@ -40,9 +40,9 @@ def qualified(length_us, decided_at, trace=None):
     return h
 
 
-def feed(h, arrival, position=0.0):
-    """Queue a feedback frame sent 100 µs before `arrival`, numbered now."""
-    h.to_cnc[2].append((arrival, h.sim.reserve(), position, arrival - 100))
+def feed(h, arrival):
+    """Queue a feedback frame at rest, sent 100 µs before `arrival`, numbered now."""
+    h.to_cnc[2].append((arrival, h.sim.reserve(), 0.0, arrival - 100))
 
 
 class TestTrialKernel:
