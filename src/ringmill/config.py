@@ -6,8 +6,9 @@ the command and feedback channels that only ``ringmill trial`` reads.
 Every section is optional; omitted values fall back to the shipped
 calibrated defaults.  The full schema is documented in the README.
 ``;`` and ``#`` start comments, also after a value.  Every error names its
-line: a section or key outside the schema, a value that cannot be read,
-and a section whose values the object it builds rejects.
+line: a section or key outside the schema, text after a section header
+that is not a comment, a value that cannot be read, and a section whose
+values the object it builds rejects.
 """
 
 from __future__ import annotations
@@ -94,17 +95,40 @@ _SCHEMA = {
                    "dwell_s": _float, "file": Path},
 }
 
-_HEADER = re.compile(r"\s*\[(?P<name>[^\]]+)\]")
 _KEY = re.compile(r"\s*(?P<key>[^=:;#\s][^=:]*?)\s*[=:]")
 
 
-def _lines(text: str) -> dict[tuple, int]:
-    """1-based line of each (section, key), and of each header as (section, None)."""
+def _uncommented(line: str) -> str:
+    """`line` as configparser reads it: cut at the first ``;`` or ``#`` that
+    starts the line or follows a blank, found the way the parser scans
+    (each prefix's next occurrence in turn), and stripped."""
+    cut, scan = len(line), {";": -1, "#": -1}
+    while cut == len(line) and scan:
+        for prefix, index in list(scan.items()):
+            index = line.find(prefix, index + 1)
+            if index == -1:
+                del scan[prefix]
+            elif index == 0 or line[index - 1].isspace():
+                cut = min(cut, index)
+            else:
+                scan[prefix] = index
+    return line[:cut].strip()
+
+
+def _lines(text: str, path: str | Path | None) -> dict[tuple, int]:
+    """1-based line of each (section, key), and of each header as (section,
+    None).  A header reads as configparser reads it; text after its ``]``
+    that is not a comment is a `ConfigError`."""
     where, section = {}, None
-    for number, line in enumerate(text.splitlines(), 1):
-        header = _HEADER.match(line)
+    for number, line in enumerate(text.split("\n"), 1):  # the parser's lines
+        value = _uncommented(line)
+        header = configparser.ConfigParser.SECTCRE.match(value)
         if header:
-            section = header["name"]
+            section = header["header"]
+            rest = value[header.end():]
+            if rest and rest[0] not in ";#":
+                raise ConfigError(f"{path}, line {number}: text {rest.strip()!r} "
+                                  f"after the section header [{section}]")
             where.setdefault((section, None), number)
         elif found := _KEY.match(line):
             where.setdefault((section, found["key"].lower()), number)
@@ -125,7 +149,7 @@ def load_config(path: str | Path | None,
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from None
-    lines = _lines(text)
+    lines = _lines(text, path)
 
     def located(section: str, key: str | None, message) -> ConfigError:
         return ConfigError(f"{path}, line {lines[section, key]}: {message}")

@@ -6,20 +6,18 @@ microsecond are processed in the order they were scheduled.  Nothing in
 here touches the wall clock; a run is a pure function of the scenario
 and its seeds.
 
-A heap entry is just ``(fire_time, sequence, action)``.  Callers schedule
-only the events that can change what a run decides.  An instant that
-needs no heap entry can stay off the heap and keep its place all the
-same: `reserve` takes the sequence number that `schedule` would have
-given it, and ``(instant, number)`` sorts against the keys of queued
-events exactly as the event would have sorted in the heap.  Both take
-their numbers from one `itertools.count`, and `reserve` is that
-counter's bound ``__next__``, so the tens of thousands of numbers a
-trial reserves cost no Python frame.  A caller that runs such events
-itself runs those that precede the first queued event (`next_key`),
-then has the engine process that one event (`run_next`), and tells it
-how many it ran (`count_off_heap`).  A trial keeps every servo frame
-arrival, watchdog probe and servo tick off the heap this way (see
-``trial.py``), so it schedules only its handshake and grace deadline.
+A heap entry is just ``(fire_time, sequence, action)``.  An instant
+that needs no heap entry can still keep its place among events:
+`reserve` takes the sequence number that `schedule` would have given it,
+and ``(instant, number)`` sorts against the keys of queued events exactly
+as the event would have sorted in the heap.  Both take their numbers from
+one `itertools.count`, and `reserve` is that counter's bound
+``__next__``, so the tens of thousands of numbers a trial reserves cost
+no Python frame.  A trial schedules no event at all: it numbers its
+frames, ticks, probes and handshake items with `reserve` and runs them
+from its own loop (see ``trial.py``).  Events are scheduled by
+`TokenRing.enqueue` when asked for a delivery event, and by callers that
+drive the ring through the engine.
 """
 
 from __future__ import annotations
@@ -100,24 +98,6 @@ class Simulator:
         finally:
             self._events_processed = processed
         return processed - start
-
-    def next_key(self, limit: tuple[SimTime, int]) -> tuple[SimTime, int]:
-        """The key of the first queued event if it precedes `limit`, else `limit`."""
-        heap = self._heap
-        return heap[0][:2] if heap and heap[0] < limit else limit
-
-    def run_next(self, limit: tuple[SimTime, int]) -> tuple[SimTime, int]:
-        """Process the first queued event; returns `next_key(limit)` after it."""
-        fire_time, self._event_seq, action = heapq.heappop(self._heap)
-        self._clock = fire_time
-        self._events_processed += 1
-        action()
-        return self.next_key(limit)
-
-    def count_off_heap(self, count: int, key: tuple[SimTime, int]) -> None:
-        """Count `count` events run off the heap; the last one's `key` becomes `event_key`."""
-        self._events_processed += count
-        self._clock, self._event_seq = key
 
     def run_until(self, t_end: SimTime) -> RunSummary:
         """Process every event with fire_time <= t_end; clock ends at t_end."""

@@ -27,7 +27,7 @@ from .plant import (FailCause, LoopConfig, PidGains, Profile, TabulatedTrajector
                     TrapezoidTrajectory, TrialVerdict, validate_config_pair)
 from .ring import RingConfig
 from .spectrum import (CoverageArea, Rejection, SpectrumError, SpectrumManager,
-                       SpectrumRequest, UnknownGrantError)
+                       SpectrumGrant, SpectrumRequest, UnknownGrantError)
 from .trial import DEFAULT_SCENARIO, Scenario, run_trial, symmetric_profiles
 
 ARTIFACT_VERSION = "0.4.0"
@@ -485,12 +485,20 @@ class ScenarioResult:
         return "\n".join(lines) + "\n"
 
 
+_REQUEST_KEYS = ("x", "y", "r", "bw", "expires")
+
+
 def _parse_kv(tokens: list[str], line_no: int) -> dict[str, str]:
+    """A request's ``key=value`` tokens: each key one of `_REQUEST_KEYS`, once."""
     out = {}
     for tok in tokens:
         if "=" not in tok:
             raise ScriptError(line_no, f"expected key=value, got {tok!r}")
         key, value = tok.split("=", 1)
+        if key not in _REQUEST_KEYS:
+            raise ScriptError(line_no, f"unknown request key {key!r}")
+        if key in out:
+            raise ScriptError(line_no, f"request key {key!r} given twice")
         out[key] = value
     return out
 
@@ -498,14 +506,17 @@ def _parse_kv(tokens: list[str], line_no: int) -> dict[str, str]:
 def run_spectrum_scenario(script: str, manager: SpectrumManager | None = None) -> ScenarioResult:
     """Replay a timed request/release script through a spectrum manager.
 
-    Line format (times in microseconds, positions in meters, bandwidth MHz)::
+    Line format (times in microseconds from 0, positions in meters,
+    bandwidth MHz)::
 
         at <t> request <requester> x=<x> y=<y> r=<radius> bw=<mhz> [expires=<t>]
         at <t> release <requester>
 
-    Blank lines and ``#`` comments are skipped.  A line that cannot be
-    parsed or replayed raises `ScriptError` with its line number.  Releases
-    free the oldest active grant of a requester.
+    A request takes no other key, and each key once.  Blank lines and
+    ``#`` comments are skipped.  A line that cannot be parsed or replayed
+    raises `ScriptError` with its line number.  Releases free the oldest
+    active grant of a requester; a grant whose lease has ended is not
+    active.
     """
     manager = manager or SpectrumManager()
     commands = []
@@ -520,6 +531,8 @@ def run_spectrum_scenario(script: str, manager: SpectrumManager | None = None) -
             t = int(tokens[1])
         except ValueError:
             raise ScriptError(line_no, f"bad time {tokens[1]!r}") from None
+        if t < 0:
+            raise ScriptError(line_no, f"time {t} is before the script starts at 0")
         verb = tokens[2]
         if verb == "request":
             if len(tokens) < 4:
@@ -543,7 +556,7 @@ def run_spectrum_scenario(script: str, manager: SpectrumManager | None = None) -
             raise ScriptError(line_no, f"unknown verb {verb!r}")
 
     commands.sort(key=lambda c: (c[0], c[1]))
-    by_requester: dict[str, list[int]] = {}
+    by_requester: dict[str, list[SpectrumGrant]] = {}  # in grant order
     granted = rejected = released = 0
     t = 0
     for t, line_no, requester, request, expires in commands:
@@ -556,13 +569,15 @@ def run_spectrum_scenario(script: str, manager: SpectrumManager | None = None) -
                 rejected += 1
             else:
                 granted += 1
-                by_requester.setdefault(requester, []).append(outcome.grant_id)
+                by_requester.setdefault(requester, []).append(outcome)
         else:
             held = by_requester.get(requester, [])
+            while held and held[0].expires_at is not None and held[0].expires_at <= t:
+                del held[0]  # its lease has ended
             if not held:
-                raise ScriptError(line_no, f"{requester!r} holds no grant to release")
+                raise ScriptError(line_no, f"{requester!r} holds no active grant to release")
             try:
-                manager.release_spectrum(held.pop(0), now=t)
+                manager.release_spectrum(held.pop(0).grant_id, now=t)
             except UnknownGrantError as exc:
                 raise ScriptError(line_no, str(exc)) from None
             released += 1

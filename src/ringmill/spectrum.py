@@ -96,8 +96,9 @@ class SpectrumRequest:
     bandwidth_mhz: float
 
     def __post_init__(self):
-        if not self.bandwidth_mhz > 0:
-            raise SpectrumError(f"bandwidth must be positive, got {self.bandwidth_mhz}")
+        if not 0 < self.bandwidth_mhz < math.inf:
+            raise SpectrumError(
+                f"bandwidth must be positive and finite, got {self.bandwidth_mhz}")
 
 
 @dataclass(frozen=True)
@@ -250,9 +251,11 @@ class SpectrumManager:
         return grant
 
     def release_spectrum(self, grant_id: int, now: SimTime = 0) -> None:
-        if grant_id not in self._grants:
+        """Free an active grant; one whose lease ended by `now` is not active."""
+        grant = self._grants.get(grant_id)
+        if grant is None or not _live(grant, now):
             raise UnknownGrantError(f"grant {grant_id} is not active")
-        grant = self._drop(grant_id)
+        self._drop(grant_id)
         self.audit_log.append(DecisionRecord(
             time=now, requester=grant.requester, verdict="released",
             bandwidth_mhz=grant.block.width_mhz, occupied_mhz=0.0,

@@ -25,18 +25,23 @@ admission closure on the ring (`TokenRing.admitter`) computes its
 delivery instant and the direction's `Channel.impair` closure impairs it
 at that instant.  A trial holds the two closures of each direction,
 built once with their configuration and profile bound, and a frame
-builds no object.  Only a handshake frame's arrival is an engine event.
-A servo frame, from the first stage tick on, goes into its direction's
-in-flight queue as ``(arrival, seq, value)``, a feedback frame with its
-send instant appended, ``seq`` being the number `Simulator.reserve`
-hands out, which is the sequence number `Simulator.schedule` would have
-given the arrival event.
+builds no object.  A servo frame goes into its direction's in-flight
+queue as ``(arrival, seq, value)``, a feedback frame with its send
+instant appended, ``seq`` being the number `Simulator.reserve` hands
+out, which is the sequence number `Simulator.schedule` would have given
+the arrival event.  A handshake frame's arrival is a handshake item.
 
-The loop.  One loop, `_LoopHarness._run_ticks`, runs a trial.  The two
-servo ticks are no engine events but ``(instant, seq)`` keys, and the
-loop also keeps the key of the engine's next queued event (a handshake
-frame or retry, the grace deadline).  The earliest key runs next, once
-the loop has caught up to it: applied the queued feedback and fired the
+The loop.  One loop, `_LoopHarness._run_ticks`, runs a trial, and the
+trial schedules no engine event.  The two servo ticks are ``(instant,
+seq)`` keys.  The handshake items are ``(instant, seq, kind, exchange)``
+tuples on a heap local to the loop: the first request (run as the retry
+of exchange 0), each retry, each request's arrival at the stage and each
+reply's at the controller, the grace deadline, and the end of the trial,
+which follows every other key on its µs.  Several requests and replies
+can be in flight at once, when the round trip is longer than the retry
+interval; a stale one still draws from the ring and channel streams, and
+the stage answers every request.  The earliest key runs next, once the
+loop has caught up to it: applied the queued feedback and fired the
 watchdog probes whose keys precede it.  A feedback frame sets the
 feedback value and the newest arrival; one that arrives before the
 watchdog's `since` (infinite before control), so before the control
@@ -46,12 +51,11 @@ the trial or enters control: it reserves the first controller tick's
 number, then the probe's, and the catch-up stops at that tick if it
 comes first.  In control the first such frame re-arms the probe from
 itself.  A stage tick applies the queued commands whose keys precede its
-own.  Engine events touch only the handshake, so the engine runs one
-alone (`Simulator.run_next`) with nothing copied around it, and is told
-how many ticks ran (`Simulator.count_off_heap`): the control phase
-counts two engine events per servo period and schedules none.  A tick
-calls the trajectory's `sampler`, the controller's `tick` and the axis's
-`stepper`, closures compiled for the trial as the links are.
+own.  The loop reads the heap's first key again only after a handshake
+item runs, so a servo tick costs nothing for the handshake.  A failure
+returns its verdict from the loop.  A tick calls the trajectory's
+`sampler`, the controller's `tick` and the axis's `stepper`, closures
+compiled for the trial as the links are.
 
 The feedback watchdog is one probe that re-arms itself from the newest
 arrival rather than one probe per arrival.  It fails the trial at s +
@@ -63,20 +67,21 @@ reserved when it is armed; a failing probe reports its own instant.
 
 Same-µs order.  The rule is the reserved sequence number.  The engine
 fires events that share a microsecond in the order they were scheduled,
-and a queued frame, a probe or a servo tick keeps the number its event
-would have had, so plain tuple comparison reproduces that order.  A
-frame's number is taken when the frame is sent; a servo tick's where the
-tick one period before it ends, after that tick's frame (the first
-stage tick's when the run starts, the first controller tick's on
-entering control); the probe's when it is armed.  So an engine event on
-the µs of a servo tick runs first exactly when it was scheduled before
-that tick's number was taken, and a frame that arrives on the µs of a
-servo tick is seen by it exactly when the frame was sent before that
-tick's number was taken: feedback sent more than one servo period
-before the controller tick it lands on is used by that tick, feedback
-sent less than a period before it is not.  Whether the watchdog fails is
-order-free, as above; the order decides only whether a controller tick
-on the fail instant's µs runs first.
+and a queued frame, a probe, a servo tick or a handshake item keeps the
+number its event would have had, so plain tuple comparison reproduces
+that order.  A frame's or handshake item's number is taken when it is
+sent or armed; a servo tick's where the tick one period before it ends,
+after that tick's frame (the first stage tick's when the run starts,
+before the first request and the grace deadline, the first controller
+tick's on entering control); the probe's when it is armed.  So a
+handshake item on the µs of a servo tick runs first exactly when it was
+numbered before that tick's number was taken, and a frame that arrives
+on the µs of a servo tick is seen by it exactly when the frame was sent
+before that tick's number was taken: feedback sent more than one servo
+period before the controller tick it lands on is used by that tick,
+feedback sent less than a period before it is not.  Whether the watchdog
+fails is order-free, as above; the order decides only whether a
+controller tick on the fail instant's µs runs first.
 """
 
 from __future__ import annotations
@@ -85,7 +90,7 @@ import itertools
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from heapq import heapify, heappop, heappush
 
 from .channel import Channel, ChannelProfile
 from .engine import SimTime, Simulator, US_PER_S, component_rng
@@ -142,11 +147,11 @@ def symmetric_profiles(latency_ms: float, jitter_ms: float) -> tuple[ChannelProf
             ChannelProfile.from_ms(latency_ms, jitter_ms))
 
 
-class _StopTrial(Exception):
-    pass
-
-
 _NEVER = (float("inf"), 0)  # the key of a probe or tick that is not due
+
+# the kinds of handshake item, ``(instant, reserved seq, kind, exchange)``;
+# the first request runs as the retry of exchange 0
+_RETRY, _REQUEST, _REPLY, _GRACE, _END = range(5)
 
 
 @dataclass
@@ -193,60 +198,12 @@ class _LoopHarness:
 
         self.phase = "handshake"
         self.hs_rtts: list[int] = []
-        self.hs_seq = 0
-        self.hs_sent_at: SimTime = 0
         self.residuals: list[int] = []
         self.control_start: SimTime = 0
-        self.max_fe = 0.0
 
-        self.verdict: TrialVerdict | None = None
-
-    # -- transport helpers ---------------------------------------------------
-
-    def _send(self, now: SimTime, path: tuple[Callable, Callable, deque], on_arrival) -> None:
-        """One handshake frame sent at `now` across the control ring, then a
-        channel; its arrival is an engine event (`_run_ticks` queues servo frames)."""
-        admit, impair, _ = path
-        delivered = admit(now)
-        if delivered is not None:
-            arrival = impair(delivered)
-            if arrival is not None:
-                self.sim.schedule(arrival, on_arrival)
-
-    # -- initialization ------------------------------------------------------
-
-    def _fail(self, cause: FailCause, at: SimTime | None = None) -> None:
-        self.verdict = TrialVerdict(False, cause, self.max_fe,
-                                    self.sim.now if at is None else at)
-        raise _StopTrial
-
-    def _send_handshake(self) -> None:
-        self.hs_seq += 1
-        seq = self.hs_seq
-        self.hs_sent_at = self.sim.now
-        self.sim.schedule(self.sim.now + HANDSHAKE_RETRY_US, lambda: self._handshake_retry(seq))
-
-        def fpga_got_request():
-            self._send(self.sim.now, self.to_cnc, lambda: self._handshake_reply(seq))
-
-        self._send(self.sim.now, self.to_fpga, fpga_got_request)
-
-    def _handshake_retry(self, seq: int) -> None:
-        if self.phase == "handshake" and self.hs_seq == seq:
-            self._send_handshake()
-
-    def _handshake_reply(self, seq: int) -> None:
-        if self.phase != "handshake" or seq != self.hs_seq:
-            return  # stale reply from a retried exchange
-        self.hs_rtts.append(self.sim.now - self.hs_sent_at)
-        if len(self.hs_rtts) < HANDSHAKE_EXCHANGES:
-            self._send_handshake()
-        else:
-            self.phase = "qualify"
-            self.residuals.clear()
-
-    def _qualify_decision(self, now: SimTime) -> SimTime:
-        """Fail the trial at `now`, or enter control and return its start."""
+    def _qualify_decision(self, now: SimTime) -> SimTime | None:
+        """Enter control at `now` and return its start, or None if the link
+        is rejected."""
         spread = max(self.residuals) - min(self.residuals)
         baseline_rtt = sum(self.hs_rtts) / len(self.hs_rtts)
         cfg = self.config
@@ -258,28 +215,19 @@ class _LoopHarness:
             period = cfg.servo_period_us
             self.control_start = (now // period + 1) * period
             return self.control_start
-        self._fail(FailCause.INIT_FAILURE, now)
-
-    # -- run -----------------------------------------------------------------
+        return None
 
     def run(self) -> TrialVerdict:
-        self.first_fpga_tick = (FPGA_TICK_OFFSET_US, self.sim.reserve())
-        self.sim.schedule(0, self._send_handshake)
-        self.sim.schedule(self.config.init_grace_us, self._grace_deadline)
-        try:
-            self._run_ticks()
-            self.sim.run_until(self.length)  # nothing is left to run: the clock ends there
-        except _StopTrial:
-            return self.verdict
-        if self.phase != "control":
-            return TrialVerdict(False, FailCause.INIT_FAILURE, self.max_fe, self.length)
-        return TrialVerdict(True, FailCause.NONE, self.max_fe, self.length)
+        reserve = self.sim.reserve
+        self.first_fpga_tick = (FPGA_TICK_OFFSET_US, reserve())
+        return self._run_ticks(((0, reserve(), _RETRY, 0),
+                                (self.config.init_grace_us, reserve(), _GRACE, 0)))
 
-    def _run_ticks(self) -> None:
-        """Run the engine's events and the two servo ticks in key order up to
-        the end of the trial (see the module docstring)."""
-        sim = self.sim
-        reserve, count_off_heap = sim.reserve, sim.count_off_heap
+    def _run_ticks(self, items: tuple[tuple, ...] = ()) -> TrialVerdict:
+        """Run the handshake `items` and the two servo ticks in key order up
+        to the end of the trial, and return the verdict (see the module
+        docstring)."""
+        reserve = self.sim.reserve
         cmd_admit, cmd_impair, cmd_queue = self.to_fpga
         fb_admit, fb_impair, fb_queue = self.to_cnc
         period, fe_limit = self.config.servo_period_us, self.config.fe_limit_mm
@@ -288,8 +236,10 @@ class _LoopHarness:
         sample, pid_tick = self.trajectory.sampler(), self.pid.tick
         move_axis = self.axis.stepper(period)
         rows = None if self.trace is None else self.trace.rows
-        stop = (self.length + 1, 0)  # precedes every event after the end
-        next_event = sim.next_key(stop)  # the key of the engine's next event, or the end
+        # the handshake items and, after every key on the trial's last µs, its end
+        items = [*items, (self.length, float("inf"), _END, 0)]
+        heapify(items)
+        next_item = items[0]
         cnc_key, fpga_key = _NEVER, self.first_fpga_tick
         control_start = None
         fb_value = self.axis.position_mm
@@ -297,13 +247,13 @@ class _LoopHarness:
         # the arrival the pending probe times out (none before control), and
         # the probe's (instant, reserved seq)
         since, probe = float("inf"), _NEVER
-        max_fe = self.max_fe
+        max_fe = 0.0
         v_cmd = 0.0
-        ticks, tick_key = 0, None  # ticks run since the engine last ran, and the last one
+        hs_seq = hs_sent_at = 0  # the newest exchange, and when its request was sent
         while True:
             key = cnc_key if cnc_key < fpga_key else fpga_key
-            if next_event < key:
-                key = next_event
+            if next_item < key:
+                key = next_item
             # catch up to `key`.  A probe fails if nothing newer than `since`
             # arrived before its µs; arrivals between `since` and the newest
             # one each had a successor within the timeout, so re-arming from
@@ -319,6 +269,9 @@ class _LoopHarness:
                             self.residuals.append(arrival - sent)
                             if len(self.residuals) == QUALIFY_WINDOW_FRAMES:
                                 control_start = self._qualify_decision(arrival)
+                                if control_start is None:
+                                    return TrialVerdict(False, FailCause.INIT_FAILURE,
+                                                        max_fe, arrival)
                                 cnc_key = (control_start, reserve())
                                 last = since = control_start
                                 probe = (control_start + wait, reserve())
@@ -330,7 +283,7 @@ class _LoopHarness:
                 if upto is key:
                     break
                 if (last if last < probe[0] else prev) <= since:
-                    self._fail(FailCause.WATCHDOG, probe[0])
+                    return TrialVerdict(False, FailCause.WATCHDOG, max_fe, probe[0])
                 since, probe = last, (last + wait, reserve())
             now = key[0]
             if key is cnc_key:
@@ -338,9 +291,9 @@ class _LoopHarness:
                 fe = setpoint - fb_value
                 abs_fe = abs(fe)
                 if abs_fe > max_fe:
-                    self.max_fe = max_fe = abs_fe
+                    max_fe = abs_fe
                 if abs_fe > fe_limit:
-                    self._fail(FailCause.FOLLOWING_ERROR, now)
+                    return TrialVerdict(False, FailCause.FOLLOWING_ERROR, max_fe, now)
                 command = pid_tick(setpoint, fb_value, feedforward)
                 delivered = cmd_admit(now)
                 if delivered is not None:
@@ -369,19 +322,32 @@ class _LoopHarness:
                             fb_queue.append(entry)
                 fpga_key = (now + period, reserve())
             else:
-                if ticks:
-                    count_off_heap(ticks, tick_key)
-                    ticks = 0
-                if key is stop:
-                    return
-                next_event = sim.run_next(stop)
-                continue
-            ticks += 1
-            tick_key = key
-
-    def _grace_deadline(self) -> None:
-        if self.phase != "control":
-            self._fail(FailCause.INIT_FAILURE)
+                _, _, kind, exchange = heappop(items)
+                if kind == _REQUEST:  # the stage answers every request, a stale one too
+                    delivered = fb_admit(now)
+                    if delivered is not None:
+                        arrival = fb_impair(delivered)
+                        if arrival is not None:
+                            heappush(items, (arrival, reserve(), _REPLY, exchange))
+                elif kind >= _GRACE:  # the grace deadline, or the end of the trial
+                    if self.phase != "control":
+                        return TrialVerdict(False, FailCause.INIT_FAILURE, max_fe, now)
+                    if kind == _END:
+                        return TrialVerdict(True, FailCause.NONE, max_fe, now)
+                elif self.phase == "handshake" and exchange == hs_seq:  # not stale
+                    if kind == _REPLY:
+                        self.hs_rtts.append(now - hs_sent_at)
+                        if len(self.hs_rtts) == HANDSHAKE_EXCHANGES:
+                            self.phase = "qualify"
+                    if self.phase == "handshake":  # send the next request
+                        hs_seq, hs_sent_at = hs_seq + 1, now
+                        heappush(items, (now + HANDSHAKE_RETRY_US, reserve(), _RETRY, hs_seq))
+                        delivered = cmd_admit(now)
+                        if delivered is not None:
+                            arrival = cmd_impair(delivered)
+                            if arrival is not None:
+                                heappush(items, (arrival, reserve(), _REQUEST, hs_seq))
+                next_item = items[0]
 
 
 def run_trial(config: LoopConfig,

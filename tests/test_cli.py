@@ -70,6 +70,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_comment_after_a_header_is_ignored(self, tmp_path):
+        path = tmp_path / "commented.ini"
+        path.write_text("[sweep] ; a note ] with a bracket\nmaster_seed = 5\n"
+                        "[gains.default]# another\nkp = 38\n")
+        run = load_config(path)[0]
+        assert run.spec.master_seed == 5
+        assert run.default_config.gains.kp == 38.0
+
     def test_bad_value_is_config_error(self, tmp_path):
         path = tmp_path / "broken.ini"
         path.write_text("[sweep]\nseeds_per_cell = -3\n")
@@ -132,12 +140,17 @@ class TestConfig:
         ("[sweep]\nseeds_per_cell = 1\n[trajectory]\nfile = late.csv\n", 4),
         # a length that is not whole us would run another length than it names
         ("[sweep]\nseeds_per_cell = 1\ntrial_seconds = 2.0000004\n", 3),
+        # configparser reads the header up to the last "]", so this section
+        # is "loop.default] "
+        ("[sweep]\nseeds_per_cell = 1\n[loop.default] ]\nfe_limit_mm = 0.7\n", 3),
+        # configparser ignores text after the "]"
+        ("[gains.default] x\nkp = 40\n", 1),
     ], ids=["distribution", "seeds_per_cell", "reorder", "empty-value", "adapted-watchdog",
             "control-nodes", "sensor-nodes", "missing-file", "negative-latency",
             "negative-jitter", "one-column-row", "nan-setpoint", "inf-setpoint",
             "negative-tolerance", "negative-rescue-budget", "watchdog-below-period",
             "latency-not-whole-us", "jitter-not-whole-us", "late-first-point",
-            "trial-seconds-not-whole-us"])
+            "trial-seconds-not-whole-us", "second-bracket-in-header", "text-after-header"])
     def test_bad_input_exits_config_error_with_its_line(self, tmp_path, capsys, text, line):
         (tmp_path / "moves.csv").write_text("0,0\n500\n1000,0\n")
         (tmp_path / "nan.csv").write_text("time_ms,setpoint_mm\n0,0\n500,nan\n1000,0\n")
@@ -276,7 +289,7 @@ class TestCli:
         assert main(["spectrum", "--script", str(script)]) == 2
         assert "line 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bw", ["0", "-5", "nan", "1e-13"])
+    @pytest.mark.parametrize("bw", ["0", "-5", "nan", "1e-13", "inf", "1e400"])
     def test_bad_bandwidth_exits_config_error(self, tmp_path, capsys, bw):
         # 1e-13 MHz parses, but is too narrow to move the block's upper edge
         script = tmp_path / "bad.txt"

@@ -83,44 +83,6 @@ class TestOffHeapEvents:
         assert log == ["chained", "a"]
         assert sim.run_before(key) == 0
 
-    def test_next_key_is_the_first_queued_event_unless_the_limit_precedes_it(self):
-        sim = Simulator()
-        limit = (20, 0)
-        assert sim.next_key(limit) == limit
-        sim.schedule(30, lambda: None)
-        assert sim.next_key(limit) == limit
-        seq = sim.schedule(10, lambda: None)
-        assert sim.next_key(limit) == (10, seq)
-        assert sim.next_key((10, seq)) == (10, seq)  # the limit itself
-
-    def test_run_next_processes_one_event_and_returns_the_next_key(self):
-        sim = Simulator()
-        log = []
-        first = sim.schedule(10, lambda: log.append(sim.event_key))
-        # scheduled while running: the key after it is the later event's
-        second = sim.schedule(5, lambda: sim.schedule(10, lambda: log.append("chained")))
-        assert sim.run_next((100, 0)) == (10, first)
-        assert log == [] and sim.event_key == (5, second)
-        assert sim.run_next((100, 0)) == (10, first + 2)
-        assert log == [(10, first)]
-        assert sim.run_next((10, 0)) == (10, 0)  # none is left: the limit
-        assert log == [(10, first), "chained"]
-
-    def test_count_off_heap_counts_the_events_and_sets_the_clock(self):
-        sim = Simulator()
-        sim.schedule(10, lambda: None)
-        key = (10, sim.reserve())
-        sim.schedule(10, lambda: None)
-        sim.run_next((100, 0))
-        # two events kept off the heap ran, the last under `key`
-        sim.count_off_heap(2, key)
-        assert sim.event_key == key and sim.now == 10
-        # the events counted off the heap count in the summary; the later
-        # queued event still runs
-        summary = sim.run_until(10)
-        assert summary.events_processed == 4
-        assert summary.clock == 10
-
 
 @st.composite
 def event_batches(draw):

@@ -403,6 +403,36 @@ class TestSpectrumScenario:
         result = run_spectrum_scenario(script)
         assert result.granted == 2 and result.rejected == 1 and result.released == 1
 
+    @pytest.mark.parametrize("between", ["", "at 15 request b x=500 y=0 r=10 bw=20\n"],
+                             ids=["lapsed-lease-held", "lapsed-lease-purged"])
+    def test_release_frees_the_oldest_grant_still_active(self, between):
+        # a's first lease ends at 10: at 20 the release frees its second
+        # grant, and a second release finds nothing, with or without a
+        # request between that purges the lapsed lease
+        script = ("at 0 request a x=0 y=0 r=10 bw=20 expires=10\n"
+                  "at 1 request a x=0 y=0 r=10 bw=20\n" + between +
+                  "at 20 release a\n")
+        result = run_spectrum_scenario(script)
+        assert result.released == 1
+        assert [g.grant_id for g in result.manager.active_grants(20)] == (
+            [3] if between else [])
+        with pytest.raises(ScriptError, match="'a' holds no active grant") as err:
+            run_spectrum_scenario(script + "at 21 release a\n")
+        assert err.value.line_number == script.count("\n") + 1
+
+    @pytest.mark.parametrize("line, message", [
+        ("at 0 request a x=0 y=0 r=10 bw=20 expire=5", "unknown request key 'expire'"),
+        ("at 0 request a x=0 y=0 r=10 bw=20 x=50", "request key 'x' given twice"),
+        ("at 0 request a x=0 y=0 r=10 bw=20 expires=5 expires=50",
+         "request key 'expires' given twice"),
+        ("at -5 request a x=0 y=0 r=10 bw=20", "time -5 is before the script starts at 0"),
+        ("at -1 release a", "time -1 is before the script starts at 0"),
+    ], ids=["mistyped-key", "repeated-key", "repeated-expires", "negative-request-time",
+            "negative-release-time"])
+    def test_bad_request_line_is_located(self, line, message):
+        with pytest.raises(ScriptError, match=f"line 2: {message}"):
+            run_spectrum_scenario(f"at 0 request z x=900 y=0 r=10 bw=20\n{line}\n")
+
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(ScriptError) as err:
             run_spectrum_scenario("at 0 request a x=0 y=0 r=50 bw=20\nnonsense\n")

@@ -1,11 +1,10 @@
-"""Guards on the event kernel: the event budget of a trial's
-control phase, the same-µs order that a trial's verdict rests on, and
-golden files of verdicts and per-tick traces."""
+"""Guards on the trial kernel: a trial schedules no engine event, the
+same-µs order that a trial's verdict rests on, and golden files of
+verdicts and per-tick traces."""
 
 import hashlib
 import itertools
-from bisect import insort
-from collections import Counter, deque
+from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from ringmill.plant import FailCause, TabulatedTrajectory
 from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_CONTROL_RING, DEFAULT_LOOP_CONFIG,
                             DEFAULT_SCENARIO, FPGA_TICK_OFFSET_US, HANDSHAKE_EXCHANGES,
                             QUALIFY_WINDOW_FRAMES, Scenario, TrialTrace, _LoopHarness,
-                            _StopTrial, run_trial, symmetric_profiles)
+                            _REQUEST, run_trial, symmetric_profiles)
 
 
 def harness(cmd, fb, length_us, seed=1):
@@ -40,26 +39,34 @@ def qualified(length_us, decided_at, trace=None):
     return h
 
 
-def feed(h, arrival):
-    """Queue a feedback frame at rest, sent 100 µs before `arrival`, numbered now."""
-    h.to_cnc[2].append((arrival, h.sim.reserve(), 0.0, arrival - 100))
+def feed(h, arrival, seq=None):
+    """Queue a feedback frame at rest, sent 100 µs before `arrival`, numbered
+    `seq`, or now."""
+    h.to_cnc[2].append((arrival, seq or h.sim.reserve(), 0.0, arrival - 100))
+
+
+#: a number no trial this short reserves, so it sorts after every reserved one
+LATE_SEQ = 10**9
 
 
 class TestTrialKernel:
-    def test_control_phase_schedules_only_the_servo_ticks(self):
-        def events(length_us):
-            h = harness(*symmetric_profiles(0.5, 0.05), length_us)
-            summaries = []
-            run_until = h.sim.run_until
-            h.sim.run_until = lambda t_end: summaries.append(run_until(t_end))
-            assert h.run().passed
-            return summaries[0].events_processed
+    def test_a_trial_schedules_no_heap_event(self, monkeypatch):
+        # servo frames, ticks and probes, the handshake and the grace
+        # deadline all run from the trial's loop: a passing trial, and one at
+        # 120 ms whose handshake requests and replies overlap, schedule nothing
+        scheduled = []
+        schedule = Simulator.schedule
 
-        # same seed, so the runs agree up to 2 s: the difference is one
-        # simulated second of control phase
-        rate = events(3_000_000) - events(2_000_000)
-        # frame arrivals and watchdog probes are queued, not scheduled
-        assert rate == 2 * 1000
+        def logging_schedule(sim, fire_time, action):
+            scheduled.append(fire_time)
+            return schedule(sim, fire_time, action)
+
+        monkeypatch.setattr(Simulator, "schedule", logging_schedule)
+        assert run_trial(DEFAULT_LOOP_CONFIG, *symmetric_profiles(0.5, 0.05), 2_000_000,
+                         _trial_seed(0, 0.5, 0.05, 0)).passed
+        verdict = run_trial(DEFAULT_LOOP_CONFIG, *symmetric_profiles(120, 5), 3_000_000, 3)
+        assert verdict.fail_cause is FailCause.INIT_FAILURE
+        assert scheduled == []
 
     def test_watchdog_fail_instant_is_pinned(self):
         verdict = run_trial(DEFAULT_LOOP_CONFIG, ZERO_IMPAIRMENT, ZERO_IMPAIRMENT,
@@ -74,29 +81,24 @@ class TestTrialKernel:
         # 10,500 + timeout + 1, before the control start itself would
         h = qualified(20_000, 10_300)
         feed(h, 10_500)
-        with pytest.raises(_StopTrial):
-            h._run_ticks()
-        assert h.verdict.fail_cause is FailCause.WATCHDOG
-        assert h.verdict.survived_us == 10_500 + DEFAULT_LOOP_CONFIG.watchdog_timeout_us + 1
+        verdict = h._run_ticks()
+        assert verdict.fail_cause is FailCause.WATCHDOG
+        assert verdict.survived_us == 10_500 + DEFAULT_LOOP_CONFIG.watchdog_timeout_us + 1
 
     def test_watchdog_ignores_same_us_order(self):
         # control starts at 11,000 us; feedback 2,100 us later still resets the
         # timer, feedback 2,101 us later lands on the probe's own µs and is too
         # late, whether its number was reserved before the probe was armed
-        # (so it is applied first) or after, by an event at 10,400 us
+        # (so it is applied first) or is a later one
         timeout = DEFAULT_LOOP_CONFIG.watchdog_timeout_us
         for gap_us, fails_at in ((timeout, 11_000 + 2 * timeout + 1), (timeout + 1, 13_101)):
             for arrival_first in (True, False):
                 h = qualified(20_000, 10_300)
                 arrival = 11_000 + gap_us
-                if arrival_first:
-                    feed(h, arrival)
-                else:
-                    h.sim.schedule(10_400, lambda h=h, arrival=arrival: feed(h, arrival))
-                with pytest.raises(_StopTrial):
-                    h._run_ticks()
-                assert h.verdict.fail_cause is FailCause.WATCHDOG
-                assert h.verdict.survived_us == fails_at, (gap_us, arrival_first)
+                feed(h, arrival, None if arrival_first else LATE_SEQ)
+                verdict = h._run_ticks()
+                assert verdict.fail_cause is FailCause.WATCHDOG
+                assert verdict.survived_us == fails_at, (gap_us, arrival_first)
 
     @pytest.mark.parametrize("arrival, fails_at, max_fe", [
         # re-armed before the first tick, the probe is due at 13,000 and was
@@ -113,36 +115,30 @@ class TestTrialKernel:
     def test_failing_probe_on_a_servo_tick_us(self, arrival, fails_at, max_fe):
         h = qualified(20_000, 10_300)
         feed(h, arrival)
-        with pytest.raises(_StopTrial):
-            h._run_ticks()
-        assert h.verdict.fail_cause is FailCause.WATCHDOG
-        assert h.verdict.survived_us == fails_at
-        assert h.verdict.max_following_error_mm == pytest.approx(max_fe, abs=1e-12)
+        verdict = h._run_ticks()
+        assert verdict.fail_cause is FailCause.WATCHDOG
+        assert verdict.survived_us == fails_at
+        assert verdict.max_following_error_mm == pytest.approx(max_fe, abs=1e-12)
 
-    @pytest.mark.parametrize("scheduled_at, feedback_mm", [
-        # scheduled before the tick at 12,000 took its number (at the tick at
-        # 11,000), so the event runs first and the tick reads its frame
-        (0, 0.25),
-        # scheduled at 11,500, after that tick took its number, so the tick
-        # runs first
-        (11_500, 0.0),
+    @pytest.mark.parametrize("request_first, feedback_at", [
+        # numbered before the stage tick at 11,500, the request's reply takes
+        # the stage's ring slot first, and the tick's feedback goes 100 us later
+        (True, 12_200),
+        # numbered after it, the tick's feedback goes first
+        (False, 12_100),
     ])
-    def test_heap_event_on_a_servo_tick_us_runs_iff_scheduled_before_it(
-            self, scheduled_at, feedback_mm):
-        trace = TrialTrace()
-        h = qualified(12_500, 10_300, trace)
-        rows_before = []
-
-        def deliver():
-            # the event hands the loop a frame under the event's own key
-            rows_before.append(len(trace.rows))
-            insort(h.to_cnc[2], (*h.sim.event_key, 0.25, 11_900))
-
-        h.sim.schedule(scheduled_at, lambda: h.sim.schedule(12_000, deliver))
-        h._run_ticks()
-        assert [row[0] for row in trace.rows] == [11_000, 12_000]
-        assert rows_before == [1 if scheduled_at == 0 else 2]
-        assert trace.rows[1][2] == feedback_mm
+    def test_handshake_item_on_a_servo_tick_us_runs_iff_numbered_before_it(
+            self, request_first, feedback_at):
+        # a stale request reaches the stage on the µs of a stage tick, and
+        # the stage answers it on the ring node its feedback leaves from
+        h = harness(ZERO_IMPAIRMENT, ZERO_IMPAIRMENT, 11_600)
+        first, second = h.sim.reserve(), h.sim.reserve()
+        request_seq, tick_seq = (first, second) if request_first else (second, first)
+        h.first_fpga_tick = (11_500, tick_seq)
+        verdict = h._run_ticks(((11_500, request_seq, _REQUEST, 1),))
+        assert [frame[0] for frame in h.to_cnc[2]] == [feedback_at]
+        assert verdict.fail_cause is FailCause.INIT_FAILURE
+        assert verdict.survived_us == 11_600
 
     @pytest.mark.parametrize("blackout, passed", [(None, True), (650_000, False)])
     def test_stale_request_on_a_probe_us_matches_the_heap_kernel(self, blackout, passed):
@@ -151,13 +147,22 @@ class TestTrialKernel:
         # A handshake request sent at 651,601, in the control phase, lands at
         # 651,701 and reserves a number for its reply; the probe due there was
         # armed first, so it fires before the request, passing or, after a
-        # feedback blackout from 650,000 us, failing.
+        # feedback blackout from 650,000 us, failing.  The oracle sends the
+        # request; the trial's loop is handed its arrival, numbered after the
+        # probe.  (The oracle's send draws nothing that the trial's later
+        # frames depend on: no command is in flight then, and the command
+        # link has no jitter or loss.)
         verdicts, traces = [], []
         for make in (_LoopHarness, HeapHarness):
             trace = TrialTrace()
             h = make(DEFAULT_LOOP_CONFIG, ZERO_IMPAIRMENT, ZERO_IMPAIRMENT, 1_000_000, 1,
                      DEFAULT_SCENARIO, blackout, trace)
-            h.sim.schedule(651_601, h._send_handshake)
+            if make is HeapHarness:
+                h.sim.schedule(651_601, h._send_handshake)
+            else:
+                request = (651_701, LATE_SEQ, _REQUEST, 1)
+                run_ticks = h._run_ticks
+                h._run_ticks = lambda items, run_ticks=run_ticks: run_ticks((*items, request))
             verdicts.append(repr(h.run()))
             traces.append(trace.rows)
             assert h.control_start == 536_000
@@ -166,6 +171,27 @@ class TestTrialKernel:
         assert ("passed=True" in verdicts[0]) is passed
         if not passed:
             assert "survived_us=651701" in verdicts[0]
+
+    def test_overlapping_handshake_matches_the_heap_kernel(self):
+        # A round trip of about 100 ms races the 100 ms retry: some replies
+        # come after their retry went out and are stale, while several
+        # requests and replies are in flight.  With no ring slot the spread
+        # stays within the tolerance, so some trials still enter control.
+        scenario = Scenario(control_ring=replace(DEFAULT_CONTROL_RING, slot_time_us=0))
+        profile = ChannelProfile.from_ms(49.8, 0.2)
+        retried, causes = False, set()
+        for seed in range(3):
+            for config in (DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG):
+                args = (config, profile, profile, 3_000_000, seed, scenario, None)
+                want_trace, got_trace = TrialTrace(), TrialTrace()
+                oracle = HeapHarness(*args, want_trace)
+                want = oracle.run()
+                assert repr(run_trial(*args, trace=got_trace)) == repr(want), args
+                assert got_trace.rows == want_trace.rows, args
+                retried |= oracle.hs_seq > HANDSHAKE_EXCHANGES
+                causes.add(want.fail_cause)
+        assert retried
+        assert causes == {FailCause.INIT_FAILURE, FailCause.FOLLOWING_ERROR}
 
     @pytest.mark.parametrize("slot_us, mean_us, jitter_us", [
         (0, 400, 200), (0, 400, 300), (0, 500, 300), (500, 400, 200)])
@@ -187,30 +213,6 @@ class TestTrialKernel:
         assert want.passed
         assert repr(run_trial(*args, trace=got_trace)) == repr(want)
         assert got_trace.rows == want_trace.rows
-
-    def test_the_heap_holds_only_the_handshake(self, monkeypatch):
-        # every feedback frame goes through the loop's queue: the engine
-        # schedules the first handshake request, the grace deadline, and per
-        # exchange a retry, the request's arrival and the reply's arrival
-        scheduled = []
-        schedule = Simulator.schedule
-
-        def logging_schedule(sim, fire_time, action):
-            scheduled.append(getattr(action, "__qualname__", repr(action)))
-            return schedule(sim, fire_time, action)
-
-        monkeypatch.setattr(Simulator, "schedule", logging_schedule)
-        verdict = run_trial(DEFAULT_LOOP_CONFIG, *symmetric_profiles(0.5, 0.05), 2_000_000,
-                            _trial_seed(0, 0.5, 0.05, 0))
-        assert verdict.passed
-        assert len(scheduled) == 50
-        send = "_LoopHarness._send_handshake"
-        assert Counter(scheduled) == {
-            send: 1, "_LoopHarness._grace_deadline": 1,
-            f"{send}.<locals>.<lambda>": HANDSHAKE_EXCHANGES,  # the retry
-            f"{send}.<locals>.fpga_got_request": HANDSHAKE_EXCHANGES,
-            f"{send}.<locals>.fpga_got_request.<locals>.<lambda>": HANDSHAKE_EXCHANGES,
-        }
 
     def test_same_us_feedback_is_seen_iff_sent_before_the_tick_was_scheduled(self):
         # With a fixed channel delay, the control ring's slot phase decides

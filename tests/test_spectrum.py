@@ -147,6 +147,15 @@ class TestRelease:
         with pytest.raises(UnknownGrantError):
             SpectrumManager().release_spectrum(123)
 
+    def test_release_of_a_lapsed_lease_is_not_found(self):
+        # whether or not a later request has purged it yet
+        manager = SpectrumManager()
+        lease = manager.request_spectrum(SpectrumRequest("a", SITE, 30.0), now=0, expires_at=10)
+        with pytest.raises(UnknownGrantError):
+            manager.release_spectrum(lease.grant_id, now=10)
+        manager.release_spectrum(lease.grant_id, now=9)
+        assert manager.active_grants(9) == []
+
     def test_release_leaves_disjoint_grant_untouched(self):
         manager = SpectrumManager()
         near = manager.request_spectrum(SpectrumRequest("near", SITE, 40.0))
