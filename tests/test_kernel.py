@@ -4,13 +4,15 @@ verdicts and per-tick traces."""
 
 import hashlib
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
+from heapq import heapify, heappush
 from pathlib import Path
 
 import pytest
 from test_heap_oracle import HeapHarness
 
+from ringmill import trial
 from ringmill.channel import ZERO_IMPAIRMENT, ChannelProfile, JitterDistribution
 from ringmill.engine import Simulator
 from ringmill.harness import _trial_seed
@@ -18,7 +20,8 @@ from ringmill.plant import FailCause, TabulatedTrajectory
 from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_CONTROL_RING, DEFAULT_LOOP_CONFIG,
                             DEFAULT_SCENARIO, FPGA_TICK_OFFSET_US, HANDSHAKE_EXCHANGES,
                             QUALIFY_WINDOW_FRAMES, Scenario, TrialTrace, _LoopHarness,
-                            _REQUEST, run_trial, symmetric_profiles)
+                            _END, _GRACE, _REPLY, _REQUEST, _RETRY, run_trial,
+                            symmetric_profiles)
 
 
 def harness(cmd, fb, length_us, seed=1):
@@ -50,10 +53,7 @@ LATE_SEQ = 10**9
 
 
 class TestTrialKernel:
-    def test_a_trial_schedules_no_heap_event(self, monkeypatch):
-        # servo frames, ticks and probes, the handshake and the grace
-        # deadline all run from the trial's loop: a passing trial, and one at
-        # 120 ms whose handshake requests and replies overlap, schedule nothing
+    def test_control_phase_schedules_only_the_servo_ticks(self, monkeypatch):
         scheduled = []
         schedule = Simulator.schedule
 
@@ -62,10 +62,31 @@ class TestTrialKernel:
             return schedule(sim, fire_time, action)
 
         monkeypatch.setattr(Simulator, "schedule", logging_schedule)
-        assert run_trial(DEFAULT_LOOP_CONFIG, *symmetric_profiles(0.5, 0.05), 2_000_000,
-                         _trial_seed(0, 0.5, 0.05, 0)).passed
-        verdict = run_trial(DEFAULT_LOOP_CONFIG, *symmetric_profiles(120, 5), 3_000_000, 3)
-        assert verdict.fail_cause is FailCause.INIT_FAILURE
+
+        def ticks(length_us):
+            # every controller tick sends a command and every stage tick
+            # feedback, each through its node's admission on the control ring
+            h = harness(*symmetric_profiles(0.5, 0.05), length_us)
+            counts = {"cmd": 0, "fb": 0}
+
+            def counting(direction, path):
+                admit, impair, queue = path
+
+                def counting_admit(now):
+                    counts[direction] += 1
+                    return admit(now)
+
+                return counting_admit, impair, queue
+
+            h.to_fpga, h.to_cnc = counting("cmd", h.to_fpga), counting("fb", h.to_cnc)
+            assert h.run().passed
+            return counts
+
+        # same seed, so the runs agree up to 2 s: the difference is one
+        # simulated second of control phase, one controller and one stage
+        # tick per servo period, all run from the trial's loop
+        short, long = ticks(2_000_000), ticks(3_000_000)
+        assert {d: long[d] - short[d] for d in long} == {"cmd": 1000, "fb": 1000}
         assert scheduled == []
 
     def test_watchdog_fail_instant_is_pinned(self):
@@ -120,21 +141,22 @@ class TestTrialKernel:
         assert verdict.survived_us == fails_at
         assert verdict.max_following_error_mm == pytest.approx(max_fe, abs=1e-12)
 
-    @pytest.mark.parametrize("request_first, feedback_at", [
+    @pytest.mark.parametrize("request_rank, feedback_at", [
         # numbered before the stage tick at 11,500, the request's reply takes
         # the stage's ring slot first, and the tick's feedback goes 100 us later
-        (True, 12_200),
+        (0, 12_200),
         # numbered after it, the tick's feedback goes first
-        (False, 12_100),
+        (1, 12_100),
     ])
-    def test_handshake_item_on_a_servo_tick_us_runs_iff_numbered_before_it(
-            self, request_first, feedback_at):
-        # a stale request reaches the stage on the µs of a stage tick, and
-        # the stage answers it on the ring node its feedback leaves from
+    def test_heap_event_on_a_servo_tick_us_runs_iff_scheduled_before_it(
+            self, request_rank, feedback_at):
+        # a stale request on the loop's handshake heap reaches the stage on
+        # the µs of a stage tick, and the stage answers it on the ring node
+        # its feedback leaves from
         h = harness(ZERO_IMPAIRMENT, ZERO_IMPAIRMENT, 11_600)
-        first, second = h.sim.reserve(), h.sim.reserve()
-        request_seq, tick_seq = (first, second) if request_first else (second, first)
-        h.first_fpga_tick = (11_500, tick_seq)
+        seqs = [h.sim.reserve(), h.sim.reserve()]
+        request_seq = seqs.pop(request_rank)
+        h.first_fpga_tick = (11_500, seqs[0])
         verdict = h._run_ticks(((11_500, request_seq, _REQUEST, 1),))
         assert [frame[0] for frame in h.to_cnc[2]] == [feedback_at]
         assert verdict.fail_cause is FailCause.INIT_FAILURE
@@ -213,6 +235,42 @@ class TestTrialKernel:
         assert want.passed
         assert repr(run_trial(*args, trace=got_trace)) == repr(want)
         assert got_trace.rows == want_trace.rows
+
+    def test_the_heap_holds_only_the_handshake(self, monkeypatch):
+        # the loop's heap starts with the first handshake request, the grace
+        # deadline and the trial's end, and takes per exchange a retry, the
+        # request's arrival and the reply's arrival; servo frames, ticks and
+        # probes go elsewhere, and nothing is scheduled on the engine, also
+        # when requests and replies overlap at 120 ms and the link is rejected
+        scheduled, started, pushed = [], [], Counter()
+        schedule = Simulator.schedule
+
+        def logging_schedule(sim, fire_time, action):
+            scheduled.append(fire_time)
+            return schedule(sim, fire_time, action)
+
+        def logging_heapify(items):
+            started.append(sorted(item[2] for item in items))
+            heapify(items)
+
+        def logging_heappush(items, item):
+            pushed[item[2]] += 1
+            heappush(items, item)
+
+        monkeypatch.setattr(Simulator, "schedule", logging_schedule)
+        monkeypatch.setattr(trial, "heapify", logging_heapify)
+        monkeypatch.setattr(trial, "heappush", logging_heappush)
+        verdict = run_trial(DEFAULT_LOOP_CONFIG, *symmetric_profiles(0.5, 0.05), 2_000_000,
+                            _trial_seed(0, 0.5, 0.05, 0))
+        assert verdict.passed
+        assert started == [[_RETRY, _GRACE, _END]]
+        assert pushed == {_RETRY: HANDSHAKE_EXCHANGES, _REQUEST: HANDSHAKE_EXCHANGES,
+                          _REPLY: HANDSHAKE_EXCHANGES}
+        pushed.clear()
+        verdict = run_trial(DEFAULT_LOOP_CONFIG, *symmetric_profiles(120, 5), 3_000_000, 3)
+        assert verdict.fail_cause is FailCause.INIT_FAILURE
+        assert set(pushed) == {_RETRY, _REQUEST, _REPLY}
+        assert scheduled == []
 
     def test_same_us_feedback_is_seen_iff_sent_before_the_tick_was_scheduled(self):
         # With a fixed channel delay, the control ring's slot phase decides
