@@ -15,6 +15,7 @@ from the profile once, when it is made (see `Channel`).
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -35,6 +36,8 @@ def us_from_ms(value_ms: float) -> int:
     """`value_ms` in integer µs, or a ChannelConfigError unless it is a whole
     number of µs up to the float rounding of the ms value itself: 0.05 ms
     is 50 µs, but 0.5004 ms is refused where rounding would run 500 µs."""
+    if not math.isfinite(value_ms * US_PER_MS):
+        raise ChannelConfigError(f"{value_ms} ms is too large to count in us")
     us = round(value_ms * US_PER_MS)
     if us / US_PER_MS != value_ms:
         raise ChannelConfigError(f"{value_ms} ms is not a whole number of us")
@@ -105,8 +108,6 @@ class Channel:
         self.rng = rng
         self.records: list[DeliveryRecord] = []
         self._record = record
-        self.sent = 0
-        self.dropped = 0
         self.impair = self._build_impair(blackout_from)
 
     def _build_impair(self, blackout_from: SimTime | None) -> Callable[[SimTime], SimTime | None]:
@@ -126,9 +127,7 @@ class Channel:
         def impair(now: SimTime) -> SimTime | None:
             """Delivery instant of one frame sent at `now`, or None if it is dropped."""
             nonlocal watermark
-            self.sent += 1
             if loss_rate > 0.0 and draw() < loss_rate:
-                self.dropped += 1
                 return None
             if not jitter:
                 delivered = now + mean
@@ -146,7 +145,6 @@ class Channel:
             if fifo and delivered < watermark:
                 delivered = watermark
             if blackout_from is not None and delivered >= blackout_from:
-                self.dropped += 1
                 return None
             watermark = delivered
             return delivered

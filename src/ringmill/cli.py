@@ -12,7 +12,7 @@ from . import __version__
 from .channel import ChannelProfile, us_from_ms
 from .config import ConfigError, load_config
 from .engine import US_PER_S
-from .harness import (RunManifest, ScriptError, parse_matrix_csv, render_matrix,
+from .harness import (RunManifest, ScriptError, _fmt, parse_matrix_csv, render_matrix,
                       run_from_manifest, run_spectrum_scenario, us_from_s)
 from .trial import TrialTrace, calibrate, run_trial, symmetric_profiles
 
@@ -101,8 +101,8 @@ def cmd_trial(args) -> int:
     if trace is not None:
         Path(args.trace).write_text(trace.to_csv())
     outcome = "PASS" if verdict.passed else f"FAIL ({verdict.fail_cause.value})"
-    print(f"trial latency={cmd.mean_delay_us / 1000:g} ms "
-          f"jitter={cmd.jitter_us / 1000:g} ms "
+    print(f"trial latency={_fmt(cmd.mean_delay_us / 1000)} ms "
+          f"jitter={_fmt(cmd.jitter_us / 1000)} ms "
           f"profile={args.profile}: {outcome}  "
           f"max_following_error={verdict.max_following_error_mm:.4f} mm  "
           f"survived={verdict.survived_us / US_PER_S:.3f} s")

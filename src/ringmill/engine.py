@@ -82,14 +82,14 @@ class Simulator:
         heapq.heappush(self._heap, (fire_time, seq, action))
         return seq
 
-    def run_before(self, key: tuple[SimTime, int]) -> int:
-        """Process every event whose ``(fire_time, sequence)`` precedes `key`,
-        including those they schedule; returns how many ran."""
+    def run_until(self, t_end: SimTime) -> RunSummary:
+        """Process every event with fire_time <= t_end, including those they
+        schedule; the clock ends at t_end."""
         heap = self._heap
         pop = heapq.heappop
-        processed = start = self._events_processed
+        processed = self._events_processed
         try:
-            while heap and heap[0] < key:
+            while heap and heap[0][0] <= t_end:
                 fire_time, seq, action = pop(heap)
                 self._clock = fire_time
                 self._event_seq = seq
@@ -97,13 +97,8 @@ class Simulator:
                 action()
         finally:
             self._events_processed = processed
-        return processed - start
-
-    def run_until(self, t_end: SimTime) -> RunSummary:
-        """Process every event with fire_time <= t_end; clock ends at t_end."""
-        self.run_before((t_end + 1, 0))  # sequence numbers start at 1
         self._clock = t_end
-        return RunSummary(self._events_processed, t_end)
+        return RunSummary(processed, t_end)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,8 @@ def reference_pattern(latencies_ms: Iterable[float] = DEFAULT_LATENCIES_MS,
 
 def us_from_s(value_s: float) -> SimTime:
     """`value_s` in integer µs, or a ValueError unless whole, as in `us_from_ms`."""
+    if not math.isfinite(value_s * US_PER_S):
+        raise ValueError(f"{value_s} s is too large to count in us")
     us = round(value_s * US_PER_S)
     if us / US_PER_S != value_s:
         raise ValueError(f"{value_s} s is not a whole number of us")
@@ -273,6 +275,10 @@ def _decode_outcomes(text: str) -> tuple[TrialOutcome, ...]:
             raise ValueError(f"status {status!r} is neither pass nor fail")
         # an unknown cause, or one the status contradicts, raises here
         verdict = TrialVerdict(status == "pass", FailCause(cause), float(max_fe), int(survived))
+        if not 0 <= verdict.max_following_error_mm < math.inf:
+            raise ValueError(f"max following error {max_fe} mm is not finite and >= 0")
+        if verdict.survived_us < 0:
+            raise ValueError(f"survived {survived} us is negative")
         outcomes.append(TrialOutcome.from_verdict(int(idx), verdict))
     return tuple(outcomes)
 
@@ -463,9 +469,6 @@ class ScriptError(ValueError):
 @dataclass
 class ScenarioResult:
     manager: SpectrumManager
-    granted: int
-    rejected: int
-    released: int
     now: SimTime  # the latest time in the script, that of the last line replayed
 
     def occupancy_report(self) -> str:
@@ -476,12 +479,12 @@ class ScenarioResult:
             lines.append(
                 f"  #{g.grant_id} {g.requester}: "
                 f"[{g.block.low_mhz:g}, {g.block.high_mhz:g}] MHz "
-                f"at ({g.area.x:g}, {g.area.y:g}) r={g.area.radius:g} m")
+                f"at ({_fmt(g.area.x)}, {_fmt(g.area.y)}) r={_fmt(g.area.radius)} m")
         centers = sorted({(g.area.x, g.area.y) for g in active})
         lines.append("occupancy at grant centers:")
         for x, y in centers:
             _, total = self.manager.occupancy_at(x, y, self.now)
-            lines.append(f"  ({x:g}, {y:g}): {total:g} MHz")
+            lines.append(f"  ({_fmt(x)}, {_fmt(y)}): {total:g} MHz")
         return "\n".join(lines) + "\n"
 
 
@@ -557,7 +560,6 @@ def run_spectrum_scenario(script: str, manager: SpectrumManager | None = None) -
 
     commands.sort(key=lambda c: (c[0], c[1]))
     by_requester: dict[str, list[SpectrumGrant]] = {}  # in grant order
-    granted = rejected = released = 0
     t = 0
     for t, line_no, requester, request, expires in commands:
         if request is not None:
@@ -565,10 +567,7 @@ def run_spectrum_scenario(script: str, manager: SpectrumManager | None = None) -
                 outcome = manager.request_spectrum(request, now=t, expires_at=expires)
             except SpectrumError as exc:
                 raise ScriptError(line_no, str(exc)) from None
-            if isinstance(outcome, Rejection):
-                rejected += 1
-            else:
-                granted += 1
+            if not isinstance(outcome, Rejection):
                 by_requester.setdefault(requester, []).append(outcome)
         else:
             held = by_requester.get(requester, [])
@@ -580,6 +579,5 @@ def run_spectrum_scenario(script: str, manager: SpectrumManager | None = None) -
                 manager.release_spectrum(held.pop(0).grant_id, now=t)
             except UnknownGrantError as exc:
                 raise ScriptError(line_no, str(exc)) from None
-            released += 1
         manager.check_invariants(now=t)
-    return ScenarioResult(manager, granted, rejected, released, t)
+    return ScenarioResult(manager, t)

@@ -98,18 +98,6 @@ class Frame:
                 f"[{CONTROL_FRAME_MIN_BYTES}, {CONTROL_FRAME_MAX_BYTES}] bytes")
 
 
-@dataclass
-class RingStats:
-    enqueued: int = 0
-    delivered: int = 0
-    dropped_overflow: int = 0
-    dropped_loss: int = 0
-
-    @property
-    def dropped(self) -> int:
-        return self.dropped_overflow + self.dropped_loss
-
-
 class TokenRing:
     """One deterministic token ring attached to a simulation instance.
 
@@ -127,16 +115,12 @@ class TokenRing:
         self.config = config
         self.sim = sim
         self.rng = rng
-        self._stats = RingStats()
         self._index = {node: i for i, node in enumerate(config.nodes)}
-        # per node index: the delivery instants of frames in flight
-        self._pending: list[deque[SimTime]] = [deque() for _ in config.nodes]
         self._admit = [self._build_admitter(i) for i in range(len(config.nodes))]
 
     def _build_admitter(self, node_idx: int) -> Callable[[SimTime], SimTime | None]:
         config = self.config
-        stats = self._stats
-        pending = self._pending[node_idx]
+        pending: deque[SimTime] = deque()  # the delivery instants of frames in flight
         popleft, append = pending.popleft, pending.append
         depth, loss_rate, draw = config.queue_depth, config.loss_rate, self.rng.random
         slot, tx = config.slot_time_us, config.tx_time_us
@@ -146,14 +130,11 @@ class TokenRing:
 
         def admit(now: SimTime) -> SimTime | None:
             nonlocal watermark
-            stats.enqueued += 1
             while pending and pending[0] <= now:
                 popleft()
             if len(pending) >= depth:
-                stats.dropped_overflow += 1
                 return None
             if loss_rate > 0 and draw() < loss_rate:
-                stats.dropped_loss += 1
                 return None
             start = watermark if watermark > now else now
             if slot:
@@ -167,24 +148,6 @@ class TokenRing:
             return watermark
 
         return admit
-
-    @property
-    def stats(self) -> RingStats:
-        """Counters as of the current clock.
-
-        A frame counts as delivered once the clock reaches its delivery
-        instant, whether or not a delivery event was scheduled for it.
-        """
-        now = self.sim.now
-        in_flight = 0
-        for pending in self._pending:
-            while pending and pending[0] <= now:
-                pending.popleft()
-            in_flight += len(pending)
-        # every admitted frame is in flight or delivered
-        stats = self._stats
-        stats.delivered = stats.enqueued - stats.dropped - in_flight
-        return stats
 
     def node_index(self, node: str) -> int:
         """Position of a member node in the ring order, as `admit` takes it."""

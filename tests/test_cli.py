@@ -145,12 +145,17 @@ class TestConfig:
         ("[sweep]\nseeds_per_cell = 1\n[loop.default] ]\nfe_limit_mm = 0.7\n", 3),
         # configparser ignores text after the "]"
         ("[gains.default] x\nkp = 40\n", 1),
+        # finite values whose count of us overflows a float: each was a traceback
+        ("[sweep]\nseeds_per_cell = 1\nlatencies_ms = 1e306\n", 3),
+        ("[sweep]\ntrial_seconds = 1e303\n", 2),
+        ("[channel.command]\nmean_delay_ms = 1e306\n", 2),
     ], ids=["distribution", "seeds_per_cell", "reorder", "empty-value", "adapted-watchdog",
             "control-nodes", "sensor-nodes", "missing-file", "negative-latency",
             "negative-jitter", "one-column-row", "nan-setpoint", "inf-setpoint",
             "negative-tolerance", "negative-rescue-budget", "watchdog-below-period",
             "latency-not-whole-us", "jitter-not-whole-us", "late-first-point",
-            "trial-seconds-not-whole-us", "second-bracket-in-header", "text-after-header"])
+            "trial-seconds-not-whole-us", "second-bracket-in-header", "text-after-header",
+            "latency-overflows", "trial-seconds-overflows", "mean-delay-overflows"])
     def test_bad_input_exits_config_error_with_its_line(self, tmp_path, capsys, text, line):
         (tmp_path / "moves.csv").write_text("0,0\n500\n1000,0\n")
         (tmp_path / "nan.csv").write_text("time_ms,setpoint_mm\n0,0\n500,nan\n1000,0\n")
@@ -190,6 +195,12 @@ class TestCli:
                           "[channel.feedback]\nmean_delay_ms = 0.5\njitter_ms = 0.05\n")
         assert main(["trial", "--config", str(config), "--trial-seconds", "2"]) == 0
         assert "latency=0.5 ms" in capsys.readouterr().out
+
+    def test_trial_prints_the_link_values_it_runs(self, capsys):
+        # `:g` printed latency=1234.57 ms: six significant digits
+        assert main(["trial", "--latency-ms", "1234.567", "--jitter-ms", "0.1",
+                     "--trial-seconds", "0.01"]) == 0
+        assert "trial latency=1234.567 ms jitter=0.1 ms " in capsys.readouterr().out
 
     def test_mistyped_section_exits_config_error(self, tmp_path, capsys):
         config = tmp_path / "typo.ini"
@@ -321,6 +332,18 @@ class TestCli:
             "occupancy at grant centers:\n"
             "  (5, 0): 20 MHz\n")
 
+    def test_occupancy_keeps_every_digit_of_a_position(self, tmp_path, capsys):
+        # `:g` listed this grant at (1.23457e+06, 0)
+        script = tmp_path / "far.txt"
+        script.write_text("at 0 request a x=1234567.5 y=0 r=12.25 bw=20\n")
+        assert main(["spectrum", "--script", str(script), "--output-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "occupancy.txt").read_text() == (
+            "active grants:\n"
+            "  #1 a: [3700, 3720] MHz at (1234567.5, 0) r=12.25 m\n"
+            "occupancy at grant centers:\n"
+            "  (1234567.5, 0): 20 MHz\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["trial", "--latency-ms", "1", "--jitter-ms", "0.1", "--trial-seconds", "0"],
          "argument --trial-seconds: 0 is not positive"),
@@ -365,6 +388,15 @@ class TestCli:
          "argument --screen-seconds: 4e-07 s is not a whole number of us"),
         (["render", "--matrix", "fraction-seconds.csv"],
          "line 1: bad matrix header: 1.0000004 s is not a whole number of us"),
+        # finite values whose count of us overflows a float: each was a traceback
+        (["trial", "--latency-ms", "1e306", "--jitter-ms", "0.1"],
+         "argument --latency-ms: 1e+306 ms is too large to count in us"),
+        (["trial", "--latency-ms", "1", "--jitter-ms", "0.1", "--trial-seconds", "1e303"],
+         "argument --trial-seconds: 1e+303 s is too large to count in us"),
+        (["render", "--matrix", "huge-seconds.csv"],
+         "line 1: bad matrix header: 1e+303 s is too large to count in us"),
+        (["render", "--matrix", "huge-latency.csv"],
+         "line 4: bad matrix row: latencies axis holds 1e+306 ms"),
     ], ids=["trial-seconds", "screen-seconds", "latency-ms", "jitter-ms", "not-a-matrix",
             "bad-row", "directory", "no-column-header", "bad-status", "bad-cause",
             "wrong-cause", "duplicate-cell", "wrong-class", "no-rows", "nan-latency",
@@ -372,7 +404,8 @@ class TestCli:
             "lone-jitter-ms", "latency-ms-not-whole-us", "jitter-ms-not-whole-us",
             "matrix-latency-not-whole-us", "trial-seconds-below-1-us",
             "trial-seconds-not-whole-us", "screen-seconds-below-1-us",
-            "matrix-trial-seconds-not-whole-us"])
+            "matrix-trial-seconds-not-whole-us", "latency-ms-overflows", "trial-seconds-overflows",
+            "matrix-trial-seconds-overflows", "matrix-latency-overflows"])
     def test_bad_flag_or_matrix_exits_config_error(self, tmp_path, capsys, monkeypatch,
                                                    argv, message):
         monkeypatch.chdir(tmp_path)
@@ -394,12 +427,15 @@ class TestCli:
                            "nan-latency": columns + row + other.replace("1,", "nan,", 1),
                            "negative-latency": columns + row + other.replace("1,", "-1,", 1),
                            "fraction-latency": columns + row + other.replace("1,", "0.5004,", 1),
+                           "huge-latency": columns + row + other.replace("1,", "1e306,", 1),
                            "inf-jitter": columns + row.replace("0.05", "inf", 1)}.items():
             (tmp_path / f"{name}.csv").write_text(head + body)
         (tmp_path / "nan-seconds.csv").write_text(head.replace("seconds=1", "seconds=nan")
                                                   + columns + row)
         (tmp_path / "fraction-seconds.csv").write_text(
             head.replace("seconds=1", "seconds=1.0000004") + columns + row)
+        (tmp_path / "huge-seconds.csv").write_text(
+            head.replace("seconds=1", "seconds=1e303") + columns + row)
         # a file channel pair, which a lone flag must not silently fall back to
         (tmp_path / "pair.ini").write_text(
             "[channel.command]\nmean_delay_ms = 0.5\njitter_ms = 0.05\n"

@@ -71,17 +71,13 @@ class TestRunUntil:
 
 
 class TestOffHeapEvents:
-    def test_run_before_processes_only_the_events_that_precede_the_key(self):
+    def test_a_reserved_number_sorts_between_two_schedule_calls(self):
+        # an instant off the heap keeps its place among events scheduled on its µs
         sim = Simulator()
-        log = []
-        sim.schedule(10, lambda: log.append("a"))
-        key = (10, sim.reserve())
-        sim.schedule(10, lambda: log.append("after"))
-        # an event scheduled while running, still before the key, runs too
-        sim.schedule(5, lambda: sim.schedule(8, lambda: log.append("chained")))
-        assert sim.run_before(key) == 3
-        assert log == ["chained", "a"]
-        assert sim.run_before(key) == 0
+        before = sim.schedule(10, lambda: None)
+        reserved = sim.reserve()
+        after = sim.schedule(10, lambda: None)
+        assert before < reserved < after
 
 
 @st.composite

@@ -1,0 +1,102 @@
+"""Seeded mutation fuzz of ringmill's three text readers.
+
+Each document is one that ringmill ships: the README's INI scenario, the
+golden `matrix.csv` and the README's spectrum script.  A mutant deletes a
+character, swaps one token for an edge value, or duplicates or drops a
+line.  Every mutant must either read or raise its reader's own error,
+which names the line: `ConfigError` for the INI reader, `ScriptError`
+for the matrix and script readers.  Anything else escaping is a bug.
+"""
+
+import random
+import re
+from pathlib import Path
+
+import pytest
+
+from ringmill.config import ConfigError, load_config
+from ringmill.harness import ScriptError, parse_matrix_csv, render_matrix, run_spectrum_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
+INI = re.search(r"```ini\n(.*?)```", README, re.S)[1]
+MATRIX = (ROOT / "tests" / "golden" / "matrix.csv").read_text()
+SCRIPT = README.split("## Spectrum scripts", 1)[1].split("```", 2)[1].strip() + "\n"
+
+EDGE_VALUES = ("-1", "0", "nan", "inf", "1e400", "")
+TOKEN = re.compile(r"[^\s,=|;#\[\]]+")
+MUTANTS_PER_DOCUMENT = 400
+
+
+def mutate(text: str, rng: random.Random) -> str:
+    kind = rng.randrange(4)
+    if kind == 0:
+        i = rng.randrange(len(text))
+        return text[:i] + text[i + 1:]
+    if kind == 1:
+        token = rng.choice(list(TOKEN.finditer(text)))
+        return text[:token.start()] + rng.choice(EDGE_VALUES) + text[token.end():]
+    lines = text.splitlines(keepends=True)
+    i = rng.randrange(len(lines))
+    lines[i:i + 1] = [lines[i]] * 2 if kind == 2 else []
+    return "".join(lines)
+
+
+def read_ini(text: str, tmp_path: Path) -> None:
+    path = tmp_path / "scenario.ini"
+    path.write_text(text)
+    try:
+        load_config(path)
+    except ConfigError as exc:
+        assert "line" in str(exc), exc
+
+
+def read_matrix(text: str, tmp_path: Path) -> None:
+    try:
+        result = parse_matrix_csv(text)
+    except ScriptError as exc:
+        assert exc.line_number >= 1
+        return
+    parse_matrix_csv(render_matrix(result, "csv"))  # what reads is written back readably
+
+
+def read_script(text: str, tmp_path: Path) -> None:
+    try:
+        run_spectrum_scenario(text)
+    except ScriptError as exc:
+        assert exc.line_number >= 1
+
+
+DOCUMENTS = {"readme-ini": (INI, read_ini), "golden-matrix": (MATRIX, read_matrix),
+             "readme-script": (SCRIPT, read_script)}
+
+
+@pytest.mark.parametrize("name", list(DOCUMENTS))
+def test_every_mutant_reads_or_raises_a_located_error(name, tmp_path):
+    text, read = DOCUMENTS[name]
+    read(text, tmp_path)  # the document itself reads
+    rng = random.Random(f"fuzz-{name}")
+    for _ in range(MUTANTS_PER_DOCUMENT):
+        read(mutate(text, rng), tmp_path)
+
+
+def test_a_second_bracket_in_a_header_is_a_located_config_error(tmp_path):
+    path = tmp_path / "scenario.ini"
+    path.write_text("[sweep]\nseeds_per_cell = 1\n[loop.default] ]\n")
+    with pytest.raises(ConfigError, match=r"line 3: unknown section \[loop.default\] \]"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("outcome, message", [
+    ("0|fail|watchdog|nan|-5", "max following error nan mm"),
+    ("0|fail|watchdog|inf|5", "max following error inf mm"),
+    ("0|fail|watchdog|-0.5|5", "max following error -0.5 mm"),
+    ("0|fail|watchdog|0.5|-5", "survived -5 us"),
+], ids=["nan-and-negative-survival", "inf", "negative-error", "negative-survival"])
+def test_an_outcome_no_trial_gives_is_refused_with_its_line(outcome, message):
+    # this row read, and render wrote it back
+    text = ("# ringmill-matrix v1 seeds=1 trial_seconds=1 master_seed=0\n"
+            "latency_ms,jitter_ms,class,default_outcomes,adapted_outcomes\n"
+            f"0.5,0.05,fail,{outcome},0|fail|watchdog|-1|0\n")
+    with pytest.raises(ScriptError, match=f"line 3: bad matrix row: {message}"):
+        parse_matrix_csv(text)

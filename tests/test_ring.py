@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringmill.engine import Simulator, component_rng
-from ringmill.ring import (Frame, FrameClass, RingConfig, RingConfigError, RingStats, TokenRing,
+from ringmill.ring import (Frame, FrameClass, RingConfig, RingConfigError, TokenRing,
                            worst_case_access_latency)
-from ringmill.trial import CMD_FRAME_BYTES, FB_FRAME_BYTES, HANDSHAKE_FRAME_BYTES
 
 URLLC_2 = RingConfig(ring_id="control", nodes=("master", "fpga"),
                      slot_time_us=800, tx_time_us=100, loss_rate=0.0)
@@ -72,11 +71,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             Frame(1, "a", "b", 200, 0, FrameClass.URLLC)
 
-    @pytest.mark.parametrize("size", [CMD_FRAME_BYTES, FB_FRAME_BYTES, HANDSHAKE_FRAME_BYTES])
-    def test_trial_control_frame_sizes_are_valid(self, size):
-        # a trial sends these sizes without building a Frame
-        assert Frame(1, "master", "fpga", size, 0, FrameClass.URLLC).payload_size == size
-
 
 class TestWorstCaseFormula:
     def test_two_node_paper_footnote_bound(self):
@@ -126,10 +120,8 @@ class TestEnqueue:
     def test_seventeenth_frame_is_dropped_and_counted(self):
         ring, sim = make_ring(URLLC_2)
         t = 800  # token just left master; queue builds
-        for i in range(17):
-            ring.enqueue("master", frame(i, "master", "fpga", t), t)
-        assert ring.stats.dropped_overflow == 1
-        assert ring.stats.enqueued == 17
+        got = [ring.enqueue("master", frame(i, "master", "fpga", t), t) for i in range(17)]
+        assert got.count(None) == 1 and got[-1] is None  # a drop is a None return
 
     def test_unknown_node_rejected(self):
         ring, sim = make_ring(URLLC_2)
@@ -140,47 +132,29 @@ class TestEnqueue:
         cfg = RingConfig(ring_id="lossy", nodes=("a", "b"),
                          slot_time_us=100, tx_time_us=10, loss_rate=1.0)
         ring, sim = make_ring(cfg)
-        for i in range(5):
-            ring.enqueue("a", frame(i, "a", "b", 0), 0)
-        assert ring.stats.dropped_loss == 5
-        assert ring.stats.delivered == 0
+        assert [ring.enqueue("a", frame(i, "a", "b", 0), 0) for i in range(5)] == [None] * 5
 
 
 class ReferenceRing:
-    """`TokenRing.admit` and `TokenRing.stats` as they were before the ring
-    built one admission closure per node: every call reads the config."""
+    """`TokenRing.admit` as it was before the ring built one admission
+    closure per node: every call reads the config."""
 
     def __init__(self, config, rng):
         self.config = config
         self.rng = rng
-        self._stats = RingStats()
         self._watermark = [0] * len(config.nodes)
         self._pending = [deque() for _ in config.nodes]
         self._cycle = len(config.nodes) * config.slot_time_us
 
-    def stats(self, now):
-        stats = self._stats
-        for pending in self._pending:
-            while pending and pending[0] <= now:
-                pending.popleft()
-                stats.delivered += 1
-        return stats
-
     def admit(self, node_idx, now):
         config = self.config
-        stats = self._stats
-        stats.enqueued += 1
-
         pending = self._pending[node_idx]
         while pending and pending[0] <= now:
             pending.popleft()
-            stats.delivered += 1
         if len(pending) >= config.queue_depth:
-            stats.dropped_overflow += 1
             return None
         loss_rate = config.loss_rate
         if loss_rate > 0 and self.rng.random() < loss_rate:
-            stats.dropped_loss += 1
             return None
 
         start = self._watermark[node_idx]
@@ -230,7 +204,6 @@ class TestAdmit:
             node, dest = config.nodes[node_idx], config.nodes[node_idx - 1]
             got = by_index.admit(node_idx, now)
             assert got == by_frame.enqueue(node, frame(i, node, dest, now), now)
-            assert by_index.stats == by_frame.stats
             assert by_index.rng.getstate() == by_frame.rng.getstate()
 
     @given(config=ring_configs(), seed=st.integers(min_value=0, max_value=2**32),
@@ -248,7 +221,6 @@ class TestAdmit:
             node_idx %= len(config.nodes)
             admit = ring.admitter(node_idx)
             assert admit(now) == reference.admit(node_idx, now)
-            assert ring.stats == reference.stats(now)
             assert ring.rng.getstate() == reference.rng.getstate()
 
     def test_node_index_is_the_ring_position(self):
@@ -288,14 +260,17 @@ class TestInvariants:
         assert len(order) == 40
 
     def test_frame_conservation_at_any_instant(self):
+        # every frame is dropped (a None return) or delivered at its instant,
+        # and the frames in flight at any instant fit the queue
         ring, sim = make_ring(URLLC_2)
         t = 800
-        for i in range(20):
-            ring.enqueue("master", frame(i, "master", "fpga", t), t)
+        delivered = []
+        got = [ring.enqueue("master", frame(i, "master", "fpga", t), t,
+                            lambda f, at: delivered.append(at)) for i in range(20)]
+        admitted = [at for at in got if at is not None]
+        assert len(admitted) == URLLC_2.queue_depth
         for checkpoint in (900, 1700, 2500, 60_000):
             sim.run_until(checkpoint)
-            s = ring.stats
-            in_queue = s.enqueued - s.delivered - s.dropped
-            assert 0 <= in_queue <= URLLC_2.queue_depth
-        assert in_queue == 0
+            assert delivered == [at for at in admitted if at <= checkpoint]
+        assert delivered == admitted
 
