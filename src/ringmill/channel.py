@@ -7,20 +7,21 @@ additionally forced to be non-decreasing, preserving FIFO.  Jitter draws
 are integer microseconds, so the uniform distribution has exact support
 ``[mean - jitter, mean + jitter]`` and exact zero-mean perturbation; a
 profile whose delay or jitter is not an integer is refused when it is
-made, and a value in ms (`ChannelProfile.from_ms`, `us_from_ms`) must be
-a whole number of µs.  A channel builds its per-frame `impair` closure
-from the profile once, when it is made (see `Channel`).
+made, and `ChannelProfile.from_ms` converts ms values by the engine's
+whole-µs rule (`engine.us_from`), so it raises that rule's ValueError for
+a value that is negative, not finite or not a whole number of µs.  A
+channel builds its per-frame `impair` closure from the profile once,
+when it is made (see `Channel`).
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .engine import SimTime, US_PER_MS
+from .engine import SimTime, us_from
 
 
 class JitterDistribution(str, enum.Enum):
@@ -30,18 +31,6 @@ class JitterDistribution(str, enum.Enum):
 
 class ChannelConfigError(ValueError):
     pass
-
-
-def us_from_ms(value_ms: float) -> int:
-    """`value_ms` in integer µs, or a ChannelConfigError unless it is a whole
-    number of µs up to the float rounding of the ms value itself: 0.05 ms
-    is 50 µs, but 0.5004 ms is refused where rounding would run 500 µs."""
-    if not math.isfinite(value_ms * US_PER_MS):
-        raise ChannelConfigError(f"{value_ms} ms is too large to count in us")
-    us = round(value_ms * US_PER_MS)
-    if us / US_PER_MS != value_ms:
-        raise ChannelConfigError(f"{value_ms} ms is not a whole number of us")
-    return us
 
 
 @dataclass(frozen=True)
@@ -67,8 +56,8 @@ class ChannelProfile:
 
     @classmethod
     def from_ms(cls, mean_delay_ms: float, jitter_ms: float = 0.0, **kw) -> "ChannelProfile":
-        return cls(mean_delay_us=us_from_ms(mean_delay_ms), jitter_us=us_from_ms(jitter_ms),
-                   **kw)
+        return cls(mean_delay_us=us_from(mean_delay_ms, "ms"),
+                   jitter_us=us_from(jitter_ms, "ms"), **kw)
 
 
 ZERO_IMPAIRMENT = ChannelProfile(mean_delay_us=0, jitter_us=0, loss_rate=0.0)

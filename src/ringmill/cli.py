@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
-from .channel import ChannelProfile, us_from_ms
+from .channel import ChannelProfile
 from .config import ConfigError, load_config
-from .engine import US_PER_S
+from .engine import US_PER_S, us_from
 from .harness import (RunManifest, ScriptError, _fmt, parse_matrix_csv, render_matrix,
-                      run_from_manifest, run_spectrum_scenario, us_from_s)
+                      run_from_manifest, run_spectrum_scenario)
 from .trial import TrialTrace, calibrate, run_trial, symmetric_profiles
 
 EXIT_OK = 0
@@ -21,33 +21,16 @@ EXIT_CONFIG = 2
 EXIT_CALIBRATION = 3
 
 
-def seconds(raw: str) -> float:
-    """A positive, finite length in seconds that is a whole number of µs."""
-    value = float(raw)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"{raw} is not positive and finite")
-    try:
-        us_from_s(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
-
-
-def non_negative(raw: str) -> float:
-    value = float(raw)
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"{raw} is not non-negative and finite")
-    return value
-
-
-def link_ms(raw: str) -> float:
-    """A non-negative link value in ms that is a whole number of µs."""
-    value = non_negative(raw)
-    try:
-        us_from_ms(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
+def time_in(unit: str, positive: bool = False) -> Callable[[str], float]:
+    """The argparse type of a flag in `unit`: a number `engine.us_from` accepts."""
+    def parse(raw: str) -> float:
+        try:
+            value = float(raw)
+            us_from(value, unit, positive=positive)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return parse
 
 
 def _load_run(args) -> tuple[RunManifest, ChannelProfile | None, ChannelProfile | None]:
@@ -96,7 +79,7 @@ def cmd_trial(args) -> int:
                           "[channel.command]/[channel.feedback] config sections")
     trace = TrialTrace() if args.trace else None
     verdict = run_trial(
-        config, cmd, fb, trial_length_us=us_from_s(run.spec.trial_seconds),
+        config, cmd, fb, trial_length_us=us_from(run.spec.trial_seconds, "s"),
         seed=run.spec.master_seed, scenario=run.scenario, trace=trace)
     if trace is not None:
         Path(args.trace).write_text(trace.to_csv())
@@ -156,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="INI scenario file")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--trial-seconds", type=seconds, default=None,
+        p.add_argument("--trial-seconds", type=time_in("s", positive=True), default=None,
                        help="simulated seconds per trial")
 
     p = sub.add_parser("sweep", help="run the latency x jitter feasibility sweep")
@@ -168,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trial", help="run one closed-loop trial")
     common(p)
-    p.add_argument("--latency-ms", type=link_ms, default=None)
-    p.add_argument("--jitter-ms", type=link_ms, default=None)
+    p.add_argument("--latency-ms", type=time_in("ms"), default=None)
+    p.add_argument("--jitter-ms", type=time_in("ms"), default=None)
     p.add_argument("--profile", choices=("default", "adapted"), default="default")
     p.add_argument("--trace", help="write per-tick control trace CSV here")
     p.set_defaults(func=cmd_trial)
@@ -182,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="grid-search loop configs against the target pattern")
     common(p)
     p.add_argument("--output-dir", default=None)
-    p.add_argument("--screen-seconds", type=seconds, default=12.0)
+    p.add_argument("--screen-seconds", type=time_in("s", positive=True), default=12.0)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("render", help="re-render a matrix CSV")

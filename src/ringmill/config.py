@@ -20,8 +20,9 @@ from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
-from .channel import ChannelProfile, JitterDistribution, us_from_ms
-from .harness import RunManifest, SweepSpec, us_from_s
+from .channel import ChannelProfile, JitterDistribution
+from .engine import us_from
+from .harness import RunManifest, SweepSpec
 from .plant import load_trajectory_csv, validate_config_pair
 from .trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO
 
@@ -48,23 +49,21 @@ def _bool(raw: str) -> bool:
         raise ValueError(f"{raw!r} is not a boolean") from None
 
 
-def _us_from_ms(raw: str) -> int:
-    return us_from_ms(_float(raw))
+# time values go through the whole-µs rule here, so that an error names the key's line
+def _ms_as_us(raw: str) -> int:
+    return us_from(float(raw), "ms")
 
 
 def _axis_ms(raw: str) -> tuple[float, ...]:
-    """A sweep axis, each value a whole number of µs: checked here, so that
-    the error names the key's line."""
-    values = tuple(_float(tok) for tok in raw.replace(",", " ").split())
+    values = tuple(float(tok) for tok in raw.replace(",", " ").split())
     for value in values:
-        us_from_ms(value)
+        us_from(value, "ms")
     return values
 
 
 def _seconds(raw: str) -> float:
-    """A length that is a whole number of µs, checked here to name its line."""
-    value = _float(raw)
-    us_from_s(value)
+    value = float(raw)
+    us_from(value, "s", positive=True)
     return value
 
 
@@ -73,8 +72,8 @@ _LOOP = {"servo_period_us": int, "watchdog_timeout_us": int, "init_grace_us": in
          "fe_limit_mm": _float, "delay_spread_tolerance_us": int, "rtt_rescue_budget_us": int}
 _LOSS = {"loss_rate": _float}  # rings and channels both drop frames
 # a (field, reader) pair where the dataclass field is not named like the key
-_CHANNEL = {"mean_delay_ms": ("mean_delay_us", _us_from_ms),
-            "jitter_ms": ("jitter_us", _us_from_ms),
+_CHANNEL = {"mean_delay_ms": ("mean_delay_us", _ms_as_us),
+            "jitter_ms": ("jitter_us", _ms_as_us),
             "distribution": JitterDistribution, "reorder": ("reorder_allowed", _bool),
             **_LOSS}
 
@@ -194,6 +193,10 @@ def load_config(path: str | Path | None,
     control_ring = section("ring.control", DEFAULT_SCENARIO.control_ring)
     traj = values["trajectory"]
     if "file" in traj:
+        trapezoid = [key for key in traj if key != "file"]
+        if trapezoid:
+            raise located("trajectory", trapezoid[0], f"{trapezoid[0]} is set, but "
+                          f"file = {traj['file']} replaces the trapezoid")
         try:
             trajectory = load_trajectory_csv((Path(path).parent / traj["file"]).read_text())
         except (OSError, ValueError) as exc:

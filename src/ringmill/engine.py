@@ -18,12 +18,17 @@ frames, ticks, probes and handshake items with `reserve` and runs them
 from its own loop (see ``trial.py``).  Events are scheduled by
 `TokenRing.enqueue` when asked for a delivery event, and by callers that
 drive the ring through the engine.
+
+Every time value given in ms or s becomes µs by one rule, `us_from`:
+finite, >= 0 and a whole number of µs, or a ValueError with one wording
+per reason, to which each caller (flag, INI key, matrix line) adds its location.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -32,6 +37,25 @@ SimTime = int  # microseconds since simulation start
 
 US_PER_MS = 1_000
 US_PER_S = 1_000_000
+
+
+def us_from(value: float, unit: str, positive: bool = False) -> SimTime:
+    """`value` in `unit` (``"ms"`` or ``"s"``) as integer µs, or a ValueError
+    unless it is finite and >= 0 (> 0 if `positive`, as for a length), its µs
+    count fits a float, and it is a whole number of µs up to the float rounding
+    of the value itself: 0.05 ms is 50 µs, but 0.5004 ms is refused."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{value} {unit} is not finite and >= 0")
+    if positive and not value:
+        raise ValueError(f"{value} {unit} is not > 0")
+    scale = {"ms": US_PER_MS, "s": US_PER_S}[unit]
+    try:
+        us = round(value * scale)
+        if us / scale == value:
+            return us
+    except OverflowError:  # round(inf), or an int too large for a float
+        raise ValueError(f"{value} {unit} is too large to count in us") from None
+    raise ValueError(f"{value} {unit} is not a whole number of us")
 
 
 class CausalityError(ValueError):

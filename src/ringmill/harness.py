@@ -21,13 +21,11 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
-from .channel import us_from_ms
-from .engine import US_PER_MS, US_PER_S, SimTime, derive_seed
+from .engine import SimTime, derive_seed, us_from
 from .plant import (FailCause, LoopConfig, PidGains, Profile, TabulatedTrajectory,
                     TrapezoidTrajectory, TrialVerdict, validate_config_pair)
 from .ring import RingConfig
-from .spectrum import (CoverageArea, Rejection, SpectrumError, SpectrumManager,
-                       SpectrumGrant, SpectrumRequest, UnknownGrantError)
+from .spectrum import CoverageArea, SpectrumError, SpectrumManager, SpectrumRequest
 from .trial import DEFAULT_SCENARIO, Scenario, run_trial, symmetric_profiles
 
 ARTIFACT_VERSION = "0.4.0"
@@ -70,26 +68,6 @@ def reference_pattern(latencies_ms: Iterable[float] = DEFAULT_LATENCIES_MS,
     return pattern
 
 
-def us_from_s(value_s: float) -> SimTime:
-    """`value_s` in integer µs, or a ValueError unless whole, as in `us_from_ms`."""
-    if not math.isfinite(value_s * US_PER_S):
-        raise ValueError(f"{value_s} s is too large to count in us")
-    us = round(value_s * US_PER_S)
-    if us / US_PER_S != value_s:
-        raise ValueError(f"{value_s} s is not a whole number of us")
-    return us
-
-
-def _check_axis_value(name: str, value_ms: float) -> None:
-    if not 0 <= value_ms < math.inf:
-        raise ValueError(f"{name} axis holds {value_ms:g} ms, not a finite value >= 0")
-    try:
-        us_from_ms(value_ms)  # the link a cell runs is the one it is named after
-    except ValueError:
-        raise ValueError(f"{name} axis holds {value_ms} ms, "
-                         f"not a whole number of us") from None
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     latencies_ms: tuple[float, ...] = DEFAULT_LATENCIES_MS
@@ -102,15 +80,16 @@ class SweepSpec:
         for name, axis in (("latencies", self.latencies_ms), ("jitters", self.jitters_ms)):
             if not axis:
                 raise ValueError(f"{name} axis is empty")
-            for value in axis:
-                _check_axis_value(name, value)
+            try:
+                for value in axis:
+                    us_from(value, "ms")  # the link a cell runs is the one it is named after
+            except ValueError as exc:
+                raise ValueError(f"{name} axis: {exc}") from None
             if any(b <= a for a, b in zip(axis, axis[1:])):
                 raise ValueError(f"{name} axis must be strictly increasing")
         if self.seeds_per_cell < 1:
             raise ValueError("seeds_per_cell must be >= 1")
-        if not 0 < self.trial_seconds < math.inf:
-            raise ValueError(f"trial_seconds {self.trial_seconds:g} is not positive and finite")
-        us_from_s(self.trial_seconds)  # a trial runs whole µs
+        us_from(self.trial_seconds, "s", positive=True)  # its one value in s; a trial runs whole µs
 
 
 @dataclass(frozen=True)
@@ -147,9 +126,8 @@ class SweepResult:
 
 def _trial_seed(master_seed: int, latency_ms: float, jitter_ms: float,
                 seed_index: int) -> int:
-    return derive_seed(master_seed, "trial",
-                       round(latency_ms * US_PER_MS), round(jitter_ms * US_PER_MS),
-                       seed_index)
+    return derive_seed(master_seed, "trial", us_from(latency_ms, "ms"),
+                       us_from(jitter_ms, "ms"), seed_index)
 
 
 def _cell_class(default: Sequence[TrialOutcome], adapted: Sequence[TrialOutcome],
@@ -182,7 +160,7 @@ def evaluate_cell(default_config: LoopConfig, adapted_config: LoopConfig,
                   seeds_per_cell: int, trial_seconds: float,
                   master_seed: int, scenario: Scenario = DEFAULT_SCENARIO) -> CellVerdict:
     """Classify one cell; trials stop early once the class is decided."""
-    length_us = us_from_s(trial_seconds)
+    length_us = us_from(trial_seconds, "s")
     cmd, fb = symmetric_profiles(latency_ms, jitter_ms)
     default: list[TrialOutcome] = []
     adapted: list[TrialOutcome] = []
@@ -300,7 +278,7 @@ def _render_csv(result: SweepResult) -> str:
 
 def _class_inconsistency(cell: CellVerdict, spec: SweepSpec) -> str | None:
     """Why `evaluate_cell` could not have given this cell, or None if it could."""
-    length_us = us_from_s(spec.trial_seconds)
+    length_us = us_from(spec.trial_seconds, "s")
     n = spec.seeds_per_cell
     default, adapted = cell.default_outcomes, cell.adapted_outcomes
     for outcomes in (default, adapted):
@@ -331,8 +309,7 @@ def parse_matrix_csv(text: str) -> SweepResult:
             lat, jit, cls, default_enc, adapted_enc = line.split(",")
             cell = CellVerdict(float(lat), float(jit), CellClass(cls),
                                _decode_outcomes(default_enc), _decode_outcomes(adapted_enc))
-            _check_axis_value("latencies", cell.latency_ms)
-            _check_axis_value("jitters", cell.jitter_ms)
+            us_from(cell.latency_ms, "ms"), us_from(cell.jitter_ms, "ms")
         except ValueError as exc:
             raise ScriptError(number, f"bad matrix row: {exc}") from None
         key = (cell.latency_ms, cell.jitter_ms)
@@ -506,7 +483,7 @@ def _parse_kv(tokens: list[str], line_no: int) -> dict[str, str]:
     return out
 
 
-def run_spectrum_scenario(script: str, manager: SpectrumManager | None = None) -> ScenarioResult:
+def run_spectrum_scenario(script: str) -> ScenarioResult:
     """Replay a timed request/release script through a spectrum manager.
 
     Line format (times in microseconds from 0, positions in meters,
@@ -521,7 +498,7 @@ def run_spectrum_scenario(script: str, manager: SpectrumManager | None = None) -
     active grant of a requester; a grant whose lease has ended is not
     active.
     """
-    manager = manager or SpectrumManager()
+    manager = SpectrumManager()
     commands = []
     for line_no, raw in enumerate(script.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -559,25 +536,17 @@ def run_spectrum_scenario(script: str, manager: SpectrumManager | None = None) -
             raise ScriptError(line_no, f"unknown verb {verb!r}")
 
     commands.sort(key=lambda c: (c[0], c[1]))
-    by_requester: dict[str, list[SpectrumGrant]] = {}  # in grant order
     t = 0
     for t, line_no, requester, request, expires in commands:
         if request is not None:
             try:
-                outcome = manager.request_spectrum(request, now=t, expires_at=expires)
+                manager.request_spectrum(request, now=t, expires_at=expires)
             except SpectrumError as exc:
                 raise ScriptError(line_no, str(exc)) from None
-            if not isinstance(outcome, Rejection):
-                by_requester.setdefault(requester, []).append(outcome)
         else:
-            held = by_requester.get(requester, [])
-            while held and held[0].expires_at is not None and held[0].expires_at <= t:
-                del held[0]  # its lease has ended
+            held = [g for g in manager.active_grants(t) if g.requester == requester]
             if not held:
                 raise ScriptError(line_no, f"{requester!r} holds no active grant to release")
-            try:
-                manager.release_spectrum(held.pop(0).grant_id, now=t)
-            except UnknownGrantError as exc:
-                raise ScriptError(line_no, str(exc)) from None
+            manager.release_spectrum(held[0].grant_id, now=t)  # in id order: the oldest
         manager.check_invariants(now=t)
     return ScenarioResult(manager, t)

@@ -143,7 +143,8 @@ class TestTransmit:
                                                     (0.0005, 0.0)])
     def test_from_ms_rejects_a_value_that_is_not_whole_us(self, mean_ms, jitter_ms):
         # rounding used to run 500 us, 50 us or 0 us instead
-        with pytest.raises(ChannelConfigError, match="ms is not a whole number of us"):
+        bad = jitter_ms if mean_ms == 0.5 else mean_ms
+        with pytest.raises(ValueError, match=f"^{bad} ms is not a whole number of us$"):
             ChannelProfile.from_ms(mean_ms, jitter_ms)
 
     def test_from_ms_takes_the_float_nearest_a_whole_us_value(self):

@@ -4,9 +4,11 @@ from pathlib import Path
 
 import pytest
 
+from ringmill.channel import ChannelProfile
 from ringmill.cli import main
 from ringmill.config import ConfigError, load_config
-from ringmill.harness import RunManifest, _trial_seed, parse_matrix_csv, run_from_manifest
+from ringmill.harness import (RunManifest, SweepSpec, _trial_seed, parse_matrix_csv,
+                              run_from_manifest)
 from ringmill.trial import run_trial, symmetric_profiles
 
 
@@ -123,8 +125,8 @@ class TestConfig:
         ("[ring.control]\nnodes = a, b\n", 1),
         ("[sweep]\nseeds_per_cell = 1\n[ring.sensor]\nnodes = sensor-1, sensor-2\n", 3),
         ("[trajectory]\nfile = missing.csv\n", 2),
-        ("[sweep]\nlatencies_ms = -1, 1\n", 1),
-        ("[sweep]\njitters_ms = -0.05, 0.05\n", 1),
+        ("[sweep]\nlatencies_ms = -1, 1\n", 2),
+        ("[sweep]\njitters_ms = -0.05, 0.05\n", 2),
         ("[trajectory]\nfile = moves.csv\n", 2),
         ("[sweep]\nseeds_per_cell = 1\n[trajectory]\nfile = nan.csv\n", 4),
         ("[sweep]\nseeds_per_cell = 1\n[trajectory]\nfile = inf.csv\n", 4),
@@ -149,18 +151,22 @@ class TestConfig:
         ("[sweep]\nseeds_per_cell = 1\nlatencies_ms = 1e306\n", 3),
         ("[sweep]\ntrial_seconds = 1e303\n", 2),
         ("[channel.command]\nmean_delay_ms = 1e306\n", 2),
+        # a table replaces the trapezoid, so a trapezoid key beside it would be ignored
+        ("[trajectory]\nfile = t.csv\namplitude_mm = 5\n", 3),
     ], ids=["distribution", "seeds_per_cell", "reorder", "empty-value", "adapted-watchdog",
             "control-nodes", "sensor-nodes", "missing-file", "negative-latency",
             "negative-jitter", "one-column-row", "nan-setpoint", "inf-setpoint",
             "negative-tolerance", "negative-rescue-budget", "watchdog-below-period",
             "latency-not-whole-us", "jitter-not-whole-us", "late-first-point",
             "trial-seconds-not-whole-us", "second-bracket-in-header", "text-after-header",
-            "latency-overflows", "trial-seconds-overflows", "mean-delay-overflows"])
+            "latency-overflows", "trial-seconds-overflows", "mean-delay-overflows",
+            "trapezoid-key-beside-file"])
     def test_bad_input_exits_config_error_with_its_line(self, tmp_path, capsys, text, line):
         (tmp_path / "moves.csv").write_text("0,0\n500\n1000,0\n")
         (tmp_path / "nan.csv").write_text("time_ms,setpoint_mm\n0,0\n500,nan\n1000,0\n")
         (tmp_path / "inf.csv").write_text("time_ms,setpoint_mm\n0,0\n500,inf\n1000,0\n")
         (tmp_path / "late.csv").write_text("time_ms,setpoint_mm\n100,0\n1000,10\n")
+        (tmp_path / "t.csv").write_text("time_ms,setpoint_mm\n0,0\n500,10\n1000,0\n")
         path = tmp_path / "scenario.ini"
         path.write_text(text)
         assert main(["trial", "--config", str(path), "--latency-ms", "0.5",
@@ -346,11 +352,13 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, message", [
         (["trial", "--latency-ms", "1", "--jitter-ms", "0.1", "--trial-seconds", "0"],
-         "argument --trial-seconds: 0 is not positive"),
-        (["calibrate", "--screen-seconds", "inf"], "argument --screen-seconds: inf is not"),
+         "argument --trial-seconds: 0.0 s is not > 0"),
+        (["calibrate", "--screen-seconds", "inf"],
+         "argument --screen-seconds: inf s is not finite and >= 0"),
         (["trial", "--latency-ms", "-1", "--jitter-ms", "0.1"],
-         "argument --latency-ms: -1 is not non-negative"),
-        (["trial", "--latency-ms", "1", "--jitter-ms", "nan"], "argument --jitter-ms: nan"),
+         "argument --latency-ms: -1.0 ms is not finite and >= 0"),
+        (["trial", "--latency-ms", "1", "--jitter-ms", "nan"],
+         "argument --jitter-ms: nan ms is not finite and >= 0"),
         (["render", "--matrix", "README.md"], "line 1: not a ringmill matrix CSV"),
         (["render", "--matrix", "bad-row.csv"], "line 4: bad matrix row"),
         (["render", "--matrix", "."], "Is a directory"),
@@ -363,13 +371,13 @@ class TestCli:
          "line 3: cell 0.5,0.05: class fail does not follow from its trials"),
         (["render", "--matrix", "no-rows.csv"], "line 2: no matrix rows"),
         (["render", "--matrix", "nan-latency.csv"],
-         "line 4: bad matrix row: latencies axis holds nan ms"),
+         "line 4: bad matrix row: nan ms is not finite and >= 0"),
         (["render", "--matrix", "negative-latency.csv"],
-         "line 4: bad matrix row: latencies axis holds -1 ms"),
+         "line 4: bad matrix row: -1.0 ms is not finite and >= 0"),
         (["render", "--matrix", "inf-jitter.csv"],
-         "line 3: bad matrix row: jitters axis holds inf ms"),
+         "line 3: bad matrix row: inf ms is not finite and >= 0"),
         (["render", "--matrix", "nan-seconds.csv"],
-         "line 1: bad matrix header: trial_seconds nan is not positive"),
+         "line 1: bad matrix header: nan s is not finite and >= 0"),
         (["trial", "--config", "pair.ini", "--latency-ms", "5"], "trial needs --jitter-ms"),
         (["trial", "--config", "pair.ini", "--jitter-ms", "0.1"], "trial needs --latency-ms"),
         (["trial", "--latency-ms", "0.5004", "--jitter-ms", "0.05"],
@@ -377,7 +385,7 @@ class TestCli:
         (["trial", "--latency-ms", "0.5", "--jitter-ms", "0.0502"],
          "argument --jitter-ms: 0.0502 ms is not a whole number of us"),
         (["render", "--matrix", "fraction-latency.csv"],
-         "line 4: bad matrix row: latencies axis holds 0.5004 ms, not a whole number of us"),
+         "line 4: bad matrix row: 0.5004 ms is not a whole number of us"),
         # an empty trial, a 2 s trial and an empty screening trial, each
         # under a length that is not whole us
         (["trial", "--latency-ms", "1", "--jitter-ms", "0.1", "--trial-seconds", "0.0000004"],
@@ -396,7 +404,7 @@ class TestCli:
         (["render", "--matrix", "huge-seconds.csv"],
          "line 1: bad matrix header: 1e+303 s is too large to count in us"),
         (["render", "--matrix", "huge-latency.csv"],
-         "line 4: bad matrix row: latencies axis holds 1e+306 ms"),
+         "line 4: bad matrix row: 1e+306 ms is too large to count in us"),
     ], ids=["trial-seconds", "screen-seconds", "latency-ms", "jitter-ms", "not-a-matrix",
             "bad-row", "directory", "no-column-header", "bad-status", "bad-cause",
             "wrong-cause", "duplicate-cell", "wrong-class", "no-rows", "nan-latency",
@@ -455,3 +463,59 @@ class TestCli:
             main(["--version"])
         assert exc.value.code == 0
         assert "ringmill" in capsys.readouterr().out
+
+
+class TestOneTimeRule:
+    """A bad ms or s value is refused for the same reason, in the same words,
+    by every entry point; each adds only its own location."""
+
+    @pytest.mark.parametrize("entry", ["flag", "ini", "matrix", "python"])
+    @pytest.mark.parametrize("raw, unit, reason", [
+        ("-1", "ms", "-1.0 ms is not finite and >= 0"),
+        ("nan", "ms", "nan ms is not finite and >= 0"),
+        ("inf", "ms", "inf ms is not finite and >= 0"),
+        ("1e306", "ms", "1e+306 ms is too large to count in us"),
+        ("0.5004", "ms", "0.5004 ms is not a whole number of us"),
+        ("2.0000004", "s", "2.0000004 s is not a whole number of us"),
+        ("1e303", "s", "1e+303 s is too large to count in us"),
+        ("0", "s", "0.0 s is not > 0"),
+    ], ids=["negative-ms", "nan-ms", "inf-ms", "overflowing-ms", "fraction-of-us-ms",
+            "fraction-of-us-s", "overflowing-s", "zero-s"])
+    def test_a_bad_time_value_gets_one_reason_everywhere(self, tmp_path, capsys, monkeypatch,
+                                                         raw, unit, reason, entry):
+        monkeypatch.chdir(tmp_path)
+        ms = unit == "ms"
+        if entry == "python":
+            if ms:
+                with pytest.raises(ValueError) as from_ms:
+                    ChannelProfile.from_ms(float(raw))
+                assert str(from_ms.value) == reason
+            with pytest.raises(ValueError) as spec:
+                SweepSpec(**{"latencies_ms": (float(raw),)} if ms
+                          else {"trial_seconds": float(raw)})
+            # trial_seconds is the spec's one value in s, so it needs no name
+            assert str(spec.value) == ("latencies axis: " if ms else "") + reason
+            return
+        if entry == "flag":
+            flag = "--latency-ms" if ms else "--trial-seconds"
+            argv = ["trial", "--latency-ms", "1", "--jitter-ms", "0.1", flag, raw]
+            location = f"argument {flag}: "
+        elif entry == "ini":
+            key = "latencies_ms" if ms else "trial_seconds"
+            Path("scenario.ini").write_text(f"[sweep]\nseeds_per_cell = 1\n{key} = {raw}\n")
+            argv = ["trial", "--config", "scenario.ini", "--latency-ms", "0.5",
+                    "--jitter-ms", "0.05"]
+            location = f"scenario.ini, line 3: {key} = {raw}: "
+        else:
+            Path("matrix.csv").write_text(
+                f"# ringmill-matrix v1 seeds=1 trial_seconds={'1' if ms else raw} master_seed=0\n"
+                "latency_ms,jitter_ms,class,default_outcomes,adapted_outcomes\n"
+                f"{raw if ms else '0.5'},0.05,pass,0|pass|none|0.1|1000000,\n")
+            argv = ["render", "--matrix", "matrix.csv"]
+            location = "line 3: bad matrix row: " if ms else "line 1: bad matrix header: "
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flag
+            code = exc.code
+        assert code == 2
+        assert capsys.readouterr().err.endswith(f"error: {location}{reason}\n")

@@ -8,11 +8,12 @@ from collections import Counter
 import pytest
 
 from ringmill import harness
+from ringmill.engine import us_from
 from ringmill.harness import (CellClass, CellVerdict, RunManifest, ScriptError,
                               SweepResult, SweepSpec, TrialOutcome, _cell_class,
                               _trial_seed, evaluate_cell, parse_matrix_csv,
                               reference_pattern, render_matrix,
-                              run_spectrum_scenario, run_sweep, us_from_s)
+                              run_spectrum_scenario, run_sweep)
 from ringmill.plant import (FailCause, PidGains, TabulatedTrajectory, TrapezoidTrajectory,
                             TrialVerdict)
 from ringmill.ring import RingConfig
@@ -297,12 +298,12 @@ class TestManifest:
 
     def test_axis_value_that_is_not_whole_us_is_rejected(self):
         # its cell would run a 500 us link under a column headed 0.5004
-        with pytest.raises(ValueError, match="latencies axis holds 0.5004 ms, not a whole"):
+        with pytest.raises(ValueError, match="latencies axis: 0.5004 ms is not a whole number of us"):
             SweepSpec(latencies_ms=(0.5004, 1.0))
         manifest = RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)
         data = json.loads(manifest.to_json())
         data["spec"]["jitters_ms"] = [0.0502, 0.1]
-        with pytest.raises(ValueError, match="jitters axis holds 0.0502 ms, not a whole"):
+        with pytest.raises(ValueError, match="jitters axis: 0.0502 ms is not a whole number of us"):
             RunManifest.from_json(json.dumps(data))
 
     def test_trial_length_that_is_not_whole_us_is_rejected(self):
@@ -322,7 +323,7 @@ class TestManifest:
         lengths = {2.0: 2_000_000, 0.5: 500_000, 12.0: 12_000_000, 60.0: 60_000_000,
                    1.000001: 1_000_001, 0.000001: 1}
         for seconds, us in lengths.items():
-            assert us_from_s(seconds) == us
+            assert us_from(seconds, "s") == us
             assert SweepSpec(trial_seconds=seconds).trial_seconds == seconds
 
     def test_non_integer_ring_timing_is_rejected(self):
