@@ -41,8 +41,15 @@ def _load_run(args) -> tuple[RunManifest, ChannelProfile | None, ChannelProfile 
     return replace(run, spec=spec), command, feedback
 
 
+def _output_dir(raw: str | None) -> Path | None:
+    """`--output-dir`, made before anything runs, so an unwritable path fails first."""
+    out_dir = Path(raw) if raw else None
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def _write(out_dir: Path, name: str, text: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
     path.write_text(text)
     return path
@@ -50,9 +57,9 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
 
 def cmd_sweep(args) -> int:
     run = replace(_load_run(args)[0], eval_order=args.order)
+    out_dir = _output_dir(args.output_dir)
     result, matrix_csv = run_from_manifest(run)
 
-    out_dir = Path(args.output_dir)
     paths = {
         "matrix_csv": str(_write(out_dir, "matrix.csv", matrix_csv)),
         "matrix_md": str(_write(out_dir, "matrix.md", render_matrix(result, "markdown"))),
@@ -78,6 +85,8 @@ def cmd_trial(args) -> int:
         raise ConfigError("trial needs --latency-ms/--jitter-ms or "
                           "[channel.command]/[channel.feedback] config sections")
     trace = TrialTrace() if args.trace else None
+    if args.trace:  # an unwritable path fails before the trial runs
+        Path(args.trace).write_text("")
     verdict = run_trial(
         config, cmd, fb, trial_length_us=us_from(run.spec.trial_seconds, "s"),
         seed=run.spec.master_seed, scenario=run.scenario, trace=trace)
@@ -94,6 +103,7 @@ def cmd_trial(args) -> int:
 
 def cmd_spectrum(args) -> int:
     script = Path(args.script).read_text()
+    out_dir = _output_dir(args.output_dir)
     result = run_spectrum_scenario(script)
     for record in result.manager.audit_log:
         grant = f" grant=#{record.grant_id}" if record.grant_id else ""
@@ -103,19 +113,19 @@ def cmd_spectrum(args) -> int:
               f"{grant}{reason}")
     print()
     print(result.occupancy_report(), end="")
-    if args.output_dir:
-        _write(Path(args.output_dir), "occupancy.txt", result.occupancy_report())
+    if out_dir is not None:
+        _write(out_dir, "occupancy.txt", result.occupancy_report())
     return EXIT_OK
 
 
 def cmd_calibrate(args) -> int:
     run = _load_run(args)[0]
+    out_dir = _output_dir(args.output_dir)
     result = calibrate(master_seed=run.spec.master_seed,
                        screen_trial_seconds=args.screen_seconds,
                        validation_spec=run.spec, scenario=run.scenario)
     print(result.report())
-    if args.output_dir and result.matrix is not None:
-        out_dir = Path(args.output_dir)
+    if out_dir is not None and result.matrix is not None:
         _write(out_dir, "matrix.csv", render_matrix(result.matrix, "csv"))
         calibrated = replace(run, default_config=result.default_config,
                              adapted_config=result.adapted_config)

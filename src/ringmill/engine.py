@@ -6,18 +6,12 @@ microsecond are processed in the order they were scheduled.  Nothing in
 here touches the wall clock; a run is a pure function of the scenario
 and its seeds.
 
-A heap entry is just ``(fire_time, sequence, action)``.  An instant
-that needs no heap entry can still keep its place among events:
-`reserve` takes the sequence number that `schedule` would have given it,
-and ``(instant, number)`` sorts against the keys of queued events exactly
-as the event would have sorted in the heap.  Both take their numbers from
-one `itertools.count`, and `reserve` is that counter's bound
-``__next__``, so the tens of thousands of numbers a trial reserves cost
-no Python frame.  A trial schedules no event at all: it numbers its
-frames, ticks, probes and handshake items with `reserve` and runs them
-from its own loop (see ``trial.py``).  Events are scheduled by
-`TokenRing.enqueue` when asked for a delivery event, and by callers that
-drive the ring through the engine.
+A heap entry is just ``(fire_time, sequence, action)``.  A trial
+schedules no event: it numbers its frames, ticks, probes and handshake
+items with its own counter and runs them from its own loop (see
+``trial.py``).  Events are scheduled by `TokenRing.enqueue` when asked
+for a delivery event, and by callers that drive the ring through the
+engine.
 
 Every time value given in ms or s becomes µs by one rule, `us_from`:
 finite, >= 0 and a whole number of µs, or a ValueError with one wording
@@ -77,11 +71,7 @@ class Simulator:
 
     def __init__(self):
         self._clock: SimTime = 0
-        # one counter numbers scheduled events and reserved keys alike;
-        # `reserve()` is its bound ``__next__``: the number `schedule` would
-        # give next, scheduling nothing (see the module docstring)
         self._seq = itertools.count(1)
-        self.reserve = self._seq.__next__
         self._event_seq = 0
         self._heap: list[tuple[SimTime, int, Callable[[], None]]] = []
         self._events_processed = 0
@@ -102,7 +92,7 @@ class Simulator:
                 f"causality violation: cannot schedule at t={fire_time} "
                 f"when clock is {self._clock}"
             )
-        seq = next(self._seq)  # faster than calling the bound `reserve`
+        seq = next(self._seq)
         heapq.heappush(self._heap, (fire_time, seq, action))
         return seq
 

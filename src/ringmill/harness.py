@@ -19,7 +19,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .engine import SimTime, derive_seed, us_from
 from .plant import (FailCause, LoopConfig, PidGains, Profile, TabulatedTrajectory,
@@ -46,9 +46,7 @@ class CellClass(enum.Enum):
                 CellClass.FAIL: "x"}[self]
 
 
-def reference_pattern(latencies_ms: Iterable[float] = DEFAULT_LATENCIES_MS,
-                      jitters_ms: Iterable[float] = DEFAULT_JITTERS_MS,
-                      ) -> dict[tuple[float, float], CellClass]:
+def reference_pattern() -> dict[tuple[float, float], CellClass]:
     """Known-good verdict pattern over the default axes; the calibration target.
 
     Operation is clean up to 3 ms latency at jitter up to 0.15 ms; the
@@ -56,8 +54,8 @@ def reference_pattern(latencies_ms: Iterable[float] = DEFAULT_LATENCIES_MS,
     link; nothing works at 5 ms latency or 0.3 ms jitter.
     """
     pattern = {}
-    for lat in latencies_ms:
-        for jit in jitters_ms:
+    for lat in DEFAULT_LATENCIES_MS:
+        for jit in DEFAULT_JITTERS_MS:
             if lat >= 5.0 or jit >= 0.3:
                 cls = CellClass.FAIL
             elif jit >= 0.2:
@@ -93,26 +91,14 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class TrialOutcome:
-    seed_index: int
-    passed: bool
-    fail_cause: str
-    max_following_error_mm: float
-    survived_us: int
-
-    @classmethod
-    def from_verdict(cls, seed_index: int, verdict: TrialVerdict) -> "TrialOutcome":
-        return cls(seed_index, verdict.passed, verdict.fail_cause.value,
-                   verdict.max_following_error_mm, verdict.survived_us)
-
-
-@dataclass(frozen=True)
 class CellVerdict:
+    """A cell's class and its trials' verdicts per driver, seed 0 first."""
+
     latency_ms: float
     jitter_ms: float
     cell_class: CellClass
-    default_outcomes: tuple[TrialOutcome, ...]
-    adapted_outcomes: tuple[TrialOutcome, ...]
+    default_outcomes: tuple[TrialVerdict, ...]
+    adapted_outcomes: tuple[TrialVerdict, ...]
 
 
 @dataclass
@@ -130,7 +116,7 @@ def _trial_seed(master_seed: int, latency_ms: float, jitter_ms: float,
                        us_from(jitter_ms, "ms"), seed_index)
 
 
-def _cell_class(default: Sequence[TrialOutcome], adapted: Sequence[TrialOutcome],
+def _cell_class(default: Sequence[TrialVerdict], adapted: Sequence[TrialVerdict],
                 seeds_per_cell: int) -> CellClass | None:
     """The class of a cell whose trials had these outcomes, or None where
     `evaluate_cell` would not have run exactly these trials.
@@ -162,8 +148,8 @@ def evaluate_cell(default_config: LoopConfig, adapted_config: LoopConfig,
     """Classify one cell; trials stop early once the class is decided."""
     length_us = us_from(trial_seconds, "s")
     cmd, fb = symmetric_profiles(latency_ms, jitter_ms)
-    default: list[TrialOutcome] = []
-    adapted: list[TrialOutcome] = []
+    default: list[TrialVerdict] = []
+    adapted: list[TrialVerdict] = []
     for config, outcomes in ((default_config, default), (adapted_config, adapted)):
         if _cell_class(default, adapted, seeds_per_cell) is not None:
             break  # the stock driver passed every seed
@@ -171,7 +157,7 @@ def evaluate_cell(default_config: LoopConfig, adapted_config: LoopConfig,
             verdict = run_trial(config, cmd, fb, trial_length_us=length_us,
                                 seed=_trial_seed(master_seed, latency_ms, jitter_ms, i),
                                 scenario=scenario)
-            outcomes.append(TrialOutcome.from_verdict(i, verdict))
+            outcomes.append(verdict)
             if not verdict.passed:
                 break
     return CellVerdict(latency_ms, jitter_ms, _cell_class(default, adapted, seeds_per_cell),
@@ -236,19 +222,21 @@ def _render_markdown(result: SweepResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _encode_outcomes(outcomes: tuple[TrialOutcome, ...]) -> str:
+def _encode_outcomes(outcomes: tuple[TrialVerdict, ...]) -> str:
     return ";".join(
-        f"{o.seed_index}|{'pass' if o.passed else 'fail'}|{o.fail_cause}"
+        f"{i}|{'pass' if o.passed else 'fail'}|{o.fail_cause.value}"
         f"|{o.max_following_error_mm:.9f}|{o.survived_us}"
-        for o in outcomes)
+        for i, o in enumerate(outcomes))
 
 
-def _decode_outcomes(text: str) -> tuple[TrialOutcome, ...]:
+def _decode_outcomes(text: str) -> tuple[TrialVerdict, ...]:
     if not text:
         return ()
     outcomes = []
-    for token in text.split(";"):
+    for i, token in enumerate(text.split(";")):
         idx, status, cause, max_fe, survived = token.split("|")
+        if int(idx) != i:
+            raise ValueError("trials are not seeds 0, 1, ... in order")
         if status not in ("pass", "fail"):
             raise ValueError(f"status {status!r} is neither pass nor fail")
         # an unknown cause, or one the status contradicts, raises here
@@ -257,7 +245,7 @@ def _decode_outcomes(text: str) -> tuple[TrialOutcome, ...]:
             raise ValueError(f"max following error {max_fe} mm is not finite and >= 0")
         if verdict.survived_us < 0:
             raise ValueError(f"survived {survived} us is negative")
-        outcomes.append(TrialOutcome.from_verdict(int(idx), verdict))
+        outcomes.append(verdict)
     return tuple(outcomes)
 
 
@@ -282,8 +270,6 @@ def _class_inconsistency(cell: CellVerdict, spec: SweepSpec) -> str | None:
     n = spec.seeds_per_cell
     default, adapted = cell.default_outcomes, cell.adapted_outcomes
     for outcomes in (default, adapted):
-        if [o.seed_index for o in outcomes] != list(range(len(outcomes))):
-            return "trials are not seeds 0, 1, ... in order"
         if len(outcomes) > n:
             return f"{len(outcomes)} trials for {n} seeds"
         for o in outcomes:
@@ -339,6 +325,11 @@ def parse_matrix_csv(text: str) -> SweepResult:
     return SweepResult(spec=spec, cells=[cells[key] for key in sorted(cells)])
 
 
+def _trials_json(outcomes: tuple[TrialVerdict, ...]) -> list[dict]:
+    return [{**asdict(o), "fail_cause": o.fail_cause.value, "seed_index": i}
+            for i, o in enumerate(outcomes)]
+
+
 def _render_structured(result: SweepResult) -> str:
     lines = []
     for c in result.cells:
@@ -346,8 +337,8 @@ def _render_structured(result: SweepResult) -> str:
             "latency_ms": c.latency_ms,
             "jitter_ms": c.jitter_ms,
             "class": c.cell_class.value,
-            "default": [asdict(o) for o in c.default_outcomes],
-            "adapted": [asdict(o) for o in c.adapted_outcomes],
+            "default": _trials_json(c.default_outcomes),
+            "adapted": _trials_json(c.adapted_outcomes),
         }, sort_keys=True))
     summary = {
         "kind": "sweep-summary",

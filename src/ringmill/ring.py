@@ -13,12 +13,12 @@ the head of its queue can see is therefore
 which the shipped control ring (900 µs) keeps below the 2 ms bound the
 hardware class is specified for; it is the one ring a trial runs.
 
-Admission is compiled once per node: the ring builds each node's
-admission closure when it is made, with the node's queue, slot offset
-and the configuration's depth, loss rate, slot, cycle and transmission
-time bound, so admitting a frame reads no configuration.  Times, slots
-and the queue depth are integers, checked when the configuration is
-made.
+Admission is compiled once per node: `admitters` builds each node's
+admission closure, for a trial and a `TokenRing` alike, with the node's
+queue, slot offset and the configuration's depth, loss rate, slot, cycle
+and transmission time bound, so admitting a frame reads no
+configuration.  Times, slots and the queue depth are integers, checked
+when the configuration is made.
 """
 
 from __future__ import annotations
@@ -98,33 +98,16 @@ class Frame:
                 f"[{CONTROL_FRAME_MIN_BYTES}, {CONTROL_FRAME_MAX_BYTES}] bytes")
 
 
-class TokenRing:
-    """One deterministic token ring attached to a simulation instance.
+def admitters(config: RingConfig, rng: random.Random) -> list[Callable[[SimTime], SimTime | None]]:
+    """One admission closure per node of `config`, in ring order, drawing losses
+    from `rng`: ``admitters(config, rng)[i](now)`` is `TokenRing.admit` ``(i, now)``."""
+    depth, loss_rate, draw = config.queue_depth, config.loss_rate, rng.random
+    slot, tx = config.slot_time_us, config.tx_time_us
+    cycle = len(config.nodes) * slot
 
-    Each source node's queue is FIFO and its transmission start depends
-    only on the clock and that node's watermark, so a frame's delivery
-    instant is computed at admission.  The ring builds one admission
-    closure per node when it is made (`admitter`), with the configuration
-    and that node's slot bound, so a frame re-reads no configuration.
-    `admit` calls it for a node given by its index and allocates nothing;
-    `enqueue` wraps it for callers that hold a `Frame` or want a delivery
-    event.
-    """
-
-    def __init__(self, config: RingConfig, sim: Simulator, rng: random.Random):
-        self.config = config
-        self.sim = sim
-        self.rng = rng
-        self._index = {node: i for i, node in enumerate(config.nodes)}
-        self._admit = [self._build_admitter(i) for i in range(len(config.nodes))]
-
-    def _build_admitter(self, node_idx: int) -> Callable[[SimTime], SimTime | None]:
-        config = self.config
+    def build(node_idx: int) -> Callable[[SimTime], SimTime | None]:
         pending: deque[SimTime] = deque()  # the delivery instants of frames in flight
         popleft, append = pending.popleft, pending.append
-        depth, loss_rate, draw = config.queue_depth, config.loss_rate, self.rng.random
-        slot, tx = config.slot_time_us, config.tx_time_us
-        cycle = len(config.nodes) * slot
         offset = node_idx * slot  # where this node's slot starts in a cycle
         watermark = 0  # the end of this node's latest transmission
 
@@ -149,17 +132,35 @@ class TokenRing:
 
         return admit
 
+    return [build(node_idx) for node_idx in range(len(config.nodes))]
+
+
+class TokenRing:
+    """One deterministic token ring attached to a simulation instance.
+
+    Each source node's queue is FIFO and its transmission start depends
+    only on the clock and that node's watermark, so a frame's delivery
+    instant is computed at admission.  The ring takes one admission
+    closure per node from `admitters` when it is made, with the
+    configuration and that node's slot bound, so a frame re-reads no
+    configuration.  `admit` calls it for a node given by its index and
+    allocates nothing; `enqueue` wraps it for callers that hold a `Frame`
+    or want a delivery event.
+    """
+
+    def __init__(self, config: RingConfig, sim: Simulator, rng: random.Random):
+        self.config = config
+        self.sim = sim
+        self.rng = rng
+        self._index = {node: i for i, node in enumerate(config.nodes)}
+        self._admit = admitters(config, rng)
+
     def node_index(self, node: str) -> int:
         """Position of a member node in the ring order, as `admit` takes it."""
         node_idx = self._index.get(node)
         if node_idx is None:
             raise RingConfigError(f"node {node!r} is not a member of ring {self.config.ring_id}")
         return node_idx
-
-    def admitter(self, node_idx: int) -> Callable[[SimTime], SimTime | None]:
-        """The admission closure of the node with index `node_idx`:
-        ``admitter(node_idx)(now)`` is ``admit(node_idx, now)``."""
-        return self._admit[node_idx]
 
     def admit(self, node_idx: int, now: SimTime) -> SimTime | None:
         """Admit one frame at the node with index `node_idx` at the clock `now`.

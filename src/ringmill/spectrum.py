@@ -37,20 +37,6 @@ class UnknownGrantError(LookupError):
 
 
 @dataclass(frozen=True)
-class Band:
-    low_mhz: float = DEFAULT_BAND_LOW_MHZ
-    high_mhz: float = DEFAULT_BAND_HIGH_MHZ
-
-    def __post_init__(self):
-        if not self.low_mhz < self.high_mhz:
-            raise SpectrumError(f"band edges out of order: {self.low_mhz}..{self.high_mhz}")
-
-    @property
-    def width_mhz(self) -> float:
-        return self.high_mhz - self.low_mhz
-
-
-@dataclass(frozen=True)
 class SpectrumBlock:
     low_mhz: float
     high_mhz: float
@@ -65,6 +51,14 @@ class SpectrumBlock:
 
     def overlaps(self, other: "SpectrumBlock") -> bool:
         return self.low_mhz < other.high_mhz and other.low_mhz < self.high_mhz
+
+
+@dataclass(frozen=True)
+class Band(SpectrumBlock):
+    """The band a manager partitions, 3700-3800 MHz unless given."""
+
+    low_mhz: float = DEFAULT_BAND_LOW_MHZ
+    high_mhz: float = DEFAULT_BAND_HIGH_MHZ
 
 
 @dataclass(frozen=True)

@@ -21,15 +21,15 @@ the first following-error excursion past the limit or when the feedback
 watchdog expires; surviving to the configured length is a pass.
 
 Frames.  When a command or feedback frame is sent, the sending node's
-admission closure on the ring (`TokenRing.admitter`) computes its
+admission closure on the ring (from `ring.admitters`) computes its
 delivery instant and the direction's `Channel.impair` closure impairs it
 at that instant.  A trial holds the two closures of each direction,
 built once with their configuration and profile bound, and a frame
 builds no object.  A servo frame goes into its direction's in-flight
 queue as ``(arrival, seq, value)``, a feedback frame with its send
-instant appended, ``seq`` being the number `Simulator.reserve` hands
-out, which is the sequence number `Simulator.schedule` would have given
-the arrival event.  A handshake frame's arrival is a handshake item.
+instant appended, ``seq`` being the next number of the trial's counter,
+which the heap kernel (``tests/test_heap_oracle.py``) gives the arrival
+event.  A handshake frame's arrival is a handshake item.
 
 The loop.  One loop, `_LoopHarness._run_ticks`, runs a trial, and the
 trial schedules no engine event.  The two servo ticks are ``(instant,
@@ -65,23 +65,23 @@ the probe's own µs is too late, whichever of the two comes first.  The
 probe is no event either, but one ``(instant, seq)`` key whose number is
 reserved when it is armed; a failing probe reports its own instant.
 
-Same-µs order.  The rule is the reserved sequence number.  The engine
-fires events that share a microsecond in the order they were scheduled,
-and a queued frame, a probe, a servo tick or a handshake item keeps the
-number its event would have had, so plain tuple comparison reproduces
-that order.  A frame's or handshake item's number is taken when it is
-sent or armed; a servo tick's where the tick one period before it ends,
-after that tick's frame (the first stage tick's when the run starts,
-before the first request and the grace deadline, the first controller
-tick's on entering control); the probe's when it is armed.  So a
-handshake item on the µs of a servo tick runs first exactly when it was
-numbered before that tick's number was taken, and a frame that arrives
-on the µs of a servo tick is seen by it exactly when the frame was sent
-before that tick's number was taken: feedback sent more than one servo
-period before the controller tick it lands on is used by that tick,
-feedback sent less than a period before it is not.  Whether the watchdog
-fails is order-free, as above; the order decides only whether a
-controller tick on the fail instant's µs runs first.
+Same-µs order.  The rule is the number from the trial's counter.  The
+heap kernel fires events that share a µs in the order they were
+scheduled, and a queued frame, a probe, a servo tick or a handshake item
+is numbered in the order its event is scheduled there, so plain tuple
+comparison reproduces that order.  A frame's or handshake item's number
+is taken when it is sent or armed; a servo tick's where the tick one
+period before it ends, after that tick's frame (the first stage tick's
+when the run starts, before the first request and the grace deadline,
+the first controller tick's on entering control); the probe's when it is
+armed.  So a handshake item on the µs of a servo tick runs first exactly
+when it was numbered before that tick's number was taken, and a frame
+that arrives on the µs of a servo tick is seen by it exactly when the
+frame was sent before that tick's number was taken: feedback sent more
+than one servo period before the controller tick it lands on is used by
+that tick, feedback sent less than a period before it is not.  Whether
+the watchdog fails is order-free, as above; the order decides only
+whether a controller tick on the fail instant's µs runs first.
 """
 
 from __future__ import annotations
@@ -93,10 +93,10 @@ from dataclasses import dataclass, field, replace
 from heapq import heapify, heappop, heappush
 
 from .channel import Channel, ChannelProfile
-from .engine import SimTime, Simulator, US_PER_S, component_rng
+from .engine import SimTime, US_PER_S, component_rng
 from .plant import (AxisModel, FailCause, LoopConfig, PidController, PidGains,
                     Profile, TabulatedTrajectory, TrapezoidTrajectory, TrialVerdict)
-from .ring import RingConfig, RingConfigError, TokenRing
+from .ring import RingConfig, RingConfigError, admitters
 
 MASTER_NODE = "master"
 FPGA_NODE = "fpga"
@@ -171,9 +171,10 @@ class _LoopHarness:
         self.length = trial_length_us
         self.trace = trace
 
-        self.sim = Simulator()
-        self.ring = TokenRing(scenario.control_ring, self.sim,
-                              component_rng(seed, "ring", "control"))
+        # numbers the keys in the order the heap kernel schedules their events
+        self.reserve = itertools.count(1).__next__
+        ring = scenario.control_ring
+        admit = admitters(ring, component_rng(seed, "ring", "control"))
         cmd_channel = Channel(command_profile, component_rng(seed, "chan", "cmd"))
         fb_channel = Channel(feedback_profile, component_rng(seed, "chan", "fb"),
                              blackout_from=feedback_blackout_us)
@@ -181,9 +182,8 @@ class _LoopHarness:
         # channel's impairment closure, servo frames in flight as (arrival,
         # reserved seq, value), feedback with its send instant appended) per
         # direction
-        admitter, node_index = self.ring.admitter, self.ring.node_index
-        self.to_fpga = (admitter(node_index(MASTER_NODE)), cmd_channel.impair, deque())
-        self.to_cnc = (admitter(node_index(FPGA_NODE)), fb_channel.impair, deque())
+        self.to_fpga = (admit[ring.nodes.index(MASTER_NODE)], cmd_channel.impair, deque())
+        self.to_cnc = (admit[ring.nodes.index(FPGA_NODE)], fb_channel.impair, deque())
 
         self.axis = AxisModel()
         self.pid = PidController(config.gains, config.servo_period_us)
@@ -212,7 +212,7 @@ class _LoopHarness:
         return None
 
     def run(self) -> TrialVerdict:
-        reserve = self.sim.reserve
+        reserve = self.reserve
         self.first_fpga_tick = (FPGA_TICK_OFFSET_US, reserve())
         return self._run_ticks(((0, reserve(), _RETRY, 0),
                                 (self.config.init_grace_us, reserve(), _GRACE, 0)))
@@ -221,7 +221,7 @@ class _LoopHarness:
         """Run the handshake `items` and the two servo ticks in key order up
         to the end of the trial, and return the verdict (see the module
         docstring)."""
-        reserve = self.sim.reserve
+        reserve = self.reserve
         cmd_admit, cmd_impair, cmd_queue = self.to_fpga
         fb_admit, fb_impair, fb_queue = self.to_cnc
         period, fe_limit = self.config.servo_period_us, self.config.fe_limit_mm
@@ -435,15 +435,22 @@ def calibrate(master_seed: int = 0,
     Candidates are screened on the boundary cells with short single-seed
     trials; survivors are validated with a full sweep at the acceptance
     spec.  Returns the first fully matching pair, or the best attempt
-    with its mismatch list.  Both stages run at `master_seed`, so a
-    `validation_spec` with another master seed is a `ValueError`.
+    with its mismatch list.  Both stages run at `master_seed`, and every
+    validation cell must be in the reference pattern: a `validation_spec`
+    that breaks either is a `ConfigError`, raised before any trial runs.
     """
-    from .harness import SweepSpec, evaluate_cell, reference_pattern, run_sweep
+    from .config import ConfigError
+    from .harness import SweepSpec, _fmt, evaluate_cell, reference_pattern, run_sweep
 
-    if validation_spec is not None and validation_spec.master_seed != master_seed:
-        raise ValueError(f"calibrate screens at master seed {master_seed} but its validation "
-                         f"spec has master seed {validation_spec.master_seed}")
+    spec = validation_spec or SweepSpec(master_seed=master_seed)
+    if spec.master_seed != master_seed:
+        raise ConfigError(f"calibrate screens at master seed {master_seed} but its validation "
+                          f"spec has master seed {spec.master_seed}")
     target = reference_pattern()
+    for lat, jit in itertools.product(spec.latencies_ms, spec.jitters_ms):
+        if (lat, jit) not in target:
+            raise ConfigError(f"calibrate has no target class for cell {_fmt(lat)},{_fmt(jit)}: "
+                              "its reference pattern holds only the default axes")
     best_mismatches: list | None = None
     best_pair = None
     best_matrix = None
@@ -461,7 +468,6 @@ def calibrate(master_seed: int = 0,
         if not screen_ok:
             continue
 
-        spec = validation_spec or SweepSpec(master_seed=master_seed)
         matrix = run_sweep(spec, default, adapted, scenario)
         mismatches = [
             (cell.latency_ms, cell.jitter_ms, cell.cell_class.value,

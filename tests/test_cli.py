@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from ringmill import cli, harness
 from ringmill.channel import ChannelProfile
 from ringmill.cli import main
 from ringmill.config import ConfigError, load_config
@@ -37,6 +38,19 @@ tx_time_us = 100
 amplitude_mm = 15
 dwell_s = 0.1
 """
+
+
+def spy_on_trials(monkeypatch) -> list:
+    """Record every trial that `trial`, `sweep` and `calibrate` run from here on."""
+    trials = []
+
+    def recording(*args, **kwargs):
+        trials.append(args)
+        return run_trial(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_trial", recording)
+    monkeypatch.setattr(harness, "run_trial", recording)
+    return trials
 
 
 class TestConfig:
@@ -153,6 +167,12 @@ class TestConfig:
         ("[channel.command]\nmean_delay_ms = 1e306\n", 2),
         # a table replaces the trapezoid, so a trapezoid key beside it would be ignored
         ("[trajectory]\nfile = t.csv\namplitude_mm = 5\n", 3),
+        # every refusal of the ring configuration names its section's line
+        ("[sweep]\nseeds_per_cell = 1\n[ring.control]\nnodes = master, fpga, master\n", 3),
+        ("[ring.control]\nslot_time_us = -800\n", 1),
+        ("[ring.control]\nslot_time_us = 50\ntx_time_us = 100\n", 1),
+        ("[ring.control]\nqueue_depth = 0\n", 1),
+        ("[ring.control]\nloss_rate = 2\n", 1),
     ], ids=["distribution", "seeds_per_cell", "reorder", "empty-value", "adapted-watchdog",
             "control-nodes", "sensor-nodes", "missing-file", "negative-latency",
             "negative-jitter", "one-column-row", "nan-setpoint", "inf-setpoint",
@@ -160,7 +180,8 @@ class TestConfig:
             "latency-not-whole-us", "jitter-not-whole-us", "late-first-point",
             "trial-seconds-not-whole-us", "second-bracket-in-header", "text-after-header",
             "latency-overflows", "trial-seconds-overflows", "mean-delay-overflows",
-            "trapezoid-key-beside-file"])
+            "trapezoid-key-beside-file", "ring-duplicate-nodes", "ring-negative-timing",
+            "ring-slot-below-tx", "ring-queue-depth-0", "ring-loss-rate-2"])
     def test_bad_input_exits_config_error_with_its_line(self, tmp_path, capsys, text, line):
         (tmp_path / "moves.csv").write_text("0,0\n500\n1000,0\n")
         (tmp_path / "nan.csv").write_text("time_ms,setpoint_mm\n0,0\n500,nan\n1000,0\n")
@@ -454,6 +475,41 @@ class TestCli:
             code = exc.code
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_calibrate_failure_exits_calibration_error(self, tmp_path, capsys):
+        # no candidate survives screening on trials too short to qualify a link
+        out = tmp_path / "out"
+        assert main(["calibrate", "--screen-seconds", "0.5", "--output-dir", str(out)]) == 3
+        report = capsys.readouterr().out
+        assert report.startswith("calibration FAILED after 36 candidate(s)\n")
+        assert "(0.5, 0.05): got unscreened, want pass" in report
+        assert not (out / "matrix.csv").exists()
+
+    def test_calibrate_refuses_a_cell_outside_its_target_before_any_trial(
+            self, tmp_path, capsys, monkeypatch):
+        trials = spy_on_trials(monkeypatch)
+        path = tmp_path / "scenario.ini"
+        path.write_text("[sweep]\nlatencies_ms = 0.5, 0.7\njitters_ms = 0.05\n"
+                        "seeds_per_cell = 1\n")
+        assert main(["calibrate", "--config", str(path), "--screen-seconds", "3",
+                     "--trial-seconds", "1"]) == 2
+        assert ("error: calibrate has no target class for cell 0.7,0.05: its reference "
+                "pattern holds only the default axes" in capsys.readouterr().err)
+        assert trials == []
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--output-dir", "file/out"],
+        ["calibrate", "--output-dir", "file/out"],
+        ["trial", "--latency-ms", "1", "--jitter-ms", "0.1", "--trace", "/nonexistent/x.csv"],
+    ], ids=["sweep", "calibrate", "trial"])
+    def test_unwritable_output_exits_config_error_before_any_trial(
+            self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("a regular file\n")
+        trials = spy_on_trials(monkeypatch)
+        assert main(argv) == 2
+        assert "error: " in capsys.readouterr().err
+        assert trials == []
 
     def test_missing_file_exits_config_error(self, capsys):
         assert main(["render", "--matrix", "/nonexistent/matrix.csv"]) == 2

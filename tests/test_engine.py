@@ -70,16 +70,6 @@ class TestRunUntil:
         assert log == [0, 1, 2, 3, 4, 5]
 
 
-class TestOffHeapEvents:
-    def test_a_reserved_number_sorts_between_two_schedule_calls(self):
-        # an instant off the heap keeps its place among events scheduled on its µs
-        sim = Simulator()
-        before = sim.schedule(10, lambda: None)
-        reserved = sim.reserve()
-        after = sim.schedule(10, lambda: None)
-        assert before < reserved < after
-
-
 @st.composite
 def event_batches(draw):
     times = draw(st.lists(st.integers(min_value=0, max_value=10_000),

@@ -10,7 +10,7 @@ import pytest
 from ringmill import harness
 from ringmill.engine import us_from
 from ringmill.harness import (CellClass, CellVerdict, RunManifest, ScriptError,
-                              SweepResult, SweepSpec, TrialOutcome, _cell_class,
+                              SweepResult, SweepSpec, _cell_class,
                               _trial_seed, evaluate_cell, parse_matrix_csv,
                               reference_pattern, render_matrix,
                               run_spectrum_scenario, run_sweep)
@@ -22,8 +22,8 @@ from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, Scenario, 
                             symmetric_profiles)
 
 
-def outcome(i=0, passed=True, cause="none", fe=0.1, survived=1_000_000):
-    return TrialOutcome(i, passed, cause, fe, survived)
+def outcome(passed=True, cause="none", fe=0.1, survived=1_000_000):
+    return TrialVerdict(passed, FailCause(cause), fe, survived)
 
 
 def synthetic_result():
@@ -151,13 +151,11 @@ class TestRender:
     @pytest.mark.parametrize("cls, default, adapted, message", [
         (CellClass.PASS_WITH_ADAPTATION, (outcome(passed=False, cause="watchdog", survived=5),),
          (outcome(passed=False, cause="watchdog", survived=7),), "class pass-with-adaptation"),
-        (CellClass.PASS, (outcome(), outcome(1)), (), "2 trials for 1 seeds"),
-        (CellClass.PASS, (outcome(1),), (), "not seeds 0, 1, ... in order"),
+        (CellClass.PASS, (outcome(), outcome()), (), "2 trials for 1 seeds"),
         (CellClass.PASS, (outcome(survived=999_999),), (), "survived 999999 us of 1000000"),
         (CellClass.FAIL, (outcome(passed=False, cause="watchdog", survived=1_000_001),),
          (outcome(passed=False, cause="watchdog", survived=5),), "survived 1000001 us"),
-    ], ids=["adapted-failed", "extra-trial", "seed-order",
-            "pass-cut-short", "failed-past-the-end"])
+    ], ids=["adapted-failed", "extra-trial", "pass-cut-short", "failed-past-the-end"])
     def test_csv_class_must_follow_from_the_trials(self, cls, default, adapted, message):
         spec = SweepSpec(latencies_ms=(1.0,), jitters_ms=(0.1,), seeds_per_cell=1,
                          trial_seconds=1.0)
@@ -170,9 +168,9 @@ class TestRender:
     def test_csv_accepts_exactly_the_class_evaluate_cell_gives(self, seeds, monkeypatch):
         # every pass/fail shape of up to seeds + 1 trials per driver, each row
         # under every class
-        shapes = [tuple(outcome(i, passed, "none" if passed else "watchdog",
+        shapes = [tuple(outcome(passed, "none" if passed else "watchdog",
                                 survived=1_000_000 if passed else 5)
-                        for i, passed in enumerate(flags))
+                        for passed in flags)
                   for n in range(seeds + 2) for flags in itertools.product((True, False),
                                                                            repeat=n)]
         spec = SweepSpec(latencies_ms=(1.0,), jitters_ms=(0.1,), seeds_per_cell=seeds,
@@ -209,6 +207,18 @@ class TestRender:
                                  seeds, 1.0, 0)
             evaluated.add((cell.cell_class, cell.default_outcomes, cell.adapted_outcomes))
         assert evaluated == accepted
+
+    @pytest.mark.parametrize("trials", ["1|pass|none|0.1|1000000",
+                                        "0|pass|none|0.1|1000000;0|pass|none|0.1|1000000"],
+                             ids=["first-is-seed-1", "seed-0-twice"])
+    def test_csv_trials_must_be_seeds_in_order(self, trials):
+        # a trial's seed index is its position in the row
+        text = ("# ringmill-matrix v1 seeds=2 trial_seconds=1 master_seed=0\n"
+                "latency_ms,jitter_ms,class,default_outcomes,adapted_outcomes\n"
+                f"1,0.1,pass,{trials},\n")
+        with pytest.raises(ScriptError, match=r"^line 3: bad matrix row: trials are not "
+                                              r"seeds 0, 1, \.\.\. in order$"):
+            parse_matrix_csv(text)
 
     def test_csv_rejects_foreign_text(self):
         with pytest.raises(ValueError):

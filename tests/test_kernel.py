@@ -45,7 +45,7 @@ def qualified(length_us, decided_at, trace=None):
 def feed(h, arrival, seq=None):
     """Queue a feedback frame at rest, sent 100 µs before `arrival`, numbered
     `seq`, or now."""
-    h.to_cnc[2].append((arrival, seq or h.sim.reserve(), 0.0, arrival - 100))
+    h.to_cnc[2].append((arrival, seq or h.reserve(), 0.0, arrival - 100))
 
 
 #: a number no trial this short reserves, so it sorts after every reserved one
@@ -154,7 +154,7 @@ class TestTrialKernel:
         # the µs of a stage tick, and the stage answers it on the ring node
         # its feedback leaves from
         h = harness(ZERO_IMPAIRMENT, ZERO_IMPAIRMENT, 11_600)
-        seqs = [h.sim.reserve(), h.sim.reserve()]
+        seqs = [h.reserve(), h.reserve()]
         request_seq = seqs.pop(request_rank)
         h.first_fpga_tick = (11_500, seqs[0])
         verdict = h._run_ticks(((11_500, request_seq, _REQUEST, 1),))

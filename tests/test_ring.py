@@ -219,8 +219,7 @@ class TestAdmit:
             now += gap
             sim.run_until(now)
             node_idx %= len(config.nodes)
-            admit = ring.admitter(node_idx)
-            assert admit(now) == reference.admit(node_idx, now)
+            assert ring.admit(node_idx, now) == reference.admit(node_idx, now)
             assert ring.rng.getstate() == reference.rng.getstate()
 
     def test_node_index_is_the_ring_position(self):
