@@ -14,7 +14,8 @@ from .config import ConfigError, load_config
 from .engine import US_PER_S, us_from
 from .harness import (RunManifest, ScriptError, _fmt, parse_matrix_csv, render_matrix,
                       run_from_manifest, run_spectrum_scenario)
-from .trial import TrialTrace, calibrate, run_trial, symmetric_profiles
+from .trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, TrialTrace, calibrate, run_trial,
+                    symmetric_profiles)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,7 +57,7 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
 
 
 def cmd_sweep(args) -> int:
-    run = replace(_load_run(args)[0], eval_order=args.order)
+    run = _load_run(args)[0]
     out_dir = _output_dir(args.output_dir)
     result, matrix_csv = run_from_manifest(run)
 
@@ -120,6 +121,9 @@ def cmd_spectrum(args) -> int:
 
 def cmd_calibrate(args) -> int:
     run = _load_run(args)[0]
+    if (run.default_config, run.adapted_config) != (DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG):
+        raise ConfigError(f"{args.config}: calibrate searches loop pairs around the shipped "
+                          "one, so it cannot run the [loop.*] and [gains.*] values set here")
     out_dir = _output_dir(args.output_dir)
     result = calibrate(master_seed=run.spec.master_seed,
                        screen_trial_seconds=args.screen_seconds,
@@ -155,8 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run the latency x jitter feasibility sweep")
     common(p)
     p.add_argument("--output-dir", default="out", help="artifact directory")
-    p.add_argument("--order", choices=("severe-first", "mild-first"),
-                   default="severe-first")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("trial", help="run one closed-loop trial")

@@ -4,16 +4,16 @@ A scenario file describes one run: `load_config` reads it into the
 `RunManifest` that a sweep, a trial and a calibration all run from, plus
 the command and feedback channels that only ``ringmill trial`` reads.
 Every section is optional; omitted values fall back to the shipped
-calibrated defaults.  The full schema is documented in the README.
-``;`` and ``#`` start comments, also after a value.  Every error names its
-line: a section or key outside the schema, text after a section header
-that is not a comment, a value that cannot be read, and a section whose
-values the object it builds rejects.
+calibrated defaults.  The schema and the file's rules are in the README;
+`_read_ini` applies the rules in one pass over the lines.  Every error
+names its line: a line that is not a header, a key or a continuation, a
+key before any section, a section or key given twice or outside the
+schema, text after a header that is not a comment, a value that cannot be
+read, and a section whose values the object it builds rejects.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
 import re
 from collections import defaultdict
@@ -43,10 +43,10 @@ def _names(raw: str) -> tuple[str, ...]:
 
 
 def _bool(raw: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-    except KeyError:
-        raise ValueError(f"{raw!r} is not a boolean") from None
+    word = raw.lower()
+    if word not in ("1", "yes", "true", "on", "0", "no", "false", "off"):
+        raise ValueError(f"{raw!r} is not a boolean")
+    return word in ("1", "yes", "true", "on")
 
 
 # time values go through the whole-µs rule here, so that an error names the key's line
@@ -94,44 +94,45 @@ _SCHEMA = {
                    "dwell_s": _float, "file": Path},
 }
 
-_KEY = re.compile(r"\s*(?P<key>[^=:;#\s][^=:]*?)\s*[=:]")
+# a comment starts at a ";" or "#" that starts the line or follows a blank
+_COMMENT = re.compile(r"(?:^|(?<=\s))[;#]")
+_HEADER = re.compile(r"\[(?P<name>.+)\](?P<rest>.*)")  # the name runs to the last "]"
+_ITEM = re.compile(r"(?P<key>[^=:]+?)\s*[=:]\s*(?P<raw>.*)")
 
 
-def _uncommented(line: str) -> str:
-    """`line` as configparser reads it: cut at the first ``;`` or ``#`` that
-    starts the line or follows a blank, found the way the parser scans
-    (each prefix's next occurrence in turn), and stripped."""
-    cut, scan = len(line), {";": -1, "#": -1}
-    while cut == len(line) and scan:
-        for prefix, index in list(scan.items()):
-            index = line.find(prefix, index + 1)
-            if index == -1:
-                del scan[prefix]
-            elif index == 0 or line[index - 1].isspace():
-                cut = min(cut, index)
-            else:
-                scan[prefix] = index
-    return line[:cut].strip()
-
-
-def _lines(text: str, path: str | Path | None) -> dict[tuple, int]:
-    """1-based line of each (section, key), and of each header as (section,
-    None).  A header reads as configparser reads it; text after its ``]``
-    that is not a comment is a `ConfigError`."""
-    where, section = {}, None
-    for number, line in enumerate(text.split("\n"), 1):  # the parser's lines
-        value = _uncommented(line)
-        header = configparser.ConfigParser.SECTCRE.match(value)
-        if header:
-            section = header["header"]
-            rest = value[header.end():]
-            if rest and rest[0] not in ";#":
-                raise ConfigError(f"{path}, line {number}: text {rest.strip()!r} "
-                                  f"after the section header [{section}]")
-            where.setdefault((section, None), number)
-        elif found := _KEY.match(line):
-            where.setdefault((section, found["key"].lower()), number)
-    return where
+def _read_ini(text: str, path: str | Path | None) -> dict[str, tuple[int, dict]]:
+    """{section: (header line, {key: [line, raw value]})}, lines counted from 1
+    and keys lower-cased.  A line indented past its key's line continues the
+    value, each blank line before it kept as a newline."""
+    sections: dict[str, tuple[int, dict]] = {}
+    keys, key, indent, gap = None, None, 0, ""
+    for number, line in enumerate(text.split("\n"), 1):
+        comment, problem = _COMMENT.search(line), None
+        value = line[:comment.start() if comment else None].strip()
+        margin = len(line) - len(line.lstrip())
+        if not value:
+            gap += "" if comment else "\n"
+        elif key and margin > indent:
+            keys[key][1] += f"{gap}\n{value}"
+            gap = ""
+        elif header := _HEADER.fullmatch(value):
+            name, rest = header["name"], header["rest"]
+            if rest[:1] not in ("", ";", "#"):
+                problem = f"text {rest.strip()!r} after the section header [{name}]"
+            elif name in sections:
+                problem = f"section [{name}] is given twice, first on line {sections[name][0]}"
+            keys, key = sections.setdefault(name, (number, {}))[1], None
+        elif not (item := _ITEM.fullmatch(value)):
+            problem = f"{value!r} is not a [section], a key = value or a continuation"
+        elif keys is None:
+            problem = f"{value!r} comes before any [section]"
+        elif (key := item["key"].lower()) in keys:
+            problem = f"key {key!r} is given twice in [{name}], first on line {keys[key][0]}"
+        else:
+            keys[key], indent, gap = [number, item["raw"]], margin, ""
+        if problem:
+            raise ConfigError(f"{path}, line {number}: {problem}")
+    return sections
 
 
 def load_config(path: str | Path | None,
@@ -139,28 +140,20 @@ def load_config(path: str | Path | None,
     """The run the INI file at `path` describes, and its command and feedback
     channels, each None where its section is absent.  With no path, the
     shipped defaults and no channels."""
-    text = Path(path).read_text() if path else ""
-    # default_section="" names no section a header can open, so [DEFAULT] is
-    # an unknown section like any other
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
-                                       interpolation=None, default_section="")
-    try:
-        parser.read_string(text, source=str(path))
-    except configparser.Error as exc:
-        raise ConfigError(str(exc)) from None
-    lines = _lines(text, path)
+    read = _read_ini(Path(path).read_text() if path else "", path)
 
     def located(section: str, key: str | None, message) -> ConfigError:
-        return ConfigError(f"{path}, line {lines[section, key]}: {message}")
+        header_line, keys = read[section]
+        return ConfigError(f"{path}, line {keys[key][0] if key else header_line}: {message}")
 
     # section -> {field: value}, each value read once through the schema
     values: defaultdict[str, dict] = defaultdict(dict)
-    for name in parser.sections():
-        keys = _SCHEMA.get(name)
-        if keys is None:
+    for name, (_, keys) in read.items():
+        schema = _SCHEMA.get(name)
+        if schema is None:
             raise located(name, None, f"unknown section [{name}]")
-        for key, raw in parser[name].items():
-            entry = keys.get(key)
+        for key, (_, raw) in keys.items():
+            entry = schema.get(key)
             if entry is None:
                 raise located(name, key, f"unknown key {key!r} in [{name}]")
             field, reader = entry if isinstance(entry, tuple) else (key, entry)
@@ -187,7 +180,7 @@ def load_config(path: str | Path | None,
                            gains=section("gains.default", DEFAULT_LOOP_CONFIG.gains))
     adapted_loop = section("loop.adapted", ADAPTED_LOOP_CONFIG,
                            gains=section("gains.adapted", ADAPTED_LOOP_CONFIG.gains))
-    build("loop.adapted" if parser.has_section("loop.adapted") else "loop.default",
+    build("loop.adapted" if "loop.adapted" in read else "loop.default",
           validate_config_pair, default_loop, adapted_loop)
 
     control_ring = section("ring.control", DEFAULT_SCENARIO.control_ring)
@@ -207,6 +200,6 @@ def load_config(path: str | Path | None,
                      trajectory=trajectory)
 
     run = RunManifest.for_run(spec, default_loop, adapted_loop, scenario)
-    command, feedback = (section(name, ChannelProfile(0)) if parser.has_section(name) else None
+    command, feedback = (section(name, ChannelProfile(0)) if name in read else None
                          for name in ("channel.command", "channel.feedback"))
     return run, command, feedback

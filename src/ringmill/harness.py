@@ -18,7 +18,7 @@ import enum
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 from .engine import SimTime, derive_seed, us_from
@@ -28,7 +28,7 @@ from .ring import RingConfig
 from .spectrum import CoverageArea, SpectrumError, SpectrumManager, SpectrumRequest
 from .trial import DEFAULT_SCENARIO, Scenario, run_trial, symmetric_profiles
 
-ARTIFACT_VERSION = "0.4.0"
+ARTIFACT_VERSION = "0.5.0"
 
 DEFAULT_LATENCIES_MS = (0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
 DEFAULT_JITTERS_MS = (0.05, 0.1, 0.15, 0.2, 0.3)
@@ -389,7 +389,6 @@ class RunManifest:
 
     artifact_version: str
     spec: SweepSpec
-    eval_order: str
     default_config: LoopConfig
     adapted_config: LoopConfig
     scenario: Scenario
@@ -398,9 +397,8 @@ class RunManifest:
 
     @classmethod
     def for_run(cls, spec: SweepSpec, default_config: LoopConfig,
-                adapted_config: LoopConfig, scenario: Scenario = DEFAULT_SCENARIO,
-                order: str = "severe-first") -> "RunManifest":
-        return cls(ARTIFACT_VERSION, spec, order, default_config, adapted_config, scenario)
+                adapted_config: LoopConfig, scenario: Scenario = DEFAULT_SCENARIO) -> "RunManifest":
+        return cls(ARTIFACT_VERSION, spec, default_config, adapted_config, scenario)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
@@ -412,6 +410,10 @@ class RunManifest:
         if data.get("artifact_version") != ARTIFACT_VERSION:
             raise ValueError(f"manifest artifact version {data.get('artifact_version')!r}, "
                              f"expected {ARTIFACT_VERSION!r}")
+        names = {f.name for f in fields(cls)}
+        key = min(data.keys() ^ names, default=None)
+        if key is not None:
+            raise ValueError(f"manifest key {key!r} is {'missing' if key in names else 'unknown'}")
         return cls(**_manifest_fields(data))
 
 
@@ -419,7 +421,7 @@ def run_from_manifest(manifest: RunManifest) -> tuple[SweepResult, str]:
     """Re-execute a manifest; returns the result and its verdict CSV."""
     started = time.monotonic()
     result = run_sweep(manifest.spec, manifest.default_config, manifest.adapted_config,
-                       manifest.scenario, order=manifest.eval_order)
+                       manifest.scenario)
     manifest.wall_clock_seconds = time.monotonic() - started
     return result, render_matrix(result, "csv")
 

@@ -94,6 +94,28 @@ class TestConfig:
         assert run.spec.master_seed == 5
         assert run.default_config.gains.kp == 38.0
 
+    @pytest.mark.parametrize("text, read, value", [
+        ("[sweep]\nlatencies_ms = 0.5,\n  1.0\n", lambda run: run.spec.latencies_ms, (0.5, 1.0)),
+        ("[sweep]\nlatencies_ms = 0.5,\n\n  1.0\n", lambda run: run.spec.latencies_ms,
+         (0.5, 1.0)),
+        ("[sweep]\nseeds_per_cell: 1\n", lambda run: run.spec.seeds_per_cell, 1),
+        ("[sweep]\nSEEDS_PER_CELL = 1\n", lambda run: run.spec.seeds_per_cell, 1),
+        ("[sweep]\n  seeds_per_cell = 1\nmaster_seed = 4\n",
+         lambda run: (run.spec.seeds_per_cell, run.spec.master_seed), (1, 4)),
+        ("[gains.default]# note\nkp = 38\n", lambda run: run.default_config.gains.kp, 38.0),
+        # a "#" glued to a word is text, and the first one after a blank starts the
+        # comment: the file is m#1.csv, not "m#1.csv #x"
+        ("[trajectory]\nfile = m#1.csv #x ;y\n",
+         lambda run: run.scenario.trajectory.sample(250_000)[0], 5.0),
+    ], ids=["continuation", "continuation-after-blank", "colon", "upper-case-key",
+            "indented-first-key", "comment-after-header", "comment-after-glued-hash"])
+    def test_what_a_line_reads_as(self, tmp_path, text, read, value):
+        (tmp_path / "m#1.csv").write_text("0,0\n500,10\n1000,0\n")
+        (tmp_path / "m#1.csv #x").write_text("0,0\n500,20\n1000,0\n")
+        path = tmp_path / "scenario.ini"
+        path.write_text(text)
+        assert read(load_config(path)[0]) == value
+
     def test_bad_value_is_config_error(self, tmp_path):
         path = tmp_path / "broken.ini"
         path.write_text("[sweep]\nseeds_per_cell = -3\n")
@@ -156,10 +178,9 @@ class TestConfig:
         ("[sweep]\nseeds_per_cell = 1\n[trajectory]\nfile = late.csv\n", 4),
         # a length that is not whole us would run another length than it names
         ("[sweep]\nseeds_per_cell = 1\ntrial_seconds = 2.0000004\n", 3),
-        # configparser reads the header up to the last "]", so this section
-        # is "loop.default] "
+        # a header's name runs to the last "]", so this section is "loop.default] "
         ("[sweep]\nseeds_per_cell = 1\n[loop.default] ]\nfe_limit_mm = 0.7\n", 3),
-        # configparser ignores text after the "]"
+        # only a comment may follow the "]"
         ("[gains.default] x\nkp = 40\n", 1),
         # finite values whose count of us overflows a float: each was a traceback
         ("[sweep]\nseeds_per_cell = 1\nlatencies_ms = 1e306\n", 3),
@@ -173,6 +194,11 @@ class TestConfig:
         ("[ring.control]\nslot_time_us = 50\ntx_time_us = 100\n", 1),
         ("[ring.control]\nqueue_depth = 0\n", 1),
         ("[ring.control]\nloss_rate = 2\n", 1),
+        # a key or a section given twice, a key without "=", a key before any section
+        ("[sweep]\nseeds_per_cell = 1\nseeds_per_cell = 2\n", 3),
+        ("[sweep]\nseeds_per_cell = 1\n[sweep]\n", 3),
+        ("[sweep]\nseeds_per_cell\n", 2),
+        ("seeds_per_cell = 1\n[sweep]\n", 1),
     ], ids=["distribution", "seeds_per_cell", "reorder", "empty-value", "adapted-watchdog",
             "control-nodes", "sensor-nodes", "missing-file", "negative-latency",
             "negative-jitter", "one-column-row", "nan-setpoint", "inf-setpoint",
@@ -181,7 +207,8 @@ class TestConfig:
             "trial-seconds-not-whole-us", "second-bracket-in-header", "text-after-header",
             "latency-overflows", "trial-seconds-overflows", "mean-delay-overflows",
             "trapezoid-key-beside-file", "ring-duplicate-nodes", "ring-negative-timing",
-            "ring-slot-below-tx", "ring-queue-depth-0", "ring-loss-rate-2"])
+            "ring-slot-below-tx", "ring-queue-depth-0", "ring-loss-rate-2", "duplicate-key",
+            "duplicate-section", "key-without-value", "key-before-section"])
     def test_bad_input_exits_config_error_with_its_line(self, tmp_path, capsys, text, line):
         (tmp_path / "moves.csv").write_text("0,0\n500\n1000,0\n")
         (tmp_path / "nan.csv").write_text("time_ms,setpoint_mm\n0,0\n500,nan\n1000,0\n")
@@ -496,6 +523,21 @@ class TestCli:
         assert ("error: calibrate has no target class for cell 0.7,0.05: its reference "
                 "pattern holds only the default axes" in capsys.readouterr().err)
         assert trials == []
+
+    @pytest.mark.parametrize("section", ["[loop.default]\ndelay_spread_tolerance_us = 900\n",
+                                         "[gains.adapted]\nkp = 38\n"], ids=["loop", "gains"])
+    def test_calibrate_refuses_a_loop_pair_it_would_not_run(self, tmp_path, capsys,
+                                                           monkeypatch, section):
+        # its grid is built around the shipped pair, so the file's values would be ignored
+        trials = spy_on_trials(monkeypatch)
+        path = tmp_path / "loop.ini"
+        path.write_text(section)
+        out = tmp_path / "out"
+        assert main(["calibrate", "--config", str(path), "--output-dir", str(out)]) == 2
+        assert (f"error: {path}: calibrate searches loop pairs around the shipped one"
+                in capsys.readouterr().err)
+        assert trials == []
+        assert not (out / "calibrated.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--output-dir", "file/out"],

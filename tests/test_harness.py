@@ -275,6 +275,21 @@ class TestManifest:
         with pytest.raises(ValueError, match="artifact version '0.1.0'"):
             RunManifest.from_json(json.dumps(data))
 
+    def test_unknown_key_is_rejected(self):
+        # such as the evaluation order, which a manifest no longer records
+        manifest = RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)
+        data = json.loads(manifest.to_json())
+        data["eval_order"] = "random"
+        with pytest.raises(ValueError, match="manifest key 'eval_order' is unknown"):
+            RunManifest.from_json(json.dumps(data))
+
+    def test_missing_key_is_rejected(self):
+        manifest = RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)
+        data = json.loads(manifest.to_json())
+        del data["spec"]
+        with pytest.raises(ValueError, match="manifest key 'spec' is missing"):
+            RunManifest.from_json(json.dumps(data))
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_non_finite_number_is_rejected(self, token):
         # a loop whose following-error limit is NaN can never fail on it
