@@ -85,6 +85,9 @@ class SweepSpec:
                 raise ValueError(f"{name} axis: {exc}") from None
             if any(b <= a for a, b in zip(axis, axis[1:])):
                 raise ValueError(f"{name} axis must be strictly increasing")
+        for name in ("seeds_per_cell", "master_seed"):
+            if type(getattr(self, name)) is not int:  # a float or a bool is no count or seed
+                raise ValueError(f"{name} {getattr(self, name)!r} is not an integer")
         if self.seeds_per_cell < 1:
             raise ValueError("seeds_per_cell must be >= 1")
         us_from(self.trial_seconds, "s", positive=True)  # its one value in s; a trial runs whole µs
@@ -407,6 +410,8 @@ class RunManifest:
     def from_json(cls, text: str) -> "RunManifest":
         # NaN, Infinity and overflowing numbers load as floats no value may hold
         data = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
+        if not isinstance(data, dict):
+            raise ValueError("manifest is not a JSON object")
         if data.get("artifact_version") != ARTIFACT_VERSION:
             raise ValueError(f"manifest artifact version {data.get('artifact_version')!r}, "
                              f"expected {ARTIFACT_VERSION!r}")

@@ -27,61 +27,64 @@ at that instant.  A trial holds the two closures of each direction,
 built once with their configuration and profile bound, and a frame
 builds no object.  A servo frame goes into its direction's in-flight
 queue as ``(arrival, seq, value)``, a feedback frame with its send
-instant appended, ``seq`` being the next number of the trial's counter,
-which the heap kernel (``tests/test_heap_oracle.py``) gives the arrival
-event.  A handshake frame's arrival is a handshake item.
+instant appended, ``seq`` being the trial's next number (see Same-µs
+order), which the heap kernel (``tests/test_heap_oracle.py``) gives the
+arrival event.  A handshake frame's arrival is a handshake item.
 
 The loop.  One loop, `_LoopHarness._run_ticks`, runs a trial, and the
-trial schedules no engine event.  The two servo ticks are ``(instant,
-seq)`` keys.  The handshake items are ``(instant, seq, kind, exchange)``
-tuples on a heap local to the loop: the first request (run as the retry
-of exchange 0), each retry, each request's arrival at the stage and each
-reply's at the controller, the grace deadline, and the end of the trial,
-which follows every other key on its µs.  Several requests and replies
-can be in flight at once, when the round trip is longer than the retry
-interval; a stale one still draws from the ring and channel streams, and
-the stage answers every request.  The earliest key runs next, once the
-loop has caught up to it: applied the queued feedback and fired the
-watchdog probes whose keys precede it.  A feedback frame sets the
-feedback value and the newest arrival; one that arrives before the
-watchdog's `since` (infinite before control), so before the control
-start, does more.  In qualify it records its delay residual, and the
-window's last frame runs the link decision at its arrival, which fails
-the trial or enters control: it reserves the first controller tick's
-number, then the probe's, and the catch-up stops at that tick if it
-comes first.  In control the first such frame re-arms the probe from
-itself.  A stage tick applies the queued commands whose keys precede its
-own.  The loop reads the heap's first key again only after a handshake
-item runs, so a servo tick costs nothing for the handshake.  A failure
-returns its verdict from the loop.  A tick calls the trajectory's
-`sampler`, the controller's `tick` and the axis's `stepper`, closures
-compiled for the trial as the links are.
+trial schedules no engine event.  The loop holds each key it compares,
+an instant and a number, in two int locals.  The handshake items are
+``(instant, seq, kind, exchange)`` tuples on a heap local to the loop:
+the first request (run as the retry of exchange 0), each retry, each
+request's arrival at the stage and each reply's at the controller, the
+grace deadline, and the end of the trial, which follows every other key
+on its µs.  Several requests and replies can be in flight at once, when
+the round trip is longer than the retry interval; a stale one still
+draws from the ring and channel streams, and the stage answers every
+request.  The earliest key runs next, once the loop has caught up to it:
+applied the queued feedback and fired the watchdog probes whose keys
+precede it.  A feedback frame sets the feedback value and the newest
+arrival; one that arrives before the watchdog's `since` (after the end
+before control), so before the control start, does more.  In qualify it
+records its delay residual, and the window's last frame runs the link
+decision at its arrival, which fails the trial or enters control: it
+numbers the first controller tick, then the probe, and the catch-up
+stops at that tick if it comes first.  In control the first such frame
+re-arms the probe from itself.  A stage tick applies the queued commands
+whose keys precede its own.  The loop reads the heap's first key again
+only after a handshake item runs, so a servo tick costs nothing for the
+handshake.  A failure returns its verdict from the loop.  A tick calls
+the trajectory's `sampler`, the controller's `tick` and the axis's
+`stepper`, closures compiled for the trial as the links are.
 
 The feedback watchdog is one probe that re-arms itself from the newest
 arrival rather than one probe per arrival.  It fails the trial at s +
 timeout + 1, s being the control start or a feedback arrival, if and
 only if no feedback arrived in (s, s + timeout]: a frame that arrives on
 the probe's own µs is too late, whichever of the two comes first.  The
-probe is no event either, but one ``(instant, seq)`` key whose number is
-reserved when it is armed; a failing probe reports its own instant.
+probe is no event either, but one key numbered when it is armed; a
+failing probe reports its own instant.
 
-Same-µs order.  The rule is the number from the trial's counter.  The
-heap kernel fires events that share a µs in the order they were
-scheduled, and a queued frame, a probe, a servo tick or a handshake item
-is numbered in the order its event is scheduled there, so plain tuple
-comparison reproduces that order.  A frame's or handshake item's number
-is taken when it is sent or armed; a servo tick's where the tick one
-period before it ends, after that tick's frame (the first stage tick's
-when the run starts, before the first request and the grace deadline,
-the first controller tick's on entering control); the probe's when it is
-armed.  So a handshake item on the µs of a servo tick runs first exactly
-when it was numbered before that tick's number was taken, and a frame
-that arrives on the µs of a servo tick is seen by it exactly when the
-frame was sent before that tick's number was taken: feedback sent more
-than one servo period before the controller tick it lands on is used by
-that tick, feedback sent less than a period before it is not.  Whether
-the watchdog fails is order-free, as above; the order decides only
-whether a controller tick on the fail instant's µs runs first.
+Same-µs order.  The rule is the key's number.  The heap kernel fires
+events that share a µs in the order they were scheduled, and a queued
+frame, a probe, a servo tick or a handshake item is numbered in the
+order its event is scheduled there, so comparing keys by instant and
+then number, ``t < u or t == u and s < v``, reproduces that order.  The
+loop counts on in a local int from one number of the trial's `reserve`
+counter, so its numbers follow every one taken before it.  A frame's or
+handshake item's number is taken when it is sent or armed; a servo
+tick's where the tick one period before it ends, after that tick's frame
+(the first stage tick's when the run starts, before the first request
+and the grace deadline, the first controller tick's on entering
+control); the probe's when it is armed.  So a handshake item on the µs
+of a servo tick runs first exactly when it was numbered before that
+tick's number was taken, and a frame that arrives on the µs of a servo
+tick is seen by it exactly when the frame was sent before that tick's
+number was taken: feedback sent more than one servo period before the
+controller tick it lands on is used by that tick, feedback sent less
+than a period before it is not.  Whether the watchdog fails is
+order-free, as above; the order decides only whether a controller tick
+on the fail instant's µs runs first.
 """
 
 from __future__ import annotations
@@ -141,8 +144,6 @@ def symmetric_profiles(latency_ms: float, jitter_ms: float) -> tuple[ChannelProf
             ChannelProfile.from_ms(latency_ms, jitter_ms))
 
 
-_NEVER = (float("inf"), 0)  # the key of a probe or tick that is not due
-
 # the kinds of handshake item, ``(instant, reserved seq, kind, exchange)``;
 # the first request runs as the retry of exchange 0
 _RETRY, _REQUEST, _REPLY, _GRACE, _END = range(5)
@@ -171,7 +172,7 @@ class _LoopHarness:
         self.length = trial_length_us
         self.trace = trace
 
-        # numbers the keys in the order the heap kernel schedules their events
+        # numbers the keys taken before the loop, and the one it counts on from
         self.reserve = itertools.count(1).__next__
         ring = scenario.control_ring
         admit = admitters(ring, component_rng(seed, "ring", "control"))
@@ -187,8 +188,8 @@ class _LoopHarness:
 
         self.axis = AxisModel()
         self.pid = PidController(config.gains, config.servo_period_us)
-        # (instant, reserved seq) of the first stage tick, set by `run`
-        self.first_fpga_tick: tuple[SimTime, int] = _NEVER
+        # (instant, reserved seq) of the first stage tick, set by `run`; none before
+        self.first_fpga_tick: tuple[SimTime, int] | None = None
 
         self.phase = "handshake"
         self.hs_rtts: list[int] = []
@@ -221,7 +222,6 @@ class _LoopHarness:
         """Run the handshake `items` and the two servo ticks in key order up
         to the end of the trial, and return the verdict (see the module
         docstring)."""
-        reserve = self.reserve
         cmd_admit, cmd_impair, cmd_queue = self.to_fpga
         fb_admit, fb_impair, fb_queue = self.to_cnc
         period, fe_limit = self.config.servo_period_us, self.config.fe_limit_mm
@@ -233,54 +233,69 @@ class _LoopHarness:
         # the handshake items and, after every key on the trial's last µs, its end
         items = [*items, (self.length, float("inf"), _END, 0)]
         heapify(items)
-        next_item = items[0]
-        cnc_key, fpga_key = _NEVER, self.first_fpga_tick
+        never = self.length + 1  # the instant of a key that is not due; (t, s) runs next
+        seq = self.reserve()  # the newest number; the loop numbers on from it
+        item_t, item_s, _, _ = items[0]
+        cnc_t, cnc_s = never, 0
+        fpga_t, fpga_s = self.first_fpga_tick or (never, 0)
         control_start = None
         fb_value = self.axis.position_mm
         last = prev = 0  # the newest feedback arrival, and the one before on an earlier µs
-        # the arrival the pending probe times out (none before control), and
-        # the probe's (instant, reserved seq)
-        since, probe = float("inf"), _NEVER
+        # the arrival the pending probe times out (none before control), and the probe's key
+        since, probe_t, probe_s = never, never, 0
         max_fe = 0.0
         v_cmd = 0.0
         hs_seq = hs_sent_at = 0  # the newest exchange, and when its request was sent
         while True:
-            key = cnc_key if cnc_key < fpga_key else fpga_key
-            if next_item < key:
-                key = next_item
-            # catch up to `key`.  A probe fails if nothing newer than `since`
-            # arrived before its µs; arrivals between `since` and the newest
-            # one each had a successor within the timeout, so re-arming from
-            # the newest keeps the fail instant.
+            if cnc_t < fpga_t or cnc_t == fpga_t and cnc_s < fpga_s:
+                t, s = cnc_t, cnc_s
+            else:
+                t, s = fpga_t, fpga_s
+            if item_t < t or item_t == t and item_s < s:
+                t, s = item_t, item_s
+            # catch up to (t, s), applying the frames before (u, v), the probe or the key,
+            # whichever is first.  A probe fails if nothing newer than `since` arrived before
+            # its µs; arrivals between `since` and the newest one each had a successor within
+            # the timeout, so re-arming from the newest keeps the fail instant.
             while True:
-                upto = probe if probe < key else key
-                while fb_queue and fb_queue[0] < upto:
-                    arrival, _, fb_value, sent = fb_queue.popleft()
-                    if arrival != last:
-                        prev, last = last, arrival
-                    if arrival < since:  # it arrives before the control start
-                        if self.phase == "qualify":
-                            self.residuals.append(arrival - sent)
-                            if len(self.residuals) == QUALIFY_WINDOW_FRAMES:
-                                control_start = self._qualify_decision(arrival)
-                                if control_start is None:
-                                    return TrialVerdict(False, FailCause.INIT_FAILURE,
-                                                        max_fe, arrival)
-                                cnc_key = (control_start, reserve())
-                                last = since = control_start
-                                probe = (control_start + wait, reserve())
-                                if cnc_key < key:  # stop at the first controller tick
-                                    key = cnc_key
-                        elif self.phase == "control":  # it times out before the control start
-                            since, probe = arrival, (arrival + wait, reserve())
-                        upto = probe if probe < key else key
-                if upto is key:
+                if probe_t < t or probe_t == t and probe_s < s:
+                    u, v = probe_t, probe_s
+                else:
+                    u, v = t, s
+                if fb_queue:
+                    arrival, number, value, sent = fb_queue[0]
+                    if arrival < u or arrival == u and number < v:
+                        fb_queue.popleft()
+                        fb_value = value
+                        if arrival != last:
+                            prev, last = last, arrival
+                        if arrival < since:  # it arrives before the control start
+                            if self.phase == "qualify":
+                                self.residuals.append(arrival - sent)
+                                if len(self.residuals) == QUALIFY_WINDOW_FRAMES:
+                                    control_start = self._qualify_decision(arrival)
+                                    if control_start is None:
+                                        return TrialVerdict(False, FailCause.INIT_FAILURE,
+                                                            max_fe, arrival)
+                                    cnc_t, cnc_s = control_start, seq + 1
+                                    last = since = control_start
+                                    probe_t, probe_s = control_start + wait, seq + 2
+                                    seq += 2
+                                    # stop at the first controller tick
+                                    if cnc_t < t or cnc_t == t and cnc_s < s:
+                                        t, s = cnc_t, cnc_s
+                            elif self.phase == "control":  # it times out before the control start
+                                seq += 1
+                                since, probe_t, probe_s = arrival, arrival + wait, seq
+                        continue
+                if v == s:  # caught up to the key
                     break
-                if (last if last < probe[0] else prev) <= since:
-                    return TrialVerdict(False, FailCause.WATCHDOG, max_fe, probe[0])
-                since, probe = last, (last + wait, reserve())
-            now = key[0]
-            if key is cnc_key:
+                if (last if last < probe_t else prev) <= since:
+                    return TrialVerdict(False, FailCause.WATCHDOG, max_fe, probe_t)
+                seq += 1
+                since, probe_t, probe_s = last, last + wait, seq
+            now = t
+            if s == cnc_s:
                 setpoint, feedforward = sample(now - control_start)
                 fe = setpoint - fb_value
                 abs_fe = abs(fe)
@@ -293,28 +308,36 @@ class _LoopHarness:
                 if delivered is not None:
                     arrival = cmd_impair(delivered)
                     if arrival is not None:
-                        entry = (arrival, reserve(), command)
+                        seq += 1
+                        entry = (arrival, seq, command)
                         if cmd_queue and arrival < cmd_queue[-1][0]:
                             insort(cmd_queue, entry)  # overtakes: a reordering channel
                         else:
                             cmd_queue.append(entry)
                 if rows is not None:
                     rows.append((now, setpoint, fb_value, command, fe))
-                cnc_key = (now + period, reserve())
-            elif key is fpga_key:
-                while cmd_queue and cmd_queue[0] < key:
-                    v_cmd = cmd_queue.popleft()[2]
+                seq += 1
+                cnc_t, cnc_s = now + period, seq
+            elif s == fpga_s:
+                while cmd_queue:
+                    arrival, number, command = cmd_queue[0]
+                    if arrival > now or arrival == now and number > s:
+                        break
+                    cmd_queue.popleft()
+                    v_cmd = command
                 position = move_axis(v_cmd)
                 delivered = fb_admit(now)
                 if delivered is not None:
                     arrival = fb_impair(delivered)
                     if arrival is not None:
-                        entry = (arrival, reserve(), position, now)
+                        seq += 1
+                        entry = (arrival, seq, position, now)
                         if fb_queue and arrival < fb_queue[-1][0]:
                             insort(fb_queue, entry)
                         else:
                             fb_queue.append(entry)
-                fpga_key = (now + period, reserve())
+                seq += 1
+                fpga_t, fpga_s = now + period, seq
             else:
                 _, _, kind, exchange = heappop(items)
                 if kind == _REQUEST:  # the stage answers every request, a stale one too
@@ -322,7 +345,8 @@ class _LoopHarness:
                     if delivered is not None:
                         arrival = fb_impair(delivered)
                         if arrival is not None:
-                            heappush(items, (arrival, reserve(), _REPLY, exchange))
+                            seq += 1
+                            heappush(items, (arrival, seq, _REPLY, exchange))
                 elif kind >= _GRACE:  # the grace deadline, or the end of the trial
                     if self.phase != "control":
                         return TrialVerdict(False, FailCause.INIT_FAILURE, max_fe, now)
@@ -335,14 +359,15 @@ class _LoopHarness:
                             self.phase = "qualify"
                     if self.phase == "handshake":  # send the next request
                         hs_seq, hs_sent_at = hs_seq + 1, now
-                        heappush(items, (now + HANDSHAKE_RETRY_US, reserve(), _RETRY, hs_seq))
+                        seq += 1
+                        heappush(items, (now + HANDSHAKE_RETRY_US, seq, _RETRY, hs_seq))
                         delivered = cmd_admit(now)
                         if delivered is not None:
                             arrival = cmd_impair(delivered)
                             if arrival is not None:
-                                heappush(items, (arrival, reserve(), _REQUEST, hs_seq))
-                next_item = items[0]
-
+                                seq += 1
+                                heappush(items, (arrival, seq, _REQUEST, hs_seq))
+                item_t, item_s, _, _ = items[0]
 
 def run_trial(config: LoopConfig,
               command_profile: ChannelProfile,

@@ -201,6 +201,11 @@ class TestImpair:
             assert chan.impair(now) == reference.impair(now)
             assert chan.rng.getstate() == reference.rng.getstate()
 
+    def test_a_frame_delivered_on_the_blackout_us_is_dropped(self):
+        # no jitter or loss: a frame sent at `now` is delivered at now + 100
+        chan = Channel(ChannelProfile(mean_delay_us=100), random.Random(0), blackout_from=1_100)
+        assert [chan.impair(now) for now in (999, 1_000, 1_001)] == [1_099, None, None]
+
     @given(jitter=st.integers(min_value=1, max_value=2**20),
            seed=st.integers(min_value=0, max_value=2**64 - 1))
     @example(jitter=1, seed=0)  # width 3: rejection at r = 3

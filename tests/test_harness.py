@@ -290,6 +290,23 @@ class TestManifest:
         with pytest.raises(ValueError, match="manifest key 'spec' is missing"):
             RunManifest.from_json(json.dumps(data))
 
+    def test_manifest_that_is_not_an_object_is_rejected(self):
+        with pytest.raises(ValueError, match="manifest is not a JSON object"):
+            RunManifest.from_json("[]")
+
+    @pytest.mark.parametrize("field", ["seeds_per_cell", "master_seed"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True])
+    def test_seed_count_or_master_seed_that_is_not_an_int_is_rejected(self, field, value):
+        # a master seed of 1.5 would run master seed 1's trials under a
+        # matrix header that render refuses
+        with pytest.raises(ValueError, match=f"{field} {value!r} is not an integer"):
+            SweepSpec(**{field: value})
+        manifest = RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)
+        data = json.loads(manifest.to_json())
+        data["spec"][field] = value
+        with pytest.raises(ValueError, match=f"{field} {value!r} is not an integer"):
+            RunManifest.from_json(json.dumps(data))
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_non_finite_number_is_rejected(self, token):
         # a loop whose following-error limit is NaN can never fail on it

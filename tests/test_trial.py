@@ -6,8 +6,8 @@ from ringmill.harness import SweepSpec
 from ringmill.plant import AxisModel, FailCause, PidController, step_axis
 from ringmill.ring import RingConfig
 from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO,
-                            FPGA_TICK_OFFSET_US, Scenario, TrialTrace, calibrate,
-                            run_trial, symmetric_profiles)
+                            FPGA_TICK_OFFSET_US, Scenario, TrialTrace, _LoopHarness,
+                            calibrate, run_trial, symmetric_profiles)
 
 ZERO_RING = RingConfig(ring_id="control", nodes=("master", "fpga"),
                        slot_time_us=0, tx_time_us=0, loss_rate=0.0)
@@ -90,6 +90,33 @@ class TestVerdictPattern:
         verdict = trial(DEFAULT_LOOP_CONFIG, 5.0, 0.05)
         assert verdict.fail_cause is FailCause.FOLLOWING_ERROR
         assert verdict.max_following_error_mm > DEFAULT_LOOP_CONFIG.fe_limit_mm
+
+
+def link_decision(config, spread_us, baseline_rtt_us):
+    """The control start the link decision at 10,300 us gives for a window
+    with this delay spread after a handshake with this mean RTT, or None."""
+    h = _LoopHarness(config, ZERO_IMPAIRMENT, ZERO_IMPAIRMENT, SHORT, 0, DEFAULT_SCENARIO,
+                     None, None)
+    h.residuals = [300, 300 + spread_us, 300]
+    h.hs_rtts = [baseline_rtt_us - 50, baseline_rtt_us + 50]
+    return h._qualify_decision(10_300)
+
+
+@pytest.mark.parametrize("config", [DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG],
+                         ids=["default", "adapted"])
+class TestQualifyBoundary:
+    def test_spread_equal_to_the_tolerance_is_accepted(self, config):
+        # the baseline RTT alone fills the rescue budget, so only the
+        # tolerance can accept the link
+        tolerance, budget = config.delay_spread_tolerance_us, config.rtt_rescue_budget_us
+        assert link_decision(config, tolerance, budget) == 11_000
+        assert link_decision(config, tolerance + 1, budget) is None
+
+    def test_rtt_plus_spread_equal_to_the_rescue_budget_is_accepted(self, config):
+        # one µs too wide for the tolerance, so only the rescue can accept it
+        spread, budget = config.delay_spread_tolerance_us + 1, config.rtt_rescue_budget_us
+        assert link_decision(config, spread, budget - spread) == 11_000
+        assert link_decision(config, spread, budget - spread + 1) is None
 
 
 class TestWatchdog:
