@@ -364,24 +364,43 @@ def _finite_float(token: str) -> float:
     return value
 
 
-def _manifest_fields(data: dict) -> dict:
-    """A manifest's fields, rebuilt from the `asdict` form that `to_json` writes."""
-    def loop(values):
-        return LoopConfig(**{**values, "profile": Profile(values["profile"]),
-                             "gains": PidGains(**values["gains"])})
+def _known_keys(data, cls, path: str = "") -> dict:
+    """`data`, the `asdict` form of a `cls` at the manifest key `path`, once
+    it is an object with exactly the keys `to_json` writes for `cls`."""
+    if not isinstance(data, dict):
+        raise ValueError(f"manifest key {path!r} is not an object")
+    names = {f.name for f in fields(cls)}
+    key = min(data.keys() ^ names, default=None)
+    if key is not None:
+        raise ValueError(f"manifest key {path + '.' * bool(path) + key!r} is "
+                         f"{'missing' if key in names else 'unknown'}")
+    return data
 
-    spec, scenario = data["spec"], data["scenario"]
-    ring, trajectory = scenario["control_ring"], scenario["trajectory"]
+
+def _manifest_fields(data: dict) -> dict:
+    """A manifest's fields, rebuilt from the `asdict` form that `to_json` writes;
+    an unknown or missing key at any depth is a `ValueError` naming its path."""
+    def loop(path):
+        values = _known_keys(data[path], LoopConfig, path)
+        return LoopConfig(**{**values, "profile": Profile(values["profile"]),
+                             "gains": PidGains(**_known_keys(values["gains"], PidGains,
+                                                             f"{path}.gains"))})
+
+    spec = _known_keys(data["spec"], SweepSpec, "spec")
+    scenario = _known_keys(data["scenario"], Scenario, "scenario")
+    ring = _known_keys(scenario["control_ring"], RingConfig, "scenario.control_ring")
+    trajectory = scenario["trajectory"]
+    shape = (TabulatedTrajectory if isinstance(trajectory, dict) and "points" in trajectory
+             else TrapezoidTrajectory)
     return {
         **data,
         "spec": SweepSpec(**{**spec, "latencies_ms": tuple(spec["latencies_ms"]),
                              "jitters_ms": tuple(spec["jitters_ms"])}),
-        "default_config": loop(data["default_config"]),
-        "adapted_config": loop(data["adapted_config"]),
+        "default_config": loop("default_config"),
+        "adapted_config": loop("adapted_config"),
         "scenario": Scenario(
             control_ring=RingConfig(**{**ring, "nodes": tuple(ring["nodes"])}),
-            trajectory=(TabulatedTrajectory(**trajectory) if "points" in trajectory
-                        else TrapezoidTrajectory(**trajectory))),
+            trajectory=shape(**_known_keys(trajectory, shape, "scenario.trajectory"))),
     }
 
 
@@ -415,11 +434,7 @@ class RunManifest:
         if data.get("artifact_version") != ARTIFACT_VERSION:
             raise ValueError(f"manifest artifact version {data.get('artifact_version')!r}, "
                              f"expected {ARTIFACT_VERSION!r}")
-        names = {f.name for f in fields(cls)}
-        key = min(data.keys() ^ names, default=None)
-        if key is not None:
-            raise ValueError(f"manifest key {key!r} is {'missing' if key in names else 'unknown'}")
-        return cls(**_manifest_fields(data))
+        return cls(**_manifest_fields(_known_keys(data, cls)))
 
 
 def run_from_manifest(manifest: RunManifest) -> tuple[SweepResult, str]:

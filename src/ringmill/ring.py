@@ -17,8 +17,12 @@ Admission is compiled once per node: `admitters` builds each node's
 admission closure, for a trial and a `TokenRing` alike, with the node's
 queue, slot offset and the configuration's depth, loss rate, slot, cycle
 and transmission time bound, so admitting a frame reads no
-configuration.  Times, slots and the queue depth are integers, checked
-when the configuration is made.
+configuration.  A node whose watermark is at or before the clock has
+delivered every frame it sent, so its closure clears the node's queue
+and starts at the clock without walking it; only a node with a frame in
+flight pops the delivered instants, checks the depth and starts at its
+watermark.  Times, slots and the queue depth are integers, checked when
+the configuration is made.
 """
 
 from __future__ import annotations
@@ -107,19 +111,23 @@ def admitters(config: RingConfig, rng: random.Random) -> list[Callable[[SimTime]
 
     def build(node_idx: int) -> Callable[[SimTime], SimTime | None]:
         pending: deque[SimTime] = deque()  # the delivery instants of frames in flight
-        popleft, append = pending.popleft, pending.append
+        popleft, append, clear = pending.popleft, pending.append, pending.clear
         offset = node_idx * slot  # where this node's slot starts in a cycle
         watermark = 0  # the end of this node's latest transmission
 
         def admit(now: SimTime) -> SimTime | None:
             nonlocal watermark
-            while pending and pending[0] <= now:
-                popleft()
-            if len(pending) >= depth:
-                return None
+            if watermark <= now:  # idle: every frame it sent has been delivered
+                clear()
+                start = now
+            else:
+                while pending and pending[0] <= now:
+                    popleft()
+                if len(pending) >= depth:
+                    return None
+                start = watermark
             if loss_rate > 0 and draw() < loss_rate:
                 return None
-            start = watermark if watermark > now else now
             if slot:
                 base = start - start % cycle + offset  # this cycle's slot
                 if start < base:

@@ -29,7 +29,10 @@ builds no object.  A servo frame goes into its direction's in-flight
 queue as ``(arrival, seq, value)``, a feedback frame with its send
 instant appended, ``seq`` being the trial's next number (see Same-µs
 order), which the heap kernel (``tests/test_heap_oracle.py``) gives the
-arrival event.  A handshake frame's arrival is a handshake item.
+arrival event.  The loop holds the key of each queue's first frame in
+two int locals, the instant `never` while the queue is empty, and sets it
+again only when it takes that frame off the queue or a new frame arrives
+before it.  A handshake frame's arrival is a handshake item.
 
 The loop.  One loop, `_LoopHarness._run_ticks`, runs a trial, and the
 trial schedules no engine event.  The loop holds each key it compares,
@@ -43,19 +46,22 @@ the round trip is longer than the retry interval; a stale one still
 draws from the ring and channel streams, and the stage answers every
 request.  The earliest key runs next, once the loop has caught up to it:
 applied the queued feedback and fired the watchdog probes whose keys
-precede it.  A feedback frame sets the feedback value and the newest
-arrival; one that arrives before the watchdog's `since` (after the end
-before control), so before the control start, does more.  In qualify it
-records its delay residual, and the window's last frame runs the link
-decision at its arrival, which fails the trial or enters control: it
-numbers the first controller tick, then the probe, and the catch-up
-stops at that tick if it comes first.  In control the first such frame
-re-arms the probe from itself.  A stage tick applies the queued commands
-whose keys precede its own.  The loop reads the heap's first key again
-only after a handshake item runs, so a servo tick costs nothing for the
-handshake.  A failure returns its verdict from the loop.  A tick calls
-the trajectory's `sampler`, the controller's `tick` and the axis's
-`stepper`, closures compiled for the trial as the links are.
+precede it.  A catch-up pass compares the first feedback frame's key
+with the key: a frame before it is applied unless the probe comes first,
+and otherwise the catch-up ends unless the probe is due.  A feedback
+frame sets the feedback value and the newest arrival; one that arrives
+before the watchdog's `since` (after the end before control), so before
+the control start, does more.  In qualify it records its delay residual,
+and the window's last frame runs the link decision at its arrival, which
+fails the trial or enters control: it numbers the first controller tick,
+then the probe, and the catch-up stops at that tick if it comes first.
+In control the first such frame re-arms the probe from itself.  A stage
+tick applies the queued commands while the first one's key precedes its
+own.  The loop reads the heap's first key again only after a handshake
+item runs, so a servo tick costs nothing for the handshake.  A failure
+returns its verdict from the loop.  A tick calls the trajectory's
+`sampler`, the controller's `tick` and the axis's `stepper`, closures
+compiled for the trial as the links are.
 
 The feedback watchdog is one probe that re-arms itself from the newest
 arrival rather than one probe per arrival.  It fails the trial at s +
@@ -238,6 +244,9 @@ class _LoopHarness:
         item_t, item_s, _, _ = items[0]
         cnc_t, cnc_s = never, 0
         fpga_t, fpga_s = self.first_fpga_tick or (never, 0)
+        # the key of each queue's first frame, `never` while it is empty
+        cmd_t, cmd_s = cmd_queue[0][:2] if cmd_queue else (never, 0)
+        fb_t, fb_s = fb_queue[0][:2] if fb_queue else (never, 0)
         control_start = None
         fb_value = self.axis.position_mm
         last = prev = 0  # the newest feedback arrival, and the one before on an earlier µs
@@ -253,20 +262,19 @@ class _LoopHarness:
                 t, s = fpga_t, fpga_s
             if item_t < t or item_t == t and item_s < s:
                 t, s = item_t, item_s
-            # catch up to (t, s), applying the frames before (u, v), the probe or the key,
-            # whichever is first.  A probe fails if nothing newer than `since` arrived before
-            # its µs; arrivals between `since` and the newest one each had a successor within
-            # the timeout, so re-arming from the newest keeps the fail instant.
+            # catch up to (t, s): apply the feedback frames before it and fire the probe if
+            # it is due, in key order.  A probe fails if nothing newer than `since` arrived
+            # before its µs; arrivals between `since` and the newest one each had a successor
+            # within the timeout, so re-arming from the newest keeps the fail instant.
             while True:
-                if probe_t < t or probe_t == t and probe_s < s:
-                    u, v = probe_t, probe_s
-                else:
-                    u, v = t, s
-                if fb_queue:
-                    arrival, number, value, sent = fb_queue[0]
-                    if arrival < u or arrival == u and number < v:
-                        fb_queue.popleft()
-                        fb_value = value
+                if fb_t < t or fb_t == t and fb_s < s:
+                    if fb_t < probe_t or fb_t == probe_t and fb_s < probe_s:
+                        arrival = fb_t
+                        _, _, fb_value, sent = fb_queue.popleft()
+                        if fb_queue:
+                            fb_t, fb_s, _, _ = fb_queue[0]
+                        else:
+                            fb_t = never
                         if arrival != last:
                             prev, last = last, arrival
                         if arrival < since:  # it arrives before the control start
@@ -288,8 +296,8 @@ class _LoopHarness:
                                 seq += 1
                                 since, probe_t, probe_s = arrival, arrival + wait, seq
                         continue
-                if v == s:  # caught up to the key
-                    break
+                elif not (probe_t < t or probe_t == t and probe_s < s):
+                    break  # caught up to the key
                 if (last if last < probe_t else prev) <= since:
                     return TrialVerdict(False, FailCause.WATCHDOG, max_fe, probe_t)
                 seq += 1
@@ -314,17 +322,19 @@ class _LoopHarness:
                             insort(cmd_queue, entry)  # overtakes: a reordering channel
                         else:
                             cmd_queue.append(entry)
+                        if arrival < cmd_t:  # the new first frame
+                            cmd_t, cmd_s = arrival, seq
                 if rows is not None:
                     rows.append((now, setpoint, fb_value, command, fe))
                 seq += 1
                 cnc_t, cnc_s = now + period, seq
             elif s == fpga_s:
-                while cmd_queue:
-                    arrival, number, command = cmd_queue[0]
-                    if arrival > now or arrival == now and number > s:
-                        break
-                    cmd_queue.popleft()
-                    v_cmd = command
+                while cmd_t < now or cmd_t == now and cmd_s < s:
+                    _, _, v_cmd = cmd_queue.popleft()
+                    if cmd_queue:
+                        cmd_t, cmd_s, _ = cmd_queue[0]
+                    else:
+                        cmd_t = never
                 position = move_axis(v_cmd)
                 delivered = fb_admit(now)
                 if delivered is not None:
@@ -336,6 +346,8 @@ class _LoopHarness:
                             insort(fb_queue, entry)
                         else:
                             fb_queue.append(entry)
+                        if arrival < fb_t:  # the new first frame
+                            fb_t, fb_s = arrival, seq
                 seq += 1
                 fpga_t, fpga_s = now + period, seq
             else:

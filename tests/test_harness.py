@@ -290,9 +290,54 @@ class TestManifest:
         with pytest.raises(ValueError, match="manifest key 'spec' is missing"):
             RunManifest.from_json(json.dumps(data))
 
+    @pytest.mark.parametrize("path, present", [
+        ("spec.order", False),
+        ("default_config.gains.kq", False),
+        ("scenario.trajectory", True),
+        ("default_config.profile", True),
+        ("scenario.control_ring.slot_time_us", True),
+        # to_json writes every field, so a missing one with a default is refused too
+        ("scenario.control_ring.queue_depth", True),
+        ("scenario.trajectory.dwell_s", True),
+        ("spec.master_seed", True),
+    ])
+    def test_unknown_or_missing_key_at_any_depth_is_rejected(self, path, present):
+        manifest = RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)
+        data = json.loads(manifest.to_json())
+        *parents, key = path.split(".")
+        values = data
+        for parent in parents:
+            values = values[parent]
+        if present:
+            del values[key]
+        else:
+            values[key] = 1
+        with pytest.raises(ValueError, match=f"manifest key '{path}' is "
+                                             f"{'missing' if present else 'unknown'}"):
+            RunManifest.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("trajectory", [TrapezoidTrajectory(),
+                                            TabulatedTrajectory([(0, 0), (500, 10), (1000, 0)])])
+    def test_a_trajectory_of_either_shape_is_read_strictly(self, trajectory):
+        manifest = RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG,
+                                       Scenario(trajectory=trajectory))
+        text = manifest.to_json()
+        assert RunManifest.from_json(text) == manifest
+        data = json.loads(text)
+        data["scenario"]["trajectory"]["dwell"] = 0.2
+        with pytest.raises(ValueError, match="manifest key 'scenario.trajectory.dwell' is unknown"):
+            RunManifest.from_json(json.dumps(data))
+
     def test_manifest_that_is_not_an_object_is_rejected(self):
         with pytest.raises(ValueError, match="manifest is not a JSON object"):
             RunManifest.from_json("[]")
+
+    def test_a_field_that_is_not_an_object_is_rejected(self):
+        manifest = RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)
+        data = json.loads(manifest.to_json())
+        data["scenario"]["control_ring"] = []
+        with pytest.raises(ValueError, match="manifest key 'scenario.control_ring' is not an object"):
+            RunManifest.from_json(json.dumps(data))
 
     @pytest.mark.parametrize("field", ["seeds_per_cell", "master_seed"])
     @pytest.mark.parametrize("value", [1.5, 2.0, True])

@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -221,6 +222,19 @@ class TestAdmit:
             node_idx %= len(config.nodes)
             assert ring.admit(node_idx, now) == reference.admit(node_idx, now)
             assert ring.rng.getstate() == reference.rng.getstate()
+
+    @pytest.mark.parametrize("in_flight", [0, 1], ids=["idle", "frame-in-flight"])
+    def test_a_frame_is_admitted_on_the_us_its_predecessor_is_delivered(self, in_flight):
+        # The master's queue is full: its first frame, delivered at 100 us,
+        # then `in_flight` more delivered after it.  Idle at 100 us, the node
+        # takes the first branch; with a frame still in flight, the other.  A
+        # queue of one with a frame in flight drops any frame, so that case
+        # needs a queue of two.
+        config = replace(URLLC_2, queue_depth=1 + in_flight)
+        for now, admitted in ((99, False), (100, True)):
+            ring, _ = make_ring(config)
+            assert [ring.admit(0, 0) for _ in range(1 + in_flight)] == [100, 200][:1 + in_flight]
+            assert (ring.admit(0, now) is not None) is admitted
 
     def test_node_index_is_the_ring_position(self):
         ring, _ = make_ring(SENSOR_8)

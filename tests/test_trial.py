@@ -1,13 +1,17 @@
 
-import pytest
+import itertools
+from dataclasses import replace
 
-from ringmill.channel import ZERO_IMPAIRMENT
+import pytest
+from test_heap_oracle import HeapHarness
+
+from ringmill.channel import ZERO_IMPAIRMENT, ChannelProfile
 from ringmill.harness import SweepSpec
 from ringmill.plant import AxisModel, FailCause, PidController, step_axis
 from ringmill.ring import RingConfig
 from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO,
-                            FPGA_TICK_OFFSET_US, Scenario, TrialTrace, _LoopHarness,
-                            calibrate, run_trial, symmetric_profiles)
+                            FPGA_TICK_OFFSET_US, QUALIFY_WINDOW_FRAMES, Scenario, TrialTrace,
+                            _LoopHarness, calibrate, run_trial, symmetric_profiles)
 
 ZERO_RING = RingConfig(ring_id="control", nodes=("master", "fpga"),
                        slot_time_us=0, tx_time_us=0, loss_rate=0.0)
@@ -102,6 +106,22 @@ def link_decision(config, spread_us, baseline_rtt_us):
     return h._qualify_decision(10_300)
 
 
+def entering_control(link, length_us, blackout=None, on_since=False, **loop):
+    """A harness in qualify and its trace: the window's last frame lands at
+    7,200 us, so control starts at 8,000, and stage ticks run from 6,500.
+    Both directions run over `link`; `on_since` queues one more feedback
+    frame, landing on the control start.  Run it with `_run_ticks`."""
+    trace = TrialTrace()
+    h = _LoopHarness(replace(DEFAULT_LOOP_CONFIG, **loop), link, link, length_us, 1,
+                     DEFAULT_SCENARIO, blackout, trace)
+    h.phase, h.hs_rtts = "qualify", [200]  # as the last handshake reply leaves it
+    window = range(7_200 - QUALIFY_WINDOW_FRAMES + 1, 7_201)  # 100 µs in flight each
+    for arrival in [*window, 8_000] if on_since else window:
+        h.to_cnc[2].append((arrival, h.reserve(), 0.0, arrival - 100))
+    h.first_fpga_tick = (6_500, h.reserve())
+    return h, trace
+
+
 @pytest.mark.parametrize("config", [DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG],
                          ids=["default", "adapted"])
 class TestQualifyBoundary:
@@ -130,10 +150,66 @@ class TestWatchdog:
                  + DEFAULT_LOOP_CONFIG.servo_period_us)
         assert cut_at < verdict.survived_us <= bound
 
+    @pytest.mark.parametrize("on_since", [False, True])
+    def test_the_probe_armed_at_the_link_decision_keeps_its_number(self, on_since):
+        # Stage ticks at 6,500 and 7,500 us send feedback that lands at 9,200
+        # and 9,500 (1,900 us channel, ring waits 800 and 100 us); later
+        # feedback is blacked out.  The probe for 9,500, numbered at the link
+        # decision, precedes the 9,500 frame on its µs and re-arms from 9,200;
+        # that probe, armed at 10,700, follows the controller tick at 11,000,
+        # which runs before the watchdog fails there.  A frame landing on the
+        # control start, `since`, does not arrive before it and must not re-arm
+        # the probe: renumbered, it would follow the 9,500 frame, re-arm from
+        # it and fail at 11,000 before the tick.
+        link = ChannelProfile(mean_delay_us=1_900)
+        h, trace = entering_control(link, 20_000, watchdog_timeout_us=1_499,
+                                    blackout=10_000, on_since=on_since)
+        verdict = h._run_ticks()
+        assert (verdict.fail_cause, verdict.survived_us) == (FailCause.WATCHDOG, 11_000)
+        assert [row[0] for row in trace.rows] == [8_000, 9_000, 10_000, 11_000]
+
     def test_feedback_dead_from_start_is_init_failure(self):
         verdict = trial(DEFAULT_LOOP_CONFIG, 0.5, 0.05, feedback_blackout_us=0)
         assert verdict.fail_cause is FailCause.INIT_FAILURE
         assert verdict.survived_us == DEFAULT_LOOP_CONFIG.init_grace_us
+
+
+class TestSameUsOrder:
+    def test_ticks_on_one_us_run_in_the_heap_kernels_order(self):
+        # with a 500 µs servo period the stage ticks on every controller
+        # tick's µs, and each pair runs in the order its keys were numbered
+        config = replace(DEFAULT_LOOP_CONFIG, servo_period_us=500)
+        args = (config, *symmetric_profiles(0.3, 0), 600_000, 0, DEFAULT_SCENARIO, None)
+        want_trace, got_trace = TrialTrace(), TrialTrace()
+        assert run_trial(*args, trace=got_trace) == HeapHarness(*args, want_trace).run()
+        assert got_trace.rows == want_trace.rows
+
+    def test_a_stage_tick_applies_the_commands_numbered_before_it(self):
+        # The commands sent at 9,000 and 10,000 us both land at 10,500.  The
+        # stage tick there was numbered at 9,500, between the two sends, so
+        # it applies the first and leaves the second to the tick at 11,500.
+        h, _ = entering_control(ZERO_IMPAIRMENT, 12_000)
+        admit, _, queue = h.to_fpga
+        arrivals = iter([8_600, 10_500, 10_500])
+        h.to_fpga = (admit, lambda delivered: next(arrivals, delivered + 2_000), queue)
+        applied = []  # the command each stage tick steps the axis with
+        move = h.axis.stepper(DEFAULT_LOOP_CONFIG.servo_period_us)
+        h.axis.stepper = lambda period: lambda v_cmd: applied.append(v_cmd) or move(v_cmd)
+        assert h._run_ticks().passed
+        # stage ticks at 6,500 ... 11,500; commands 0, 1.020001 and 2.080005 mm/s
+        assert applied == [0.0, 0.0, 0.0, 0.0, 1.020001, 2.080005]
+
+    def test_a_controller_tick_sees_the_feedback_numbered_before_it(self):
+        # The feedback sent at 10,500 and 11,500 us both lands at 12,000; the
+        # controller tick there was numbered at 11,000, so it sees the first.
+        h, trace = entering_control(ZERO_IMPAIRMENT, 13_000)
+        admit, _, queue = h.to_cnc
+        sends = itertools.count(1)  # the 5th and 6th are sent at 10,500 and 11,500
+        h.to_cnc = (admit, lambda delivered: 12_000 if next(sends) in (5, 6)
+                    else delivered + 1_000, queue)
+        assert h._run_ticks().passed
+        time_us, _, feedback_mm, _, _ = trace.rows[4]
+        assert time_us == 12_000 and feedback_mm > 0.0  # the axis had moved by 10,500
 
 
 class TestDeterminism:
