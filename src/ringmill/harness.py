@@ -18,13 +18,12 @@ import enum
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
-from typing import Sequence
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from types import UnionType
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 from .engine import SimTime, derive_seed, us_from
-from .plant import (FailCause, LoopConfig, PidGains, Profile, TabulatedTrajectory,
-                    TrapezoidTrajectory, TrialVerdict, validate_config_pair)
-from .ring import RingConfig
+from .plant import FailCause, LoopConfig, TrialVerdict, validate_config_pair
 from .spectrum import CoverageArea, SpectrumError, SpectrumManager, SpectrumRequest
 from .trial import DEFAULT_SCENARIO, Scenario, run_trial, symmetric_profiles
 
@@ -80,6 +79,8 @@ class SweepSpec:
                 raise ValueError(f"{name} axis is empty")
             try:
                 for value in axis:
+                    if type(value) not in (int, float):  # True would run a 1 ms cell named True
+                        raise ValueError(f"{value!r} ms is not a number")
                     us_from(value, "ms")  # the link a cell runs is the one it is named after
             except ValueError as exc:
                 raise ValueError(f"{name} axis: {exc}") from None
@@ -88,6 +89,8 @@ class SweepSpec:
         for name in ("seeds_per_cell", "master_seed"):
             if type(getattr(self, name)) is not int:  # a float or a bool is no count or seed
                 raise ValueError(f"{name} {getattr(self, name)!r} is not an integer")
+        if type(self.trial_seconds) not in (int, float):  # True would run 1 s trials
+            raise ValueError(f"trial_seconds {self.trial_seconds!r} is not a number")
         if self.seeds_per_cell < 1:
             raise ValueError("seeds_per_cell must be >= 1")
         us_from(self.trial_seconds, "s", positive=True)  # its one value in s; a trial runs whole µs
@@ -364,44 +367,47 @@ def _finite_float(token: str) -> float:
     return value
 
 
-def _known_keys(data, cls, path: str = "") -> dict:
-    """`data`, the `asdict` form of a `cls` at the manifest key `path`, once
-    it is an object with exactly the keys `to_json` writes for `cls`."""
-    if not isinstance(data, dict):
-        raise ValueError(f"manifest key {path!r} is not an object")
-    names = {f.name for f in fields(cls)}
-    key = min(data.keys() ^ names, default=None)
-    if key is not None:
-        raise ValueError(f"manifest key {path + '.' * bool(path) + key!r} is "
-                         f"{'missing' if key in names else 'unknown'}")
-    return data
+def _read(value, hint, path: str = ""):
+    """The value of type `hint` that `to_json` wrote as `value` at the manifest
+    key `path`.  Every object must have exactly its dataclass's keys, and every
+    value the JSON type of its field: an int field takes no float and no bool, a
+    float field an int or a float, a tuple field a list.  A refusal is a
+    `ValueError` that names the path."""
+    args = get_args(hint)
+    if get_origin(hint) is UnionType:  # the member that shares a key with it
+        hint = next((a for a in args if isinstance(value, dict)
+                     and value.keys() & {f.name for f in fields(a)}), args[0])
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise ValueError(f"manifest key {path!r} is not an object")
+        names = {f.name for f in fields(hint)}
+        key = min(value.keys() ^ names, default=None)
+        if key is not None:
+            raise ValueError(f"manifest key {path + '.' * bool(path) + key!r} is "
+                             f"{'missing' if key in names else 'unknown'}")
+        hints = get_type_hints(hint)
+        return hint(**{key: _read(item, hints[key], path + "." * bool(path) + key)
+                       for key, item in value.items()})
 
+    def refuse(kind):
+        raise ValueError(f"manifest key {path!r}: {path.rpartition('.')[2]} {value!r} "
+                         f"is not {kind}")
 
-def _manifest_fields(data: dict) -> dict:
-    """A manifest's fields, rebuilt from the `asdict` form that `to_json` writes;
-    an unknown or missing key at any depth is a `ValueError` naming its path."""
-    def loop(path):
-        values = _known_keys(data[path], LoopConfig, path)
-        return LoopConfig(**{**values, "profile": Profile(values["profile"]),
-                             "gains": PidGains(**_known_keys(values["gains"], PidGains,
-                                                             f"{path}.gains"))})
-
-    spec = _known_keys(data["spec"], SweepSpec, "spec")
-    scenario = _known_keys(data["scenario"], Scenario, "scenario")
-    ring = _known_keys(scenario["control_ring"], RingConfig, "scenario.control_ring")
-    trajectory = scenario["trajectory"]
-    shape = (TabulatedTrajectory if isinstance(trajectory, dict) and "points" in trajectory
-             else TrapezoidTrajectory)
-    return {
-        **data,
-        "spec": SweepSpec(**{**spec, "latencies_ms": tuple(spec["latencies_ms"]),
-                             "jitters_ms": tuple(spec["jitters_ms"])}),
-        "default_config": loop("default_config"),
-        "adapted_config": loop("adapted_config"),
-        "scenario": Scenario(
-            control_ring=RingConfig(**{**ring, "nodes": tuple(ring["nodes"])}),
-            trajectory=shape(**_known_keys(trajectory, shape, "scenario.trajectory"))),
-    }
+    if get_origin(hint) is tuple:
+        if type(value) is not list:
+            refuse("a list")
+        shape = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(shape) != len(value):
+            refuse(f"a list of {len(shape)}")
+        return tuple(_read(item, item_hint, f"{path}[{i}]")
+                     for i, (item, item_hint) in enumerate(zip(value, shape)))
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        if type(value) is not str or value not in {m.value for m in hint}:
+            refuse(f"one of {', '.join(m.value for m in hint)}")
+        return hint(value)
+    if type(value) not in ((int, float) if hint is float else (hint,)):
+        refuse({int: "an integer", float: "a number", str: "a string", dict: "an object"}[hint])
+    return value
 
 
 @dataclass
@@ -434,7 +440,7 @@ class RunManifest:
         if data.get("artifact_version") != ARTIFACT_VERSION:
             raise ValueError(f"manifest artifact version {data.get('artifact_version')!r}, "
                              f"expected {ARTIFACT_VERSION!r}")
-        return cls(**_manifest_fields(_known_keys(data, cls)))
+        return _read(data, cls)
 
 
 def run_from_manifest(manifest: RunManifest) -> tuple[SweepResult, str]:

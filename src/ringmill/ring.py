@@ -17,12 +17,25 @@ Admission is compiled once per node: `admitters` builds each node's
 admission closure, for a trial and a `TokenRing` alike, with the node's
 queue, slot offset and the configuration's depth, loss rate, slot, cycle
 and transmission time bound, so admitting a frame reads no
-configuration.  A node whose watermark is at or before the clock has
-delivered every frame it sent, so its closure clears the node's queue
-and starts at the clock without walking it; only a node with a frame in
-flight pops the delivered instants, checks the depth and starts at its
-watermark.  Times, slots and the queue depth are integers, checked when
-the configuration is made.
+configuration.  A node's watermark, the end of its newest transmission,
+is that frame's delivery instant, and the node's queue holds only the
+delivery instants of the older frames still in flight.  A node whose
+watermark is at or before the clock has delivered every frame it sent,
+so its closure starts at the clock and touches its queue only to clear
+what a busy spell left there; in a trial, where nodes are idle on almost
+every frame, admission calls no deque method.
+Only a node with a frame in flight pops the delivered instants, counts
+the queue and the newest frame against the depth, and, once the frame
+survives the loss draw, pushes the old watermark onto the queue and
+starts there.
+
+`TokenRing.admit` may be called with a clock that goes back, and admits
+as it always has (`tests/test_ring.py` compares it with a reference).
+A node that was idle forgets its delivered frames, so a frame lost while
+it is idle leaves a `None` on its queue: the newest frame stays
+delivered, and a clock that goes back before it counts nothing in
+flight.  Times, slots and the queue depth are integers, checked when the
+configuration is made.
 """
 
 from __future__ import annotations
@@ -110,24 +123,35 @@ def admitters(config: RingConfig, rng: random.Random) -> list[Callable[[SimTime]
     cycle = len(config.nodes) * slot
 
     def build(node_idx: int) -> Callable[[SimTime], SimTime | None]:
-        pending: deque[SimTime] = deque()  # the delivery instants of frames in flight
+        # the delivery instants of the older frames in flight; the newest is the watermark's
+        pending: deque[SimTime | None] = deque()
         popleft, append, clear = pending.popleft, pending.append, pending.clear
         offset = node_idx * slot  # where this node's slot starts in a cycle
-        watermark = 0  # the end of this node's latest transmission
+        watermark = 0  # the end of this node's newest transmission
 
         def admit(now: SimTime) -> SimTime | None:
             nonlocal watermark
             if watermark <= now:  # idle: every frame it sent has been delivered
-                clear()
+                if pending:
+                    clear()
+                if loss_rate > 0 and draw() < loss_rate:
+                    append(None)  # should the clock go back, the newest frame stays delivered
+                    return None
                 start = now
-            else:
+            elif pending and pending[0] is None:  # the clock went back; nothing is in flight
+                if draw() < loss_rate:  # a frame was lost here, so the loss rate is above 0
+                    return None
+                clear()
+                start = watermark
+            else:  # the older frames in flight, and the newest
                 while pending and pending[0] <= now:
                     popleft()
-                if len(pending) >= depth:
+                if len(pending) + 1 >= depth:
                     return None
+                if loss_rate > 0 and draw() < loss_rate:
+                    return None
+                append(watermark)  # the newest frame becomes an older one
                 start = watermark
-            if loss_rate > 0 and draw() < loss_rate:
-                return None
             if slot:
                 base = start - start % cycle + offset  # this cycle's slot
                 if start < base:
@@ -135,7 +159,6 @@ def admitters(config: RingConfig, rng: random.Random) -> list[Callable[[SimTime]
                 elif start >= base + slot:
                     start = base + cycle
             watermark = start + tx
-            append(watermark)
             return watermark
 
         return admit

@@ -32,7 +32,10 @@ order), which the heap kernel (``tests/test_heap_oracle.py``) gives the
 arrival event.  The loop holds the key of each queue's first frame in
 two int locals, the instant `never` while the queue is empty, and sets it
 again only when it takes that frame off the queue or a new frame arrives
-before it.  A handshake frame's arrival is a handshake item.
+before it.  It holds the arrival of each queue's last frame (the last one
+it held, once it is empty) in one more: a new frame that arrives before
+that overtakes and is insorted, any other is appended.  A handshake
+frame's arrival is a handshake item.
 
 The loop.  One loop, `_LoopHarness._run_ticks`, runs a trial, and the
 trial schedules no engine event.  The loop holds each key it compares,
@@ -75,7 +78,13 @@ Same-µs order.  The rule is the key's number.  The heap kernel fires
 events that share a µs in the order they were scheduled, and a queued
 frame, a probe, a servo tick or a handshake item is numbered in the
 order its event is scheduled there, so comparing keys by instant and
-then number, ``t < u or t == u and s < v``, reproduces that order.  The
+then number, ``t < u or t == u and s < v``, reproduces that order.  Where
+the usual answer is "not yet" (the controller tick against the stage tick,
+the first handshake item, feedback frame or probe against the next key,
+and the stage tick's command drain), the loop writes it ``t <= u and (t <
+u or s < v)``.  The two agree: both are false when ``t > u``, and both
+reduce to ``t < u or s < v`` when ``t <= u``; but the second settles a
+"not yet" with one compare instead of two.  The
 loop counts on in a local int from one number of the trial's `reserve`
 counter, so its numbers follow every one taken before it.  A frame's or
 handshake item's number is taken when it is sent or armed; a servo
@@ -236,6 +245,7 @@ class _LoopHarness:
         sample, pid_tick = self.trajectory.sampler(), self.pid.tick
         move_axis = self.axis.stepper(period)
         rows = None if self.trace is None else self.trace.rows
+        residuals = self.residuals
         # the handshake items and, after every key on the trial's last µs, its end
         items = [*items, (self.length, float("inf"), _END, 0)]
         heapify(items)
@@ -247,6 +257,10 @@ class _LoopHarness:
         # the key of each queue's first frame, `never` while it is empty
         cmd_t, cmd_s = cmd_queue[0][:2] if cmd_queue else (never, 0)
         fb_t, fb_s = fb_queue[0][:2] if fb_queue else (never, 0)
+        # the arrival of each queue's last frame, or of the last one it held: a new
+        # frame that arrives before it overtakes
+        cmd_tail = cmd_queue[-1][0] if cmd_queue else 0
+        fb_tail = fb_queue[-1][0] if fb_queue else 0
         control_start = None
         fb_value = self.axis.position_mm
         last = prev = 0  # the newest feedback arrival, and the one before on an earlier µs
@@ -256,18 +270,18 @@ class _LoopHarness:
         v_cmd = 0.0
         hs_seq = hs_sent_at = 0  # the newest exchange, and when its request was sent
         while True:
-            if cnc_t < fpga_t or cnc_t == fpga_t and cnc_s < fpga_s:
+            if cnc_t <= fpga_t and (cnc_t < fpga_t or cnc_s < fpga_s):
                 t, s = cnc_t, cnc_s
             else:
                 t, s = fpga_t, fpga_s
-            if item_t < t or item_t == t and item_s < s:
+            if item_t <= t and (item_t < t or item_s < s):
                 t, s = item_t, item_s
             # catch up to (t, s): apply the feedback frames before it and fire the probe if
             # it is due, in key order.  A probe fails if nothing newer than `since` arrived
             # before its µs; arrivals between `since` and the newest one each had a successor
             # within the timeout, so re-arming from the newest keeps the fail instant.
             while True:
-                if fb_t < t or fb_t == t and fb_s < s:
+                if fb_t <= t and (fb_t < t or fb_s < s):
                     if fb_t < probe_t or fb_t == probe_t and fb_s < probe_s:
                         arrival = fb_t
                         _, _, fb_value, sent = fb_queue.popleft()
@@ -279,8 +293,8 @@ class _LoopHarness:
                             prev, last = last, arrival
                         if arrival < since:  # it arrives before the control start
                             if self.phase == "qualify":
-                                self.residuals.append(arrival - sent)
-                                if len(self.residuals) == QUALIFY_WINDOW_FRAMES:
+                                residuals.append(arrival - sent)
+                                if len(residuals) == QUALIFY_WINDOW_FRAMES:
                                     control_start = self._qualify_decision(arrival)
                                     if control_start is None:
                                         return TrialVerdict(False, FailCause.INIT_FAILURE,
@@ -296,7 +310,7 @@ class _LoopHarness:
                                 seq += 1
                                 since, probe_t, probe_s = arrival, arrival + wait, seq
                         continue
-                elif not (probe_t < t or probe_t == t and probe_s < s):
+                elif not (probe_t <= t and (probe_t < t or probe_s < s)):
                     break  # caught up to the key
                 if (last if last < probe_t else prev) <= since:
                     return TrialVerdict(False, FailCause.WATCHDOG, max_fe, probe_t)
@@ -318,10 +332,11 @@ class _LoopHarness:
                     if arrival is not None:
                         seq += 1
                         entry = (arrival, seq, command)
-                        if cmd_queue and arrival < cmd_queue[-1][0]:
+                        if arrival < cmd_tail:
                             insort(cmd_queue, entry)  # overtakes: a reordering channel
                         else:
                             cmd_queue.append(entry)
+                            cmd_tail = arrival
                         if arrival < cmd_t:  # the new first frame
                             cmd_t, cmd_s = arrival, seq
                 if rows is not None:
@@ -329,7 +344,7 @@ class _LoopHarness:
                 seq += 1
                 cnc_t, cnc_s = now + period, seq
             elif s == fpga_s:
-                while cmd_t < now or cmd_t == now and cmd_s < s:
+                while cmd_t <= now and (cmd_t < now or cmd_s < s):
                     _, _, v_cmd = cmd_queue.popleft()
                     if cmd_queue:
                         cmd_t, cmd_s, _ = cmd_queue[0]
@@ -342,10 +357,11 @@ class _LoopHarness:
                     if arrival is not None:
                         seq += 1
                         entry = (arrival, seq, position, now)
-                        if fb_queue and arrival < fb_queue[-1][0]:
+                        if arrival < fb_tail:
                             insort(fb_queue, entry)
                         else:
                             fb_queue.append(entry)
+                            fb_tail = arrival
                         if arrival < fb_t:  # the new first frame
                             fb_t, fb_s = arrival, seq
                 seq += 1

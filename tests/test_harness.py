@@ -3,6 +3,7 @@ import itertools
 import json
 import pickle
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -351,6 +352,49 @@ class TestManifest:
         data["spec"][field] = value
         with pytest.raises(ValueError, match=f"{field} {value!r} is not an integer"):
             RunManifest.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("path, value, kind", [
+        ("spec.trial_seconds", True, "a number"),  # ran 1 s trials under trial_seconds=1
+        ("spec.trial_seconds", "2", "a number"),
+        ("spec.latencies_ms", 5, "a list"),
+        ("default_config.fe_limit_mm", "0.8", "a number"),
+        ("default_config.gains.kp", None, "a number"),
+        ("default_config.profile", "fast", "one of default, adapted"),
+        ("scenario.control_ring.nodes", "master,fpga", "a list"),
+    ])
+    def test_a_value_of_the_wrong_json_type_is_rejected_by_its_path(self, path, value, kind):
+        manifest = RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)
+        data = json.loads(manifest.to_json())
+        *parents, key = path.split(".")
+        values = data
+        for parent in parents:
+            values = values[parent]
+        values[key] = value
+        message = f"manifest key '{path}': {key} {value!r} is not {kind}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RunManifest.from_json(json.dumps(data))
+
+    def test_a_list_item_of_the_wrong_json_type_is_rejected_by_its_path(self):
+        manifest = RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG,
+                                       Scenario(trajectory=TabulatedTrajectory(
+                                           [(0, 0), (500, 10), (1000, 0)])))
+        data = json.loads(manifest.to_json())
+        data["spec"]["jitters_ms"][1] = True
+        with pytest.raises(ValueError, match=re.escape(
+                "manifest key 'spec.jitters_ms[1]': jitters_ms[1] True is not a number")):
+            RunManifest.from_json(json.dumps(data))
+        data["spec"]["jitters_ms"][1] = 0.1
+        data["scenario"]["trajectory"]["points"][2] = [1000]
+        with pytest.raises(ValueError, match=re.escape(
+                "manifest key 'scenario.trajectory.points[2]': points[2] [1000] is not a list of 2")):
+            RunManifest.from_json(json.dumps(data))
+
+    def test_a_trial_length_or_axis_value_that_is_a_bool_is_rejected(self):
+        # True counted as 1 s, or as a 1 ms link in a cell headed True
+        with pytest.raises(ValueError, match="trial_seconds True is not a number"):
+            SweepSpec(trial_seconds=True)
+        with pytest.raises(ValueError, match="latencies axis: True ms is not a number"):
+            SweepSpec(latencies_ms=(True, 2.0))
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
     def test_non_finite_number_is_rejected(self, token):

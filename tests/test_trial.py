@@ -184,6 +184,20 @@ class TestSameUsOrder:
         assert run_trial(*args, trace=got_trace) == HeapHarness(*args, want_trace).run()
         assert got_trace.rows == want_trace.rows
 
+    def test_a_controller_tick_numbered_first_runs_first_on_a_shared_us(self):
+        # With 100 us channels, feedback the stage sends 500 us into the ring's
+        # 1,600 us cycle waits 300 us for its slot and lands on the next stage
+        # tick's us, numbered before that tick.  The qualify window's last frame
+        # does so at 281,000 us: the link decision there numbers the controller
+        # tick at 281,500 before the stage tick at 281,000 numbers its own, so
+        # from then on the controller runs first on every shared us.
+        config = replace(DEFAULT_LOOP_CONFIG, servo_period_us=500)
+        args = (config, *symmetric_profiles(0.1, 0), 600_000, 0, DEFAULT_SCENARIO, None)
+        want_trace, got_trace = TrialTrace(), TrialTrace()
+        assert run_trial(*args, trace=got_trace) == HeapHarness(*args, want_trace).run()
+        assert got_trace.rows[0][0] == 281_500
+        assert got_trace.rows == want_trace.rows
+
     def test_a_stage_tick_applies_the_commands_numbered_before_it(self):
         # The commands sent at 9,000 and 10,000 us both land at 10,500.  The
         # stage tick there was numbered at 9,500, between the two sends, so

@@ -37,6 +37,7 @@ TEXT = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
         ast.Eq: "==", ast.NotEq: "!=", ast.Is: "is", ast.IsNot: "is not"}
 
 _DISTINCT = "two keys never share a number, so the numbers never compare equal"
+_DRAW = "differs only on a float draw exactly equal to the loss rate"
 _LAST = ("a frame that arrives with the last one has a larger number, so insort puts it "
          "last, where append does")
 
@@ -44,12 +45,15 @@ _LAST = ("a frame that arrives with the last one has a larger number, so insort 
 #: mutant's operator) -> why no test can kill it.
 EQUIVALENT = {
     # ring.admitters: the admission closure
-    ("ring.py", "watermark <= now", "<"):
-        "at watermark == now the other branch pops every instant in flight (none is after "
-        "the watermark), passes the depth check and starts at the watermark, which is now",
-    ("ring.py", "draw() < loss_rate", "<="):
-        "differs only on a float draw exactly equal to the loss rate",
+    ("ring.py", "draw() < loss_rate", "<="): _DRAW,
     ("ring.py", "start < base", "<="): "at start == base both leave the start at base",
+    # channel.Channel._build_impair: the impairment closure
+    ("channel.py", "draw() < loss_rate", "<="): _DRAW,
+    ("channel.py", "delay > jitter", ">="): "at delay == jitter the clamp gives the same delay",
+    ("channel.py", "delay < -jitter", "<="): "at delay == -jitter the clamp gives the same delay",
+    ("channel.py", "delay > 0", ">="): "at delay == 0 both give now",
+    ("channel.py", "delivered < watermark", "<="):
+        "at delivered == watermark the clamp gives the same instant",
     # trial._LoopHarness._run_ticks
     ("trial.py", "cnc_s < fpga_s", "<="): _DISTINCT,
     ("trial.py", "item_s < s", "<="): _DISTINCT,
@@ -62,8 +66,8 @@ EQUIVALENT = {
         "the first controller tick is numbered last, so it never precedes a key on its own "
         "µs and only cnc_t < t can stop the catch-up there",
     ("trial.py", "abs_fe > max_fe", ">="): "at abs_fe == max_fe the assignment keeps the value",
-    ("trial.py", "arrival < cmd_queue[-1][0]", "<="): _LAST,
-    ("trial.py", "arrival < fb_queue[-1][0]", "<="): _LAST,
+    ("trial.py", "arrival < cmd_tail", "<="): _LAST,
+    ("trial.py", "arrival < fb_tail", "<="): _LAST,
 }
 
 
