@@ -8,14 +8,28 @@ remote motion stage.  ``LoopConfig`` carries the supervision parameters
 (following-error limit, watchdog, init-qualification thresholds) in the
 ``default`` and ``adapted`` driver flavours; its µs fields are integers.
 
-The plant is compiled once per trial, as the links are: a trial calls
+The plant is compiled once per trial, as the links are: a trial uses
 three closures with their constants bound, the trajectory's `sampler`
-(a trapezoid's leg times, a table's segments), the controller's `tick`
-(gains, integral clamp, period) and the axis's `stepper` for the servo
-period (dt, dt / τ, the acceleration step, the velocity limit).
+(a trapezoid's leg times, a table's segments) through its setpoint
+table (below), the controller's `tick` (gains, integral clamp, period)
+and the axis's `stepper` for the servo period (dt, dt / τ, the
+acceleration step, the velocity limit).
 `sample` and `step_axis` call the same closures, so the arithmetic
 exists once.  State stays on `AxisModel` and `PidController`; no closure
 is stored on a trajectory or a config, so both stay picklable.
+
+Every controller tick falls a whole number k of servo periods after the
+control start, so every trial of a trajectory and period samples the same
+instants.  `setpoint_table` holds ``sampler()(k * period)`` by k, filled
+by the sampler in chunks of `SETPOINT_CHUNK` ticks as trials reach them,
+and a trial reads its setpoints there.  The tables live in a module cache
+of at most `SETPOINT_TABLES`, the oldest dropped first.  The cache key is
+the trajectory's class, its attributes as `marshal` writes them, each
+float by its 8 bytes, and the period: trajectories that compare equal may
+still sample apart (a table point of 0.0 and one of -0.0 are ==, yet give
+feedforwards of opposite sign), and two built apart from the same values
+share a table.  A lock guards the cache and each fill, so trials on
+several threads may share a table.
 """
 
 from __future__ import annotations
@@ -23,7 +37,9 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import marshal
 import math
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import pairwise
@@ -289,6 +305,41 @@ def load_trajectory_csv(text: str) -> TabulatedTrajectory:
             raise ValueError(f"line {rows.line_num}: the table starts at {row[0]} ms, not 0")
         points.append(point)
     return TabulatedTrajectory(tuple(points))
+
+
+#: Setpoint tables kept at once, and the controller ticks a table grows by.
+SETPOINT_TABLES = 4
+SETPOINT_CHUNK = 1024
+
+# (trajectory class, its attributes as marshal writes them, servo period)
+# -> (table, grow), oldest first
+_setpoint_tables: dict[tuple[type, bytes, int], tuple[list, Callable[[], None]]] = {}
+# trials on several threads may share the cache and a table
+_setpoint_lock = threading.Lock()
+
+
+def setpoint_table(trajectory: TrapezoidTrajectory | TabulatedTrajectory, period_us: int
+                   ) -> tuple[list[tuple[float, float]], Callable[[], None]]:
+    """The table of ``trajectory.sampler()(k * period_us)`` by k, shared by
+    every trial of this trajectory and period, and the function that fills
+    its next `SETPOINT_CHUNK` entries.  See the module docstring."""
+    # version 2 writes each float as its 8 bytes and shares no reference
+    key = type(trajectory), marshal.dumps(vars(trajectory), 2), period_us
+    with _setpoint_lock:
+        entry = _setpoint_tables.get(key)
+        if entry is None:
+            sample, table = trajectory.sampler(), []
+
+            def grow() -> None:
+                with _setpoint_lock:
+                    start = len(table) * period_us
+                    table.extend(map(sample, range(start, start + SETPOINT_CHUNK * period_us,
+                                                   period_us)))
+
+            if len(_setpoint_tables) >= SETPOINT_TABLES:
+                del _setpoint_tables[next(iter(_setpoint_tables))]
+            entry = _setpoint_tables[key] = table, grow
+    return entry
 
 
 # ---------------------------------------------------------------------------

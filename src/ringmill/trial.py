@@ -62,9 +62,13 @@ In control the first such frame re-arms the probe from itself.  A stage
 tick applies the queued commands while the first one's key precedes its
 own.  The loop reads the heap's first key again only after a handshake
 item runs, so a servo tick costs nothing for the handshake.  A failure
-returns its verdict from the loop.  A tick calls the trajectory's
-`sampler`, the controller's `tick` and the axis's `stepper`, closures
-compiled for the trial as the links are.
+returns its verdict from the loop.  The k-th controller tick, at control
+start + k servo periods, reads its setpoint and feedforward from entry k of
+the trajectory's setpoint table (`plant.setpoint_table`), which the
+trajectory's `sampler` fills at k periods, so it is the value the sampler
+gives there; an entry past the filled part fills the next chunk first.  A
+controller tick then calls the controller's `tick`, and a stage tick the
+axis's `stepper`, closures compiled for the trial as the links are.
 
 The feedback watchdog is one probe that re-arms itself from the newest
 arrival rather than one probe per arrival.  It fails the trial at s +
@@ -112,8 +116,8 @@ from heapq import heapify, heappop, heappush
 
 from .channel import Channel, ChannelProfile
 from .engine import SimTime, US_PER_S, component_rng
-from .plant import (AxisModel, FailCause, LoopConfig, PidController, PidGains,
-                    Profile, TabulatedTrajectory, TrapezoidTrajectory, TrialVerdict)
+from .plant import (AxisModel, FailCause, LoopConfig, PidController, PidGains, Profile,
+                    TabulatedTrajectory, TrapezoidTrajectory, TrialVerdict, setpoint_table)
 from .ring import RingConfig, RingConfigError, admitters
 
 MASTER_NODE = "master"
@@ -241,9 +245,10 @@ class _LoopHarness:
         fb_admit, fb_impair, fb_queue = self.to_cnc
         period, fe_limit = self.config.servo_period_us, self.config.fe_limit_mm
         wait = self.config.watchdog_timeout_us + 1  # a probe's delay after its `since`
-        # the plant, compiled for the servo period
-        sample, pid_tick = self.trajectory.sampler(), self.pid.tick
-        move_axis = self.axis.stepper(period)
+        # the plant, compiled for the servo period: the setpoint and feedforward of the
+        # k-th controller tick are setpoints[k], from a table other trials may have filled
+        setpoints, grow = setpoint_table(self.trajectory, period)
+        pid_tick, move_axis = self.pid.tick, self.axis.stepper(period)
         rows = None if self.trace is None else self.trace.rows
         residuals = self.residuals
         # the handshake items and, after every key on the trial's last µs, its end
@@ -261,13 +266,13 @@ class _LoopHarness:
         # frame that arrives before it overtakes
         cmd_tail = cmd_queue[-1][0] if cmd_queue else 0
         fb_tail = fb_queue[-1][0] if fb_queue else 0
-        control_start = None
         fb_value = self.axis.position_mm
         last = prev = 0  # the newest feedback arrival, and the one before on an earlier µs
         # the arrival the pending probe times out (none before control), and the probe's key
         since, probe_t, probe_s = never, never, 0
         max_fe = 0.0
         v_cmd = 0.0
+        ticks = 0  # the controller ticks run
         hs_seq = hs_sent_at = 0  # the newest exchange, and when its request was sent
         while True:
             if cnc_t <= fpga_t and (cnc_t < fpga_t or cnc_s < fpga_s):
@@ -318,7 +323,12 @@ class _LoopHarness:
                 since, probe_t, probe_s = last, last + wait, seq
             now = t
             if s == cnc_s:
-                setpoint, feedforward = sample(now - control_start)
+                try:
+                    setpoint, feedforward = setpoints[ticks]
+                except IndexError:
+                    grow()
+                    setpoint, feedforward = setpoints[ticks]
+                ticks += 1
                 fe = setpoint - fb_value
                 abs_fe = abs(fe)
                 if abs_fe > max_fe:

@@ -1,27 +1,46 @@
-"""Seeded mutation fuzz of ringmill's three text readers.
+"""Seeded mutation fuzz of ringmill's four text readers.
 
-Each document is one that ringmill ships: the README's INI scenario, the
-golden `matrix.csv` and the README's spectrum script.  A mutant deletes a
+Each document is one that ringmill ships or writes: the README's INI
+scenario, the golden `matrix.csv`, the README's spectrum script and the
+`manifest.json` a sweep of the README's INI writes.  A mutant deletes a
 character, swaps one token for an edge value, or duplicates or drops a
-line.  Every mutant must either read or raise its reader's own error,
-which names the line: `ConfigError` for the INI reader, `ScriptError`
-for the matrix and script readers.  Anything else escaping is a bug.
+line.  Every mutant must either read or raise its reader's own error:
+`ConfigError` for the INI reader, which names the line, `ScriptError` for
+the matrix and script readers, which carries it, and `ValueError` for
+the manifest reader.  Anything else escaping is a bug.
 """
 
 import random
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from ringmill.config import ConfigError, load_config
-from ringmill.harness import ScriptError, parse_matrix_csv, render_matrix, run_spectrum_scenario
+from ringmill.harness import (RunManifest, ScriptError, parse_matrix_csv, render_matrix,
+                              run_spectrum_scenario)
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
 INI = re.search(r"```ini\n(.*?)```", README, re.S)[1]
 MATRIX = (ROOT / "tests" / "golden" / "matrix.csv").read_text()
 SCRIPT = README.split("## Spectrum scripts", 1)[1].split("```", 2)[1].strip() + "\n"
+
+
+def sweep_manifest(ini: str) -> str:
+    """The `manifest.json` that `ringmill sweep --config` writes for `ini`
+    into `out/`, after a run of 1,234.5 s."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.ini"
+        path.write_text(ini)
+        run = load_config(path)[0]
+    run.output_paths = {f"matrix_{kind}": f"out/matrix.{kind}" for kind in ("csv", "md", "ndjson")}
+    run.wall_clock_seconds = 1234.5
+    return run.to_json()
+
+
+MANIFEST = sweep_manifest(INI)
 
 EDGE_VALUES = ("-1", "0", "nan", "inf", "1e400", "")
 TOKEN = re.compile(r"[^\s,=|;#\[\]]+")
@@ -67,8 +86,17 @@ def read_script(text: str, tmp_path: Path) -> None:
         assert exc.line_number >= 1
 
 
+def read_manifest(text: str, tmp_path: Path) -> None:
+    try:
+        run = RunManifest.from_json(text)
+    except ValueError:
+        return
+    RunManifest.from_json(run.to_json())  # what reads is written back readably
+
+
 DOCUMENTS = {"readme-ini": (INI, read_ini), "golden-matrix": (MATRIX, read_matrix),
-             "readme-script": (SCRIPT, read_script)}
+             "readme-script": (SCRIPT, read_script),
+             "readme-sweep-manifest": (MANIFEST, read_manifest)}
 
 
 @pytest.mark.parametrize("name", list(DOCUMENTS))

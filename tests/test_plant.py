@@ -1,13 +1,16 @@
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ringmill.plant import (AxisModel, FailCause, LoopConfig, PidController,
-                            PidGains, Profile, TabulatedTrajectory,
+from ringmill import plant
+from ringmill.plant import (SETPOINT_CHUNK, SETPOINT_TABLES, AxisModel, FailCause, LoopConfig,
+                            PidController, PidGains, Profile, TabulatedTrajectory,
                             TrapezoidTrajectory, TrialVerdict, load_trajectory_csv,
-                            step_axis, validate_config_pair)
+                            setpoint_table, step_axis, validate_config_pair)
 from ringmill.trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, NOMINAL_GAINS
 
 
@@ -465,3 +468,90 @@ class TestCompiledPlant:
             want = bits(*reference_tabulated_sample(traj, t_us))
             assert bits(*sample(t_us)) == want, t_us
             assert bits(*traj.sample(t_us)) == want, t_us
+
+
+# the two tables compare equal and hash alike, yet their first samples differ
+# in the sign of the feedforward: (0.0, -0.0) and (0.0, 0.0)
+SIGNED_ZERO_PAIR = (TabulatedTrajectory(((0, 0.0), (1, -0.0), (2, 1.0))),
+                    TabulatedTrajectory(((0, -0.0), (1, -0.0), (2, 1.0))))
+
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    """An empty setpoint-table cache for the test, restored after it."""
+    monkeypatch.setattr(plant, "_setpoint_tables", {})
+
+
+@pytest.mark.usefixtures("no_tables")
+class TestSetpointTable:
+    @pytest.mark.parametrize("trajectory", [
+        TrapezoidTrajectory(),
+        TrapezoidTrajectory(amplitude_mm=1.0, dwell_s=0.0),
+        TabulatedTrajectory(((0, 0.0), (250, 5.0), (400, -0.0), (1000, -2.5))),
+        *SIGNED_ZERO_PAIR,
+    ], ids=["shipped", "triangular", "tabulated", "signed-zero-a", "signed-zero-b"])
+    @pytest.mark.parametrize("period_us", [1000, 700, 1250, 333])
+    def test_every_entry_is_the_samplers_value_to_the_bit(self, trajectory, period_us):
+        table, grow = setpoint_table(trajectory, period_us)
+        assert table == []  # nothing is filled before a tick asks
+        sample = trajectory.sampler()
+        for chunks in (1, 2, 3):
+            grow()
+            assert len(table) == chunks * SETPOINT_CHUNK
+        for k, entry in enumerate(table):
+            assert bits(*entry) == bits(*sample(k * period_us)), k
+
+    def test_a_trajectory_and_period_share_one_table(self):
+        table, grow = setpoint_table(TrapezoidTrajectory(), 1000)
+        # an equal trajectory built apart, as each CLI call builds its own
+        shared, shared_grow = setpoint_table(TrapezoidTrajectory(), 1000)
+        assert shared is table and shared_grow is grow
+        assert setpoint_table(TrapezoidTrajectory(), 700)[0] is not table
+        assert setpoint_table(TrapezoidTrajectory(dwell_s=0.25), 1000)[0] is not table
+
+    def test_trajectories_that_compare_equal_but_sample_apart_get_their_own_tables(self):
+        a, b = SIGNED_ZERO_PAIR
+        assert a == b and hash(a) == hash(b)
+        assert bits(*a.sample(0)) != bits(*b.sample(0))
+        tables = []
+        for trajectory in (a, b):
+            table, grow = setpoint_table(trajectory, 1000)
+            grow()
+            assert bits(*table[0]) == bits(*trajectory.sample(0))
+            tables.append(table)
+        assert tables[0] is not tables[1]
+
+    def test_the_cache_holds_a_bounded_number_of_tables(self):
+        periods = range(1000, 1000 + SETPOINT_TABLES + 3)
+        tables = {period: setpoint_table(TrapezoidTrajectory(), period)[0]
+                  for period in periods}
+        assert len(plant._setpoint_tables) == SETPOINT_TABLES
+        # the newest stay, and the oldest were dropped for them
+        for period in periods[-SETPOINT_TABLES:]:
+            assert setpoint_table(TrapezoidTrajectory(), period)[0] is tables[period]
+        assert setpoint_table(TrapezoidTrajectory(), periods[0])[0] is not tables[periods[0]]
+        assert len(plant._setpoint_tables) == SETPOINT_TABLES
+
+    def test_threads_that_fill_one_table_keep_every_entry_in_place(self):
+        trajectory, period_us = TrapezoidTrajectory(), 1000
+        table = setpoint_table(trajectory, period_us)[0]
+
+        def fill():
+            for _ in range(4):
+                setpoint_table(trajectory, period_us)[1]()
+
+        threads = [threading.Thread(target=fill) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(table) == 16 * SETPOINT_CHUNK
+        sample = trajectory.sampler()
+        for k, entry in enumerate(table):
+            assert bits(*entry) == bits(*sample(k * period_us)), k

@@ -7,7 +7,9 @@ from test_heap_oracle import HeapHarness
 
 from ringmill.channel import ZERO_IMPAIRMENT, ChannelProfile
 from ringmill.harness import SweepSpec
-from ringmill.plant import AxisModel, FailCause, PidController, step_axis
+from ringmill import plant
+from ringmill.plant import (AxisModel, FailCause, PidController, PidGains, TabulatedTrajectory,
+                            step_axis)
 from ringmill.ring import RingConfig
 from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO,
                             FPGA_TICK_OFFSET_US, QUALIFY_WINDOW_FRAMES, Scenario, TrialTrace,
@@ -224,6 +226,56 @@ class TestSameUsOrder:
         assert h._run_ticks().passed
         time_us, _, feedback_mm, _, _ = trace.rows[4]
         assert time_us == 12_000 and feedback_mm > 0.0  # the axis had moved by 10,500
+
+
+def traced(config, latency_ms, jitter_ms, seconds, scenario=DEFAULT_SCENARIO):
+    trace = TrialTrace()
+    verdict = trial(config, latency_ms, jitter_ms, seconds, scenario=scenario, trace=trace)
+    # repr writes each float exactly, the sign of a zero included
+    return repr(verdict), repr(trace.rows)
+
+
+class TestSharedSetpointTable:
+    """A trial reads its setpoints from a table other trials in the process
+    may have filled: it must run as it does on an empty cache."""
+
+    @pytest.mark.parametrize("warm_up", [
+        lambda: trial(DEFAULT_LOOP_CONFIG, 0.5, 0.05, seconds=1.5),
+        lambda: trial(DEFAULT_LOOP_CONFIG, 0.5, 0.05, seconds=5.0),
+        lambda: trial(replace(DEFAULT_LOOP_CONFIG, servo_period_us=700), 0.5, 0.05),
+        lambda: trial(replace(DEFAULT_LOOP_CONFIG, servo_period_us=1250), 0.5, 0.05),
+        lambda: trial(DEFAULT_LOOP_CONFIG, 0.5, 0.05, scenario=Scenario(
+            trajectory=TabulatedTrajectory(((0, 0.0), (300, 4.0), (1000, 0.0))))),
+    ], ids=["shorter", "longer", "700us-period", "1250us-period", "tabulated"])
+    def test_a_warm_trial_runs_as_a_cold_one(self, warm_up, monkeypatch):
+        monkeypatch.setattr(plant, "_setpoint_tables", {})
+        # a 3 s trial runs about 2,450 controller ticks, into a third chunk
+        cold = traced(DEFAULT_LOOP_CONFIG, 0.5, 0.05, 3.0)
+        assert "passed=True" in cold[0]
+        plant._setpoint_tables.clear()
+        warm_up()
+        assert traced(DEFAULT_LOOP_CONFIG, 0.5, 0.05, 3.0) == cold
+
+    def test_trajectories_that_compare_equal_do_not_share_a_table(self, monkeypatch):
+        # The two tables are ==, but the first feedforward is -0.0 in one and
+        # 0.0 in the other.  With gains of -0.0 every other term of the first
+        # command is -0.0, so the command, and its trace line, keep that sign.
+        a, b = (Scenario(trajectory=TabulatedTrajectory(((0, first), (1, -0.0), (2, 1.0))))
+                for first in (0.0, -0.0))
+        assert a == b
+        config = replace(DEFAULT_LOOP_CONFIG, gains=PidGains(kp=-0.0, ki=-0.0, kd=-0.0))
+        monkeypatch.setattr(plant, "_setpoint_tables", {})
+
+        def run(scenario):
+            trace = TrialTrace()
+            verdict = trial(config, 0.5, 0.05, seconds=1.0, scenario=scenario, trace=trace)
+            return repr(verdict), trace.to_csv()
+
+        cold = run(b)
+        plant._setpoint_tables.clear()
+        first_command = run(a)[1].splitlines()[1].split(",")[3]
+        assert (first_command, cold[1].splitlines()[1].split(",")[3]) == ("-0.000000", "0.000000")
+        assert run(b) == cold  # warm: after a, on a's cache
 
 
 class TestDeterminism:

@@ -7,10 +7,12 @@ Each target is a file and the dotted name of a function in it (nested
 functions included).  Every comparison operator inside the target makes one
 mutant: ``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``is`` and
 ``is not`` swap.  The mutant is written into a copy of the checkout, only
-that operator's text replaced, and the tests run there with pytest.  A
-mutant is *killed* when the tests fail, *hung* when they run past the
-timeout (three times the unmutated run, plus 10 s), and *survived* when
-they pass.
+that operator's text replaced, and the tests run there with pytest under
+the ``ringmill-no-shrink`` Hypothesis profile (``tests/conftest.py``): the
+same examples as tier-1, and a failure is not shrunk, so a test that fails
+does so in the time its examples take.  A mutant is *killed* when the
+tests fail, *hung* when they run past the timeout (three times the
+unmutated run, plus 10 s), and *survived* when they pass.
 
 A survivor listed in `EQUIVALENT` prints its reason: no input can tell it
 from the program, or no input within the program's contract.  The exit
@@ -114,7 +116,8 @@ def run_tests(root: Path, tests: list[str], timeout: float | None) -> tuple[str,
     started = time.monotonic()
     try:
         result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--hypothesis-profile", "ringmill-no-shrink", *tests],
             cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             timeout=timeout)
     except subprocess.TimeoutExpired:
