@@ -112,10 +112,11 @@ def cmd_spectrum(args) -> int:
         print(f"t={record.time} {record.requester}: {record.verdict} "
               f"{record.bandwidth_mhz:g} MHz, occupied {record.occupied_mhz:g} MHz"
               f"{grant}{reason}")
+    report = result.occupancy_report()
     print()
-    print(result.occupancy_report(), end="")
+    print(report, end="")
     if out_dir is not None:
-        _write(out_dir, "occupancy.txt", result.occupancy_report())
+        _write(out_dir, "occupancy.txt", report)
     return EXIT_OK
 
 

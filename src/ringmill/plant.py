@@ -8,15 +8,20 @@ remote motion stage.  ``LoopConfig`` carries the supervision parameters
 (following-error limit, watchdog, init-qualification thresholds) in the
 ``default`` and ``adapted`` driver flavours; its µs fields are integers.
 
-The plant is compiled once per trial, as the links are: a trial uses
-three closures with their constants bound, the trajectory's `sampler`
-(a trapezoid's leg times, a table's segments) through its setpoint
-table (below), the controller's `tick` (gains, integral clamp, period)
-and the axis's `stepper` for the servo period (dt, dt / τ, the
-acceleration step, the velocity limit).
-`sample` and `step_axis` call the same closures, so the arithmetic
-exists once.  State stays on `AxisModel` and `PidController`; no closure
-is stored on a trajectory or a config, so both stay picklable.
+The plant's arithmetic is three closures with their constants bound: the
+trajectory's `sampler` (a trapezoid's leg times, a table's segments),
+which fills the setpoint tables (below), the controller's `tick` (gains,
+integral clamp, period) and the axis's `stepper` for a servo period (dt,
+dt / τ, the acceleration step, the velocity limit).  `sample` and
+`step_axis` call the same closures.  A trial reads its setpoints from a
+table, and the trial loop (`trial._LoopHarness._run_ticks`) holds a second
+copy of the controller's and the axis's arithmetic: it binds the same
+constants once per trial and keeps the state in float locals.  The heap
+kernel of ``tests/test_heap_oracle.py`` calls `tick` and `step_axis`, and
+its verdicts and traces pin the loop's copy against these closures bit
+for bit, the sign of a zero included.  The closures keep their state on
+`AxisModel` and `PidController`; no closure is stored on a trajectory or a
+config, so both stay picklable.
 
 Every controller tick falls a whole number k of servo periods after the
 control start, so every trial of a trajectory and period samples the same
@@ -25,11 +30,12 @@ by the sampler in chunks of `SETPOINT_CHUNK` ticks as trials reach them,
 and a trial reads its setpoints there.  The tables live in a module cache
 of at most `SETPOINT_TABLES`, the oldest dropped first.  The cache key is
 the trajectory's class, its attributes as `marshal` writes them, each
-float by its 8 bytes, and the period: trajectories that compare equal may
-still sample apart (a table point of 0.0 and one of -0.0 are ==, yet give
-feedforwards of opposite sign), and two built apart from the same values
-share a table.  A lock guards the cache and each fill, so trials on
-several threads may share a table.
+float by its 8 bytes (a float subclass's value as a float's), and the
+period: trajectories that compare equal may still sample apart (a table
+point of 0.0 and one of -0.0 are ==, yet give feedforwards of opposite
+sign), and two built apart from the same values share a table.  A lock
+guards the cache and each fill, so trials on several threads may share a
+table.
 """
 
 from __future__ import annotations
@@ -318,13 +324,28 @@ _setpoint_tables: dict[tuple[type, bytes, int], tuple[list, Callable[[], None]]]
 _setpoint_lock = threading.Lock()
 
 
+def _builtin(value):
+    """`value` with each float in it, in tuples and lists too, of the exact
+    type `marshal` writes: a float subclass's value becomes a float, bit for bit."""
+    if isinstance(value, float):
+        return float.__float__(value)
+    if isinstance(value, (tuple, list)):
+        return (tuple if isinstance(value, tuple) else list)(map(_builtin, value))
+    return value
+
+
 def setpoint_table(trajectory: TrapezoidTrajectory | TabulatedTrajectory, period_us: int
                    ) -> tuple[list[tuple[float, float]], Callable[[], None]]:
     """The table of ``trajectory.sampler()(k * period_us)`` by k, shared by
     every trial of this trajectory and period, and the function that fills
     its next `SETPOINT_CHUNK` entries.  See the module docstring."""
     # version 2 writes each float as its 8 bytes and shares no reference
-    key = type(trajectory), marshal.dumps(vars(trajectory), 2), period_us
+    try:
+        attributes = marshal.dumps(vars(trajectory), 2)
+    except ValueError:  # marshal writes no subclass of a builtin, such as a float subclass
+        attributes = marshal.dumps({name: _builtin(value)
+                                    for name, value in vars(trajectory).items()}, 2)
+    key = type(trajectory), attributes, period_us
     with _setpoint_lock:
         entry = _setpoint_tables.get(key)
         if entry is None:

@@ -66,9 +66,16 @@ returns its verdict from the loop.  The k-th controller tick, at control
 start + k servo periods, reads its setpoint and feedforward from entry k of
 the trajectory's setpoint table (`plant.setpoint_table`), which the
 trajectory's `sampler` fills at k periods, so it is the value the sampler
-gives there; an entry past the filled part fills the next chunk first.  A
-controller tick then calls the controller's `tick`, and a stage tick the
-axis's `stepper`, closures compiled for the trial as the links are.
+gives there; an entry past the filled part fills the next chunk first.
+
+The loop holds the plant.  The controller's integral and last error and
+the axis's velocity and position are float locals, and the gains, the
+integral clamp, dt, dt / τ, the acceleration step and the velocity limit
+are bound before the loop, as `PidController.tick` and `AxisModel.stepper`
+bind them.  A controller tick runs the controller's arithmetic and a stage
+tick the axis's, operation for operation as those closures do, so every
+float is theirs to the bit (see `plant`).  No controller tick runs before
+control, so the loop's starting state is the controller's on entering it.
 
 The feedback watchdog is one probe that re-arms itself from the newest
 arrival rather than one probe per arrival.  It fails the trial at s +
@@ -116,8 +123,8 @@ from heapq import heapify, heappop, heappush
 
 from .channel import Channel, ChannelProfile
 from .engine import SimTime, US_PER_S, component_rng
-from .plant import (AxisModel, FailCause, LoopConfig, PidController, PidGains, Profile,
-                    TabulatedTrajectory, TrapezoidTrajectory, TrialVerdict, setpoint_table)
+from .plant import (AxisModel, FailCause, LoopConfig, PidGains, Profile, TabulatedTrajectory,
+                    TrapezoidTrajectory, TrialVerdict, setpoint_table)
 from .ring import RingConfig, RingConfigError, admitters
 
 MASTER_NODE = "master"
@@ -205,8 +212,6 @@ class _LoopHarness:
         self.to_fpga = (admit[ring.nodes.index(MASTER_NODE)], cmd_channel.impair, deque())
         self.to_cnc = (admit[ring.nodes.index(FPGA_NODE)], fb_channel.impair, deque())
 
-        self.axis = AxisModel()
-        self.pid = PidController(config.gains, config.servo_period_us)
         # (instant, reserved seq) of the first stage tick, set by `run`; none before
         self.first_fpga_tick: tuple[SimTime, int] | None = None
 
@@ -225,7 +230,6 @@ class _LoopHarness:
         if (spread <= cfg.delay_spread_tolerance_us
                 or baseline_rtt + spread <= cfg.rtt_rescue_budget_us):
             self.phase = "control"
-            self.pid.reset()
             period = cfg.servo_period_us
             self.control_start = (now // period + 1) * period
             return self.control_start
@@ -246,9 +250,20 @@ class _LoopHarness:
         period, fe_limit = self.config.servo_period_us, self.config.fe_limit_mm
         wait = self.config.watchdog_timeout_us + 1  # a probe's delay after its `since`
         # the plant, compiled for the servo period: the setpoint and feedforward of the
-        # k-th controller tick are setpoints[k], from a table other trials may have filled
+        # k-th controller tick are setpoints[k], from a table other trials may have filled;
+        # the controller's and the axis's constants are bound as `PidController.tick` and
+        # `AxisModel.stepper` bind them, and their state is float locals
         setpoints, grow = setpoint_table(self.trajectory, period)
-        pid_tick, move_axis = self.pid.tick, self.axis.stepper(period)
+        gains, axis = self.config.gains, AxisModel()
+        kp, ki, kd, clamp = gains.kp, gains.ki, gains.kd, gains.integral_clamp
+        dt = period / US_PER_S
+        lag = dt / axis.time_constant_s
+        max_dv = axis.max_accel_mm_s2 * dt
+        v_limit = axis.max_velocity_mm_s
+        # the controller's state on entering control, as no controller tick runs before
+        # it, and the axis's at rest
+        integral, last_error = 0.0, None
+        position, velocity = axis.position_mm, axis.velocity_mm_s
         rows = None if self.trace is None else self.trace.rows
         residuals = self.residuals
         # the handshake items and, after every key on the trial's last µs, its end
@@ -266,7 +281,7 @@ class _LoopHarness:
         # frame that arrives before it overtakes
         cmd_tail = cmd_queue[-1][0] if cmd_queue else 0
         fb_tail = fb_queue[-1][0] if fb_queue else 0
-        fb_value = self.axis.position_mm
+        fb_value = position
         last = prev = 0  # the newest feedback arrival, and the one before on an earlier µs
         # the arrival the pending probe times out (none before control), and the probe's key
         since, probe_t, probe_s = never, never, 0
@@ -335,7 +350,17 @@ class _LoopHarness:
                     max_fe = abs_fe
                 if abs_fe > fe_limit:
                     return TrialVerdict(False, FailCause.FOLLOWING_ERROR, max_fe, now)
-                command = pid_tick(setpoint, fb_value, feedforward)
+                integral += fe * dt
+                if integral > clamp:
+                    integral = clamp
+                elif integral < -clamp:
+                    integral = -clamp
+                derivative = 0.0
+                if kd != 0.0 and last_error is not None:
+                    derivative = (fe - last_error) / dt
+                last_error = fe
+                # the kd term is added when kd is 0 too: it decides the sign of a zero command
+                command = feedforward + kp * fe + ki * integral + kd * derivative
                 delivered = cmd_admit(now)
                 if delivered is not None:
                     arrival = cmd_impair(delivered)
@@ -360,7 +385,17 @@ class _LoopHarness:
                         cmd_t, cmd_s, _ = cmd_queue[0]
                     else:
                         cmd_t = never
-                position = move_axis(v_cmd)
+                dv = lag * (v_cmd - velocity)
+                if dv > max_dv:
+                    dv = max_dv
+                elif dv < -max_dv:
+                    dv = -max_dv
+                velocity += dv
+                if velocity > v_limit:
+                    velocity = v_limit
+                elif velocity < -v_limit:
+                    velocity = -v_limit
+                position += velocity * dt
                 delivered = fb_admit(now)
                 if delivered is not None:
                     arrival = fb_impair(delivered)

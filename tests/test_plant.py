@@ -521,6 +521,17 @@ class TestSetpointTable:
             tables.append(table)
         assert tables[0] is not tables[1]
 
+    def test_a_float_subclass_shares_its_plain_twins_table_and_keeps_its_sign(self):
+        # marshal writes no float subclass; the key holds its value as a float's
+        class F(float):
+            pass
+
+        table = setpoint_table(TrapezoidTrajectory(dwell_s=0.0), 1000)[0]
+        assert setpoint_table(TrapezoidTrajectory(amplitude_mm=F(20.0), dwell_s=F(0.0)),
+                              1000)[0] is table
+        assert setpoint_table(TrapezoidTrajectory(amplitude_mm=F(20.0), dwell_s=F(-0.0)),
+                              1000)[0] is not table
+
     def test_the_cache_holds_a_bounded_number_of_tables(self):
         periods = range(1000, 1000 + SETPOINT_TABLES + 3)
         tables = {period: setpoint_table(TrapezoidTrajectory(), period)[0]

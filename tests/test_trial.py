@@ -1,5 +1,7 @@
 
 import itertools
+import random
+from collections import deque
 from dataclasses import replace
 
 import pytest
@@ -9,7 +11,7 @@ from ringmill.channel import ZERO_IMPAIRMENT, ChannelProfile
 from ringmill.harness import SweepSpec
 from ringmill import plant
 from ringmill.plant import (AxisModel, FailCause, PidController, PidGains, TabulatedTrajectory,
-                            step_axis)
+                            TrapezoidTrajectory, step_axis)
 from ringmill.ring import RingConfig
 from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO,
                             FPGA_TICK_OFFSET_US, QUALIFY_WINDOW_FRAMES, Scenario, TrialTrace,
@@ -208,12 +210,23 @@ class TestSameUsOrder:
         admit, _, queue = h.to_fpga
         arrivals = iter([8_600, 10_500, 10_500])
         h.to_fpga = (admit, lambda delivered: next(arrivals, delivered + 2_000), queue)
-        applied = []  # the command each stage tick steps the axis with
-        move = h.axis.stepper(DEFAULT_LOOP_CONFIG.servo_period_us)
-        h.axis.stepper = lambda period: lambda v_cmd: applied.append(v_cmd) or move(v_cmd)
+        sent = []  # (instant, position) of each feedback frame the stage sends
+
+        class LoggingQueue(deque):
+            def append(self, entry):
+                _, _, position, now = entry
+                sent.append((now, position))
+                super().append(entry)
+
+        admit, impair, queue = h.to_cnc
+        h.to_cnc = (admit, impair, LoggingQueue(queue))  # the window's frames, not logged
         assert h._run_ticks().passed
-        # stage ticks at 6,500 ... 11,500; commands 0, 1.020001 and 2.080005 mm/s
-        assert applied == [0.0, 0.0, 0.0, 0.0, 1.020001, 2.080005]
+        # stage ticks at 6,500 ... 11,500 step the axis with commands 0, 1.020001
+        # and 2.080005 mm/s; the positions they send are those of the reference step
+        move = AxisModel().stepper(DEFAULT_LOOP_CONFIG.servo_period_us)
+        want = [move(v_cmd) for v_cmd in [0.0, 0.0, 0.0, 0.0, 1.020001, 2.080005]]
+        assert [now for now, _ in sent] == list(range(6_500, 12_000, 1_000))
+        assert repr([position for _, position in sent]) == repr(want)
 
     def test_a_controller_tick_sees_the_feedback_numbered_before_it(self):
         # The feedback sent at 10,500 and 11,500 us both lands at 12,000; the
@@ -226,6 +239,96 @@ class TestSameUsOrder:
         assert h._run_ticks().passed
         time_us, _, feedback_mm, _, _ = trace.rows[4]
         assert time_us == 12_000 and feedback_mm > 0.0  # the axis had moved by 10,500
+
+
+# ---------------------------------------------------------------------------
+# The loop holds the controller's and the axis's arithmetic as float locals, a
+# second copy of `PidController.tick` and `AxisModel.stepper`, which the heap
+# kernel calls.  The boundary sample runs the nominal gains only (kd = 0); this
+# one draws the gains, the trajectory and the period.
+
+# Two tables with zero feedforwards of either sign.  With zero gains, the signs
+# of the zero terms decide a zero command's.
+
+#: Its first segment has a feedforward of -0.0 at setpoint 0.0; its 2 ms drop
+#: outruns the axis and leaves it above a flat segment whose feedforward is -0.0.
+DROP_TABLE = TabulatedTrajectory(((0, 0.0), (1, -0.0), (100, 0.5), (102, 0.0), (1000, -0.0)))
+
+#: Its setpoint steps only between the ticks of a 1 ms period, so no tick there
+#: sees a feedforward that is not zero: 0.0 up to 100 ms, -0.5 from 101 ms, and
+#: from 201 ms a segment that starts at -0.0 and falls by the least subnormal in
+#: 10 s, whose setpoints and feedforward are -0.0.
+STEP_TABLE = TabulatedTrajectory(((0, 0.0), (100.2, 0.0), (100.7, -0.5), (200.2, -0.5),
+                                  (201, -0.0), (10_201, -5e-324)))
+
+PLANT_TRAJECTORIES = (
+    DEFAULT_SCENARIO.trajectory,
+    # faster than the axis may move, so the command runs past both of its limits
+    TrapezoidTrajectory(amplitude_mm=2.0, velocity_mm_s=80.0, accel_mm_s2=5_000.0, dwell_s=0.05),
+    TabulatedTrajectory(((0, 0.0), (300, 4.0), (450, 4.0), (1000, -1.0))),
+    DROP_TABLE,
+    STEP_TABLE,
+)
+
+
+def random_gains_trials(count, seed):
+    """`count` seeded trial argument tuples that vary the plant: kd != 0, ki =
+    0, an integral clamp of 0, gains of -0.0, a kp large enough to drive the
+    axis into its acceleration and velocity limits, tabulated trajectories and
+    700 and 1,250 µs periods."""
+    rng = random.Random(seed)
+    trials = []
+    for _ in range(count):
+        gains = PidGains(kp=rng.choice((40.0, 0.0, -0.0, 400.0)),
+                         ki=rng.choice((2.0, 0.0, -0.0, 50.0)),
+                         kd=rng.choice((0.0, -0.0, 0.05, -0.02)),
+                         integral_clamp=rng.choice((0.05, 0.0, 0.001)))
+        period = rng.choice((700, 1000, 1250))
+        config = replace(rng.choice((DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)),
+                         gains=gains, servo_period_us=period)
+        link = ChannelProfile(mean_delay_us=rng.choice((0, 100, 500, 1_000)),
+                              jitter_us=rng.choice((0, 50, 100)))
+        trials.append((config, link, link, rng.choice((1_200_000, 2_000_000)),
+                       rng.randrange(10_000), Scenario(trajectory=rng.choice(PLANT_TRAJECTORIES)),
+                       None))
+    return trials
+
+
+def heap_kernel_differs(args):
+    """Why the loop's verdict or trace of a trial differs from the heap
+    kernel's, or None.  repr writes each float exactly, a zero's sign too."""
+    want_trace, got_trace = TrialTrace(), TrialTrace()
+    want = repr(HeapHarness(*args, want_trace).run())
+    got = repr(run_trial(*args, trace=got_trace))
+    if got != want:
+        return f"loop {got}, heap {want}"
+    for got_row, want_row in itertools.zip_longest(got_trace.rows, want_trace.rows):
+        if repr(got_row) != repr(want_row):
+            return f"loop row {got_row!r}, heap row {want_row!r}"
+    return None
+
+
+class TestPlantInTheLoop:
+    def test_random_gains_match_the_heap_kernel(self):
+        for args in random_gains_trials(48, seed=20261019):
+            assert heap_kernel_differs(args) is None, args
+
+    def test_a_zero_command_keeps_its_sign_at_an_integral_clamp_of_0(self):
+        # With zero gains every command on STEP_TABLE is zero, so the axis stays
+        # at 0.0.  From 101 ms the error is -0.5 and clamps the integral to -0.0;
+        # from 201 ms it is -0.0, which leaves the integral at -0.0 as the clamp
+        # does not touch it.  Every term of the command is then -0.0, and so is
+        # the command; an integral clamped to 0.0 there would make it 0.0.
+        link = ChannelProfile(mean_delay_us=500)
+        gains = PidGains(kp=0.0, ki=0.0, kd=-0.0, integral_clamp=0.0)
+        args = (replace(DEFAULT_LOOP_CONFIG, gains=gains), link, link, 2_000_000, 0,
+                Scenario(trajectory=STEP_TABLE), None)
+        want_trace, got_trace = TrialTrace(), TrialTrace()
+        assert repr(run_trial(*args, trace=got_trace)) == repr(HeapHarness(*args, want_trace).run())
+        assert repr(got_trace.rows) == repr(want_trace.rows)
+        start = want_trace.rows[0][0]
+        assert [repr(command) for t, _, _, command, _ in want_trace.rows
+                if t - start >= 201_000] == ["-0.0"] * (len(want_trace.rows) - 201)
 
 
 def traced(config, latency_ms, jitter_ms, seconds, scenario=DEFAULT_SCENARIO):
@@ -276,6 +379,16 @@ class TestSharedSetpointTable:
         first_command = run(a)[1].splitlines()[1].split(",")[3]
         assert (first_command, cold[1].splitlines()[1].split(",")[3]) == ("-0.000000", "0.000000")
         assert run(b) == cold  # warm: after a, on a's cache
+
+    def test_a_trajectory_of_a_float_subclass_runs_as_its_plain_twin(self, monkeypatch):
+        class F(float):
+            pass
+
+        monkeypatch.setattr(plant, "_setpoint_tables", {})
+        twin = Scenario(trajectory=TrapezoidTrajectory(amplitude_mm=F(20.0), dwell_s=F(0.2)))
+        got = traced(DEFAULT_LOOP_CONFIG, 0.5, 0.05, 1.5, scenario=twin)
+        plant._setpoint_tables.clear()
+        assert got == traced(DEFAULT_LOOP_CONFIG, 0.5, 0.05, 1.5)
 
 
 class TestDeterminism:

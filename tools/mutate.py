@@ -6,8 +6,9 @@
 Each target is a file and the dotted name of a function in it (nested
 functions included).  Every comparison operator inside the target makes one
 mutant: ``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``, ``is`` and
-``is not`` swap.  The mutant is written into a copy of the checkout, only
-that operator's text replaced, and the tests run there with pytest under
+``is not`` swap.  The mutant is written into a copy of the checkout's
+``src/``, ``tests/`` and ``README.md``, only that operator's text
+replaced, and the tests run there with pytest under
 the ``ringmill-no-shrink`` Hypothesis profile (``tests/conftest.py``): the
 same examples as tier-1, and a failure is not shrunk, so a test that fails
 does so in the time its examples take.  A mutant is *killed* when the
@@ -42,6 +43,8 @@ _DISTINCT = "two keys never share a number, so the numbers never compare equal"
 _DRAW = "differs only on a float draw exactly equal to the loss rate"
 _LAST = ("a frame that arrives with the last one has a larger number, so insort puts it "
          "last, where append does")
+_AXIS = ("at equality the clamp assigns the value it has, and the axis's limits are not zero, "
+         "so no zero's sign changes either")
 
 #: Known-equivalent mutants, (file name, the comparison's source, the
 #: mutant's operator) -> why no test can kill it.
@@ -70,6 +73,10 @@ EQUIVALENT = {
     ("trial.py", "abs_fe > max_fe", ">="): "at abs_fe == max_fe the assignment keeps the value",
     ("trial.py", "arrival < cmd_tail", "<="): _LAST,
     ("trial.py", "arrival < fb_tail", "<="): _LAST,
+    ("trial.py", "dv > max_dv", ">="): _AXIS,
+    ("trial.py", "dv < -max_dv", "<="): _AXIS,
+    ("trial.py", "velocity > v_limit", ">="): _AXIS,
+    ("trial.py", "velocity < -v_limit", "<="): _AXIS,
 }
 
 
@@ -137,6 +144,7 @@ def main(argv=None) -> int:
         for name in ("src", "tests"):
             shutil.copytree(repo / name, work / name,
                             ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(repo / "README.md", work)  # spectrum and fuzz tests read its examples
         outcome, seconds = run_tests(work, args.tests, None)
         if outcome != "survived":
             print(f"the unmutated tests fail in {seconds:.0f} s: nothing to measure")
