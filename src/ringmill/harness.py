@@ -10,6 +10,10 @@ A sweep evaluates every (latency, jitter) cell to one of three classes:
 All randomness is pre-assigned per (cell, seed index), so evaluation
 order cannot influence any verdict, and a run manifest is sufficient to
 reproduce a sweep byte-for-byte.
+
+`run_spectrum_scenario` imports the spectrum module when it replays a
+script, so no other subcommand loads it; every module a trial or a sweep
+runs is imported here, at load.
 """
 
 from __future__ import annotations
@@ -20,12 +24,14 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from types import UnionType
-from typing import Sequence, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Sequence, get_args, get_origin, get_type_hints
 
 from .engine import SimTime, derive_seed, us_from
 from .plant import FailCause, LoopConfig, TrialVerdict, validate_config_pair
-from .spectrum import CoverageArea, SpectrumError, SpectrumManager, SpectrumRequest
 from .trial import DEFAULT_SCENARIO, Scenario, run_trial, symmetric_profiles
+
+if TYPE_CHECKING:
+    from .spectrum import SpectrumManager
 
 ARTIFACT_VERSION = "0.5.0"
 
@@ -517,6 +523,8 @@ def run_spectrum_scenario(script: str) -> ScenarioResult:
     active grant of a requester; a grant whose lease has ended is not
     active.
     """
+    from .spectrum import CoverageArea, SpectrumError, SpectrumManager, SpectrumRequest
+
     manager = SpectrumManager()
     commands = []
     for line_no, raw in enumerate(script.splitlines(), start=1):

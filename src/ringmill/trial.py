@@ -20,6 +20,17 @@ During *control* the loop runs at the servo period.  The trial fails on
 the first following-error excursion past the limit or when the feedback
 watchdog expires; surviving to the configured length is a pass.
 
+A trial's length only truncates it.  Run to L' < L, the trial whose run
+to L fails at t <= L' returns that verdict; else it is an init failure
+at L' if L' falls before the link decision or the trial makes none; else
+it passes at L', with a peak following error no larger than the run to
+L's.  The end of the trial follows every other key on its µs, so a
+failure or a link decision on the last µs still happens.  The first
+controller tick comes at the whole servo period after the link decision,
+so a trial that ends between the two passes having run no controller
+tick, with a peak error of 0: it survived to its length, and that is a
+pass.
+
 Frames.  When a command or feedback frame is sent, the sending node's
 admission closure on the ring (from `ring.admitters`) computes its
 delivery instant and the direction's `Channel.impair` closure impairs it

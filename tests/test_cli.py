@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -617,3 +620,54 @@ class TestOneTimeRule:
             code = exc.code
         assert code == 2
         assert capsys.readouterr().err.endswith(f"error: {location}{reason}\n")
+
+
+# Run in a fresh interpreter, so that no module an earlier test imported counts.
+# argv: the work directory and the README's spectrum script.
+IMPORT_SET_SCRIPT = """
+import contextlib, io, json, sys
+from pathlib import Path
+import ringmill.cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "ringmill" or m.startswith("ringmill."))
+
+work = Path(sys.argv[1])
+(work / "one-cell.ini").write_text(
+    "[sweep]\\nlatencies_ms = 0.5\\njitters_ms = 0.05\\nseeds_per_cell = 1\\n")
+(work / "script.txt").write_text(sys.argv[2])
+runs = {
+    "trial": ["trial", "--latency-ms", "0.5", "--jitter-ms", "0.05", "--trial-seconds", "0.2"],
+    "sweep": ["sweep", "--config", str(work / "one-cell.ini"), "--trial-seconds", "0.2",
+              "--output-dir", str(work / "sweep")],
+    "render": ["render", "--matrix", str(work / "sweep" / "matrix.csv")],
+    "spectrum": ["spectrum", "--script", str(work / "script.txt")],
+}
+modules = {"import": loaded()}
+for name, argv in runs.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = ringmill.cli.main(argv)
+    modules[name] = (code, loaded())
+print(json.dumps(modules))
+"""
+
+
+class TestImports:
+    def test_only_the_spectrum_subcommand_loads_the_spectrum_module(self, tmp_path):
+        # every other subcommand starts without compiling spectrum.py, and
+        # imports at load each module it runs, so no later import shows in its run
+        root = Path(__file__).resolve().parents[1]
+        readme = (root / "README.md").read_text()
+        script = readme.split("## Spectrum scripts", 1)[1].split("```", 2)[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        done = subprocess.run([sys.executable, "-c", IMPORT_SET_SCRIPT, str(tmp_path), script],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        modules = json.loads(done.stdout)
+        at_import = modules.pop("import")
+        assert "ringmill.spectrum" not in at_import
+        for name in ("trial", "sweep", "render"):
+            assert modules[name] == [0, at_import], name
+        code, after_spectrum = modules["spectrum"]
+        assert code == 0
+        assert sorted({*at_import, "ringmill.spectrum"}) == after_spectrum

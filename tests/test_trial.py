@@ -8,10 +8,10 @@ import pytest
 from test_heap_oracle import HeapHarness
 
 from ringmill.channel import ZERO_IMPAIRMENT, ChannelProfile
-from ringmill.harness import SweepSpec
+from ringmill.harness import DEFAULT_JITTERS_MS, DEFAULT_LATENCIES_MS, SweepSpec
 from ringmill import plant
 from ringmill.plant import (AxisModel, FailCause, PidController, PidGains, TabulatedTrajectory,
-                            TrapezoidTrajectory, step_axis)
+                            TrapezoidTrajectory, TrialVerdict, step_axis)
 from ringmill.ring import RingConfig
 from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO,
                             FPGA_TICK_OFFSET_US, QUALIFY_WINDOW_FRAMES, Scenario, TrialTrace,
@@ -403,6 +403,80 @@ class TestDeterminism:
         b = trial(DEFAULT_LOOP_CONFIG, 3.0, 0.15, seed=2)
         assert a.passed and b.passed
         assert a.max_following_error_mm != b.max_following_error_mm
+
+
+def truncation_trials(count, seed):
+    """`count` seeded (config, latency ms, jitter ms, length, seed, feedback
+    blackout) runs: the default sweep's 30 cells, both drivers, lengths of
+    0.5-4 s, and the feedback blacked out from a random instant in a third."""
+    rng = random.Random(seed)
+    cells = list(itertools.product(DEFAULT_LATENCIES_MS, DEFAULT_JITTERS_MS))
+    trials = []
+    for _ in range(count):
+        length = rng.randrange(500_000, 4_000_001)
+        blackout = rng.randrange(length) if rng.random() < 1 / 3 else None
+        trials.append((rng.choice((DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)),
+                       *rng.choice(cells), length, rng.randrange(2**20), blackout))
+    return trials
+
+
+def run_and_decide(config, latency_ms, jitter_ms, length, seed, blackout):
+    """The verdict of a trial and the instant of its link decision, None if
+    it makes none."""
+    h = _LoopHarness(config, *symmetric_profiles(latency_ms, jitter_ms), length, seed,
+                     DEFAULT_SCENARIO, blackout, None)
+    decisions = []
+    decide = h._qualify_decision
+
+    def recording(now):
+        decisions.append(now)
+        return decide(now)
+
+    h._qualify_decision = recording
+    return h.run(), (decisions[0] if decisions else None)
+
+
+class TestTruncation:
+    """A trial's length only truncates it: the run at L' < L of the trial
+    that gave `verdict` at L, with its link decision at `decided`, returns
+
+    * `verdict`, if that fails at t <= L';
+    * else an init failure at L', if L' falls before the link decision or
+      the trial makes none;
+    * else a pass at L', with a peak error no larger than `verdict`'s.
+    """
+
+    def test_a_shorter_run_returns_a_truncation_of_the_longer_one(self):
+        rng = random.Random(20261019)
+        for config, lat, jit, length, seed, blackout in truncation_trials(64, seed=20261019):
+            verdict, decided = run_and_decide(config, lat, jit, length, seed, blackout)
+            # one length at random, and those either side of each instant the rule turns on
+            cuts = {rng.randrange(1, length)}
+            if not verdict.passed:
+                cuts |= {verdict.survived_us - 1, verdict.survived_us, verdict.survived_us + 1}
+            if decided is not None:
+                cuts |= {decided - 1, decided}
+            for cut in sorted(c for c in cuts if 0 < c < length):
+                short = run_trial(config, *symmetric_profiles(lat, jit), trial_length_us=cut,
+                                  seed=seed, feedback_blackout_us=blackout)
+                where = (config.profile, lat, jit, length, seed, blackout, cut)
+                if not verdict.passed and verdict.survived_us <= cut:
+                    assert repr(short) == repr(verdict), where
+                elif decided is None or cut < decided:
+                    assert (short.fail_cause, short.survived_us) == (
+                        FailCause.INIT_FAILURE, cut), where
+                else:
+                    assert (short.passed, short.survived_us) == (True, cut), where
+                    assert short.max_following_error_mm <= verdict.max_following_error_mm, where
+
+    def test_a_trial_that_ends_before_its_first_controller_tick_passes(self):
+        # the link decision at 537,431 µs enters control; the first controller
+        # tick comes at 538,000, so a trial that ends before it passes having
+        # run none, with a peak error of 0
+        verdict, decided = run_and_decide(DEFAULT_LOOP_CONFIG, 0.5, 0.05, 2_000_000, 843263, None)
+        assert verdict.passed and decided == 537_431
+        short = trial(DEFAULT_LOOP_CONFIG, 0.5, 0.05, seconds=0.537999, seed=843263)
+        assert repr(short) == repr(TrialVerdict(True, FailCause.NONE, 0.0, 537_999))
 
 
 class TestInstrumentation:
