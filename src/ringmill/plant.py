@@ -1,4 +1,4 @@
-"""Machine-tool axis model, position controller and loop configuration.
+"""Machine-tool axis model, controller gains, trajectories and loop configuration.
 
 One axis with a first-order velocity lag and kinematic clamps stands in
 for the milling machine: simple enough to reason about, yet genuinely
@@ -8,20 +8,15 @@ remote motion stage.  ``LoopConfig`` carries the supervision parameters
 (following-error limit, watchdog, init-qualification thresholds) in the
 ``default`` and ``adapted`` driver flavours; its µs fields are integers.
 
-The plant's arithmetic is three closures with their constants bound: the
-trajectory's `sampler` (a trapezoid's leg times, a table's segments),
-which fills the setpoint tables (below), the controller's `tick` (gains,
-integral clamp, period) and the axis's `stepper` for a servo period (dt,
-dt / τ, the acceleration step, the velocity limit).  `sample` and
-`step_axis` call the same closures.  A trial reads its setpoints from a
-table, and the trial loop (`trial._LoopHarness._run_ticks`) holds a second
-copy of the controller's and the axis's arithmetic: it binds the same
-constants once per trial and keeps the state in float locals.  The heap
-kernel of ``tests/test_heap_oracle.py`` calls `tick` and `step_axis`, and
-its verdicts and traces pin the loop's copy against these closures bit
-for bit, the sign of a zero included.  The closures keep their state on
-`AxisModel` and `PidController`; no closure is stored on a trajectory or a
-config, so both stay picklable.
+The trajectory's `sampler` is a closure with its constants bound (a
+trapezoid's leg times, a table's segments): `sample` calls it, and it fills
+the setpoint tables (below).  The controller's and the axis's arithmetic
+runs in the trial loop (`trial._LoopHarness._run_ticks`), which binds the
+`PidGains` and the `AxisModel` constants once per trial and keeps the state
+in float locals.  The loop holds the only copy in `src/`; the heap kernel
+pins it, bit for bit, against ``tests/reference_plant.py``, the sign of a
+zero included.  No closure is stored on a trajectory or a config, so both
+stay picklable.
 
 Every controller tick falls a whole number k of servo periods after the
 control start, so every trial of a trajectory and period samples the same
@@ -68,50 +63,6 @@ class AxisModel:
         if not self.time_constant_s > 0:  # NaN fails too
             raise ValueError("axis time constant must be positive")
 
-    def stepper(self, dt_us: int) -> Callable[[float], float]:
-        """The axis step for a fixed dt: ``stepper(dt_us)(command)`` is
-        ``step_axis(self, command, dt_us)``, returning the new position.
-
-        dt, dt / τ, the largest velocity change per step and the velocity
-        limit are bound when it is built; position and velocity are read
-        from and written to the axis on every step.
-        """
-        if dt_us <= 0:
-            raise ValueError("dt must be positive")
-        dt = dt_us / US_PER_S
-        lag = dt / self.time_constant_s
-        max_dv = self.max_accel_mm_s2 * dt
-        limit = self.max_velocity_mm_s
-
-        def step(command_mm_s: float) -> float:
-            v = self.velocity_mm_s
-            dv = lag * (command_mm_s - v)
-            if dv > max_dv:
-                dv = max_dv
-            elif dv < -max_dv:
-                dv = -max_dv
-            v += dv
-            if v > limit:
-                v = limit
-            elif v < -limit:
-                v = -limit
-            self.velocity_mm_s = v
-            self.position_mm = position = self.position_mm + v * dt
-            return position
-
-        return step
-
-
-def step_axis(axis: AxisModel, command_mm_s: float, dt_us: int) -> AxisModel:
-    """Advance the axis by dt under a held velocity command (mutates and returns).
-
-    First-order lag toward the command, with acceleration and velocity
-    clamped to the axis limits, then position integration at the new
-    velocity: one call of `AxisModel.stepper`.
-    """
-    axis.stepper(dt_us)(command_mm_s)
-    return axis
-
 
 @dataclass(frozen=True)
 class PidGains:
@@ -127,50 +78,6 @@ class PidGains:
             raise ValueError("PID gains must be finite")
         if not self.integral_clamp >= 0:  # NaN fails too
             raise ValueError("integral clamp must be non-negative")
-
-
-class PidController:
-    """PID on position error with anti-windup clamp and velocity feedforward.
-
-    `tick` is a closure built when the controller is made, with the gains,
-    the integral clamp and the period bound.  The integral and the last
-    error stay on the controller, so `reset` clears them.
-    """
-
-    def __init__(self, gains: PidGains, period_us: int):
-        self.gains = gains
-        self.dt = period_us / US_PER_S
-        self.integral = 0.0
-        self._last_error: float | None = None
-        self.tick = self._build_tick()
-
-    def reset(self) -> None:
-        self.integral = 0.0
-        self._last_error = None
-
-    def _build_tick(self) -> Callable[..., float]:
-        dt, g = self.dt, self.gains
-        kp, ki, kd, clamp = g.kp, g.ki, g.kd, g.integral_clamp
-
-        def tick(setpoint_mm: float, feedback_mm: float,
-                 feedforward_mm_s: float = 0.0) -> float:
-            """One servo-period update; returns the velocity command in mm/s."""
-            error = setpoint_mm - feedback_mm
-            integral = self.integral + error * dt
-            if integral > clamp:
-                integral = clamp
-            elif integral < -clamp:
-                integral = -clamp
-            self.integral = integral
-            derivative = 0.0
-            if kd != 0.0 and self._last_error is not None:
-                derivative = (error - self._last_error) / dt
-            self._last_error = error
-            # the kd term is added when kd is 0 too: it decides the sign of a
-            # zero command
-            return feedforward_mm_s + kp * error + ki * integral + kd * derivative
-
-        return tick
 
 
 # ---------------------------------------------------------------------------

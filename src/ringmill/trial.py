@@ -82,11 +82,11 @@ gives there; an entry past the filled part fills the next chunk first.
 The loop holds the plant.  The controller's integral and last error and
 the axis's velocity and position are float locals, and the gains, the
 integral clamp, dt, dt / τ, the acceleration step and the velocity limit
-are bound before the loop, as `PidController.tick` and `AxisModel.stepper`
-bind them.  A controller tick runs the controller's arithmetic and a stage
-tick the axis's, operation for operation as those closures do, so every
-float is theirs to the bit (see `plant`).  No controller tick runs before
-control, so the loop's starting state is the controller's on entering it.
+are bound before the loop.  A controller tick runs the controller's
+arithmetic and a stage tick the axis's; this is the only copy in `src/`, and
+the heap kernel pins it, bit for bit, against ``tests/reference_plant.py``
+(see `plant`).  No controller tick runs before control, so the loop's
+starting state is the controller's on entering it.
 
 The feedback watchdog is one probe that re-arms itself from the newest
 arrival rather than one probe per arrival.  It fails the trial at s +
@@ -262,8 +262,8 @@ class _LoopHarness:
         wait = self.config.watchdog_timeout_us + 1  # a probe's delay after its `since`
         # the plant, compiled for the servo period: the setpoint and feedforward of the
         # k-th controller tick are setpoints[k], from a table other trials may have filled;
-        # the controller's and the axis's constants are bound as `PidController.tick` and
-        # `AxisModel.stepper` bind them, and their state is float locals
+        # the controller's and the axis's constants are bound here, and their state is
+        # float locals
         setpoints, grow = setpoint_table(self.trajectory, period)
         gains, axis = self.config.gains, AxisModel()
         kp, ki, kd, clamp = gains.kp, gains.ki, gains.kd, gains.integral_clamp

@@ -16,7 +16,8 @@ from dataclasses import replace
 
 from ringmill.channel import Channel, ChannelProfile, JitterDistribution
 from ringmill.engine import Simulator, component_rng
-from ringmill.plant import (AxisModel, FailCause, PidController, TrialVerdict, step_axis)
+from reference_plant import PidController, step_axis
+from ringmill.plant import AxisModel, FailCause, TrialVerdict
 from ringmill.ring import RingConfig, TokenRing
 from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, FPGA_NODE,
                             FPGA_TICK_OFFSET_US, HANDSHAKE_EXCHANGES, HANDSHAKE_RETRY_US,

@@ -5,12 +5,13 @@ from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from reference_plant import PidController, step_axis
 
 from ringmill import plant
 from ringmill.plant import (SETPOINT_CHUNK, SETPOINT_TABLES, AxisModel, FailCause, LoopConfig,
-                            PidController, PidGains, Profile, TabulatedTrajectory,
-                            TrapezoidTrajectory, TrialVerdict, load_trajectory_csv,
-                            setpoint_table, step_axis, validate_config_pair)
+                            PidGains, Profile, TabulatedTrajectory, TrapezoidTrajectory,
+                            TrialVerdict, load_trajectory_csv, setpoint_table,
+                            validate_config_pair)
 from ringmill.trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, NOMINAL_GAINS
 
 
@@ -251,59 +252,11 @@ class TestConfigTypes:
 
 
 # ---------------------------------------------------------------------------
-# The plant as it was before a trial compiled it, kept as references: every
-# call reads the axis, the gains or the trajectory.  The closures a trial
-# calls (`AxisModel.stepper`, `PidController.tick`, the trajectories'
-# `sampler`) and the public wrappers must agree with them bit for bit,
-# zero signs included.
-
-
-def reference_step_axis(axis, command_mm_s, dt_us):
-    if dt_us <= 0:
-        raise ValueError("dt must be positive")
-    dt = dt_us / 1_000_000
-    dv = (dt / axis.time_constant_s) * (command_mm_s - axis.velocity_mm_s)
-    max_dv = axis.max_accel_mm_s2 * dt
-    if dv > max_dv:
-        dv = max_dv
-    elif dv < -max_dv:
-        dv = -max_dv
-    v = axis.velocity_mm_s + dv
-    limit = axis.max_velocity_mm_s
-    if v > limit:
-        v = limit
-    elif v < -limit:
-        v = -limit
-    axis.velocity_mm_s = v
-    axis.position_mm += v * dt
-    return axis
-
-
-class ReferencePid:
-    def __init__(self, gains, period_us):
-        self.gains = gains
-        self.dt = period_us / 1_000_000
-        self.integral = 0.0
-        self._last_error = None
-
-    def reset(self):
-        self.integral = 0.0
-        self._last_error = None
-
-    def tick(self, setpoint_mm, feedback_mm, feedforward_mm_s=0.0):
-        error = setpoint_mm - feedback_mm
-        g = self.gains
-        self.integral += error * self.dt
-        clamp = g.integral_clamp
-        if self.integral > clamp:
-            self.integral = clamp
-        elif self.integral < -clamp:
-            self.integral = -clamp
-        derivative = 0.0
-        if g.kd != 0.0 and self._last_error is not None:
-            derivative = (error - self._last_error) / self.dt
-        self._last_error = error
-        return feedforward_mm_s + g.kp * error + g.ki * self.integral + g.kd * derivative
+# The trajectories' sampling as it was before a trial compiled it, kept as
+# references: every call reads the trajectory.  The `sampler` closures that fill
+# the setpoint tables, and `sample`, must agree with them bit for bit, zero
+# signs included.  The axis step and the PID tick have their reference in
+# `reference_plant.py`, against which the heap kernel pins the trial loop.
 
 
 def reference_leg(traj, t):
@@ -351,72 +304,6 @@ signed_zeros = st.sampled_from([0.0, -0.0])
 
 
 class TestCompiledPlant:
-    @given(tau=st.floats(min_value=1e-4, max_value=0.1),
-           max_velocity=st.floats(min_value=0.1, max_value=100.0),
-           max_accel=st.floats(min_value=1.0, max_value=1e5),
-           velocity=st.floats(min_value=-150.0, max_value=150.0) | signed_zeros,
-           dt_us=st.integers(min_value=1, max_value=5_000),
-           commands=st.lists(st.floats(min_value=-200.0, max_value=200.0) | signed_zeros,
-                             min_size=1, max_size=30))
-    # each clamp in each direction, and a held zero command on a resting axis
-    @example(tau=0.001, max_velocity=50.0, max_accel=100.0, velocity=0.0, dt_us=1000,
-             commands=[50.0, -50.0, 0.0])
-    @example(tau=0.005, max_velocity=5.0, max_accel=1e9, velocity=4.0, dt_us=1000,
-             commands=[100.0, -100.0, -0.0])
-    @example(tau=0.005, max_velocity=50.0, max_accel=1000.0, velocity=-0.0, dt_us=1000,
-             commands=[-0.0, 0.0])
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    def test_axis_step_matches_the_reference(self, tau, max_velocity, max_accel, velocity,
-                                             dt_us, commands):
-        def axis():
-            return AxisModel(time_constant_s=tau, max_velocity_mm_s=max_velocity,
-                             max_accel_mm_s2=max_accel, position_mm=1.5, velocity_mm_s=velocity)
-
-        reference, wrapped, compiled = axis(), axis(), axis()
-        step = compiled.stepper(dt_us)
-        for command in commands:
-            reference_step_axis(reference, command, dt_us)
-            assert step_axis(wrapped, command, dt_us) is wrapped
-            position = step(command)
-            want = bits(reference.position_mm, reference.velocity_mm_s)
-            assert bits(wrapped.position_mm, wrapped.velocity_mm_s) == want
-            assert bits(position, compiled.velocity_mm_s) == want
-            assert bits(compiled.position_mm) == want[:1]
-
-    @given(kp=st.floats(min_value=-100.0, max_value=100.0) | signed_zeros,
-           ki=st.floats(min_value=-100.0, max_value=100.0) | signed_zeros,
-           kd=st.floats(min_value=-2.0, max_value=2.0) | signed_zeros,
-           clamp=st.floats(min_value=0.0, max_value=0.1) | signed_zeros,
-           period_us=st.integers(min_value=1, max_value=5_000),
-           # (setpoint, feedback, feedforward), or None for a reset
-           ticks=st.lists(st.none() | st.tuples(
-               st.floats(min_value=-25.0, max_value=25.0) | signed_zeros,
-               st.floats(min_value=-25.0, max_value=25.0) | signed_zeros,
-               st.floats(min_value=-60.0, max_value=60.0) | signed_zeros),
-               min_size=1, max_size=30))
-    # a zero command whose sign only the kd term decides: -0.0 + -0.0 + -0.0 + 0.0
-    @example(kp=-1.0, ki=-1.0, kd=0.0, clamp=0.05, period_us=1000,
-             ticks=[(0.0, 0.0, -0.0), (0.0, 0.0, -0.0)])
-    # kd is 0, so no derivative is taken: 0.0 * (a negative derivative) would
-    # make the zero command -0.0
-    @example(kp=-1.0, ki=-1.0, kd=0.0, clamp=0.0, period_us=1000,
-             ticks=[(1.0, 0.0, -0.0), (0.0, 0.0, -0.0)])
-    # the integral clamp in each direction, then a reset, with kd != 0
-    @example(kp=0.0, ki=10.0, kd=0.5, clamp=0.002, period_us=1000,
-             ticks=[(1.0, 0.0, 0.0)] * 4 + [None] + [(-1.0, 0.0, 0.0)] * 4)
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    def test_pid_tick_matches_the_reference(self, kp, ki, kd, clamp, period_us, ticks):
-        gains = PidGains(kp=kp, ki=ki, kd=kd, integral_clamp=clamp)
-        reference, pid = ReferencePid(gains, period_us), PidController(gains, period_us)
-        for tick in ticks:
-            if tick is None:
-                reference.reset()
-                pid.reset()
-                continue
-            assert bits(pid.tick(*tick)) == bits(reference.tick(*tick))
-            assert bits(pid.integral) == bits(reference.integral)
-            assert pid._last_error == reference._last_error
-
     @given(amplitude=st.floats(min_value=0.1, max_value=50.0),
            velocity=st.floats(min_value=1.0, max_value=100.0),
            accel=st.floats(min_value=10.0, max_value=5_000.0),

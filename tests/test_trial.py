@@ -5,13 +5,14 @@ from collections import deque
 from dataclasses import replace
 
 import pytest
+from reference_plant import PidController, step_axis
 from test_heap_oracle import HeapHarness
 
 from ringmill.channel import ZERO_IMPAIRMENT, ChannelProfile
 from ringmill.harness import DEFAULT_JITTERS_MS, DEFAULT_LATENCIES_MS, SweepSpec
 from ringmill import plant
-from ringmill.plant import (AxisModel, FailCause, PidController, PidGains, TabulatedTrajectory,
-                            TrapezoidTrajectory, TrialVerdict, step_axis)
+from ringmill.plant import (AxisModel, FailCause, PidGains, TabulatedTrajectory,
+                            TrapezoidTrajectory, TrialVerdict)
 from ringmill.ring import RingConfig
 from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO,
                             FPGA_TICK_OFFSET_US, QUALIFY_WINDOW_FRAMES, Scenario, TrialTrace,
@@ -223,8 +224,9 @@ class TestSameUsOrder:
         assert h._run_ticks().passed
         # stage ticks at 6,500 ... 11,500 step the axis with commands 0, 1.020001
         # and 2.080005 mm/s; the positions they send are those of the reference step
-        move = AxisModel().stepper(DEFAULT_LOOP_CONFIG.servo_period_us)
-        want = [move(v_cmd) for v_cmd in [0.0, 0.0, 0.0, 0.0, 1.020001, 2.080005]]
+        axis, period = AxisModel(), DEFAULT_LOOP_CONFIG.servo_period_us
+        want = [step_axis(axis, v_cmd, period).position_mm
+                for v_cmd in [0.0, 0.0, 0.0, 0.0, 1.020001, 2.080005]]
         assert [now for now, _ in sent] == list(range(6_500, 12_000, 1_000))
         assert repr([position for _, position in sent]) == repr(want)
 
@@ -242,10 +244,10 @@ class TestSameUsOrder:
 
 
 # ---------------------------------------------------------------------------
-# The loop holds the controller's and the axis's arithmetic as float locals, a
-# second copy of `PidController.tick` and `AxisModel.stepper`, which the heap
-# kernel calls.  The boundary sample runs the nominal gains only (kd = 0); this
-# one draws the gains, the trajectory and the period.
+# The loop holds the controller's and the axis's arithmetic as float locals, the
+# only copy in `src/`; the heap kernel runs the one in `reference_plant.py`.
+# The boundary sample runs the nominal gains only (kd = 0); this one draws the
+# gains, the trajectory and the period.
 
 # Two tables with zero feedforwards of either sign.  With zero gains, the signs
 # of the zero terms decide a zero command's.
@@ -436,6 +438,32 @@ def run_and_decide(config, latency_ms, jitter_ms, length, seed, blackout):
     return h.run(), (decisions[0] if decisions else None)
 
 
+def truncation_differs(args, rng):
+    """Why a shorter run of the `truncation_trials` run `args` breaks the
+    `TestTruncation` rule, or None.  The shorter lengths are one drawn from
+    `rng`, and those either side of each instant the rule turns on."""
+    config, lat, jit, length, seed, blackout = args
+    verdict, decided = run_and_decide(config, lat, jit, length, seed, blackout)
+    cuts = {rng.randrange(1, length)}
+    if not verdict.passed:
+        cuts |= {verdict.survived_us - 1, verdict.survived_us, verdict.survived_us + 1}
+    if decided is not None:
+        cuts |= {decided - 1, decided}
+    for cut in sorted(c for c in cuts if 0 < c < length):
+        short = run_trial(config, *symmetric_profiles(lat, jit), trial_length_us=cut,
+                          seed=seed, feedback_blackout_us=blackout)
+        if not verdict.passed and verdict.survived_us <= cut:
+            kept = repr(short) == repr(verdict)
+        elif decided is None or cut < decided:
+            kept = (short.fail_cause, short.survived_us) == (FailCause.INIT_FAILURE, cut)
+        else:
+            kept = ((short.passed, short.survived_us) == (True, cut)
+                    and short.max_following_error_mm <= verdict.max_following_error_mm)
+        if not kept:
+            return f"at {cut} us {short!r}, at {length} us {verdict!r}, decided at {decided}"
+    return None
+
+
 class TestTruncation:
     """A trial's length only truncates it: the run at L' < L of the trial
     that gave `verdict` at L, with its link decision at `decided`, returns
@@ -448,26 +476,8 @@ class TestTruncation:
 
     def test_a_shorter_run_returns_a_truncation_of_the_longer_one(self):
         rng = random.Random(20261019)
-        for config, lat, jit, length, seed, blackout in truncation_trials(64, seed=20261019):
-            verdict, decided = run_and_decide(config, lat, jit, length, seed, blackout)
-            # one length at random, and those either side of each instant the rule turns on
-            cuts = {rng.randrange(1, length)}
-            if not verdict.passed:
-                cuts |= {verdict.survived_us - 1, verdict.survived_us, verdict.survived_us + 1}
-            if decided is not None:
-                cuts |= {decided - 1, decided}
-            for cut in sorted(c for c in cuts if 0 < c < length):
-                short = run_trial(config, *symmetric_profiles(lat, jit), trial_length_us=cut,
-                                  seed=seed, feedback_blackout_us=blackout)
-                where = (config.profile, lat, jit, length, seed, blackout, cut)
-                if not verdict.passed and verdict.survived_us <= cut:
-                    assert repr(short) == repr(verdict), where
-                elif decided is None or cut < decided:
-                    assert (short.fail_cause, short.survived_us) == (
-                        FailCause.INIT_FAILURE, cut), where
-                else:
-                    assert (short.passed, short.survived_us) == (True, cut), where
-                    assert short.max_following_error_mm <= verdict.max_following_error_mm, where
+        for args in truncation_trials(64, seed=20261019):
+            assert truncation_differs(args, rng) is None, args
 
     def test_a_trial_that_ends_before_its_first_controller_tick_passes(self):
         # the link decision at 537,431 µs enters control; the first controller
