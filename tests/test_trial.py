@@ -310,10 +310,70 @@ def heap_kernel_differs(args):
     return None
 
 
+class ClampRecorder(HeapHarness):
+    """The heap kernel, noting each limit the reference plant met: the axis's
+    acceleration and velocity limits and the integral clamp, each as (name,
+    sign), and "derivative" for a derivative taken with kd != 0."""
+
+    def __init__(self, *args):
+        super().__init__(*args, None)
+        self.met = set()
+        met, pid = self.met, self.pid
+        tick = pid.tick
+
+        def recording_tick(setpoint, feedback, feedforward):
+            if pid.gains.kd != 0.0 and pid._last_error is not None:
+                met.add("derivative")
+            command = tick(setpoint, feedback, feedforward)
+            clamp = pid.gains.integral_clamp
+            if clamp > 0.0 and abs(pid.integral) == clamp:
+                met.add(("integral", pid.integral > 0.0))
+            return command
+
+        pid.tick = recording_tick
+
+    def _fpga_tick(self):
+        axis, dt = self.axis, self.config.servo_period_us / 1_000_000
+        dv = (dt / axis.time_constant_s) * (self.v_cmd - axis.velocity_mm_s)
+        if abs(dv) > axis.max_accel_mm_s2 * dt:
+            self.met.add(("acceleration", dv > 0.0))
+        super()._fpga_tick()
+        if abs(axis.velocity_mm_s) == axis.max_velocity_mm_s:
+            self.met.add(("velocity", axis.velocity_mm_s > 0.0))
+
+
+def limits_trial(gains):
+    """The argument tuple of a 2 s trial of the default trajectory over a
+    0.5 ms, 50 µs-jitter link, with `gains`."""
+    link = ChannelProfile(mean_delay_us=500, jitter_us=50)
+    return (replace(DEFAULT_LOOP_CONFIG, gains=gains), link, link, 2_000_000, 0,
+            DEFAULT_SCENARIO, None)
+
+
 class TestPlantInTheLoop:
     def test_random_gains_match_the_heap_kernel(self):
         for args in random_gains_trials(48, seed=20261019):
             assert heap_kernel_differs(args) is None, args
+
+    def test_the_loops_axis_matches_the_reference_at_each_limit(self):
+        # a proportional-only controller ten times the nominal kp overshoots the
+        # default trajectory's 50 mm/s cruise, so the axis meets its acceleration
+        # and velocity limits in both directions before the error fails the trial
+        args = limits_trial(PidGains(kp=400.0, ki=0.0))
+        met = ClampRecorder(*args)
+        met.run()
+        assert {("acceleration", True), ("acceleration", False),
+                ("velocity", True), ("velocity", False)} <= met.met
+        assert heap_kernel_differs(args) is None
+
+    def test_the_loops_pid_matches_the_reference_at_each_clamp(self):
+        # ki = 50 against a clamp of 0.001 mm*s holds the integral at either
+        # bound for much of each move, and kd != 0 takes a derivative each tick
+        args = limits_trial(PidGains(kp=40.0, ki=50.0, kd=0.05, integral_clamp=0.001))
+        met = ClampRecorder(*args)
+        assert met.run().passed
+        assert {("integral", True), ("integral", False), "derivative"} <= met.met
+        assert heap_kernel_differs(args) is None
 
     def test_a_zero_command_keeps_its_sign_at_an_integral_clamp_of_0(self):
         # With zero gains every command on STEP_TABLE is zero, so the axis stays
