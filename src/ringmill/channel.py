@@ -9,19 +9,29 @@ are integer microseconds, so the uniform distribution has exact support
 profile whose delay or jitter is not an integer is refused when it is
 made, and `ChannelProfile.from_ms` converts ms values by the engine's
 whole-µs rule (`engine.us_from`), so it raises that rule's ValueError for
-a value that is negative, not finite or not a whole number of µs.  A
-channel builds its per-frame `impair` closure from the profile once,
-when it is made (see `Channel`).
+a value that is negative, not finite or not a whole number of µs.
+
+`frame_path` builds the whole path of a frame as one generator: the
+sending node's admission on its ring (see `ring`), then this impairment
+at the ring delivery instant, so a trial sends a frame with one call and
+no frame builds an object.  Its two stages are the only copy of the
+admission and of the impairment arithmetic.  A `Channel` is the channel
+stage alone, built from the profile once, when it is made, and a
+`TokenRing` node the ring stage alone.
 """
 
 from __future__ import annotations
 
 import enum
 import random
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .engine import SimTime, us_from
+
+if TYPE_CHECKING:
+    from .ring import RingConfig
 
 
 class JitterDistribution(str, enum.Enum):
@@ -53,6 +63,12 @@ class ChannelProfile:
             raise ChannelConfigError(f"jitter {self.jitter_us} us < 0")
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ChannelConfigError(f"loss rate {self.loss_rate} outside [0, 1]")
+        # a string would draw truncated-normal jitter, and the FIFO flag is a bool
+        if not isinstance(self.distribution, JitterDistribution):
+            raise ChannelConfigError(f"distribution {self.distribution!r} is not a "
+                                     "JitterDistribution")
+        if type(self.reorder_allowed) is not bool:
+            raise ChannelConfigError(f"reorder_allowed {self.reorder_allowed!r} is not a bool")
 
     @classmethod
     def from_ms(cls, mean_delay_ms: float, jitter_ms: float = 0.0, **kw) -> "ChannelProfile":
@@ -61,6 +77,108 @@ class ChannelProfile:
 
 
 ZERO_IMPAIRMENT = ChannelProfile(mean_delay_us=0, jitter_us=0, loss_rate=0.0)
+
+
+def frame_path(ring: RingConfig | None = None, node_idx: int = 0,
+               ring_rng: random.Random | None = None, profile: ChannelProfile | None = None,
+               channel_rng: random.Random | None = None,
+               blackout_from: SimTime | None = None) -> Callable[[SimTime], SimTime | None]:
+    """The `send` of one frame path: ``send(now)`` admits a frame at the node
+    with index `node_idx` on `ring`, drawing losses from `ring_rng`, and
+    impairs it at its ring delivery instant by `profile`, drawing from
+    `channel_rng`, and returns its arrival, or None if either stage drops it.
+
+    Either stage may be left out: with no `ring` the frame is impaired at
+    `now` (`Channel.impair`), with no `profile` its arrival is its ring
+    delivery (`TokenRing.admit`).  Both stages run in one generator, with
+    their configuration and state in its locals, so a frame is one call.
+    """
+
+    def path():
+        node, channel = ring is not None, profile is not None
+        if node:
+            # the delivery instants of the older frames in flight; the newest is
+            # the node's watermark, the end of its newest transmission
+            pending: deque[SimTime | None] = deque()
+            popleft, append, clear = pending.popleft, pending.append, pending.clear
+            depth, ring_loss, ring_draw = ring.queue_depth, ring.loss_rate, ring_rng.random
+            slot, tx = ring.slot_time_us, ring.tx_time_us
+            cycle = len(ring.nodes) * slot
+            offset = node_idx * slot  # where this node's slot starts in a cycle
+            node_mark = 0
+        if channel:
+            chan_loss, mean, jitter = profile.loss_rate, profile.mean_delay_us, profile.jitter_us
+            chan_draw, getrandbits, gauss = (channel_rng.random, channel_rng.getrandbits,
+                                             channel_rng.gauss)
+            uniform = profile.distribution is JitterDistribution.UNIFORM
+            # rng.randint(-jitter, jitter), draw for draw: rejection sampling of
+            # bit_length(2 * jitter + 1) random bits, as Random._randbelow does
+            width = 2 * jitter + 1
+            bits = width.bit_length()
+            low = mean - jitter
+            sigma = jitter / 2.0
+            fifo = not profile.reorder_allowed
+            chan_mark = 0  # the latest delivery, for the FIFO clamp
+        now = yield
+        while True:
+            if node:
+                if node_mark <= now:  # idle: every frame it sent has been delivered
+                    if pending:
+                        clear()
+                    if ring_loss > 0 and ring_draw() < ring_loss:
+                        append(None)  # should the clock go back, the newest frame stays delivered
+                        now = yield None
+                        continue
+                    start = now
+                elif pending and pending[0] is None:  # the clock went back; nothing is in flight
+                    if ring_draw() < ring_loss:  # a frame was lost here, so the loss rate is above 0
+                        now = yield None
+                        continue
+                    clear()
+                    start = node_mark
+                else:  # the older frames in flight, and the newest
+                    while pending and pending[0] <= now:
+                        popleft()
+                    if len(pending) + 1 >= depth or ring_loss > 0 and ring_draw() < ring_loss:
+                        now = yield None
+                        continue
+                    append(node_mark)  # the newest frame becomes an older one
+                    start = node_mark
+                if slot:
+                    base = start - start % cycle + offset  # this cycle's slot
+                    if start < base:
+                        start = base
+                    elif start >= base + slot:
+                        start = base + cycle
+                now = node_mark = start + tx
+            if channel:
+                if chan_loss > 0.0 and chan_draw() < chan_loss:
+                    now = yield None
+                    continue
+                if not jitter:
+                    delivered = now + mean
+                else:
+                    if uniform:
+                        r = getrandbits(bits)
+                        while r >= width:
+                            r = getrandbits(bits)
+                        delay = low + r
+                    else:
+                        delay = round(gauss(0.0, sigma))
+                        delay = mean + (jitter if delay > jitter else
+                                        -jitter if delay < -jitter else delay)
+                    delivered = now + delay if delay > 0 else now
+                if fifo and delivered < chan_mark:
+                    delivered = chan_mark
+                if blackout_from is not None and delivered >= blackout_from:
+                    now = yield None
+                    continue
+                now = chan_mark = delivered
+            now = yield now
+
+    send = path().send
+    send(None)  # to the first yield
+    return send
 
 
 @dataclass(slots=True)
@@ -83,12 +201,10 @@ class DelayStats:
 class Channel:
     """One direction of an impaired link; state is only the FIFO watermark.
 
-    `impair` computes a frame's delivery instant and allocates nothing.
-    It is a closure that `Channel` builds once, when it is made, with the
-    profile's constants bound: the loss rate, the uniform draw's width and
-    bit count (the delay is ``mean - jitter`` plus a draw in ``[0, 2 *
-    jitter]``), the FIFO flag and the blackout instant.  `transmit` wraps
-    it in a `DeliveryRecord`, kept when `record` is set.
+    `impair` computes a frame's delivery instant and allocates nothing: it
+    is the `send` of a `frame_path` with this channel's stage alone, built
+    once, when the channel is made.  `transmit` wraps it in a
+    `DeliveryRecord`, kept when `record` is set.
     """
 
     def __init__(self, profile: ChannelProfile, rng: random.Random,
@@ -97,48 +213,7 @@ class Channel:
         self.rng = rng
         self.records: list[DeliveryRecord] = []
         self._record = record
-        self.impair = self._build_impair(blackout_from)
-
-    def _build_impair(self, blackout_from: SimTime | None) -> Callable[[SimTime], SimTime | None]:
-        p = self.profile
-        loss_rate, mean, jitter = p.loss_rate, p.mean_delay_us, p.jitter_us
-        draw, getrandbits, gauss = self.rng.random, self.rng.getrandbits, self.rng.gauss
-        uniform = p.distribution is JitterDistribution.UNIFORM
-        # rng.randint(-jitter, jitter), draw for draw: rejection sampling of
-        # bit_length(2 * jitter + 1) random bits, as Random._randbelow does
-        width = 2 * jitter + 1
-        bits = width.bit_length()
-        low = mean - jitter
-        sigma = jitter / 2.0
-        fifo = not p.reorder_allowed
-        watermark = 0
-
-        def impair(now: SimTime) -> SimTime | None:
-            """Delivery instant of one frame sent at `now`, or None if it is dropped."""
-            nonlocal watermark
-            if loss_rate > 0.0 and draw() < loss_rate:
-                return None
-            if not jitter:
-                delivered = now + mean
-            else:
-                if uniform:
-                    r = getrandbits(bits)
-                    while r >= width:
-                        r = getrandbits(bits)
-                    delay = low + r
-                else:
-                    delay = round(gauss(0.0, sigma))
-                    delay = mean + (jitter if delay > jitter else
-                                    -jitter if delay < -jitter else delay)
-                delivered = now + delay if delay > 0 else now
-            if fifo and delivered < watermark:
-                delivered = watermark
-            if blackout_from is not None and delivered >= blackout_from:
-                return None
-            watermark = delivered
-            return delivered
-
-        return impair
+        self.impair = frame_path(profile=profile, channel_rng=rng, blackout_from=blackout_from)
 
     def transmit(self, frame_id: int, now: SimTime) -> DeliveryRecord:
         """Impair one frame sent at `now`; returns its delivery record."""

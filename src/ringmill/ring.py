@@ -13,17 +13,18 @@ the head of its queue can see is therefore
 which the shipped control ring (900 µs) keeps below the 2 ms bound the
 hardware class is specified for; it is the one ring a trial runs.
 
-Admission is compiled once per node: `admitters` builds each node's
-admission closure, for a trial and a `TokenRing` alike, with the node's
-queue, slot offset and the configuration's depth, loss rate, slot, cycle
-and transmission time bound, so admitting a frame reads no
-configuration.  A node's watermark, the end of its newest transmission,
-is that frame's delivery instant, and the node's queue holds only the
-delivery instants of the older frames still in flight.  A node whose
-watermark is at or before the clock has delivered every frame it sent,
-so its closure starts at the clock and touches its queue only to clear
-what a busy spell left there; in a trial, where nodes are idle on almost
-every frame, admission calls no deque method.
+Admission is compiled once per node: a node's admission is the ring
+stage of a `channel.frame_path`, built for a trial and a `TokenRing` alike
+with the node's queue, slot offset and the configuration's depth, loss
+rate, slot, cycle and transmission time bound, so admitting a frame reads
+no configuration.  A trial's path runs its channel stage after it in the
+same call; a `TokenRing`'s has none.  A node's watermark, the end of its
+newest transmission, is that frame's delivery instant, and the node's
+queue holds only the delivery instants of the older frames still in
+flight.  A node whose watermark is at or before the clock has delivered
+every frame it sent, so its admission starts at the clock and touches its
+queue only to clear what a busy spell left there; in a trial, where nodes
+are idle on almost every frame, admission calls no deque method.
 Only a node with a frame in flight pops the delivered instants, counts
 the queue and the newest frame against the depth, and, once the frame
 survives the loss draw, pushes the old watermark onto the queue and
@@ -42,11 +43,11 @@ from __future__ import annotations
 
 import enum
 import random
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
+from .channel import frame_path
 from .engine import SimTime, Simulator
 
 MAX_RING_NODES = 8
@@ -115,68 +116,16 @@ class Frame:
                 f"[{CONTROL_FRAME_MIN_BYTES}, {CONTROL_FRAME_MAX_BYTES}] bytes")
 
 
-def admitters(config: RingConfig, rng: random.Random) -> list[Callable[[SimTime], SimTime | None]]:
-    """One admission closure per node of `config`, in ring order, drawing losses
-    from `rng`: ``admitters(config, rng)[i](now)`` is `TokenRing.admit` ``(i, now)``."""
-    depth, loss_rate, draw = config.queue_depth, config.loss_rate, rng.random
-    slot, tx = config.slot_time_us, config.tx_time_us
-    cycle = len(config.nodes) * slot
-
-    def build(node_idx: int) -> Callable[[SimTime], SimTime | None]:
-        # the delivery instants of the older frames in flight; the newest is the watermark's
-        pending: deque[SimTime | None] = deque()
-        popleft, append, clear = pending.popleft, pending.append, pending.clear
-        offset = node_idx * slot  # where this node's slot starts in a cycle
-        watermark = 0  # the end of this node's newest transmission
-
-        def admit(now: SimTime) -> SimTime | None:
-            nonlocal watermark
-            if watermark <= now:  # idle: every frame it sent has been delivered
-                if pending:
-                    clear()
-                if loss_rate > 0 and draw() < loss_rate:
-                    append(None)  # should the clock go back, the newest frame stays delivered
-                    return None
-                start = now
-            elif pending and pending[0] is None:  # the clock went back; nothing is in flight
-                if draw() < loss_rate:  # a frame was lost here, so the loss rate is above 0
-                    return None
-                clear()
-                start = watermark
-            else:  # the older frames in flight, and the newest
-                while pending and pending[0] <= now:
-                    popleft()
-                if len(pending) + 1 >= depth:
-                    return None
-                if loss_rate > 0 and draw() < loss_rate:
-                    return None
-                append(watermark)  # the newest frame becomes an older one
-                start = watermark
-            if slot:
-                base = start - start % cycle + offset  # this cycle's slot
-                if start < base:
-                    start = base
-                elif start >= base + slot:
-                    start = base + cycle
-            watermark = start + tx
-            return watermark
-
-        return admit
-
-    return [build(node_idx) for node_idx in range(len(config.nodes))]
-
-
 class TokenRing:
     """One deterministic token ring attached to a simulation instance.
 
     Each source node's queue is FIFO and its transmission start depends
     only on the clock and that node's watermark, so a frame's delivery
-    instant is computed at admission.  The ring takes one admission
-    closure per node from `admitters` when it is made, with the
-    configuration and that node's slot bound, so a frame re-reads no
-    configuration.  `admit` calls it for a node given by its index and
-    allocates nothing; `enqueue` wraps it for callers that hold a `Frame`
-    or want a delivery event.
+    instant is computed at admission.  The ring builds one
+    `channel.frame_path` per node when it is made, with no channel stage,
+    drawing every node's losses from `rng`.  `admit` sends on it for a
+    node given by its index and allocates nothing; `enqueue` wraps it for
+    callers that hold a `Frame` or want a delivery event.
     """
 
     def __init__(self, config: RingConfig, sim: Simulator, rng: random.Random):
@@ -184,7 +133,8 @@ class TokenRing:
         self.sim = sim
         self.rng = rng
         self._index = {node: i for i, node in enumerate(config.nodes)}
-        self._admit = admitters(config, rng)
+        self._admit = [frame_path(config, node_idx, rng)
+                       for node_idx in range(len(config.nodes))]
 
     def node_index(self, node: str) -> int:
         """Position of a member node in the ring order, as `admit` takes it."""

@@ -31,12 +31,12 @@ so a trial that ends between the two passes having run no controller
 tick, with a peak error of 0: it survived to its length, and that is a
 pass.
 
-Frames.  When a command or feedback frame is sent, the sending node's
-admission closure on the ring (from `ring.admitters`) computes its
-delivery instant and the direction's `Channel.impair` closure impairs it
-at that instant.  A trial holds the two closures of each direction,
-built once with their configuration and profile bound, and a frame
-builds no object.  A servo frame goes into its direction's in-flight
+Frames.  When a command or feedback frame is sent, its direction's
+`channel.frame_path` admits it at the sending node on the ring and
+impairs it at its delivery instant on the direction's channel, in one
+call, ``send(now) -> arrival | None``.  A trial holds one path per
+direction, built once with the ring configuration and the profile bound,
+and a frame builds no object.  A servo frame goes into its direction's in-flight
 queue as ``(arrival, seq, value)``, a feedback frame with its send
 instant appended, ``seq`` being the trial's next number (see Same-µs
 order), which the heap kernel (``tests/test_heap_oracle.py``) gives the
@@ -132,11 +132,11 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from heapq import heapify, heappop, heappush
 
-from .channel import Channel, ChannelProfile
+from .channel import ChannelProfile, frame_path
 from .engine import SimTime, US_PER_S, component_rng
 from .plant import (AxisModel, FailCause, LoopConfig, PidGains, Profile, TabulatedTrajectory,
                     TrapezoidTrajectory, TrialVerdict, setpoint_table)
-from .ring import RingConfig, RingConfigError, admitters
+from .ring import RingConfig, RingConfigError
 
 MASTER_NODE = "master"
 FPGA_NODE = "fpga"
@@ -212,16 +212,16 @@ class _LoopHarness:
         # numbers the keys taken before the loop, and the one it counts on from
         self.reserve = itertools.count(1).__next__
         ring = scenario.control_ring
-        admit = admitters(ring, component_rng(seed, "ring", "control"))
-        cmd_channel = Channel(command_profile, component_rng(seed, "chan", "cmd"))
-        fb_channel = Channel(feedback_profile, component_rng(seed, "chan", "fb"),
-                             blackout_from=feedback_blackout_us)
-        # (the sending node's admission closure on the control ring, the
-        # channel's impairment closure, servo frames in flight as (arrival,
-        # reserved seq, value), feedback with its send instant appended) per
-        # direction
-        self.to_fpga = (admit[ring.nodes.index(MASTER_NODE)], cmd_channel.impair, deque())
-        self.to_cnc = (admit[ring.nodes.index(FPGA_NODE)], fb_channel.impair, deque())
+        ring_rng = component_rng(seed, "ring", "control")  # both nodes draw from it
+        cmd_send = frame_path(ring, ring.nodes.index(MASTER_NODE), ring_rng, command_profile,
+                              component_rng(seed, "chan", "cmd"))
+        fb_send = frame_path(ring, ring.nodes.index(FPGA_NODE), ring_rng, feedback_profile,
+                             component_rng(seed, "chan", "fb"), feedback_blackout_us)
+        # (the frame path from the sending node through the channel, servo frames
+        # in flight as (arrival, reserved seq, value), feedback with its send
+        # instant appended) per direction
+        self.to_fpga = (cmd_send, deque())
+        self.to_cnc = (fb_send, deque())
 
         # (instant, reserved seq) of the first stage tick, set by `run`; none before
         self.first_fpga_tick: tuple[SimTime, int] | None = None
@@ -256,8 +256,8 @@ class _LoopHarness:
         """Run the handshake `items` and the two servo ticks in key order up
         to the end of the trial, and return the verdict (see the module
         docstring)."""
-        cmd_admit, cmd_impair, cmd_queue = self.to_fpga
-        fb_admit, fb_impair, fb_queue = self.to_cnc
+        cmd_send, cmd_queue = self.to_fpga
+        fb_send, fb_queue = self.to_cnc
         period, fe_limit = self.config.servo_period_us, self.config.fe_limit_mm
         wait = self.config.watchdog_timeout_us + 1  # a probe's delay after its `since`
         # the plant, compiled for the servo period: the setpoint and feedforward of the
@@ -372,19 +372,17 @@ class _LoopHarness:
                 last_error = fe
                 # the kd term is added when kd is 0 too: it decides the sign of a zero command
                 command = feedforward + kp * fe + ki * integral + kd * derivative
-                delivered = cmd_admit(now)
-                if delivered is not None:
-                    arrival = cmd_impair(delivered)
-                    if arrival is not None:
-                        seq += 1
-                        entry = (arrival, seq, command)
-                        if arrival < cmd_tail:
-                            insort(cmd_queue, entry)  # overtakes: a reordering channel
-                        else:
-                            cmd_queue.append(entry)
-                            cmd_tail = arrival
-                        if arrival < cmd_t:  # the new first frame
-                            cmd_t, cmd_s = arrival, seq
+                arrival = cmd_send(now)
+                if arrival is not None:
+                    seq += 1
+                    entry = (arrival, seq, command)
+                    if arrival < cmd_tail:
+                        insort(cmd_queue, entry)  # overtakes: a reordering channel
+                    else:
+                        cmd_queue.append(entry)
+                        cmd_tail = arrival
+                    if arrival < cmd_t:  # the new first frame
+                        cmd_t, cmd_s = arrival, seq
                 if rows is not None:
                     rows.append((now, setpoint, fb_value, command, fe))
                 seq += 1
@@ -407,30 +405,26 @@ class _LoopHarness:
                 elif velocity < -v_limit:
                     velocity = -v_limit
                 position += velocity * dt
-                delivered = fb_admit(now)
-                if delivered is not None:
-                    arrival = fb_impair(delivered)
-                    if arrival is not None:
-                        seq += 1
-                        entry = (arrival, seq, position, now)
-                        if arrival < fb_tail:
-                            insort(fb_queue, entry)
-                        else:
-                            fb_queue.append(entry)
-                            fb_tail = arrival
-                        if arrival < fb_t:  # the new first frame
-                            fb_t, fb_s = arrival, seq
+                arrival = fb_send(now)
+                if arrival is not None:
+                    seq += 1
+                    entry = (arrival, seq, position, now)
+                    if arrival < fb_tail:
+                        insort(fb_queue, entry)
+                    else:
+                        fb_queue.append(entry)
+                        fb_tail = arrival
+                    if arrival < fb_t:  # the new first frame
+                        fb_t, fb_s = arrival, seq
                 seq += 1
                 fpga_t, fpga_s = now + period, seq
             else:
                 _, _, kind, exchange = heappop(items)
                 if kind == _REQUEST:  # the stage answers every request, a stale one too
-                    delivered = fb_admit(now)
-                    if delivered is not None:
-                        arrival = fb_impair(delivered)
-                        if arrival is not None:
-                            seq += 1
-                            heappush(items, (arrival, seq, _REPLY, exchange))
+                    arrival = fb_send(now)
+                    if arrival is not None:
+                        seq += 1
+                        heappush(items, (arrival, seq, _REPLY, exchange))
                 elif kind >= _GRACE:  # the grace deadline, or the end of the trial
                     if self.phase != "control":
                         return TrialVerdict(False, FailCause.INIT_FAILURE, max_fe, now)
@@ -445,12 +439,10 @@ class _LoopHarness:
                         hs_seq, hs_sent_at = hs_seq + 1, now
                         seq += 1
                         heappush(items, (now + HANDSHAKE_RETRY_US, seq, _RETRY, hs_seq))
-                        delivered = cmd_admit(now)
-                        if delivered is not None:
-                            arrival = cmd_impair(delivered)
-                            if arrival is not None:
-                                seq += 1
-                                heappush(items, (arrival, seq, _REQUEST, hs_seq))
+                        arrival = cmd_send(now)
+                        if arrival is not None:
+                            seq += 1
+                            heappush(items, (arrival, seq, _REQUEST, hs_seq))
                 item_t, item_s, _, _ = items[0]
 
 def run_trial(config: LoopConfig,

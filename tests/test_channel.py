@@ -3,9 +3,12 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from test_ring import ReferenceRing, ring_configs
+
 from ringmill.channel import (Channel, ChannelConfigError, ChannelProfile, JitterDistribution,
-                              ZERO_IMPAIRMENT, empirical_stats)
+                              ZERO_IMPAIRMENT, empirical_stats, frame_path)
 from ringmill.engine import component_rng
+from ringmill.ring import RingConfig
 
 
 def make_channel(mean_us, jitter_us, seed=1, **kw):
@@ -138,6 +141,18 @@ class TestTransmit:
         with pytest.raises(ChannelConfigError, match=f"{field} .* is not an integer"):
             ChannelProfile(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("distribution", "uniform"),  # drew truncated-normal jitter
+        ("distribution", "bogus"),
+        ("distribution", None),
+        ("reorder_allowed", 1),
+        ("reorder_allowed", "false"),  # a non-empty string reordered
+        ("reorder_allowed", None),
+    ])
+    def test_profile_rejects_a_distribution_or_reorder_flag_of_the_wrong_type(self, field,
+                                                                               value):
+        with pytest.raises(ChannelConfigError, match=f"^{field} {value!r} is not a"):
+            ChannelProfile(500, 50, **{field: value})
 
     @pytest.mark.parametrize("mean_ms, jitter_ms", [(0.5004, 0.05), (0.5, 0.0502),
                                                     (0.0005, 0.0)])
@@ -220,6 +235,52 @@ class TestImpair:
         for now in range(0, 200_000, 1_000):
             assert chan.impair(now) - now - jitter == twin.randint(-jitter, jitter)
         assert chan.rng.getstate() == twin.getstate()
+
+
+class TestFramePath:
+    # a queue of one at a lossy node, truncated-normal jitter over a lossy
+    # reordering link cut at 3 ms, and a clock that goes back
+    @example(config=RingConfig(ring_id="r", nodes=("n0", "n1"), slot_time_us=250,
+                               tx_time_us=50, queue_depth=1, loss_rate=0.2),
+             profile=ChannelProfile(400, 300, JitterDistribution.TRUNCATED_NORMAL, 0.1, True),
+             blackout_from=3_000, seed=8,
+             sends=[(0, 0), (0, 10), (1, 400), (0, -300), (1, 900), (0, 1_500), (1, -1_500)])
+    @given(config=ring_configs(),
+           profile=st.builds(ChannelProfile, mean_delay_us=st.integers(0, 3_000),
+                             jitter_us=st.integers(0, 1_000),
+                             distribution=st.sampled_from(list(JitterDistribution)),
+                             loss_rate=st.sampled_from([0.0, 0.1, 1.0]),
+                             reorder_allowed=st.booleans()),
+           blackout_from=st.none() | st.integers(min_value=0, max_value=60_000),
+           seed=st.integers(min_value=0, max_value=2**32),
+           sends=st.lists(st.tuples(st.integers(min_value=0, max_value=7),
+                                    st.integers(min_value=-1_500, max_value=1_500)),
+                          min_size=1, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_a_frame_path_is_the_ring_stage_then_the_channel_stage(
+            self, config, profile, blackout_from, seed, sends):
+        # one path per node, all drawing ring losses from one stream and each
+        # impairing on its own channel, against the plain reference ring fed
+        # into one plain reference channel per node, on twin streams; the clock
+        # stays at or after 0, where every trial starts
+        nodes = range(len(config.nodes))
+        ring_rng, twin_ring_rng = (component_rng(seed, "ring") for _ in range(2))
+        channel_rngs, twin_channel_rngs = ([component_rng(seed, "chan", i) for i in nodes]
+                                           for _ in range(2))
+        paths = [frame_path(config, i, ring_rng, profile, channel_rngs[i], blackout_from)
+                 for i in nodes]
+        ring = ReferenceRing(config, twin_ring_rng)
+        channels = [ReferenceChannel(profile, twin_channel_rngs[i], blackout_from)
+                    for i in nodes]
+        now = 0
+        for node_idx, gap in sends:
+            now = max(0, now + gap)
+            node_idx %= len(config.nodes)
+            delivered = ring.admit(node_idx, now)
+            want = None if delivered is None else channels[node_idx].impair(delivered)
+            assert paths[node_idx](now) == want
+            assert ring_rng.getstate() == twin_ring_rng.getstate()
+            assert channel_rngs[node_idx].getstate() == twin_channel_rngs[node_idx].getstate()
 
 
 class TestEmpiricalStats:

@@ -44,7 +44,7 @@ def qualified(length_us, decided_at, trace=None):
 def feed(h, arrival, seq=None):
     """Queue a feedback frame at rest, sent 100 µs before `arrival`, numbered
     `seq`, or now."""
-    h.to_cnc[2].append((arrival, seq or h.reserve(), 0.0, arrival - 100))
+    h.to_cnc[1].append((arrival, seq or h.reserve(), 0.0, arrival - 100))
 
 
 #: a number no trial this short reserves, so it sorts after every reserved one
@@ -55,18 +55,18 @@ class TestTrialKernel:
     def test_control_phase_schedules_only_the_servo_ticks(self):
         def ticks(length_us):
             # every controller tick sends a command and every stage tick
-            # feedback, each through its node's admission on the control ring
+            # feedback, each through its node's frame path on the control ring
             h = harness(*symmetric_profiles(0.5, 0.05), length_us)
             counts = {"cmd": 0, "fb": 0}
 
             def counting(direction, path):
-                admit, impair, queue = path
+                send, queue = path
 
-                def counting_admit(now):
+                def counting_send(now):
                     counts[direction] += 1
-                    return admit(now)
+                    return send(now)
 
-                return counting_admit, impair, queue
+                return counting_send, queue
 
             h.to_fpga, h.to_cnc = counting("cmd", h.to_fpga), counting("fb", h.to_cnc)
             assert h.run().passed
@@ -151,7 +151,7 @@ class TestTrialKernel:
         request_seq = seqs.pop(request_rank)
         h.first_fpga_tick = (11_500, seqs[0])
         verdict = h._run_ticks(((11_500, request_seq, _REQUEST, 1),))
-        assert [frame[0] for frame in h.to_cnc[2]] == [feedback_at]
+        assert [frame[0] for frame in h.to_cnc[1]] == [feedback_at]
         assert verdict.fail_cause is FailCause.INIT_FAILURE
         assert verdict.survived_us == 11_600
 
@@ -305,12 +305,12 @@ def same_us_landings(delay_us):
     landings = {"cmd": [], "fb": []}
 
     def instrument(direction, receiver_sends, path):
-        admit, impair, _ = path
+        send, _ = path
         sent_at = {}  # reserved sequence number -> when the frame was sent
 
-        def admit_and_log(now):
+        def send_and_log(now):
             last_sent[direction] = now
-            return admit(now)
+            return send(now)
 
         class LoggingQueue(deque):
             def append(self, entry):
@@ -324,7 +324,7 @@ def same_us_landings(delay_us):
                     (arrival, sent_at[seq], last_sent[receiver_sends] < arrival))
                 return entry
 
-        return admit_and_log, impair, LoggingQueue()
+        return send_and_log, LoggingQueue()
 
     h.to_fpga = instrument("cmd", "fb", h.to_fpga)
     h.to_cnc = instrument("fb", "cmd", h.to_cnc)

@@ -8,15 +8,17 @@ import pytest
 from reference_plant import PidController, step_axis
 from test_heap_oracle import HeapHarness
 
-from ringmill.channel import ZERO_IMPAIRMENT, ChannelProfile
+from ringmill.channel import ZERO_IMPAIRMENT, ChannelProfile, frame_path
+from ringmill.engine import component_rng
 from ringmill.harness import DEFAULT_JITTERS_MS, DEFAULT_LATENCIES_MS, SweepSpec
 from ringmill import plant
 from ringmill.plant import (AxisModel, FailCause, PidGains, TabulatedTrajectory,
                             TrapezoidTrajectory, TrialVerdict)
 from ringmill.ring import RingConfig
 from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO,
-                            FPGA_TICK_OFFSET_US, QUALIFY_WINDOW_FRAMES, Scenario, TrialTrace,
-                            _LoopHarness, calibrate, run_trial, symmetric_profiles)
+                            FPGA_NODE, FPGA_TICK_OFFSET_US, MASTER_NODE, QUALIFY_WINDOW_FRAMES,
+                            Scenario, TrialTrace, _LoopHarness, calibrate, run_trial,
+                            symmetric_profiles)
 
 ZERO_RING = RingConfig(ring_id="control", nodes=("master", "fpga"),
                        slot_time_us=0, tx_time_us=0, loss_rate=0.0)
@@ -122,9 +124,23 @@ def entering_control(link, length_us, blackout=None, on_since=False, **loop):
     h.phase, h.hs_rtts = "qualify", [200]  # as the last handshake reply leaves it
     window = range(7_200 - QUALIFY_WINDOW_FRAMES + 1, 7_201)  # 100 µs in flight each
     for arrival in [*window, 8_000] if on_since else window:
-        h.to_cnc[2].append((arrival, h.reserve(), 0.0, arrival - 100))
+        h.to_cnc[1].append((arrival, h.reserve(), 0.0, arrival - 100))
     h.first_fpga_tick = (6_500, h.reserve())
     return h, trace
+
+
+def scripted(node, channel):
+    """A frame path for `entering_control` whose ring stage is that trial's
+    control ring at `node`, a ring-only path drawing from its seed, and whose
+    channel stage is `channel`: a script from ring delivery to arrival."""
+    ring = DEFAULT_SCENARIO.control_ring
+    admit = frame_path(ring, ring.nodes.index(node), component_rng(1, "ring", "control"))
+
+    def send(now):
+        delivered = admit(now)
+        return None if delivered is None else channel(delivered)
+
+    return send
 
 
 @pytest.mark.parametrize("config", [DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG],
@@ -208,9 +224,9 @@ class TestSameUsOrder:
         # stage tick there was numbered at 9,500, between the two sends, so
         # it applies the first and leaves the second to the tick at 11,500.
         h, _ = entering_control(ZERO_IMPAIRMENT, 12_000)
-        admit, _, queue = h.to_fpga
         arrivals = iter([8_600, 10_500, 10_500])
-        h.to_fpga = (admit, lambda delivered: next(arrivals, delivered + 2_000), queue)
+        h.to_fpga = (scripted(MASTER_NODE, lambda delivered: next(arrivals, delivered + 2_000)),
+                     h.to_fpga[1])
         sent = []  # (instant, position) of each feedback frame the stage sends
 
         class LoggingQueue(deque):
@@ -219,8 +235,8 @@ class TestSameUsOrder:
                 sent.append((now, position))
                 super().append(entry)
 
-        admit, impair, queue = h.to_cnc
-        h.to_cnc = (admit, impair, LoggingQueue(queue))  # the window's frames, not logged
+        send, queue = h.to_cnc
+        h.to_cnc = (send, LoggingQueue(queue))  # the window's frames, not logged
         assert h._run_ticks().passed
         # stage ticks at 6,500 ... 11,500 step the axis with commands 0, 1.020001
         # and 2.080005 mm/s; the positions they send are those of the reference step
@@ -234,10 +250,9 @@ class TestSameUsOrder:
         # The feedback sent at 10,500 and 11,500 us both lands at 12,000; the
         # controller tick there was numbered at 11,000, so it sees the first.
         h, trace = entering_control(ZERO_IMPAIRMENT, 13_000)
-        admit, _, queue = h.to_cnc
         sends = itertools.count(1)  # the 5th and 6th are sent at 10,500 and 11,500
-        h.to_cnc = (admit, lambda delivered: 12_000 if next(sends) in (5, 6)
-                    else delivered + 1_000, queue)
+        h.to_cnc = (scripted(FPGA_NODE, lambda delivered: 12_000 if next(sends) in (5, 6)
+                             else delivered + 1_000), h.to_cnc[1])
         assert h._run_ticks().passed
         time_us, _, feedback_mm, _, _ = trace.rows[4]
         assert time_us == 12_000 and feedback_mm > 0.0  # the axis had moved by 10,500

@@ -1,7 +1,7 @@
 """Mutation check: flip one comparison at a time and see whether a test fails.
 
     python tools/mutate.py --tests tests/test_ring.py tests/test_kernel.py -- \\
-        src/ringmill/ring.py:admitters src/ringmill/trial.py:_LoopHarness._run_ticks
+        src/ringmill/channel.py:frame_path src/ringmill/trial.py:_LoopHarness._run_ticks
 
 Each target is a file and the dotted name of a function in it (nested
 functions included).  Every comparison operator inside the target makes one
@@ -49,16 +49,16 @@ _AXIS = ("at equality the clamp assigns the value it has, and the axis's limits 
 #: Known-equivalent mutants, (file name, the comparison's source, the
 #: mutant's operator) -> why no test can kill it.
 EQUIVALENT = {
-    # ring.admitters: the admission closure
-    ("ring.py", "draw() < loss_rate", "<="): _DRAW,
-    ("ring.py", "start < base", "<="): "at start == base both leave the start at base",
-    # channel.Channel._build_impair: the impairment closure
-    ("channel.py", "draw() < loss_rate", "<="): _DRAW,
+    # channel.frame_path: the ring stage, ring admission
+    ("channel.py", "ring_draw() < ring_loss", "<="): _DRAW,
+    ("channel.py", "start < base", "<="): "at start == base both leave the start at base",
+    # channel.frame_path: the channel stage, impairment
+    ("channel.py", "chan_draw() < chan_loss", "<="): _DRAW,
     ("channel.py", "delay > jitter", ">="): "at delay == jitter the clamp gives the same delay",
     ("channel.py", "delay < -jitter", "<="): "at delay == -jitter the clamp gives the same delay",
     ("channel.py", "delay > 0", ">="): "at delay == 0 both give now",
-    ("channel.py", "delivered < watermark", "<="):
-        "at delivered == watermark the clamp gives the same instant",
+    ("channel.py", "delivered < chan_mark", "<="):
+        "at delivered == chan_mark the clamp gives the same instant",
     # trial._LoopHarness._run_ticks
     ("trial.py", "cnc_s < fpga_s", "<="): _DISTINCT,
     ("trial.py", "item_s < s", "<="): _DISTINCT,
@@ -138,7 +138,7 @@ def run_tests(root: Path, tests: list[str], timeout: float | None) -> tuple[str,
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("targets", nargs="+", help="FILE:FUNCTION, e.g. src/ringmill/ring.py:admitters")
+    parser.add_argument("targets", nargs="+", help="FILE:FUNCTION, e.g. src/ringmill/channel.py:frame_path")
     parser.add_argument("--tests", nargs="+", required=True, help="the test files pytest runs")
     args = parser.parse_args(argv)
 
