@@ -61,6 +61,8 @@ class ChannelProfile:
             raise ChannelConfigError(f"mean delay {self.mean_delay_us} us < 0")
         if self.jitter_us < 0:
             raise ChannelConfigError(f"jitter {self.jitter_us} us < 0")
+        if type(self.loss_rate) not in (int, float):  # True would drop every frame
+            raise ChannelConfigError(f"loss rate {self.loss_rate!r} is not a number")
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ChannelConfigError(f"loss rate {self.loss_rate} outside [0, 1]")
         # a string would draw truncated-normal jitter, and the FIFO flag is a bool

@@ -9,13 +9,11 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .channel import ChannelProfile
 from .config import ConfigError, load_config
 from .engine import US_PER_S, us_from
 from .harness import (RunManifest, ScriptError, _fmt, parse_matrix_csv, render_matrix,
                       run_from_manifest, run_spectrum_scenario)
-from .trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, TrialTrace, calibrate, run_trial,
-                    symmetric_profiles)
+from .trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, TrialTrace, calibrate, run_trial
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -34,12 +32,12 @@ def time_in(unit: str, positive: bool = False) -> Callable[[str], float]:
     return parse
 
 
-def _load_run(args) -> tuple[RunManifest, ChannelProfile | None, ChannelProfile | None]:
+def _load_run(args) -> RunManifest:
     """`load_config` of --config, with --seed and --trial-seconds applied."""
-    run, command, feedback = load_config(args.config)
+    run = load_config(args.config)
     overrides = {"master_seed": args.seed, "trial_seconds": args.trial_seconds}
     spec = replace(run.spec, **{k: v for k, v in overrides.items() if v is not None})
-    return replace(run, spec=spec), command, feedback
+    return replace(run, spec=spec)
 
 
 def _output_dir(raw: str | None) -> Path | None:
@@ -57,7 +55,7 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
 
 
 def cmd_sweep(args) -> int:
-    run = _load_run(args)[0]
+    run = _load_run(args)
     out_dir = _output_dir(args.output_dir)
     result, matrix_csv = run_from_manifest(run)
 
@@ -75,16 +73,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_trial(args) -> int:
-    run, cmd, fb = _load_run(args)
+    run = _load_run(args)
     config = run.default_config if args.profile == "default" else run.adapted_config
     if (args.latency_ms is None) != (args.jitter_ms is None):
         missing = "--jitter-ms" if args.jitter_ms is None else "--latency-ms"
         raise ConfigError(f"trial needs {missing} as well: the channel flags come in pairs")
-    if args.latency_ms is not None:
-        cmd, fb = symmetric_profiles(args.latency_ms, args.jitter_ms)
-    elif cmd is None or fb is None:
-        raise ConfigError("trial needs --latency-ms/--jitter-ms or "
-                          "[channel.command]/[channel.feedback] config sections")
+    if args.latency_ms is None:
+        cmd, fb = run.scenario.command_channel, run.scenario.feedback_channel
+    else:
+        cmd, fb = run.scenario.channels_at(args.latency_ms, args.jitter_ms)
     trace = TrialTrace() if args.trace else None
     if args.trace:  # an unwritable path fails before the trial runs
         Path(args.trace).write_text("")
@@ -121,7 +118,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    run = _load_run(args)[0]
+    run = _load_run(args)
     if (run.default_config, run.adapted_config) != (DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG):
         raise ConfigError(f"{args.config}: calibrate searches loop pairs around the shipped "
                           "one, so it cannot run the [loop.*] and [gains.*] values set here")

@@ -1,8 +1,8 @@
 """INI scenario configuration.
 
 A scenario file describes one run: `load_config` reads it into the
-`RunManifest` that a sweep, a trial and a calibration all run from, plus
-the command and feedback channels that only ``ringmill trial`` reads.
+`RunManifest` that a sweep, a trial and a calibration all run from, with
+the control ring, both channels and the trajectory in its `Scenario`.
 Every section is optional; omitted values fall back to the shipped
 calibrated defaults.  The schema and the file's rules are in the README;
 `_read_ini` applies the rules in one pass over the lines.  Every error
@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
-from .channel import ChannelProfile, JitterDistribution
+from .channel import JitterDistribution
 from .engine import us_from
 from .harness import RunManifest, SweepSpec
 from .plant import load_trajectory_csv, validate_config_pair
@@ -135,11 +135,10 @@ def _read_ini(text: str, path: str | Path | None) -> dict[str, tuple[int, dict]]
     return sections
 
 
-def load_config(path: str | Path | None,
-                ) -> tuple[RunManifest, ChannelProfile | None, ChannelProfile | None]:
-    """The run the INI file at `path` describes, and its command and feedback
-    channels, each None where its section is absent.  With no path, the
-    shipped defaults and no channels."""
+def load_config(path: str | Path | None) -> RunManifest:
+    """The run the INI file at `path` describes; with no path, the shipped
+    defaults.  A channel section absent from the file leaves its channel
+    at the scenario's default: no delay, no jitter, no loss."""
     read = _read_ini(Path(path).read_text() if path else "", path)
 
     def located(section: str, key: str | None, message) -> ConfigError:
@@ -184,6 +183,8 @@ def load_config(path: str | Path | None,
           validate_config_pair, default_loop, adapted_loop)
 
     control_ring = section("ring.control", DEFAULT_SCENARIO.control_ring)
+    command = section("channel.command", DEFAULT_SCENARIO.command_channel)
+    feedback = section("channel.feedback", DEFAULT_SCENARIO.feedback_channel)
     traj = values["trajectory"]
     if "file" in traj:
         trapezoid = [key for key in traj if key != "file"]
@@ -197,9 +198,5 @@ def load_config(path: str | Path | None,
     else:
         trajectory = section("trajectory", DEFAULT_SCENARIO.trajectory)
     scenario = build("ring.control", replace, DEFAULT_SCENARIO, control_ring=control_ring,
-                     trajectory=trajectory)
-
-    run = RunManifest.for_run(spec, default_loop, adapted_loop, scenario)
-    command, feedback = (section(name, ChannelProfile(0)) if name in read else None
-                         for name in ("channel.command", "channel.feedback"))
-    return run, command, feedback
+                     trajectory=trajectory, command_channel=command, feedback_channel=feedback)
+    return RunManifest.for_run(spec, default_loop, adapted_loop, scenario)

@@ -28,12 +28,12 @@ from typing import TYPE_CHECKING, Sequence, get_args, get_origin, get_type_hints
 
 from .engine import SimTime, derive_seed, us_from
 from .plant import FailCause, LoopConfig, TrialVerdict, validate_config_pair
-from .trial import DEFAULT_SCENARIO, Scenario, run_trial, symmetric_profiles
+from .trial import DEFAULT_SCENARIO, Scenario, run_trial
 
 if TYPE_CHECKING:
     from .spectrum import SpectrumManager
 
-ARTIFACT_VERSION = "0.5.0"
+ARTIFACT_VERSION = "0.6.0"
 
 DEFAULT_LATENCIES_MS = (0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
 DEFAULT_JITTERS_MS = (0.05, 0.1, 0.15, 0.2, 0.3)
@@ -157,9 +157,9 @@ def evaluate_cell(default_config: LoopConfig, adapted_config: LoopConfig,
                   latency_ms: float, jitter_ms: float,
                   seeds_per_cell: int, trial_seconds: float,
                   master_seed: int, scenario: Scenario = DEFAULT_SCENARIO) -> CellVerdict:
-    """Classify one cell; trials stop early once the class is decided."""
+    """Classify one cell on the scenario's channels; trials stop once the class is decided."""
     length_us = us_from(trial_seconds, "s")
-    cmd, fb = symmetric_profiles(latency_ms, jitter_ms)
+    cmd, fb = scenario.channels_at(latency_ms, jitter_ms)
     default: list[TrialVerdict] = []
     adapted: list[TrialVerdict] = []
     for config, outcomes in ((default_config, default), (adapted_config, adapted)):
@@ -412,7 +412,8 @@ def _read(value, hint, path: str = ""):
             refuse(f"one of {', '.join(m.value for m in hint)}")
         return hint(value)
     if type(value) not in ((int, float) if hint is float else (hint,)):
-        refuse({int: "an integer", float: "a number", str: "a string", dict: "an object"}[hint])
+        refuse({int: "an integer", float: "a number", bool: "a boolean", str: "a string",
+                dict: "an object"}[hint])
     return value
 
 

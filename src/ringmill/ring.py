@@ -91,6 +91,8 @@ class RingConfig:
                 f"a {self.tx_time_us} us transmission")
         if self.queue_depth < 1:
             raise RingConfigError(f"ring {self.ring_id}: queue depth must be >= 1")
+        if type(self.loss_rate) not in (int, float):  # True would drop every frame
+            raise RingConfigError(f"ring {self.ring_id}: loss rate {self.loss_rate!r} is not a number")
         if not 0.0 <= self.loss_rate <= 1.0:
             raise RingConfigError(f"ring {self.ring_id}: loss rate {self.loss_rate}")
 

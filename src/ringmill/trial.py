@@ -132,8 +132,8 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from heapq import heapify, heappop, heappush
 
-from .channel import ChannelProfile, frame_path
-from .engine import SimTime, US_PER_S, component_rng
+from .channel import ZERO_IMPAIRMENT, ChannelProfile, frame_path
+from .engine import SimTime, US_PER_S, component_rng, us_from
 from .plant import (AxisModel, FailCause, LoopConfig, PidGains, Profile, TabulatedTrajectory,
                     TrapezoidTrajectory, TrialVerdict, setpoint_table)
 from .ring import RingConfig, RingConfigError
@@ -155,15 +155,16 @@ DEFAULT_CONTROL_RING = RingConfig(
 
 @dataclass(frozen=True)
 class Scenario:
-    """The network and the motion a run simulates.
-
-    Everything else a trial needs comes from its caller: the loop pair, the
-    command and feedback channels a sweep varies, the length and the seed.
-    The same value drives a trial, a sweep, a calibration and a manifest.
-    """
+    """The network and the motion a run simulates: the control ring, the
+    command and feedback channels and the trajectory.  The loop pair, the
+    length, the seed and a sweep cell's delay and jitter (`channels_at`)
+    come from the caller.  The same value drives a trial, a sweep, a
+    calibration and a manifest."""
 
     control_ring: RingConfig = DEFAULT_CONTROL_RING
     trajectory: TrapezoidTrajectory | TabulatedTrajectory = TrapezoidTrajectory()
+    command_channel: ChannelProfile = ZERO_IMPAIRMENT
+    feedback_channel: ChannelProfile = ZERO_IMPAIRMENT
 
     def __post_init__(self):
         # the nodes a trial sends between
@@ -171,14 +172,19 @@ class Scenario:
             raise RingConfigError(f"ring {self.control_ring.ring_id}: a trial needs "
                                   f"nodes {MASTER_NODE} and {FPGA_NODE}")
 
+    def channels_at(self, latency_ms: float,
+                    jitter_ms: float) -> tuple[ChannelProfile, ChannelProfile]:
+        """The two channels at this mean delay and jitter, by the whole-µs rule."""
+        link = {"mean_delay_us": us_from(latency_ms, "ms"), "jitter_us": us_from(jitter_ms, "ms")}
+        return replace(self.command_channel, **link), replace(self.feedback_channel, **link)
+
 
 DEFAULT_SCENARIO = Scenario()
 
 
 def symmetric_profiles(latency_ms: float, jitter_ms: float) -> tuple[ChannelProfile, ChannelProfile]:
-    """One-way impairment applied identically to each loop direction."""
-    return (ChannelProfile.from_ms(latency_ms, jitter_ms),
-            ChannelProfile.from_ms(latency_ms, jitter_ms))
+    """The default scenario's channels: uniform, lossless and FIFO each way."""
+    return DEFAULT_SCENARIO.channels_at(latency_ms, jitter_ms)
 
 
 # the kinds of handshake item, ``(instant, reserved seq, kind, exchange)``;

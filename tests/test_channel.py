@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,7 +9,7 @@ from test_ring import ReferenceRing, ring_configs
 from ringmill.channel import (Channel, ChannelConfigError, ChannelProfile, JitterDistribution,
                               ZERO_IMPAIRMENT, empirical_stats, frame_path)
 from ringmill.engine import component_rng
-from ringmill.ring import RingConfig
+from ringmill.ring import RingConfig, RingConfigError
 
 
 def make_channel(mean_us, jitter_us, seed=1, **kw):
@@ -153,6 +154,16 @@ class TestTransmit:
                                                                                value):
         with pytest.raises(ChannelConfigError, match=f"^{field} {value!r} is not a"):
             ChannelProfile(500, 50, **{field: value})
+
+    @pytest.mark.parametrize("make, error", [
+        (lambda loss: ChannelProfile(500, 50, loss_rate=loss), ChannelConfigError),
+        (lambda loss: RingConfig("r", ("a", "b"), 800, 100, loss_rate=loss), RingConfigError),
+    ], ids=["channel", "ring"])
+    @pytest.mark.parametrize("loss", [True, "0.1", None])
+    def test_a_loss_rate_that_is_not_a_number_is_refused(self, make, error, loss):
+        # True compared as 1.0 and dropped every frame; a string raised a bare TypeError
+        with pytest.raises(error, match=re.escape(f"loss rate {loss!r} is not a number")):
+            make(loss)
 
     @pytest.mark.parametrize("mean_ms, jitter_ms", [(0.5004, 0.05), (0.5, 0.0502),
                                                     (0.0005, 0.0)])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -8,12 +9,12 @@ from pathlib import Path
 import pytest
 
 from ringmill import cli, harness
-from ringmill.channel import ChannelProfile
+from ringmill.channel import ChannelProfile, JitterDistribution
 from ringmill.cli import main
 from ringmill.config import ConfigError, load_config
 from ringmill.harness import (RunManifest, SweepSpec, _trial_seed, parse_matrix_csv,
                               run_from_manifest)
-from ringmill.trial import run_trial, symmetric_profiles
+from ringmill.trial import run_trial
 
 
 CONFIG_TEXT = """
@@ -58,16 +59,16 @@ def spy_on_trials(monkeypatch) -> list:
 
 class TestConfig:
     def test_defaults_without_file(self):
-        run, command, feedback = load_config(None)
+        run = load_config(None)
         assert run.spec.seeds_per_cell == 3
         assert run.default_config.profile.value == "default"
         assert run.scenario.control_ring.slot_time_us == 800
-        assert command is feedback is None
+        assert run.scenario.command_channel == run.scenario.feedback_channel == ChannelProfile(0)
 
     def test_load_overrides(self, tmp_path):
         path = tmp_path / "scenario.ini"
         path.write_text(CONFIG_TEXT)
-        run = load_config(path)[0]
+        run = load_config(path)
         assert run.spec.latencies_ms == (0.5, 1.0)
         assert run.spec.master_seed == 5
         assert run.default_config.gains.kp == 38.0
@@ -80,7 +81,7 @@ class TestConfig:
         traj.write_text("time_ms,setpoint_mm\n0,0\n500,10\n1000,0\n")
         path = tmp_path / "scenario.ini"
         path.write_text(f"[trajectory]\nfile = {traj}\n")
-        run = load_config(path)[0]
+        run = load_config(path)
         assert run.scenario.trajectory.sample(250_000)[0] == pytest.approx(5.0)
 
     def test_bad_ini_is_config_error(self, tmp_path):
@@ -93,7 +94,7 @@ class TestConfig:
         path = tmp_path / "commented.ini"
         path.write_text("[sweep] ; a note ] with a bracket\nmaster_seed = 5\n"
                         "[gains.default]# another\nkp = 38\n")
-        run = load_config(path)[0]
+        run = load_config(path)
         assert run.spec.master_seed == 5
         assert run.default_config.gains.kp == 38.0
 
@@ -110,14 +111,22 @@ class TestConfig:
         # comment: the file is m#1.csv, not "m#1.csv #x"
         ("[trajectory]\nfile = m#1.csv #x ;y\n",
          lambda run: run.scenario.trajectory.sample(250_000)[0], 5.0),
+        # a channel section sets its channel in the scenario, and only that one
+        ("[channel.command]\ndistribution = truncated-normal\nreorder = yes\n",
+         lambda run: (run.scenario.command_channel, run.scenario.feedback_channel),
+         (ChannelProfile(0, distribution=JitterDistribution.TRUNCATED_NORMAL,
+                         reorder_allowed=True), ChannelProfile(0))),
+        ("[channel.feedback]\nmean_delay_ms = 2\nloss_rate = 0.9\n",
+         lambda run: run.scenario.feedback_channel, ChannelProfile(2_000, loss_rate=0.9)),
     ], ids=["continuation", "continuation-after-blank", "colon", "upper-case-key",
-            "indented-first-key", "comment-after-header", "comment-after-glued-hash"])
+            "indented-first-key", "comment-after-header", "comment-after-glued-hash",
+            "command-channel-shape", "feedback-channel-loss"])
     def test_what_a_line_reads_as(self, tmp_path, text, read, value):
         (tmp_path / "m#1.csv").write_text("0,0\n500,10\n1000,0\n")
         (tmp_path / "m#1.csv #x").write_text("0,0\n500,20\n1000,0\n")
         path = tmp_path / "scenario.ini"
         path.write_text(text)
-        assert read(load_config(path)[0]) == value
+        assert read(load_config(path)) == value
 
     def test_bad_value_is_config_error(self, tmp_path):
         path = tmp_path / "broken.ini"
@@ -129,10 +138,10 @@ class TestConfig:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         path = tmp_path / "readme.ini"
         path.write_text(re.search(r"```ini\n(.*?)```", readme, re.S)[1])
-        run, command, _ = load_config(path)
+        run = load_config(path)
         assert run.default_config.init_grace_us == 2_000_000
-        assert command.mean_delay_us == 3_000
-        assert command.distribution.value == "uniform"
+        assert run.scenario.command_channel == run.scenario.feedback_channel == ChannelProfile(
+            3_000, 200, JitterDistribution.UNIFORM, 0.0, False)
 
     @pytest.mark.parametrize("section", ["[band]\nlow_mhz = 3700\n",
                                          "[spectrum]\nstatic_plan = true\n",
@@ -153,7 +162,7 @@ class TestConfig:
         path = tmp_path / "scenario" / "scenario.ini"
         path.write_text("[trajectory]\nfile = moves.csv\n")
         monkeypatch.chdir(tmp_path)
-        assert load_config(path)[0].scenario.trajectory.sample(250_000)[0] == pytest.approx(5.0)
+        assert load_config(path).scenario.trajectory.sample(250_000)[0] == pytest.approx(5.0)
 
     @pytest.mark.parametrize("text, line", [
         ("[channel.command]\nloss_rate = 0\ndistribution = gaussian\n", 3),
@@ -267,9 +276,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert "line 1: unknown section [loop.defualt]" in err
 
-    def test_trial_without_channels_is_config_error(self, capsys):
-        assert main(["trial", "--trial-seconds", "1"]) == 2
-        assert "channel" in capsys.readouterr().err
+    def test_trial_without_flags_or_channel_sections_runs_a_zero_delay_link(self, capsys):
+        # the scenario's channels default to no delay, no jitter and no loss
+        assert main(["trial", "--trial-seconds", "1"]) == 0
+        assert "trial latency=0 ms jitter=0 ms profile=default: PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("lines, shape", [
+        ("distribution = truncated-normal\n", {"distribution": JitterDistribution.TRUNCATED_NORMAL}),
+        ("reorder = true\nloss_rate = 0.01\n", {"reorder_allowed": True, "loss_rate": 0.01}),
+    ], ids=["truncated-normal", "reorder-loss"])
+    def test_trial_flags_set_only_the_delay_and_jitter_of_the_config_channels(
+            self, tmp_path, capsys, monkeypatch, lines, shape):
+        trials = spy_on_trials(monkeypatch)
+        config = tmp_path / "shape.ini"
+        config.write_text(f"[channel.command]\nmean_delay_ms = 3\n{lines}"
+                          f"[channel.feedback]\njitter_ms = 0.2\n{lines}")
+        assert main(["trial", "--config", str(config), "--latency-ms", "1", "--jitter-ms", "0.05",
+                     "--trial-seconds", "0.5"]) == 0
+        assert "trial latency=1 ms jitter=0.05 ms " in capsys.readouterr().out
+        (_, command, feedback), = trials
+        assert command == feedback == ChannelProfile(1_000, 50, **shape)
 
     def test_trial_adapted_profile_and_trace(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
@@ -296,22 +322,52 @@ class TestCli:
                      "--format", "markdown"]) == 0
         assert "✓" in capsys.readouterr().out
 
-    def test_sweep_honours_the_scenario_sections(self, tmp_path, capsys):
-        # the sweep's cell is the trial the file describes, trajectory included
+    @pytest.mark.parametrize("lines, shape, peak_fe", [
+        (None, {}, 0.462916),
+        ("distribution = truncated-normal\n",
+         {"distribution": JitterDistribution.TRUNCATED_NORMAL}, 0.445680),
+        ("loss_rate = 0.01\nreorder = true\n", {"loss_rate": 0.01, "reorder_allowed": True},
+         0.328123),
+    ], ids=["no-channel-sections", "truncated-normal", "loss-reorder"])
+    def test_sweep_honours_the_scenario_sections(self, tmp_path, capsys, lines, shape, peak_fe):
+        # the sweep's cell is the trial the file describes, trajectory included, and
+        # its channels keep the file's shape at the cell's delay and jitter
         config = tmp_path / "scenario.ini"
-        config.write_text(CONFIG_TEXT)
+        config.write_text(CONFIG_TEXT + ("" if lines is None else
+                                         f"[channel.command]\nmean_delay_ms = 7\n{lines}"
+                                         f"[channel.feedback]\njitter_ms = 0.3\n{lines}"))
         out_dir = tmp_path / "out"
         assert main(["sweep", "--config", str(config), "--output-dir", str(out_dir)]) == 0
         cells = parse_matrix_csv((out_dir / "matrix.csv").read_text()).cells
         cell = {(c.latency_ms, c.jitter_ms): c for c in cells}[1.0, 0.05]
-        run = load_config(config)[0]
-        verdict = run_trial(run.default_config, *symmetric_profiles(1.0, 0.05),
-                            trial_length_us=2_000_000, seed=_trial_seed(5, 1.0, 0.05, 0),
-                            scenario=run.scenario)
-        fe = cell.default_outcomes[0].max_following_error_mm
-        assert fe == round(verdict.max_following_error_mm, 9)
-        assert fe == pytest.approx(0.462916, abs=1e-6)
+        run, profile = load_config(config), ChannelProfile(1_000, 50, **shape)
+        verdict = run_trial(run.default_config, profile, profile, trial_length_us=2_000_000,
+                            seed=_trial_seed(5, 1.0, 0.05, 0), scenario=run.scenario)
+        got = cell.default_outcomes[0]
+        assert got == dataclasses.replace(
+            verdict, max_following_error_mm=round(verdict.max_following_error_mm, 9))
+        assert got.max_following_error_mm == pytest.approx(peak_fe, abs=1e-6)
         capsys.readouterr()
+
+    def test_a_lossy_channel_pair_sweeps_to_fail_and_its_manifest_replays(self, tmp_path,
+                                                                           capsys):
+        # the sweep ran a lossless pair here, and its manifest named no channel
+        config = tmp_path / "lossy.ini"
+        config.write_text("[sweep]\nlatencies_ms = 0.5\njitters_ms = 0.05\nseeds_per_cell = 1\n"
+                          "[channel.command]\nloss_rate = 0.9\n"
+                          "[channel.feedback]\nloss_rate = 0.9\n")
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--config", str(config), "--trial-seconds", "1",
+                     "--output-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        matrix = (out_dir / "matrix.csv").read_bytes()
+        cell, = parse_matrix_csv(matrix.decode()).cells
+        assert cell.cell_class.value == "fail"
+        manifest = RunManifest.from_json((out_dir / "manifest.json").read_text())
+        lossy = ChannelProfile(0, loss_rate=0.9)
+        assert (manifest.scenario.command_channel, manifest.scenario.feedback_channel) == (
+            lossy, lossy)
+        assert run_from_manifest(manifest)[1].encode() == matrix
 
     def test_sweep_matches_the_golden_matrix(self, tmp_path, capsys):
         # re-record tests/golden/matrix.csv only for a deliberate change of verdicts
@@ -338,7 +394,7 @@ class TestCli:
         matrix = (tmp_path / "scenario" / "matrix.csv").read_text()
         assert matrix != (tmp_path / "plain" / "matrix.csv").read_text()
 
-        scenario = load_config(config)[0].scenario
+        scenario = load_config(config).scenario
         moves.unlink()  # the manifest holds the trajectory's points
         manifest = RunManifest.from_json((tmp_path / "scenario" / "manifest.json").read_text())
         assert manifest.scenario == scenario

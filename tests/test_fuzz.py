@@ -10,6 +10,7 @@ the matrix and script readers, which carries it, and `ValueError` for
 the manifest reader.  Anything else escaping is a bug.
 """
 
+import json
 import random
 import re
 import tempfile
@@ -34,7 +35,7 @@ def sweep_manifest(ini: str) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scenario.ini"
         path.write_text(ini)
-        run = load_config(path)[0]
+        run = load_config(path)
     run.output_paths = {f"matrix_{kind}": f"out/matrix.{kind}" for kind in ("csv", "md", "ndjson")}
     run.wall_clock_seconds = 1234.5
     return run.to_json()
@@ -106,6 +107,13 @@ def test_every_mutant_reads_or_raises_a_located_error(name, tmp_path):
     rng = random.Random(f"fuzz-{name}")
     for _ in range(MUTANTS_PER_DOCUMENT):
         read(mutate(text, rng), tmp_path)
+
+
+def test_the_manifest_document_carries_both_channels():
+    # so its mutants reach every channel field, the reorder flag's bool among them
+    scenario = json.loads(MANIFEST)["scenario"]
+    assert scenario["command_channel"]["reorder_allowed"] is False
+    assert scenario["feedback_channel"]["mean_delay_us"] == 3_000
 
 
 def test_a_second_bracket_in_a_header_is_a_located_config_error(tmp_path):

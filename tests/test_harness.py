@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 from ringmill import harness
+from ringmill.channel import ChannelProfile, JitterDistribution
 from ringmill.engine import us_from
 from ringmill.harness import (CellClass, CellVerdict, RunManifest, ScriptError,
                               SweepResult, SweepSpec, _cell_class,
@@ -251,7 +252,10 @@ class TestManifest:
                                       fe_limit_mm=0.7)
         scenario = Scenario(
             control_ring=RingConfig("control", ("master", "fpga"), 700, 90, 8, 0.0),
-            trajectory=TabulatedTrajectory([(0, 0), (500, 10.5), (1000, 0)]))
+            trajectory=TabulatedTrajectory([(0, 0), (500, 10.5), (1000, 0)]),
+            command_channel=ChannelProfile(700, 60, JitterDistribution.TRUNCATED_NORMAL, 0.01,
+                                           True),
+            feedback_channel=ChannelProfile(300, loss_rate=1))
         manifest = RunManifest.for_run(SweepSpec(), default, ADAPTED_LOOP_CONFIG, scenario)
         text = manifest.to_json()
         again = RunManifest.from_json(text)
@@ -301,6 +305,9 @@ class TestManifest:
         ("scenario.control_ring.queue_depth", True),
         ("scenario.trajectory.dwell_s", True),
         ("spec.master_seed", True),
+        ("scenario.command_channel", True),
+        ("scenario.feedback_channel.reorder_allowed", True),
+        ("scenario.feedback_channel.reorder", False),
     ])
     def test_unknown_or_missing_key_at_any_depth_is_rejected(self, path, present):
         manifest = RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)
@@ -361,6 +368,11 @@ class TestManifest:
         ("default_config.gains.kp", None, "a number"),
         ("default_config.profile", "fast", "one of default, adapted"),
         ("scenario.control_ring.nodes", "master,fpga", "a list"),
+        # the refusal had no word for a bool field, so these raised a bare KeyError
+        ("scenario.command_channel.reorder_allowed", 1, "a boolean"),
+        ("scenario.feedback_channel.reorder_allowed", "false", "a boolean"),
+        ("scenario.command_channel.loss_rate", True, "a number"),  # dropped every frame
+        ("scenario.feedback_channel.distribution", "gaussian", "one of uniform, truncated-normal"),
     ])
     def test_a_value_of_the_wrong_json_type_is_rejected_by_its_path(self, path, value, kind):
         manifest = RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)
