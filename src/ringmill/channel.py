@@ -7,9 +7,7 @@ additionally forced to be non-decreasing, preserving FIFO.  Jitter draws
 are integer microseconds, so the uniform distribution has exact support
 ``[mean - jitter, mean + jitter]`` and exact zero-mean perturbation; a
 profile whose delay or jitter is not an integer is refused when it is
-made, and `ChannelProfile.from_ms` converts ms values by the engine's
-whole-µs rule (`engine.us_from`), so it raises that rule's ValueError for
-a value that is negative, not finite or not a whole number of µs.
+made.
 
 `frame_path` builds the whole path of a frame as one generator: the
 sending node's admission on its ring (see `ring`), then this impairment
@@ -28,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .engine import SimTime, us_from
+from .engine import SimTime
 
 if TYPE_CHECKING:
     from .ring import RingConfig
@@ -72,11 +70,6 @@ class ChannelProfile:
         if type(self.reorder_allowed) is not bool:
             raise ChannelConfigError(f"reorder_allowed {self.reorder_allowed!r} is not a bool")
 
-    @classmethod
-    def from_ms(cls, mean_delay_ms: float, jitter_ms: float = 0.0, **kw) -> "ChannelProfile":
-        return cls(mean_delay_us=us_from(mean_delay_ms, "ms"),
-                   jitter_us=us_from(jitter_ms, "ms"), **kw)
-
 
 ZERO_IMPAIRMENT = ChannelProfile(mean_delay_us=0, jitter_us=0, loss_rate=0.0)
 
@@ -94,15 +87,17 @@ def frame_path(ring: RingConfig | None = None, node_idx: int = 0,
     `now` (`Channel.impair`), with no `profile` its arrival is its ring
     delivery (`TokenRing.admit`).  Both stages run in one generator, with
     their configuration and state in its locals, so a frame is one call.
+    The ring stage takes a clock that never goes back.
     """
 
     def path():
         node, channel = ring is not None, profile is not None
         if node:
-            # the delivery instants of the older frames in flight; the newest is
-            # the node's watermark, the end of its newest transmission
-            pending: deque[SimTime | None] = deque()
-            popleft, append, clear = pending.popleft, pending.append, pending.clear
+            # the delivery instants of the older frames in flight, and of any a
+            # busy spell left, popped when next busy; the newest is the node's
+            # watermark, the end of its newest transmission
+            pending: deque[SimTime] = deque()
+            popleft, append = pending.popleft, pending.append
             depth, ring_loss, ring_draw = ring.queue_depth, ring.loss_rate, ring_rng.random
             slot, tx = ring.slot_time_us, ring.tx_time_us
             cycle = len(ring.nodes) * slot
@@ -125,19 +120,10 @@ def frame_path(ring: RingConfig | None = None, node_idx: int = 0,
         while True:
             if node:
                 if node_mark <= now:  # idle: every frame it sent has been delivered
-                    if pending:
-                        clear()
                     if ring_loss > 0 and ring_draw() < ring_loss:
-                        append(None)  # should the clock go back, the newest frame stays delivered
                         now = yield None
                         continue
                     start = now
-                elif pending and pending[0] is None:  # the clock went back; nothing is in flight
-                    if ring_draw() < ring_loss:  # a frame was lost here, so the loss rate is above 0
-                        now = yield None
-                        continue
-                    clear()
-                    start = node_mark
                 else:  # the older frames in flight, and the newest
                     while pending and pending[0] <= now:
                         popleft()

@@ -9,6 +9,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
+from .channel import ChannelProfile
 from .config import ConfigError, load_config
 from .engine import US_PER_S, us_from
 from .harness import (RunManifest, ScriptError, _fmt, parse_matrix_csv, render_matrix,
@@ -72,6 +73,13 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _link(profile: ChannelProfile) -> str:
+    """A channel's delay, jitter and, if it loses frames, loss rate, as a trial prints them."""
+    loss = f" loss={_fmt(profile.loss_rate)}" if profile.loss_rate > 0 else ""
+    return (f"latency={_fmt(profile.mean_delay_us / 1000)} ms "
+            f"jitter={_fmt(profile.jitter_us / 1000)} ms{loss}")
+
+
 def cmd_trial(args) -> int:
     run = _load_run(args)
     config = run.default_config if args.profile == "default" else run.adapted_config
@@ -91,9 +99,10 @@ def cmd_trial(args) -> int:
     if trace is not None:
         Path(args.trace).write_text(trace.to_csv())
     outcome = "PASS" if verdict.passed else f"FAIL ({verdict.fail_cause.value})"
-    print(f"trial latency={_fmt(cmd.mean_delay_us / 1000)} ms "
-          f"jitter={_fmt(cmd.jitter_us / 1000)} ms "
-          f"profile={args.profile}: {outcome}  "
+    link, feedback = _link(cmd), _link(fb)
+    if feedback != link:
+        link += f" feedback {feedback}"
+    print(f"trial {link} profile={args.profile}: {outcome}  "
           f"max_following_error={verdict.max_following_error_mm:.4f} mm  "
           f"survived={verdict.survived_us / US_PER_S:.3f} s")
     return EXIT_OK

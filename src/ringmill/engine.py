@@ -53,7 +53,7 @@ def us_from(value: float, unit: str, positive: bool = False) -> SimTime:
 
 
 class CausalityError(ValueError):
-    """Raised when an event is scheduled before the current clock."""
+    """Raised when an event is scheduled, or a ring frame admitted, before the clock."""
 
 
 @dataclass(slots=True)

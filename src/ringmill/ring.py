@@ -20,23 +20,19 @@ rate, slot, cycle and transmission time bound, so admitting a frame reads
 no configuration.  A trial's path runs its channel stage after it in the
 same call; a `TokenRing`'s has none.  A node's watermark, the end of its
 newest transmission, is that frame's delivery instant, and the node's
-queue holds only the delivery instants of the older frames still in
-flight.  A node whose watermark is at or before the clock has delivered
-every frame it sent, so its admission starts at the clock and touches its
-queue only to clear what a busy spell left there; in a trial, where nodes
-are idle on almost every frame, admission calls no deque method.
+queue holds the delivery instants of the older frames.  A node whose
+watermark is at or before the clock has delivered every frame it sent,
+so its admission starts at the clock and calls no deque method; in a
+trial nodes are idle on almost every frame.
 Only a node with a frame in flight pops the delivered instants, counts
 the queue and the newest frame against the depth, and, once the frame
 survives the loss draw, pushes the old watermark onto the queue and
 starts there.
 
-`TokenRing.admit` may be called with a clock that goes back, and admits
-as it always has (`tests/test_ring.py` compares it with a reference).
-A node that was idle forgets its delivered frames, so a frame lost while
-it is idle leaves a `None` on its queue: the newest frame stays
-delivered, and a clock that goes back before it counts nothing in
-flight.  Times, slots and the queue depth are integers, checked when the
-configuration is made.
+Admission takes a clock that never goes back: `TokenRing.admit` refuses
+a clock earlier than its last with `engine.CausalityError`.  Times,
+slots and the queue depth are integers, checked when the configuration
+is made.
 """
 
 from __future__ import annotations
@@ -48,7 +44,7 @@ from functools import partial
 from typing import Callable
 
 from .channel import frame_path
-from .engine import SimTime, Simulator
+from .engine import CausalityError, SimTime, Simulator
 
 MAX_RING_NODES = 8
 CONTROL_FRAME_MIN_BYTES = 80
@@ -137,6 +133,7 @@ class TokenRing:
         self._index = {node: i for i, node in enumerate(config.nodes)}
         self._admit = [frame_path(config, node_idx, rng)
                        for node_idx in range(len(config.nodes))]
+        self._clock: SimTime = 0  # the clock of the last admission
 
     def node_index(self, node: str) -> int:
         """Position of a member node in the ring order, as `admit` takes it."""
@@ -151,8 +148,13 @@ class TokenRing:
         Returns the frame's delivery instant, or None if it is dropped.
         Per-node FIFO is enforced by the transmission watermark; the
         transmission starts at the earliest instant, no earlier than `now`
-        and the watermark, that lies inside the node's slot.
+        and the watermark, that lies inside the node's slot.  A clock
+        earlier than the last admission's raises `CausalityError`.
         """
+        if now < self._clock:
+            raise CausalityError(f"ring {self.config.ring_id}: cannot admit at t={now} "
+                                 f"after admitting at t={self._clock}")
+        self._clock = now
         return self._admit[node_idx](now)
 
     def enqueue(self, node: str, frame: Frame, now: SimTime,
@@ -166,7 +168,7 @@ class TokenRing:
         node_idx = self.node_index(node)
         if frame.dest not in self._index:
             raise RingConfigError(f"dest {frame.dest!r} is not a member of ring {self.config.ring_id}")
-        delivery = self._admit[node_idx](now)
+        delivery = self.admit(node_idx, now)
         if delivery is not None and on_deliver is not None:
             self.sim.schedule(delivery, partial(on_deliver, frame, delivery))
         return delivery

@@ -14,7 +14,7 @@ from ringmill.cli import main
 from ringmill.config import ConfigError, load_config
 from ringmill.harness import (RunManifest, SweepSpec, _trial_seed, parse_matrix_csv,
                               run_from_manifest)
-from ringmill.trial import run_trial
+from ringmill.trial import DEFAULT_SCENARIO, run_trial
 
 
 CONFIG_TEXT = """
@@ -267,6 +267,23 @@ class TestCli:
         assert main(["trial", "--latency-ms", "1234.567", "--jitter-ms", "0.1",
                      "--trial-seconds", "0.01"]) == 0
         assert "trial latency=1234.567 ms jitter=0.1 ms " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sections, link", [
+        # only the command channel's delay and jitter were printed
+        ("[channel.command]\nmean_delay_ms = 3\njitter_ms = 0.2\n"
+         "[channel.feedback]\nmean_delay_ms = 0.5\nloss_rate = 0.5\n",
+         "latency=3 ms jitter=0.2 ms feedback latency=0.5 ms jitter=0 ms loss=0.5"),
+        ("[channel.command]\nloss_rate = 0.9\n[channel.feedback]\nloss_rate = 0.9\n",
+         "latency=0 ms jitter=0 ms loss=0.9"),
+        ("[channel.command]\nloss_rate = 0.001\n", "latency=0 ms jitter=0 ms loss=0.001 "
+         "feedback latency=0 ms jitter=0 ms"),
+    ], ids=["asymmetric", "lossy", "lossy-command"])
+    def test_trial_prints_a_loss_rate_and_a_feedback_channel_that_differs(
+            self, tmp_path, capsys, sections, link):
+        config = tmp_path / "asym.ini"
+        config.write_text(sections)
+        assert main(["trial", "--config", str(config), "--trial-seconds", "0.5"]) == 0
+        assert capsys.readouterr().out.startswith(f"trial {link} profile=default: ")
 
     def test_mistyped_section_exits_config_error(self, tmp_path, capsys):
         config = tmp_path / "typo.ini"
@@ -644,9 +661,9 @@ class TestOneTimeRule:
         ms = unit == "ms"
         if entry == "python":
             if ms:
-                with pytest.raises(ValueError) as from_ms:
-                    ChannelProfile.from_ms(float(raw))
-                assert str(from_ms.value) == reason
+                with pytest.raises(ValueError) as channels:
+                    DEFAULT_SCENARIO.channels_at(float(raw), 0.0)
+                assert str(channels.value) == reason
             with pytest.raises(ValueError) as spec:
                 SweepSpec(**{"latencies_ms": (float(raw),)} if ms
                           else {"trial_seconds": float(raw)})

@@ -14,6 +14,7 @@ from test_heap_oracle import HeapHarness
 
 from ringmill import trial
 from ringmill.channel import ZERO_IMPAIRMENT, ChannelProfile, JitterDistribution
+from ringmill.engine import us_from
 from ringmill.harness import _trial_seed
 from ringmill.plant import FailCause, TabulatedTrajectory
 from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_CONTROL_RING, DEFAULT_LOOP_CONFIG,
@@ -21,6 +22,11 @@ from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_CONTROL_RING, DEFAULT_L
                             QUALIFY_WINDOW_FRAMES, Scenario, TrialTrace, _LoopHarness,
                             _END, _GRACE, _REPLY, _REQUEST, _RETRY, run_trial,
                             symmetric_profiles)
+
+
+def ms(value):
+    """A value in ms as µs, by the whole-µs rule of every reader."""
+    return us_from(value, "ms")
 
 
 def harness(cmd, fb, length_us, seed=1):
@@ -193,7 +199,7 @@ class TestTrialKernel:
         # requests and replies are in flight.  With no ring slot the spread
         # stays within the tolerance, so some trials still enter control.
         scenario = Scenario(control_ring=replace(DEFAULT_CONTROL_RING, slot_time_us=0))
-        profile = ChannelProfile.from_ms(49.8, 0.2)
+        profile = ChannelProfile(ms(49.8), ms(0.2))
         retried, causes = False, set()
         for seed in range(3):
             for config in (DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG):
@@ -356,25 +362,25 @@ def golden_cases():
 
     for i, (lat, jit) in enumerate(itertools.product((0.3, 0.5, 1, 2, 3, 5),
                                                      (0, 0.05, 0.1, 0.15, 0.2, 0.3))):
-        add(f"uniform {lat}/{jit} ms", ChannelProfile.from_ms(lat, jit), seed=i)
+        add(f"uniform {lat}/{jit} ms", ChannelProfile(ms(lat), ms(jit)), seed=i)
     for i, (lat, jit) in enumerate(itertools.product((0.5, 2, 5), (0.1, 0.3))):
-        add(f"normal {lat}/{jit} ms", ChannelProfile.from_ms(
-            lat, jit, distribution=JitterDistribution.TRUNCATED_NORMAL), seed=100 + i)
+        add(f"normal {lat}/{jit} ms", ChannelProfile(
+            ms(lat), ms(jit), distribution=JitterDistribution.TRUNCATED_NORMAL), seed=100 + i)
     for i, (lat, jit) in enumerate(((0.5, 0.15), (1, 0.2), (2, 0.15), (3, 0.1))):
-        add(f"reorder {lat}/{jit} ms", ChannelProfile.from_ms(lat, jit, reorder_allowed=True),
+        add(f"reorder {lat}/{jit} ms", ChannelProfile(ms(lat), ms(jit), reorder_allowed=True),
             seed=200 + i)
     for i, (loss, (lat, jit)) in enumerate(itertools.product((0.001, 0.01, 0.05),
                                                              ((0.5, 0.05), (2, 0.1)))):
-        add(f"loss {loss} {lat}/{jit} ms", ChannelProfile.from_ms(lat, jit, loss_rate=loss),
+        add(f"loss {loss} {lat}/{jit} ms", ChannelProfile(ms(lat), ms(jit), loss_rate=loss),
             seed=300 + i)
     for i, (at, (lat, jit)) in enumerate(itertools.product((1_500_000, 2_200_000),
                                                            ((0.3, 0), (1, 0.1)))):
-        add(f"blackout {at} us {lat}/{jit} ms", ChannelProfile.from_ms(lat, jit),
+        add(f"blackout {at} us {lat}/{jit} ms", ChannelProfile(ms(lat), ms(jit)),
             seed=400 + i, blackout=at)
     for i, (timeout, loss, (lat, jit)) in enumerate(itertools.product(
             (1_500, 2_050, 2_100, 3_000), (0, 0.003), ((0.5, 0.1), (2, 0.15)))):
         add(f"watchdog {timeout} us loss {loss} {lat}/{jit} ms",
-            ChannelProfile.from_ms(lat, jit, loss_rate=loss), seed=500 + i,
+            ChannelProfile(ms(lat), ms(jit), loss_rate=loss), seed=500 + i,
             watchdog_timeout_us=timeout)
     return cases
 
@@ -394,13 +400,13 @@ def test_verdicts_match_the_golden_file():
 
 #: (label, loop config, profile of both directions, seed) of each 3 s traced trial
 TRACE_CASES = (
-    ("default 0.5/0.05 ms", DEFAULT_LOOP_CONFIG, ChannelProfile.from_ms(0.5, 0.05), 0),
-    ("adapted 1/0.2 ms", ADAPTED_LOOP_CONFIG, ChannelProfile.from_ms(1.0, 0.2), 0),
+    ("default 0.5/0.05 ms", DEFAULT_LOOP_CONFIG, ChannelProfile(ms(0.5), ms(0.05)), 0),
+    ("adapted 1/0.2 ms", ADAPTED_LOOP_CONFIG, ChannelProfile(ms(1.0), ms(0.2)), 0),
     # frames overtake each other, so some are filed out of order
     ("default reorder 0.5/0.15 ms", DEFAULT_LOOP_CONFIG,
-     ChannelProfile.from_ms(0.5, 0.15, reorder_allowed=True), 0),
+     ChannelProfile(ms(0.5), ms(0.15), reorder_allowed=True), 0),
     ("default loss 0.003 2/0.1 ms", DEFAULT_LOOP_CONFIG,
-     ChannelProfile.from_ms(2.0, 0.1, loss_rate=0.003), 1),
+     ChannelProfile(ms(2.0), ms(0.1), loss_rate=0.003), 1),
 )
 
 

@@ -67,9 +67,6 @@ EQUIVALENT = {
     ("trial.py", "cnc_s < s", "<="): _DISTINCT,
     ("trial.py", "probe_s < s", "<="): _DISTINCT,
     ("trial.py", "cmd_s < s", "<="): _DISTINCT,
-    ("trial.py", "cnc_t == t", "!="):
-        "the first controller tick is numbered last, so it never precedes a key on its own "
-        "µs and only cnc_t < t can stop the catch-up there",
     ("trial.py", "abs_fe > max_fe", ">="): "at abs_fe == max_fe the assignment keeps the value",
     ("trial.py", "arrival < cmd_tail", "<="): _LAST,
     ("trial.py", "arrival < fb_tail", "<="): _LAST,
