@@ -10,12 +10,11 @@ profile whose delay or jitter is not an integer is refused when it is
 made.
 
 `frame_path` builds the whole path of a frame as one generator: the
-sending node's admission on its ring (see `ring`), then this impairment
-at the ring delivery instant, so a trial sends a frame with one call and
-no frame builds an object.  Its two stages are the only copy of the
-admission and of the impairment arithmetic.  A `Channel` is the channel
-stage alone, built from the profile once, when it is made, and a
-`TokenRing` node the ring stage alone.
+sending node's admission on its ring (see `ring`; a start `now` waits
+``cycle - phase`` µs if ``phase = (now - offset) % cycle >= slot``), then
+this impairment at the ring delivery instant, so a frame is one call and
+builds no object.  Its stages are the only copy of each stage's arithmetic;
+a `Channel` is the channel stage alone and a `TokenRing` node the ring's.
 """
 
 from __future__ import annotations
@@ -85,9 +84,9 @@ def frame_path(ring: RingConfig | None = None, node_idx: int = 0,
 
     Either stage may be left out: with no `ring` the frame is impaired at
     `now` (`Channel.impair`), with no `profile` its arrival is its ring
-    delivery (`TokenRing.admit`).  Both stages run in one generator, with
-    their configuration and state in its locals, so a frame is one call.
-    The ring stage takes a clock that never goes back.
+    delivery (`TokenRing.admit`).  Both stages run in one generator, their
+    state in locals.  The ring stage takes a clock that never goes back; a
+    ``phase = (now - offset) % cycle >= slot`` moves `now` on ``cycle - phase``.
     """
 
     def path():
@@ -99,12 +98,14 @@ def frame_path(ring: RingConfig | None = None, node_idx: int = 0,
             pending: deque[SimTime] = deque()
             popleft, append = pending.popleft, pending.append
             depth, ring_loss, ring_draw = ring.queue_depth, ring.loss_rate, ring_rng.random
+            ring_lossy = ring_loss > 0  # a lossless ring takes no draw
             slot, tx = ring.slot_time_us, ring.tx_time_us
             cycle = len(ring.nodes) * slot
             offset = node_idx * slot  # where this node's slot starts in a cycle
             node_mark = 0
         if channel:
             chan_loss, mean, jitter = profile.loss_rate, profile.mean_delay_us, profile.jitter_us
+            chan_lossy = chan_loss > 0.0  # a lossless channel takes no draw
             chan_draw, getrandbits, gauss = (channel_rng.random, channel_rng.getrandbits,
                                              channel_rng.gauss)
             uniform = profile.distribution is JitterDistribution.UNIFORM
@@ -114,37 +115,34 @@ def frame_path(ring: RingConfig | None = None, node_idx: int = 0,
             bits = width.bit_length()
             low = mean - jitter
             sigma = jitter / 2.0
-            fifo = not profile.reorder_allowed
+            fifo, blackout = not profile.reorder_allowed, blackout_from is not None
             chan_mark = 0  # the latest delivery, for the FIFO clamp
         now = yield
         while True:
             if node:
                 if node_mark <= now:  # idle: every frame it sent has been delivered
-                    if ring_loss > 0 and ring_draw() < ring_loss:
+                    if ring_lossy and ring_draw() < ring_loss:
                         now = yield None
                         continue
-                    start = now
                 else:  # the older frames in flight, and the newest
                     while pending and pending[0] <= now:
                         popleft()
-                    if len(pending) + 1 >= depth or ring_loss > 0 and ring_draw() < ring_loss:
+                    if len(pending) + 1 >= depth or ring_lossy and ring_draw() < ring_loss:
                         now = yield None
                         continue
                     append(node_mark)  # the newest frame becomes an older one
-                    start = node_mark
-                if slot:
-                    base = start - start % cycle + offset  # this cycle's slot
-                    if start < base:
-                        start = base
-                    elif start >= base + slot:
-                        start = base + cycle
-                now = node_mark = start + tx
+                    now = node_mark
+                if slot:  # outside this node's slot, wait for the next one
+                    phase = (now - offset) % cycle
+                    if phase >= slot:
+                        now += cycle - phase
+                now = node_mark = now + tx
             if channel:
-                if chan_loss > 0.0 and chan_draw() < chan_loss:
+                if chan_lossy and chan_draw() < chan_loss:
                     now = yield None
                     continue
                 if not jitter:
-                    delivered = now + mean
+                    now += mean
                 else:
                     if uniform:
                         r = getrandbits(bits)
@@ -155,13 +153,14 @@ def frame_path(ring: RingConfig | None = None, node_idx: int = 0,
                         delay = round(gauss(0.0, sigma))
                         delay = mean + (jitter if delay > jitter else
                                         -jitter if delay < -jitter else delay)
-                    delivered = now + delay if delay > 0 else now
-                if fifo and delivered < chan_mark:
-                    delivered = chan_mark
-                if blackout_from is not None and delivered >= blackout_from:
+                    if delay > 0:
+                        now += delay
+                if fifo and now < chan_mark:
+                    now = chan_mark
+                if blackout and now >= blackout_from:
                     now = yield None
                     continue
-                now = chan_mark = delivered
+                chan_mark = now
             now = yield now
 
     send = path().send

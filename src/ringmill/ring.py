@@ -1,12 +1,12 @@
 """Slot-scheduled wireless token rings with bounded medium access.
 
-The ring is modelled at slot level: each node holds the token for a
-fixed ``slot_time_us`` (handoff overhead included), cycling through the
-configured node order forever, so the token position is a pure function
-of the clock.  A node may start transmitting at any instant strictly
-inside its slot; a transmission takes ``tx_time_us`` and reaches its
-destination directly (single wireless hop).  The longest wait a frame at
-the head of its queue can see is therefore
+The ring is modelled at slot level: node i holds the token for ``slot =
+slot_time_us`` (handoff included) from ``offset = i * slot`` into each
+``cycle = node_count * slot``, forever, so a frame ready at ``now``
+starts there if ``phase = (now - offset) % cycle < slot`` and ``cycle -
+phase`` µs later if not.  A transmission takes ``tx_time_us`` and reaches
+its destination directly (single wireless hop).  The longest wait a frame
+at the head of its queue can see is therefore
 
     (node_count - 1) * slot_time_us + tx_time_us
 
@@ -30,7 +30,8 @@ survives the loss draw, pushes the old watermark onto the queue and
 starts there.
 
 Admission takes a clock that never goes back: `TokenRing.admit` refuses
-a clock earlier than its last with `engine.CausalityError`.  Times,
+a clock earlier than its last with `engine.CausalityError`, and a node
+index outside the ring with `RingConfigError`.  Times,
 slots and the queue depth are integers, checked when the configuration
 is made.
 """
@@ -149,8 +150,11 @@ class TokenRing:
         Per-node FIFO is enforced by the transmission watermark; the
         transmission starts at the earliest instant, no earlier than `now`
         and the watermark, that lies inside the node's slot.  A clock
-        earlier than the last admission's raises `CausalityError`.
+        earlier than the last admission's raises `CausalityError`, and an index
+        that names no node `RingConfigError`.
         """
+        if type(node_idx) is not int or not 0 <= node_idx < len(self._admit):
+            raise RingConfigError(f"ring {self.config.ring_id}: no node with index {node_idx!r}")
         if now < self._clock:
             raise CausalityError(f"ring {self.config.ring_id}: cannot admit at t={now} "
                                  f"after admitting at t={self._clock}")

@@ -80,13 +80,13 @@ trajectory's `sampler` fills at k periods, so it is the value the sampler
 gives there; an entry past the filled part fills the next chunk first.
 
 The loop holds the plant.  The controller's integral and last error and
-the axis's velocity and position are float locals, and the gains, the
-integral clamp, dt, dt / τ, the acceleration step and the velocity limit
-are bound before the loop.  A controller tick runs the controller's
-arithmetic and a stage tick the axis's; this is the only copy in `src/`, and
-the heap kernel pins it, bit for bit, against ``tests/reference_plant.py``
-(see `plant`).  No controller tick runs before control, so the loop's
-starting state is the controller's on entering it.
+the axis's velocity and position are float locals; `kp`, `ki`, `kd`,
+`derive` (kd != 0), `clamp`, `dt`, `lag` (dt / τ), `max_dv`, `v_limit` and
+the negatives `neg_clamp`, `neg_max_dv` and `neg_v_limit` are bound first.
+A controller tick runs the controller's arithmetic and a stage tick the
+axis's, the only copy in `src/`, pinned bit for bit by the heap kernel to
+``tests/reference_plant.py`` (see `plant`).  No controller tick runs before
+control, so the loop's starting state is the controller's on entering it.
 
 The feedback watchdog is one probe that re-arms itself from the newest
 arrival rather than one probe per arrival.  It fails the trial at s +
@@ -268,8 +268,8 @@ class _LoopHarness:
         wait = self.config.watchdog_timeout_us + 1  # a probe's delay after its `since`
         # the plant, compiled for the servo period: the setpoint and feedforward of the
         # k-th controller tick are setpoints[k], from a table other trials may have filled;
-        # the controller's and the axis's constants are bound here, and their state is
-        # float locals
+        # the controller's and the axis's constants, and the negated lower bounds (exact),
+        # are bound here, and their state is float locals
         setpoints, grow = setpoint_table(self.trajectory, period)
         gains, axis = self.config.gains, AxisModel()
         kp, ki, kd, clamp = gains.kp, gains.ki, gains.kd, gains.integral_clamp
@@ -277,6 +277,7 @@ class _LoopHarness:
         lag = dt / axis.time_constant_s
         max_dv = axis.max_accel_mm_s2 * dt
         v_limit = axis.max_velocity_mm_s
+        neg_clamp, neg_max_dv, neg_v_limit, derive = -clamp, -max_dv, -v_limit, kd != 0.0
         # the controller's state on entering control, as no controller tick runs before
         # it, and the axis's at rest
         integral, last_error = 0.0, None
@@ -286,7 +287,7 @@ class _LoopHarness:
         # the handshake items and, after every key on the trial's last µs, its end
         items = [*items, (self.length, float("inf"), _END, 0)]
         heapify(items)
-        never = self.length + 1  # the instant of a key that is not due; (t, s) runs next
+        never = self.length + 1  # the instant of a key that is not due; (now, s) runs next
         seq = self.reserve()  # the newest number; the loop numbers on from it
         item_t, item_s, _, _ = items[0]
         cnc_t, cnc_s = never, 0
@@ -308,17 +309,17 @@ class _LoopHarness:
         hs_seq = hs_sent_at = 0  # the newest exchange, and when its request was sent
         while True:
             if cnc_t <= fpga_t and (cnc_t < fpga_t or cnc_s < fpga_s):
-                t, s = cnc_t, cnc_s
+                now, s = cnc_t, cnc_s
             else:
-                t, s = fpga_t, fpga_s
-            if item_t <= t and (item_t < t or item_s < s):
-                t, s = item_t, item_s
-            # catch up to (t, s): apply the feedback frames before it and fire the probe if
+                now, s = fpga_t, fpga_s
+            if item_t <= now and (item_t < now or item_s < s):
+                now, s = item_t, item_s
+            # catch up to (now, s): apply the feedback frames before it and fire the probe if
             # it is due, in key order.  A probe fails if nothing newer than `since` arrived
             # before its µs; arrivals between `since` and the newest one each had a successor
             # within the timeout, so re-arming from the newest keeps the fail instant.
             while True:
-                if fb_t <= t and (fb_t < t or fb_s < s):
+                if fb_t <= now and (fb_t < now or fb_s < s):
                     if fb_t < probe_t or fb_t == probe_t and fb_s < probe_s:
                         arrival = fb_t
                         _, _, fb_value, sent = fb_queue.popleft()
@@ -341,19 +342,18 @@ class _LoopHarness:
                                     probe_t, probe_s = control_start + wait, seq + 2
                                     seq += 2
                                     # stop at the first controller tick
-                                    if cnc_t < t or cnc_t == t and cnc_s < s:
-                                        t, s = cnc_t, cnc_s
+                                    if cnc_t < now or cnc_t == now and cnc_s < s:
+                                        now, s = cnc_t, cnc_s
                             elif self.phase == "control":  # it times out before the control start
                                 seq += 1
                                 since, probe_t, probe_s = arrival, arrival + wait, seq
                         continue
-                elif not (probe_t <= t and (probe_t < t or probe_s < s)):
+                elif not (probe_t <= now and (probe_t < now or probe_s < s)):
                     break  # caught up to the key
                 if (last if last < probe_t else prev) <= since:
                     return TrialVerdict(False, FailCause.WATCHDOG, max_fe, probe_t)
                 seq += 1
                 since, probe_t, probe_s = last, last + wait, seq
-            now = t
             if s == cnc_s:
                 try:
                     setpoint, feedforward = setpoints[ticks]
@@ -363,17 +363,17 @@ class _LoopHarness:
                 ticks += 1
                 fe = setpoint - fb_value
                 abs_fe = abs(fe)
-                if abs_fe > max_fe:
+                if abs_fe > max_fe:  # only a new peak can pass the limit: max_fe never does
                     max_fe = abs_fe
-                if abs_fe > fe_limit:
-                    return TrialVerdict(False, FailCause.FOLLOWING_ERROR, max_fe, now)
+                    if abs_fe > fe_limit:
+                        return TrialVerdict(False, FailCause.FOLLOWING_ERROR, max_fe, now)
                 integral += fe * dt
                 if integral > clamp:
                     integral = clamp
-                elif integral < -clamp:
-                    integral = -clamp
+                elif integral < neg_clamp:
+                    integral = neg_clamp
                 derivative = 0.0
-                if kd != 0.0 and last_error is not None:
+                if derive and last_error is not None:
                     derivative = (fe - last_error) / dt
                 last_error = fe
                 # the kd term is added when kd is 0 too: it decides the sign of a zero command
@@ -403,13 +403,13 @@ class _LoopHarness:
                 dv = lag * (v_cmd - velocity)
                 if dv > max_dv:
                     dv = max_dv
-                elif dv < -max_dv:
-                    dv = -max_dv
+                elif dv < neg_max_dv:
+                    dv = neg_max_dv
                 velocity += dv
                 if velocity > v_limit:
                     velocity = v_limit
-                elif velocity < -v_limit:
-                    velocity = -v_limit
+                elif velocity < neg_v_limit:
+                    velocity = neg_v_limit
                 position += velocity * dt
                 arrival = fb_send(now)
                 if arrival is not None:

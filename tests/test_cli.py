@@ -491,6 +491,7 @@ class TestCli:
         (["render", "--matrix", "bad-cause.csv"], "line 4: bad matrix row: 'bogus' is not"),
         (["render", "--matrix", "wrong-cause.csv"], "line 4: bad matrix row: outcome and"),
         (["render", "--matrix", "duplicate.csv"], "line 5: duplicate cell 0.5,0.05"),
+        (["render", "--matrix", "hole.csv"], "line 5: 3 rows for a 2 x 2 latency x jitter grid"),
         (["render", "--matrix", "wrong-class.csv"],
          "line 3: cell 0.5,0.05: class fail does not follow from its trials"),
         (["render", "--matrix", "no-rows.csv"], "line 2: no matrix rows"),
@@ -531,9 +532,9 @@ class TestCli:
          "line 4: bad matrix row: 1e+306 ms is too large to count in us"),
     ], ids=["trial-seconds", "screen-seconds", "latency-ms", "jitter-ms", "not-a-matrix",
             "bad-row", "directory", "no-column-header", "bad-status", "bad-cause",
-            "wrong-cause", "duplicate-cell", "wrong-class", "no-rows", "nan-latency",
-            "negative-latency", "inf-jitter", "nan-trial-seconds", "lone-latency-ms",
-            "lone-jitter-ms", "latency-ms-not-whole-us", "jitter-ms-not-whole-us",
+            "wrong-cause", "duplicate-cell", "missing-cell", "wrong-class", "no-rows",
+            "nan-latency", "negative-latency", "inf-jitter", "nan-trial-seconds",
+            "lone-latency-ms", "lone-jitter-ms", "latency-ms-not-whole-us", "jitter-ms-not-whole-us",
             "matrix-latency-not-whole-us", "trial-seconds-below-1-us",
             "trial-seconds-not-whole-us", "screen-seconds-below-1-us",
             "matrix-trial-seconds-not-whole-us", "latency-ms-overflows", "trial-seconds-overflows",
@@ -551,6 +552,8 @@ class TestCli:
                            "bad-cause": columns + row + "1,0.05,fail,0|fail|bogus|0.1|1000,\n",
                            "wrong-cause": columns + row + other.replace("none", "watchdog"),
                            "duplicate": columns + row + other + row,
+                           # a 2 x 2 grid without its (1, 0.1) cell
+                           "hole": columns + row + other + row.replace("0.05", "0.1", 1),
                            # a passing default trial and no adapted one make a pass
                            "wrong-class": columns + row.replace("pass,", "fail,", 1),
                            "no-rows": columns,

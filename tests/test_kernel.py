@@ -120,6 +120,18 @@ class TestTrialKernel:
                 assert verdict.fail_cause is FailCause.WATCHDOG
                 assert verdict.survived_us == fails_at, (gap_us, arrival_first)
 
+    def test_two_feedback_frames_on_one_us_are_one_arrival(self):
+        # control starts at 11,000 us and both frames land on the probe's own
+        # µs, 13,101, numbered before it: the second is no newer arrival, so
+        # the gap before them is the one the probe times out, and it fails
+        # there rather than re-arming from 13,101 and failing at 15,202
+        h = qualified(20_000, 10_300)
+        feed(h, 13_101)
+        feed(h, 13_101)
+        verdict = h._run_ticks()
+        assert verdict.fail_cause is FailCause.WATCHDOG
+        assert verdict.survived_us == 13_101
+
     @pytest.mark.parametrize("arrival, fails_at, max_fe", [
         # re-armed before the first tick, the probe is due at 13,000 and was
         # armed before the tick on that µs took its number, so it fires first

@@ -265,6 +265,19 @@ class TestAdmit:
         assert ring.rng.getstate() == twin.rng.getstate()
         assert [send(ring, i, 1_000) for i in (0, 1)] == [send(twin, i, 1_000) for i in (0, 1)]
 
+    @pytest.mark.parametrize("node_idx", [-1, 2, True], ids=["negative", "past-the-end", "bool"])
+    def test_an_index_that_names_no_node_is_refused(self, node_idx):
+        # -1 would admit at node b and 2 raise a bare IndexError; a refused
+        # index draws nothing and leaves the clock where it was
+        config = replace(URLLC_2, loss_rate=0.2)
+        (ring, _), (twin, _) = make_ring(config), make_ring(config)
+        assert ring.admit(0, 1_000) == twin.admit(0, 1_000)
+        with pytest.raises(RingConfigError,
+                           match=f"^ring control: no node with index {node_idx!r}$"):
+            ring.admit(node_idx, 2_000)
+        assert ring.rng.getstate() == twin.rng.getstate()
+        assert ring.admit(1, 1_000) == twin.admit(1, 1_000)
+
     def test_node_index_is_the_ring_position(self):
         ring, _ = make_ring(SENSOR_8)
         assert [ring.node_index(n) for n in SENSOR_8.nodes] == list(range(8))

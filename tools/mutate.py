@@ -51,14 +51,13 @@ _AXIS = ("at equality the clamp assigns the value it has, and the axis's limits 
 EQUIVALENT = {
     # channel.frame_path: the ring stage, ring admission
     ("channel.py", "ring_draw() < ring_loss", "<="): _DRAW,
-    ("channel.py", "start < base", "<="): "at start == base both leave the start at base",
     # channel.frame_path: the channel stage, impairment
     ("channel.py", "chan_draw() < chan_loss", "<="): _DRAW,
     ("channel.py", "delay > jitter", ">="): "at delay == jitter the clamp gives the same delay",
     ("channel.py", "delay < -jitter", "<="): "at delay == -jitter the clamp gives the same delay",
-    ("channel.py", "delay > 0", ">="): "at delay == 0 both give now",
-    ("channel.py", "delivered < chan_mark", "<="):
-        "at delivered == chan_mark the clamp gives the same instant",
+    ("channel.py", "delay > 0", ">="): "at delay == 0 adding it leaves now as it is",
+    ("channel.py", "now < chan_mark", "<="):
+        "at now == chan_mark the clamp gives the same instant",
     # trial._LoopHarness._run_ticks
     ("trial.py", "cnc_s < fpga_s", "<="): _DISTINCT,
     ("trial.py", "item_s < s", "<="): _DISTINCT,
@@ -67,13 +66,15 @@ EQUIVALENT = {
     ("trial.py", "cnc_s < s", "<="): _DISTINCT,
     ("trial.py", "probe_s < s", "<="): _DISTINCT,
     ("trial.py", "cmd_s < s", "<="): _DISTINCT,
-    ("trial.py", "abs_fe > max_fe", ">="): "at abs_fe == max_fe the assignment keeps the value",
+    ("trial.py", "abs_fe > max_fe", ">="):
+        "at abs_fe == max_fe the assignment keeps the value, and the limit test under it is "
+        "false, since max_fe never exceeds the limit",
     ("trial.py", "arrival < cmd_tail", "<="): _LAST,
     ("trial.py", "arrival < fb_tail", "<="): _LAST,
     ("trial.py", "dv > max_dv", ">="): _AXIS,
-    ("trial.py", "dv < -max_dv", "<="): _AXIS,
+    ("trial.py", "dv < neg_max_dv", "<="): _AXIS,
     ("trial.py", "velocity > v_limit", ">="): _AXIS,
-    ("trial.py", "velocity < -v_limit", "<="): _AXIS,
+    ("trial.py", "velocity < neg_v_limit", "<="): _AXIS,
     # spectrum.SpectrumManager.check_invariants
     ("spectrum.py", "total > self.band.width_mhz + 1e-9", ">="):
         "differs only where a union of blocks is exactly the band width + 1e-9 MHz, and first "
