@@ -85,13 +85,18 @@ def frame_path(ring: RingConfig | None = None, node_idx: int = 0,
     Either stage may be left out: with no `ring` the frame is impaired at
     `now` (`Channel.impair`), with no `profile` its arrival is its ring
     delivery (`TokenRing.admit`).  Both stages run in one generator, their
-    state in locals.  The ring stage takes a clock that never goes back; a
-    ``phase = (now - offset) % cycle >= slot`` moves `now` on ``cycle - phase``.
+    state in locals.  An index that names no node on `ring` raises
+    `RingConfigError` when the path is built.  The ring stage takes a clock
+    that never goes back; a ``phase = (now - offset) % cycle >= slot``
+    moves `now` on ``cycle - phase``.
     """
 
     def path():
         node, channel = ring is not None, profile is not None
         if node:
+            if type(node_idx) is not int or not 0 <= node_idx < len(ring.nodes):
+                from .ring import RingConfigError  # ring imports this module
+                raise RingConfigError(f"ring {ring.ring_id}: no node with index {node_idx!r}")
             # the delivery instants of the older frames in flight, and of any a
             # busy spell left, popped when next busy; the newest is the node's
             # watermark, the end of its newest transmission

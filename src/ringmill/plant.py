@@ -290,13 +290,13 @@ class LoopConfig:
 
     profile: Profile
     gains: PidGains
-    servo_period_us: int = 1000
-    watchdog_timeout_us: int = 2_100
-    init_grace_us: int = 2_000_000
-    fe_limit_mm: float = 0.1
+    servo_period_us: int
+    watchdog_timeout_us: int
+    init_grace_us: int
+    fe_limit_mm: float
     # link-qualification thresholds applied during initialization
-    delay_spread_tolerance_us: int = 1_140
-    rtt_rescue_budget_us: int = 3_400
+    delay_spread_tolerance_us: int
+    rtt_rescue_budget_us: int
 
     def __post_init__(self):
         # written so that NaN fails each check
@@ -317,6 +317,8 @@ class LoopConfig:
             value = getattr(self, name)
             if type(value) is not int:
                 raise ValueError(f"{name} {value!r} is not an integer number of us")
+        if self.servo_period_us == 1:
+            raise ValueError("a servo period of 1 us has no half period for the stage tick")
 
 
 def validate_config_pair(default: LoopConfig, adapted: LoopConfig) -> None:

@@ -101,12 +101,13 @@ events that share a µs in the order they were scheduled, and a queued
 frame, a probe, a servo tick or a handshake item is numbered in the
 order its event is scheduled there, so comparing keys by instant and
 then number, ``t < u or t == u and s < v``, reproduces that order.  Where
-the usual answer is "not yet" (the controller tick against the stage tick,
-the first handshake item, feedback frame or probe against the next key,
-and the stage tick's command drain), the loop writes it ``t <= u and (t <
-u or s < v)``.  The two agree: both are false when ``t > u``, and both
-reduce to ``t < u or s < v`` when ``t <= u``; but the second settles a
-"not yet" with one compare instead of two.  The
+the usual answer is "not yet" (the first handshake item, feedback frame
+or probe against the next key, and the stage tick's command drain), the
+loop writes it ``t <= u and (t < u or s < v)``.  The two agree: both are
+false when ``t > u``, and both reduce to ``t < u or s < v`` when ``t <=
+u``; but the second settles a "not yet" with one compare instead of two.
+The servo ticks never share a µs, so the earlier instant runs: the
+controller ticks on whole periods, the stage half a period after.  The
 loop counts on in a local int from one number of the trial's `reserve`
 counter, so its numbers follow every one taken before it.  A frame's or
 handshake item's number is taken when it is sent or armed; a servo
@@ -140,9 +141,6 @@ from .ring import RingConfig, RingConfigError
 
 MASTER_NODE = "master"
 FPGA_NODE = "fpga"
-
-SERVO_PERIOD_US = 1000
-FPGA_TICK_OFFSET_US = 500
 
 HANDSHAKE_EXCHANGES = 16
 HANDSHAKE_RETRY_US = 100_000
@@ -254,7 +252,7 @@ class _LoopHarness:
 
     def run(self) -> TrialVerdict:
         reserve = self.reserve
-        self.first_fpga_tick = (FPGA_TICK_OFFSET_US, reserve())
+        self.first_fpga_tick = (self.config.servo_period_us // 2, reserve())
         return self._run_ticks(((0, reserve(), _RETRY, 0),
                                 (self.config.init_grace_us, reserve(), _GRACE, 0)))
 
@@ -308,7 +306,7 @@ class _LoopHarness:
         ticks = 0  # the controller ticks run
         hs_seq = hs_sent_at = 0  # the newest exchange, and when its request was sent
         while True:
-            if cnc_t <= fpga_t and (cnc_t < fpga_t or cnc_s < fpga_s):
+            if cnc_t < fpga_t:
                 now, s = cnc_t, cnc_s
             else:
                 now, s = fpga_t, fpga_s
@@ -475,7 +473,7 @@ NOMINAL_GAINS = PidGains(kp=40.0, ki=2.0, kd=0.0, integral_clamp=0.05)
 DEFAULT_LOOP_CONFIG = LoopConfig(
     profile=Profile.DEFAULT,
     gains=NOMINAL_GAINS,
-    servo_period_us=SERVO_PERIOD_US,
+    servo_period_us=1000,
     watchdog_timeout_us=2_100,
     init_grace_us=2_000_000,
     fe_limit_mm=0.80,
@@ -483,16 +481,9 @@ DEFAULT_LOOP_CONFIG = LoopConfig(
     rtt_rescue_budget_us=3_100,
 )
 
-ADAPTED_LOOP_CONFIG = LoopConfig(
-    profile=Profile.ADAPTED,
-    gains=NOMINAL_GAINS,
-    servo_period_us=SERVO_PERIOD_US,
-    watchdog_timeout_us=2_100,
-    init_grace_us=4_000_000,
-    fe_limit_mm=0.80,
-    delay_spread_tolerance_us=1_180,
-    rtt_rescue_budget_us=3_100,
-)
+#: The adapted driver: a longer init grace and a looser delay-spread tolerance.
+ADAPTED_LOOP_CONFIG = replace(DEFAULT_LOOP_CONFIG, profile=Profile.ADAPTED,
+                              init_grace_us=4_000_000, delay_spread_tolerance_us=1_180)
 
 
 #: Candidate (default, adapted) loop pairs, the shipped pair first: kp x ki x

@@ -298,6 +298,14 @@ class TestFramePath:
             assert ring_rng.getstate() == twin_ring_rng.getstate()
             assert channel_rngs[node_idx].getstate() == twin_channel_rngs[node_idx].getstate()
 
+    @pytest.mark.parametrize("node_idx", [-1, 2, True])
+    def test_an_index_that_names_no_node_is_refused_when_the_path_is_built(self, node_idx):
+        # on a two-node ring each sent in a member's slot: -1 and True in node
+        # 1's, 2 in node 0's
+        ring = RingConfig("r", ("a", "b"), 800, 100)
+        with pytest.raises(RingConfigError, match=f"^ring r: no node with index {node_idx!r}$"):
+            frame_path(ring, node_idx, random.Random(0))
+
 
 class TestEmpiricalStats:
     def test_single_record(self):

@@ -183,6 +183,8 @@ class TestConfig:
         ("[loop.adapted]\nrtt_rescue_budget_us = -1\n", 1),
         # a watchdog shorter than the servo period expires between two frames
         ("[loop.default]\nservo_period_us = 3000\n", 1),
+        # the stage ticks half a period after the controller, and 1 us has no half
+        ("[sweep]\nseeds_per_cell = 1\n[loop.default]\nservo_period_us = 1\n", 3),
         # a link value that is not whole us would run another link than it names
         ("[sweep]\nlatencies_ms = 0.5004, 1\n", 2),
         ("[channel.feedback]\nmean_delay_ms = 0.5\njitter_ms = 0.0502\n", 3),
@@ -215,6 +217,7 @@ class TestConfig:
             "control-nodes", "sensor-nodes", "missing-file", "negative-latency",
             "negative-jitter", "one-column-row", "nan-setpoint", "inf-setpoint",
             "negative-tolerance", "negative-rescue-budget", "watchdog-below-period",
+            "servo-period-1-us",
             "latency-not-whole-us", "jitter-not-whole-us", "late-first-point",
             "trial-seconds-not-whole-us", "second-bracket-in-header", "text-after-header",
             "latency-overflows", "trial-seconds-overflows", "mean-delay-overflows",

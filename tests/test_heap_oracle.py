@@ -20,9 +20,8 @@ from reference_plant import PidController, step_axis
 from ringmill.plant import AxisModel, FailCause, TrialVerdict
 from ringmill.ring import RingConfig, TokenRing
 from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, FPGA_NODE,
-                            FPGA_TICK_OFFSET_US, HANDSHAKE_EXCHANGES, HANDSHAKE_RETRY_US,
-                            MASTER_NODE, QUALIFY_WINDOW_FRAMES, Scenario, TrialTrace,
-                            run_trial)
+                            HANDSHAKE_EXCHANGES, HANDSHAKE_RETRY_US, MASTER_NODE,
+                            QUALIFY_WINDOW_FRAMES, Scenario, TrialTrace, run_trial)
 
 
 class _Stop(Exception):
@@ -184,7 +183,7 @@ class HeapHarness:
             self._fail(FailCause.INIT_FAILURE)
 
     def run(self):
-        self.sim.schedule(FPGA_TICK_OFFSET_US, self._fpga_tick)
+        self.sim.schedule(self.config.servo_period_us // 2, self._fpga_tick)
         self.sim.schedule(0, self._send_handshake)
         self.sim.schedule(self.config.init_grace_us, self._grace_deadline)
         try:
@@ -212,7 +211,7 @@ def boundary_trials(count, seed):
         # a delay that lands a frame sent on a controller tick on a stage
         # tick's µs (ring transmission included), or any delay up to 5 ms
         if rng.random() < 0.4:
-            mean = (FPGA_TICK_OFFSET_US - 100) % period + rng.randrange(4) * period
+            mean = (period // 2 - 100) % period + rng.randrange(4) * period
         else:
             mean = rng.randrange(0, 5_001, 50)
         profile = ChannelProfile(
@@ -233,7 +232,7 @@ def boundary_trials(count, seed):
         blackout = None
         if rng.random() < 0.3:
             blackout = (rng.randrange(600_000, length) // period * period
-                        + rng.choice((0, FPGA_TICK_OFFSET_US)) + rng.randint(-1, 1))
+                        + rng.choice((0, period // 2)) + rng.randint(-1, 1))
         trials.append((config, profile, profile, length, rng.randrange(10_000),
                        Scenario(control_ring=ring), blackout))
     return trials

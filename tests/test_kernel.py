@@ -18,7 +18,7 @@ from ringmill.engine import us_from
 from ringmill.harness import _trial_seed
 from ringmill.plant import FailCause, TabulatedTrajectory
 from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_CONTROL_RING, DEFAULT_LOOP_CONFIG,
-                            DEFAULT_SCENARIO, FPGA_TICK_OFFSET_US, HANDSHAKE_EXCHANGES,
+                            DEFAULT_SCENARIO, HANDSHAKE_EXCHANGES,
                             QUALIFY_WINDOW_FRAMES, Scenario, TrialTrace, _LoopHarness,
                             _END, _GRACE, _REPLY, _REQUEST, _RETRY, run_trial,
                             symmetric_profiles)
@@ -173,6 +173,26 @@ class TestTrialKernel:
         assert verdict.fail_cause is FailCause.INIT_FAILURE
         assert verdict.survived_us == 11_600
 
+    def test_a_key_on_the_control_start_us_runs_before_the_first_controller_tick(self):
+        # The link decision at 10,300 us starts control at 11,000, the µs of a
+        # stale request numbered before the decision numbers the first controller
+        # tick: the stage answers the request before that tick sends its command.
+        h = qualified(11_500, 10_300)
+        sends = []
+
+        def logging(direction, path):
+            send, queue = path
+
+            def logging_send(now):
+                sends.append((now, direction))
+                return send(now)
+
+            return logging_send, queue
+
+        h.to_fpga, h.to_cnc = logging("cmd", h.to_fpga), logging("fb", h.to_cnc)
+        assert h._run_ticks(((11_000, h.reserve(), _REQUEST, 1),)).passed
+        assert sends == [(11_000, "fb"), (11_000, "cmd")]
+
     @pytest.mark.parametrize("blackout, passed", [(None, True), (650_000, False)])
     def test_stale_request_on_a_probe_us_matches_the_heap_kernel(self, blackout, passed):
         # Control starts at 536,000 us and feedback arrives 100 us after each
@@ -302,7 +322,7 @@ class TestTrialKernel:
         for delay_us in (400, 1400):
             _, landings = same_us_landings(delay_us)
             for t, sent, seen in landings["cmd"]:
-                if t % period == FPGA_TICK_OFFSET_US:
+                if t % period == period // 2:
                     assert seen == (sent < t - period), (delay_us, t, sent)
                     seen_outcomes.add(seen)
         assert seen_outcomes == {True, False}

@@ -186,11 +186,20 @@ class TestTabulatedTrajectory:
 class TestConfigTypes:
     def test_loop_config_validation(self):
         with pytest.raises(ValueError):
-            LoopConfig(profile=Profile.DEFAULT, gains=PidGains(kp=1.0),
-                       servo_period_us=0)
+            replace(DEFAULT_LOOP_CONFIG, servo_period_us=0)
         with pytest.raises(ValueError):
-            LoopConfig(profile=Profile.DEFAULT, gains=PidGains(kp=1.0),
-                       fe_limit_mm=0.0)
+            replace(DEFAULT_LOOP_CONFIG, fe_limit_mm=0.0)
+
+    def test_loop_config_has_no_field_default(self):
+        # a default would build a driver that is neither shipped one
+        with pytest.raises(TypeError):
+            LoopConfig(Profile.DEFAULT, NOMINAL_GAINS)
+
+    def test_loop_config_refuses_a_1_us_period(self):
+        # the stage ticks half a period after the controller, and 1 us has no half
+        with pytest.raises(ValueError, match="^a servo period of 1 us has no half period "
+                                             "for the stage tick$"):
+            replace(DEFAULT_LOOP_CONFIG, servo_period_us=1)
 
     @pytest.mark.parametrize("field, message", [
         ("servo_period_us", "servo period must be positive"),

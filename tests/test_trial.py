@@ -15,8 +15,8 @@ from ringmill import plant
 from ringmill.plant import (AxisModel, FailCause, PidGains, TabulatedTrajectory,
                             TrapezoidTrajectory, TrialVerdict)
 from ringmill.ring import RingConfig
-from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO,
-                            FPGA_NODE, FPGA_TICK_OFFSET_US, MASTER_NODE, QUALIFY_WINDOW_FRAMES,
+from ringmill.trial import (ADAPTED_LOOP_CONFIG, CALIBRATION_GRID, DEFAULT_LOOP_CONFIG,
+                            DEFAULT_SCENARIO, FPGA_NODE, MASTER_NODE, QUALIFY_WINDOW_FRAMES,
                             Scenario, TrialTrace, _LoopHarness, calibrate, run_trial,
                             symmetric_profiles)
 
@@ -40,7 +40,7 @@ def run_network_free_baseline(config, trial_length_us):
     v_cmd = 0.0
     fb_value = axis.position_mm
     max_fe = 0.0
-    fpga_t = FPGA_TICK_OFFSET_US
+    fpga_t = period // 2
     for tick in range(trial_length_us // period):
         t = tick * period
         while fpga_t <= t:  # stage ticks due before this controller tick
@@ -196,28 +196,38 @@ class TestWatchdog:
 
 
 class TestSameUsOrder:
-    def test_ticks_on_one_us_run_in_the_heap_kernels_order(self):
-        # with a 500 µs servo period the stage ticks on every controller
-        # tick's µs, and each pair runs in the order its keys were numbered
+    def test_a_500_us_period_runs_in_the_heap_kernels_order(self):
+        # with a 500 µs servo period the stage ticks at 250 µs offsets; over
+        # 300 µs channels, feedback lands on controller ticks' µs, and each
+        # frame and tick runs in the order its key was numbered
         config = replace(DEFAULT_LOOP_CONFIG, servo_period_us=500)
         args = (config, *symmetric_profiles(0.3, 0), 600_000, 0, DEFAULT_SCENARIO, None)
         want_trace, got_trace = TrialTrace(), TrialTrace()
         assert run_trial(*args, trace=got_trace) == HeapHarness(*args, want_trace).run()
         assert got_trace.rows == want_trace.rows
 
-    def test_a_controller_tick_numbered_first_runs_first_on_a_shared_us(self):
-        # With 100 us channels, feedback the stage sends 500 us into the ring's
-        # 1,600 us cycle waits 300 us for its slot and lands on the next stage
-        # tick's us, numbered before that tick.  The qualify window's last frame
-        # does so at 281,000 us: the link decision there numbers the controller
-        # tick at 281,500 before the stage tick at 281,000 numbers its own, so
-        # from then on the controller runs first on every shared us.
-        config = replace(DEFAULT_LOOP_CONFIG, servo_period_us=500)
-        args = (config, *symmetric_profiles(0.1, 0), 600_000, 0, DEFAULT_SCENARIO, None)
-        want_trace, got_trace = TrialTrace(), TrialTrace()
-        assert run_trial(*args, trace=got_trace) == HeapHarness(*args, want_trace).run()
-        assert got_trace.rows[0][0] == 281_500
-        assert got_trace.rows == want_trace.rows
+    def test_the_stage_ticks_half_a_period_after_the_controller(self):
+        # the controller ticks on whole periods, so at an even and an odd period
+        # the stage's feedback leaves on µs of its own, as it does in the heap kernel
+        for period in (2_000, 1_001):
+            # two periods: a 2,100 µs watchdog fires between 2 ms frames that wait for the ring
+            config = replace(DEFAULT_LOOP_CONFIG, servo_period_us=period,
+                             watchdog_timeout_us=2 * period)
+            args = (config, ZERO_IMPAIRMENT, ZERO_IMPAIRMENT, 1_500_000, 0, DEFAULT_SCENARIO, None)
+            want_trace, got_trace = TrialTrace(), TrialTrace()
+            h = _LoopHarness(*args, got_trace)
+            sent = []  # the instant of each feedback frame the stage sends
+
+            class LoggingQueue(deque):
+                def append(self, entry):
+                    sent.append(entry[3])
+                    super().append(entry)
+
+            h.to_cnc = (h.to_cnc[0], LoggingQueue())
+            verdict = h.run()
+            assert sent == list(range(period // 2, 1_500_000, period)), period
+            assert verdict == HeapHarness(*args, want_trace).run()
+            assert got_trace.rows == want_trace.rows
 
     def test_a_stage_tick_applies_the_commands_numbered_before_it(self):
         # The commands sent at 9,000 and 10,000 us both land at 10,500.  The
@@ -593,3 +603,7 @@ class TestCalibrate:
         with pytest.raises(ValueError, match="master seed 1 but its validation spec "
                                              "has master seed 0"):
             calibrate(master_seed=1, validation_spec=SweepSpec(master_seed=0))
+
+    def test_the_grid_tries_the_shipped_pair_first_and_no_pair_twice(self):
+        assert CALIBRATION_GRID[0] == (DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)
+        assert len(set(CALIBRATION_GRID)) == len(CALIBRATION_GRID) == 36

@@ -59,7 +59,9 @@ EQUIVALENT = {
     ("channel.py", "now < chan_mark", "<="):
         "at now == chan_mark the clamp gives the same instant",
     # trial._LoopHarness._run_ticks
-    ("trial.py", "cnc_s < fpga_s", "<="): _DISTINCT,
+    ("trial.py", "cnc_t < fpga_t", "<="):
+        "the controller ticks on whole periods and the stage half a period after, so the two "
+        "never share a µs; at `never` both lose to the trial's end",
     ("trial.py", "item_s < s", "<="): _DISTINCT,
     ("trial.py", "fb_s < s", "<="): _DISTINCT,
     ("trial.py", "fb_s < probe_s", "<="): _DISTINCT,
