@@ -72,18 +72,12 @@ class Simulator:
     def __init__(self):
         self._clock: SimTime = 0
         self._seq = itertools.count(1)
-        self._event_seq = 0
         self._heap: list[tuple[SimTime, int, Callable[[], None]]] = []
         self._events_processed = 0
 
     @property
     def now(self) -> SimTime:
         return self._clock
-
-    @property
-    def event_key(self) -> tuple[SimTime, int]:
-        """``(fire_time, sequence)`` of the event being processed."""
-        return (self._clock, self._event_seq)
 
     def schedule(self, fire_time: SimTime, action: Callable[[], None]) -> int:
         """Enqueue an event at integer-µs `fire_time`; returns its sequence number."""
@@ -104,9 +98,8 @@ class Simulator:
         processed = self._events_processed
         try:
             while heap and heap[0][0] <= t_end:
-                fire_time, seq, action = pop(heap)
+                fire_time, _, action = pop(heap)
                 self._clock = fire_time
-                self._event_seq = seq
                 processed += 1
                 action()
         finally:
@@ -135,14 +128,18 @@ def derive_seed(*parts: int | str) -> int:
 
     Every stochastic component gets its own stream via a distinct label, so
     adding a component to a scenario never disturbs another component's draws.
+    A part that is neither a `str` nor an `int` (a float, a bool) raises a
+    ValueError: 1.5 and True would fold as 1.
     """
     state = 0x5DEECE66D
     for part in parts:
-        if isinstance(part, str):
+        if type(part) is str:
             for byte in part.encode("utf-8"):
                 state = _splitmix64(state ^ byte)
+        elif type(part) is int:
+            state = _splitmix64(state ^ (part & _MASK64))
         else:
-            state = _splitmix64(state ^ (int(part) & _MASK64))
+            raise ValueError(f"seed part {part!r} is neither a string nor an integer")
     return _splitmix64(state)
 
 

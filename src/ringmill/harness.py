@@ -153,26 +153,29 @@ def _cell_class(default: Sequence[TrialVerdict], adapted: Sequence[TrialVerdict]
     return None
 
 
-def evaluate_cell(default_config: LoopConfig, adapted_config: LoopConfig,
+def evaluate_cell(spec: SweepSpec, default_config: LoopConfig, adapted_config: LoopConfig,
                   latency_ms: float, jitter_ms: float,
-                  seeds_per_cell: int, trial_seconds: float,
-                  master_seed: int, scenario: Scenario = DEFAULT_SCENARIO) -> CellVerdict:
-    """Classify one cell on the scenario's channels; trials stop once the class is decided."""
-    length_us = us_from(trial_seconds, "s")
+                  scenario: Scenario = DEFAULT_SCENARIO) -> CellVerdict:
+    """Classify one cell on the scenario's channels, with the seed count, trial
+    length and master seed of `spec`; trials stop once the class is decided.  A
+    pair that is not (default, adapted) is refused before any trial runs."""
+    validate_config_pair(default_config, adapted_config)
+    seeds = spec.seeds_per_cell
+    length_us = us_from(spec.trial_seconds, "s")
     cmd, fb = scenario.channels_at(latency_ms, jitter_ms)
     default: list[TrialVerdict] = []
     adapted: list[TrialVerdict] = []
     for config, outcomes in ((default_config, default), (adapted_config, adapted)):
-        if _cell_class(default, adapted, seeds_per_cell) is not None:
+        if _cell_class(default, adapted, seeds) is not None:
             break  # the stock driver passed every seed
-        for i in range(seeds_per_cell):
+        for i in range(seeds):
             verdict = run_trial(config, cmd, fb, trial_length_us=length_us,
-                                seed=_trial_seed(master_seed, latency_ms, jitter_ms, i),
+                                seed=_trial_seed(spec.master_seed, latency_ms, jitter_ms, i),
                                 scenario=scenario)
             outcomes.append(verdict)
             if not verdict.passed:
                 break
-    return CellVerdict(latency_ms, jitter_ms, _cell_class(default, adapted, seeds_per_cell),
+    return CellVerdict(latency_ms, jitter_ms, _cell_class(default, adapted, seeds),
                        tuple(default), tuple(adapted))
 
 
@@ -180,7 +183,6 @@ def run_sweep(spec: SweepSpec, default_config: LoopConfig, adapted_config: LoopC
               scenario: Scenario = DEFAULT_SCENARIO,
               order: str = "severe-first") -> SweepResult:
     """Evaluate the full matrix; `order` must not (and cannot) change verdicts."""
-    validate_config_pair(default_config, adapted_config)
     cells = [(lat, jit) for lat in spec.latencies_ms for jit in spec.jitters_ms]
     if order == "severe-first":
         cells.sort(key=lambda c: (-c[0], -c[1]))
@@ -189,11 +191,8 @@ def run_sweep(spec: SweepSpec, default_config: LoopConfig, adapted_config: LoopC
     else:
         raise ValueError(f"unknown evaluation order {order!r}")
 
-    verdicts = [
-        evaluate_cell(default_config, adapted_config, lat, jit,
-                      spec.seeds_per_cell, spec.trial_seconds, spec.master_seed, scenario)
-        for lat, jit in cells
-    ]
+    verdicts = [evaluate_cell(spec, default_config, adapted_config, lat, jit, scenario)
+                for lat, jit in cells]
     verdicts.sort(key=lambda v: (v.latency_ms, v.jitter_ms))
     return SweepResult(spec=spec, cells=verdicts)
 

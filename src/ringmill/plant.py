@@ -8,15 +8,15 @@ remote motion stage.  ``LoopConfig`` carries the supervision parameters
 (following-error limit, watchdog, init-qualification thresholds) in the
 ``default`` and ``adapted`` driver flavours; its µs fields are integers.
 
-The trajectory's `sampler` is a closure with its constants bound (a
-trapezoid's leg times, a table's segments): `sample` calls it, and it fills
-the setpoint tables (below).  The controller's and the axis's arithmetic
-runs in the trial loop (`trial._LoopHarness._run_ticks`), which binds the
-`PidGains` and the `AxisModel` constants once per trial and keeps the state
-in float locals.  The loop holds the only copy in `src/`; the heap kernel
-pins it, bit for bit, against ``tests/reference_plant.py``, the sign of a
-zero included.  No closure is stored on a trajectory or a config, so both
-stay picklable.
+A trajectory holds plain floats from the moment it is made, and its
+`sampler` is a closure with its constants bound (a trapezoid's leg times, a
+table's segments), the one way it is sampled: it fills the setpoint tables
+(below).  The controller's and the axis's arithmetic runs in the trial loop
+(`trial._LoopHarness._run_ticks`), which binds the `PidGains` and the
+`AxisModel` constants once per trial and keeps the state in float locals.
+The loop holds the only copy in `src/`; the heap kernel pins it, bit for
+bit, against ``tests/reference_plant.py``, the sign of a zero included.
+No closure is stored on a trajectory or a config, so both stay picklable.
 
 Every controller tick falls a whole number k of servo periods after the
 control start, so every trial of a trajectory and period samples the same
@@ -24,13 +24,14 @@ instants.  `setpoint_table` holds ``sampler()(k * period)`` by k, filled
 by the sampler in chunks of `SETPOINT_CHUNK` ticks as trials reach them,
 and a trial reads its setpoints there.  The tables live in a module cache
 of at most `SETPOINT_TABLES`, the oldest dropped first.  The cache key is
-the trajectory's class, its attributes as `marshal` writes them, each
-float by its 8 bytes (a float subclass's value as a float's), and the
-period: trajectories that compare equal may still sample apart (a table
-point of 0.0 and one of -0.0 are ==, yet give feedforwards of opposite
-sign), and two built apart from the same values share a table.  A lock
-guards the cache and each fill, so trials on several threads may share a
-table.
+the trajectory's class, its attributes as one `marshal` call writes them,
+each float by its 8 bytes, and the period: trajectories that compare equal
+may still sample apart (a table point of 0.0 and one of -0.0 are ==, yet
+give feedforwards of opposite sign), and two built apart from the same
+values share a table.  The key is one `marshal` call because a trajectory
+holds plain floats: marshal writes no float subclass, and an int 20 would
+key apart from 20.0.  A lock guards the cache and each fill, so trials on
+several threads may share a table.
 """
 
 from __future__ import annotations
@@ -64,6 +65,14 @@ class AxisModel:
             raise ValueError("axis time constant must be positive")
 
 
+def _refuse_bools(instance, names: tuple[str, ...]) -> None:
+    """Raise a ValueError for the first of `instance`'s fields `names` that holds
+    a bool: True would run as 1."""
+    for name in names:
+        if type(getattr(instance, name)) is bool:
+            raise ValueError(f"{name} {getattr(instance, name)!r} is not a number")
+
+
 @dataclass(frozen=True)
 class PidGains:
     kp: float  # (mm/s) per mm
@@ -72,6 +81,7 @@ class PidGains:
     integral_clamp: float = 0.05  # mm*s bound on the accumulated error
 
     def __post_init__(self):
+        _refuse_bools(self, ("kp", "ki", "kd", "integral_clamp"))
         # a NaN gain makes every command and position NaN, and a NaN
         # following error never exceeds the limit
         if not all(map(math.isfinite, (self.kp, self.ki, self.kd))):
@@ -98,11 +108,14 @@ class TrapezoidTrajectory:
     dwell_s: float = 0.2
 
     def __post_init__(self):
-        amplitude, accel = self.amplitude_mm, self.accel_mm_s2
-        if not (amplitude > 0 and self.velocity_mm_s > 0 and accel > 0
+        names = ("amplitude_mm", "velocity_mm_s", "accel_mm_s2", "dwell_s")
+        _refuse_bools(self, names)
+        if not (self.amplitude_mm > 0 and self.velocity_mm_s > 0 and self.accel_mm_s2 > 0
                 and self.dwell_s >= 0):  # NaN fails too
             raise ValueError("trajectory parameters must be positive")
-        vmax = self.velocity_mm_s
+        # plain floats: an int or a Fraction samples as its float, and keys its table so
+        self.__dict__.update({name: float(getattr(self, name)) for name in names})
+        amplitude, vmax, accel = self.amplitude_mm, self.velocity_mm_s, self.accel_mm_s2
         t_ramp = vmax / accel
         d_ramp = 0.5 * accel * t_ramp * t_ramp
         if 2 * d_ramp > amplitude:
@@ -118,7 +131,8 @@ class TrapezoidTrajectory:
                              _t_move=t_move, period_s=2 * (t_move + self.dwell_s))
 
     def sampler(self) -> Callable[[SimTime], tuple[float, float]]:
-        """The closure `sample` calls, with the legs' constants bound."""
+        """``sample(t_us) -> (setpoint mm, feedforward mm/s)`` at trajectory
+        time t, with the legs' constants bound."""
         amplitude, a, vm = self.amplitude_mm, self.accel_mm_s2, self.vmax
         half_a = 0.5 * a
         tr, d_ramp, t_move = self._t_ramp, self._d_ramp, self._t_move
@@ -146,10 +160,6 @@ class TrapezoidTrajectory:
 
         return sample
 
-    def sample(self, t_us: SimTime) -> tuple[float, float]:
-        """(setpoint mm, feedforward velocity mm/s) at trajectory time t."""
-        return self.sampler()(t_us)
-
 
 @dataclass(frozen=True)
 class TabulatedTrajectory:
@@ -173,7 +183,8 @@ class TabulatedTrajectory:
                              period_s=times[-1])
 
     def sampler(self) -> Callable[[SimTime], tuple[float, float]]:
-        """The closure `sample` calls, with the segments' constants bound."""
+        """``sample(t_us) -> (setpoint mm, feedforward mm/s)`` at trajectory
+        time t, with the segments' constants bound."""
         times, period, last = self._t, self.period_s, len(self._t) - 1
         # (start, span, start setpoint, rise, velocity) of each segment
         segments = [(t0, t1 - t0, x0, x1 - x0, (x1 - x0) / (t1 - t0))
@@ -187,10 +198,6 @@ class TabulatedTrajectory:
             return x0 + (t - t0) / span * rise, vel
 
         return sample
-
-    def sample(self, t_us: SimTime) -> tuple[float, float]:
-        """(setpoint mm, feedforward velocity mm/s) at trajectory time t."""
-        return self.sampler()(t_us)
 
 
 def load_trajectory_csv(text: str) -> TabulatedTrajectory:
@@ -231,28 +238,13 @@ _setpoint_tables: dict[tuple[type, bytes, int], tuple[list, Callable[[], None]]]
 _setpoint_lock = threading.Lock()
 
 
-def _builtin(value):
-    """`value` with each float in it, in tuples and lists too, of the exact
-    type `marshal` writes: a float subclass's value becomes a float, bit for bit."""
-    if isinstance(value, float):
-        return float.__float__(value)
-    if isinstance(value, (tuple, list)):
-        return (tuple if isinstance(value, tuple) else list)(map(_builtin, value))
-    return value
-
-
 def setpoint_table(trajectory: TrapezoidTrajectory | TabulatedTrajectory, period_us: int
                    ) -> tuple[list[tuple[float, float]], Callable[[], None]]:
     """The table of ``trajectory.sampler()(k * period_us)`` by k, shared by
     every trial of this trajectory and period, and the function that fills
     its next `SETPOINT_CHUNK` entries.  See the module docstring."""
     # version 2 writes each float as its 8 bytes and shares no reference
-    try:
-        attributes = marshal.dumps(vars(trajectory), 2)
-    except ValueError:  # marshal writes no subclass of a builtin, such as a float subclass
-        attributes = marshal.dumps({name: _builtin(value)
-                                    for name, value in vars(trajectory).items()}, 2)
-    key = type(trajectory), attributes, period_us
+    key = type(trajectory), marshal.dumps(vars(trajectory), 2), period_us
     with _setpoint_lock:
         entry = _setpoint_tables.get(key)
         if entry is None:
@@ -299,6 +291,7 @@ class LoopConfig:
     rtt_rescue_budget_us: int
 
     def __post_init__(self):
+        _refuse_bools(self, ("fe_limit_mm",))  # the µs fields are checked as ints below
         # written so that NaN fails each check
         if not self.servo_period_us > 0:
             raise ValueError("servo period must be positive")

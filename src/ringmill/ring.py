@@ -167,11 +167,16 @@ class TokenRing:
 
         Returns the frame's delivery instant, or None if it is dropped.
         A delivery event calling ``on_deliver(frame, delivery)`` is
-        scheduled only when `on_deliver` is given.
+        scheduled only when `on_deliver` is given.  A frame from another
+        node, to its own source or of another clock raises `RingConfigError`.
         """
         node_idx = self.node_index(node)
         if frame.dest not in self._index:
             raise RingConfigError(f"dest {frame.dest!r} is not a member of ring {self.config.ring_id}")
+        if frame.source != node or frame.dest == frame.source or frame.enqueue_time != now:
+            raise RingConfigError(f"ring {self.config.ring_id}: frame {frame.source!r} -> "
+                                  f"{frame.dest!r} at t={frame.enqueue_time} cannot be "
+                                  f"enqueued at {node!r} at t={now}")
         delivery = self.admit(node_idx, now)
         if delivery is not None and on_deliver is not None:
             self.sim.schedule(delivery, partial(on_deliver, frame, delivery))

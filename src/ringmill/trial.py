@@ -10,11 +10,11 @@ A trial has two phases.  During *initialization* the controller runs a
 serialized request/reply handshake to baseline the round-trip time, then
 watches a window of the feedback stream and measures its delay spread
 (max minus min transport delay; clock offset cancels).  The link is
-accepted if the spread fits the driver's tolerance, or - for the stock
-driver - if the link is fast enough that baseline RTT plus spread still
-fits its total response budget.  Otherwise the trial ends as an init
-failure, which is exactly what the adapted driver flavour (larger
-tolerance, longer grace) exists to fix.
+accepted if the spread fits the driver's tolerance, or if the link is
+fast enough that baseline RTT plus spread still fits the driver's total
+response budget.  Otherwise the trial ends as an init failure, which is
+exactly what the adapted driver flavour (larger tolerance, longer grace)
+exists to fix.
 
 During *control* the loop runs at the servo period.  The trial fails on
 the first following-error excursion past the limit or when the feedback
@@ -241,7 +241,7 @@ class _LoopHarness:
         spread = max(self.residuals) - min(self.residuals)
         baseline_rtt = sum(self.hs_rtts) / len(self.hs_rtts)
         cfg = self.config
-        # the stock driver copes with a noisy link only when it is fast
+        # a driver copes with a noisy link beyond its tolerance only when it is fast
         if (spread <= cfg.delay_spread_tolerance_us
                 or baseline_rtt + spread <= cfg.rtt_rescue_budget_us):
             self.phase = "control"
@@ -458,6 +458,10 @@ def run_trial(config: LoopConfig,
               feedback_blackout_us: SimTime | None = None,
               trace: TrialTrace | None = None) -> TrialVerdict:
     """Run one closed-loop trial and return its verdict."""
+    if type(trial_length_us) is not int or trial_length_us <= 0:  # a float or a bool too
+        raise ValueError(f"trial_length_us {trial_length_us!r} is not an integer number of us > 0")
+    if type(seed) is not int:
+        raise ValueError(f"seed {seed!r} is not an integer")
     harness = _LoopHarness(config, command_profile, feedback_profile, trial_length_us,
                            seed, scenario, feedback_blackout_us, trace)
     return harness.run()
@@ -553,13 +557,13 @@ def calibrate(master_seed: int = 0,
     best_pair = None
     best_matrix = None
     tried = 0
+    screen = replace(spec, seeds_per_cell=1, trial_seconds=screen_trial_seconds)
 
     for default, adapted in CALIBRATION_GRID:
         tried += 1
         screen_ok = True
         for lat, jit in SCREENING_CELLS:
-            got = evaluate_cell(default, adapted, lat, jit, 1, screen_trial_seconds,
-                                master_seed, scenario).cell_class
+            got = evaluate_cell(screen, default, adapted, lat, jit, scenario).cell_class
             if got is not target[(lat, jit)]:
                 screen_ok = False
                 break

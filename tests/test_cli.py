@@ -82,7 +82,7 @@ class TestConfig:
         path = tmp_path / "scenario.ini"
         path.write_text(f"[trajectory]\nfile = {traj}\n")
         run = load_config(path)
-        assert run.scenario.trajectory.sample(250_000)[0] == pytest.approx(5.0)
+        assert run.scenario.trajectory.sampler()(250_000)[0] == pytest.approx(5.0)
 
     def test_bad_ini_is_config_error(self, tmp_path):
         path = tmp_path / "broken.ini"
@@ -110,7 +110,7 @@ class TestConfig:
         # a "#" glued to a word is text, and the first one after a blank starts the
         # comment: the file is m#1.csv, not "m#1.csv #x"
         ("[trajectory]\nfile = m#1.csv #x ;y\n",
-         lambda run: run.scenario.trajectory.sample(250_000)[0], 5.0),
+         lambda run: run.scenario.trajectory.sampler()(250_000)[0], 5.0),
         # a channel section sets its channel in the scenario, and only that one
         ("[channel.command]\ndistribution = truncated-normal\nreorder = yes\n",
          lambda run: (run.scenario.command_channel, run.scenario.feedback_channel),
@@ -162,7 +162,7 @@ class TestConfig:
         path = tmp_path / "scenario" / "scenario.ini"
         path.write_text("[trajectory]\nfile = moves.csv\n")
         monkeypatch.chdir(tmp_path)
-        assert load_config(path).scenario.trajectory.sample(250_000)[0] == pytest.approx(5.0)
+        assert load_config(path).scenario.trajectory.sampler()(250_000)[0] == pytest.approx(5.0)
 
     @pytest.mark.parametrize("text, line", [
         ("[channel.command]\nloss_rate = 0\ndistribution = gaussian\n", 3),

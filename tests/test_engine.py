@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -132,4 +134,11 @@ class TestRng:
         assert derive_seed(0) == 8911345218238399542
         assert derive_seed(1, "trial", 500) == derive_seed(1, "trial", 500)
         assert derive_seed(1, "a") != derive_seed(1, "b")
+
+    @pytest.mark.parametrize("part", [1.5, 1.0, True, None, b"a"])
+    def test_derive_seed_refuses_a_part_that_is_no_str_or_int(self, part):
+        # 1.5 and True folded as 1
+        with pytest.raises(ValueError, match=f"^seed part {re.escape(repr(part))} is neither "
+                                             "a string nor an integer$"):
+            derive_seed(1, "trial", part)
 

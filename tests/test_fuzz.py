@@ -2,7 +2,10 @@
 
 Each document is one that ringmill ships or writes: the README's INI
 scenario, the golden `matrix.csv`, the README's spectrum script and the
-`manifest.json` a sweep of the README's INI writes.  A mutant deletes a
+`manifest.json` a sweep of the README's INI writes.  The INI and the
+script are fixed copies in ``tests/fuzz/``, so an edit to README cannot
+change which mutants are drawn; ``tests/test_cli.py`` loads and replays
+README's own blocks.  A mutant deletes a
 character, swaps one token for an edge value, or duplicates or drops a
 line.  Every mutant must either read or raise its reader's own error:
 `ConfigError` for the INI reader, which names the line, `ScriptError` for
@@ -22,11 +25,10 @@ from ringmill.config import ConfigError, load_config
 from ringmill.harness import (RunManifest, ScriptError, parse_matrix_csv, render_matrix,
                               run_spectrum_scenario)
 
-ROOT = Path(__file__).resolve().parent.parent
-README = (ROOT / "README.md").read_text()
-INI = re.search(r"```ini\n(.*?)```", README, re.S)[1]
-MATRIX = (ROOT / "tests" / "golden" / "matrix.csv").read_text()
-SCRIPT = README.split("## Spectrum scripts", 1)[1].split("```", 2)[1].strip() + "\n"
+TESTS = Path(__file__).resolve().parent
+INI = (TESTS / "fuzz" / "scenario.ini").read_text()
+MATRIX = (TESTS / "golden" / "matrix.csv").read_text()
+SCRIPT = (TESTS / "fuzz" / "script.txt").read_text()
 
 
 def sweep_manifest(ini: str) -> str:

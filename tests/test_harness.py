@@ -10,6 +10,7 @@ import pytest
 
 from ringmill import harness
 from ringmill.channel import ChannelProfile, JitterDistribution
+from ringmill.config import load_config
 from ringmill.engine import us_from
 from ringmill.harness import (CellClass, CellVerdict, RunManifest, ScriptError,
                               SweepResult, SweepSpec, _cell_class,
@@ -62,39 +63,56 @@ class TestReferencePattern:
 
 class TestClassification:
     def test_pass_cell_runs_default_only(self):
-        cell = evaluate_cell(DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG,
-                             0.5, 0.05, seeds_per_cell=2, trial_seconds=3.0,
-                             master_seed=0)
+        cell = evaluate_cell(SweepSpec(seeds_per_cell=2, trial_seconds=3.0),
+                             DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG, 0.5, 0.05)
         assert cell.cell_class is CellClass.PASS
         assert len(cell.default_outcomes) == 2
         assert cell.adapted_outcomes == ()
         assert all(o.passed for o in cell.default_outcomes)
 
     def test_adaptation_cell_invariants(self):
-        cell = evaluate_cell(DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG,
-                             2.0, 0.2, seeds_per_cell=2, trial_seconds=3.0,
-                             master_seed=0)
+        cell = evaluate_cell(SweepSpec(seeds_per_cell=2, trial_seconds=3.0),
+                             DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG, 2.0, 0.2)
         assert cell.cell_class is CellClass.PASS_WITH_ADAPTATION
         assert any(not o.passed for o in cell.default_outcomes)
         assert len(cell.adapted_outcomes) == 2
         assert all(o.passed for o in cell.adapted_outcomes)
 
     def test_fail_cell_invariants(self):
-        cell = evaluate_cell(DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG,
-                             5.0, 0.05, seeds_per_cell=2, trial_seconds=3.0,
-                             master_seed=0)
+        cell = evaluate_cell(SweepSpec(seeds_per_cell=2, trial_seconds=3.0),
+                             DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG, 5.0, 0.05)
         assert cell.cell_class is CellClass.FAIL
         assert any(not o.passed for o in cell.adapted_outcomes)
 
     def test_seed_count_does_not_change_a_deep_pass(self):
         # stability check by rerun: 1 seed vs 3 seeds agree on an easy cell
-        one = evaluate_cell(DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG,
-                            0.5, 0.05, seeds_per_cell=1, trial_seconds=2.0,
-                            master_seed=3)
-        three = evaluate_cell(DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG,
-                              0.5, 0.05, seeds_per_cell=3, trial_seconds=2.0,
-                              master_seed=3)
+        one = evaluate_cell(SweepSpec(seeds_per_cell=1, trial_seconds=2.0, master_seed=3),
+                            DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG, 0.5, 0.05)
+        three = evaluate_cell(SweepSpec(seeds_per_cell=3, trial_seconds=2.0, master_seed=3),
+                              DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG, 0.5, 0.05)
         assert one.cell_class is three.cell_class is CellClass.PASS
+
+    @pytest.mark.parametrize("pair", [(ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG),
+                                      (DEFAULT_LOOP_CONFIG, DEFAULT_LOOP_CONFIG)],
+                             ids=["swapped", "default-twice"])
+    def test_a_pair_that_is_not_default_then_adapted_runs_no_trial(self, pair, monkeypatch):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
+        with pytest.raises(ValueError, match=r"^config pair must be \(default, adapted\)$"):
+            evaluate_cell(SweepSpec(seeds_per_cell=1, trial_seconds=1.0), *pair, 0.5, 0.05)
+
+    def test_an_adapted_init_grace_equal_to_the_defaults_runs(self, tmp_path):
+        # "must not be tighter" allows the default's own grace
+        path = tmp_path / "scenario.ini"
+        path.write_text("[sweep]\nseeds_per_cell = 1\ntrial_seconds = 1\n"
+                        "[loop.adapted]\ninit_grace_us = 2000000\n")
+        run = load_config(path)
+        assert run.adapted_config.init_grace_us == run.default_config.init_grace_us
+        cell = evaluate_cell(run.spec, run.default_config, run.adapted_config, 5.0, 0.3,
+                             run.scenario)
+        assert cell.cell_class is CellClass.FAIL and len(cell.adapted_outcomes) == 1
 
     def test_sweep_order_does_not_change_verdicts(self):
         spec = SweepSpec(latencies_ms=(0.5, 5.0), jitters_ms=(0.05, 0.3),
@@ -205,8 +223,7 @@ class TestRender:
         evaluated = set()
         for flags in itertools.product((True, False), repeat=len(keys)):
             script = dict(zip(keys, flags))
-            cell = evaluate_cell(DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG, 1.0, 0.1,
-                                 seeds, 1.0, 0)
+            cell = evaluate_cell(spec, DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG, 1.0, 0.1)
             evaluated.add((cell.cell_class, cell.default_outcomes, cell.adapted_outcomes))
         assert evaluated == accepted
 
@@ -261,7 +278,7 @@ class TestManifest:
         again = RunManifest.from_json(text)
         assert again == manifest and again.to_json() == text
         assert (again.default_config, again.scenario) == (default, scenario)
-        assert again.scenario.trajectory.sample(250_000) == (5.25, 21.0)
+        assert again.scenario.trajectory.sampler()(250_000) == (5.25, 21.0)
 
     @pytest.mark.parametrize("trajectory", [TrapezoidTrajectory(),
                                             TabulatedTrajectory([(0, 0), (500, 10), (1000, 0)])])
@@ -450,12 +467,17 @@ class TestManifest:
             RunManifest.from_json(json.dumps(data))
 
     def test_trial_length_that_is_not_whole_us_is_rejected(self):
-        # 0.4 us would run an empty trial, and 2.0000004 s a 2 s one
+        # 0.4 us would run an empty trial, and 2.0000004 s a 2 s one; a cell
+        # takes its length from a SweepSpec, so no such length reaches it
         for seconds in (0.0000004, 2.0000004):
             with pytest.raises(ValueError, match=f"{seconds} s is not a whole number of us"):
                 SweepSpec(trial_seconds=seconds)
-            with pytest.raises(ValueError, match="is not a whole number of us"):
-                evaluate_cell(DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG, 0.5, 0.05, 1, seconds, 0)
+            with pytest.raises(ValueError, match=f"{seconds} s is not a whole number of us"):
+                dataclasses.replace(SweepSpec(), trial_seconds=seconds)
+        # the shortest length a spec holds, 1 us, is the length each trial of its cell runs
+        cell = evaluate_cell(SweepSpec(seeds_per_cell=1, trial_seconds=0.000001),
+                             DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG, 0.5, 0.05)
+        assert [o.survived_us for o in cell.default_outcomes + cell.adapted_outcomes] == [1, 1]
         manifest = RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)
         data = json.loads(manifest.to_json())
         data["spec"]["trial_seconds"] = 2.0000004

@@ -34,7 +34,7 @@ class HeapHarness:
     def __init__(self, config, command_profile, feedback_profile, trial_length_us, seed,
                  scenario, feedback_blackout_us, trace):
         self.config = config
-        self.trajectory = scenario.trajectory
+        self.sample = scenario.trajectory.sampler()
         self.length = trial_length_us
         self.trace = trace
 
@@ -61,7 +61,7 @@ class HeapHarness:
         self.prev_fb_arrival = 0  # the arrival before, on an earlier µs
         self.control_start = 0
         self.watchdog_since = 0
-        self.watchdog_id = 0  # sequence number of the one live probe
+        self.watchdog_token = 0  # the token of the one live probe
         self.max_fe = 0.0
         self.verdict = None
 
@@ -126,11 +126,13 @@ class HeapHarness:
 
     def _arm_watchdog(self, since):
         self.watchdog_since = since
-        self.watchdog_id = self.sim.schedule(
-            since + self.config.watchdog_timeout_us + 1, self._watchdog_probe)
+        self.watchdog_token += 1
+        token = self.watchdog_token
+        self.sim.schedule(since + self.config.watchdog_timeout_us + 1,
+                          lambda: self._watchdog_probe(token))
 
-    def _watchdog_probe(self):
-        if self.sim.event_key[1] != self.watchdog_id:
+    def _watchdog_probe(self, token):
+        if token != self.watchdog_token:
             return  # a probe re-armed before it was due
         now = self.sim.now
         in_time = self.last_fb_arrival if self.last_fb_arrival < now else self.prev_fb_arrival
@@ -154,7 +156,7 @@ class HeapHarness:
     def _cnc_tick(self):
         now = self.sim.now
         cfg = self.config
-        setpoint, feedforward = self.trajectory.sample(now - self.control_start)
+        setpoint, feedforward = self.sample(now - self.control_start)
         fe = setpoint - self.fb_value
         abs_fe = abs(fe)
         if abs_fe > self.max_fe:

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -103,27 +104,27 @@ class TestPidController:
 
 class TestTrapezoidTrajectory:
     def test_starts_at_rest_at_origin(self):
-        traj = TrapezoidTrajectory()
-        pos, vel = traj.sample(0)
+        pos, vel = TrapezoidTrajectory().sampler()(0)
         assert pos == 0.0 and vel == 0.0
 
     def test_reaches_amplitude_and_returns(self):
         traj = TrapezoidTrajectory(amplitude_mm=20.0)
-        half_us = round(traj.period_s / 2 * 1e6)
-        assert traj.sample(half_us - 1)[0] == pytest.approx(20.0, abs=1e-6)
-        assert traj.sample(round(traj.period_s * 1e6) - 1)[0] == pytest.approx(0.0, abs=1e-3)
+        sample, half_us = traj.sampler(), round(traj.period_s / 2 * 1e6)
+        assert sample(half_us - 1)[0] == pytest.approx(20.0, abs=1e-6)
+        assert sample(round(traj.period_s * 1e6) - 1)[0] == pytest.approx(0.0, abs=1e-3)
 
     def test_velocity_bounded_by_vmax(self):
         traj = TrapezoidTrajectory(velocity_mm_s=50.0)
-        vels = [abs(traj.sample(t)[1]) for t in range(0, int(traj.period_s * 1e6), 997)]
+        sample = traj.sampler()
+        vels = [abs(sample(t)[1]) for t in range(0, int(traj.period_s * 1e6), 997)]
         assert max(vels) <= 50.0 + 1e-9
         assert max(vels) == pytest.approx(50.0)
 
     def test_velocity_matches_position_derivative(self):
         traj = TrapezoidTrajectory()
-        dt = 50  # us
+        sample, dt = traj.sampler(), 50  # us
         for t in range(1000, int(traj.period_s * 1e6) - dt, 13_337):
-            (pos, vel), (later, _) = traj.sample(t), traj.sample(t + dt)
+            (pos, vel), (later, _) = sample(t), sample(t + dt)
             fd = (later - pos) / (dt / 1e6)
             assert fd == pytest.approx(vel, abs=traj.accel_mm_s2 * dt / 1e6 + 1e-6)
 
@@ -131,7 +132,8 @@ class TestTrapezoidTrajectory:
         traj = TrapezoidTrajectory(amplitude_mm=1.0, velocity_mm_s=50.0,
                                    accel_mm_s2=1000.0)
         assert traj.vmax < 50.0
-        top = max(traj.sample(t)[0] for t in range(0, int(traj.period_s * 1e6), 211))
+        sample = traj.sampler()
+        top = max(sample(t)[0] for t in range(0, int(traj.period_s * 1e6), 211))
         assert top == pytest.approx(1.0, abs=1e-3)
 
     def test_rejects_bad_parameters(self):
@@ -145,16 +147,37 @@ class TestTrapezoidTrajectory:
         with pytest.raises(ValueError, match="^trajectory parameters must be positive$"):
             TrapezoidTrajectory(**{field: math.nan})
 
+    @pytest.mark.parametrize("field", ["amplitude_mm", "velocity_mm_s", "accel_mm_s2"])
+    def test_rejects_a_zero_move_speed_or_acceleration(self, field):
+        # a zero divides by zero deriving the legs
+        with pytest.raises(ValueError, match="^trajectory parameters must be positive$"):
+            TrapezoidTrajectory(**{field: 0})
+
+    @pytest.mark.parametrize("field", ["amplitude_mm", "velocity_mm_s", "accel_mm_s2",
+                                       "dwell_s"])
+    def test_rejects_a_bool(self, field):
+        # amplitude_mm=True ran a 1 mm move
+        with pytest.raises(ValueError, match=f"^{field} True is not a number$"):
+            TrapezoidTrajectory(**{field: True})
+
+    @pytest.mark.parametrize("value", [20, Fraction(20), 20.0], ids=["int", "fraction", "float"])
+    def test_holds_plain_floats(self, value):
+        traj = TrapezoidTrajectory(amplitude_mm=value, velocity_mm_s=50, accel_mm_s2=1000,
+                                   dwell_s=Fraction(1, 5))
+        assert traj == TrapezoidTrajectory()
+        for name in ("amplitude_mm", "velocity_mm_s", "accel_mm_s2", "dwell_s"):
+            assert type(getattr(traj, name)) is float, name
+
 
 class TestTabulatedTrajectory:
     def test_csv_parse_and_interpolation(self):
-        traj = load_trajectory_csv("time_ms,setpoint_mm\n0,0\n100,10\n200,0\n")
-        assert traj.sample(50_000) == pytest.approx((5.0, 100.0))  # 10 mm over 0.1 s
-        assert traj.sample(150_000)[0] == pytest.approx(5.0)
+        sample = load_trajectory_csv("time_ms,setpoint_mm\n0,0\n100,10\n200,0\n").sampler()
+        assert sample(50_000) == pytest.approx((5.0, 100.0))  # 10 mm over 0.1 s
+        assert sample(150_000)[0] == pytest.approx(5.0)
 
     def test_wraps_around_period(self):
-        traj = TabulatedTrajectory([(0.0, 0.0), (100.0, 10.0)])
-        assert traj.sample(150_000) == pytest.approx(traj.sample(50_000))
+        sample = TabulatedTrajectory([(0.0, 0.0), (100.0, 10.0)]).sampler()
+        assert sample(150_000) == pytest.approx(sample(50_000))
 
     def test_rejects_non_monotone_times(self):
         with pytest.raises(ValueError):
@@ -240,6 +263,17 @@ class TestConfigTypes:
         # following error never exceeds the limit
         with pytest.raises(ValueError, match=f"^{message}$"):
             replace(NOMINAL_GAINS, **{field: value})
+
+    @pytest.mark.parametrize("field", ["kp", "ki", "kd", "integral_clamp"])
+    def test_pid_gains_refuse_a_bool(self, field):
+        # kp=True ran a gain of 1
+        with pytest.raises(ValueError, match=f"^{field} True is not a number$"):
+            replace(NOMINAL_GAINS, **{field: True})
+
+    def test_loop_config_refuses_a_bool_following_error_limit(self):
+        # fe_limit_mm=True ran a 1 mm limit
+        with pytest.raises(ValueError, match="^fe_limit_mm True is not a number$"):
+            replace(DEFAULT_LOOP_CONFIG, fe_limit_mm=True)
 
     def test_axis_rejects_nan_time_constant(self):
         with pytest.raises(ValueError, match="^axis time constant must be positive$"):
@@ -340,7 +374,6 @@ class TestCompiledPlant:
         for t_us in sorted(times):
             want = bits(*reference_trapezoid_sample(traj, t_us))
             assert bits(*sample(t_us)) == want, t_us
-            assert bits(*traj.sample(t_us)) == want, t_us
 
     @given(steps_ms=st.lists(st.integers(min_value=1, max_value=500)
                              | st.floats(min_value=0.01, max_value=500.0),
@@ -363,7 +396,6 @@ class TestCompiledPlant:
         for t_us in sorted(times):
             want = bits(*reference_tabulated_sample(traj, t_us))
             assert bits(*sample(t_us)) == want, t_us
-            assert bits(*traj.sample(t_us)) == want, t_us
 
 
 # the two tables compare equal and hash alike, yet their first samples differ
@@ -408,14 +440,20 @@ class TestSetpointTable:
     def test_trajectories_that_compare_equal_but_sample_apart_get_their_own_tables(self):
         a, b = SIGNED_ZERO_PAIR
         assert a == b and hash(a) == hash(b)
-        assert bits(*a.sample(0)) != bits(*b.sample(0))
+        assert bits(*a.sampler()(0)) != bits(*b.sampler()(0))
         tables = []
         for trajectory in (a, b):
             table, grow = setpoint_table(trajectory, 1000)
             grow()
-            assert bits(*table[0]) == bits(*trajectory.sample(0))
+            assert bits(*table[0]) == bits(*trajectory.sampler()(0))
             tables.append(table)
         assert tables[0] is not tables[1]
+
+    def test_an_int_or_a_fraction_field_shares_the_floats_table(self):
+        table = setpoint_table(TrapezoidTrajectory(), 1000)[0]
+        assert setpoint_table(TrapezoidTrajectory(amplitude_mm=20), 1000)[0] is table
+        assert setpoint_table(TrapezoidTrajectory(amplitude_mm=Fraction(20)), 1000)[0] is table
+        assert len(plant._setpoint_tables) == 1
 
     def test_a_float_subclass_shares_its_plain_twins_table_and_keeps_its_sign(self):
         # marshal writes no float subclass; the key holds its value as a float's

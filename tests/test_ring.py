@@ -129,6 +129,22 @@ class TestEnqueue:
         with pytest.raises(RingConfigError):
             ring.enqueue("ghost", frame(1, "ghost", "fpga", 0), 0)
 
+    @pytest.mark.parametrize("source, dest, enqueue_time", [
+        ("fpga", "master", 0), ("master", "master", 0), ("master", "fpga", 5),
+    ], ids=["other-source", "own-source", "other-clock"])
+    def test_a_frame_that_disagrees_with_the_call_is_refused_before_it_draws(
+            self, source, dest, enqueue_time):
+        # the first was a frame from fpga admitted at master, addressed to master,
+        # delivered at 100 us
+        config = replace(URLLC_2, loss_rate=0.5)
+        (ring, _), (twin, _) = make_ring(config), make_ring(config)
+        with pytest.raises(RingConfigError, match=f"^ring control: frame '{source}' -> '{dest}' "
+                                                  f"at t={enqueue_time} cannot be enqueued at "
+                                                  "'master' at t=0$"):
+            ring.enqueue("master", Frame(1, source, dest, 100, enqueue_time), 0)
+        # nothing was drawn or queued: the ring admits as its twin does
+        assert [ring.admit(0, 0) for _ in range(20)] == [twin.admit(0, 0) for _ in range(20)]
+
     def test_loss_rate_one_drops_everything(self):
         cfg = RingConfig(ring_id="lossy", nodes=("a", "b"),
                          slot_time_us=100, tx_time_us=10, loss_rate=1.0)

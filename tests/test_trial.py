@@ -3,6 +3,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from reference_plant import PidController, step_axis
@@ -33,7 +34,7 @@ def run_network_free_baseline(config, trial_length_us):
     stage steps half a period out of phase with the controller, feedback
     sampled at one stage tick is consumed at the next controller tick.
     """
-    trajectory = DEFAULT_SCENARIO.trajectory
+    sample = DEFAULT_SCENARIO.trajectory.sampler()
     axis = AxisModel()
     period = config.servo_period_us
     pid = PidController(config.gains, period)
@@ -47,7 +48,7 @@ def run_network_free_baseline(config, trial_length_us):
             step_axis(axis, v_cmd, period)
             fb_value = axis.position_mm
             fpga_t += period
-        setpoint, feedforward = trajectory.sample(t)
+        setpoint, feedforward = sample(t)
         max_fe = max(max_fe, abs(setpoint - fb_value))
         v_cmd = pid.tick(setpoint, fb_value, feedforward)
     return max_fe
@@ -476,6 +477,33 @@ class TestSharedSetpointTable:
         got = traced(DEFAULT_LOOP_CONFIG, 0.5, 0.05, 1.5, scenario=twin)
         plant._setpoint_tables.clear()
         assert got == traced(DEFAULT_LOOP_CONFIG, 0.5, 0.05, 1.5)
+
+    def test_a_fraction_amplitude_runs_as_its_float(self, monkeypatch):
+        # marshal writes no Fraction: the trajectory holds it as a plain float
+        monkeypatch.setattr(plant, "_setpoint_tables", {})
+        scenario = Scenario(trajectory=TrapezoidTrajectory(amplitude_mm=Fraction(20)))
+        got = traced(DEFAULT_LOOP_CONFIG, 0.5, 0.05, 2.0, scenario=scenario)
+        assert "passed=True" in got[0]
+        plant._setpoint_tables.clear()
+        assert got == traced(DEFAULT_LOOP_CONFIG, 0.5, 0.05, 2.0)
+
+
+class TestRunTrialInput:
+    @pytest.mark.parametrize("length", [3_000_000.5, 3_000_000.0, -5, 0, True],
+                             ids=["half-us", "float", "negative", "zero", "bool"])
+    def test_a_length_that_is_not_an_int_above_0_is_refused(self, length):
+        # 3_000_000.5 ran with survived_us=3000000.5, and -5 survived -5 us
+        cmd, fb = symmetric_profiles(0.5, 0.05)
+        with pytest.raises(ValueError, match=f"^trial_length_us {length!r} is not an integer "
+                                             "number of us > 0$"):
+            run_trial(DEFAULT_LOOP_CONFIG, cmd, fb, trial_length_us=length)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True], ids=["fraction", "float", "bool"])
+    def test_a_seed_that_is_not_an_int_is_refused(self, seed):
+        # 1.5 and True both ran seed 1
+        cmd, fb = symmetric_profiles(0.5, 0.05)
+        with pytest.raises(ValueError, match=f"^seed {seed!r} is not an integer$"):
+            run_trial(DEFAULT_LOOP_CONFIG, cmd, fb, trial_length_us=1_000, seed=seed)
 
 
 class TestDeterminism:

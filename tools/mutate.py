@@ -148,7 +148,7 @@ def main(argv=None) -> int:
         for name in ("src", "tests"):
             shutil.copytree(repo / name, work / name,
                             ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(repo / "README.md", work)  # spectrum and fuzz tests read its examples
+        shutil.copy(repo / "README.md", work)  # spectrum and CLI tests read its examples
         outcome, seconds = run_tests(work, args.tests, None)
         if outcome != "survived":
             print(f"the unmutated tests fail in {seconds:.0f} s: nothing to measure")
