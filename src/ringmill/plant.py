@@ -65,12 +65,12 @@ class AxisModel:
             raise ValueError("axis time constant must be positive")
 
 
-def _refuse_bools(instance, names: tuple[str, ...]) -> None:
-    """Raise a ValueError for the first of `instance`'s fields `names` that holds
-    a bool: True would run as 1."""
-    for name in names:
-        if type(getattr(instance, name)) is bool:
-            raise ValueError(f"{name} {getattr(instance, name)!r} is not a number")
+def _refuse_bools(values: dict[str, object]) -> None:
+    """Raise a ValueError for the first of the named `values` that is a bool:
+    True would run as 1."""
+    for name, value in values.items():
+        if type(value) is bool:
+            raise ValueError(f"{name} {value!r} is not a number")
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class PidGains:
     integral_clamp: float = 0.05  # mm*s bound on the accumulated error
 
     def __post_init__(self):
-        _refuse_bools(self, ("kp", "ki", "kd", "integral_clamp"))
+        _refuse_bools(vars(self))
         # a NaN gain makes every command and position NaN, and a NaN
         # following error never exceeds the limit
         if not all(map(math.isfinite, (self.kp, self.ki, self.kd))):
@@ -109,7 +109,7 @@ class TrapezoidTrajectory:
 
     def __post_init__(self):
         names = ("amplitude_mm", "velocity_mm_s", "accel_mm_s2", "dwell_s")
-        _refuse_bools(self, names)
+        _refuse_bools(vars(self))
         if not (self.amplitude_mm > 0 and self.velocity_mm_s > 0 and self.accel_mm_s2 > 0
                 and self.dwell_s >= 0):  # NaN fails too
             raise ValueError("trajectory parameters must be positive")
@@ -171,6 +171,8 @@ class TabulatedTrajectory:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        for i, (t, x) in enumerate(self.points):
+            _refuse_bools({f"point {i} time": t, f"point {i} setpoint": x})
         points = tuple((float(t), float(x)) for t, x in self.points)
         if len(points) < 2:
             raise ValueError("trajectory table needs at least two points")
@@ -291,7 +293,7 @@ class LoopConfig:
     rtt_rescue_budget_us: int
 
     def __post_init__(self):
-        _refuse_bools(self, ("fe_limit_mm",))  # the µs fields are checked as ints below
+        _refuse_bools({"fe_limit_mm": self.fe_limit_mm})  # the µs fields are checked as ints below
         # written so that NaN fails each check
         if not self.servo_period_us > 0:
             raise ValueError("servo period must be positive")

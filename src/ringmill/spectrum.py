@@ -320,22 +320,33 @@ class SpectrumManager:
         those of testing every pair and then every center: the lowest
         interfering grant id with its lowest-id partner, else the first
         center over capacity in id order.
+
+        One scan of that window serves both tests, with one distance
+        d = math.hypot(a.x - b.x, a.y - b.y) per pair: `a.area.intersects(
+        b.area)` compares d with a.radius + b.radius, and `b.area.contains(
+        a.x, a.y)` computes d too, as hypot(b.x - a.x, b.y - a.y), because
+        fl(b.x - a.x) = -fl(a.x - b.x) and hypot ignores signs.
         """
         over_capacity = None
         for a in self.active_grants(now):
-            area, block = a.area, a.block
-            near = self._near(area.x, area.radius, now)
-            clashes = [b.grant_id for b in near if b.grant_id > a.grant_id
-                       and block.overlaps(b.block) and area.intersects(b.area)]
+            a_id, block = a.grant_id, a.block
+            ax, ay, ar = a.area.x, a.area.y, a.area.radius
+            clashes, covering = [], []
+            for b in self._near(ax, ar, now):
+                area = b.area
+                d = math.hypot(ax - area.x, ay - area.y)
+                if d <= area.radius:
+                    covering.append(b.block)
+                if b.grant_id > a_id and d <= ar + area.radius and block.overlaps(b.block):
+                    clashes.append(b.grant_id)
             if clashes:
                 raise AssertionError(
-                    f"interference: grants {a.grant_id} and {min(clashes)} overlap "
+                    f"interference: grants {a_id} and {min(clashes)} overlap "
                     f"in both area and frequency")
             if over_capacity is None:
-                total = union_width_mhz(b.block for b in near
-                                        if b.area.contains(area.x, area.y))
+                total = union_width_mhz(covering)
                 if total > self.band.width_mhz + 1e-9:
-                    over_capacity = (f"capacity exceeded at grant {a.grant_id} center: "
+                    over_capacity = (f"capacity exceeded at grant {a_id} center: "
                                      f"{total} MHz")
         if over_capacity is not None:
             raise AssertionError(over_capacity)

@@ -136,6 +136,15 @@ class TestTrapezoidTrajectory:
         top = max(sample(t)[0] for t in range(0, int(traj.period_s * 1e6), 211))
         assert top == pytest.approx(1.0, abs=1e-3)
 
+    def test_a_move_that_just_reaches_full_speed_keeps_it(self):
+        # the two ramps cover the amplitude exactly, so the profile is a
+        # trapezoid with no cruise; deriving it as a triangle would round
+        # vmax, through the square root, to 1.9999999999999998
+        t = 2.0 / 1700.0
+        traj = TrapezoidTrajectory(amplitude_mm=2 * (0.5 * 1700.0 * t * t), velocity_mm_s=2.0,
+                                   accel_mm_s2=1700.0)
+        assert traj.vmax == 2.0
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             TrapezoidTrajectory(amplitude_mm=-1)
@@ -186,6 +195,15 @@ class TestTabulatedTrajectory:
     def test_rejects_single_point(self):
         with pytest.raises(ValueError):
             load_trajectory_csv("0,0\n")
+
+    @pytest.mark.parametrize("points, error", [
+        (((0, 0.0), (True, 5.0), (2, 0.0)), "point 1 time True"),
+        (((0, 0.0), (1, 5.0), (2, False)), "point 2 setpoint False"),
+    ], ids=["time", "setpoint"])
+    def test_rejects_a_bool(self, points, error):
+        # a True time ran as 1 ms
+        with pytest.raises(ValueError, match=f"^{error} is not a number$"):
+            TabulatedTrajectory(points)
 
     @pytest.mark.parametrize("points, first", [([(100, 0), (200, 10)], 100),
                                                ([(-100, 5), (200, 10)], -100)])

@@ -387,6 +387,24 @@ class TestPrunedScans:
         with pytest.raises(AssertionError, match="interference: grants 3 and 4"):
             manager.check_invariants()
 
+    @pytest.mark.parametrize("placements, want", [
+        # the centers are exactly 3 + 2 = 5 m apart: the closed discs touch
+        ([((0.0, 0.0, 3.0), 10.0, 3700.0), ((5.0, 0.0, 2.0), 10.0, 3705.0)],
+         "interference: grants 1 and 2 overlap in both area and frequency"),
+        # hypot(3, 4) is exactly 5.0: the center (3, 4) lies on the edge of
+        # the 5 m disc at the origin, which adds its 60 MHz there
+        ([((0.0, 0.0, 5.0), 60.0, 3700.0), ((3.0, 4.0, 1.0), 50.0, 3800.0)],
+         "capacity exceeded at grant 2 center: 110.0 MHz"),
+    ], ids=["tangent-discs", "center-on-an-edge"])
+    def test_a_disc_holds_its_edge(self, placements, want):
+        manager = SpectrumManager()
+        for disc, bw, low in placements:
+            place(manager, CoverageArea(*disc), bw, low)
+        assert oracle_violation(manager) == want
+        with pytest.raises(AssertionError) as err:
+            manager.check_invariants()
+        assert str(err.value) == want
+
     def test_non_finite_area_is_a_validation_error(self):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(SpectrumError):
