@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .engine import SimTime
+from .engine import SimTime, check_fields
 
 if TYPE_CHECKING:
     from .ring import RingConfig
@@ -49,25 +49,14 @@ class ChannelProfile:
     reorder_allowed: bool = False
 
     def __post_init__(self):
-        # time is integer µs: a float would give float arrival instants
-        for name in ("mean_delay_us", "jitter_us"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ChannelConfigError(f"{name} {value!r} is not an integer number of us")
+        # µs are ints, or arrivals turn float; a str "uniform" would draw truncated-normal jitter
+        check_fields(self, ChannelConfigError)
         if self.mean_delay_us < 0:
             raise ChannelConfigError(f"mean delay {self.mean_delay_us} us < 0")
         if self.jitter_us < 0:
             raise ChannelConfigError(f"jitter {self.jitter_us} us < 0")
-        if type(self.loss_rate) not in (int, float):  # True would drop every frame
-            raise ChannelConfigError(f"loss rate {self.loss_rate!r} is not a number")
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ChannelConfigError(f"loss rate {self.loss_rate} outside [0, 1]")
-        # a string would draw truncated-normal jitter, and the FIFO flag is a bool
-        if not isinstance(self.distribution, JitterDistribution):
-            raise ChannelConfigError(f"distribution {self.distribution!r} is not a "
-                                     "JitterDistribution")
-        if type(self.reorder_allowed) is not bool:
-            raise ChannelConfigError(f"reorder_allowed {self.reorder_allowed!r} is not a bool")
 
 
 ZERO_IMPAIRMENT = ChannelProfile(mean_delay_us=0, jitter_us=0, loss_rate=0.0)

@@ -16,6 +16,9 @@ engine.
 Every time value given in ms or s becomes µs by one rule, `us_from`:
 finite, >= 0 and a whole number of µs, or a ValueError with one wording
 per reason, to which each caller (flag, INI key, matrix line) adds its location.
+
+Every configured value is typed by one rule, `hold`, which each
+configuration class applies to its fields first (`check_fields`).
 """
 
 from __future__ import annotations
@@ -24,8 +27,11 @@ import heapq
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable
+from contextlib import suppress
+from dataclasses import dataclass, fields
+from functools import cache
+from numbers import Real
+from typing import Callable, get_args, get_origin, get_type_hints
 
 SimTime = int  # microseconds since simulation start
 
@@ -50,6 +56,49 @@ def us_from(value: float, unit: str, positive: bool = False) -> SimTime:
     except OverflowError:  # round(inf), or an int too large for a float
         raise ValueError(f"{value} {unit} is too large to count in us") from None
     raise ValueError(f"{value} {unit} is not a whole number of us")
+
+
+_KINDS = {float: "a number", int: "an integer", bool: "a boolean", str: "a string"}
+
+
+def hold(value, hint, name: str):
+    """`value` in the one form of the annotation `hint`, else a ValueError that says
+    "<name> <value!r> is not <kind>".  An int, bool or str takes its own type only; a
+    float any real number but a bool, held as a float; a ``tuple[...]`` a tuple or list of
+    its length, held as a tuple of items held as ``name[i]``; anything else an instance."""
+    if type(value) is hint:
+        return value
+    kind = _KINDS.get(hint)
+    if hint is float and type(value) is not bool and isinstance(value, Real):
+        with suppress(OverflowError):  # an int or a Fraction too large for a float
+            return float(value)
+    elif get_origin(hint) is tuple:
+        items = get_args(hint)
+        variadic = items[-1] is Ellipsis
+        if type(value) in (tuple, list) and (variadic or len(value) == len(items)):
+            return tuple(hold(item, items[0 if variadic else i], f"{name}[{i}]")
+                         for i, item in enumerate(value))
+        kind = "a tuple" if variadic else f"a tuple of {len(items)}"
+    elif not kind and isinstance(value, hint):
+        return value
+    kind = kind or " or ".join(f"a {m.__name__}" for m in get_args(hint) or [hint])
+    raise ValueError(f"{name} {value!r} is not {kind}")
+
+
+@cache
+def field_hints(cls: type) -> dict[str, object]:
+    """Each field of the dataclass `cls` with its annotation, resolved once."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def check_fields(obj, error: type[ValueError] = ValueError) -> None:
+    """Hold each field of the dataclass `obj` by `hold`, or raise `error` at the first."""
+    try:  # object's setter: frozen classes allow it, and vars(obj) would slow every read
+        for name, hint in field_hints(type(obj)).items():
+            object.__setattr__(obj, name, hold(getattr(obj, name), hint, name))
+    except ValueError as exc:
+        raise error(str(exc)) from None
 
 
 class CausalityError(ValueError):

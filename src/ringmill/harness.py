@@ -22,11 +22,11 @@ import enum
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass
 from types import UnionType
-from typing import TYPE_CHECKING, Sequence, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Sequence, get_args, get_origin
 
-from .engine import SimTime, derive_seed, us_from
+from .engine import SimTime, check_fields, derive_seed, field_hints, hold, us_from
 from .plant import FailCause, LoopConfig, TrialVerdict, validate_config_pair
 from .trial import DEFAULT_SCENARIO, Scenario, run_trial
 
@@ -80,23 +80,17 @@ class SweepSpec:
     master_seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)  # True would run a 1 ms cell named True, or 1 s trials
         for name, axis in (("latencies", self.latencies_ms), ("jitters", self.jitters_ms)):
             if not axis:
                 raise ValueError(f"{name} axis is empty")
             try:
                 for value in axis:
-                    if type(value) not in (int, float):  # True would run a 1 ms cell named True
-                        raise ValueError(f"{value!r} ms is not a number")
                     us_from(value, "ms")  # the link a cell runs is the one it is named after
             except ValueError as exc:
                 raise ValueError(f"{name} axis: {exc}") from None
             if any(b <= a for a, b in zip(axis, axis[1:])):
                 raise ValueError(f"{name} axis must be strictly increasing")
-        for name in ("seeds_per_cell", "master_seed"):
-            if type(getattr(self, name)) is not int:  # a float or a bool is no count or seed
-                raise ValueError(f"{name} {getattr(self, name)!r} is not an integer")
-        if type(self.trial_seconds) not in (int, float):  # True would run 1 s trials
-            raise ValueError(f"trial_seconds {self.trial_seconds!r} is not a number")
         if self.seeds_per_cell < 1:
             raise ValueError("seeds_per_cell must be >= 1")
         us_from(self.trial_seconds, "s", positive=True)  # its one value in s; a trial runs whole µs
@@ -374,46 +368,33 @@ def _finite_float(token: str) -> float:
 
 def _read(value, hint, path: str = ""):
     """The value of type `hint` that `to_json` wrote as `value` at the manifest
-    key `path`.  Every object must have exactly its dataclass's keys, and every
-    value the JSON type of its field: an int field takes no float and no bool, a
-    float field an int or a float, a tuple field a list.  A refusal is a
-    `ValueError` that names the path."""
-    args = get_args(hint)
+    key `path`.  Every object must have exactly its dataclass's keys, an enum
+    field takes one of its values, and any other field what `engine.hold` takes
+    for it.  A refusal is a `ValueError` that names the path."""
     if get_origin(hint) is UnionType:  # the member that shares a key with it
-        hint = next((a for a in args if isinstance(value, dict)
-                     and value.keys() & {f.name for f in fields(a)}), args[0])
+        members = get_args(hint)
+        hint = next((a for a in members if isinstance(value, dict)
+                     and value.keys() & field_hints(a).keys()), members[0])
     if is_dataclass(hint):
         if not isinstance(value, dict):
             raise ValueError(f"manifest key {path!r} is not an object")
-        names = {f.name for f in fields(hint)}
-        key = min(value.keys() ^ names, default=None)
+        hints = field_hints(hint)
+        key = min(value.keys() ^ hints.keys(), default=None)
         if key is not None:
             raise ValueError(f"manifest key {path + '.' * bool(path) + key!r} is "
-                             f"{'missing' if key in names else 'unknown'}")
-        hints = get_type_hints(hint)
+                             f"{'missing' if key in hints else 'unknown'}")
         return hint(**{key: _read(item, hints[key], path + "." * bool(path) + key)
                        for key, item in value.items()})
 
-    def refuse(kind):
-        raise ValueError(f"manifest key {path!r}: {path.rpartition('.')[2]} {value!r} "
-                         f"is not {kind}")
-
-    if get_origin(hint) is tuple:
-        if type(value) is not list:
-            refuse("a list")
-        shape = args[:1] * len(value) if args[-1] is Ellipsis else args
-        if len(shape) != len(value):
-            refuse(f"a list of {len(shape)}")
-        return tuple(_read(item, item_hint, f"{path}[{i}]")
-                     for i, (item, item_hint) in enumerate(zip(value, shape)))
-    if isinstance(hint, type) and issubclass(hint, enum.Enum):
-        if type(value) is not str or value not in {m.value for m in hint}:
-            refuse(f"one of {', '.join(m.value for m in hint)}")
-        return hint(value)
-    if type(value) not in ((int, float) if hint is float else (hint,)):
-        refuse({int: "an integer", float: "a number", bool: "a boolean", str: "a string",
-                dict: "an object"}[hint])
-    return value
+    name = path.rpartition(".")[2]
+    try:
+        if not (isinstance(hint, type) and issubclass(hint, enum.Enum)):
+            return hold(value, hint, name)
+        if type(value) is str and value in {m.value for m in hint}:  # an enum by its value
+            return hint(value)
+        raise ValueError(f"{name} {value!r} is not one of {', '.join(m.value for m in hint)}")
+    except ValueError as exc:
+        raise ValueError(f"manifest key {path!r}: {exc}") from None
 
 
 @dataclass
@@ -428,6 +409,9 @@ class RunManifest:
     scenario: Scenario
     output_paths: dict = field(default_factory=dict)
     wall_clock_seconds: float = 0.0
+
+    def __post_init__(self):
+        check_fields(self)
 
     @classmethod
     def for_run(cls, spec: SweepSpec, default_config: LoopConfig,

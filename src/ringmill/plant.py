@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Callable
 
-from .engine import SimTime, US_PER_S
+from .engine import SimTime, US_PER_S, check_fields
 
 
 @dataclass
@@ -65,14 +65,6 @@ class AxisModel:
             raise ValueError("axis time constant must be positive")
 
 
-def _refuse_bools(values: dict[str, object]) -> None:
-    """Raise a ValueError for the first of the named `values` that is a bool:
-    True would run as 1."""
-    for name, value in values.items():
-        if type(value) is bool:
-            raise ValueError(f"{name} {value!r} is not a number")
-
-
 @dataclass(frozen=True)
 class PidGains:
     kp: float  # (mm/s) per mm
@@ -81,7 +73,7 @@ class PidGains:
     integral_clamp: float = 0.05  # mm*s bound on the accumulated error
 
     def __post_init__(self):
-        _refuse_bools(vars(self))
+        check_fields(self)
         # a NaN gain makes every command and position NaN, and a NaN
         # following error never exceeds the limit
         if not all(map(math.isfinite, (self.kp, self.ki, self.kd))):
@@ -108,13 +100,10 @@ class TrapezoidTrajectory:
     dwell_s: float = 0.2
 
     def __post_init__(self):
-        names = ("amplitude_mm", "velocity_mm_s", "accel_mm_s2", "dwell_s")
-        _refuse_bools(vars(self))
+        check_fields(self)  # plain floats: an int or a Fraction samples and keys as its float
         if not (self.amplitude_mm > 0 and self.velocity_mm_s > 0 and self.accel_mm_s2 > 0
                 and self.dwell_s >= 0):  # NaN fails too
             raise ValueError("trajectory parameters must be positive")
-        # plain floats: an int or a Fraction samples as its float, and keys its table so
-        self.__dict__.update({name: float(getattr(self, name)) for name in names})
         amplitude, vmax, accel = self.amplitude_mm, self.velocity_mm_s, self.accel_mm_s2
         t_ramp = vmax / accel
         d_ramp = 0.5 * accel * t_ramp * t_ramp
@@ -171,18 +160,15 @@ class TabulatedTrajectory:
     points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        for i, (t, x) in enumerate(self.points):
-            _refuse_bools({f"point {i} time": t, f"point {i} setpoint": x})
-        points = tuple((float(t), float(x)) for t, x in self.points)
-        if len(points) < 2:
+        check_fields(self)
+        if len(self.points) < 2:
             raise ValueError("trajectory table needs at least two points")
-        if points[0][0] != 0:
-            raise ValueError(f"trajectory table starts at {points[0][0]:g} ms, not 0")
-        times = [t / 1000.0 for t, _ in points]  # seconds
+        if self.points[0][0] != 0:
+            raise ValueError(f"trajectory table starts at {self.points[0][0]:g} ms, not 0")
+        times = [t / 1000.0 for t, _ in self.points]  # seconds
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("trajectory times must be strictly increasing")
-        self.__dict__.update(points=points, _t=times, _x=[x for _, x in points],
-                             period_s=times[-1])
+        self.__dict__.update(_t=times, _x=[x for _, x in self.points], period_s=times[-1])
 
     def sampler(self) -> Callable[[SimTime], tuple[float, float]]:
         """``sample(t_us) -> (setpoint mm, feedforward mm/s)`` at trajectory
@@ -293,25 +279,18 @@ class LoopConfig:
     rtt_rescue_budget_us: int
 
     def __post_init__(self):
-        _refuse_bools({"fe_limit_mm": self.fe_limit_mm})  # the µs fields are checked as ints below
-        # written so that NaN fails each check
+        check_fields(self)  # integer µs: a float would give float tick and probe instants
         if not self.servo_period_us > 0:
             raise ValueError("servo period must be positive")
         if not (self.watchdog_timeout_us > 0 and self.init_grace_us > 0):
             raise ValueError("watchdog timeout and init grace must be positive")
-        if not self.fe_limit_mm > 0:
+        if not self.fe_limit_mm > 0:  # NaN fails too
             raise ValueError("following-error limit must be positive")
         if not (self.delay_spread_tolerance_us >= 0 and self.rtt_rescue_budget_us >= 0):
             raise ValueError("delay-spread tolerance and RTT rescue budget must be non-negative")
         # feedback comes once per servo period: a shorter watchdog expires between frames
         if not self.watchdog_timeout_us >= self.servo_period_us:
             raise ValueError("watchdog timeout must be at least the servo period")
-        # time is integer µs: a float would give float tick and probe instants
-        for name in ("servo_period_us", "watchdog_timeout_us", "init_grace_us",
-                     "delay_spread_tolerance_us", "rtt_rescue_budget_us"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} {value!r} is not an integer number of us")
         if self.servo_period_us == 1:
             raise ValueError("a servo period of 1 us has no half period for the stage tick")
 
@@ -340,5 +319,6 @@ class TrialVerdict:
     survived_us: SimTime
 
     def __post_init__(self):
+        check_fields(self)
         if self.passed != (self.fail_cause is FailCause.NONE):
             raise ValueError("outcome and fail cause disagree")

@@ -45,7 +45,7 @@ from functools import partial
 from typing import Callable
 
 from .channel import frame_path
-from .engine import CausalityError, SimTime, Simulator
+from .engine import CausalityError, SimTime, Simulator, check_fields
 
 MAX_RING_NODES = 8
 CONTROL_FRAME_MIN_BYTES = 80
@@ -70,16 +70,13 @@ class RingConfig:
     loss_rate: float = 1e-9
 
     def __post_init__(self):
+        # time is integer µs, a depth counts frames, and a string of nodes is no tuple
+        check_fields(self, RingConfigError)
         n = len(self.nodes)
         if not 2 <= n <= MAX_RING_NODES:
             raise RingConfigError(f"ring {self.ring_id}: node count {n} outside [2, {MAX_RING_NODES}]")
         if len(set(self.nodes)) != n:
             raise RingConfigError(f"ring {self.ring_id}: duplicate node ids")
-        # time is integer µs, and a depth counts frames
-        for name in ("slot_time_us", "tx_time_us", "queue_depth"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise RingConfigError(f"ring {self.ring_id}: {name} {value!r} is not an integer")
         if self.slot_time_us < 0 or self.tx_time_us < 0:
             raise RingConfigError(f"ring {self.ring_id}: negative timing")
         if 0 < self.slot_time_us < self.tx_time_us:
@@ -88,8 +85,6 @@ class RingConfig:
                 f"a {self.tx_time_us} us transmission")
         if self.queue_depth < 1:
             raise RingConfigError(f"ring {self.ring_id}: queue depth must be >= 1")
-        if type(self.loss_rate) not in (int, float):  # True would drop every frame
-            raise RingConfigError(f"ring {self.ring_id}: loss rate {self.loss_rate!r} is not a number")
         if not 0.0 <= self.loss_rate <= 1.0:
             raise RingConfigError(f"ring {self.ring_id}: loss rate {self.loss_rate}")
 

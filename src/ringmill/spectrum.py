@@ -22,7 +22,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
-from .engine import SimTime
+from .engine import SimTime, check_fields
 
 DEFAULT_BAND_LOW_MHZ = 3700.0
 DEFAULT_BAND_HIGH_MHZ = 3800.0
@@ -42,6 +42,7 @@ class SpectrumBlock:
     high_mhz: float
 
     def __post_init__(self):
+        check_fields(self, SpectrumError)
         if not self.low_mhz < self.high_mhz:
             raise SpectrumError(f"empty spectrum block: {self.low_mhz}..{self.high_mhz}")
 
@@ -70,6 +71,7 @@ class CoverageArea:
     radius: float
 
     def __post_init__(self):
+        check_fields(self, SpectrumError)
         if not all(map(math.isfinite, (self.x, self.y, self.radius))):
             raise SpectrumError(
                 f"coverage area must be finite, got ({self.x}, {self.y}) r={self.radius}")
@@ -90,6 +92,7 @@ class SpectrumRequest:
     bandwidth_mhz: float
 
     def __post_init__(self):
+        check_fields(self, SpectrumError)
         if not 0 < self.bandwidth_mhz < math.inf:
             raise SpectrumError(
                 f"bandwidth must be positive and finite, got {self.bandwidth_mhz}")

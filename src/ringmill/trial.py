@@ -134,7 +134,7 @@ from dataclasses import dataclass, field, replace
 from heapq import heapify, heappop, heappush
 
 from .channel import ZERO_IMPAIRMENT, ChannelProfile, frame_path
-from .engine import SimTime, US_PER_S, component_rng, us_from
+from .engine import SimTime, US_PER_S, check_fields, component_rng, us_from
 from .plant import (AxisModel, FailCause, LoopConfig, PidGains, Profile, TabulatedTrajectory,
                     TrapezoidTrajectory, TrialVerdict, setpoint_table)
 from .ring import RingConfig, RingConfigError
@@ -165,6 +165,7 @@ class Scenario:
     feedback_channel: ChannelProfile = ZERO_IMPAIRMENT
 
     def __post_init__(self):
+        check_fields(self)
         # the nodes a trial sends between
         if not {MASTER_NODE, FPGA_NODE} <= set(self.control_ring.nodes):
             raise RingConfigError(f"ring {self.control_ring.ring_id}: a trial needs "
@@ -179,10 +180,8 @@ class Scenario:
 
 DEFAULT_SCENARIO = Scenario()
 
-
-def symmetric_profiles(latency_ms: float, jitter_ms: float) -> tuple[ChannelProfile, ChannelProfile]:
-    """The default scenario's channels: uniform, lossless and FIFO each way."""
-    return DEFAULT_SCENARIO.channels_at(latency_ms, jitter_ms)
+#: The default scenario's channels at a cell: uniform, lossless and FIFO each way.
+symmetric_profiles = DEFAULT_SCENARIO.channels_at
 
 
 # the kinds of handshake item, ``(instant, reserved seq, kind, exchange)``;

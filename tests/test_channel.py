@@ -163,7 +163,7 @@ class TestTransmit:
     @pytest.mark.parametrize("loss", [True, "0.1", None])
     def test_a_loss_rate_that_is_not_a_number_is_refused(self, make, error, loss):
         # True compared as 1.0 and dropped every frame; a string raised a bare TypeError
-        with pytest.raises(error, match=re.escape(f"loss rate {loss!r} is not a number")):
+        with pytest.raises(error, match=re.escape(f"loss_rate {loss!r} is not a number")):
             make(loss)
 
     @pytest.mark.parametrize("mean_ms, jitter_ms", [(0.5004, 0.05), (0.5, 0.0502),

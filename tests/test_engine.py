@@ -1,9 +1,22 @@
+import enum
+import json
 import re
+from dataclasses import fields, replace
+from fractions import Fraction
+from typing import get_origin, get_type_hints
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringmill.engine import CausalityError, Simulator, component_rng, derive_seed
+from ringmill.channel import ChannelConfigError, ChannelProfile
+from ringmill.engine import CausalityError, Simulator, component_rng, derive_seed, hold
+from ringmill.harness import RunManifest, SweepSpec
+from ringmill.plant import (FailCause, PidGains, Profile, TabulatedTrajectory,
+                            TrapezoidTrajectory, TrialVerdict)
+from ringmill.ring import RingConfig, RingConfigError
+from ringmill.spectrum import Band, CoverageArea, SpectrumBlock, SpectrumError, SpectrumRequest
+from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO,
+                            NOMINAL_GAINS, Scenario)
 
 
 def collect(sim, log):
@@ -142,3 +155,143 @@ class TestRng:
                                              "a string nor an integer$"):
             derive_seed(1, "trial", part)
 
+
+
+# ---------------------------------------------------------------------------
+# The type rule: every configured value is checked and held in one form.
+
+TABLE_POINTS = [(0, 0), (500, 10), (1000, 0)]  # a list of tuples, as callers write it
+TABULATED = Scenario(trajectory=TabulatedTrajectory(TABLE_POINTS))
+
+#: (a valid instance, the error its class raises, where a manifest holds it or
+#: None, and the scenario of that manifest) for every class the rule covers
+CHECKED = [
+    (ChannelProfile(500, 50), ChannelConfigError, "scenario.command_channel", DEFAULT_SCENARIO),
+    (DEFAULT_SCENARIO.control_ring, RingConfigError, "scenario.control_ring", DEFAULT_SCENARIO),
+    (NOMINAL_GAINS, ValueError, "default_config.gains", DEFAULT_SCENARIO),
+    (TrapezoidTrajectory(), ValueError, "scenario.trajectory", DEFAULT_SCENARIO),
+    (TABULATED.trajectory, ValueError, "scenario.trajectory", TABULATED),
+    (DEFAULT_LOOP_CONFIG, ValueError, "default_config", DEFAULT_SCENARIO),
+    (TrialVerdict(True, FailCause.NONE, 0.1, 1_000_000), ValueError, None, None),
+    (DEFAULT_SCENARIO, ValueError, "scenario", DEFAULT_SCENARIO),
+    (SweepSpec(), ValueError, "spec", DEFAULT_SCENARIO),
+    (RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG), ValueError, "",
+     DEFAULT_SCENARIO),
+    (SpectrumBlock(3700.0, 3710.0), SpectrumError, None, None),
+    (Band(), SpectrumError, None, None),
+    (CoverageArea(0.0, 0.0, 10.0), SpectrumError, None, None),
+    (SpectrumRequest("a", CoverageArea(0.0, 0.0, 10.0), 5.0), SpectrumError, None, None),
+]
+
+
+def wrong_values(hint) -> list:
+    """A value of each wrong kind for a field of this annotation."""
+    if hint is float:
+        return [True, "1"]  # a bool and a str for a number
+    if hint is int:
+        return [True, 1.5, "1"]  # and a float for an int
+    if hint is bool:
+        return [1, "true"]
+    if hint is str:
+        return [1]
+    if get_origin(hint) is tuple:
+        return ["ab"]  # a str for a tuple, which read as nodes "a" and "b"
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return [next(iter(hint)).value]  # a plain str for an enum
+    return [None]  # for a nested value: a dataclass, a union of them, a dict
+
+
+TYPE_CASES = [(instance, error, path, scenario, f.name, value)
+              for instance, error, path, scenario in CHECKED
+              for f in fields(instance)
+              for value in wrong_values(get_type_hints(type(instance))[f.name])]
+
+
+class TestTypeRule:
+    @pytest.mark.parametrize(
+        "instance, error, path, scenario, field, value", TYPE_CASES,
+        ids=[f"{type(c[0]).__name__}.{c[4]}={c[5]!r}" for c in TYPE_CASES])
+    def test_a_value_of_a_wrong_kind_is_refused_by_its_class_and_its_manifest(
+            self, instance, error, path, scenario, field, value):
+        with pytest.raises(error) as refused:
+            replace(instance, **{field: value})
+        assert type(refused.value) is error
+        assert str(refused.value).startswith(f"{field} {value!r} is not ")
+        # a manifest holds an enum by its value, and checks its version before any key
+        if (path is None or field == "artifact_version"
+                or isinstance(value, str) and isinstance(getattr(instance, field), enum.Enum)):
+            return
+        data = json.loads(RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG,
+                                              ADAPTED_LOOP_CONFIG, scenario).to_json())
+        values = data
+        for key in filter(None, path.split(".")):
+            values = values[key]
+        values[field] = value
+        key_path = f"{path}.{field}" if path else field
+        with pytest.raises(ValueError, match=re.escape(f"manifest key {key_path!r}")):
+            RunManifest.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("make, error, field", [
+        (lambda: replace(DEFAULT_LOOP_CONFIG, gains=None), ValueError, "gains"),
+        (lambda: replace(DEFAULT_LOOP_CONFIG, profile="default"), ValueError, "profile"),
+        (lambda: RingConfig("r", "ab", 800, 100), RingConfigError, "nodes"),
+        (lambda: Scenario(trajectory=None), ValueError, "trajectory"),
+        (lambda: RunManifest.for_run(None, DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG),
+         ValueError, "spec"),
+        (lambda: TrialVerdict(True, FailCause.NONE, 0.1, 1.5), ValueError, "survived_us"),
+        (lambda: Band("3700", "3800"), SpectrumError, "low_mhz"),
+        (lambda: PidGains(kp="1"), ValueError, "kp"),
+        (lambda: TrapezoidTrajectory(amplitude_mm="20"), ValueError, "amplitude_mm"),
+        (lambda: replace(DEFAULT_LOOP_CONFIG, fe_limit_mm="1"), ValueError, "fe_limit_mm"),
+        (lambda: CoverageArea("1", 0.0, 1.0), SpectrumError, "x"),
+        (lambda: CoverageArea(True, 0.0, 1.0), SpectrumError, "x"),
+        (lambda: SpectrumRequest("a", None, 5.0), SpectrumError, "area"),
+        (lambda: Scenario(control_ring=None), ValueError, "control_ring"),
+    ], ids=["gains-none", "profile-str", "nodes-str", "trajectory-none", "spec-none",
+            "survived-float", "band-str", "kp-str", "amplitude-str", "fe-limit-str",
+            "area-str", "area-bool", "request-area-none", "control-ring-none"])
+    def test_a_value_once_accepted_or_refused_by_another_error_is_refused(self, make, error,
+                                                                         field):
+        # each was accepted, or raised a TypeError or an AttributeError
+        with pytest.raises(error) as refused:
+            make()
+        assert type(refused.value) is error
+        assert str(refused.value).startswith(f"{field} ")
+
+    def test_a_list_is_held_as_a_tuple(self):
+        # a list axis was held as a list, which no tuple equals
+        assert SweepSpec(latencies_ms=[0.5, 1]).latencies_ms == (0.5, 1.0)
+        assert type(SweepSpec(latencies_ms=[0.5, 1]).latencies_ms) is tuple
+        assert RingConfig("r", ["a", "b"], 800, 100).nodes == ("a", "b")
+        assert TabulatedTrajectory(TABLE_POINTS).points == ((0.0, 0.0), (500.0, 10.0),
+                                                            (1000.0, 0.0))
+
+    @pytest.mark.parametrize("value", [20, Fraction(20), 20.0], ids=["int", "fraction", "float"])
+    def test_a_real_number_is_held_as_a_plain_float(self, value):
+        held = hold(value, float, "x")
+        assert held == 20.0 and type(held) is float
+        assert type(hold((value, value), tuple[float, float], "x")[1]) is float
+
+    @pytest.mark.parametrize("value, hint, message", [
+        (True, float, "x True is not a number"),
+        (10 ** 400, float, "x 1" + "0" * 400 + " is not a number"),  # too large for a float
+        (Profile.DEFAULT, str, "x <Profile.DEFAULT: 'default'> is not a string"),
+        (1, bool, "x 1 is not a boolean"),
+        ((1.0,), tuple[float, float], "x (1.0,) is not a tuple of 2"),
+        ([1.0, True], tuple[float, ...], "x[1] True is not a number"),
+        ([(0.0, 1.0), (0.0,)], tuple[tuple[float, float], ...],
+         "x[1] (0.0,) is not a tuple of 2"),
+        (None, PidGains, "x None is not a PidGains"),
+        (None, TrapezoidTrajectory | TabulatedTrajectory,
+         "x None is not a TrapezoidTrajectory or a TabulatedTrajectory"),
+    ])
+    def test_hold_names_the_value_and_its_kind(self, value, hint, message):
+        with pytest.raises(ValueError) as refused:
+            hold(value, hint, "x")
+        assert str(refused.value) == message
+
+    def test_hold_takes_a_member_of_a_union_or_a_subclass(self):
+        assert hold(Band(), SpectrumBlock, "x") == Band()
+        traj = TabulatedTrajectory(TABLE_POINTS)
+        assert hold(traj, TrapezoidTrajectory | TabulatedTrajectory, "x") is traj
+        assert hold(Profile.ADAPTED, Profile, "x") is Profile.ADAPTED
