@@ -23,9 +23,9 @@ import enum
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Annotated, Callable, Sequence
 
-from .engine import SimTime, check_fields
+from .engine import In, SimTime, check_fields
 
 if TYPE_CHECKING:
     from .ring import RingConfig
@@ -42,21 +42,15 @@ class ChannelConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ChannelProfile:
-    mean_delay_us: int
-    jitter_us: int = 0
+    mean_delay_us: Annotated[int, In("[0, inf)")]
+    jitter_us: Annotated[int, In("[0, inf)")] = 0
     distribution: JitterDistribution = JitterDistribution.UNIFORM
-    loss_rate: float = 0.0
+    loss_rate: Annotated[float, In("[0, 1]")] = 0.0
     reorder_allowed: bool = False
 
     def __post_init__(self):
         # µs are ints, or arrivals turn float; a str "uniform" would draw truncated-normal jitter
         check_fields(self, ChannelConfigError)
-        if self.mean_delay_us < 0:
-            raise ChannelConfigError(f"mean delay {self.mean_delay_us} us < 0")
-        if self.jitter_us < 0:
-            raise ChannelConfigError(f"jitter {self.jitter_us} us < 0")
-        if not 0.0 <= self.loss_rate <= 1.0:
-            raise ChannelConfigError(f"loss rate {self.loss_rate} outside [0, 1]")
 
 
 ZERO_IMPAIRMENT = ChannelProfile(mean_delay_us=0, jitter_us=0, loss_rate=0.0)

@@ -9,19 +9,19 @@ calibrated defaults.  The schema and the file's rules are in the README;
 names its line: a line that is not a header, a key or a continuation, a
 key before any section, a section or key given twice or outside the
 schema, text after a header that is not a comment, a value that cannot be
-read, and a section whose values the object it builds rejects.
+read or that its field's range refuses, and a section whose values the
+object it builds rejects as a whole.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
 from .channel import JitterDistribution
-from .engine import us_from
+from .engine import field_hints, hold, us_from
 from .harness import RunManifest, SweepSpec
 from .plant import load_trajectory_csv, validate_config_pair
 from .trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO
@@ -29,13 +29,6 @@ from .trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO
 
 class ConfigError(ValueError):
     pass
-
-
-def _float(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"{raw!r} is not finite")
-    return value
 
 
 def _names(raw: str) -> tuple[str, ...]:
@@ -67,10 +60,10 @@ def _seconds(raw: str) -> float:
     return value
 
 
-_GAINS = {"kp": _float, "ki": _float, "kd": _float, "integral_clamp": _float}
+_GAINS = {"kp": float, "ki": float, "kd": float, "integral_clamp": float}
 _LOOP = {"servo_period_us": int, "watchdog_timeout_us": int, "init_grace_us": int,
-         "fe_limit_mm": _float, "delay_spread_tolerance_us": int, "rtt_rescue_budget_us": int}
-_LOSS = {"loss_rate": _float}  # rings and channels both drop frames
+         "fe_limit_mm": float, "delay_spread_tolerance_us": int, "rtt_rescue_budget_us": int}
+_LOSS = {"loss_rate": float}  # rings and channels both drop frames
 # a (field, reader) pair where the dataclass field is not named like the key
 _CHANNEL = {"mean_delay_ms": ("mean_delay_us", _ms_as_us),
             "jitter_ms": ("jitter_us", _ms_as_us),
@@ -90,8 +83,8 @@ _SCHEMA = {
     "channel.command": _CHANNEL,
     "channel.feedback": _CHANNEL,
     # `file` (relative to the INI file) replaces the trapezoid
-    "trajectory": {"amplitude_mm": _float, "velocity_mm_s": _float, "accel_mm_s2": _float,
-                   "dwell_s": _float, "file": Path},
+    "trajectory": {"amplitude_mm": float, "velocity_mm_s": float, "accel_mm_s2": float,
+                   "dwell_s": float, "file": Path},
 }
 
 # a comment starts at a ";" or "#" that starts the line or follows a blank
@@ -145,7 +138,7 @@ def load_config(path: str | Path | None) -> RunManifest:
         header_line, keys = read[section]
         return ConfigError(f"{path}, line {keys[key][0] if key else header_line}: {message}")
 
-    # section -> {field: value}, each value read once through the schema
+    # section -> {key: (field, value)}, each value read once through the schema
     values: defaultdict[str, dict] = defaultdict(dict)
     for name, (_, keys) in read.items():
         schema = _SCHEMA.get(name)
@@ -159,20 +152,23 @@ def load_config(path: str | Path | None) -> RunManifest:
             try:
                 if not raw:
                     raise ValueError("empty value")
-                values[name][field] = reader(raw)
+                values[name][key] = field, reader(raw)
             except ValueError as exc:
                 raise located(name, key, f"{key} = {raw}: {exc}") from None
 
-    def build(section: str, make, *args, **kwargs):
-        """make(*args, **kwargs), an error it raises located at [section]."""
+    def build(section: str, make, *args, key: str | None = None, **kwargs):
+        """make(*args, **kwargs), an error it raises located at [section], or at its `key`."""
         try:
             return make(*args, **kwargs)
         except ValueError as exc:
-            raise located(section, None, f"[{section}] {exc}") from None
+            raise located(section, key, f"[{section}] {exc}") from None
 
     def section(name: str, fallback, **extra):
-        """`fallback` with the values [name] sets."""
-        return build(name, replace, fallback, **values[name], **extra)
+        """`fallback` with the values [name] sets, each held first at its key's line."""
+        hints = field_hints(type(fallback))
+        for key, (field, value) in values[name].items():
+            build(name, hold, value, hints[field], field, key=key)
+        return build(name, replace, fallback, **dict(values[name].values()), **extra)
 
     spec = section("sweep", SweepSpec())
     default_loop = section("loop.default", DEFAULT_LOOP_CONFIG,
@@ -187,14 +183,15 @@ def load_config(path: str | Path | None) -> RunManifest:
     feedback = section("channel.feedback", DEFAULT_SCENARIO.feedback_channel)
     traj = values["trajectory"]
     if "file" in traj:
+        file = traj["file"][1]
         trapezoid = [key for key in traj if key != "file"]
         if trapezoid:
             raise located("trajectory", trapezoid[0], f"{trapezoid[0]} is set, but "
-                          f"file = {traj['file']} replaces the trapezoid")
+                          f"file = {file} replaces the trapezoid")
         try:
-            trajectory = load_trajectory_csv((Path(path).parent / traj["file"]).read_text())
+            trajectory = load_trajectory_csv((Path(path).parent / file).read_text())
         except (OSError, ValueError) as exc:
-            raise located("trajectory", "file", f"file = {traj['file']}: {exc}") from None
+            raise located("trajectory", "file", f"file = {file}: {exc}") from None
     else:
         trajectory = section("trajectory", DEFAULT_SCENARIO.trajectory)
     scenario = build("ring.control", replace, DEFAULT_SCENARIO, control_ring=control_ring,

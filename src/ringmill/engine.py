@@ -18,7 +18,9 @@ finite, >= 0 and a whole number of µs, or a ValueError with one wording
 per reason, to which each caller (flag, INI key, matrix line) adds its location.
 
 Every configured value is typed by one rule, `hold`, which each
-configuration class applies to its fields first (`check_fields`).
+configuration class applies to its fields first (`check_fields`).  A number
+field's range is part of its annotation, ``Annotated[float, In("[0, 1]")]``,
+and `hold` checks it after the kind: ``loss_rate 1.5 is not a number in [0, 1]``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from contextlib import suppress
 from dataclasses import dataclass, fields
 from functools import cache
 from numbers import Real
-from typing import Callable, get_args, get_origin, get_type_hints
+from typing import Annotated, Callable, get_args, get_origin, get_type_hints
 
 SimTime = int  # microseconds since simulation start
 
@@ -40,10 +42,12 @@ US_PER_S = 1_000_000
 
 
 def us_from(value: float, unit: str, positive: bool = False) -> SimTime:
-    """`value` in `unit` (``"ms"`` or ``"s"``) as integer µs, or a ValueError
-    unless it is finite and >= 0 (> 0 if `positive`, as for a length), its µs
-    count fits a float, and it is a whole number of µs up to the float rounding
-    of the value itself: 0.05 ms is 50 µs, but 0.5004 ms is refused."""
+    """`value` in `unit` (``"ms"`` or ``"s"``) as integer µs, or a ValueError unless
+    it is no bool, finite and >= 0 (> 0 if `positive`, as for a length), its µs count
+    fits a float, and it is a whole number of µs up to the float rounding of the
+    value itself: 0.05 ms is 50 µs, but 0.5004 ms is refused."""
+    if type(value) is bool:  # True would count as 1
+        raise ValueError(f"{value} {unit} is not a number")
     if not 0 <= value < math.inf:
         raise ValueError(f"{value} {unit} is not finite and >= 0")
     if positive and not value:
@@ -61,18 +65,43 @@ def us_from(value: float, unit: str, positive: bool = False) -> SimTime:
 _KINDS = {float: "a number", int: "an integer", bool: "a boolean", str: "a string"}
 
 
+class In:
+    """The range of a number field, the second argument of its ``Annotated``
+    annotation, written as an interval: ``In("[0, 1]")``, ``In("(0, inf)")``.
+    NaN lies in no range."""
+
+    __hash__ = None  # typing caches no alias holding one, so a re-import frees this module
+
+    def __init__(self, text: str):
+        low, high = text[1:-1].split(", ")
+        self.text, self.low, self.high = text, float(low), float(high)
+        self.open_low, self.open_high = text[0] == "(", text[-1] == ")"
+
+    def __contains__(self, value) -> bool:
+        return ((self.low < value if self.open_low else self.low <= value)
+                and (value < self.high if self.open_high else value <= self.high))
+
+
 def hold(value, hint, name: str):
     """`value` in the one form of the annotation `hint`, else a ValueError that says
-    "<name> <value!r> is not <kind>".  An int, bool or str takes its own type only; a
+    "<name> <value!r> is not <kind>", or "... <kind> in <range>" for one out of the range
+    of ``Annotated[kind, In(range)]``.  An int, bool or str takes its own type only; a
     float any real number but a bool, held as a float; a ``tuple[...]`` a tuple or list of
     its length, held as a tuple of items held as ``name[i]``; anything else an instance."""
     if type(value) is hint:
         return value
+    origin = get_origin(hint)
+    if origin is Annotated:
+        kind, interval = get_args(hint)
+        held = hold(value, kind, name)
+        if held in interval:
+            return held
+        raise ValueError(f"{name} {value!r} is not {_KINDS[kind]} in {interval.text}")
     kind = _KINDS.get(hint)
     if hint is float and type(value) is not bool and isinstance(value, Real):
         with suppress(OverflowError):  # an int or a Fraction too large for a float
             return float(value)
-    elif get_origin(hint) is tuple:
+    elif origin is tuple:
         items = get_args(hint)
         variadic = items[-1] is Ellipsis
         if type(value) in (tuple, list) and (variadic or len(value) == len(items)):
@@ -87,8 +116,8 @@ def hold(value, hint, name: str):
 
 @cache
 def field_hints(cls: type) -> dict[str, object]:
-    """Each field of the dataclass `cls` with its annotation, resolved once."""
-    hints = get_type_hints(cls)
+    """Each field of the dataclass `cls` with its annotation, range included, resolved once."""
+    hints = get_type_hints(cls, include_extras=True)
     return {f.name: hints[f.name] for f in fields(cls)}
 
 

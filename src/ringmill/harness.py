@@ -24,9 +24,9 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, is_dataclass
 from types import UnionType
-from typing import TYPE_CHECKING, Sequence, get_args, get_origin
+from typing import TYPE_CHECKING, Annotated, Sequence, get_args, get_origin
 
-from .engine import SimTime, check_fields, derive_seed, field_hints, hold, us_from
+from .engine import In, SimTime, check_fields, derive_seed, field_hints, hold, us_from
 from .plant import FailCause, LoopConfig, TrialVerdict, validate_config_pair
 from .trial import DEFAULT_SCENARIO, Scenario, run_trial
 
@@ -75,24 +75,22 @@ def reference_pattern() -> dict[tuple[float, float], CellClass]:
 class SweepSpec:
     latencies_ms: tuple[float, ...] = DEFAULT_LATENCIES_MS
     jitters_ms: tuple[float, ...] = DEFAULT_JITTERS_MS
-    seeds_per_cell: int = 3
+    seeds_per_cell: Annotated[int, In("[1, inf)")] = 3
     trial_seconds: float = 60.0
     master_seed: int = 0
 
     def __post_init__(self):
         check_fields(self)  # True would run a 1 ms cell named True, or 1 s trials
-        for name, axis in (("latencies", self.latencies_ms), ("jitters", self.jitters_ms)):
+        for name, axis in (("latencies_ms", self.latencies_ms), ("jitters_ms", self.jitters_ms)):
             if not axis:
-                raise ValueError(f"{name} axis is empty")
+                raise ValueError(f"{name} is empty")
             try:
                 for value in axis:
                     us_from(value, "ms")  # the link a cell runs is the one it is named after
             except ValueError as exc:
-                raise ValueError(f"{name} axis: {exc}") from None
+                raise ValueError(f"{name}: {exc}") from None
             if any(b <= a for a, b in zip(axis, axis[1:])):
-                raise ValueError(f"{name} axis must be strictly increasing")
-        if self.seeds_per_cell < 1:
-            raise ValueError("seeds_per_cell must be >= 1")
+                raise ValueError(f"{name} {axis} is not strictly increasing")
         us_from(self.trial_seconds, "s", positive=True)  # its one value in s; a trial runs whole µs
 
 
@@ -244,13 +242,9 @@ def _decode_outcomes(text: str) -> tuple[TrialVerdict, ...]:
             raise ValueError("trials are not seeds 0, 1, ... in order")
         if status not in ("pass", "fail"):
             raise ValueError(f"status {status!r} is neither pass nor fail")
-        # an unknown cause, or one the status contradicts, raises here
-        verdict = TrialVerdict(status == "pass", FailCause(cause), float(max_fe), int(survived))
-        if not 0 <= verdict.max_following_error_mm < math.inf:
-            raise ValueError(f"max following error {max_fe} mm is not finite and >= 0")
-        if verdict.survived_us < 0:
-            raise ValueError(f"survived {survived} us is negative")
-        outcomes.append(verdict)
+        # an unknown cause, one the status contradicts, or a value out of range raises here
+        outcomes.append(TrialVerdict(status == "pass", FailCause(cause), float(max_fe),
+                                     int(survived)))
     return tuple(outcomes)
 
 
@@ -370,7 +364,8 @@ def _read(value, hint, path: str = ""):
     """The value of type `hint` that `to_json` wrote as `value` at the manifest
     key `path`.  Every object must have exactly its dataclass's keys, an enum
     field takes one of its values, and any other field what `engine.hold` takes
-    for it.  A refusal is a `ValueError` that names the path."""
+    for it, range included.  A refusal is a `ValueError` that names the path: a
+    field's own, or an object's for a check that relates its fields."""
     if get_origin(hint) is UnionType:  # the member that shares a key with it
         members = get_args(hint)
         hint = next((a for a in members if isinstance(value, dict)
@@ -383,11 +378,13 @@ def _read(value, hint, path: str = ""):
         if key is not None:
             raise ValueError(f"manifest key {path + '.' * bool(path) + key!r} is "
                              f"{'missing' if key in hints else 'unknown'}")
-        return hint(**{key: _read(item, hints[key], path + "." * bool(path) + key)
-                       for key, item in value.items()})
+        items = {key: _read(item, hints[key], path + "." * bool(path) + key)
+                 for key, item in value.items()}
 
     name = path.rpartition(".")[2]
     try:
+        if is_dataclass(hint):
+            return hint(**items)
         if not (isinstance(hint, type) and issubclass(hint, enum.Enum)):
             return hold(value, hint, name)
         if type(value) is str and value in {m.value for m in hint}:  # an enum by its value

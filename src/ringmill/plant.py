@@ -45,41 +45,36 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Callable
+from typing import Annotated, Callable
 
-from .engine import SimTime, US_PER_S, check_fields
+from .engine import In, SimTime, US_PER_S, check_fields
 
 
 @dataclass
 class AxisModel:
     """Single translational axis driven by velocity commands."""
 
-    time_constant_s: float = 0.005
+    time_constant_s: Annotated[float, In("(0, inf)")] = 0.005
     max_velocity_mm_s: float = 50.0
     max_accel_mm_s2: float = 1000.0
     position_mm: float = 0.0
     velocity_mm_s: float = 0.0
 
     def __post_init__(self):
-        if not self.time_constant_s > 0:  # NaN fails too
-            raise ValueError("axis time constant must be positive")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class PidGains:
-    kp: float  # (mm/s) per mm
-    ki: float = 0.0  # (mm/s) per mm*s
-    kd: float = 0.0  # (mm/s) per mm/s
-    integral_clamp: float = 0.05  # mm*s bound on the accumulated error
+    # a NaN gain makes every command and position NaN, and a NaN
+    # following error never exceeds the limit
+    kp: Annotated[float, In("(-inf, inf)")]  # (mm/s) per mm
+    ki: Annotated[float, In("(-inf, inf)")] = 0.0  # (mm/s) per mm*s
+    kd: Annotated[float, In("(-inf, inf)")] = 0.0  # (mm/s) per mm/s
+    integral_clamp: Annotated[float, In("[0, inf)")] = 0.05  # mm*s bound on the accumulated error
 
     def __post_init__(self):
         check_fields(self)
-        # a NaN gain makes every command and position NaN, and a NaN
-        # following error never exceeds the limit
-        if not all(map(math.isfinite, (self.kp, self.ki, self.kd))):
-            raise ValueError("PID gains must be finite")
-        if not self.integral_clamp >= 0:  # NaN fails too
-            raise ValueError("integral clamp must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -94,16 +89,13 @@ class TrapezoidTrajectory:
     `velocity_mm_s`, cruise, decelerate, dwell, and return.
     """
 
-    amplitude_mm: float = 20.0
-    velocity_mm_s: float = 50.0
-    accel_mm_s2: float = 1000.0
-    dwell_s: float = 0.2
+    amplitude_mm: Annotated[float, In("(0, inf)")] = 20.0
+    velocity_mm_s: Annotated[float, In("(0, inf)")] = 50.0
+    accel_mm_s2: Annotated[float, In("(0, inf)")] = 1000.0
+    dwell_s: Annotated[float, In("[0, inf)")] = 0.2
 
     def __post_init__(self):
         check_fields(self)  # plain floats: an int or a Fraction samples and keys as its float
-        if not (self.amplitude_mm > 0 and self.velocity_mm_s > 0 and self.accel_mm_s2 > 0
-                and self.dwell_s >= 0):  # NaN fails too
-            raise ValueError("trajectory parameters must be positive")
         amplitude, vmax, accel = self.amplitude_mm, self.velocity_mm_s, self.accel_mm_s2
         t_ramp = vmax / accel
         d_ramp = 0.5 * accel * t_ramp * t_ramp
@@ -162,12 +154,12 @@ class TabulatedTrajectory:
     def __post_init__(self):
         check_fields(self)
         if len(self.points) < 2:
-            raise ValueError("trajectory table needs at least two points")
+            raise ValueError("points holds fewer than 2 points")
         if self.points[0][0] != 0:
-            raise ValueError(f"trajectory table starts at {self.points[0][0]:g} ms, not 0")
+            raise ValueError(f"points start at {self.points[0][0]:g} ms, not 0")
         times = [t / 1000.0 for t, _ in self.points]  # seconds
         if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("trajectory times must be strictly increasing")
+            raise ValueError("points times are not strictly increasing")
         self.__dict__.update(_t=times, _x=[x for _, x in self.points], period_s=times[-1])
 
     def sampler(self) -> Callable[[SimTime], tuple[float, float]]:
@@ -270,38 +262,30 @@ class LoopConfig:
 
     profile: Profile
     gains: PidGains
-    servo_period_us: int
-    watchdog_timeout_us: int
-    init_grace_us: int
-    fe_limit_mm: float
+    # the stage ticks half a period after the controller, and 1 µs has no half period
+    servo_period_us: Annotated[int, In("[2, inf)")]
+    watchdog_timeout_us: Annotated[int, In("(0, inf)")]
+    init_grace_us: Annotated[int, In("(0, inf)")]
+    fe_limit_mm: Annotated[float, In("(0, inf)")]
     # link-qualification thresholds applied during initialization
-    delay_spread_tolerance_us: int
-    rtt_rescue_budget_us: int
+    delay_spread_tolerance_us: Annotated[int, In("[0, inf)")]
+    rtt_rescue_budget_us: Annotated[int, In("[0, inf)")]
 
     def __post_init__(self):
         check_fields(self)  # integer µs: a float would give float tick and probe instants
-        if not self.servo_period_us > 0:
-            raise ValueError("servo period must be positive")
-        if not (self.watchdog_timeout_us > 0 and self.init_grace_us > 0):
-            raise ValueError("watchdog timeout and init grace must be positive")
-        if not self.fe_limit_mm > 0:  # NaN fails too
-            raise ValueError("following-error limit must be positive")
-        if not (self.delay_spread_tolerance_us >= 0 and self.rtt_rescue_budget_us >= 0):
-            raise ValueError("delay-spread tolerance and RTT rescue budget must be non-negative")
         # feedback comes once per servo period: a shorter watchdog expires between frames
         if not self.watchdog_timeout_us >= self.servo_period_us:
-            raise ValueError("watchdog timeout must be at least the servo period")
-        if self.servo_period_us == 1:
-            raise ValueError("a servo period of 1 us has no half period for the stage tick")
+            raise ValueError(f"watchdog_timeout_us {self.watchdog_timeout_us} is less than "
+                             f"servo_period_us {self.servo_period_us}")
 
 
 def validate_config_pair(default: LoopConfig, adapted: LoopConfig) -> None:
     if default.profile is not Profile.DEFAULT or adapted.profile is not Profile.ADAPTED:
         raise ValueError("config pair must be (default, adapted)")
     if adapted.init_grace_us < default.init_grace_us:
-        raise ValueError("adapted init grace must be >= default's")
+        raise ValueError("adapted init_grace_us must be >= default's")
     if adapted.watchdog_timeout_us < default.watchdog_timeout_us:
-        raise ValueError("adapted watchdog timeout must be >= default's")
+        raise ValueError("adapted watchdog_timeout_us must be >= default's")
 
 
 class FailCause(enum.Enum):
@@ -315,10 +299,10 @@ class FailCause(enum.Enum):
 class TrialVerdict:
     passed: bool
     fail_cause: FailCause
-    max_following_error_mm: float
-    survived_us: SimTime
+    max_following_error_mm: Annotated[float, In("[0, inf)")]
+    survived_us: Annotated[SimTime, In("[0, inf)")]
 
     def __post_init__(self):
         check_fields(self)
         if self.passed != (self.fail_cause is FailCause.NONE):
-            raise ValueError("outcome and fail cause disagree")
+            raise ValueError(f"passed {self.passed} but fail_cause {self.fail_cause.value}")

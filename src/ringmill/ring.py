@@ -42,10 +42,10 @@ import enum
 import random
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Annotated, Callable
 
 from .channel import frame_path
-from .engine import CausalityError, SimTime, Simulator, check_fields
+from .engine import CausalityError, In, SimTime, Simulator, check_fields
 
 MAX_RING_NODES = 8
 CONTROL_FRAME_MIN_BYTES = 80
@@ -64,29 +64,22 @@ class FrameClass(enum.Enum):
 class RingConfig:
     ring_id: str
     nodes: tuple[str, ...]
-    slot_time_us: int
-    tx_time_us: int
-    queue_depth: int = 16
-    loss_rate: float = 1e-9
+    slot_time_us: Annotated[int, In("[0, inf)")]
+    tx_time_us: Annotated[int, In("[0, inf)")]
+    queue_depth: Annotated[int, In("[1, inf)")] = 16
+    loss_rate: Annotated[float, In("[0, 1]")] = 1e-9
 
     def __post_init__(self):
         # time is integer µs, a depth counts frames, and a string of nodes is no tuple
         check_fields(self, RingConfigError)
         n = len(self.nodes)
         if not 2 <= n <= MAX_RING_NODES:
-            raise RingConfigError(f"ring {self.ring_id}: node count {n} outside [2, {MAX_RING_NODES}]")
+            raise RingConfigError(f"ring {self.ring_id}: {n} nodes, not 2 to {MAX_RING_NODES}")
         if len(set(self.nodes)) != n:
-            raise RingConfigError(f"ring {self.ring_id}: duplicate node ids")
-        if self.slot_time_us < 0 or self.tx_time_us < 0:
-            raise RingConfigError(f"ring {self.ring_id}: negative timing")
+            raise RingConfigError(f"ring {self.ring_id}: nodes holds a node twice")
         if 0 < self.slot_time_us < self.tx_time_us:
-            raise RingConfigError(
-                f"ring {self.ring_id}: slot {self.slot_time_us} us cannot start "
-                f"a {self.tx_time_us} us transmission")
-        if self.queue_depth < 1:
-            raise RingConfigError(f"ring {self.ring_id}: queue depth must be >= 1")
-        if not 0.0 <= self.loss_rate <= 1.0:
-            raise RingConfigError(f"ring {self.ring_id}: loss rate {self.loss_rate}")
+            raise RingConfigError(f"ring {self.ring_id}: slot_time_us {self.slot_time_us} "
+                                  f"cannot start a tx_time_us {self.tx_time_us} transmission")
 
 
 def worst_case_access_latency(config: RingConfig) -> int:

@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Annotated, Iterable
 
-from .engine import SimTime, check_fields
+from .engine import In, SimTime, check_fields
 
 DEFAULT_BAND_LOW_MHZ = 3700.0
 DEFAULT_BAND_HIGH_MHZ = 3800.0
@@ -44,7 +44,7 @@ class SpectrumBlock:
     def __post_init__(self):
         check_fields(self, SpectrumError)
         if not self.low_mhz < self.high_mhz:
-            raise SpectrumError(f"empty spectrum block: {self.low_mhz}..{self.high_mhz}")
+            raise SpectrumError(f"low_mhz {self.low_mhz} is not below high_mhz {self.high_mhz}")
 
     @property
     def width_mhz(self) -> float:
@@ -66,17 +66,12 @@ class Band(SpectrumBlock):
 class CoverageArea:
     """Closed disc footprint in a planar site frame (meters)."""
 
-    x: float
-    y: float
-    radius: float
+    x: Annotated[float, In("(-inf, inf)")]
+    y: Annotated[float, In("(-inf, inf)")]
+    radius: Annotated[float, In("(0, inf)")]
 
     def __post_init__(self):
         check_fields(self, SpectrumError)
-        if not all(map(math.isfinite, (self.x, self.y, self.radius))):
-            raise SpectrumError(
-                f"coverage area must be finite, got ({self.x}, {self.y}) r={self.radius}")
-        if not self.radius > 0:
-            raise SpectrumError(f"coverage radius must be positive, got {self.radius}")
 
     def intersects(self, other: "CoverageArea") -> bool:
         return math.hypot(self.x - other.x, self.y - other.y) <= self.radius + other.radius
@@ -89,13 +84,10 @@ class CoverageArea:
 class SpectrumRequest:
     requester: str
     area: CoverageArea
-    bandwidth_mhz: float
+    bandwidth_mhz: Annotated[float, In("(0, inf)")]
 
     def __post_init__(self):
         check_fields(self, SpectrumError)
-        if not 0 < self.bandwidth_mhz < math.inf:
-            raise SpectrumError(
-                f"bandwidth must be positive and finite, got {self.bandwidth_mhz}")
 
 
 @dataclass(frozen=True)
@@ -124,6 +116,12 @@ class DecisionRecord:
     occupied_mhz: float
     grant_id: int | None
     reason: str = ""
+
+
+def _check_time(value, name: str) -> None:
+    """Refuse a time that is not an int µs, a bool included, as a `SpectrumError`."""
+    if type(value) is not int:
+        raise SpectrumError(f"{name} {value!r} is not an integer")
 
 
 def _live(grant: SpectrumGrant, now: SimTime) -> bool:
@@ -218,9 +216,13 @@ class SpectrumManager:
     def request_spectrum(self, req: SpectrumRequest, now: SimTime = 0,
                          expires_at: SimTime | None = None) -> SpectrumGrant | Rejection:
         """Grant the lowest free sub-block at the requested place, or reject;
-        a lease that ends by `now` is a `SpectrumError`."""
-        if expires_at is not None and expires_at <= now:
-            raise SpectrumError(f"lease expires at {expires_at}, not after the request at {now}")
+        a time that is not an int, or a lease that ends by `now`, is a `SpectrumError`."""
+        _check_time(now, "now")
+        if expires_at is not None:
+            _check_time(expires_at, "expires_at")
+            if expires_at <= now:
+                raise SpectrumError(f"lease expires at {expires_at}, "
+                                    f"not after the request at {now}")
         self._purge_expired(now)
         occupied_blocks = self._conflicting_blocks(req.area, now)
         occupied = union_width_mhz(occupied_blocks)
@@ -248,10 +250,12 @@ class SpectrumManager:
         return grant
 
     def release_spectrum(self, grant_id: int, now: SimTime = 0) -> None:
-        """Free an active grant; one whose lease ended by `now` is not active."""
-        grant = self._grants.get(grant_id)
+        """Free an active grant; one whose lease ended by `now` is not active, and
+        neither is an id that is not an int (True would free grant 1)."""
+        _check_time(now, "now")
+        grant = self._grants.get(grant_id) if type(grant_id) is int else None
         if grant is None or not _live(grant, now):
-            raise UnknownGrantError(f"grant {grant_id} is not active")
+            raise UnknownGrantError(f"grant {grant_id!r} is not active")
         self._drop(grant_id)
         self.audit_log.append(DecisionRecord(
             time=now, requester=grant.requester, verdict="released",

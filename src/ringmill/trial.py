@@ -132,9 +132,10 @@ from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field, replace
 from heapq import heapify, heappop, heappush
+from typing import Annotated
 
 from .channel import ZERO_IMPAIRMENT, ChannelProfile, frame_path
-from .engine import SimTime, US_PER_S, check_fields, component_rng, us_from
+from .engine import In, SimTime, US_PER_S, check_fields, component_rng, hold, us_from
 from .plant import (AxisModel, FailCause, LoopConfig, PidGains, Profile, TabulatedTrajectory,
                     TrapezoidTrajectory, TrialVerdict, setpoint_table)
 from .ring import RingConfig, RingConfigError
@@ -145,6 +146,7 @@ FPGA_NODE = "fpga"
 HANDSHAKE_EXCHANGES = 16
 HANDSHAKE_RETRY_US = 100_000
 QUALIFY_WINDOW_FRAMES = 512
+_TRIAL_LENGTH_US = Annotated[SimTime, In("(0, inf)")]  # whole µs above 0
 
 DEFAULT_CONTROL_RING = RingConfig(
     ring_id="control", nodes=(MASTER_NODE, FPGA_NODE),
@@ -457,10 +459,8 @@ def run_trial(config: LoopConfig,
               feedback_blackout_us: SimTime | None = None,
               trace: TrialTrace | None = None) -> TrialVerdict:
     """Run one closed-loop trial and return its verdict."""
-    if type(trial_length_us) is not int or trial_length_us <= 0:  # a float or a bool too
-        raise ValueError(f"trial_length_us {trial_length_us!r} is not an integer number of us > 0")
-    if type(seed) is not int:
-        raise ValueError(f"seed {seed!r} is not an integer")
+    hold(trial_length_us, _TRIAL_LENGTH_US, "trial_length_us")
+    hold(seed, int, "seed")
     harness = _LoopHarness(config, command_profile, feedback_profile, trial_length_us,
                            seed, scenario, feedback_blackout_us, trace)
     return harness.run()

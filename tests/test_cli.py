@@ -166,7 +166,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("text, line", [
         ("[channel.command]\nloss_rate = 0\ndistribution = gaussian\n", 3),
-        ("[sweep]\nmaster_seed = 1\nseeds_per_cell = 0\n", 1),
+        ("[sweep]\nmaster_seed = 1\nseeds_per_cell = 0\n", 3),
         ("[channel.feedback]\nreorder = maybe\n", 2),
         ("[sweep]\nlatencies_ms =\n", 2),
         ("[loop.default]\nfe_limit_mm = 0.7\n\n[loop.adapted]\nwatchdog_timeout_us = 2000\n", 4),
@@ -179,12 +179,12 @@ class TestConfig:
         ("[sweep]\nseeds_per_cell = 1\n[trajectory]\nfile = nan.csv\n", 4),
         ("[sweep]\nseeds_per_cell = 1\n[trajectory]\nfile = inf.csv\n", 4),
         # a negative threshold rejects every link, or accepts none
-        ("[sweep]\nseeds_per_cell = 1\n[loop.default]\ndelay_spread_tolerance_us = -5\n", 3),
-        ("[loop.adapted]\nrtt_rescue_budget_us = -1\n", 1),
+        ("[sweep]\nseeds_per_cell = 1\n[loop.default]\ndelay_spread_tolerance_us = -5\n", 4),
+        ("[loop.adapted]\nrtt_rescue_budget_us = -1\n", 2),
         # a watchdog shorter than the servo period expires between two frames
         ("[loop.default]\nservo_period_us = 3000\n", 1),
         # the stage ticks half a period after the controller, and 1 us has no half
-        ("[sweep]\nseeds_per_cell = 1\n[loop.default]\nservo_period_us = 1\n", 3),
+        ("[sweep]\nseeds_per_cell = 1\n[loop.default]\nservo_period_us = 1\n", 4),
         # a link value that is not whole us would run another link than it names
         ("[sweep]\nlatencies_ms = 0.5004, 1\n", 2),
         ("[channel.feedback]\nmean_delay_ms = 0.5\njitter_ms = 0.0502\n", 3),
@@ -202,12 +202,13 @@ class TestConfig:
         ("[channel.command]\nmean_delay_ms = 1e306\n", 2),
         # a table replaces the trapezoid, so a trapezoid key beside it would be ignored
         ("[trajectory]\nfile = t.csv\namplitude_mm = 5\n", 3),
-        # every refusal of the ring configuration names its section's line
+        # a ring's refusal of one value names its key's line, of the ring as a whole its
+        # section's
         ("[sweep]\nseeds_per_cell = 1\n[ring.control]\nnodes = master, fpga, master\n", 3),
-        ("[ring.control]\nslot_time_us = -800\n", 1),
+        ("[ring.control]\nslot_time_us = -800\n", 2),
         ("[ring.control]\nslot_time_us = 50\ntx_time_us = 100\n", 1),
-        ("[ring.control]\nqueue_depth = 0\n", 1),
-        ("[ring.control]\nloss_rate = 2\n", 1),
+        ("[ring.control]\nqueue_depth = 0\n", 2),
+        ("[ring.control]\nloss_rate = 2\n", 2),
         # a key or a section given twice, a key without "=", a key before any section
         ("[sweep]\nseeds_per_cell = 1\nseeds_per_cell = 2\n", 3),
         ("[sweep]\nseeds_per_cell = 1\n[sweep]\n", 3),
@@ -241,8 +242,8 @@ class TestConfig:
         path.write_text("[sweep]\nseeds_per_cell = 1\n\n[gains.default]\nintegral_clamp = -0.1\n")
         assert main(["trial", "--config", str(path), "--latency-ms", "0.5",
                      "--jitter-ms", "0.05", "--trial-seconds", "1"]) == 2
-        assert ("scenario.ini, line 4: [gains.default] integral clamp must be non-negative"
-                in capsys.readouterr().err)
+        assert ("scenario.ini, line 5: [gains.default] integral_clamp -0.1 is not a number "
+                "in [0, inf)" in capsys.readouterr().err)
 
     def test_unknown_key_is_located_config_error(self, tmp_path):
         path = tmp_path / "typo.ini"
@@ -492,7 +493,8 @@ class TestCli:
         (["render", "--matrix", "no-columns.csv"], "line 2: expected the column header"),
         (["render", "--matrix", "bad-status.csv"], "line 4: bad matrix row: status 'bogus'"),
         (["render", "--matrix", "bad-cause.csv"], "line 4: bad matrix row: 'bogus' is not"),
-        (["render", "--matrix", "wrong-cause.csv"], "line 4: bad matrix row: outcome and"),
+        (["render", "--matrix", "wrong-cause.csv"],
+         "line 4: bad matrix row: passed True but fail_cause"),
         (["render", "--matrix", "duplicate.csv"], "line 5: duplicate cell 0.5,0.05"),
         (["render", "--matrix", "hole.csv"], "line 5: 3 rows for a 2 x 2 latency x jitter grid"),
         (["render", "--matrix", "wrong-class.csv"],
@@ -674,7 +676,7 @@ class TestOneTimeRule:
                 SweepSpec(**{"latencies_ms": (float(raw),)} if ms
                           else {"trial_seconds": float(raw)})
             # trial_seconds is the spec's one value in s, so it needs no name
-            assert str(spec.value) == ("latencies axis: " if ms else "") + reason
+            assert str(spec.value) == ("latencies_ms: " if ms else "") + reason
             return
         if entry == "flag":
             flag = "--latency-ms" if ms else "--trial-seconds"

@@ -1,17 +1,20 @@
 import enum
 import json
+import math
 import re
 from dataclasses import fields, replace
 from fractions import Fraction
-from typing import get_origin, get_type_hints
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringmill.channel import ChannelConfigError, ChannelProfile
-from ringmill.engine import CausalityError, Simulator, component_rng, derive_seed, hold
+from ringmill.cli import main
+from ringmill.config import ConfigError, load_config
+from ringmill.engine import CausalityError, In, Simulator, component_rng, derive_seed, hold
 from ringmill.harness import RunManifest, SweepSpec
-from ringmill.plant import (FailCause, PidGains, Profile, TabulatedTrajectory,
+from ringmill.plant import (AxisModel, FailCause, PidGains, Profile, TabulatedTrajectory,
                             TrapezoidTrajectory, TrialVerdict)
 from ringmill.ring import RingConfig, RingConfigError
 from ringmill.spectrum import Band, CoverageArea, SpectrumBlock, SpectrumError, SpectrumRequest
@@ -181,6 +184,7 @@ CHECKED = [
     (Band(), SpectrumError, None, None),
     (CoverageArea(0.0, 0.0, 10.0), SpectrumError, None, None),
     (SpectrumRequest("a", CoverageArea(0.0, 0.0, 10.0), 5.0), SpectrumError, None, None),
+    (AxisModel(), ValueError, None, None),
 ]
 
 
@@ -295,3 +299,163 @@ class TestTypeRule:
         traj = TabulatedTrajectory(TABLE_POINTS)
         assert hold(traj, TrapezoidTrajectory | TabulatedTrajectory, "x") is traj
         assert hold(Profile.ADAPTED, Profile, "x") is Profile.ADAPTED
+
+
+# ---------------------------------------------------------------------------
+# The range rule: a number field's range is part of its annotation, and a value
+# of its kind out of that range is refused in one wording, at its manifest key
+# path or its INI key's line.
+
+#: the INI section that sets the fields a manifest holds at a path, where one does
+INI_SECTIONS = {"spec": "sweep", "default_config": "loop.default",
+                "default_config.gains": "gains.default", "scenario.control_ring": "ring.control",
+                "scenario.command_channel": "channel.command",
+                "scenario.trajectory": "trajectory"}
+#: the INI keys that set a µs field in ms
+MS_KEYS = {"mean_delay_us": "mean_delay_ms", "jitter_us": "jitter_ms"}
+KIND_WORDS = {float: "a number", int: "an integer"}
+
+
+def ranges(cls) -> dict[str, tuple[type, In]]:
+    """Each field of `cls` that has a range, with its kind and range."""
+    return {name: get_args(hint)
+            for name, hint in get_type_hints(cls, include_extras=True).items()
+            if get_origin(hint) is Annotated}
+
+
+def ends(interval: In) -> list[tuple[float, float, bool]]:
+    """(the end, the direction away from the range, whether it is open) per end."""
+    return [(interval.low, -math.inf, interval.open_low),
+            (interval.high, math.inf, interval.open_high)]
+
+
+def outside(kind: type, interval: In) -> list:
+    """A value of `kind` just outside each finite end of `interval`, the end itself
+    where it is open; for a float, an infinite end that is open, and NaN."""
+    values = []
+    for end, away, is_open in ends(interval):
+        if not math.isfinite(end):
+            values += [end] if kind is float and is_open else []
+        elif is_open:
+            values.append(kind(end))
+        else:
+            values.append(int(end) + (1 if away > 0 else -1) if kind is int
+                          else math.nextafter(end, away))
+    return values + ([math.nan] if kind is float else [])
+
+
+RANGE_CASES = [(instance, error, path, scenario, name, kind, interval, value)
+               for instance, error, path, scenario in CHECKED
+               for name, (kind, interval) in ranges(type(instance)).items()
+               for value in outside(kind, interval)]
+
+CLOSED_ENDS = [(instance, name, kind(end))
+               for instance, _, _, _ in CHECKED
+               for name, (kind, interval) in ranges(type(instance)).items()
+               for end, _, is_open in ends(interval) if not is_open]
+
+
+def manifest_with(scenario: Scenario, key_path: str, value) -> str:
+    """The shipped run's manifest, on `scenario`, with `value` at `key_path`."""
+    data = json.loads(RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG,
+                                          ADAPTED_LOOP_CONFIG, scenario).to_json())
+    *parents, key = key_path.split(".")
+    values = data
+    for parent in parents:
+        values = values[parent]
+    values[key] = value
+    return json.dumps(data)
+
+
+class TestRangeRule:
+    def test_the_table_holds_every_ranged_class(self):
+        assert {type(c[0]).__name__ for c in RANGE_CASES} == {
+            "ChannelProfile", "RingConfig", "AxisModel", "PidGains", "TrapezoidTrajectory",
+            "LoopConfig", "TrialVerdict", "SweepSpec", "CoverageArea", "SpectrumRequest"}
+
+    @pytest.mark.parametrize(
+        "instance, error, path, scenario, field, kind, interval, value", RANGE_CASES,
+        ids=[f"{type(c[0]).__name__}.{c[4]}={c[7]!r}" for c in RANGE_CASES])
+    def test_a_value_out_of_its_range_is_refused_at_its_class_key_path_and_line(
+            self, tmp_path, instance, error, path, scenario, field, kind, interval, value):
+        message = f"{field} {value!r} is not {KIND_WORDS[kind]} in {interval.text}"
+        with pytest.raises(error) as refused:
+            replace(instance, **{field: value})
+        assert type(refused.value) is error
+        assert str(refused.value) == message
+        if path is None:
+            return
+        if math.isfinite(value):  # a manifest holds no NaN or infinity
+            key_path = f"{path}.{field}"
+            with pytest.raises(ValueError) as refused:
+                RunManifest.from_json(manifest_with(scenario, key_path, value))
+            assert str(refused.value) == f"manifest key {key_path!r}: {message}"
+        if path in INI_SECTIONS:  # its key on line 3, under a blank line
+            raw = value / 1000 if field in MS_KEYS else value
+            ini = tmp_path / "run.ini"
+            ini.write_text(f"[{INI_SECTIONS[path]}]\n\n{MS_KEYS.get(field, field)} = {raw!r}\n")
+            with pytest.raises(ConfigError, match=f"^{re.escape(str(ini))}, line 3: "):
+                load_config(ini)
+
+    @pytest.mark.parametrize("instance, field, value", CLOSED_ENDS,
+                             ids=[f"{type(c[0]).__name__}.{c[1]}={c[2]!r}" for c in CLOSED_ENDS])
+    def test_a_closed_end_is_in_its_range(self, instance, field, value):
+        held = getattr(replace(instance, **{field: value}), field)
+        assert held == value and type(held) is type(value)
+
+    @pytest.mark.parametrize("text, inside, outside", [
+        ("[0, 1]", [0, 0.5, 1], [-1e-300, 1.0000000000000002, math.nan]),
+        ("(0, 1)", [5e-324, 0.5], [0, 1, math.nan]),
+        ("(-inf, inf)", [-1e308, 0, 1e308], [-math.inf, math.inf, math.nan]),
+        ("[2, inf)", [2, 10 ** 400], [1, math.inf]),
+    ])
+    def test_a_range_holds_what_its_text_says(self, text, inside, outside):
+        interval = In(text)
+        assert all(value in interval for value in inside)
+        assert not any(value in interval for value in outside)
+
+    @pytest.mark.parametrize("key_path, message", [
+        ("scenario.feedback_channel.loss_rate", "loss_rate 1.5 is not a number in [0, 1]"),
+        ("adapted_config.servo_period_us", "servo_period_us 0 is not an integer in [2, inf)"),
+        ("scenario.control_ring.queue_depth", "queue_depth 0 is not an integer in [1, inf)"),
+    ])
+    def test_a_manifest_names_the_key_path_of_a_value_out_of_range(self, key_path, message):
+        # each raised its class's own prose, which named neither the path nor, of the two
+        # channels or loops, which one
+        value = 1.5 if key_path.endswith("loss_rate") else 0
+        with pytest.raises(ValueError) as refused:
+            RunManifest.from_json(manifest_with(DEFAULT_SCENARIO, key_path, value))
+        assert str(refused.value) == f"manifest key {key_path!r}: {message}"
+
+    @pytest.mark.parametrize("key_path, value, message", [
+        ("spec.latencies_ms", [1.0, 0.5],
+         "manifest key 'spec': latencies_ms (1.0, 0.5) is not strictly increasing"),
+        ("scenario.control_ring.tx_time_us", 900,
+         "manifest key 'scenario.control_ring': ring control: slot_time_us 800 cannot start "
+         "a tx_time_us 900 transmission"),
+        ("adapted_config.watchdog_timeout_us", 999,
+         "manifest key 'adapted_config': watchdog_timeout_us 999 is less than "
+         "servo_period_us 1000"),
+    ], ids=["axis", "ring-slot", "watchdog"])
+    def test_a_manifest_names_the_object_of_a_check_that_relates_its_fields(
+            self, key_path, value, message):
+        with pytest.raises(ValueError) as refused:
+            RunManifest.from_json(manifest_with(DEFAULT_SCENARIO, key_path, value))
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("[channel.feedback]\nloss_rate = 1.5\n", 2,
+         "[channel.feedback] loss_rate 1.5 is not a number in [0, 1]"),
+        ("[ring.control]\nqueue_depth = 0\n", 2,
+         "[ring.control] queue_depth 0 is not an integer in [1, inf)"),
+        ("[loop.adapted]\n\nservo_period_us = 0\n", 3,
+         "[loop.adapted] servo_period_us 0 is not an integer in [2, inf)"),
+    ], ids=["channel-loss-rate", "ring-queue-depth", "loop-servo-period"])
+    def test_an_ini_names_the_line_of_the_key_out_of_range(self, tmp_path, capsys, text, line,
+                                                          message):
+        # each named line 1, the section's header
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        assert main(["trial", "--config", str(path), "--latency-ms", "0.5",
+                     "--jitter-ms", "0.05", "--trial-seconds", "1"]) == 2
+        assert f"run.ini, line {line}: {message}\n" in capsys.readouterr().err

@@ -126,10 +126,10 @@ def test_a_second_bracket_in_a_header_is_a_located_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("outcome, message", [
-    ("0|fail|watchdog|nan|-5", "max following error nan mm"),
-    ("0|fail|watchdog|inf|5", "max following error inf mm"),
-    ("0|fail|watchdog|-0.5|5", "max following error -0.5 mm"),
-    ("0|fail|watchdog|0.5|-5", "survived -5 us"),
+    ("0|fail|watchdog|nan|-5", r"max_following_error_mm nan is not a number in \[0, inf\)"),
+    ("0|fail|watchdog|inf|5", r"max_following_error_mm inf is not a number in \[0, inf\)"),
+    ("0|fail|watchdog|-0.5|5", r"max_following_error_mm -0.5 is not a number in \[0, inf\)"),
+    ("0|fail|watchdog|0.5|-5", r"survived_us -5 is not an integer in \[0, inf\)"),
 ], ids=["nan-and-negative-survival", "inf", "negative-error", "negative-survival"])
 def test_an_outcome_no_trial_gives_is_refused_with_its_line(outcome, message):
     # this row read, and render wrote it back

@@ -21,8 +21,8 @@ from ringmill.plant import (FailCause, PidGains, TabulatedTrajectory, TrapezoidT
                             TrialVerdict)
 from ringmill.ring import RingConfig
 from ringmill.spectrum import CoverageArea, Rejection, SpectrumManager, SpectrumRequest
-from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, Scenario, run_trial,
-                            symmetric_profiles)
+from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO, Scenario,
+                            run_trial, symmetric_profiles)
 
 
 def outcome(passed=True, cause="none", fe=0.1, survived=1_000_000):
@@ -436,16 +436,18 @@ class TestManifest:
                                                f'"fe_limit_mm": {token},', 1))
 
     @pytest.mark.parametrize("field, value, message", [
-        ("seeds_per_cell", 0, "seeds_per_cell must be >= 1"),
-        ("latencies_ms", [1.0, 0.5], "latencies axis must be strictly increasing"),
-        ("jitters_ms", [], "jitters axis is empty"),
-    ])
+        ("seeds_per_cell", 0,
+         "manifest key 'spec.seeds_per_cell': seeds_per_cell 0 is not an integer in [1, inf)"),
+        ("latencies_ms", [1.0, 0.5],
+         "manifest key 'spec': latencies_ms (1.0, 0.5) is not strictly increasing"),
+        ("jitters_ms", [], "manifest key 'spec': jitters_ms is empty"),
+    ], ids=["seeds_per_cell", "latencies_ms", "jitters_ms"])
     def test_invalid_spec_is_rejected(self, field, value, message):
         # caught on loading, not when the sweep runs
         manifest = RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)
         data = json.loads(manifest.to_json())
         data["spec"][field] = value
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             RunManifest.from_json(json.dumps(data))
 
     def test_non_integer_loop_timing_is_rejected(self):
@@ -458,12 +460,13 @@ class TestManifest:
 
     def test_axis_value_that_is_not_whole_us_is_rejected(self):
         # its cell would run a 500 us link under a column headed 0.5004
-        with pytest.raises(ValueError, match="latencies axis: 0.5004 ms is not a whole number of us"):
+        with pytest.raises(ValueError, match="latencies_ms: 0.5004 ms is not a whole number of us"):
             SweepSpec(latencies_ms=(0.5004, 1.0))
         manifest = RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)
         data = json.loads(manifest.to_json())
         data["spec"]["jitters_ms"] = [0.0502, 0.1]
-        with pytest.raises(ValueError, match="jitters axis: 0.0502 ms is not a whole number of us"):
+        with pytest.raises(ValueError, match="manifest key 'spec': jitters_ms: 0.0502 ms is not "
+                                             "a whole number of us"):
             RunManifest.from_json(json.dumps(data))
 
     def test_trial_length_that_is_not_whole_us_is_rejected(self):
@@ -483,6 +486,24 @@ class TestManifest:
         data["spec"]["trial_seconds"] = 2.0000004
         with pytest.raises(ValueError, match="2.0000004 s is not a whole number of us"):
             RunManifest.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("value, unit", [(True, "ms"), (False, "ms"), (True, "s")])
+    def test_a_bool_is_no_time_value(self, value, unit):
+        # us_from(True, "ms") was 1000
+        with pytest.raises(ValueError, match=f"^{value} {unit} is not a number$"):
+            us_from(value, unit)
+
+    def test_a_bool_cell_is_refused_before_any_trial(self, monkeypatch):
+        # channels_at(True, 0.05) built a 1 ms channel, and evaluate_cell ran its trials
+        # and returned a cell whose latency_ms was True
+        with pytest.raises(ValueError, match="^True ms is not a number$"):
+            DEFAULT_SCENARIO.channels_at(True, 0.05)
+        trials = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args, **kwargs: trials.append(args))
+        with pytest.raises(ValueError, match="^True ms is not a number$"):
+            evaluate_cell(SweepSpec(trial_seconds=0.5, seeds_per_cell=1), DEFAULT_LOOP_CONFIG,
+                          ADAPTED_LOOP_CONFIG, True, 0.05)
+        assert trials == []
 
     def test_whole_us_trial_lengths_convert_exactly(self):
         lengths = {2.0: 2_000_000, 0.5: 500_000, 12.0: 12_000_000, 60.0: 60_000_000,

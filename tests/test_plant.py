@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -153,13 +154,13 @@ class TestTrapezoidTrajectory:
                                        "dwell_s"])
     def test_rejects_nan_parameters(self, field):
         # a NaN setpoint could never fail on following error
-        with pytest.raises(ValueError, match="^trajectory parameters must be positive$"):
+        with pytest.raises(ValueError, match=f"^{field} nan is not a number in "):
             TrapezoidTrajectory(**{field: math.nan})
 
     @pytest.mark.parametrize("field", ["amplitude_mm", "velocity_mm_s", "accel_mm_s2"])
     def test_rejects_a_zero_move_speed_or_acceleration(self, field):
         # a zero divides by zero deriving the legs
-        with pytest.raises(ValueError, match="^trajectory parameters must be positive$"):
+        with pytest.raises(ValueError, match=rf"^{field} 0 is not a number in \(0, inf\)$"):
             TrapezoidTrajectory(**{field: 0})
 
     @pytest.mark.parametrize("field", ["amplitude_mm", "velocity_mm_s", "accel_mm_s2",
@@ -210,7 +211,7 @@ class TestTabulatedTrajectory:
     def test_rejects_a_first_time_other_than_0(self, points, first):
         # from 100 ms, sample(0) extrapolated to -10 mm; from -100 ms, a 0.3 s
         # table repeated every 0.2 s
-        with pytest.raises(ValueError, match=f"^trajectory table starts at {first} ms, not 0$"):
+        with pytest.raises(ValueError, match=f"^points start at {first} ms, not 0$"):
             TabulatedTrajectory(points)
 
     def test_csv_names_the_line_of_a_first_time_other_than_0(self):
@@ -238,21 +239,20 @@ class TestConfigTypes:
 
     def test_loop_config_refuses_a_1_us_period(self):
         # the stage ticks half a period after the controller, and 1 us has no half
-        with pytest.raises(ValueError, match="^a servo period of 1 us has no half period "
-                                             "for the stage tick$"):
+        with pytest.raises(ValueError, match=r"^servo_period_us 1 is not an integer in \[2, inf\)$"):
             replace(DEFAULT_LOOP_CONFIG, servo_period_us=1)
 
     @pytest.mark.parametrize("field, message", [
         ("servo_period_us", "servo_period_us nan is not an integer"),
         ("watchdog_timeout_us", "watchdog_timeout_us nan is not an integer"),
         ("init_grace_us", "init_grace_us nan is not an integer"),
-        ("fe_limit_mm", "following-error limit must be positive"),
+        ("fe_limit_mm", "fe_limit_mm nan is not a number in (0, inf)"),
         ("delay_spread_tolerance_us", "delay_spread_tolerance_us nan is not an integer"),
         ("rtt_rescue_budget_us", "rtt_rescue_budget_us nan is not an integer"),
     ])
     def test_loop_config_rejects_nan(self, field, message):
         # a NaN following-error limit builds a loop that can never fail on it
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             replace(DEFAULT_LOOP_CONFIG, **{field: math.nan})
 
     @pytest.mark.parametrize("field, value", [
@@ -266,18 +266,18 @@ class TestConfigTypes:
             replace(DEFAULT_LOOP_CONFIG, **{field: value})
 
     @pytest.mark.parametrize("field, value, message", [
-        ("kp", math.nan, "PID gains must be finite"),
-        ("ki", math.nan, "PID gains must be finite"),
-        ("kd", math.nan, "PID gains must be finite"),
-        ("kp", math.inf, "PID gains must be finite"),
-        ("ki", -math.inf, "PID gains must be finite"),
-        ("integral_clamp", -0.1, "integral clamp must be non-negative"),
-        ("integral_clamp", math.nan, "integral clamp must be non-negative"),
+        ("kp", math.nan, "kp nan is not a number in (-inf, inf)"),
+        ("ki", math.nan, "ki nan is not a number in (-inf, inf)"),
+        ("kd", math.nan, "kd nan is not a number in (-inf, inf)"),
+        ("kp", math.inf, "kp inf is not a number in (-inf, inf)"),
+        ("ki", -math.inf, "ki -inf is not a number in (-inf, inf)"),
+        ("integral_clamp", -0.1, "integral_clamp -0.1 is not a number in [0, inf)"),
+        ("integral_clamp", math.nan, "integral_clamp nan is not a number in [0, inf)"),
     ])
     def test_pid_gains_reject_non_finite_or_negative(self, field, value, message):
         # with a NaN gain a trial at (0.5, 0.05) ms used to pass: a NaN
         # following error never exceeds the limit
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             replace(NOMINAL_GAINS, **{field: value})
 
     @pytest.mark.parametrize("field", ["kp", "ki", "kd", "integral_clamp"])
@@ -292,7 +292,7 @@ class TestConfigTypes:
             replace(DEFAULT_LOOP_CONFIG, fe_limit_mm=True)
 
     def test_axis_rejects_nan_time_constant(self):
-        with pytest.raises(ValueError, match="^axis time constant must be positive$"):
+        with pytest.raises(ValueError, match=r"^time_constant_s nan is not a number in \(0, inf\)$"):
             AxisModel(time_constant_s=math.nan)
 
     def test_adapted_must_not_be_tighter(self):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -209,6 +210,44 @@ class TestOccupancy:
         granted = manager.request_spectrum(SpectrumRequest("a", SITE, 20.0), now=10,
                                            expires_at=11)
         assert granted.block == SpectrumBlock(3700.0, 3720.0)
+
+
+class TestIntegerTimesAndIds:
+    """Times are int µs and grant ids ints: 1.5 and True were granted and logged as
+    time=1.5 and time=True, and release_spectrum(True) released grant 1."""
+
+    @pytest.mark.parametrize("now, expires_at, name", [
+        (1.5, 2.5, "now"), (True, None, "now"), (0, 2.5, "expires_at"),
+        (0, True, "expires_at"), (None, None, "now"), ("0", None, "now"),
+    ])
+    def test_a_request_at_a_time_that_is_not_an_int_is_refused(self, now, expires_at, name):
+        manager = SpectrumManager()
+        value = now if name == "now" else expires_at
+        with pytest.raises(SpectrumError, match=f"^{name} {re.escape(repr(value))} "
+                                                "is not an integer$"):
+            manager.request_spectrum(SpectrumRequest("a", SITE, 20.0), now=now,
+                                     expires_at=expires_at)
+        assert manager.active_grants() == [] and manager.audit_log == []
+
+    @pytest.mark.parametrize("now", [1.5, True])
+    def test_a_release_at_a_time_that_is_not_an_int_is_refused(self, now):
+        manager = SpectrumManager()
+        grant = manager.request_spectrum(SpectrumRequest("a", SITE, 20.0))
+        with pytest.raises(SpectrumError, match=f"^now {now!r} is not an integer$"):
+            manager.release_spectrum(grant.grant_id, now=now)
+        assert manager.active_grants(2) == [grant] and len(manager.audit_log) == 1
+
+    @pytest.mark.parametrize("grant_id", [True, 1.0, "1"])
+    def test_a_grant_id_that_is_not_an_int_is_unknown(self, grant_id):
+        manager = SpectrumManager()
+        grant = manager.request_spectrum(SpectrumRequest("a", SITE, 20.0))
+        assert grant.grant_id == 1
+        with pytest.raises(UnknownGrantError, match=f"^grant {re.escape(repr(grant_id))} "
+                                                    "is not active$"):
+            manager.release_spectrum(grant_id)
+        assert manager.active_grants() == [grant]
+        manager.release_spectrum(1)
+        assert manager.active_grants() == []
 
 
 # -- properties ---------------------------------------------------------------

@@ -494,8 +494,8 @@ class TestRunTrialInput:
     def test_a_length_that_is_not_an_int_above_0_is_refused(self, length):
         # 3_000_000.5 ran with survived_us=3000000.5, and -5 survived -5 us
         cmd, fb = symmetric_profiles(0.5, 0.05)
-        with pytest.raises(ValueError, match=f"^trial_length_us {length!r} is not an integer "
-                                             "number of us > 0$"):
+        with pytest.raises(ValueError, match=f"^trial_length_us {length!r} is not an integer"
+                                             r"( in \(0, inf\))?$"):
             run_trial(DEFAULT_LOOP_CONFIG, cmd, fb, trial_length_us=length)
 
     @pytest.mark.parametrize("seed", [1.5, 1.0, True], ids=["fraction", "float", "bool"])
