@@ -1,38 +1,36 @@
-"""INI scenario configuration.
+"""INI scenario configuration: a run manifest in another syntax.
 
-A scenario file describes one run: `load_config` reads it into the
-`RunManifest` that a sweep, a trial and a calibration all run from, with
-the control ring, both channels and the trajectory in its `Scenario`.
-Every section is optional; omitted values fall back to the shipped
-calibrated defaults.  The schema and the file's rules are in the README;
-`_read_ini` applies the rules in one pass over the lines.  Every error
-names its line: a line that is not a header, a key or a continuation, a
-key before any section, a section or key given twice or outside the
-schema, text after a header that is not a comment, a value that cannot be
-read or that its field's range refuses, and a section whose values the
-object it builds rejects as a whole.
+A scenario file describes one run.  `load_config` turns it into the dict
+that `RunManifest.to_json` writes, and `harness._read` builds and checks
+the run from that dict as it does a manifest's.  Each section sets one
+object of the manifest (`_SECTIONS`) and each key one of its fields, so the
+dataclass annotations are the one list of configured fields; what a file
+leaves out is the shipped run's.  A raw value is read in the form of the
+shipped value it replaces (`_value`).  Three keys are not named like their
+field (`_RENAMED`), a few fields no key sets (`_UNSET`), and `[trajectory]
+file` replaces the trapezoid with the table's points.  `_read_ini` applies
+the file's rules in one pass over the lines.  Every error names its line:
+a line the rules refuse, an unknown section or key, or a value that cannot
+be read, at its own line; a field that `_read` refuses at its key's line;
+and an object it refuses at the line of the key its message starts with,
+if the file sets it, else at its section's header.
 """
 
 from __future__ import annotations
 
+import json
 import re
-from collections import defaultdict
-from dataclasses import replace
+from functools import cache, reduce
 from pathlib import Path
 
-from .channel import JitterDistribution
-from .engine import field_hints, hold, us_from
-from .harness import RunManifest, SweepSpec
-from .plant import load_trajectory_csv, validate_config_pair
-from .trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO
+from .engine import us_from
+from .harness import ManifestError, RunManifest, SweepSpec, _read
+from .plant import load_trajectory_csv
+from .trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG
 
 
 class ConfigError(ValueError):
     pass
-
-
-def _names(raw: str) -> tuple[str, ...]:
-    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
 
 
 def _bool(raw: str) -> bool:
@@ -42,50 +40,42 @@ def _bool(raw: str) -> bool:
     return word in ("1", "yes", "true", "on")
 
 
-# time values go through the whole-µs rule here, so that an error names the key's line
 def _ms_as_us(raw: str) -> int:
     return us_from(float(raw), "ms")
 
 
-def _axis_ms(raw: str) -> tuple[float, ...]:
-    values = tuple(float(tok) for tok in raw.replace(",", " ").split())
-    for value in values:
-        us_from(value, "ms")
-    return values
+def _value(raw: str, shipped):
+    """`raw` read in the form of the manifest value `shipped` that it replaces: an int,
+    a float, a bool, a str (an enum's value), or a list, of names split at commas or
+    of numbers split at commas or blanks."""
+    if type(shipped) is not list:
+        return (_bool if type(shipped) is bool else type(shipped))(raw)
+    if type(shipped[0]) is str:
+        return [name.strip() for name in raw.split(",") if name.strip()]
+    return [float(token) for token in raw.replace(",", " ").split()]
 
 
-def _seconds(raw: str) -> float:
-    value = float(raw)
-    us_from(value, "s", positive=True)
-    return value
+@cache
+def _shipped() -> str:
+    """The shipped run as a manifest writes it, made at the first load, not at import."""
+    return RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG).to_json()
 
 
-_GAINS = {"kp": float, "ki": float, "kd": float, "integral_clamp": float}
-_LOOP = {"servo_period_us": int, "watchdog_timeout_us": int, "init_grace_us": int,
-         "fe_limit_mm": float, "delay_spread_tolerance_us": int, "rtt_rescue_budget_us": int}
-_LOSS = {"loss_rate": float}  # rings and channels both drop frames
-# a (field, reader) pair where the dataclass field is not named like the key
-_CHANNEL = {"mean_delay_ms": ("mean_delay_us", _ms_as_us),
-            "jitter_ms": ("jitter_us", _ms_as_us),
-            "distribution": JitterDistribution, "reorder": ("reorder_allowed", _bool),
-            **_LOSS}
-
-# every section a scenario file may have: its keys, each with its reader
-_SCHEMA = {
-    "sweep": {"latencies_ms": _axis_ms, "jitters_ms": _axis_ms, "seeds_per_cell": int,
-              "trial_seconds": _seconds, "master_seed": int},
-    "gains.default": _GAINS,
-    "gains.adapted": _GAINS,
-    "loop.default": _LOOP,
-    "loop.adapted": _LOOP,
-    "ring.control": {"nodes": _names, "slot_time_us": int, "tx_time_us": int,
-                     "queue_depth": int, **_LOSS},
-    "channel.command": _CHANNEL,
-    "channel.feedback": _CHANNEL,
-    # `file` (relative to the INI file) replaces the trapezoid
-    "trajectory": {"amplitude_mm": float, "velocity_mm_s": float, "accel_mm_s2": float,
-                   "dwell_s": float, "file": Path},
-}
+# every section a scenario file may have, and the key path of the manifest object it sets
+_SECTIONS = {"sweep": "spec",
+             "gains.default": "default_config.gains", "gains.adapted": "adapted_config.gains",
+             "loop.default": "default_config", "loop.adapted": "adapted_config",
+             "ring.control": "scenario.control_ring",
+             "channel.command": "scenario.command_channel",
+             "channel.feedback": "scenario.feedback_channel",
+             "trajectory": "scenario.trajectory"}
+# a key not named like its field: the field, and the reader of its value, or None for
+# its field's form
+_RENAMED = {"mean_delay_ms": ("mean_delay_us", _ms_as_us), "jitter_ms": ("jitter_us", _ms_as_us),
+            "reorder": ("reorder_allowed", None)}
+# the fields no key sets: a loop's flavour and gains (their own section), the ring's
+# name, and the renamed ones
+_UNSET = {"profile", "gains", "ring_id", *(field for field, _ in _RENAMED.values())}
 
 # a comment starts at a ";" or "#" that starts the line or follows a blank
 _COMMENT = re.compile(r"(?:^|(?<=\s))[;#]")
@@ -133,67 +123,48 @@ def load_config(path: str | Path | None) -> RunManifest:
     defaults.  A channel section absent from the file leaves its channel
     at the scenario's default: no delay, no jitter, no loss."""
     read = _read_ini(Path(path).read_text() if path else "", path)
-
-    def located(section: str, key: str | None, message) -> ConfigError:
-        header_line, keys = read[section]
-        return ConfigError(f"{path}, line {keys[key][0] if key else header_line}: {message}")
-
-    # section -> {key: (field, value)}, each value read once through the schema
-    values: defaultdict[str, dict] = defaultdict(dict)
-    for name, (_, keys) in read.items():
-        schema = _SCHEMA.get(name)
-        if schema is None:
-            raise located(name, None, f"unknown section [{name}]")
-        for key, (_, raw) in keys.items():
-            entry = schema.get(key)
-            if entry is None:
-                raise located(name, key, f"unknown key {key!r} in [{name}]")
-            field, reader = entry if isinstance(entry, tuple) else (key, entry)
+    data = json.loads(_shipped())
+    lines: dict[str, tuple[str, int]] = {}  # key path -> (section, line) of what the file sets
+    file = None
+    for name, (header, keys) in read.items():
+        if name not in _SECTIONS:
+            raise ConfigError(f"{path}, line {header}: unknown section [{name}]")
+        lines[_SECTIONS[name]] = name, header
+        values = reduce(dict.__getitem__, _SECTIONS[name].split("."), data)
+        for key, (number, raw) in keys.items():
+            field, reader = _RENAMED.get(key, (key, None))
+            is_file = name == "trajectory" and key == "file"
+            if not is_file and (field not in values or key in _UNSET):
+                raise ConfigError(f"{path}, line {number}: unknown key {key!r} in [{name}]")
             try:
                 if not raw:
                     raise ValueError("empty value")
-                values[name][key] = field, reader(raw)
+                if is_file:
+                    file = number, Path(raw)
+                else:
+                    values[field] = reader(raw) if reader else _value(raw, values[field])
             except ValueError as exc:
-                raise located(name, key, f"{key} = {raw}: {exc}") from None
-
-    def build(section: str, make, *args, key: str | None = None, **kwargs):
-        """make(*args, **kwargs), an error it raises located at [section], or at its `key`."""
-        try:
-            return make(*args, **kwargs)
-        except ValueError as exc:
-            raise located(section, key, f"[{section}] {exc}") from None
-
-    def section(name: str, fallback, **extra):
-        """`fallback` with the values [name] sets, each held first at its key's line."""
-        hints = field_hints(type(fallback))
-        for key, (field, value) in values[name].items():
-            build(name, hold, value, hints[field], field, key=key)
-        return build(name, replace, fallback, **dict(values[name].values()), **extra)
-
-    spec = section("sweep", SweepSpec())
-    default_loop = section("loop.default", DEFAULT_LOOP_CONFIG,
-                           gains=section("gains.default", DEFAULT_LOOP_CONFIG.gains))
-    adapted_loop = section("loop.adapted", ADAPTED_LOOP_CONFIG,
-                           gains=section("gains.adapted", ADAPTED_LOOP_CONFIG.gains))
-    build("loop.adapted" if "loop.adapted" in read else "loop.default",
-          validate_config_pair, default_loop, adapted_loop)
-
-    control_ring = section("ring.control", DEFAULT_SCENARIO.control_ring)
-    command = section("channel.command", DEFAULT_SCENARIO.command_channel)
-    feedback = section("channel.feedback", DEFAULT_SCENARIO.feedback_channel)
-    traj = values["trajectory"]
-    if "file" in traj:
-        file = traj["file"][1]
-        trapezoid = [key for key in traj if key != "file"]
+                raise ConfigError(f"{path}, line {number}: {key} = {raw}: {exc}") from None
+            lines[f"{_SECTIONS[name]}.{field}"] = name, number
+    if file:
+        number, file = file
+        trapezoid = [key for key in read["trajectory"][1] if key != "file"]
         if trapezoid:
-            raise located("trajectory", trapezoid[0], f"{trapezoid[0]} is set, but "
-                          f"file = {file} replaces the trapezoid")
+            raise ConfigError(f"{path}, line {read['trajectory'][1][trapezoid[0]][0]}: "
+                              f"{trapezoid[0]} is set, but file = {file} replaces the trapezoid")
         try:
-            trajectory = load_trajectory_csv((Path(path).parent / file).read_text())
+            table = load_trajectory_csv((Path(path).parent / file).read_text())
         except (OSError, ValueError) as exc:
-            raise located("trajectory", "file", f"file = {file}: {exc}") from None
-    else:
-        trajectory = section("trajectory", DEFAULT_SCENARIO.trajectory)
-    scenario = build("ring.control", replace, DEFAULT_SCENARIO, control_ring=control_ring,
-                     trajectory=trajectory, command_channel=command, feedback_channel=feedback)
-    return RunManifest.for_run(spec, default_loop, adapted_loop, scenario)
+            raise ConfigError(f"{path}, line {number}: file = {file}: {exc}") from None
+        data["scenario"]["trajectory"] = {"points": table.points}
+    try:
+        return _read(data, RunManifest)
+    except ManifestError as exc:
+        # the key the reason starts with, the object's own section, an object the reason
+        # names, or else the first section under the object
+        words = re.findall(r"\w+", exc.reason)
+        named = [exc.path + "." * bool(exc.path) + word for word in words]
+        where = next(key for key in (named[0], exc.path, *named, *_SECTIONS.values())
+                     if key in lines and key.startswith(exc.path))
+        section, number = lines[where]
+        raise ConfigError(f"{path}, line {number}: [{section}] {exc.reason}") from None

@@ -91,7 +91,10 @@ class SweepSpec:
                 raise ValueError(f"{name}: {exc}") from None
             if any(b <= a for a, b in zip(axis, axis[1:])):
                 raise ValueError(f"{name} {axis} is not strictly increasing")
-        us_from(self.trial_seconds, "s", positive=True)  # its one value in s; a trial runs whole µs
+        try:
+            us_from(self.trial_seconds, "s", positive=True)  # a trial runs whole µs
+        except ValueError as exc:
+            raise ValueError(f"trial_seconds: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -360,11 +363,20 @@ def _finite_float(token: str) -> float:
     return value
 
 
+class ManifestError(ValueError):
+    """A value or an object that `_read` refuses: its manifest key path, "" for
+    the manifest itself, and the bare reason, which the INI reader places on a line."""
+
+    def __init__(self, path: str, reason: str):
+        super().__init__(f"manifest key {path!r}: {reason}" if path else reason)
+        self.path, self.reason = path, reason
+
+
 def _read(value, hint, path: str = ""):
     """The value of type `hint` that `to_json` wrote as `value` at the manifest
     key `path`.  Every object must have exactly its dataclass's keys, an enum
     field takes one of its values, and any other field what `engine.hold` takes
-    for it, range included.  A refusal is a `ValueError` that names the path: a
+    for it, range included.  A value's refusal is a `ManifestError` at its path: a
     field's own, or an object's for a check that relates its fields."""
     if get_origin(hint) is UnionType:  # the member that shares a key with it
         members = get_args(hint)
@@ -391,7 +403,7 @@ def _read(value, hint, path: str = ""):
             return hint(value)
         raise ValueError(f"{name} {value!r} is not one of {', '.join(m.value for m in hint)}")
     except ValueError as exc:
-        raise ValueError(f"manifest key {path!r}: {exc}") from None
+        raise ManifestError(path, str(exc)) from None
 
 
 @dataclass
@@ -409,6 +421,7 @@ class RunManifest:
 
     def __post_init__(self):
         check_fields(self)
+        validate_config_pair(self.default_config, self.adapted_config)
 
     @classmethod
     def for_run(cls, spec: SweepSpec, default_config: LoopConfig,

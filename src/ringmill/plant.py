@@ -280,12 +280,15 @@ class LoopConfig:
 
 
 def validate_config_pair(default: LoopConfig, adapted: LoopConfig) -> None:
+    """Refuse a pair that is not (default, adapted), or whose adapted flavour is
+    tighter on init grace or watchdog timeout; each config is named as a manifest
+    holds it, the adapted one first."""
     if default.profile is not Profile.DEFAULT or adapted.profile is not Profile.ADAPTED:
         raise ValueError("config pair must be (default, adapted)")
-    if adapted.init_grace_us < default.init_grace_us:
-        raise ValueError("adapted init_grace_us must be >= default's")
-    if adapted.watchdog_timeout_us < default.watchdog_timeout_us:
-        raise ValueError("adapted watchdog_timeout_us must be >= default's")
+    for name in ("init_grace_us", "watchdog_timeout_us"):
+        if getattr(adapted, name) < getattr(default, name):
+            raise ValueError(f"adapted_config {name} {getattr(adapted, name)} is less than "
+                             f"default_config's {getattr(default, name)}")
 
 
 class FailCause(enum.Enum):

@@ -44,6 +44,38 @@ dwell_s = 0.1
 """
 
 
+#: every key of every section, each with a value that loads on its own: a field renamed
+#: in its dataclass must not rename or drop the INI key that sets it
+INI_KEYS = {
+    "sweep": {"latencies_ms": "0.5, 1", "jitters_ms": "0.05 0.1", "seeds_per_cell": "1",
+              "trial_seconds": "2", "master_seed": "5"},
+    **{f"gains.{flavour}": {"kp": "38", "ki": "1.5", "kd": "0.1", "integral_clamp": "0.04"}
+       for flavour in ("default", "adapted")},
+    # each value alone keeps the adapted flavour no tighter than the default one
+    "loop.default": {"servo_period_us": "500", "watchdog_timeout_us": "2000",
+                     "init_grace_us": "1000000", "fe_limit_mm": "0.7",
+                     "delay_spread_tolerance_us": "900", "rtt_rescue_budget_us": "3000"},
+    "loop.adapted": {"servo_period_us": "500", "watchdog_timeout_us": "2200",
+                     "init_grace_us": "5000000", "fe_limit_mm": "0.7",
+                     "delay_spread_tolerance_us": "1200", "rtt_rescue_budget_us": "3000"},
+    "ring.control": {"nodes": "master, fpga, spare", "slot_time_us": "700", "tx_time_us": "90",
+                     "queue_depth": "8", "loss_rate": "0"},
+    **{f"channel.{way}": {"mean_delay_ms": "3", "jitter_ms": "0.2",
+                          "distribution": "truncated-normal", "loss_rate": "0.1",
+                          "reorder": "yes"}
+       for way in ("command", "feedback")},
+    "trajectory": {"amplitude_mm": "15", "velocity_mm_s": "40", "accel_mm_s2": "900",
+                   "dwell_s": "0.1", "file": "moves.csv"},
+}
+
+#: each field that no key sets, in a section whose object has it: a loop's flavour and its
+#: gains section, the ring's name, and the three fields whose keys have other names
+FIELDS_WITHOUT_A_KEY = [
+    ("loop.default", "profile", "adapted"), ("loop.adapted", "gains", "40"),
+    ("ring.control", "ring_id", "control"), ("channel.command", "mean_delay_us", "3000"),
+    ("channel.feedback", "jitter_us", "200"), ("channel.command", "reorder_allowed", "false")]
+
+
 def spy_on_trials(monkeypatch) -> list:
     """Record every trial that `trial`, `sweep` and `calibrate` run from here on."""
     trials = []
@@ -236,6 +268,43 @@ class TestConfig:
         assert main(["trial", "--config", str(path), "--latency-ms", "0.5",
                      "--jitter-ms", "0.05", "--trial-seconds", "1"]) == 2
         assert f"scenario.ini, line {line}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key", [(section, key) for section, keys in INI_KEYS.items()
+                                              for key in keys])
+    def test_every_key_loads(self, tmp_path, section, key):
+        (tmp_path / "moves.csv").write_text("0,0\n500,10\n1000,0\n")
+        path = tmp_path / "scenario.ini"
+        path.write_text(f"[{section}]\n{key} = {INI_KEYS[section][key]}\n")
+        assert load_config(path) != load_config(None)
+
+    @pytest.mark.parametrize("section, field, raw", FIELDS_WITHOUT_A_KEY,
+                             ids=[field for _, field, _ in FIELDS_WITHOUT_A_KEY])
+    def test_a_field_without_a_key_is_an_unknown_key(self, tmp_path, capsys, section, field,
+                                                     raw):
+        path = tmp_path / "scenario.ini"
+        path.write_text(f"[{section}]\n\n{field} = {raw}\n")
+        assert main(["trial", "--config", str(path), "--latency-ms", "0.5",
+                     "--jitter-ms", "0.05", "--trial-seconds", "1"]) == 2
+        assert (f"scenario.ini, line 3: unknown key {field!r} in [{section}]"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("name", ["readme", "fuzz-corpus", "lossy", "table"])
+    def test_an_ini_run_reads_back_from_its_manifest(self, tmp_path, name):
+        # the INI reader and the manifest reader give the same run
+        root = Path(__file__).resolve().parents[1]
+        text = {"readme": re.search(r"```ini\n(.*?)```", (root / "README.md").read_text(),
+                                    re.S)[1],
+                "fuzz-corpus": (root / "tests" / "fuzz" / "scenario.ini").read_text(),
+                "lossy": "[sweep]\nlatencies_ms = 0.5\njitters_ms = 0.05\nseeds_per_cell = 1\n"
+                         "[channel.command]\nloss_rate = 0.9\n"
+                         "[channel.feedback]\nloss_rate = 0.9\n",
+                "table": "[trajectory]\nfile = moves.csv\n"}[name]
+        (tmp_path / "moves.csv").write_text("time_ms,setpoint_mm\n0,0\n500,10.5\n1000,0\n")
+        path = tmp_path / "scenario.ini"
+        path.write_text(text)
+        run = load_config(path)
+        assert run != load_config(None)
+        assert RunManifest.from_json(run.to_json()) == run
 
     def test_bad_gains_exit_config_error_naming_their_section(self, tmp_path, capsys):
         path = tmp_path / "scenario.ini"
@@ -507,7 +576,7 @@ class TestCli:
         (["render", "--matrix", "inf-jitter.csv"],
          "line 3: bad matrix row: inf ms is not finite and >= 0"),
         (["render", "--matrix", "nan-seconds.csv"],
-         "line 1: bad matrix header: nan s is not finite and >= 0"),
+         "line 1: bad matrix header: trial_seconds: nan s is not finite and >= 0"),
         (["trial", "--config", "pair.ini", "--latency-ms", "5"], "trial needs --jitter-ms"),
         (["trial", "--config", "pair.ini", "--jitter-ms", "0.1"], "trial needs --latency-ms"),
         (["trial", "--latency-ms", "0.5004", "--jitter-ms", "0.05"],
@@ -525,14 +594,14 @@ class TestCli:
         (["calibrate", "--screen-seconds", "0.0000004"],
          "argument --screen-seconds: 4e-07 s is not a whole number of us"),
         (["render", "--matrix", "fraction-seconds.csv"],
-         "line 1: bad matrix header: 1.0000004 s is not a whole number of us"),
+         "line 1: bad matrix header: trial_seconds: 1.0000004 s is not a whole number of us"),
         # finite values whose count of us overflows a float: each was a traceback
         (["trial", "--latency-ms", "1e306", "--jitter-ms", "0.1"],
          "argument --latency-ms: 1e+306 ms is too large to count in us"),
         (["trial", "--latency-ms", "1", "--jitter-ms", "0.1", "--trial-seconds", "1e303"],
          "argument --trial-seconds: 1e+303 s is too large to count in us"),
         (["render", "--matrix", "huge-seconds.csv"],
-         "line 1: bad matrix header: 1e+303 s is too large to count in us"),
+         "line 1: bad matrix header: trial_seconds: 1e+303 s is too large to count in us"),
         (["render", "--matrix", "huge-latency.csv"],
          "line 4: bad matrix row: 1e+306 ms is too large to count in us"),
     ], ids=["trial-seconds", "screen-seconds", "latency-ms", "jitter-ms", "not-a-matrix",
@@ -675,8 +744,7 @@ class TestOneTimeRule:
             with pytest.raises(ValueError) as spec:
                 SweepSpec(**{"latencies_ms": (float(raw),)} if ms
                           else {"trial_seconds": float(raw)})
-            # trial_seconds is the spec's one value in s, so it needs no name
-            assert str(spec.value) == ("latencies_ms: " if ms else "") + reason
+            assert str(spec.value) == ("latencies_ms: " if ms else "trial_seconds: ") + reason
             return
         if entry == "flag":
             flag = "--latency-ms" if ms else "--trial-seconds"
@@ -687,14 +755,15 @@ class TestOneTimeRule:
             Path("scenario.ini").write_text(f"[sweep]\nseeds_per_cell = 1\n{key} = {raw}\n")
             argv = ["trial", "--config", "scenario.ini", "--latency-ms", "0.5",
                     "--jitter-ms", "0.05"]
-            location = f"scenario.ini, line 3: {key} = {raw}: "
+            location = f"scenario.ini, line 3: [sweep] {key}: "
         else:
             Path("matrix.csv").write_text(
                 f"# ringmill-matrix v1 seeds=1 trial_seconds={'1' if ms else raw} master_seed=0\n"
                 "latency_ms,jitter_ms,class,default_outcomes,adapted_outcomes\n"
                 f"{raw if ms else '0.5'},0.05,pass,0|pass|none|0.1|1000000,\n")
             argv = ["render", "--matrix", "matrix.csv"]
-            location = "line 3: bad matrix row: " if ms else "line 1: bad matrix header: "
+            location = ("line 3: bad matrix row: " if ms
+                        else "line 1: bad matrix header: trial_seconds: ")
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects the flag

@@ -394,8 +394,10 @@ class TestRangeRule:
             raw = value / 1000 if field in MS_KEYS else value
             ini = tmp_path / "run.ini"
             ini.write_text(f"[{INI_SECTIONS[path]}]\n\n{MS_KEYS.get(field, field)} = {raw!r}\n")
-            with pytest.raises(ConfigError, match=f"^{re.escape(str(ini))}, line 3: "):
+            with pytest.raises(ConfigError, match=f"^{re.escape(str(ini))}, line 3: ") as refused:
                 load_config(ini)
+            if field not in MS_KEYS:  # a key in ms is read by the whole-µs rule, in ms
+                assert str(refused.value) == f"{ini}, line 3: [{INI_SECTIONS[path]}] {message}"
 
     @pytest.mark.parametrize("instance, field, value", CLOSED_ENDS,
                              ids=[f"{type(c[0]).__name__}.{c[1]}={c[2]!r}" for c in CLOSED_ENDS])

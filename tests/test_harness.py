@@ -353,6 +353,20 @@ class TestManifest:
         with pytest.raises(ValueError, match="manifest key 'scenario.trajectory.dwell' is unknown"):
             RunManifest.from_json(json.dumps(data))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("init_grace_us", 1, "adapted_config init_grace_us 1 is less than default_config's 2000000"),
+        ("watchdog_timeout_us", 2000,
+         "adapted_config watchdog_timeout_us 2000 is less than default_config's 2100"),
+    ], ids=["init-grace", "watchdog"])
+    def test_a_loop_pair_with_a_tighter_adapted_flavour_is_refused(self, field, value, message):
+        # it loaded, and its sweep failed at the first cell, naming neither config
+        data = json.loads(RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG,
+                                              ADAPTED_LOOP_CONFIG).to_json())
+        data["adapted_config"][field] = value
+        with pytest.raises(ValueError) as refused:
+            RunManifest.from_json(json.dumps(data))
+        assert str(refused.value) == message
+
     def test_manifest_that_is_not_an_object_is_rejected(self):
         with pytest.raises(ValueError, match="manifest is not a JSON object"):
             RunManifest.from_json("[]")
