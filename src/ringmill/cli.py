@@ -11,9 +11,8 @@ from typing import Callable
 from . import __version__
 from .channel import ChannelProfile
 from .config import ConfigError, load_config
-from .engine import US_PER_S, us_from
-from .harness import (RunManifest, ScriptError, _fmt, parse_matrix_csv, render_matrix,
-                      run_from_manifest, run_spectrum_scenario)
+from .engine import US_PER_S, ScriptError, _fmt, us_from
+from .harness import RunManifest, parse_matrix_csv, render_matrix, run_from_manifest
 from .trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, TrialTrace, calibrate, run_trial
 
 EXIT_OK = 0
@@ -109,6 +108,8 @@ def cmd_trial(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .spectrum import run_spectrum_scenario  # no other subcommand loads spectrum.py
+
     script = Path(args.script).read_text()
     out_dir = _output_dir(args.output_dir)
     result = run_spectrum_scenario(script)

@@ -13,9 +13,10 @@ items with its own counter and runs them from its own loop (see
 for a delivery event, and by callers that drive the ring through the
 engine.
 
-Every time value given in ms or s becomes µs by one rule, `us_from`:
-finite, >= 0 and a whole number of µs, or a ValueError with one wording
-per reason, to which each caller (flag, INI key, matrix line) adds its location.
+Every time value given in ms or s becomes µs, and every bandwidth given in
+MHz becomes kHz, by one rule, `us_from`: finite, >= 0 and a whole number of
+the base unit, or a ValueError with one wording per reason, to which each
+caller (flag, INI key, matrix line, script line) adds its location.
 
 Every configured value is typed by one rule, `hold`, which each
 configuration class applies to its fields first (`check_fields`).  A number
@@ -39,27 +40,40 @@ SimTime = int  # microseconds since simulation start
 
 US_PER_MS = 1_000
 US_PER_S = 1_000_000
+KHZ_PER_MHZ = 1_000
 
 
-def us_from(value: float, unit: str, positive: bool = False) -> SimTime:
-    """`value` in `unit` (``"ms"`` or ``"s"``) as integer µs, or a ValueError unless
-    it is no bool, finite and >= 0 (> 0 if `positive`, as for a length), its µs count
-    fits a float, and it is a whole number of µs up to the float rounding of the
-    value itself: 0.05 ms is 50 µs, but 0.5004 ms is refused."""
+def us_from(value: float, unit: str, positive: bool = False) -> int:
+    """`value` in `unit` as an int of its base unit (µs for ms and s, kHz for MHz), or
+    a ValueError unless it is no bool, finite and >= 0 (> 0 if `positive`, as for a
+    length), its count fits a float, and it is a whole number of the base unit up to the
+    float rounding of the value itself: 0.05 ms is 50 µs, but 0.5004 ms is refused."""
     if type(value) is bool:  # True would count as 1
         raise ValueError(f"{value} {unit} is not a number")
     if not 0 <= value < math.inf:
         raise ValueError(f"{value} {unit} is not finite and >= 0")
     if positive and not value:
         raise ValueError(f"{value} {unit} is not > 0")
-    scale = {"ms": US_PER_MS, "s": US_PER_S}[unit]
+    scale, base = {"ms": (US_PER_MS, "us"), "s": (US_PER_S, "us"),
+                   "MHz": (KHZ_PER_MHZ, "kHz")}[unit]
     try:
-        us = round(value * scale)
-        if us / scale == value:
-            return us
+        count = round(value * scale)
+        if count / scale == value:
+            return count
     except OverflowError:  # round(inf), or an int too large for a float
-        raise ValueError(f"{value} {unit} is too large to count in us") from None
-    raise ValueError(f"{value} {unit} is not a whole number of us")
+        raise ValueError(f"{value} {unit} is too large to count in {base}") from None
+    raise ValueError(f"{value} {unit} is not a whole number of {base}")
+
+
+class ScriptError(ValueError):
+    def __init__(self, line_number: int, message: str):
+        super().__init__(f"line {line_number}: {message}")
+        self.line_number = line_number
+
+
+def _fmt(value: float) -> str:
+    # every whole-µs value reads back exactly; 0.5, 2 or 60 as with `:g`
+    return f"{value:.15g}"
 
 
 _KINDS = {float: "a number", int: "an integer", bool: "a boolean", str: "a string"}

@@ -11,9 +11,8 @@ All randomness is pre-assigned per (cell, seed index), so evaluation
 order cannot influence any verdict, and a run manifest is sufficient to
 reproduce a sweep byte-for-byte.
 
-`run_spectrum_scenario` imports the spectrum module when it replays a
-script, so no other subcommand loads it; every module a trial or a sweep
-runs is imported here, at load.
+Every module a trial or a sweep runs is imported here, at load; spectrum
+scripts are replayed by `spectrum.py`.
 """
 
 from __future__ import annotations
@@ -24,14 +23,11 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, is_dataclass
 from types import UnionType
-from typing import TYPE_CHECKING, Annotated, Sequence, get_args, get_origin
+from typing import Annotated, Sequence, get_args, get_origin
 
-from .engine import In, SimTime, check_fields, derive_seed, field_hints, hold, us_from
+from .engine import In, ScriptError, _fmt, check_fields, derive_seed, field_hints, hold, us_from
 from .plant import FailCause, LoopConfig, TrialVerdict, validate_config_pair
 from .trial import DEFAULT_SCENARIO, Scenario, run_trial
-
-if TYPE_CHECKING:
-    from .spectrum import SpectrumManager
 
 ARTIFACT_VERSION = "0.6.0"
 
@@ -194,11 +190,6 @@ def run_sweep(spec: SweepSpec, default_config: LoopConfig, adapted_config: LoopC
 
 # ---------------------------------------------------------------------------
 # Rendering and parsing.
-
-
-def _fmt(value: float) -> str:
-    # every whole-µs value reads back exactly; 0.5, 2 or 60 as with `:g`
-    return f"{value:.15g}"
 
 
 _CSV_COLUMNS = "latency_ms,jitter_ms,class,default_outcomes,adapted_outcomes"
@@ -450,124 +441,3 @@ def run_from_manifest(manifest: RunManifest) -> tuple[SweepResult, str]:
                        manifest.scenario)
     manifest.wall_clock_seconds = time.monotonic() - started
     return result, render_matrix(result, "csv")
-
-
-# ---------------------------------------------------------------------------
-# Scripted spectrum scenarios.
-
-
-class ScriptError(ValueError):
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
-
-
-@dataclass
-class ScenarioResult:
-    manager: SpectrumManager
-    now: SimTime  # the latest time in the script, that of the last line replayed
-
-    def occupancy_report(self) -> str:
-        """The grants live at the end of the script and the occupancy at their centers."""
-        active = sorted(self.manager.active_grants(self.now), key=lambda g: g.grant_id)
-        lines = ["active grants:"]
-        for g in active:
-            lines.append(
-                f"  #{g.grant_id} {g.requester}: "
-                f"[{g.block.low_mhz:g}, {g.block.high_mhz:g}] MHz "
-                f"at ({_fmt(g.area.x)}, {_fmt(g.area.y)}) r={_fmt(g.area.radius)} m")
-        centers = sorted({(g.area.x, g.area.y) for g in active})
-        lines.append("occupancy at grant centers:")
-        for x, y in centers:
-            _, total = self.manager.occupancy_at(x, y, self.now)
-            lines.append(f"  ({_fmt(x)}, {_fmt(y)}): {total:g} MHz")
-        return "\n".join(lines) + "\n"
-
-
-_REQUEST_KEYS = ("x", "y", "r", "bw", "expires")
-
-
-def _parse_kv(tokens: list[str], line_no: int) -> dict[str, str]:
-    """A request's ``key=value`` tokens: each key one of `_REQUEST_KEYS`, once."""
-    out = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise ScriptError(line_no, f"expected key=value, got {tok!r}")
-        key, value = tok.split("=", 1)
-        if key not in _REQUEST_KEYS:
-            raise ScriptError(line_no, f"unknown request key {key!r}")
-        if key in out:
-            raise ScriptError(line_no, f"request key {key!r} given twice")
-        out[key] = value
-    return out
-
-
-def run_spectrum_scenario(script: str) -> ScenarioResult:
-    """Replay a timed request/release script through a spectrum manager.
-
-    Line format (times in microseconds from 0, positions in meters,
-    bandwidth MHz)::
-
-        at <t> request <requester> x=<x> y=<y> r=<radius> bw=<mhz> [expires=<t>]
-        at <t> release <requester>
-
-    A request takes no other key, and each key once.  Blank lines and
-    ``#`` comments are skipped.  A line that cannot be parsed or replayed
-    raises `ScriptError` with its line number.  Releases free the oldest
-    active grant of a requester; a grant whose lease has ended is not
-    active.
-    """
-    from .spectrum import CoverageArea, SpectrumError, SpectrumManager, SpectrumRequest
-
-    manager = SpectrumManager()
-    commands = []
-    for line_no, raw in enumerate(script.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) < 3 or tokens[0] != "at":
-            raise ScriptError(line_no, "expected: at <time_us> request|release ...")
-        try:
-            t = int(tokens[1])
-        except ValueError:
-            raise ScriptError(line_no, f"bad time {tokens[1]!r}") from None
-        if t < 0:
-            raise ScriptError(line_no, f"time {t} is before the script starts at 0")
-        verb = tokens[2]
-        if verb == "request":
-            if len(tokens) < 4:
-                raise ScriptError(line_no, "request needs a requester name")
-            kv = _parse_kv(tokens[4:], line_no)
-            try:
-                request = SpectrumRequest(
-                    tokens[3], CoverageArea(float(kv["x"]), float(kv["y"]), float(kv["r"])),
-                    float(kv["bw"]))
-                expires = int(kv["expires"]) if "expires" in kv else None
-            except KeyError as missing:
-                raise ScriptError(line_no, f"request missing {missing}") from None
-            except ValueError as bad:  # SpectrumError included
-                raise ScriptError(line_no, str(bad)) from None
-            commands.append((t, line_no, tokens[3], request, expires))
-        elif verb == "release":
-            if len(tokens) != 4:
-                raise ScriptError(line_no, "release takes exactly a requester name")
-            commands.append((t, line_no, tokens[3], None, None))
-        else:
-            raise ScriptError(line_no, f"unknown verb {verb!r}")
-
-    commands.sort(key=lambda c: (c[0], c[1]))
-    t = 0
-    for t, line_no, requester, request, expires in commands:
-        if request is not None:
-            try:
-                manager.request_spectrum(request, now=t, expires_at=expires)
-            except SpectrumError as exc:
-                raise ScriptError(line_no, str(exc)) from None
-        else:
-            held = [g for g in manager.active_grants(t) if g.requester == requester]
-            if not held:
-                raise ScriptError(line_no, f"{requester!r} holds no active grant to release")
-            manager.release_spectrum(held[0].grant_id, now=t)  # in id order: the oldest
-        manager.check_invariants(now=t)
-    return ScenarioResult(manager, t)

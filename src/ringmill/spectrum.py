@@ -1,4 +1,5 @@
-"""Location-aware spectrum management over a shared local band.
+"""Location-aware spectrum management over a shared local band, and the
+replay of timed request/release scripts through it.
 
 A central manager partitions a 100 MHz band (3700-3800 MHz by default)
 among networks that request bandwidth at a specific place.  Coverage is
@@ -6,6 +7,10 @@ modelled as closed planar discs; two grants conflict only if their discs
 intersect, so the same frequencies can be reused at disjoint sites.
 Assignment is first-fit ascending: the lowest contiguous free sub-block
 that fits.  Every decision is appended to an audit log.
+
+Frequencies are integer kHz, as times are integer µs, so every edge, width,
+union and capacity test is exact.  A request's MHz must be a whole number of
+kHz (`engine.us_from`); records and reports print MHz read back from kHz.
 
 Geometric scans touch only grants that can meet the query.  The manager
 keeps its grants ordered by center x, and a disc of radius r centred at x
@@ -22,10 +27,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Annotated, Iterable
 
-from .engine import In, SimTime, check_fields
-
-DEFAULT_BAND_LOW_MHZ = 3700.0
-DEFAULT_BAND_HIGH_MHZ = 3800.0
+from .engine import In, KHZ_PER_MHZ, ScriptError, SimTime, _fmt, check_fields, us_from
 
 
 class SpectrumError(ValueError):
@@ -38,28 +40,36 @@ class UnknownGrantError(LookupError):
 
 @dataclass(frozen=True)
 class SpectrumBlock:
-    low_mhz: float
-    high_mhz: float
+    low_khz: int
+    high_khz: int
 
     def __post_init__(self):
         check_fields(self, SpectrumError)
-        if not self.low_mhz < self.high_mhz:
-            raise SpectrumError(f"low_mhz {self.low_mhz} is not below high_mhz {self.high_mhz}")
+        if not self.low_khz < self.high_khz:
+            raise SpectrumError(f"low_khz {self.low_khz} is not below high_khz {self.high_khz}")
 
     @property
-    def width_mhz(self) -> float:
-        return self.high_mhz - self.low_mhz
+    def low_mhz(self) -> float:
+        return self.low_khz / KHZ_PER_MHZ
+
+    @property
+    def high_mhz(self) -> float:
+        return self.high_khz / KHZ_PER_MHZ
+
+    @property
+    def width_khz(self) -> int:
+        return self.high_khz - self.low_khz
 
     def overlaps(self, other: "SpectrumBlock") -> bool:
-        return self.low_mhz < other.high_mhz and other.low_mhz < self.high_mhz
+        return self.low_khz < other.high_khz and other.low_khz < self.high_khz
 
 
 @dataclass(frozen=True)
 class Band(SpectrumBlock):
     """The band a manager partitions, 3700-3800 MHz unless given."""
 
-    low_mhz: float = DEFAULT_BAND_LOW_MHZ
-    high_mhz: float = DEFAULT_BAND_HIGH_MHZ
+    low_khz: int = 3_700_000
+    high_khz: int = 3_800_000
 
 
 @dataclass(frozen=True)
@@ -84,10 +94,14 @@ class CoverageArea:
 class SpectrumRequest:
     requester: str
     area: CoverageArea
-    bandwidth_mhz: Annotated[float, In("(0, inf)")]
+    bandwidth_mhz: Annotated[float, In("(0, inf)")]  # held as the int bandwidth_khz too
 
     def __post_init__(self):
         check_fields(self, SpectrumError)
+        try:
+            object.__setattr__(self, "bandwidth_khz", us_from(self.bandwidth_mhz, "MHz"))
+        except ValueError as exc:
+            raise SpectrumError(f"bandwidth_mhz: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -128,10 +142,10 @@ def _live(grant: SpectrumGrant, now: SimTime) -> bool:
     return grant.expires_at is None or grant.expires_at > now
 
 
-def union_width_mhz(blocks: Iterable[SpectrumBlock]) -> float:
+def union_width_khz(blocks: Iterable[SpectrumBlock]) -> int:
     """Total width covered by the union of (possibly overlapping) blocks."""
-    edges = sorted((b.low_mhz, b.high_mhz) for b in blocks)
-    total = 0.0
+    edges = sorted((b.low_khz, b.high_khz) for b in blocks)
+    total = 0
     cur_low = cur_high = None
     for low, high in edges:
         if cur_high is None or low > cur_high:
@@ -167,11 +181,11 @@ class SpectrumManager:
     def active_grants(self, now: SimTime = 0) -> list[SpectrumGrant]:
         return [g for g in self._grants.values() if _live(g, now)]
 
-    def occupancy_at(self, x: float, y: float, now: SimTime = 0) -> tuple[list[tuple[int, SpectrumBlock]], float]:
-        """Grants covering a point, in id order, plus the union MHz they occupy there."""
+    def occupancy_at(self, x: float, y: float, now: SimTime = 0) -> tuple[list[tuple[int, SpectrumBlock]], int]:
+        """Grants covering a point, in id order, plus the union kHz they occupy there."""
         hits = sorted((g.grant_id, g.block) for g in self._near(x, 0.0, now)
                       if g.area.contains(x, y))
-        return hits, union_width_mhz(b for _, b in hits)
+        return hits, union_width_khz(b for _, b in hits)
 
     def _conflicting_blocks(self, area: CoverageArea, now: SimTime) -> list[SpectrumBlock]:
         return [g.block for g in self._near(area.x, area.radius, now)
@@ -225,22 +239,18 @@ class SpectrumManager:
                                     f"not after the request at {now}")
         self._purge_expired(now)
         occupied_blocks = self._conflicting_blocks(req.area, now)
-        occupied = union_width_mhz(occupied_blocks)
-        if req.bandwidth_mhz > self.band.width_mhz:
-            rejection = Rejection("oversized request", occupied)
-            self._log(now, req, "rejected", occupied, None, rejection.reason)
-            return rejection
-
-        low = self._first_fit(occupied_blocks, req.bandwidth_mhz)
+        occupied = union_width_khz(occupied_blocks)
+        low = self._first_fit(occupied_blocks, req.bandwidth_khz)
         if low is None:
-            rejection = Rejection("no contiguous block free at this place", occupied)
-            self._log(now, req, "rejected", occupied, None, rejection.reason)
-            return rejection
+            reason = ("oversized request" if req.bandwidth_khz > self.band.width_khz
+                      else "no contiguous block free at this place")
+            self._log(now, req, "rejected", occupied, None, reason)
+            return Rejection(reason, occupied / KHZ_PER_MHZ)
 
         grant = SpectrumGrant(
             grant_id=self._next_id,
             requester=req.requester,
-            block=SpectrumBlock(low, low + req.bandwidth_mhz),
+            block=SpectrumBlock(low, low + req.bandwidth_khz),
             area=req.area,
             expires_at=expires_at,
         )
@@ -259,25 +269,19 @@ class SpectrumManager:
         self._drop(grant_id)
         self.audit_log.append(DecisionRecord(
             time=now, requester=grant.requester, verdict="released",
-            bandwidth_mhz=grant.block.width_mhz, occupied_mhz=0.0,
+            bandwidth_mhz=grant.block.width_khz / KHZ_PER_MHZ, occupied_mhz=0.0,
             grant_id=grant_id))
 
     # -- internals ----------------------------------------------------------
 
-    def _first_fit(self, occupied: list[SpectrumBlock], width: float) -> float | None:
-        """Lowest start frequency of a free gap that fits `width`, else None.
-
-        A gap fits when the block that would be granted, ending at
-        fl(cursor + width), ends at or before the next occupied block or
-        the band edge.  Testing the gap's width instead, fl(low - cursor),
-        can round below `width` and skip a gap that fits exactly.
-        """
-        cursor = self.band.low_mhz
-        for block in sorted(occupied, key=lambda b: b.low_mhz):
-            if cursor + width <= block.low_mhz:
+    def _first_fit(self, occupied: list[SpectrumBlock], width: int) -> int | None:
+        """Lowest start, in kHz, of a free gap at least `width` kHz wide, else None."""
+        cursor = self.band.low_khz
+        for block in sorted(occupied, key=lambda b: b.low_khz):
+            if cursor + width <= block.low_khz:
                 return cursor
-            cursor = max(cursor, block.high_mhz)
-        if cursor + width <= self.band.high_mhz:
+            cursor = max(cursor, block.high_khz)
+        if cursor + width <= self.band.high_khz:
             return cursor
         return None
 
@@ -307,10 +311,10 @@ class SpectrumManager:
         for gid in expired:
             self._drop(gid)
 
-    def _log(self, now, req, verdict, occupied, grant_id, reason=""):
+    def _log(self, now, req, verdict, occupied_khz, grant_id, reason=""):
         self.audit_log.append(DecisionRecord(
             time=now, requester=req.requester, verdict=verdict,
-            bandwidth_mhz=req.bandwidth_mhz, occupied_mhz=occupied,
+            bandwidth_mhz=req.bandwidth_mhz, occupied_mhz=occupied_khz / KHZ_PER_MHZ,
             grant_id=grant_id, reason=reason))
 
     # -- integrity check used by tests and the scenario runner ---------------
@@ -351,9 +355,118 @@ class SpectrumManager:
                     f"interference: grants {a_id} and {min(clashes)} overlap "
                     f"in both area and frequency")
             if over_capacity is None:
-                total = union_width_mhz(covering)
-                if total > self.band.width_mhz + 1e-9:
-                    over_capacity = (f"capacity exceeded at grant {a_id} center: "
-                                     f"{total} MHz")
+                total = union_width_khz(covering)
+                if total > self.band.width_khz:
+                    over_capacity = f"capacity exceeded at grant {a_id} center: {total} kHz"
         if over_capacity is not None:
             raise AssertionError(over_capacity)
+
+
+
+@dataclass
+class ScenarioResult:
+    manager: SpectrumManager
+    now: SimTime  # the latest time in the script, that of the last line replayed
+
+    def occupancy_report(self) -> str:
+        """The grants live at the end of the script and the occupancy at their centers."""
+        active = sorted(self.manager.active_grants(self.now), key=lambda g: g.grant_id)
+        lines = ["active grants:"]
+        for g in active:
+            lines.append(
+                f"  #{g.grant_id} {g.requester}: "
+                f"[{g.block.low_mhz:g}, {g.block.high_mhz:g}] MHz "
+                f"at ({_fmt(g.area.x)}, {_fmt(g.area.y)}) r={_fmt(g.area.radius)} m")
+        centers = sorted({(g.area.x, g.area.y) for g in active})
+        lines.append("occupancy at grant centers:")
+        for x, y in centers:
+            _, total = self.manager.occupancy_at(x, y, self.now)
+            lines.append(f"  ({_fmt(x)}, {_fmt(y)}): {total / KHZ_PER_MHZ:g} MHz")
+        return "\n".join(lines) + "\n"
+
+
+_REQUEST_KEYS = ("x", "y", "r", "bw", "expires")
+
+
+def _parse_kv(tokens: list[str], line_no: int) -> dict[str, str]:
+    """A request's ``key=value`` tokens: each key one of `_REQUEST_KEYS`, once."""
+    out = {}
+    for tok in tokens:
+        if "=" not in tok:
+            raise ScriptError(line_no, f"expected key=value, got {tok!r}")
+        key, value = tok.split("=", 1)
+        if key not in _REQUEST_KEYS:
+            raise ScriptError(line_no, f"unknown request key {key!r}")
+        if key in out:
+            raise ScriptError(line_no, f"request key {key!r} given twice")
+        out[key] = value
+    return out
+
+
+def run_spectrum_scenario(script: str) -> ScenarioResult:
+    """Replay a timed request/release script through a spectrum manager.
+
+    Line format (times in microseconds from 0, positions in meters,
+    bandwidth in MHz, a whole number of kHz)::
+
+        at <t> request <requester> x=<x> y=<y> r=<radius> bw=<mhz> [expires=<t>]
+        at <t> release <requester>
+
+    A request takes no other key, and each key once.  Blank lines and
+    ``#`` comments are skipped.  A line that cannot be parsed or replayed
+    raises `ScriptError` with its line number.  Releases free the oldest
+    active grant of a requester; a grant whose lease has ended is not
+    active.
+    """
+    manager = SpectrumManager()
+    commands = []
+    for line_no, raw in enumerate(script.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if len(tokens) < 3 or tokens[0] != "at":
+            raise ScriptError(line_no, "expected: at <time_us> request|release ...")
+        try:
+            t = int(tokens[1])
+        except ValueError:
+            raise ScriptError(line_no, f"bad time {tokens[1]!r}") from None
+        if t < 0:
+            raise ScriptError(line_no, f"time {t} is before the script starts at 0")
+        verb = tokens[2]
+        if verb == "request":
+            if len(tokens) < 4:
+                raise ScriptError(line_no, "request needs a requester name")
+            kv = _parse_kv(tokens[4:], line_no)
+            try:
+                request = SpectrumRequest(
+                    tokens[3], CoverageArea(float(kv["x"]), float(kv["y"]), float(kv["r"])),
+                    float(kv["bw"]))
+                expires = int(kv["expires"]) if "expires" in kv else None
+            except KeyError as missing:
+                raise ScriptError(line_no, f"request missing {missing}") from None
+            except ValueError as bad:  # SpectrumError included
+                raise ScriptError(line_no, str(bad)) from None
+            commands.append((t, line_no, tokens[3], request, expires))
+        elif verb == "release":
+            if len(tokens) != 4:
+                raise ScriptError(line_no, "release takes exactly a requester name")
+            commands.append((t, line_no, tokens[3], None, None))
+        else:
+            raise ScriptError(line_no, f"unknown verb {verb!r}")
+
+    commands.sort(key=lambda c: (c[0], c[1]))
+    t = 0
+    for t, line_no, requester, request, expires in commands:
+        if request is not None:
+            try:
+                manager.request_spectrum(request, now=t, expires_at=expires)
+            except SpectrumError as exc:
+                raise ScriptError(line_no, str(exc)) from None
+        else:
+            held = [g for g in manager.active_grants(t) if g.requester == requester]
+            if not held:
+                raise ScriptError(line_no, f"{requester!r} holds no active grant to release")
+            manager.release_spectrum(held[0].grant_id, now=t)  # in id order: the oldest
+        manager.check_invariants(now=t)
+    return ScenarioResult(manager, t)

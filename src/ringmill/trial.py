@@ -135,7 +135,7 @@ from heapq import heapify, heappop, heappush
 from typing import Annotated
 
 from .channel import ZERO_IMPAIRMENT, ChannelProfile, frame_path
-from .engine import In, SimTime, US_PER_S, check_fields, component_rng, hold, us_from
+from .engine import In, SimTime, US_PER_S, _fmt, check_fields, component_rng, hold, us_from
 from .plant import (AxisModel, FailCause, LoopConfig, PidGains, Profile, TabulatedTrajectory,
                     TrapezoidTrajectory, TrialVerdict, setpoint_table)
 from .ring import RingConfig, RingConfigError
@@ -541,7 +541,7 @@ def calibrate(master_seed: int = 0,
     that breaks either is a `ConfigError`, raised before any trial runs.
     """
     from .config import ConfigError
-    from .harness import SweepSpec, _fmt, evaluate_cell, reference_pattern, run_sweep
+    from .harness import SweepSpec, evaluate_cell, reference_pattern, run_sweep
 
     spec = validation_spec or SweepSpec(master_seed=master_seed)
     if spec.master_seed != master_seed:

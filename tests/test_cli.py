@@ -503,9 +503,11 @@ class TestCli:
         assert main(["spectrum", "--script", str(script)]) == 2
         assert "line 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bw", ["0", "-5", "nan", "1e-13", "inf", "1e400"])
+    @pytest.mark.parametrize("bw", ["0", "-5", "nan", "1e-13", "inf", "1e400", "0.0005",
+                                    "1.3125", "1e308"])
     def test_bad_bandwidth_exits_config_error(self, tmp_path, capsys, bw):
-        # 1e-13 MHz parses, but is too narrow to move the block's upper edge
+        # 1e-13, 0.0005 and 1.3125 MHz parse, but are not whole numbers of kHz; 1e308
+        # MHz counts more kHz than a float holds
         script = tmp_path / "bad.txt"
         script.write_text("at 0 request a x=0 y=0 r=50 bw=20\n"
                           f"at 1 request b x=0 y=0 r=50 bw={bw}\n")

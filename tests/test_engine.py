@@ -180,7 +180,7 @@ CHECKED = [
     (SweepSpec(), ValueError, "spec", DEFAULT_SCENARIO),
     (RunManifest.for_run(SweepSpec(), DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG), ValueError, "",
      DEFAULT_SCENARIO),
-    (SpectrumBlock(3700.0, 3710.0), SpectrumError, None, None),
+    (SpectrumBlock(3_700_000, 3_710_000), SpectrumError, None, None),
     (Band(), SpectrumError, None, None),
     (CoverageArea(0.0, 0.0, 10.0), SpectrumError, None, None),
     (SpectrumRequest("a", CoverageArea(0.0, 0.0, 10.0), 5.0), SpectrumError, None, None),
@@ -243,7 +243,7 @@ class TestTypeRule:
         (lambda: RunManifest.for_run(None, DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG),
          ValueError, "spec"),
         (lambda: TrialVerdict(True, FailCause.NONE, 0.1, 1.5), ValueError, "survived_us"),
-        (lambda: Band("3700", "3800"), SpectrumError, "low_mhz"),
+        (lambda: Band("3700", "3800"), SpectrumError, "low_khz"),
         (lambda: PidGains(kp="1"), ValueError, "kp"),
         (lambda: TrapezoidTrajectory(amplitude_mm="20"), ValueError, "amplitude_mm"),
         (lambda: replace(DEFAULT_LOOP_CONFIG, fe_limit_mm="1"), ValueError, "fe_limit_mm"),

@@ -22,8 +22,8 @@ from pathlib import Path
 import pytest
 
 from ringmill.config import ConfigError, load_config
-from ringmill.harness import (RunManifest, ScriptError, parse_matrix_csv, render_matrix,
-                              run_spectrum_scenario)
+from ringmill.harness import RunManifest, ScriptError, parse_matrix_csv, render_matrix
+from ringmill.spectrum import run_spectrum_scenario
 
 TESTS = Path(__file__).resolve().parent
 INI = (TESTS / "fuzz" / "scenario.ini").read_text()

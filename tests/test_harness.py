@@ -15,12 +15,12 @@ from ringmill.engine import us_from
 from ringmill.harness import (CellClass, CellVerdict, RunManifest, ScriptError,
                               SweepResult, SweepSpec, _cell_class,
                               _trial_seed, evaluate_cell, parse_matrix_csv,
-                              reference_pattern, render_matrix,
-                              run_spectrum_scenario, run_sweep)
+                              reference_pattern, render_matrix, run_sweep)
 from ringmill.plant import (FailCause, PidGains, TabulatedTrajectory, TrapezoidTrajectory,
                             TrialVerdict)
 from ringmill.ring import RingConfig
-from ringmill.spectrum import CoverageArea, Rejection, SpectrumManager, SpectrumRequest
+from ringmill.spectrum import (CoverageArea, Rejection, SpectrumManager, SpectrumRequest,
+                              run_spectrum_scenario)
 from ringmill.trial import (ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, DEFAULT_SCENARIO, Scenario,
                             run_trial, symmetric_profiles)
 
@@ -559,7 +559,7 @@ class TestSpectrumScenario:
         result = run_spectrum_scenario(script)
         assert tally(result) == {"granted": 3}
         _, total = result.manager.occupancy_at(0, 0)
-        assert total == 100.0
+        assert total == 100_000
         assert "100 MHz" in result.occupancy_report()
 
     def test_two_disjoint_sites_both_get_full_band(self):

@@ -6,10 +6,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ringmill.harness import run_spectrum_scenario
 from ringmill.spectrum import (Band, CoverageArea, Rejection, SpectrumBlock,
                                SpectrumError, SpectrumManager, SpectrumRequest,
-                               UnknownGrantError, union_width_mhz)
+                               UnknownGrantError, run_spectrum_scenario, union_width_khz)
 
 SITE = CoverageArea(0.0, 0.0, 50.0)
 FAR_AWAY = CoverageArea(10_000.0, 0.0, 50.0)
@@ -23,13 +22,13 @@ def discs_intersect(a: CoverageArea, b: CoverageArea) -> bool:
     return dx * dx + dy * dy <= reach * reach
 
 
-def oracle_first_fit(band: Band, blocks: list[SpectrumBlock], width: float):
+def oracle_first_fit(band: Band, blocks: list[SpectrumBlock], width: int):
     """Lowest feasible start by exhaustive candidate scan (flush positions)."""
-    candidates = sorted({band.low_mhz} | {b.high_mhz for b in blocks})
+    candidates = sorted({band.low_khz} | {b.high_khz for b in blocks})
     for start in candidates:
-        if start + width > band.high_mhz:
+        if start + width > band.high_khz:
             continue
-        if all(not (start < b.high_mhz and b.low_mhz < start + width) for b in blocks):
+        if all(not (start < b.high_khz and b.low_khz < start + width) for b in blocks):
             return start
     return None
 
@@ -47,21 +46,21 @@ def oracle_violation(manager: SpectrumManager, now=0):
                 return (f"interference: grants {a.grant_id} and {b.grant_id} overlap "
                         f"in both area and frequency")
     for g in grants:
-        total = union_width_mhz(h.block for h in grants if h.area.contains(g.area.x, g.area.y))
-        if total > manager.band.width_mhz + 1e-9:
-            return f"capacity exceeded at grant {g.grant_id} center: {total} MHz"
+        total = union_width_khz(h.block for h in grants if h.area.contains(g.area.x, g.area.y))
+        if total > manager.band.width_khz:
+            return f"capacity exceeded at grant {g.grant_id} center: {total} kHz"
     return None
 
 
 def oracle_occupancy(manager: SpectrumManager, x, y, now=0):
     hits = [(g.grant_id, g.block) for g in manager.active_grants(now)
             if g.area.contains(x, y)]
-    return hits, union_width_mhz(b for _, b in hits)
+    return hits, union_width_khz(b for _, b in hits)
 
 
 def place(manager: SpectrumManager, area, bw, low_mhz, expires_at=None):
     """Grant `bw` at `low_mhz` whatever else holds it: builds violating grant sets."""
-    manager._first_fit = lambda occupied, width: low_mhz
+    manager._first_fit = lambda occupied, width: round(low_mhz * 1000)
     grant = manager.request_spectrum(SpectrumRequest("r", area, bw), expires_at=expires_at)
     del manager._first_fit
     return grant
@@ -88,13 +87,13 @@ class TestStaticPlan:
 
     def test_block_widths_are_20_20_60(self):
         grants = readme_static_plan().active_grants()
-        assert [g.block.width_mhz for g in grants] == [20.0, 20.0, 60.0]
+        assert [g.block.width_khz for g in grants] == [20_000, 20_000, 60_000]
 
     def test_overlay_carries_the_non_critical_role(self):
         grants = readme_static_plan().active_grants()
         overlay = [g for g in grants if g.requester == "overlay"]
         assert len(overlay) == 1
-        assert overlay[0].block.width_mhz == 60.0
+        assert overlay[0].block.width_khz == 60_000
 
 
 # -- request/reject -----------------------------------------------------------
@@ -103,7 +102,7 @@ class TestRequestSpectrum:
     def test_spatial_reuse_at_disjoint_area(self):
         manager = readme_static_plan()
         grant = manager.request_spectrum(SpectrumRequest("new", FAR_AWAY, 20.0))
-        assert grant.block == SpectrumBlock(3700.0, 3720.0)
+        assert grant.block == SpectrumBlock(3_700_000, 3_720_000)
 
     def test_saturated_site_rejects_with_occupied_100(self):
         manager = readme_static_plan()
@@ -113,7 +112,7 @@ class TestRequestSpectrum:
 
     def test_first_fit_on_empty_band(self):
         grant = SpectrumManager().request_spectrum(SpectrumRequest("n", SITE, 40.0))
-        assert grant.block == SpectrumBlock(3700.0, 3740.0)
+        assert grant.block == SpectrumBlock(3_700_000, 3_740_000)
 
     def test_oversized_request_rejected(self):
         outcome = SpectrumManager().request_spectrum(
@@ -164,19 +163,19 @@ class TestRelease:
         manager.release_spectrum(near.grant_id)
         active = manager.active_grants()
         assert [g.grant_id for g in active] == [far.grant_id]
-        assert far.block == SpectrumBlock(3700.0, 3740.0)
+        assert far.block == SpectrumBlock(3_700_000, 3_740_000)
 
 
 class TestOccupancy:
     def test_point_outside_every_area_is_empty(self):
         manager = readme_static_plan()
         hits, total = manager.occupancy_at(9_999.0, 9_999.0)
-        assert hits == [] and total == 0.0
+        assert hits == [] and total == 0
 
     def test_static_plan_site_is_saturated(self):
         manager = readme_static_plan()
         hits, total = manager.occupancy_at(0.0, 0.0)
-        assert len(hits) == 3 and total == 100.0
+        assert len(hits) == 3 and total == 100_000
 
     def test_same_band_disjoint_areas_lists_exactly_one(self):
         manager = SpectrumManager()
@@ -188,7 +187,7 @@ class TestOccupancy:
         expected = [g.grant_id for g in manager.active_grants()
                     if discs_intersect(g.area, CoverageArea(SITE.x, SITE.y, 1e-9))]
         assert [gid for gid, _ in hits] == expected == [a.grant_id]
-        assert total == 20.0
+        assert total == 20_000
 
     def test_lease_expiry_frees_the_block(self):
         manager = SpectrumManager()
@@ -197,7 +196,7 @@ class TestOccupancy:
         blocked = manager.request_spectrum(SpectrumRequest("b", SITE, 20.0), now=500)
         assert isinstance(blocked, Rejection)
         granted = manager.request_spectrum(SpectrumRequest("b", SITE, 20.0), now=1_000)
-        assert granted.block == SpectrumBlock(3700.0, 3720.0)
+        assert granted.block == SpectrumBlock(3_700_000, 3_720_000)
 
     @pytest.mark.parametrize("expires_at", [5, 10])
     def test_lease_that_ends_by_the_request_is_refused(self, expires_at):
@@ -209,7 +208,7 @@ class TestOccupancy:
         assert manager.active_grants(10) == [] and manager.audit_log == []
         granted = manager.request_spectrum(SpectrumRequest("a", SITE, 20.0), now=10,
                                            expires_at=11)
-        assert granted.block == SpectrumBlock(3700.0, 3720.0)
+        assert granted.block == SpectrumBlock(3_700_000, 3_720_000)
 
 
 class TestIntegerTimesAndIds:
@@ -250,6 +249,55 @@ class TestIntegerTimesAndIds:
         assert manager.active_grants() == []
 
 
+class TestWholeKhz:
+    """Block edges are int kHz.  In float MHz, three freed 0.1 MHz edges summed one ulp
+    short of the 0.3 MHz gap they left, and a band filled in 0.1 MHz steps held
+    99.99999999990905 MHz."""
+
+    def test_a_gap_freed_in_pieces_takes_a_request_of_its_width(self):
+        lines = ["request a x=0 y=0 r=10 bw=0.1", "request b x=0 y=0 r=10 bw=0.1",
+                 "request c x=0 y=0 r=10 bw=0.1", "request rest x=0 y=0 r=10 bw=99.7",
+                 "release a", "release b", "release c", "request big x=0 y=0 r=10 bw=0.3"]
+        result = run_spectrum_scenario("".join(f"at {t} {line}\n"
+                                               for t, line in enumerate(lines)))
+        assert result.manager.audit_log[-1].verdict == "granted"
+        big = result.manager.active_grants(7)[-1]
+        assert big.requester == "big"
+        assert (big.block.low_mhz, big.block.high_mhz) == (3700.0, 3700.3)
+        assert big.block == SpectrumBlock(3_700_000, 3_700_300)
+
+    def test_a_thousand_tenth_mhz_grants_fill_the_band_exactly(self):
+        manager = SpectrumManager()
+        for i in range(1_000):
+            grant = manager.request_spectrum(SpectrumRequest(f"r{i}", SITE, 0.1))
+            assert grant.block == SpectrumBlock(3_700_000 + 100 * i, 3_700_100 + 100 * i)
+        hits, total = manager.occupancy_at(SITE.x, SITE.y)
+        assert len(hits) == 1_000 and total == 100_000
+        outcome = manager.request_spectrum(SpectrumRequest("one-more", SITE, 0.1))
+        assert isinstance(outcome, Rejection)
+        assert outcome.reason == "no contiguous block free at this place"
+        assert f"occupied {manager.audit_log[-1].occupied_mhz:g} MHz" == "occupied 100 MHz"
+        manager.check_invariants()  # a band exactly full is within capacity
+
+    @pytest.mark.parametrize("bw, reason", [
+        (0.0005, "0.0005 MHz is not a whole number of kHz"),
+        (1.3125, "1.3125 MHz is not a whole number of kHz"),
+        (1e-13, "1e-13 MHz is not a whole number of kHz"),
+        (1e308, "1e+308 MHz is too large to count in kHz"),
+    ], ids=["half-khz", "1312.5-khz", "1e-13", "1e308"])
+    def test_a_bandwidth_that_is_not_whole_khz_is_refused(self, bw, reason):
+        # 0.0005 and 1.3125 were granted, 1e-13 refused as an empty block, and 1e308
+        # logged as an oversized request
+        with pytest.raises(SpectrumError) as refused:
+            SpectrumRequest("a", SITE, bw)
+        assert str(refused.value) == f"bandwidth_mhz: {reason}"
+
+    def test_a_whole_khz_bandwidth_is_held_as_its_khz(self):
+        request = SpectrumRequest("a", SITE, 1.724)
+        assert request.bandwidth_khz == 1_724 and request.bandwidth_mhz == 1.724
+        assert SpectrumRequest("a", SITE, 20).bandwidth_khz == 20_000
+
+
 # -- properties ---------------------------------------------------------------
 
 areas = st.builds(
@@ -259,9 +307,11 @@ areas = st.builds(
     radius=st.floats(min_value=1, max_value=120, allow_nan=False),
 )
 
+# bandwidths of 1 to 110 MHz in whole kHz, the only bandwidths a request takes
+bandwidths = st.integers(1_000, 110_000).map(lambda k: k / 1000)
+
 ops = st.lists(
-    st.tuples(st.sampled_from(["request", "release"]), areas,
-              st.floats(min_value=1, max_value=110, allow_nan=False)),
+    st.tuples(st.sampled_from(["request", "release"]), areas, bandwidths),
     min_size=1, max_size=25)
 
 
@@ -280,24 +330,24 @@ class TestInvariantProperties:
                 manager.release_spectrum(granted_ids.pop(0))
             manager.check_invariants()
 
-    @given(st.lists(st.tuples(areas, st.floats(min_value=1, max_value=110)),
-                    min_size=1, max_size=6))
-    @example([(CoverageArea(0, 3, 1), 1.7237885300315128),
+    @given(st.lists(st.tuples(areas, bandwidths), min_size=1, max_size=6))
+    @example([(CoverageArea(0, 3, 1), 1.724),
               (CoverageArea(0, 0, 2), 1.0),
-              (CoverageArea(0, 0, 1), 1.7237885300315128)])
+              (CoverageArea(0, 0, 1), 1.724)])
     @settings(max_examples=120, deadline=None)
     def test_decisions_match_first_fit_oracle(self, requests):
         manager = SpectrumManager()
         for area, bw in requests:
             conflicting = oracle_conflicting(manager, area)
-            want = None if bw > manager.band.width_mhz else \
-                oracle_first_fit(manager.band, conflicting, bw)
+            width = round(bw * 1000)
+            want = None if width > manager.band.width_khz else \
+                oracle_first_fit(manager.band, conflicting, width)
             outcome = manager.request_spectrum(SpectrumRequest("r", area, bw))
             if want is None:
                 assert isinstance(outcome, Rejection)
             else:
                 assert not isinstance(outcome, Rejection)
-                assert outcome.block.low_mhz == want
+                assert outcome.block.low_khz == want
 
     def test_first_fit_is_a_pure_function_of_active_set(self):
         # same request history replays to identical decisions, and churning
@@ -396,7 +446,7 @@ class TestPrunedScans:
         assert [gid for gid, _ in hits] == [large.grant_id]
         probe = manager.request_spectrum(
             SpectrumRequest("probe", CoverageArea(4_900.0, 0.0, 1.0), 10.0))
-        assert probe.block == SpectrumBlock(3710.0, 3720.0)
+        assert probe.block == SpectrumBlock(3_710_000, 3_720_000)
 
     def test_window_edges_do_not_round_a_disc_away(self):
         # fl(x - r) rounds above the grant's center, yet the center is
@@ -409,7 +459,7 @@ class TestPrunedScans:
             grant = manager.request_spectrum(
                 SpectrumRequest("edge", CoverageArea(sign * center, 0.0, r), 10.0))
             hits, total = manager.occupancy_at(sign * x, 0.0)
-            assert hits == [(grant.grant_id, grant.block)] and total == 10.0
+            assert hits == [(grant.grant_id, grant.block)] and total == 10_000
 
     def test_capacity_is_checked_after_every_pair(self):
         # disjoint blocks that together cover 110 MHz at both centers; the
@@ -417,7 +467,7 @@ class TestPrunedScans:
         manager = SpectrumManager()
         place(manager, CoverageArea(0.0, 0.0, 50.0), 60.0, 3700.0)
         place(manager, CoverageArea(10.0, 0.0, 50.0), 50.0, 3800.0)
-        want = "capacity exceeded at grant 1 center: 110.0 MHz"
+        want = "capacity exceeded at grant 1 center: 110000 kHz"
         assert oracle_violation(manager) == want
         with pytest.raises(AssertionError, match=want):
             manager.check_invariants()
@@ -433,7 +483,7 @@ class TestPrunedScans:
         # hypot(3, 4) is exactly 5.0: the center (3, 4) lies on the edge of
         # the 5 m disc at the origin, which adds its 60 MHz there
         ([((0.0, 0.0, 5.0), 60.0, 3700.0), ((3.0, 4.0, 1.0), 50.0, 3800.0)],
-         "capacity exceeded at grant 2 center: 110.0 MHz"),
+         "capacity exceeded at grant 2 center: 110000 kHz"),
     ], ids=["tangent-discs", "center-on-an-edge"])
     def test_a_disc_holds_its_edge(self, placements, want):
         manager = SpectrumManager()
@@ -455,6 +505,6 @@ class TestPrunedScans:
 
 
 def test_union_width_merges_overlaps():
-    blocks = [SpectrumBlock(3700, 3720), SpectrumBlock(3710, 3730),
-              SpectrumBlock(3760, 3770)]
-    assert union_width_mhz(blocks) == 40.0
+    blocks = [SpectrumBlock(3_700_000, 3_720_000), SpectrumBlock(3_710_000, 3_730_000),
+              SpectrumBlock(3_760_000, 3_770_000)]
+    assert union_width_khz(blocks) == 40_000

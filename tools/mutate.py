@@ -77,10 +77,6 @@ EQUIVALENT = {
     ("trial.py", "dv < neg_max_dv", "<="): _AXIS,
     ("trial.py", "velocity > v_limit", ">="): _AXIS,
     ("trial.py", "velocity < neg_v_limit", "<="): _AXIS,
-    # spectrum.SpectrumManager.check_invariants
-    ("spectrum.py", "total > self.band.width_mhz + 1e-9", ">="):
-        "differs only where a union of blocks is exactly the band width + 1e-9 MHz, and first "
-        "fit places every block inside the band, so no state the manager builds reaches that",
 }
 
 
