@@ -10,8 +10,8 @@ from typing import Callable
 
 from . import __version__
 from .channel import ChannelProfile
-from .config import ConfigError, load_config
-from .engine import US_PER_S, ScriptError, _fmt, us_from
+from .config import ConfigError, load_config, read_text
+from .engine import US_PER_S, ScriptError, Seed, _fmt, hold, us_from
 from .harness import RunManifest, parse_matrix_csv, render_matrix, run_from_manifest
 from .trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, TrialTrace, calibrate, run_trial
 
@@ -30,6 +30,14 @@ def time_in(unit: str, positive: bool = False) -> Callable[[str], float]:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return value
     return parse
+
+
+def seed(raw: str) -> int:
+    """The argparse type of --seed: an int in the range of `engine.Seed`."""
+    try:
+        return hold(int(raw), Seed, "seed")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _load_run(args) -> RunManifest:
@@ -110,7 +118,7 @@ def cmd_trial(args) -> int:
 def cmd_spectrum(args) -> int:
     from .spectrum import run_spectrum_scenario  # no other subcommand loads spectrum.py
 
-    script = Path(args.script).read_text()
+    script = read_text(args.script)
     out_dir = _output_dir(args.output_dir)
     result = run_spectrum_scenario(script)
     for record in result.manager.audit_log:
@@ -146,7 +154,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_render(args) -> int:
-    result = parse_matrix_csv(Path(args.matrix).read_text())
+    result = parse_matrix_csv(read_text(args.matrix))
     print(render_matrix(result, args.format), end="")
     return EXIT_OK
 
@@ -160,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="INI scenario file")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
+        p.add_argument("--seed", type=seed, default=None, help="master seed override")
         p.add_argument("--trial-seconds", type=time_in("s", positive=True), default=None,
                        help="simulated seconds per trial")
 

@@ -33,6 +33,16 @@ class ConfigError(ValueError):
     pass
 
 
+def read_text(path: str | Path) -> str:
+    """The text of the UTF-8 file at `path`, which a flag or key names; a file that
+    is not UTF-8 is a `ConfigError` that names it, since a `UnicodeDecodeError` is
+    a ValueError, not the OSError of a file that cannot be read."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def _bool(raw: str) -> bool:
     word = raw.lower()
     if word not in ("1", "yes", "true", "on", "0", "no", "false", "off"):
@@ -122,7 +132,7 @@ def load_config(path: str | Path | None) -> RunManifest:
     """The run the INI file at `path` describes; with no path, the shipped
     defaults.  A channel section absent from the file leaves its channel
     at the scenario's default: no delay, no jitter, no loss."""
-    read = _read_ini(Path(path).read_text() if path else "", path)
+    read = _read_ini(read_text(path) if path else "", path)
     data = json.loads(_shipped())
     lines: dict[str, tuple[str, int]] = {}  # key path -> (section, line) of what the file sets
     file = None
@@ -153,7 +163,7 @@ def load_config(path: str | Path | None) -> RunManifest:
             raise ConfigError(f"{path}, line {read['trajectory'][1][trapezoid[0]][0]}: "
                               f"{trapezoid[0]} is set, but file = {file} replaces the trapezoid")
         try:
-            table = load_trajectory_csv((Path(path).parent / file).read_text())
+            table = load_trajectory_csv(read_text(Path(path).parent / file))
         except (OSError, ValueError) as exc:
             raise ConfigError(f"{path}, line {number}: file = {file}: {exc}") from None
         data["scenario"]["trajectory"] = {"points": table.points}

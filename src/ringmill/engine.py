@@ -235,6 +235,11 @@ def derive_seed(*parts: int | str) -> int:
     return _splitmix64(state)
 
 
+#: a master or trial seed: `derive_seed` folds an int modulo 2**64, so a seed outside
+#: this range would run the trials of the seed it is congruent to
+Seed = Annotated[int, In("[0, 18446744073709551616)")]
+
+
 def component_rng(seed: int, *stream: int | str) -> random.Random:
     """Seeded generator for one named component of one run."""
     return random.Random(derive_seed(seed, *stream))

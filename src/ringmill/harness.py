@@ -25,7 +25,8 @@ from dataclasses import asdict, dataclass, field, is_dataclass
 from types import UnionType
 from typing import Annotated, Sequence, get_args, get_origin
 
-from .engine import In, ScriptError, _fmt, check_fields, derive_seed, field_hints, hold, us_from
+from .engine import (In, ScriptError, Seed, _fmt, check_fields, derive_seed, field_hints, hold,
+                     us_from)
 from .plant import FailCause, LoopConfig, TrialVerdict, validate_config_pair
 from .trial import DEFAULT_SCENARIO, Scenario, run_trial
 
@@ -73,7 +74,7 @@ class SweepSpec:
     jitters_ms: tuple[float, ...] = DEFAULT_JITTERS_MS
     seeds_per_cell: Annotated[int, In("[1, inf)")] = 3
     trial_seconds: float = 60.0
-    master_seed: int = 0
+    master_seed: Seed = 0
 
     def __post_init__(self):
         check_fields(self)  # True would run a 1 ms cell named True, or 1 s trials

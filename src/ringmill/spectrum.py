@@ -13,11 +13,12 @@ union and capacity test is exact.  A request's MHz must be a whole number of
 kHz (`engine.us_from`); records and reports print MHz read back from kHz.
 
 Geometric scans touch only grants that can meet the query.  The manager
-keeps its grants ordered by center x, and a disc of radius r centred at x
-can only meet grants whose center x lies within r + r_max of x, where
-r_max is the largest radius held.  The pruning is exact in floating point,
-so every scan decides exactly what a scan over all grants would; the
-argument is in `SpectrumManager._near`.
+keeps one flat record per grant, its numbers in a plain tuple, ordered by
+center x, and a disc of radius r centred at x can only meet grants whose
+center x lies within r + r_max of x, where r_max is the largest radius
+held.  The pruning is exact in floating point, so every scan decides
+exactly what a scan over all grants would; the argument is in
+`SpectrumManager._window`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Annotated, Iterable
 
 from .engine import In, KHZ_PER_MHZ, ScriptError, SimTime, _fmt, check_fields, us_from
@@ -142,9 +144,8 @@ def _live(grant: SpectrumGrant, now: SimTime) -> bool:
     return grant.expires_at is None or grant.expires_at > now
 
 
-def union_width_khz(blocks: Iterable[SpectrumBlock]) -> int:
-    """Total width covered by the union of (possibly overlapping) blocks."""
-    edges = sorted((b.low_khz, b.high_khz) for b in blocks)
+def _union_khz(edges: list[tuple[int, int]]) -> int:
+    """Total width covered by the union of (low, high) kHz pairs in ascending order."""
     total = 0
     cur_low = cur_high = None
     for low, high in edges:
@@ -159,17 +160,39 @@ def union_width_khz(blocks: Iterable[SpectrumBlock]) -> int:
     return total
 
 
+def union_width_khz(blocks: Iterable[SpectrumBlock]) -> int:
+    """Total width covered by the union of (possibly overlapping) blocks."""
+    return _union_khz(sorted((b.low_khz, b.high_khz) for b in blocks))
+
+
+_ID = itemgetter(5)  # a record's grant id
+
+
+def _record(grant: SpectrumGrant) -> tuple:
+    """A held grant's record: (x, y, radius, low_khz, high_khz, grant_id, expires_at)."""
+    area, block = grant.area, grant.block
+    return (area.x, area.y, area.radius, block.low_khz, block.high_khz, grant.grant_id,
+            grant.expires_at)
+
+
 class SpectrumManager:
     """Central grant/reject authority for one shared band.
 
     All requests pass through this single object in call order, which is
     the serialized decision queue of the central network controller.
+
+    Each held grant has one record, a plain tuple of the numbers a scan
+    reads: ``(x, y, radius, low_khz, high_khz, grant_id, expires_at)``.
+    The records are kept in (center x, id) order, beside their center x,
+    so that `_window` can bisect for the ones a disc can meet; every query
+    reads records, and only `occupancy_at` goes back to the grant objects,
+    for the blocks it returns.
     """
 
     def __init__(self, band: Band | None = None):
         self.band = band or Band()
         self._grants: dict[int, SpectrumGrant] = {}  # id order
-        self._by_x: list[SpectrumGrant] = []  # the same grants in (center x, id) order
+        self._by_x: list[tuple] = []  # the same grants' records in (center x, id) order
         self._xs: list[float] = []  # their center x, ascending
         self._radii: list[float] = []  # their radii, ascending
         self._expiries: list[SimTime] = []  # their lease ends, ascending; static grants have none
@@ -183,28 +206,43 @@ class SpectrumManager:
 
     def occupancy_at(self, x: float, y: float, now: SimTime = 0) -> tuple[list[tuple[int, SpectrumBlock]], int]:
         """Grants covering a point, in id order, plus the union kHz they occupy there."""
-        hits = sorted((g.grant_id, g.block) for g in self._near(x, 0.0, now)
-                      if g.area.contains(x, y))
+        hits = sorted((gid, self._grants[gid].block)
+                      for gx, gy, r, _, _, gid, _ in self._near(x, 0.0, now)
+                      if math.hypot(gx - x, gy - y) <= r)
         return hits, union_width_khz(b for _, b in hits)
 
-    def _conflicting_blocks(self, area: CoverageArea, now: SimTime) -> list[SpectrumBlock]:
-        return [g.block for g in self._near(area.x, area.radius, now)
-                if g.area.intersects(area)]
+    def _conflicting(self, area: CoverageArea, now: SimTime) -> list[tuple[int, int]]:
+        """The (low, high) kHz of each live grant whose disc meets `area`, ascending."""
+        x, y, radius = area.x, area.y, area.radius
+        return sorted([(low, high) for gx, gy, r, low, high, _, _ in self._near(x, radius, now)
+                       if math.hypot(gx - x, gy - y) <= r + radius])
 
-    def _near(self, x: float, radius: float, now: SimTime) -> list[SpectrumGrant]:
-        """Live grants, in x order, that a disc of `radius` centred at `x` can meet.
+    def _near(self, x: float, radius: float, now: SimTime) -> list[tuple]:
+        """The records of live grants, in x order, that a disc of `radius` centred
+        at `x` can meet: those in `_window`, less any whose lease ended by `now`."""
+        lo, hi = self._window(x, radius)
+        near = self._by_x[lo:hi]
+        if self._expiries and self._expiries[0] <= now:
+            near = [rec for rec in near if rec[6] is None or rec[6] > now]  # its lease end
+        return near
+
+    def _window(self, x: float, radius: float) -> tuple[int, int]:
+        """The slice (lo, hi) of the x order that holds every grant a disc of
+        `radius` centred at `x` can meet; a point is a disc of radius 0.
 
         These are the grants whose center x lies within reach = fl(radius +
-        r_max) of `x`, r_max being the largest radius held; a point is a
-        disc of radius 0.  Leaving the others out is exact in floating
-        point.  A grant b left out has fl(|b.x - x|) > fl(radius + r_max)
-        >= fl(radius + b.radius), because rounding is monotone and r_max >=
-        b.radius.  `CoverageArea.intersects` and `contains` compare
-        math.hypot(dx, dy) with that sum (with b.radius alone for a point),
-        where |dx| = fl(|b.x - x|), and hypot(dx, dy) >= |dx|: math.hypot
-        errs by under one ulp, and |dx| is a float no greater than the
-        exact hypotenuse.  So both return False for b.
-        The window is bisected at the rounded edges fl(x - reach) and
+        r_max) of `x`, r_max being the largest radius held.  Leaving the
+        others out is exact in floating point.  Every query compares
+        d = math.hypot(dx, dy), the distance from the query's center to a
+        grant b's, where |dx| = fl(|b.x - x|), with fl(radius + b.radius), or
+        with b.radius alone at a point or a center: the comparisons of
+        `CoverageArea.intersects` and `contains`.  A grant b left out has
+        fl(|b.x - x|) > fl(radius + r_max) >= fl(radius + b.radius) >=
+        b.radius, because rounding is monotone, r_max >= b.radius and
+        radius >= 0.  And d >= |dx|: math.hypot errs by under one ulp, and
+        |dx| is a float no greater than the exact hypotenuse.  So every
+        comparison is False for b.
+        The slice is bisected at the rounded edges fl(x - reach) and
         fl(x + reach), then widened while the next center out still has
         fl(|b.x - x|) <= reach; that predicate is monotone in b.x on each
         side of `x`, so no center past a failing one satisfies it.
@@ -212,7 +250,7 @@ class SpectrumManager:
         """
         xs = self._xs
         if not xs:
-            return []
+            return 0, 0
         reach = radius + self._radii[-1]
         lo = bisect_left(xs, x - reach)
         while lo and x - xs[lo - 1] <= reach:
@@ -220,10 +258,7 @@ class SpectrumManager:
         hi = bisect_right(xs, x + reach, lo)
         while hi < len(xs) and xs[hi] - x <= reach:
             hi += 1
-        near = self._by_x[lo:hi]
-        if self._expiries and self._expiries[0] <= now:
-            near = [g for g in near if _live(g, now)]
-        return near
+        return lo, hi
 
     # -- commands -----------------------------------------------------------
 
@@ -238,9 +273,9 @@ class SpectrumManager:
                 raise SpectrumError(f"lease expires at {expires_at}, "
                                     f"not after the request at {now}")
         self._purge_expired(now)
-        occupied_blocks = self._conflicting_blocks(req.area, now)
-        occupied = union_width_khz(occupied_blocks)
-        low = self._first_fit(occupied_blocks, req.bandwidth_khz)
+        occupied_edges = self._conflicting(req.area, now)
+        occupied = _union_khz(occupied_edges)
+        low = self._first_fit(occupied_edges, req.bandwidth_khz)
         if low is None:
             reason = ("oversized request" if req.bandwidth_khz > self.band.width_khz
                       else "no contiguous block free at this place")
@@ -274,30 +309,32 @@ class SpectrumManager:
 
     # -- internals ----------------------------------------------------------
 
-    def _first_fit(self, occupied: list[SpectrumBlock], width: int) -> int | None:
-        """Lowest start, in kHz, of a free gap at least `width` kHz wide, else None."""
+    def _first_fit(self, occupied: list[tuple[int, int]], width: int) -> int | None:
+        """Lowest start, in kHz, of a free gap at least `width` kHz wide beside the
+        ascending (low, high) kHz pairs `occupied`, else None."""
         cursor = self.band.low_khz
-        for block in sorted(occupied, key=lambda b: b.low_khz):
-            if cursor + width <= block.low_khz:
+        for low, high in occupied:
+            if cursor + width <= low:
                 return cursor
-            cursor = max(cursor, block.high_khz)
+            cursor = max(cursor, high)
         if cursor + width <= self.band.high_khz:
             return cursor
         return None
 
     def _hold(self, grant: SpectrumGrant) -> None:
         self._grants[grant.grant_id] = grant
-        i = bisect_right(self._xs, grant.area.x)  # after equal x, so in id order
-        self._xs.insert(i, grant.area.x)
-        self._by_x.insert(i, grant)
-        self._radii.insert(bisect_right(self._radii, grant.area.radius), grant.area.radius)
+        x, radius = grant.area.x, grant.area.radius
+        i = bisect_right(self._xs, x)  # after equal x, so in id order
+        self._xs.insert(i, x)
+        self._by_x.insert(i, _record(grant))
+        self._radii.insert(bisect_right(self._radii, radius), radius)
         if grant.expires_at is not None:
             self._expiries.insert(bisect_right(self._expiries, grant.expires_at),
                                   grant.expires_at)
 
     def _drop(self, grant_id: int) -> SpectrumGrant:
         grant = self._grants.pop(grant_id)
-        i = self._by_x.index(grant, bisect_left(self._xs, grant.area.x))
+        i = self._by_x.index(_record(grant), bisect_left(self._xs, grant.area.x))
         del self._xs[i], self._by_x[i]
         del self._radii[bisect_left(self._radii, grant.area.radius)]
         if grant.expires_at is not None:
@@ -324,43 +361,45 @@ class SpectrumManager:
 
         Every pair of live grants whose discs intersect must hold disjoint
         blocks, and the union of the blocks covering each grant's center
-        must fit the band.  Each grant is tested only against the grants
-        `_near` it, which leaves out exactly the grants whose discs cannot
-        meet it or its center (a point query at the center would look no
-        further than that).  So the verdict and the violation reported are
-        those of testing every pair and then every center: the lowest
-        interfering grant id with its lowest-id partner, else the first
-        center over capacity in id order.
+        must fit the band.  The live records are taken in id order, and each
+        is tested only against the records `_near` it, which leaves out
+        exactly the grants whose discs cannot meet it or its center (a point
+        query at the center would look no further than that).  So the
+        verdict and the violation reported are those of testing every pair
+        and then every center: the lowest interfering grant id with its
+        lowest-id partner, else the first center over capacity in id order.
 
         One scan of that window serves both tests, with one distance
-        d = math.hypot(a.x - b.x, a.y - b.y) per pair: `a.area.intersects(
-        b.area)` compares d with a.radius + b.radius, and `b.area.contains(
-        a.x, a.y)` computes d too, as hypot(b.x - a.x, b.y - a.y), because
-        fl(b.x - a.x) = -fl(a.x - b.x) and hypot ignores signs.
+        d = math.hypot(a.x - b.x, a.y - b.y) per pair, each record unpacked
+        into locals: `a.area.intersects(b.area)` compares d with a.radius +
+        b.radius, and `b.area.contains(a.x, a.y)` computes d too, as
+        hypot(b.x - a.x, b.y - a.y), because fl(b.x - a.x) = -fl(a.x - b.x)
+        and hypot ignores signs.  The covering blocks' union is taken over
+        their (low, high) kHz pairs.
         """
+        band_khz, hypot = self.band.width_khz, math.hypot
         over_capacity = None
-        for a in self.active_grants(now):
-            a_id, block = a.grant_id, a.block
-            ax, ay, ar = a.area.x, a.area.y, a.area.radius
+        for ax, ay, ar, a_low, a_high, a_id, a_end in sorted(self._by_x, key=_ID):
+            if a_end is not None and a_end <= now:
+                continue
             clashes, covering = [], []
-            for b in self._near(ax, ar, now):
-                area = b.area
-                d = math.hypot(ax - area.x, ay - area.y)
-                if d <= area.radius:
-                    covering.append(b.block)
-                if b.grant_id > a_id and d <= ar + area.radius and block.overlaps(b.block):
-                    clashes.append(b.grant_id)
+            for bx, by, br, b_low, b_high, b_id, _ in self._near(ax, ar, now):
+                d = hypot(ax - bx, ay - by)
+                if d <= br:
+                    covering.append((b_low, b_high))
+                if b_id > a_id and d <= ar + br and a_low < b_high and b_low < a_high:
+                    clashes.append(b_id)
             if clashes:
                 raise AssertionError(
                     f"interference: grants {a_id} and {min(clashes)} overlap "
                     f"in both area and frequency")
             if over_capacity is None:
-                total = union_width_khz(covering)
-                if total > self.band.width_khz:
+                covering.sort()
+                total = _union_khz(covering)
+                if total > band_khz:
                     over_capacity = f"capacity exceeded at grant {a_id} center: {total} kHz"
         if over_capacity is not None:
             raise AssertionError(over_capacity)
-
 
 
 @dataclass

@@ -135,7 +135,8 @@ from heapq import heapify, heappop, heappush
 from typing import Annotated
 
 from .channel import ZERO_IMPAIRMENT, ChannelProfile, frame_path
-from .engine import In, SimTime, US_PER_S, _fmt, check_fields, component_rng, hold, us_from
+from .engine import (In, Seed, SimTime, US_PER_S, _fmt, check_fields, component_rng, hold,
+                     us_from)
 from .plant import (AxisModel, FailCause, LoopConfig, PidGains, Profile, TabulatedTrajectory,
                     TrapezoidTrajectory, TrialVerdict, setpoint_table)
 from .ring import RingConfig, RingConfigError
@@ -454,13 +455,13 @@ def run_trial(config: LoopConfig,
               command_profile: ChannelProfile,
               feedback_profile: ChannelProfile,
               trial_length_us: SimTime = 60 * US_PER_S,
-              seed: int = 0,
+              seed: Seed = 0,
               scenario: Scenario = DEFAULT_SCENARIO,
               feedback_blackout_us: SimTime | None = None,
               trace: TrialTrace | None = None) -> TrialVerdict:
     """Run one closed-loop trial and return its verdict."""
     hold(trial_length_us, _TRIAL_LENGTH_US, "trial_length_us")
-    hold(seed, int, "seed")
+    hold(seed, Seed, "seed")
     harness = _LoopHarness(config, command_profile, feedback_profile, trial_length_us,
                            seed, scenario, feedback_blackout_us, trace)
     return harness.run()

@@ -711,6 +711,34 @@ class TestCli:
     def test_missing_file_exits_config_error(self, capsys):
         assert main(["render", "--matrix", "/nonexistent/matrix.csv"]) == 2
 
+    @pytest.mark.parametrize("flag", [["trial", "--config"], ["spectrum", "--script"],
+                                      ["render", "--matrix"]], ids=["config", "script", "matrix"])
+    def test_a_file_that_is_not_utf8_exits_config_error_naming_it(self, tmp_path, capsys, flag):
+        # a UnicodeDecodeError is a ValueError, not an OSError: each was a traceback, exit 1
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe")
+        assert main([*flag, str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text: ")
+
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"], ids=["2**64", "-1"])
+    def test_a_seed_outside_64_bits_exits_config_error(self, tmp_path, capsys, monkeypatch,
+                                                       seed):
+        # a seed is folded modulo 2**64: --seed 2**64 wrote seed 0's trace byte for byte,
+        # and -1 that of 2**64 - 1; so did a matrix header's master seed
+        trials = spy_on_trials(monkeypatch)
+        reason = f"seed {seed} is not an integer in [0, 18446744073709551616)"
+        with pytest.raises(SystemExit) as exc:
+            main(["trial", "--seed", seed, "--trial-seconds", "1"])
+        assert exc.value.code == 2
+        assert f"argument --seed: {reason}" in capsys.readouterr().err
+        matrix = tmp_path / "matrix.csv"
+        matrix.write_text(f"# ringmill-matrix v1 seeds=1 trial_seconds=1 master_seed={seed}\n"
+                          "latency_ms,jitter_ms,class,default_outcomes,adapted_outcomes\n"
+                          "0.5,0.05,pass,0|pass|none|0.1|1000000,\n")
+        assert main(["render", "--matrix", str(matrix)]) == 2
+        assert f"line 1: bad matrix header: master_{reason}" in capsys.readouterr().err
+        assert trials == []
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -1,10 +1,11 @@
 import math
 import random
 import re
+from bisect import bisect_left
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from ringmill.spectrum import (Band, CoverageArea, Rejection, SpectrumBlock,
                                SpectrumError, SpectrumManager, SpectrumRequest,
@@ -502,6 +503,74 @@ class TestPrunedScans:
                 CoverageArea(0.0, bad, 5.0)
         with pytest.raises(SpectrumError):
             CoverageArea(0.0, 0.0, math.inf)
+
+
+# -- the flat records ------------------------------------------------------------
+
+def rebuilt_records(manager: SpectrumManager) -> list[tuple]:
+    """The record of every held grant, rebuilt from the grants, in (center x, id) order."""
+    return sorted(((g.area.x, g.area.y, g.area.radius, g.block.low_khz, g.block.high_khz,
+                    g.grant_id, g.expires_at) for g in manager._grants.values()),
+                  key=lambda record: (record[0], record[5]))
+
+
+# few center x and two radii, so that several held grants share both
+tied_areas = st.builds(CoverageArea, x=st.sampled_from([-40.0, 0.0, 25.0]),
+                       y=st.sampled_from([-300.0, 0.0, 300.0]),
+                       radius=st.sampled_from([10.0, 30.0]))
+
+# (verb, area, bandwidth, lease length or None, which held grant to release), each a µs
+# after the last; a lease ends as time passes, and a request purges it
+steps = st.lists(st.tuples(st.sampled_from(["request", "request", "release", "purge"]),
+                           tied_areas, st.sampled_from([5.0, 20.0, 45.0]),
+                           st.sampled_from([None, 1, 2, 4]), st.integers(0, 20)),
+                 min_size=1, max_size=30)
+
+
+def replay_checking_records(manager: SpectrumManager, sequence) -> None:
+    """Replay `sequence`, checking the flat records after every step."""
+    for now, (verb, area, bw, lease, pick) in enumerate(sequence):
+        held = manager.active_grants(now)
+        if verb == "request":
+            manager.request_spectrum(SpectrumRequest("r", area, bw), now=now,
+                                     expires_at=None if lease is None else now + lease)
+        elif verb == "release" and held:
+            manager.release_spectrum(held[pick % len(held)].grant_id, now=now)
+        elif verb == "purge":
+            manager._purge_expired(now)
+        records = rebuilt_records(manager)
+        assert manager._by_x == records, "the records are not those of the grants"
+        assert manager._xs == [record[0] for record in records]
+
+
+class StaleRecordManager(SpectrumManager):
+    """A mutant whose `_drop` deletes the first record at the grant's center x: of two
+    grants at one x it can leave the dropped grant's tuple and delete the other's."""
+
+    def _drop(self, grant_id):
+        grant = self._grants.pop(grant_id)
+        i = bisect_left(self._xs, grant.area.x)
+        del self._xs[i], self._by_x[i]
+        del self._radii[bisect_left(self._radii, grant.area.radius)]
+        if grant.expires_at is not None:
+            del self._expiries[bisect_left(self._expiries, grant.expires_at)]
+        return grant
+
+
+class TestFlatRecords:
+    @given(steps)
+    @settings(max_examples=150, deadline=None)
+    def test_records_match_the_grants_after_every_step(self, sequence):
+        replay_checking_records(SpectrumManager(), sequence)
+
+    def test_a_drop_that_leaves_a_stale_record_fails(self):
+        @given(steps)
+        @settings(max_examples=150, deadline=None, phases=[Phase.generate])  # no shrinking
+        def on_the_mutant(sequence):
+            replay_checking_records(StaleRecordManager(), sequence)
+
+        with pytest.raises(AssertionError, match="the records are not those of the grants"):
+            on_the_mutant()
 
 
 def test_union_width_merges_overlaps():

@@ -505,6 +505,14 @@ class TestRunTrialInput:
         with pytest.raises(ValueError, match=f"^seed {seed!r} is not an integer$"):
             run_trial(DEFAULT_LOOP_CONFIG, cmd, fb, trial_length_us=1_000, seed=seed)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64], ids=["-1", "2**64"])
+    def test_a_seed_outside_64_bits_is_refused(self, seed):
+        # derive_seed folds a seed modulo 2**64: 2**64 ran seed 0's trial, -1 that of 2**64 - 1
+        cmd, fb = symmetric_profiles(0.5, 0.05)
+        with pytest.raises(ValueError, match=rf"^seed {seed} is not an integer "
+                                             r"in \[0, 18446744073709551616\)$"):
+            run_trial(DEFAULT_LOOP_CONFIG, cmd, fb, trial_length_us=1_000, seed=seed)
+
 
 class TestDeterminism:
     def test_identical_runs_identical_verdicts(self):
