@@ -1,4 +1,13 @@
-"""Command-line entry points: sweep, trial, spectrum, calibrate, render."""
+"""Command-line entry points: sweep, trial, spectrum, calibrate, render.
+
+At load this module imports only `engine`, for the flag types, the errors
+that `main` maps to exit 2 and what the output lines share, so `ringmill
+--version` and a bad flag load nothing else.  Each subcommand imports on
+entry what it runs: `spectrum` only `spectrum.py`; `trial`, `sweep` and
+`calibrate` the trial stack (`config`, `harness`, `trial`, `plant`,
+`channel`, `ring`), and `render` that stack less `config`.  A trial run
+from here is `harness.run_trial`, the name that a sweep's cells call too.
+"""
 
 from __future__ import annotations
 
@@ -6,14 +15,14 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from . import __version__
-from .channel import ChannelProfile
-from .config import ConfigError, load_config, read_text
-from .engine import US_PER_S, ScriptError, Seed, _fmt, hold, us_from
-from .harness import RunManifest, parse_matrix_csv, render_matrix, run_from_manifest
-from .trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, TrialTrace, calibrate, run_trial
+from .engine import US_PER_S, ConfigError, ScriptError, Seed, _fmt, hold, read_text, us_from
+
+if TYPE_CHECKING:
+    from .channel import ChannelProfile
+    from .harness import RunManifest
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,6 +51,8 @@ def seed(raw: str) -> int:
 
 def _load_run(args) -> RunManifest:
     """`load_config` of --config, with --seed and --trial-seconds applied."""
+    from .config import load_config
+
     run = load_config(args.config)
     overrides = {"master_seed": args.seed, "trial_seconds": args.trial_seconds}
     spec = replace(run.spec, **{k: v for k, v in overrides.items() if v is not None})
@@ -63,6 +74,8 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
 
 
 def cmd_sweep(args) -> int:
+    from .harness import render_matrix, run_from_manifest
+
     run = _load_run(args)
     out_dir = _output_dir(args.output_dir)
     result, matrix_csv = run_from_manifest(run)
@@ -88,6 +101,9 @@ def _link(profile: ChannelProfile) -> str:
 
 
 def cmd_trial(args) -> int:
+    from .harness import run_trial
+    from .trial import TrialTrace
+
     run = _load_run(args)
     config = run.default_config if args.profile == "default" else run.adapted_config
     if (args.latency_ms is None) != (args.jitter_ms is None):
@@ -116,7 +132,7 @@ def cmd_trial(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    from .spectrum import run_spectrum_scenario  # no other subcommand loads spectrum.py
+    from .spectrum import run_spectrum_scenario
 
     script = read_text(args.script)
     out_dir = _output_dir(args.output_dir)
@@ -136,6 +152,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from .harness import render_matrix
+    from .trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, calibrate
+
     run = _load_run(args)
     if (run.default_config, run.adapted_config) != (DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG):
         raise ConfigError(f"{args.config}: calibrate searches loop pairs around the shipped "
@@ -154,6 +173,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .harness import parse_matrix_csv, render_matrix
+
     result = parse_matrix_csv(read_text(args.matrix))
     print(render_matrix(result, args.format), end="")
     return EXIT_OK

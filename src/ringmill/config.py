@@ -23,24 +23,10 @@ import re
 from functools import cache, reduce
 from pathlib import Path
 
-from .engine import us_from
+from .engine import ConfigError, read_text, us_from
 from .harness import ManifestError, RunManifest, SweepSpec, _read
 from .plant import load_trajectory_csv
 from .trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG
-
-
-class ConfigError(ValueError):
-    pass
-
-
-def read_text(path: str | Path) -> str:
-    """The text of the UTF-8 file at `path`, which a flag or key names; a file that
-    is not UTF-8 is a `ConfigError` that names it, since a `UnicodeDecodeError` is
-    a ValueError, not the OSError of a file that cannot be read."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _bool(raw: str) -> bool:

@@ -22,6 +22,12 @@ Every configured value is typed by one rule, `hold`, which each
 configuration class applies to its fields first (`check_fields`).  A number
 field's range is part of its annotation, ``Annotated[float, In("[0, 1]")]``,
 and `hold` checks it after the kind: ``loss_rate 1.5 is not a number in [0, 1]``.
+
+It also holds all that `cli` needs at load, so that a subcommand loads only
+the modules it runs: the errors that `cli.main` reports with exit 2
+(`ScriptError` for a script or matrix line, `ConfigError` for a scenario,
+its flags or a file a flag names), `read_text` for such a file, `_fmt` for
+the values an output line prints, and `US_PER_S`.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from contextlib import suppress
 from dataclasses import dataclass, fields
 from functools import cache
 from numbers import Real
+from pathlib import Path
 from typing import Annotated, Callable, get_args, get_origin, get_type_hints
 
 SimTime = int  # microseconds since simulation start
@@ -69,6 +76,20 @@ class ScriptError(ValueError):
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
+
+
+class ConfigError(ValueError):
+    pass
+
+
+def read_text(path: str | Path) -> str:
+    """The text of the UTF-8 file at `path`, which a flag or key names; a file that
+    is not UTF-8 is a `ConfigError` that names it, since a `UnicodeDecodeError` is
+    a ValueError, not the OSError of a file that cannot be read."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _fmt(value: float) -> str:

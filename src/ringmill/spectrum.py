@@ -18,7 +18,8 @@ center x, and a disc of radius r centred at x can only meet grants whose
 center x lies within r + r_max of x, where r_max is the largest radius
 held.  The pruning is exact in floating point, so every scan decides
 exactly what a scan over all grants would; the argument is in
-`SpectrumManager._window`.
+`SpectrumManager._window`.  The audit, `check_invariants`, tests each pair
+of grants once, scanning forward in x order, by the same argument.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Annotated, Iterable
 
 from .engine import In, KHZ_PER_MHZ, ScriptError, SimTime, _fmt, check_fields, us_from
@@ -165,9 +165,6 @@ def union_width_khz(blocks: Iterable[SpectrumBlock]) -> int:
     return _union_khz(sorted((b.low_khz, b.high_khz) for b in blocks))
 
 
-_ID = itemgetter(5)  # a record's grant id
-
-
 def _record(grant: SpectrumGrant) -> tuple:
     """A held grant's record: (x, y, radius, low_khz, high_khz, grant_id, expires_at)."""
     area, block = grant.area, grant.block
@@ -221,10 +218,13 @@ class SpectrumManager:
         """The records of live grants, in x order, that a disc of `radius` centred
         at `x` can meet: those in `_window`, less any whose lease ended by `now`."""
         lo, hi = self._window(x, radius)
-        near = self._by_x[lo:hi]
+        return self._unexpired(self._by_x[lo:hi], now)
+
+    def _unexpired(self, records: list[tuple], now: SimTime) -> list[tuple]:
+        """`records` less any whose lease ended by `now`."""
         if self._expiries and self._expiries[0] <= now:
-            near = [rec for rec in near if rec[6] is None or rec[6] > now]  # its lease end
-        return near
+            return [rec for rec in records if rec[6] is None or rec[6] > now]  # its lease end
+        return records
 
     def _window(self, x: float, radius: float) -> tuple[int, int]:
         """The slice (lo, hi) of the x order that holds every grant a disc of
@@ -361,45 +361,53 @@ class SpectrumManager:
 
         Every pair of live grants whose discs intersect must hold disjoint
         blocks, and the union of the blocks covering each grant's center
-        must fit the band.  The live records are taken in id order, and each
-        is tested only against the records `_near` it, which leaves out
-        exactly the grants whose discs cannot meet it or its center (a point
-        query at the center would look no further than that).  So the
-        verdict and the violation reported are those of testing every pair
-        and then every center: the lowest interfering grant id with its
+        must fit the band.  The violation reported is that of testing every
+        pair and then every center: the lowest interfering grant id with its
         lowest-id partner, else the first center over capacity in id order.
 
-        One scan of that window serves both tests, with one distance
-        d = math.hypot(a.x - b.x, a.y - b.y) per pair, each record unpacked
-        into locals: `a.area.intersects(b.area)` compares d with a.radius +
-        b.radius, and `b.area.contains(a.x, a.y)` computes d too, as
-        hypot(b.x - a.x, b.y - a.y), because fl(b.x - a.x) = -fl(a.x - b.x)
-        and hypot ignores signs.  The covering blocks' union is taken over
-        their (low, high) kHz pairs.
+        Each pair of live records is tested once, with one distance
+        d = math.hypot(a.x - b.x, a.y - b.y), a before b in x order:
+        d <= b.radius puts b's block over a's center, d <= a.radius puts a's
+        over b's (fl(b.x - a.x) = -fl(a.x - b.x), and hypot ignores signs),
+        and d <= a.radius + b.radius with overlapping blocks is a clash.
+        Each center is covered by its own block too.  From each a the scan
+        runs forward in x order and stops at the first b with
+        fl(b.x - a.x) > reach = fl(a.radius + r_max), r_max being the
+        largest radius held.  That leaves out no pair any test holds for, by
+        the argument of `_window`: x rises along the order and rounding is
+        monotone, so every later b is past reach as well; for each such b,
+        d >= fl(b.x - a.x) > reach, and reach is at least fl(a.radius +
+        b.radius), a.radius and b.radius, so all three tests are False.
+        The covering blocks' union is taken over their (low, high) kHz pairs.
         """
-        band_khz, hypot = self.band.width_khz, math.hypot
-        over_capacity = None
-        for ax, ay, ar, a_low, a_high, a_id, a_end in sorted(self._by_x, key=_ID):
-            if a_end is not None and a_end <= now:
-                continue
-            clashes, covering = [], []
-            for bx, by, br, b_low, b_high, b_id, _ in self._near(ax, ar, now):
+        live = self._unexpired(self._by_x, now)
+        if not live:
+            return
+        r_max, hypot = self._radii[-1], math.hypot
+        covering = [[(low, high)] for _, _, _, low, high, _, _ in live]
+        clashes = []
+        for i, (ax, ay, ar, a_low, a_high, a_id, _) in enumerate(live):
+            reach, a_covering = ar + r_max, covering[i]
+            for j in range(i + 1, len(live)):
+                bx, by, br, b_low, b_high, b_id, _ = live[j]
+                if bx - ax > reach:
+                    break
                 d = hypot(ax - bx, ay - by)
                 if d <= br:
-                    covering.append((b_low, b_high))
-                if b_id > a_id and d <= ar + br and a_low < b_high and b_low < a_high:
-                    clashes.append(b_id)
-            if clashes:
-                raise AssertionError(
-                    f"interference: grants {a_id} and {min(clashes)} overlap "
-                    f"in both area and frequency")
-            if over_capacity is None:
-                covering.sort()
-                total = _union_khz(covering)
-                if total > band_khz:
-                    over_capacity = f"capacity exceeded at grant {a_id} center: {total} kHz"
-        if over_capacity is not None:
-            raise AssertionError(over_capacity)
+                    a_covering.append((b_low, b_high))
+                if d <= ar:
+                    covering[j].append((a_low, a_high))
+                if d <= ar + br and a_low < b_high and b_low < a_high:
+                    clashes.append((min(a_id, b_id), max(a_id, b_id)))
+        if clashes:
+            low_id, high_id = min(clashes)
+            raise AssertionError(f"interference: grants {low_id} and {high_id} overlap "
+                                 f"in both area and frequency")
+        for grant_id, edges in sorted(zip([rec[5] for rec in live], covering)):
+            edges.sort()
+            total = _union_khz(edges)
+            if total > self.band.width_khz:
+                raise AssertionError(f"capacity exceeded at grant {grant_id} center: {total} kHz")
 
 
 @dataclass

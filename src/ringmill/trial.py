@@ -135,8 +135,8 @@ from heapq import heapify, heappop, heappush
 from typing import Annotated
 
 from .channel import ZERO_IMPAIRMENT, ChannelProfile, frame_path
-from .engine import (In, Seed, SimTime, US_PER_S, _fmt, check_fields, component_rng, hold,
-                     us_from)
+from .engine import (ConfigError, In, Seed, SimTime, US_PER_S, _fmt, check_fields,
+                     component_rng, hold, us_from)
 from .plant import (AxisModel, FailCause, LoopConfig, PidGains, Profile, TabulatedTrajectory,
                     TrapezoidTrajectory, TrialVerdict, setpoint_table)
 from .ring import RingConfig, RingConfigError
@@ -541,7 +541,6 @@ def calibrate(master_seed: int = 0,
     validation cell must be in the reference pattern: a `validation_spec`
     that breaks either is a `ConfigError`, raised before any trial runs.
     """
-    from .config import ConfigError
     from .harness import SweepSpec, evaluate_cell, reference_pattern, run_sweep
 
     spec = validation_spec or SweepSpec(master_seed=master_seed)

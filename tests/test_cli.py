@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ringmill import cli, harness
+from ringmill import harness
 from ringmill.channel import ChannelProfile, JitterDistribution
 from ringmill.cli import main
 from ringmill.config import ConfigError, load_config
@@ -77,14 +77,14 @@ FIELDS_WITHOUT_A_KEY = [
 
 
 def spy_on_trials(monkeypatch) -> list:
-    """Record every trial that `trial`, `sweep` and `calibrate` run from here on."""
+    """Record every trial that `trial`, `sweep` and `calibrate` run from here on: each
+    runs its trials through `harness.run_trial`."""
     trials = []
 
     def recording(*args, **kwargs):
         trials.append(args)
         return run_trial(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "run_trial", recording)
     monkeypatch.setattr(harness, "run_trial", recording)
     return trials
 
@@ -803,51 +803,68 @@ class TestOneTimeRule:
 
 
 # Run in a fresh interpreter, so that no module an earlier test imported counts.
-# argv: the work directory and the README's spectrum script.
+# argv: the ringmill arguments.  Prints the ringmill modules loaded by
+# `import ringmill.cli`, then those loaded after `ringmill.cli.main(argv)`, and its
+# exit code; `--version` exits through argparse.
 IMPORT_SET_SCRIPT = """
 import contextlib, io, json, sys
-from pathlib import Path
 import ringmill.cli
 
 def loaded():
     return sorted(m for m in sys.modules if m == "ringmill" or m.startswith("ringmill."))
 
-work = Path(sys.argv[1])
-(work / "one-cell.ini").write_text(
-    "[sweep]\\nlatencies_ms = 0.5\\njitters_ms = 0.05\\nseeds_per_cell = 1\\n")
-(work / "script.txt").write_text(sys.argv[2])
-runs = {
-    "trial": ["trial", "--latency-ms", "0.5", "--jitter-ms", "0.05", "--trial-seconds", "0.2"],
-    "sweep": ["sweep", "--config", str(work / "one-cell.ini"), "--trial-seconds", "0.2",
-              "--output-dir", str(work / "sweep")],
-    "render": ["render", "--matrix", str(work / "sweep" / "matrix.csv")],
-    "spectrum": ["spectrum", "--script", str(work / "script.txt")],
-}
-modules = {"import": loaded()}
-for name, argv in runs.items():
-    with contextlib.redirect_stdout(io.StringIO()):
+at_import, argv = loaded(), sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
         code = ringmill.cli.main(argv)
-    modules[name] = (code, loaded())
-print(json.dumps(modules))
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([at_import, loaded(), code]))
 """
+
+# what a run of a trial loads past `ringmill.cli`; `render` reads no INI file
+TRIAL_STACK = ["ringmill.channel", "ringmill.config", "ringmill.harness", "ringmill.plant",
+               "ringmill.ring", "ringmill.trial"]
+
+
+def modules_loaded(*argv: str) -> tuple[list[str], list[str]]:
+    """The ringmill modules `import ringmill.cli` loads, and those that `ringmill *argv`
+    adds, each run in a fresh interpreter; the run must exit 0."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-c", IMPORT_SET_SCRIPT, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    at_import, after, code = json.loads(done.stdout)
+    assert code == 0, argv
+    return at_import, sorted(set(after) - set(at_import))
 
 
 class TestImports:
-    def test_only_the_spectrum_subcommand_loads_the_spectrum_module(self, tmp_path):
-        # every other subcommand starts without compiling spectrum.py, and
-        # imports at load each module it runs, so no later import shows in its run
-        root = Path(__file__).resolve().parents[1]
-        readme = (root / "README.md").read_text()
-        script = readme.split("## Spectrum scripts", 1)[1].split("```", 2)[1]
-        env = {**os.environ, "PYTHONPATH": str(root / "src")}
-        done = subprocess.run([sys.executable, "-c", IMPORT_SET_SCRIPT, str(tmp_path), script],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        modules = json.loads(done.stdout)
-        at_import = modules.pop("import")
-        assert "ringmill.spectrum" not in at_import
-        for name in ("trial", "sweep", "render"):
-            assert modules[name] == [0, at_import], name
-        code, after_spectrum = modules["spectrum"]
-        assert code == 0
-        assert sorted({*at_import, "ringmill.spectrum"}) == after_spectrum
+    def test_the_cli_loads_only_the_engine(self):
+        # --version and the flag types need nothing more
+        at_import, added = modules_loaded("--version")
+        assert at_import == ["ringmill", "ringmill.cli", "ringmill.engine"]
+        assert added == []
+
+    def test_a_spectrum_replay_loads_only_the_spectrum_module(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        script = tmp_path / "script.txt"
+        script.write_text(readme.split("## Spectrum scripts", 1)[1].split("```", 2)[1])
+        assert modules_loaded("spectrum", "--script", str(script))[1] == ["ringmill.spectrum"]
+
+    def test_trial_sweep_and_render_load_their_stack_without_the_spectrum_module(self, tmp_path):
+        config = tmp_path / "one-cell.ini"
+        config.write_text("[sweep]\nlatencies_ms = 0.5\njitters_ms = 0.05\nseeds_per_cell = 1\n")
+        out = tmp_path / "sweep"
+        runs = {
+            "trial": ["trial", "--latency-ms", "0.5", "--jitter-ms", "0.05",
+                      "--trial-seconds", "0.2"],
+            "sweep": ["sweep", "--config", str(config), "--trial-seconds", "0.2",
+                      "--output-dir", str(out)],
+            "render": ["render", "--matrix", str(out / "matrix.csv")],  # the sweep's matrix
+        }
+        want = {"trial": TRIAL_STACK, "sweep": TRIAL_STACK,
+                "render": [m for m in TRIAL_STACK if m != "ringmill.config"]}
+        for name, argv in runs.items():
+            assert modules_loaded(*argv)[1] == want[name], name

@@ -485,7 +485,16 @@ class TestPrunedScans:
         # the 5 m disc at the origin, which adds its 60 MHz there
         ([((0.0, 0.0, 5.0), 60.0, 3700.0), ((3.0, 4.0, 1.0), 50.0, 3800.0)],
          "capacity exceeded at grant 2 center: 110000 kHz"),
-    ], ids=["tangent-discs", "center-on-an-edge"])
+        # the x gap 5 is exactly the reach from the smaller disc at the left, 2 + r_max
+        # = 2 + 3: the scan from it must not stop before its tangent neighbour
+        ([((0.0, 0.0, 2.0), 10.0, 3700.0), ((5.0, 0.0, 3.0), 10.0, 3705.0)],
+         "interference: grants 1 and 2 overlap in both area and frequency"),
+        # the center (0, 0) lies on the edge of the 5 m disc at (3, 4), to its
+        # right in x order: the right disc's 60 MHz covers the left center
+        ([((3.0, 4.0, 5.0), 60.0, 3700.0), ((0.0, 0.0, 1.0), 50.0, 3800.0)],
+         "capacity exceeded at grant 2 center: 110000 kHz"),
+    ], ids=["tangent-discs", "center-on-an-edge", "tangent-discs-mirrored",
+            "center-on-a-right-edge"])
     def test_a_disc_holds_its_edge(self, placements, want):
         manager = SpectrumManager()
         for disc, bw, low in placements:
