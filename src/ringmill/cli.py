@@ -7,12 +7,17 @@ entry what it runs: `spectrum` only `spectrum.py`; `trial`, `sweep` and
 `calibrate` the trial stack (`config`, `harness`, `trial`, `plant`,
 `channel`, `ring`), and `render` that stack less `config`.  A trial run
 from here is `harness.run_trial`, the name that a sweep's cells call too.
+
+`sweep` and `calibrate` write their run with `harness.write_run` (calibrate's
+is its validation sweep), and `--config` reads an INI file or such a run's
+`manifest.json`.  A flag that names a file or a directory refuses "".
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -49,6 +54,13 @@ def seed(raw: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def path(raw: str) -> str:
+    """The argparse type of a flag that names a file or a directory: any path but ""."""
+    if not raw:
+        raise argparse.ArgumentTypeError("an empty path names no file or directory")
+    return raw
+
+
 def _load_run(args) -> RunManifest:
     """`load_config` of --config, with --seed and --trial-seconds applied."""
     from .config import load_config
@@ -67,27 +79,13 @@ def _output_dir(raw: str | None) -> Path | None:
     return out_dir
 
 
-def _write(out_dir: Path, name: str, text: str) -> Path:
-    path = out_dir / name
-    path.write_text(text)
-    return path
-
-
 def cmd_sweep(args) -> int:
-    from .harness import render_matrix, run_from_manifest
+    from .harness import render_matrix, run_from_manifest, write_run
 
     run = _load_run(args)
     out_dir = _output_dir(args.output_dir)
-    result, matrix_csv = run_from_manifest(run)
-
-    paths = {
-        "matrix_csv": str(_write(out_dir, "matrix.csv", matrix_csv)),
-        "matrix_md": str(_write(out_dir, "matrix.md", render_matrix(result, "markdown"))),
-        "matrix_ndjson": str(_write(out_dir, "matrix.ndjson",
-                                    render_matrix(result, "structured"))),
-    }
-    run.output_paths = paths
-    paths["manifest"] = str(_write(out_dir, "manifest.json", run.to_json()))
+    result, _ = run_from_manifest(run)
+    paths = write_run(out_dir, run, result)
     print(render_matrix(result, "markdown"))
     print(f"wrote {', '.join(sorted(paths))} to {out_dir}")
     return EXIT_OK
@@ -147,12 +145,12 @@ def cmd_spectrum(args) -> int:
     print()
     print(report, end="")
     if out_dir is not None:
-        _write(out_dir, "occupancy.txt", report)
+        (out_dir / "occupancy.txt").write_text(report)
     return EXIT_OK
 
 
 def cmd_calibrate(args) -> int:
-    from .harness import render_matrix
+    from .harness import write_run
     from .trial import ADAPTED_LOOP_CONFIG, DEFAULT_LOOP_CONFIG, calibrate
 
     run = _load_run(args)
@@ -160,15 +158,17 @@ def cmd_calibrate(args) -> int:
         raise ConfigError(f"{args.config}: calibrate searches loop pairs around the shipped "
                           "one, so it cannot run the [loop.*] and [gains.*] values set here")
     out_dir = _output_dir(args.output_dir)
+    started = time.monotonic()
     result = calibrate(master_seed=run.spec.master_seed,
                        screen_trial_seconds=args.screen_seconds,
                        validation_spec=run.spec, scenario=run.scenario)
     print(result.report())
     if out_dir is not None and result.matrix is not None:
-        _write(out_dir, "matrix.csv", render_matrix(result.matrix, "csv"))
+        # the validation sweep is the run of the pair found, or of the best one tried
         calibrated = replace(run, default_config=result.default_config,
-                             adapted_config=result.adapted_config)
-        _write(out_dir, "calibrated.json", calibrated.to_json())
+                             adapted_config=result.adapted_config,
+                             wall_clock_seconds=time.monotonic() - started)
+        write_run(out_dir, calibrated, result.matrix)
     return EXIT_OK if result.success else EXIT_CALIBRATION
 
 
@@ -188,14 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="INI scenario file")
+        p.add_argument("--config", type=path, help="INI scenario file or manifest.json")
         p.add_argument("--seed", type=seed, default=None, help="master seed override")
         p.add_argument("--trial-seconds", type=time_in("s", positive=True), default=None,
                        help="simulated seconds per trial")
 
     p = sub.add_parser("sweep", help="run the latency x jitter feasibility sweep")
     common(p)
-    p.add_argument("--output-dir", default="out", help="artifact directory")
+    p.add_argument("--output-dir", type=path, default="out", help="artifact directory")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("trial", help="run one closed-loop trial")
@@ -203,22 +203,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--latency-ms", type=time_in("ms"), default=None)
     p.add_argument("--jitter-ms", type=time_in("ms"), default=None)
     p.add_argument("--profile", choices=("default", "adapted"), default="default")
-    p.add_argument("--trace", help="write per-tick control trace CSV here")
+    p.add_argument("--trace", type=path, help="write per-tick control trace CSV here")
     p.set_defaults(func=cmd_trial)
 
     p = sub.add_parser("spectrum", help="replay a spectrum request/release script")
-    p.add_argument("--script", required=True)
-    p.add_argument("--output-dir", default=None)
+    p.add_argument("--script", type=path, required=True)
+    p.add_argument("--output-dir", type=path, default=None)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("calibrate", help="grid-search loop configs against the target pattern")
     common(p)
-    p.add_argument("--output-dir", default=None)
+    p.add_argument("--output-dir", type=path, default=None)
     p.add_argument("--screen-seconds", type=time_in("s", positive=True), default=12.0)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("render", help="re-render a matrix CSV")
-    p.add_argument("--matrix", required=True)
+    p.add_argument("--matrix", type=path, required=True)
     p.add_argument("--format", choices=("markdown", "csv", "structured"),
                    default="markdown")
     p.set_defaults(func=cmd_render)

@@ -1,8 +1,8 @@
-"""INI scenario configuration: a run manifest in another syntax.
+"""Scenario files: an INI file, a run manifest in another syntax, or a manifest.
 
-A scenario file describes one run.  `load_config` turns it into the dict
-that `RunManifest.to_json` writes, and `harness._read` builds and checks
-the run from that dict as it does a manifest's.  Each section sets one
+A scenario file describes one run.  `load_config` turns an INI file into
+the dict that `RunManifest.to_json` writes, and `harness._read` builds and
+checks the run from that dict as it does a manifest's.  Each section sets one
 object of the manifest (`_SECTIONS`) and each key one of its fields, so the
 dataclass annotations are the one list of configured fields; what a file
 leaves out is the shipped run's.  A raw value is read in the form of the
@@ -14,12 +14,19 @@ a line the rules refuse, an unknown section or key, or a value that cannot
 be read, at its own line; a field that `_read` refuses at its key's line;
 and an object it refuses at the line of the key its message starts with,
 if the file sets it, else at its section's header.
+
+A file whose first non-blank character is `{` is a manifest as `sweep` and
+`calibrate` write it: `load_config` reads it with `RunManifest.from_json`,
+less the output paths and the wall clock of the run that wrote it, so
+`--config out/manifest.json` replays that run.  Its refusal names the file
+and the key path.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 from functools import cache, reduce
 from pathlib import Path
 
@@ -115,10 +122,17 @@ def _read_ini(text: str, path: str | Path | None) -> dict[str, tuple[int, dict]]
 
 
 def load_config(path: str | Path | None) -> RunManifest:
-    """The run the INI file at `path` describes; with no path, the shipped
-    defaults.  A channel section absent from the file leaves its channel
-    at the scenario's default: no delay, no jitter, no loss."""
-    read = _read_ini(read_text(path) if path else "", path)
+    """The run the INI file or the manifest at `path` describes; with no path,
+    the shipped defaults.  A channel section absent from the file leaves its
+    channel at the scenario's default: no delay, no jitter, no loss."""
+    text = read_text(path) if path else ""
+    if text.lstrip().startswith("{"):  # a manifest: no INI line starts with "{"
+        try:
+            run = RunManifest.from_json(text)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+        return replace(run, output_paths={}, wall_clock_seconds=0.0)
+    read = _read_ini(text, path)
     data = json.loads(_shipped())
     lines: dict[str, tuple[str, int]] = {}  # key path -> (section, line) of what the file sets
     file = None

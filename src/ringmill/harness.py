@@ -22,6 +22,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field, is_dataclass
+from pathlib import Path
 from types import UnionType
 from typing import Annotated, Sequence, get_args, get_origin
 
@@ -442,3 +443,18 @@ def run_from_manifest(manifest: RunManifest) -> tuple[SweepResult, str]:
                        manifest.scenario)
     manifest.wall_clock_seconds = time.monotonic() - started
     return result, render_matrix(result, "csv")
+
+
+def write_run(out_dir: Path, run: RunManifest, result: SweepResult) -> dict[str, str]:
+    """Write the whole artifact set of `run`, whose sweep gave `result`, into
+    `out_dir`: `matrix.csv`, `matrix.md` and `matrix.ndjson`, then `manifest.json`
+    with their paths as `output_paths`.  Returns every written path by kind."""
+    paths = {}
+    for kind, fmt in (("csv", "csv"), ("md", "markdown"), ("ndjson", "structured")):
+        path = out_dir / f"matrix.{kind}"
+        path.write_text(render_matrix(result, fmt), encoding="utf-8")
+        paths[f"matrix_{kind}"] = str(path)
+    run.output_paths = dict(paths)
+    path = out_dir / "manifest.json"
+    path.write_text(run.to_json(), encoding="utf-8")
+    return {**paths, "manifest": str(path)}

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from ringmill.cli import main
 from ringmill.config import ConfigError, load_config
 from ringmill.harness import (RunManifest, SweepSpec, _trial_seed, parse_matrix_csv,
                               run_from_manifest)
-from ringmill.trial import DEFAULT_SCENARIO, run_trial
+from ringmill.trial import CALIBRATION_GRID, DEFAULT_SCENARIO, run_trial
 
 
 CONFIG_TEXT = """
@@ -87,6 +88,21 @@ def spy_on_trials(monkeypatch) -> list:
 
     monkeypatch.setattr(harness, "run_trial", recording)
     return trials
+
+
+def assert_replays(out_dir: Path, replay: Path, capsys) -> None:
+    """`sweep --config <out_dir>/manifest.json` writes the three matrices of `out_dir`
+    into `replay` byte for byte."""
+    assert main(["sweep", "--config", str(out_dir / "manifest.json"),
+                 "--output-dir", str(replay)]) == 0
+    capsys.readouterr()
+    for name in ("matrix.csv", "matrix.md", "matrix.ndjson"):
+        assert (replay / name).read_bytes() == (out_dir / name).read_bytes(), name
+
+
+def readme_ini() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.search(r"```ini\n(.*?)```", readme, re.S)[1]
 
 
 class TestConfig:
@@ -167,9 +183,8 @@ class TestConfig:
             load_config(path)
 
     def test_readme_ini_block_loads(self, tmp_path):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         path = tmp_path / "readme.ini"
-        path.write_text(re.search(r"```ini\n(.*?)```", readme, re.S)[1])
+        path.write_text(readme_ini())
         run = load_config(path)
         assert run.default_config.init_grace_us == 2_000_000
         assert run.scenario.command_channel == run.scenario.feedback_channel == ChannelProfile(
@@ -292,8 +307,7 @@ class TestConfig:
     def test_an_ini_run_reads_back_from_its_manifest(self, tmp_path, name):
         # the INI reader and the manifest reader give the same run
         root = Path(__file__).resolve().parents[1]
-        text = {"readme": re.search(r"```ini\n(.*?)```", (root / "README.md").read_text(),
-                                    re.S)[1],
+        text = {"readme": readme_ini(),
                 "fuzz-corpus": (root / "tests" / "fuzz" / "scenario.ini").read_text(),
                 "lossy": "[sweep]\nlatencies_ms = 0.5\njitters_ms = 0.05\nseeds_per_cell = 1\n"
                          "[channel.command]\nloss_rate = 0.9\n"
@@ -305,6 +319,14 @@ class TestConfig:
         run = load_config(path)
         assert run != load_config(None)
         assert RunManifest.from_json(run.to_json()) == run
+        # and `--config` reads the manifest back as the same run, without the paths and
+        # the wall clock of the run that wrote it
+        (tmp_path / "moves.csv").unlink()
+        written = dataclasses.replace(run, output_paths={"matrix_csv": "out/matrix.csv"},
+                                      wall_clock_seconds=12.5)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(written.to_json())
+        assert load_config(manifest) == run
 
     def test_bad_gains_exit_config_error_naming_their_section(self, tmp_path, capsys):
         path = tmp_path / "scenario.ini"
@@ -319,6 +341,27 @@ class TestConfig:
         path.write_text("[sweep]\nseeds_per_cell = 1\nseed_per_cell = 2\n")
         with pytest.raises(ConfigError, match=r"line 3: unknown key 'seed_per_cell'"):
             load_config(path)
+
+    @pytest.mark.parametrize("key_path, value, reason", [
+        (("spec", "order"), "severe-first", "manifest key 'spec.order' is unknown"),
+        (("artifact_version",), "0.5.0", "manifest artifact version '0.5.0', expected '0.6.0'"),
+        (("spec", "seeds_per_cell"), 0,
+         "manifest key 'spec.seeds_per_cell': seeds_per_cell 0 is not an integer in [1, inf)"),
+    ], ids=["unknown-key", "artifact-version", "bad-value"])
+    def test_a_manifest_config_it_refuses_exits_config_error_naming_the_file(
+            self, tmp_path, capsys, monkeypatch, key_path, value, reason):
+        trials = spy_on_trials(monkeypatch)
+        data = json.loads(load_config(None).to_json())
+        *parents, key = key_path
+        reduce(dict.__getitem__, parents, data)[key] = value
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(data, indent=2))
+        for argv in (["trial", "--trial-seconds", "1"],
+                     ["sweep", "--output-dir", str(tmp_path / "out")]):
+            assert main([*argv, "--config", str(path)]) == 2
+            assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+        assert trials == []
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 class TestCli:
@@ -458,6 +501,22 @@ class TestCli:
         assert (manifest.scenario.command_channel, manifest.scenario.feedback_channel) == (
             lossy, lossy)
         assert run_from_manifest(manifest)[1].encode() == matrix
+        assert_replays(out_dir, tmp_path / "replay", capsys)
+        # the flags override a manifest as they do an INI file
+        assert main(["sweep", "--config", str(out_dir / "manifest.json"), "--seed", "9",
+                     "--trial-seconds", "0.5", "--output-dir", str(tmp_path / "flags")]) == 0
+        capsys.readouterr()
+        assert load_config(tmp_path / "flags" / "manifest.json") == dataclasses.replace(
+            load_config(config), spec=dataclasses.replace(manifest.spec, master_seed=9,
+                                                          trial_seconds=0.5))
+
+    def test_a_readme_sweep_replays_from_its_manifest(self, tmp_path, capsys):
+        config = tmp_path / "readme.ini"
+        config.write_text(readme_ini())
+        out_dir = tmp_path / "out"
+        assert main(["sweep", "--config", str(config), "--trial-seconds", "1",
+                     "--output-dir", str(out_dir)]) == 0
+        assert_replays(out_dir, tmp_path / "replay", capsys)
 
     def test_sweep_matches_the_golden_matrix(self, tmp_path, capsys):
         # re-record tests/golden/matrix.csv only for a deliberate change of verdicts
@@ -490,6 +549,7 @@ class TestCli:
         assert manifest.scenario == scenario
         assert scenario.control_ring.slot_time_us == 700
         assert run_from_manifest(manifest)[1].encode() == matrix.encode()
+        assert_replays(tmp_path / "scenario", tmp_path / "replay", capsys)
 
     def test_spectrum_command(self, tmp_path, capsys):
         script = tmp_path / "scenario.txt"
@@ -692,21 +752,88 @@ class TestCli:
         assert (f"error: {path}: calibrate searches loop pairs around the shipped one"
                 in capsys.readouterr().err)
         assert trials == []
-        assert not (out / "calibrated.json").exists()
+        assert not (out / "manifest.json").exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["sweep", "--output-dir", "file/out"],
-        ["calibrate", "--output-dir", "file/out"],
-        ["trial", "--latency-ms", "1", "--jitter-ms", "0.1", "--trace", "/nonexistent/x.csv"],
-    ], ids=["sweep", "calibrate", "trial"])
+    def test_a_calibrate_after_a_sweep_leaves_only_its_own_run(self, tmp_path, capsys):
+        # the 1 s sweep's matrix.md, matrix.ndjson and manifest.json stayed beside the
+        # validation sweep's matrix.csv and a calibrated.json
+        config = tmp_path / "one-cell.ini"
+        config.write_text("[sweep]\nlatencies_ms = 0.5\njitters_ms = 0.05\nseeds_per_cell = 1\n")
+        out = tmp_path / "out"
+        assert main(["sweep", "--trial-seconds", "1", "--output-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["calibrate", "--config", str(config), "--screen-seconds", "2",
+                     "--trial-seconds", "1", "--output-dir", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("calibration succeeded after 1 candidate(s)")
+        names = ("matrix.csv", "matrix.md", "matrix.ndjson")
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", *names]
+        manifest = load_config(out / "manifest.json")
+        assert (manifest.default_config, manifest.adapted_config) == CALIBRATION_GRID[0]
+        assert manifest.spec == dataclasses.replace(load_config(config).spec, trial_seconds=1.0)
+        assert json.loads((out / "manifest.json").read_text())["output_paths"] == {
+            name.replace(".", "_"): str(out / name) for name in names}
+        assert parse_matrix_csv((out / "matrix.csv").read_text()).spec == manifest.spec
+        assert main(["render", "--matrix", str(out / "matrix.csv")]) == 0
+        assert capsys.readouterr().out == (out / "matrix.md").read_text()
+        assert_replays(out, tmp_path / "replay", capsys)
+
+        # a trial from the calibrate run's manifest runs its loop pair
+        for profile, loop in zip(("default", "adapted"), CALIBRATION_GRID[0]):
+            verdict = run_trial(loop, *DEFAULT_SCENARIO.channels_at(0.5, 0.05),
+                                trial_length_us=1_000_000, seed=0)
+            assert main(["trial", "--config", str(out / "manifest.json"), "--profile", profile,
+                         "--latency-ms", "0.5", "--jitter-ms", "0.05"]) == 0
+            assert capsys.readouterr().out == (
+                f"trial latency=0.5 ms jitter=0.05 ms profile={profile}: PASS  "
+                f"max_following_error={verdict.max_following_error_mm:.4f} mm  survived=1.000 s\n")
+
+    def test_a_failed_calibration_writes_the_run_of_its_best_pair(self, tmp_path, capsys):
+        # a 1 s trial passes at (5 ms, 0.05 ms), where the target says fail, so every
+        # candidate that is screened mismatches; the first of the fewest is the best
+        config = tmp_path / "five-ms.ini"
+        config.write_text("[sweep]\nlatencies_ms = 5\njitters_ms = 0.05\nseeds_per_cell = 1\n")
+        out = tmp_path / "out"
+        assert main(["calibrate", "--config", str(config), "--screen-seconds", "2",
+                     "--trial-seconds", "1", "--output-dir", str(out)]) == 3
+        assert "(5.0, 0.05): got pass, want fail" in capsys.readouterr().out
+        manifest = load_config(out / "manifest.json")
+        assert (manifest.default_config, manifest.adapted_config) == CALIBRATION_GRID[0]
+        cell, = parse_matrix_csv((out / "matrix.csv").read_text()).cells
+        assert cell.cell_class.value == "pass"
+        assert_replays(out, tmp_path / "replay", capsys)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--output-dir", "file/out"], "error: "),
+        (["calibrate", "--output-dir", "file/out"], "error: "),
+        (["trial", "--latency-ms", "1", "--jitter-ms", "0.1", "--trace", "/nonexistent/x.csv"],
+         "error: "),
+        # an empty path: trial --config ran the shipped run, sweep --output-dir ran every
+        # trial and ended in a TypeError, and the others wrote nothing or read "."
+        *[(argv, f"error: argument {argv[-2]}: an empty path names no file or directory")
+          for argv in (["trial", "--config", ""], ["sweep", "--config", ""],
+                       ["sweep", "--output-dir", ""], ["calibrate", "--output-dir", ""],
+                       ["trial", "--trace", ""], ["spectrum", "--script", "script.txt",
+                                                  "--output-dir", ""],
+                       ["spectrum", "--script", ""], ["render", "--matrix", ""])],
+    ], ids=["sweep", "calibrate", "trial", "empty-trial-config", "empty-sweep-config",
+            "empty-sweep-output-dir", "empty-calibrate-output-dir", "empty-trace",
+            "empty-spectrum-output-dir", "empty-script", "empty-matrix"])
     def test_unwritable_output_exits_config_error_before_any_trial(
-            self, tmp_path, capsys, monkeypatch, argv):
+            self, tmp_path, capsys, monkeypatch, argv, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "file").write_text("a regular file\n")
+        (tmp_path / "script.txt").write_text("at 0 request a x=0 y=0 r=50 bw=20\n")
         trials = spy_on_trials(monkeypatch)
-        assert main(argv) == 2
-        assert "error: " in capsys.readouterr().err
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flag
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
         assert trials == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "script.txt"]
 
     def test_missing_file_exits_config_error(self, capsys):
         assert main(["render", "--matrix", "/nonexistent/matrix.csv"]) == 2
