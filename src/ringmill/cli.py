@@ -156,7 +156,7 @@ def cmd_calibrate(args) -> int:
     run = _load_run(args)
     if (run.default_config, run.adapted_config) != (DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG):
         raise ConfigError(f"{args.config}: calibrate searches loop pairs around the shipped "
-                          "one, so it cannot run the [loop.*] and [gains.*] values set here")
+                          "one, so it cannot run the other loop pair given here")
     out_dir = _output_dir(args.output_dir)
     started = time.monotonic()
     result = calibrate(master_seed=run.spec.master_seed,

@@ -20,6 +20,12 @@ held.  The pruning is exact in floating point, so every scan decides
 exactly what a scan over all grants would; the argument is in
 `SpectrumManager._window`.  The audit, `check_invariants`, tests each pair
 of grants once, scanning forward in x order, by the same argument.
+
+The manager keeps one clock, in µs, that only moves forward: a call at a
+time moves it there, even one then refused for another argument, a call
+before it is refused, and a call given no time runs at it.  A lease ends
+when the clock reaches its end, and is dropped then, so every grant held
+is live and no scan reads a lease.
 """
 
 from __future__ import annotations
@@ -62,9 +68,6 @@ class SpectrumBlock:
     def width_khz(self) -> int:
         return self.high_khz - self.low_khz
 
-    def overlaps(self, other: "SpectrumBlock") -> bool:
-        return self.low_khz < other.high_khz and other.low_khz < self.high_khz
-
 
 @dataclass(frozen=True)
 class Band(SpectrumBlock):
@@ -87,9 +90,6 @@ class CoverageArea:
 
     def intersects(self, other: "CoverageArea") -> bool:
         return math.hypot(self.x - other.x, self.y - other.y) <= self.radius + other.radius
-
-    def contains(self, x: float, y: float) -> bool:
-        return math.hypot(self.x - x, self.y - y) <= self.radius
 
 
 @dataclass(frozen=True)
@@ -132,16 +132,6 @@ class DecisionRecord:
     occupied_mhz: float
     grant_id: int | None
     reason: str = ""
-
-
-def _check_time(value, name: str) -> None:
-    """Refuse a time that is not an int µs, a bool included, as a `SpectrumError`."""
-    if type(value) is not int:
-        raise SpectrumError(f"{name} {value!r} is not an integer")
-
-
-def _live(grant: SpectrumGrant, now: SimTime) -> bool:
-    return grant.expires_at is None or grant.expires_at > now
 
 
 def _union_khz(edges: list[tuple[int, int]]) -> int:
@@ -194,37 +184,53 @@ class SpectrumManager:
         self._radii: list[float] = []  # their radii, ascending
         self._expiries: list[SimTime] = []  # their lease ends, ascending; static grants have none
         self._next_id = 1
+        self._clock: SimTime = 0  # only `_advance` moves it
         self.audit_log: list[DecisionRecord] = []
+
+    def _advance(self, now: SimTime | None) -> SimTime:
+        """Move the clock forward to `now` (None: stay) and drop every lease that has
+        ended by then; return the clock.  A `now` that is not an int, a bool
+        included, or is before the clock is a `SpectrumError` and changes nothing."""
+        if now is None:
+            return self._clock
+        if type(now) is not int:
+            raise SpectrumError(f"now {now!r} is not an integer")
+        if now < self._clock:
+            raise SpectrumError(f"now {now} is before the clock at {self._clock}")
+        self._clock = now
+        if self._expiries and self._expiries[0] <= now:
+            for gid in [g.grant_id for g in self._grants.values()
+                        if g.expires_at is not None and g.expires_at <= now]:
+                self._drop(gid)
+        return now
 
     # -- queries ------------------------------------------------------------
 
-    def active_grants(self, now: SimTime = 0) -> list[SpectrumGrant]:
-        return [g for g in self._grants.values() if _live(g, now)]
+    def active_grants(self, now: SimTime | None = None) -> list[SpectrumGrant]:
+        """The grants held at `now`, in id order."""
+        self._advance(now)
+        return list(self._grants.values())
 
-    def occupancy_at(self, x: float, y: float, now: SimTime = 0) -> tuple[list[tuple[int, SpectrumBlock]], int]:
-        """Grants covering a point, in id order, plus the union kHz they occupy there."""
+    def occupancy_at(self, x: float, y: float,
+                     now: SimTime | None = None) -> tuple[list[tuple[int, SpectrumBlock]], int]:
+        """Grants covering a point at `now`, in id order, plus the union kHz they occupy there."""
+        self._advance(now)
         hits = sorted((gid, self._grants[gid].block)
-                      for gx, gy, r, _, _, gid, _ in self._near(x, 0.0, now)
+                      for gx, gy, r, _, _, gid, _ in self._near(x, 0.0)
                       if math.hypot(gx - x, gy - y) <= r)
         return hits, union_width_khz(b for _, b in hits)
 
-    def _conflicting(self, area: CoverageArea, now: SimTime) -> list[tuple[int, int]]:
-        """The (low, high) kHz of each live grant whose disc meets `area`, ascending."""
+    def _conflicting(self, area: CoverageArea) -> list[tuple[int, int]]:
+        """The (low, high) kHz of each grant whose disc meets `area`, ascending."""
         x, y, radius = area.x, area.y, area.radius
-        return sorted([(low, high) for gx, gy, r, low, high, _, _ in self._near(x, radius, now)
+        return sorted([(low, high) for gx, gy, r, low, high, _, _ in self._near(x, radius)
                        if math.hypot(gx - x, gy - y) <= r + radius])
 
-    def _near(self, x: float, radius: float, now: SimTime) -> list[tuple]:
-        """The records of live grants, in x order, that a disc of `radius` centred
-        at `x` can meet: those in `_window`, less any whose lease ended by `now`."""
+    def _near(self, x: float, radius: float) -> list[tuple]:
+        """The records, in x order, of the grants in `_window`: those a disc of
+        `radius` centred at `x` can meet."""
         lo, hi = self._window(x, radius)
-        return self._unexpired(self._by_x[lo:hi], now)
-
-    def _unexpired(self, records: list[tuple], now: SimTime) -> list[tuple]:
-        """`records` less any whose lease ended by `now`."""
-        if self._expiries and self._expiries[0] <= now:
-            return [rec for rec in records if rec[6] is None or rec[6] > now]  # its lease end
-        return records
+        return self._by_x[lo:hi]
 
     def _window(self, x: float, radius: float) -> tuple[int, int]:
         """The slice (lo, hi) of the x order that holds every grant a disc of
@@ -235,10 +241,11 @@ class SpectrumManager:
         others out is exact in floating point.  Every query compares
         d = math.hypot(dx, dy), the distance from the query's center to a
         grant b's, where |dx| = fl(|b.x - x|), with fl(radius + b.radius), or
-        with b.radius alone at a point or a center: the comparisons of
-        `CoverageArea.intersects` and `contains`.  A grant b left out has
-        fl(|b.x - x|) > fl(radius + r_max) >= fl(radius + b.radius) >=
-        b.radius, because rounding is monotone, r_max >= b.radius and
+        with b.radius alone at a point or a center: d <= fl(radius +
+        b.radius) for two discs that meet, as `CoverageArea.intersects`
+        tests, and d <= b.radius for a point in b's disc.  A grant b left
+        out has fl(|b.x - x|) > fl(radius + r_max) >= fl(radius + b.radius)
+        >= b.radius, because rounding is monotone, r_max >= b.radius and
         radius >= 0.  And d >= |dx|: math.hypot errs by under one ulp, and
         |dx| is a float no greater than the exact hypotenuse.  So every
         comparison is False for b.
@@ -262,18 +269,18 @@ class SpectrumManager:
 
     # -- commands -----------------------------------------------------------
 
-    def request_spectrum(self, req: SpectrumRequest, now: SimTime = 0,
+    def request_spectrum(self, req: SpectrumRequest, now: SimTime | None = None,
                          expires_at: SimTime | None = None) -> SpectrumGrant | Rejection:
-        """Grant the lowest free sub-block at the requested place, or reject;
-        a time that is not an int, or a lease that ends by `now`, is a `SpectrumError`."""
-        _check_time(now, "now")
+        """Grant the lowest free sub-block at the requested place at `now`, or
+        reject; a lease end that is not an int, or not after `now`, is a `SpectrumError`."""
+        now = self._advance(now)
         if expires_at is not None:
-            _check_time(expires_at, "expires_at")
+            if type(expires_at) is not int:
+                raise SpectrumError(f"expires_at {expires_at!r} is not an integer")
             if expires_at <= now:
                 raise SpectrumError(f"lease expires at {expires_at}, "
                                     f"not after the request at {now}")
-        self._purge_expired(now)
-        occupied_edges = self._conflicting(req.area, now)
+        occupied_edges = self._conflicting(req.area)
         occupied = _union_khz(occupied_edges)
         low = self._first_fit(occupied_edges, req.bandwidth_khz)
         if low is None:
@@ -294,14 +301,13 @@ class SpectrumManager:
         self._log(now, req, "granted", occupied, grant.grant_id)
         return grant
 
-    def release_spectrum(self, grant_id: int, now: SimTime = 0) -> None:
-        """Free an active grant; one whose lease ended by `now` is not active, and
-        neither is an id that is not an int (True would free grant 1)."""
-        _check_time(now, "now")
-        grant = self._grants.get(grant_id) if type(grant_id) is int else None
-        if grant is None or not _live(grant, now):
+    def release_spectrum(self, grant_id: int, now: SimTime | None = None) -> None:
+        """Free an active grant at `now`; one whose lease has ended by then is not
+        active, and neither is an id that is not an int (True would free grant 1)."""
+        now = self._advance(now)
+        if type(grant_id) is not int or grant_id not in self._grants:
             raise UnknownGrantError(f"grant {grant_id!r} is not active")
-        self._drop(grant_id)
+        grant = self._drop(grant_id)
         self.audit_log.append(DecisionRecord(
             time=now, requester=grant.requester, verdict="released",
             bandwidth_mhz=grant.block.width_khz / KHZ_PER_MHZ, occupied_mhz=0.0,
@@ -341,13 +347,6 @@ class SpectrumManager:
             del self._expiries[bisect_left(self._expiries, grant.expires_at)]
         return grant
 
-    def _purge_expired(self, now: SimTime) -> None:
-        if not (self._expiries and self._expiries[0] <= now):
-            return
-        expired = [gid for gid, g in self._grants.items() if not _live(g, now)]
-        for gid in expired:
-            self._drop(gid)
-
     def _log(self, now, req, verdict, occupied_khz, grant_id, reason=""):
         self.audit_log.append(DecisionRecord(
             time=now, requester=req.requester, verdict=verdict,
@@ -356,16 +355,16 @@ class SpectrumManager:
 
     # -- integrity check used by tests and the scenario runner ---------------
 
-    def check_invariants(self, now: SimTime = 0) -> None:
-        """Pairwise non-interference, and capacity at every grant's center.
+    def check_invariants(self, now: SimTime | None = None) -> None:
+        """Pairwise non-interference, and capacity at every grant's center, at `now`.
 
-        Every pair of live grants whose discs intersect must hold disjoint
+        Every pair of grants whose discs intersect must hold disjoint
         blocks, and the union of the blocks covering each grant's center
         must fit the band.  The violation reported is that of testing every
         pair and then every center: the lowest interfering grant id with its
         lowest-id partner, else the first center over capacity in id order.
 
-        Each pair of live records is tested once, with one distance
+        Each pair of records is tested once, with one distance
         d = math.hypot(a.x - b.x, a.y - b.y), a before b in x order:
         d <= b.radius puts b's block over a's center, d <= a.radius puts a's
         over b's (fl(b.x - a.x) = -fl(a.x - b.x), and hypot ignores signs),
@@ -380,16 +379,17 @@ class SpectrumManager:
         b.radius), a.radius and b.radius, so all three tests are False.
         The covering blocks' union is taken over their (low, high) kHz pairs.
         """
-        live = self._unexpired(self._by_x, now)
-        if not live:
+        self._advance(now)
+        records = self._by_x
+        if not records:
             return
         r_max, hypot = self._radii[-1], math.hypot
-        covering = [[(low, high)] for _, _, _, low, high, _, _ in live]
+        covering = [[(low, high)] for _, _, _, low, high, _, _ in records]
         clashes = []
-        for i, (ax, ay, ar, a_low, a_high, a_id, _) in enumerate(live):
+        for i, (ax, ay, ar, a_low, a_high, a_id, _) in enumerate(records):
             reach, a_covering = ar + r_max, covering[i]
-            for j in range(i + 1, len(live)):
-                bx, by, br, b_low, b_high, b_id, _ = live[j]
+            for j in range(i + 1, len(records)):
+                bx, by, br, b_low, b_high, b_id, _ = records[j]
                 if bx - ax > reach:
                     break
                 d = hypot(ax - bx, ay - by)
@@ -403,7 +403,7 @@ class SpectrumManager:
             low_id, high_id = min(clashes)
             raise AssertionError(f"interference: grants {low_id} and {high_id} overlap "
                                  f"in both area and frequency")
-        for grant_id, edges in sorted(zip([rec[5] for rec in live], covering)):
+        for grant_id, edges in sorted(zip([rec[5] for rec in records], covering)):
             edges.sort()
             total = _union_khz(edges)
             if total > self.band.width_khz:
@@ -412,12 +412,11 @@ class SpectrumManager:
 
 @dataclass
 class ScenarioResult:
-    manager: SpectrumManager
-    now: SimTime  # the latest time in the script, that of the last line replayed
+    manager: SpectrumManager  # its clock at the script's latest time
 
     def occupancy_report(self) -> str:
         """The grants live at the end of the script and the occupancy at their centers."""
-        active = sorted(self.manager.active_grants(self.now), key=lambda g: g.grant_id)
+        active = self.manager.active_grants()
         lines = ["active grants:"]
         for g in active:
             lines.append(
@@ -427,7 +426,7 @@ class ScenarioResult:
         centers = sorted({(g.area.x, g.area.y) for g in active})
         lines.append("occupancy at grant centers:")
         for x, y in centers:
-            _, total = self.manager.occupancy_at(x, y, self.now)
+            _, total = self.manager.occupancy_at(x, y)
             lines.append(f"  ({_fmt(x)}, {_fmt(y)}): {total / KHZ_PER_MHZ:g} MHz")
         return "\n".join(lines) + "\n"
 
@@ -503,7 +502,6 @@ def run_spectrum_scenario(script: str) -> ScenarioResult:
             raise ScriptError(line_no, f"unknown verb {verb!r}")
 
     commands.sort(key=lambda c: (c[0], c[1]))
-    t = 0
     for t, line_no, requester, request, expires in commands:
         if request is not None:
             try:
@@ -514,6 +512,6 @@ def run_spectrum_scenario(script: str) -> ScenarioResult:
             held = [g for g in manager.active_grants(t) if g.requester == requester]
             if not held:
                 raise ScriptError(line_no, f"{requester!r} holds no active grant to release")
-            manager.release_spectrum(held[0].grant_id, now=t)  # in id order: the oldest
-        manager.check_invariants(now=t)
-    return ScenarioResult(manager, t)
+            manager.release_spectrum(held[0].grant_id)  # in id order: the oldest
+        manager.check_invariants()
+    return ScenarioResult(manager)

@@ -583,7 +583,7 @@ def calibrate(master_seed: int = 0,
 
     if best_pair is None:
         best_pair = (DEFAULT_LOOP_CONFIG, ADAPTED_LOOP_CONFIG)
-        best_mismatches = [(lat, jit, "unscreened", cls.value)
-                           for (lat, jit), cls in sorted(target.items())]
+        best_mismatches = [(lat, jit, "unscreened", target[(lat, jit)].value)
+                           for lat, jit in itertools.product(spec.latencies_ms, spec.jitters_ms)]
     return CalibrationResult(False, best_pair[0], best_pair[1], best_matrix,
                              tried, best_mismatches)

@@ -727,6 +727,18 @@ class TestCli:
         assert "(0.5, 0.05): got unscreened, want pass" in report
         assert not (out / "matrix.csv").exists()
 
+    def test_a_calibration_that_screens_no_candidate_lists_only_its_own_cells(self, tmp_path,
+                                                                            capsys):
+        # it listed all 30 cells of the reference pattern as unscreened
+        config = tmp_path / "one-cell.ini"
+        config.write_text("[sweep]\nlatencies_ms = 0.5\njitters_ms = 0.05\nseeds_per_cell = 1\n")
+        assert main(["calibrate", "--config", str(config), "--screen-seconds", "0.5",
+                     "--trial-seconds", "1"]) == 3
+        assert capsys.readouterr().out == (
+            "calibration FAILED after 36 candidate(s)\n"
+            "best candidate mismatches (latency_ms, jitter_ms, got, want):\n"
+            "  (0.5, 0.05): got unscreened, want pass\n")
+
     def test_calibrate_refuses_a_cell_outside_its_target_before_any_trial(
             self, tmp_path, capsys, monkeypatch):
         trials = spy_on_trials(monkeypatch)
@@ -739,18 +751,28 @@ class TestCli:
                 "pattern holds only the default axes" in capsys.readouterr().err)
         assert trials == []
 
-    @pytest.mark.parametrize("section", ["[loop.default]\ndelay_spread_tolerance_us = 900\n",
-                                         "[gains.adapted]\nkp = 38\n"], ids=["loop", "gains"])
+    @pytest.mark.parametrize("name, text", [
+        ("loop.ini", "[loop.default]\ndelay_spread_tolerance_us = 900\n"),
+        ("gains.ini", "[gains.adapted]\nkp = 38\n"),
+        ("manifest.json", None),  # the shipped run's manifest with kp 32 in both loops
+    ], ids=["loop", "gains", "manifest"])
     def test_calibrate_refuses_a_loop_pair_it_would_not_run(self, tmp_path, capsys,
-                                                           monkeypatch, section):
-        # its grid is built around the shipped pair, so the file's values would be ignored
+                                                           monkeypatch, name, text):
+        # its grid is built around the shipped pair, so the file's values would be ignored;
+        # a manifest was refused for "[loop.*] and [gains.*] values" it has no section for
         trials = spy_on_trials(monkeypatch)
-        path = tmp_path / "loop.ini"
-        path.write_text(section)
+        if text is None:
+            data = json.loads(load_config(None).to_json())
+            for loop in ("default_config", "adapted_config"):
+                data[loop]["gains"]["kp"] = 32.0
+            text = json.dumps(data, indent=2)
+        path = tmp_path / name
+        path.write_text(text)
         out = tmp_path / "out"
         assert main(["calibrate", "--config", str(path), "--output-dir", str(out)]) == 2
-        assert (f"error: {path}: calibrate searches loop pairs around the shipped one"
-                in capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert f"error: {path}: calibrate searches loop pairs around the shipped one" in err
+        assert "[loop" not in err
         assert trials == []
         assert not (out / "manifest.json").exists()
 

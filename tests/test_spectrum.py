@@ -34,28 +34,36 @@ def oracle_first_fit(band: Band, blocks: list[SpectrumBlock], width: int):
     return None
 
 
+def blocks_overlap(a: SpectrumBlock, b: SpectrumBlock) -> bool:
+    return a.low_khz < b.high_khz and b.low_khz < a.high_khz
+
+
+def disc_holds(area: CoverageArea, x, y) -> bool:
+    return math.hypot(area.x - x, area.y - y) <= area.radius
+
+
 def oracle_conflicting(manager: SpectrumManager, area: CoverageArea):
     return [g.block for g in manager.active_grants() if discs_intersect(g.area, area)]
 
 
-def oracle_violation(manager: SpectrumManager, now=0):
+def oracle_violation(manager: SpectrumManager, now=None):
     """First invariant violation by testing every pair and every grant, else None."""
     grants = manager.active_grants(now)
     for i, a in enumerate(grants):
         for b in grants[i + 1:]:
-            if a.area.intersects(b.area) and a.block.overlaps(b.block):
+            if a.area.intersects(b.area) and blocks_overlap(a.block, b.block):
                 return (f"interference: grants {a.grant_id} and {b.grant_id} overlap "
                         f"in both area and frequency")
     for g in grants:
-        total = union_width_khz(h.block for h in grants if h.area.contains(g.area.x, g.area.y))
+        total = union_width_khz(h.block for h in grants if disc_holds(h.area, g.area.x, g.area.y))
         if total > manager.band.width_khz:
             return f"capacity exceeded at grant {g.grant_id} center: {total} kHz"
     return None
 
 
-def oracle_occupancy(manager: SpectrumManager, x, y, now=0):
+def oracle_occupancy(manager: SpectrumManager, x, y, now=None):
     hits = [(g.grant_id, g.block) for g in manager.active_grants(now)
-            if g.area.contains(x, y)]
+            if disc_holds(g.area, x, y)]
     return hits, union_width_khz(b for _, b in hits)
 
 
@@ -84,7 +92,7 @@ class TestStaticPlan:
         # brute-force overlap check: no pair of blocks intersects
         for i, a in enumerate(grants):
             for b in grants[i + 1:]:
-                assert not a.block.overlaps(b.block)
+                assert not blocks_overlap(a.block, b.block)
 
     def test_block_widths_are_20_20_60(self):
         grants = readme_static_plan().active_grants()
@@ -149,13 +157,14 @@ class TestRelease:
             SpectrumManager().release_spectrum(123)
 
     def test_release_of_a_lapsed_lease_is_not_found(self):
-        # whether or not a later request has purged it yet
+        # the release at 10 ends the lease, and the clock does not go back to 9
         manager = SpectrumManager()
         lease = manager.request_spectrum(SpectrumRequest("a", SITE, 30.0), now=0, expires_at=10)
         with pytest.raises(UnknownGrantError):
             manager.release_spectrum(lease.grant_id, now=10)
-        manager.release_spectrum(lease.grant_id, now=9)
-        assert manager.active_grants(9) == []
+        with pytest.raises(SpectrumError, match="^now 9 is before the clock at 10$"):
+            manager.release_spectrum(lease.grant_id, now=9)
+        assert manager.active_grants() == [] and len(manager.audit_log) == 1
 
     def test_release_leaves_disjoint_grant_untouched(self):
         manager = SpectrumManager()
@@ -218,7 +227,7 @@ class TestIntegerTimesAndIds:
 
     @pytest.mark.parametrize("now, expires_at, name", [
         (1.5, 2.5, "now"), (True, None, "now"), (0, 2.5, "expires_at"),
-        (0, True, "expires_at"), (None, None, "now"), ("0", None, "now"),
+        (0, True, "expires_at"), (0.0, None, "now"), ("0", None, "now"),
     ])
     def test_a_request_at_a_time_that_is_not_an_int_is_refused(self, now, expires_at, name):
         manager = SpectrumManager()
@@ -248,6 +257,56 @@ class TestIntegerTimesAndIds:
         assert manager.active_grants() == [grant]
         manager.release_spectrum(1)
         assert manager.active_grants() == []
+
+
+class TestOneClock:
+    """Every call moves the manager's one clock forward.  A lease purged only by
+    requests made the answer depend on the order of the calls: after a request at 100
+    had purged a lease to 80, a request at 50 was granted the block that lease held."""
+
+    @staticmethod
+    def after_a_lapsed_lease() -> SpectrumManager:
+        manager = SpectrumManager(Band(3_700_000, 3_720_000))
+        manager.request_spectrum(SpectrumRequest("a", SITE, 20.0), now=0, expires_at=80)
+        manager.request_spectrum(SpectrumRequest("far", FAR_AWAY, 20.0), now=100)
+        return manager
+
+    @pytest.mark.parametrize("call", [
+        lambda m, t: m.request_spectrum(SpectrumRequest("b", SITE, 20.0), now=t),
+        lambda m, t: m.release_spectrum(2, now=t),
+        lambda m, t: m.active_grants(t),
+        lambda m, t: m.occupancy_at(0.0, 0.0, t),
+        lambda m, t: m.check_invariants(t),
+    ], ids=["request", "release", "active_grants", "occupancy_at", "check_invariants"])
+    def test_a_call_before_the_clock_is_refused(self, call):
+        manager = self.after_a_lapsed_lease()
+        held, log = manager.active_grants(), list(manager.audit_log)
+        assert [g.requester for g in held] == ["far"]
+        with pytest.raises(SpectrumError, match="^now 50 is before the clock at 100$"):
+            call(manager, 50)
+        # neither refusal moves the clock: 99 is still before it, and 120 after it
+        with pytest.raises(SpectrumError, match="^now 120.5 is not an integer$"):
+            call(manager, 120.5)
+        with pytest.raises(SpectrumError, match="^now 99 is before the clock at 100$"):
+            call(manager, 99)
+        assert manager.active_grants() == held and manager.audit_log == log
+        assert manager.active_grants(120) == held
+
+    def test_no_time_answers_at_the_clock(self):
+        manager = SpectrumManager()
+        lease = manager.request_spectrum(SpectrumRequest("a", SITE, 100.0), now=0,
+                                         expires_at=10)
+        far = manager.request_spectrum(SpectrumRequest("far", FAR_AWAY, 20.0), now=5)
+        assert manager.active_grants() == [lease, far]
+        blocked = manager.request_spectrum(SpectrumRequest("b", SITE, 20.0))
+        assert isinstance(blocked, Rejection) and manager.audit_log[-1].time == 5
+        assert manager.occupancy_at(0.0, 0.0) == ([(lease.grant_id, lease.block)], 100_000)
+        manager.check_invariants()
+        assert manager.active_grants(10) == [far]  # the clock reached the lease's end
+        assert manager.occupancy_at(0.0, 0.0) == ([], 0)
+        granted = manager.request_spectrum(SpectrumRequest("b", SITE, 20.0))
+        assert granted.block == SpectrumBlock(3_700_000, 3_720_000)
+        assert manager.audit_log[-1].time == 10
 
 
 class TestWholeKhz:
@@ -529,7 +588,8 @@ tied_areas = st.builds(CoverageArea, x=st.sampled_from([-40.0, 0.0, 25.0]),
                        radius=st.sampled_from([10.0, 30.0]))
 
 # (verb, area, bandwidth, lease length or None, which held grant to release), each a µs
-# after the last; a lease ends as time passes, and a request purges it
+# after the last; a lease ends as the clock passes it, and the call that moves the clock
+# drops it
 steps = st.lists(st.tuples(st.sampled_from(["request", "request", "release", "purge"]),
                            tied_areas, st.sampled_from([5.0, 20.0, 45.0]),
                            st.sampled_from([None, 1, 2, 4]), st.integers(0, 20)),
@@ -546,7 +606,7 @@ def replay_checking_records(manager: SpectrumManager, sequence) -> None:
         elif verb == "release" and held:
             manager.release_spectrum(held[pick % len(held)].grant_id, now=now)
         elif verb == "purge":
-            manager._purge_expired(now)
+            manager._advance(now)
         records = rebuilt_records(manager)
         assert manager._by_x == records, "the records are not those of the grants"
         assert manager._xs == [record[0] for record in records]
